@@ -9,6 +9,12 @@ segment rule and are implemented with one shared prefix-sum gather, so
 the algebraic identities between them hold bitwise, not just to
 rounding.
 
+That gather (``gathered_prefix``) and the occupation kernel
+(``occupation_kernel``) take arrays shaped (..., n+1) and per-row
+anchors.  The per-path functions here and in ``sigma_classes`` call
+them on one path, and the ensemble chunks in ``experiments`` call them
+on path rows, so the two forms share code, not just formulas.
+
 Grid conventions: a run is the maximal index block sharing one
 last-zero anchor; the anchor belongs to its own block; index 0 anchors
 the initial block and is never a zero-set point.
@@ -38,6 +44,9 @@ __all__ = [
     "LinearCombination",
     "Product",
     "assert_adapted",
+    "gathered_prefix",
+    "kernel_bandwidth",
+    "occupation_kernel",
     "rho",
     "shift",
     "q_integral",
@@ -75,25 +84,20 @@ class RunningIntegralAgainst(PathFunctional):
         self.h = h
 
     def evaluate(self, values: np.ndarray, step: float) -> np.ndarray:
-        out = np.zeros_like(values)
-        if values.shape[0] > 1:
-            incs = np.diff(values)
-            np.cumsum(np.asarray(self.h(values[:-1]), dtype=np.float64) * incs, out=out[1:])
-        return out
+        if values.shape[0] < 2:
+            return np.zeros_like(values)
+        return gathered_prefix(np.asarray(self.h(values[:-1]), dtype=np.float64) * np.diff(values))
 
 
 class QuadraticVariation(PathFunctional):
     """Realized quadratic variation: cumulative sum of squared steps."""
 
     def evaluate(self, values: np.ndarray, step: float) -> np.ndarray:
-        out = np.zeros_like(values)
-        if values.shape[0] > 1:
-            np.cumsum(np.diff(values) ** 2, out=out[1:])
-        return out
+        return gathered_prefix(np.diff(values) ** 2)
 
 
 class LocalTimeAt(PathFunctional):
-    """Occupation-kernel local time at a level.
+    """Occupation-kernel local time at a level (``occupation_kernel``).
 
     Counts left endpoints within ``bandwidth`` of the level and scales
     by step / (2 * bandwidth).  Default bandwidth is sqrt(step).
@@ -106,13 +110,7 @@ class LocalTimeAt(PathFunctional):
         self.bandwidth = bandwidth
 
     def evaluate(self, values: np.ndarray, step: float) -> np.ndarray:
-        b = self.bandwidth if self.bandwidth is not None else float(np.sqrt(step))
-        out = np.zeros_like(values)
-        if values.shape[0] > 1:
-            hits = (np.abs(values[:-1] - self.level) < b).astype(np.float64)
-            np.cumsum(hits, out=out[1:])
-            out[1:] *= step / (2.0 * b)
-        return out
+        return occupation_kernel(values, step, self.level, self.bandwidth)
 
 
 class Constant(PathFunctional):
@@ -238,12 +236,52 @@ def shift(X: Path, zs: ZeroSetInfo) -> Path:
     return Path(grid=sub, values=X.values[g:].copy())
 
 
-def _gathered_prefix(c: np.ndarray, zs: ZeroSetInfo) -> np.ndarray:
-    """Segment sums of per-interval contributions c (length n): the
-    prefix sum minus its value at the last-zero anchor."""
-    P = np.zeros(c.shape[0] + 1)
-    np.cumsum(c, out=P[1:])
-    return P - P[zs.gamma_index]
+def gathered_prefix(c: np.ndarray, anchors: np.ndarray | None = None) -> np.ndarray:
+    """Segment sums of per-interval contributions c, shaped (..., n).
+
+    Returns the (..., n+1) prefix sums of c minus their values at the
+    ``anchors`` column indices (the last-zero anchor of each grid point,
+    or one anchor per row); without anchors, the plain prefix sums.
+    """
+    P = np.zeros(c.shape[:-1] + (c.shape[-1] + 1,))
+    # cast into P and sum in place: no temporary when c is a boolean mask
+    P[..., 1:] = c
+    np.cumsum(P[..., 1:], axis=-1, out=P[..., 1:])
+    if anchors is not None:
+        P -= np.take_along_axis(P, anchors, axis=-1)
+    return P
+
+
+def kernel_bandwidth(step: float, bandwidth: float | None = None) -> float:
+    """The occupation-kernel bandwidth: ``bandwidth``, or sqrt(step)."""
+    b = float(bandwidth) if bandwidth is not None else float(np.sqrt(step))
+    if b <= 0.0:
+        raise ConfigurationError("bandwidth must be positive")
+    return b
+
+
+def occupation_kernel(
+    values: np.ndarray,
+    step: float,
+    level: float = 0.0,
+    bandwidth: float | None = None,
+    anchors: np.ndarray | None = None,
+) -> np.ndarray:
+    """Occupation-kernel local time at a level, shaped like ``values``.
+
+    Counts left endpoints x with |x - level| < b (b from
+    ``kernel_bandwidth``), restarted at ``anchors`` as in
+    ``gathered_prefix``, and scales the counts once by step / (2 b).
+    The counts are exact integers, so any difference of two entries
+    before the scaling is exact too.
+    """
+    b = kernel_bandwidth(step, bandwidth)
+    left = values[..., :-1]
+    # x - 0.0 == x, so level 0 skips one full-size temporary
+    hits = np.abs(left - level) < b if level != 0.0 else np.abs(left) < b
+    out = gathered_prefix(hits, anchors)
+    out *= step / (2.0 * b)
+    return out
 
 
 def q_integral(
@@ -270,9 +308,7 @@ def q_integral(
                 continue
             seg = values[g : e + 1]
             hv = h.evaluate(seg, zs.grid.step)
-            local = np.zeros(e - g + 1)
-            np.cumsum(hv[:-1] * np.diff(seg), out=local[1:])
-            out[g : e + 1] = local
+            out[g : e + 1] = gathered_prefix(hv[:-1] * np.diff(seg))
         # Zero-set anchors already carry 0 from the local cumsum start.
         return Path(grid=X.grid, values=out)
     if callable(h):
@@ -283,13 +319,13 @@ def q_integral(
             hw = hw[:-1]
     if hw.shape[0] != incs.shape[0]:
         raise ContractError("integrand length must match the number of grid intervals")
-    return Path(grid=X.grid, values=_gathered_prefix(hw * incs, zs))
+    return Path(grid=X.grid, values=gathered_prefix(hw * incs, zs.gamma_index))
 
 
 def q_bracket(X: Path, zs: ZeroSetInfo) -> Path:
     """Realized quadratic variation per zero-free segment."""
     _check_same_grid(X, zs)
-    return Path(grid=X.grid, values=_gathered_prefix(np.diff(X.values) ** 2, zs))
+    return Path(grid=X.grid, values=gathered_prefix(np.diff(X.values) ** 2, zs.gamma_index))
 
 
 @dataclass(frozen=True)
@@ -309,11 +345,8 @@ def q_local_time(X: Path, level: float, zs: ZeroSetInfo, bandwidth: float | None
     sqrt(step).
     """
     _check_same_grid(X, zs)
-    b = float(bandwidth) if bandwidth is not None else float(np.sqrt(zs.grid.step))
-    if b <= 0.0:
-        raise ConfigurationError("bandwidth must be positive")
-    hits = (np.abs(X.values[:-1] - level) < b).astype(np.float64)
-    vals = _gathered_prefix(hits, zs) * (zs.grid.step / (2.0 * b))
+    b = kernel_bandwidth(zs.grid.step, bandwidth)
+    vals = occupation_kernel(X.values, zs.grid.step, level, b, zs.gamma_index)
     return QLocalTime(path=Path(grid=X.grid, values=vals), level=level, bandwidth=b)
 
 
@@ -380,7 +413,7 @@ def tanaka_residual(
     f, d, half = _form_pieces(form, values[:-1], level)
     fx = f(values)
     lhs = fx - fx[zs.gamma_index]
-    stoch = _gathered_prefix(d * np.diff(values), zs)
+    stoch = gathered_prefix(d * np.diff(values), zs.gamma_index)
     identity = (lhs - stoch) / half
     kernel = q_local_time(X, level, zs, bandwidth=bandwidth)
     residual = identity - kernel.path.values
@@ -414,4 +447,4 @@ def ito_residual(
     fx = np.asarray(F(values), dtype=np.float64)
     lhs = fx - fx[zs.gamma_index]
     c = np.asarray(dF(left), dtype=np.float64) * incs + 0.5 * np.asarray(d2F(left), dtype=np.float64) * incs**2
-    return Path(grid=X.grid, values=lhs - _gathered_prefix(c, zs))
+    return Path(grid=X.grid, values=lhs - gathered_prefix(c, zs.gamma_index))

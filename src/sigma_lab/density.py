@@ -22,6 +22,12 @@ Zero sets are detected on the grid by sign changes: the interval
 values not both zero, and the zero is booked at the right endpoint
 k + 1.  The convention sup(empty) = 0 applies throughout: with no
 crossing, the last zero time and every last-zero-before-t time is 0.
+
+The driver, density and zero-set kernels (``driver_matrix``,
+``density_matrix``, ``zero_geometry``) work on path rows.  The
+per-path functions (``density_driver_path``, ``density_path``,
+``zero_set_from_level_series``) call the same kernels on one row, so a
+per-path result equals the matching ensemble row bit for bit.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ import numpy as np
 from scipy.stats import norm
 
 from .errors import ConfigurationError, ContractError, DegenerateMeasureError
-from .paths import Path, SeedSpec, TimeGrid, bm_increments, SUBSTREAM_DENSITY
+from .paths import Path, SeedSpec, TimeGrid, cumsum_paths, increments_matrix, SUBSTREAM_DENSITY
 
 __all__ = [
     "ConstantOne",
@@ -40,7 +46,11 @@ __all__ = [
     "ErfSign",
     "DensityModel",
     "ZeroSetInfo",
+    "ZeroGeometry",
     "EnsembleWeights",
+    "driver_matrix",
+    "density_matrix",
+    "zero_geometry",
     "density_path",
     "density_driver_path",
     "zero_set",
@@ -166,28 +176,8 @@ def _require_horizon(model: DensityModel, grid: TimeGrid) -> int:
     return grid.index_of(min(intrinsic, grid.horizon))
 
 
-def density_values(model: DensityModel, driver: np.ndarray | None, grid: TimeGrid) -> np.ndarray:
-    """Density path values from the model's driver values (None for ConstantOne)."""
-    stop = _require_horizon(model, grid)
-    if isinstance(model, ConstantOne):
-        return np.ones(grid.n_steps + 1)
-    if driver is None:
-        raise ContractError("density model needs a driver path")
-    if isinstance(model, StoppedBM):
-        values = driver.astype(np.float64, copy=True)
-        values[stop:] = values[stop]
-        return values
-    # ErfSign: smooth CDF transform before the terminal time, then the sign.
-    times = grid.times
-    values = np.empty(grid.n_steps + 1)
-    shifted = driver[:stop] + model.offset
-    values[:stop] = 2.0 * norm.cdf(shifted / np.sqrt(model.terminal_time - times[:stop])) - 1.0
-    values[stop:] = np.where(driver[stop] + model.offset >= 0.0, 1.0, -1.0)
-    return values
-
-
-def density_driver_path(model: DensityModel, seed: SeedSpec, grid: TimeGrid) -> Path | None:
-    """The model's own driver path (density substream); None for ConstantOne.
+def driver_matrix(model: DensityModel, master_seed: int, start_index: int, count: int, grid: TimeGrid) -> np.ndarray | None:
+    """Density-substream driver rows; None for the constant model.
 
     For StoppedBM the driver is the unfrozen Brownian path from `start`;
     for ErfSign it is the Brownian path from 0 feeding the CDF transform.
@@ -196,59 +186,97 @@ def density_driver_path(model: DensityModel, seed: SeedSpec, grid: TimeGrid) -> 
         return None
     _require_horizon(model, grid)
     start = model.start if isinstance(model, StoppedBM) else 0.0
-    incs = bm_increments(seed, grid.n_steps, grid.step, SUBSTREAM_DENSITY)
-    values = np.empty(grid.n_steps + 1)
-    values[0] = start
-    np.cumsum(incs, out=values[1:])
-    values[1:] += start
-    return Path(grid=grid, values=values)
+    incs = increments_matrix(master_seed, start_index, count, grid.n_steps, grid.step, SUBSTREAM_DENSITY)
+    return cumsum_paths(incs, start)
+
+
+def density_matrix(model: DensityModel, driver: np.ndarray | None, grid: TimeGrid) -> np.ndarray:
+    """Density rows from driver rows (None for ConstantOne, which gives
+    a single row of ones)."""
+    stop = _require_horizon(model, grid)
+    if isinstance(model, ConstantOne):
+        return np.ones((1, grid.n_steps + 1))
+    if driver is None:
+        raise ContractError("density model needs driver rows")
+    if isinstance(model, StoppedBM):
+        values = driver.copy()
+        values[:, stop:] = values[:, stop : stop + 1]
+        return values
+    # ErfSign: smooth CDF transform before the terminal time, then the sign.
+    times = grid.times
+    values = np.empty_like(driver)
+    shifted = driver[:, :stop] + model.offset
+    values[:, :stop] = 2.0 * norm.cdf(shifted / np.sqrt(model.terminal_time - times[:stop])) - 1.0
+    values[:, stop:] = np.where(driver[:, stop : stop + 1] + model.offset >= 0.0, 1.0, -1.0)
+    return values
+
+
+def density_driver_path(model: DensityModel, seed: SeedSpec, grid: TimeGrid) -> Path | None:
+    """The model's own driver path (density substream); None for
+    ConstantOne.  Row 0 of ``driver_matrix`` for this seed."""
+    rows = driver_matrix(model, seed.master_seed, seed.path_index, 1, grid)
+    return None if rows is None else Path(grid=grid, values=rows[0])
 
 
 def density_path(model: DensityModel, seed: SeedSpec, grid: TimeGrid) -> Path:
     """Sample the density path for one seed on the grid."""
-    driver = density_driver_path(model, seed, grid)
-    values = density_values(model, None if driver is None else driver.values, grid)
-    return Path(grid=grid, values=values)
+    driver = driver_matrix(model, seed.master_seed, seed.path_index, 1, grid)
+    return Path(grid=grid, values=density_matrix(model, driver, grid)[0])
+
+
+@dataclass(frozen=True, eq=False)
+class ZeroGeometry:
+    """Zero-set geometry along the last axis: one entry per path."""
+
+    in_h: np.ndarray = field(repr=False)
+    gamma_idx: np.ndarray = field(repr=False)
+    gbar_idx: np.ndarray = field(repr=False)
+
+    @property
+    def has_zero(self) -> np.ndarray:
+        return self.gbar_idx > 0
+
+
+def zero_geometry(level_rows: np.ndarray, last_index: int | None = None) -> ZeroGeometry:
+    """Sign-change geometry of series crossing level 0, shaped (..., n+1).
+
+    Zeros are booked at the right endpoint of a sign-change interval;
+    ``last_index`` discards detections past a freeze column.
+    """
+    left, right = level_rows[..., :-1], level_rows[..., 1:]
+    change = (left * right <= 0.0) & ~((left == 0.0) & (right == 0.0))
+    if last_index is not None:
+        change[..., last_index:] = False
+    in_h = np.zeros(level_rows.shape, dtype=bool)
+    in_h[..., 1:] = change
+    idx = np.arange(level_rows.shape[-1])
+    gamma_idx = np.maximum.accumulate(np.where(in_h, idx, 0), axis=-1)
+    return ZeroGeometry(in_h=in_h, gamma_idx=gamma_idx, gbar_idx=gamma_idx[..., -1].copy())
 
 
 def zero_set_from_level_series(series: np.ndarray, grid: TimeGrid, last_index: int | None = None) -> ZeroSetInfo:
     """Zero-set geometry of a series crossing level 0 on the grid.
 
     ``last_index`` restricts detection to intervals ending at or before
-    that index (used when the series is frozen afterwards).
+    that index (used when the series is frozen afterwards).  The
+    geometry is ``zero_geometry`` of the single series.
     """
     series = np.asarray(series, dtype=np.float64)
-    n = grid.n_steps
-    if series.shape[0] != n + 1:
+    if series.shape != (grid.n_steps + 1,):
         raise ContractError("level series length does not match the grid")
-    left, right = series[:-1], series[1:]
-    change = (left * right <= 0.0) & ~((left == 0.0) & (right == 0.0))
-    if last_index is not None:
-        change[last_index:] = False
-    ks = np.nonzero(change)[0]
-    h_indices = ks + 1
-    crossing_intervals = tuple((int(k), int(k) + 1) for k in ks)
-
-    idx = np.arange(n + 1)
-    in_h = np.zeros(n + 1, dtype=bool)
-    in_h[h_indices] = True
-    gamma_index = np.maximum.accumulate(np.where(in_h, idx, 0))
-    gbar_before_index = np.empty(n + 1, dtype=gamma_index.dtype)
-    gbar_before_index[0] = 0
-    gbar_before_index[1:] = gamma_index[:-1]
-    gbar_index = int(gamma_index[-1])
-
-    # One anchor per maximal run: the distinct last-zero values.
-    excursion_start_indices = np.unique(gamma_index).astype(np.int64)
-
+    zg = zero_geometry(series, last_index)
+    h_indices = np.nonzero(zg.in_h)[0].astype(np.int64)
+    gamma_index = zg.gamma_idx.astype(np.int64)
+    gbar_before_index = np.concatenate(([0], gamma_index[:-1]))
     return ZeroSetInfo(
         grid=grid,
-        crossing_intervals=crossing_intervals,
-        h_indices=h_indices.astype(np.int64),
-        gbar_index=gbar_index,
-        gamma_index=gamma_index.astype(np.int64),
-        gbar_before_index=gbar_before_index.astype(np.int64),
-        excursion_start_indices=excursion_start_indices,
+        crossing_intervals=tuple((int(k) - 1, int(k)) for k in h_indices),
+        h_indices=h_indices,
+        gbar_index=int(zg.gbar_idx),
+        gamma_index=gamma_index,
+        gbar_before_index=gbar_before_index,
+        # One anchor per maximal run: the distinct last-zero values.
+        excursion_start_indices=np.unique(gamma_index),
     )
 
 
@@ -261,16 +289,10 @@ def zero_set(D: Path, model: DensityModel, driver: Path | None = None) -> ZeroSe
     to sign changes of D itself (the CDF transform is strictly monotone
     in W, so the two detections agree wherever the CDF is resolvable).
     """
-    grid = D.grid
-    if isinstance(model, ErfSign):
-        stop = grid.index_of(min(model.terminal_time, grid.horizon))
-        if driver is not None:
-            return zero_set_from_level_series(driver.values + model.offset, grid, last_index=stop)
-        return zero_set_from_level_series(D.values, grid, last_index=stop)
-    if isinstance(model, StoppedBM):
-        stop = grid.index_of(min(model.stop_time, grid.horizon))
-        return zero_set_from_level_series(D.values, grid, last_index=stop)
-    return zero_set_from_level_series(D.values, grid)
+    stop = _require_horizon(model, D.grid)
+    if isinstance(model, ErfSign) and driver is not None:
+        return zero_set_from_level_series(driver.values + model.offset, D.grid, last_index=stop)
+    return zero_set_from_level_series(D.values, D.grid, last_index=stop)
 
 
 def ensemble_weights(terminal_values: np.ndarray) -> EnsembleWeights:

@@ -1,28 +1,28 @@
-"""Chunked, vectorized simulation of path ensembles.
+"""Chunked evaluation of path ensembles.
 
-Rows are paths, columns are grid points.  Every row reproduces, bit
-for bit, what the per-path samplers produce for the same master seed
-and path index: row generation calls the same increment routine with
-the same counter-based stream layout, and the matrix-level transforms
-apply the same elementwise formulas in the same order.  Tests lean on
-that equivalence, so resist the temptation to "optimize" row
-generation into a single shared stream.
+``run_chunked`` evaluates a chunk function over fixed 256-path chunks,
+serially or through a process pool, and concatenates the per-path
+features in index order, so results are independent of chunking and
+of the worker count.
 
-Chunks are a fixed 256 paths and are concatenated in index order, so
-results are independent of chunking and of the worker count.
+The row kernels behind the chunk functions live with their concepts
+(``paths``, ``density``, ``balayage``); the path, density and
+zero-geometry kernels are re-exported here.  Each per-path function
+calls the same kernel on one row, so an ensemble row equals the
+per-path result bit for bit because the two share code, not just
+formulas.  Row generation keeps one counter-based stream per path for
+that reason.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import norm
 
-from .density import ConstantOne, DensityModel, StoppedBM
+from .density import ZeroGeometry, density_matrix, driver_matrix, zero_geometry
 from .errors import ConfigurationError, ContractError
-from .paths import SeedSpec, TimeGrid, bm_increments, SUBSTREAM_DENSITY, SUBSTREAM_PRIMARY
+from .paths import cumsum_paths, increments_matrix
 
 __all__ = [
     "CHUNK_SIZE",
@@ -30,13 +30,10 @@ __all__ = [
     "run_chunked",
     "increments_matrix",
     "cumsum_paths",
-    "subsample_paths",
     "driver_matrix",
     "density_matrix",
     "ZeroGeometry",
     "zero_geometry",
-    "gathered_prefix_matrix",
-    "first_reach_index",
 ]
 
 CHUNK_SIZE = 256
@@ -88,7 +85,9 @@ def run_chunked(
     if workers > 1 and len(ranges) > 1:
         parts = _pool(workers).starmap(fn, ranges)
     else:
-        parts = [fn(s, c) for s, c in ranges]
+        # Owned copies: a feature that is a view (a column of a chunk's
+        # matrix) would otherwise keep that whole matrix alive.
+        parts = [{k: np.array(v) for k, v in fn(s, c).items()} for s, c in ranges]
     keys = list(parts[0].keys())
     out: dict[str, np.ndarray] = {}
     for k in keys:
@@ -96,116 +95,3 @@ def run_chunked(
             raise ContractError(f"feature {k!r} missing from some chunks")
         out[k] = np.concatenate([np.atleast_1d(np.asarray(p[k])) for p in parts])
     return out
-
-
-def increments_matrix(
-    master_seed: int,
-    start_index: int,
-    count: int,
-    n_steps: int,
-    step: float,
-    substream: int = SUBSTREAM_PRIMARY,
-) -> np.ndarray:
-    """Gaussian increment rows for paths start_index .. start_index+count-1."""
-    out = np.empty((count, n_steps))
-    for i in range(count):
-        seed = SeedSpec(master_seed=master_seed, path_index=start_index + i)
-        out[i] = bm_increments(seed, n_steps, step, substream)
-    return out
-
-
-def cumsum_paths(incs: np.ndarray, start: float = 0.0) -> np.ndarray:
-    """Path values from increment rows, with the given common start."""
-    count, n = incs.shape
-    values = np.empty((count, n + 1))
-    values[:, 0] = start
-    np.cumsum(incs, axis=1, out=values[:, 1:])
-    if start != 0.0:
-        values[:, 1:] += start
-    return values
-
-
-def subsample_paths(values: np.ndarray, factor: int) -> np.ndarray:
-    """Columns 0, factor, 2*factor, ...: the same paths on a coarser grid."""
-    if factor < 1 or (values.shape[1] - 1) % factor:
-        raise ConfigurationError("subsample factor must divide the step count")
-    return values[:, ::factor]
-
-
-def driver_matrix(model: DensityModel, master_seed: int, start_index: int, count: int, grid: TimeGrid) -> np.ndarray | None:
-    """Density-substream driver rows; None for the constant model."""
-    if isinstance(model, ConstantOne):
-        return None
-    start = model.start if isinstance(model, StoppedBM) else 0.0
-    incs = increments_matrix(master_seed, start_index, count, grid.n_steps, grid.step, SUBSTREAM_DENSITY)
-    return cumsum_paths(incs, start)
-
-
-def density_matrix(model: DensityModel, driver: np.ndarray | None, grid: TimeGrid) -> np.ndarray:
-    """Density rows from driver rows; elementwise identical to the
-    per-path construction."""
-    n = grid.n_steps
-    if isinstance(model, ConstantOne):
-        return np.ones((1, n + 1))
-    if driver is None:
-        raise ContractError("density model needs driver rows")
-    if isinstance(model, StoppedBM):
-        stop = grid.index_of(min(model.stop_time, grid.horizon))
-        values = driver.copy()
-        values[:, stop:] = values[:, stop : stop + 1]
-        return values
-    stop = grid.index_of(min(model.terminal_time, grid.horizon))
-    times = grid.times
-    values = np.empty_like(driver)
-    shifted = driver[:, :stop] + model.offset
-    values[:, :stop] = 2.0 * norm.cdf(shifted / np.sqrt(model.terminal_time - times[:stop])) - 1.0
-    values[:, stop:] = np.where(driver[:, stop : stop + 1] + model.offset >= 0.0, 1.0, -1.0)
-    return values
-
-
-@dataclass(frozen=True, eq=False)
-class ZeroGeometry:
-    """Vectorized zero-set geometry: one row per path."""
-
-    in_h: np.ndarray = field(repr=False)
-    gamma_idx: np.ndarray = field(repr=False)
-    gbar_idx: np.ndarray = field(repr=False)
-
-    @property
-    def has_zero(self) -> np.ndarray:
-        return self.gbar_idx > 0
-
-
-def zero_geometry(level_rows: np.ndarray, last_index: int | None = None) -> ZeroGeometry:
-    """Sign-change geometry of rows crossing level 0.
-
-    Zeros are booked at the right endpoint of a sign-change interval;
-    ``last_index`` discards detections past a freeze column.
-    """
-    rows, n1 = level_rows.shape
-    left, right = level_rows[:, :-1], level_rows[:, 1:]
-    change = (left * right <= 0.0) & ~((left == 0.0) & (right == 0.0))
-    if last_index is not None:
-        change[:, last_index:] = False
-    in_h = np.zeros((rows, n1), dtype=bool)
-    in_h[:, 1:] = change
-    idx = np.arange(n1)
-    gamma_idx = np.maximum.accumulate(np.where(in_h, idx, 0), axis=1)
-    return ZeroGeometry(in_h=in_h, gamma_idx=gamma_idx, gbar_idx=gamma_idx[:, -1].copy())
-
-
-def gathered_prefix_matrix(c: np.ndarray, gamma_idx: np.ndarray) -> np.ndarray:
-    """Row-wise segment sums: prefix sums of c minus their value at the
-    row's last-zero anchor (the restart gather, vectorized)."""
-    rows, n = c.shape
-    P = np.zeros((rows, n + 1))
-    np.cumsum(c, axis=1, out=P[:, 1:])
-    return P - np.take_along_axis(P, gamma_idx, axis=1)
-
-
-def first_reach_index(values: np.ndarray, level: float) -> np.ndarray:
-    """Per row, the first column where values >= level; -1 when never."""
-    mask = values >= level
-    hit = mask.any(axis=1)
-    idx = mask.argmax(axis=1)
-    return np.where(hit, idx, -1)

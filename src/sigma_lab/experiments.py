@@ -36,7 +36,9 @@ from .balayage import (
     QuadraticVariation,
     RunningIntegralAgainst,
     RunningSup,
+    gathered_prefix,
     ito_residual,
+    occupation_kernel,
     rho,
     shift,
     tanaka_residual,
@@ -47,19 +49,15 @@ from .density import (
     ErfSign,
     StoppedBM,
     density_driver_path,
+    density_matrix,
     density_path,
+    driver_matrix,
     ensemble_weights,
+    zero_geometry,
     zero_set,
     zero_set_from_level_series,
 )
-from .ensemble import (
-    cumsum_paths,
-    density_matrix,
-    driver_matrix,
-    increments_matrix,
-    run_chunked,
-    zero_geometry,
-)
+from .ensemble import CHUNK_SIZE, run_chunked
 from .errors import ConfigurationError
 from .estimates import (
     BoundarySpec,
@@ -84,6 +82,9 @@ from .paths import (
     Path,
     SeedSpec,
     TimeGrid,
+    cumsum_paths,
+    first_hit,
+    increments_matrix,
     make_grid,
     sample_bm,
     sample_independent_pair,
@@ -249,23 +250,21 @@ def report_rows(run: ExperimentRun) -> list[ReportRow]:
 
 # ---------------------------------------------------------------- helpers
 
-def _first_true(mask: np.ndarray) -> np.ndarray:
-    """Per-row index of the first True, or -1."""
-    hit = mask.any(axis=1)
-    idx = mask.argmax(axis=1)
-    return np.where(hit, idx, -1)
+def _chunked(
+    st: RunSettings,
+    chunk: Callable[..., dict[str, np.ndarray]],
+    n_paths: int | None = None,
+    chunk_size: int = CHUNK_SIZE,
+    **params,
+) -> dict[str, np.ndarray]:
+    """``run_chunked`` over chunk(start, count, seed=..., step=..., **params)."""
+    fn = functools.partial(chunk, seed=st.master_seed, step=st.step, **params)
+    n = st.n_paths if n_paths is None else n_paths
+    return run_chunked(n, fn, chunk_size=chunk_size, workers=st.workers)
 
 
 def _gather(matrix: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return np.take_along_axis(matrix, cols[:, None], axis=1)[:, 0]
-
-
-def _kernel_matrix(x: np.ndarray, step: float, b: float) -> np.ndarray:
-    """Unrestarted occupation-kernel local time at 0, row by row."""
-    out = np.zeros_like(x)
-    np.cumsum((np.abs(x[:, :-1]) < b).astype(np.float64), axis=1, out=out[:, 1:])
-    out[:, 1:] *= step / (2.0 * b)
-    return out
 
 
 def _primary(seed: int, start: int, count: int, grid: TimeGrid) -> np.ndarray:
@@ -277,17 +276,10 @@ def _primary(seed: int, start: int, count: int, grid: TimeGrid) -> np.ndarray:
 class _DensityBlock:
     terminal: np.ndarray
     gbar: np.ndarray
-    gamma: np.ndarray | None
+    gamma: np.ndarray
 
 
-def _density_block(
-    model: DensityModel,
-    seed: int,
-    start: int,
-    count: int,
-    step: float,
-    with_gamma: bool = False,
-) -> _DensityBlock:
+def _density_block(model: DensityModel, seed: int, start: int, count: int, step: float) -> _DensityBlock:
     """Terminal weights and zero geometry on the model's own span.
 
     The indices live on any grid with the same step, because the
@@ -295,8 +287,7 @@ def _density_block(
     """
     if isinstance(model, ConstantOne):
         z = np.zeros(count, dtype=np.int64)
-        gamma = np.zeros((count, 1), dtype=np.int64) if with_gamma else None
-        return _DensityBlock(terminal=np.ones(count), gbar=z, gamma=gamma)
+        return _DensityBlock(terminal=np.ones(count), gbar=z, gamma=z[:, None])
     intrinsic = model.stop_time if isinstance(model, StoppedBM) else model.terminal_time
     sgrid = make_grid(intrinsic, step)
     driver = driver_matrix(model, seed, start, count, sgrid)
@@ -307,9 +298,9 @@ def _density_block(
         level = driver + model.offset
     zg = zero_geometry(level, last_index=sgrid.n_steps)
     return _DensityBlock(
-        terminal=dens[:, -1].copy(),
+        terminal=dens[:, -1],
         gbar=zg.gbar_idx,
-        gamma=zg.gamma_idx if with_gamma else None,
+        gamma=zg.gamma_idx,
     )
 
 
@@ -415,29 +406,28 @@ def _f_primitive(kind: str, a: np.ndarray) -> np.ndarray:
     return np.where(a < 1.0, 0.5 * a * a, a - 0.5)
 
 
-@dataclass(frozen=True)
-class _T1Params:
-    seed: int
-    step: float
-    horizon: float
-    checkpoints: tuple[float, ...]
-    model: DensityModel
-    drift: float = 0.0
-
-
-def _t1_chunk(p: _T1Params, start: int, count: int) -> dict[str, np.ndarray]:
-    grid = make_grid(p.horizon, p.step)
-    w = _primary(p.seed, start, count, grid)
-    if p.drift != 0.0:
-        w = w + p.drift * grid.times[None, :]
-    cols = np.array([grid.index_of(t) for t in p.checkpoints])
+def _t1_chunk(
+    start: int,
+    count: int,
+    *,
+    seed: int,
+    step: float,
+    horizon: float,
+    checkpoints: tuple[float, ...],
+    model: DensityModel,
+    drift: float = 0.0,
+) -> dict[str, np.ndarray]:
+    grid = make_grid(horizon, step)
+    w = _primary(seed, start, count, grid)
+    if drift != 0.0:
+        w = w + drift * grid.times[None, :]
+    cols = np.array([grid.index_of(t) for t in checkpoints])
     s = np.maximum.accumulate(w, axis=1)
-    b = float(np.sqrt(p.step))
     variants = {
         "drawdown": (s - w, s),
-        "abs": (np.abs(w), _kernel_matrix(w, p.step, b)),
+        "abs": (np.abs(w), occupation_kernel(w, step)),
     }
-    block = _density_block(p.model, p.seed, start, count, p.step)
+    block = _density_block(model, seed, start, count, step)
     out: dict[str, np.ndarray] = {"q": block.terminal}
     for cons, (x, a) in variants.items():
         xc = x[:, cols]
@@ -460,8 +450,7 @@ def _run_t1(st: RunSettings) -> tuple[list[TargetCheck], list[CurveSeries]]:
     cps = st.checkpoints if st.checkpoints is not None else (0.25, 0.5, 0.75, 1.0)
     checks: list[TargetCheck] = []
     for model in (ConstantOne(), _SBM):
-        p = _T1Params(st.master_seed, st.step, horizon, cps, model)
-        feats = run_chunked(st.n_paths, functools.partial(_t1_chunk, p), workers=st.workers)
+        feats = _chunked(st, _t1_chunk, horizon=horizon, checkpoints=cps, model=model)
         q = feats["q"]
         for cons in ("drawdown", "abs"):
             for kind in _F_ORDER:
@@ -469,9 +458,8 @@ def _run_t1(st: RunSettings) -> tuple[list[TargetCheck], list[CurveSeries]]:
                 checks.append(
                     _flatness_check(f"{_model_label(model)}-{cons}-f-{kind}", rep, "q-weighted")
                 )
-    control = _T1Params(st.master_seed, st.step, horizon, cps, ConstantOne(), drift=0.3)
     n_ctrl = min(st.n_paths, 20000)
-    feats = run_chunked(n_ctrl, functools.partial(_t1_chunk, control), workers=st.workers)
+    feats = _chunked(st, _t1_chunk, n_ctrl, horizon=horizon, checkpoints=cps, model=ConstantOne(), drift=0.3)
     rep = flatness_test(feats["drawdown|one"].T, feats["q"], cps)
     checks.append(_control_check("drifted-control-fails", rep))
     return checks, []
@@ -479,25 +467,25 @@ def _run_t1(st: RunSettings) -> tuple[list[TargetCheck], list[CurveSeries]]:
 
 # ---------------------------------------------------------------- r1 restart martingale
 
-@dataclass(frozen=True)
-class _R1Params:
-    seed: int
-    step: float
-    horizon: float
-    cdf_time: float
-    offsets: tuple[float, ...]
-    model: DensityModel
-
-
-def _r1_chunk(p: _R1Params, start: int, count: int) -> dict[str, np.ndarray]:
-    grid = make_grid(p.horizon, p.step)
-    w = _primary(p.seed, start, count, grid)
+def _r1_chunk(
+    start: int,
+    count: int,
+    *,
+    seed: int,
+    step: float,
+    horizon: float,
+    cdf_time: float,
+    offsets: tuple[float, ...],
+    model: DensityModel,
+) -> dict[str, np.ndarray]:
+    grid = make_grid(horizon, step)
+    w = _primary(seed, start, count, grid)
     t = grid.times
-    u = norm.cdf((0.5 - w) / np.sqrt(p.cdf_time - t)[None, :])
-    block = _density_block(p.model, p.seed, start, count, p.step)
+    u = norm.cdf((0.5 - w) / np.sqrt(cdf_time - t)[None, :])
+    block = _density_block(model, seed, start, count, step)
     gbar = block.gbar
     ug = _gather(u, gbar)
-    offs = np.array([round(s / p.step) for s in p.offsets], dtype=np.int64)
+    offs = np.array([round(s / step) for s in offsets], dtype=np.int64)
     vals = np.empty((count, offs.size))
     keep = np.ones(count, dtype=bool)
     for k, d in enumerate(offs):
@@ -523,8 +511,7 @@ def _run_r1(st: RunSettings) -> tuple[list[TargetCheck], list[CurveSeries]]:
         # make sure every restart window fits on the simulated grid
         horizon = max(horizon, 1.0 + max(offsets) + st.step)
         horizon = round(horizon / st.step) * st.step
-    p = _R1Params(st.master_seed, st.step, horizon, cdf_time=horizon + 1.0, offsets=offsets, model=_ERF)
-    feats = run_chunked(st.n_paths, functools.partial(_r1_chunk, p), workers=st.workers)
+    feats = _chunked(st, _r1_chunk, horizon=horizon, cdf_time=horizon + 1.0, offsets=offsets, model=_ERF)
     pprime = ensemble_weights(feats["pprime_raw"]).pprime_weight
     rep = flatness_test(feats["v"].T, pprime, offsets)
     dropped = int(st.n_paths - feats["v"].shape[0])
@@ -537,28 +524,22 @@ def _run_r1(st: RunSettings) -> tuple[list[TargetCheck], list[CurveSeries]]:
 
 # ---------------------------------------------------------------- sigma-s characterization
 
-@dataclass(frozen=True)
-class _SigSParams:
-    seed: int
-    step: float
-    horizon: float
-    checkpoints: tuple[float, ...]
-    model: DensityModel
-
-
-def _sigs_chunk(p: _SigSParams, start: int, count: int) -> dict[str, np.ndarray]:
-    grid = make_grid(p.horizon, p.step)
-    w = _primary(p.seed, start, count, grid)
-    block = _density_block(p.model, p.seed, start, count, p.step, with_gamma=True)
+def _sigs_rows(
+    start: int, count: int, *, seed: int, step: float, horizon: float, model: DensityModel
+) -> tuple[TimeGrid, np.ndarray, np.ndarray, _DensityBlock]:
+    """Rows of the restarted reflected driver X and its kernel clock A:
+    the ``lifted_reflected`` construction, one row per path."""
+    grid = make_grid(horizon, step)
+    w = _primary(seed, start, count, grid)
+    block = _density_block(model, seed, start, count, step)
     gamma = _extend_gamma(block.gamma, block.gbar, grid.n_steps + 1)
-    wg = np.take_along_axis(w, gamma, axis=1)
-    x = np.abs(w - wg)
-    b = float(np.sqrt(p.step))
-    pref = np.zeros_like(x)
-    np.cumsum((x[:, :-1] < b).astype(np.float64), axis=1, out=pref[:, 1:])
-    pref *= p.step / (2.0 * b)
-    a = pref - np.take_along_axis(pref, gamma, axis=1)
-    cols = np.array([grid.index_of(t) for t in p.checkpoints])
+    x = np.abs(w - np.take_along_axis(w, gamma, axis=1))
+    return grid, x, occupation_kernel(x, step, anchors=gamma), block
+
+
+def _sigs_chunk(start: int, count: int, *, checkpoints: tuple[float, ...], **rows) -> dict[str, np.ndarray]:
+    grid, x, a, block = _sigs_rows(start, count, **rows)
+    cols = np.array([grid.index_of(t) for t in checkpoints])
     xc, ac = x[:, cols], a[:, cols]
     out: dict[str, np.ndarray] = {"q": block.terminal}
     for kind in _F_ORDER:
@@ -570,8 +551,7 @@ def _sigs_chunk(p: _SigSParams, start: int, count: int) -> dict[str, np.ndarray]
 def _run_sigma_s(st: RunSettings) -> tuple[list[TargetCheck], list[CurveSeries]]:
     horizon = st.horizon if st.horizon is not None else 2.0
     cps = st.checkpoints if st.checkpoints is not None else (0.5, 1.0, 1.5, 2.0)
-    p = _SigSParams(st.master_seed, st.step, horizon, cps, _ERF)
-    feats = run_chunked(st.n_paths, functools.partial(_sigs_chunk, p), workers=st.workers)
+    feats = _chunked(st, _sigs_chunk, horizon=horizon, checkpoints=cps, model=_ERF)
     checks = []
     for kind in _F_ORDER:
         rep = flatness_test(feats[kind].T, feats["q"], cps)
@@ -582,14 +562,6 @@ def _run_sigma_s(st: RunSettings) -> tuple[list[TargetCheck], list[CurveSeries]]
 
 # ---------------------------------------------------------------- rho algebra
 
-@dataclass(frozen=True)
-class _RhoParams:
-    seed: int
-    step: float
-    horizon: float
-    model: DensityModel
-
-
 def _rho_pairs() -> tuple[tuple[PathFunctional, PathFunctional], ...]:
     return (
         (RunningSup(), QuadraticVariation()),
@@ -598,18 +570,20 @@ def _rho_pairs() -> tuple[tuple[PathFunctional, PathFunctional], ...]:
     )
 
 
-def _rho_chunk(p: _RhoParams, start: int, count: int) -> dict[str, np.ndarray]:
-    grid = make_grid(p.horizon, p.step)
+def _rho_chunk(
+    start: int, count: int, *, seed: int, step: float, horizon: float, model: DensityModel
+) -> dict[str, np.ndarray]:
+    grid = make_grid(horizon, step)
     lin_bad = np.zeros(count)
     pos_bad = np.zeros(count)
     prod_bad = np.zeros(count)
     defn_bad = np.zeros(count)
     for i in range(count):
-        seed = SeedSpec(master_seed=p.seed, path_index=start + i)
-        w = sample_bm(grid, 0.0, seed)
-        driver = density_driver_path(p.model, seed, grid)
-        dens = density_path(p.model, seed, grid)
-        zs = zero_set(dens, p.model, driver)
+        spec = SeedSpec(master_seed=seed, path_index=start + i)
+        w = sample_bm(grid, 0.0, spec)
+        driver = density_driver_path(model, spec, grid)
+        dens = density_path(model, spec, grid)
+        zs = zero_set(dens, model, driver)
         shifted = shift(w, zs)
         g = zs.gbar_index
         for v1, v2 in _rho_pairs():
@@ -623,7 +597,7 @@ def _rho_chunk(p: _RhoParams, start: int, count: int) -> dict[str, np.ndarray]:
                 prod_bad[i] += 1.0
             # entry for entry past the restart point; at the point itself
             # the lift books 0 whenever the point is a detected zero
-            direct = v1.evaluate(shifted.values, p.step)
+            direct = v1.evaluate(shifted.values, step)
             tail_ok = np.array_equal(u1[g + 1 :], direct[1:])
             head_ok = u1[g] == (0.0 if g > 0 else direct[0])
             if not (tail_ok and head_ok):
@@ -636,8 +610,7 @@ def _rho_chunk(p: _RhoParams, start: int, count: int) -> dict[str, np.ndarray]:
 
 def _run_rho(st: RunSettings) -> tuple[list[TargetCheck], list[CurveSeries]]:
     horizon = st.horizon if st.horizon is not None else 2.0
-    p = _RhoParams(st.master_seed, st.step, horizon, _ERF)
-    feats = run_chunked(st.n_paths, functools.partial(_rho_chunk, p), workers=st.workers)
+    feats = _chunked(st, _rho_chunk, horizon=horizon, model=_ERF)
     n = st.n_paths
     checks = [
         count_check("linearity-bitwise", int(feats["lin"].sum()), f"0 of {3 * n} pair evaluations differ"),
@@ -650,31 +623,29 @@ def _run_rho(st: RunSettings) -> tuple[list[TargetCheck], list[CurveSeries]]:
 
 # ---------------------------------------------------------------- q bracket
 
-@dataclass(frozen=True)
-class _QBracketParams:
-    seed: int
-    step: float
-    horizon: float
-    offsets: tuple[float, ...]
-    model: DensityModel
-
-
-def _qbracket_chunk(p: _QBracketParams, start: int, count: int) -> dict[str, np.ndarray]:
-    grid = make_grid(p.horizon, p.step)
-    w = _primary(p.seed, start, count, grid)
-    block = _density_block(p.model, p.seed, start, count, p.step)
+def _qbracket_chunk(
+    start: int,
+    count: int,
+    *,
+    seed: int,
+    step: float,
+    horizon: float,
+    offsets: tuple[float, ...],
+    model: DensityModel,
+) -> dict[str, np.ndarray]:
+    grid = make_grid(horizon, step)
+    w = _primary(seed, start, count, grid)
+    block = _density_block(model, seed, start, count, step)
     gbar = block.gbar
-    pref = np.zeros_like(w)
-    np.cumsum(np.diff(w, axis=1) ** 2, axis=1, out=pref[:, 1:])
+    bracket = gathered_prefix(np.diff(w, axis=1) ** 2, gbar[:, None])
     wg = _gather(w, gbar)
-    qg = _gather(pref, gbar)
-    offs = np.array([round(s / p.step) for s in p.offsets], dtype=np.int64)
+    offs = np.array([round(s / step) for s in offsets], dtype=np.int64)
     vals = np.empty((count, offs.size))
     brack_min = np.full(count, np.inf)
     for k, d in enumerate(offs):
         cols = gbar + d
         beta = _gather(w, cols) - wg
-        brack = _gather(pref, cols) - qg
+        brack = _gather(bracket, cols)
         brack_min = np.minimum(brack_min, brack)
         vals[:, k] = beta * beta - brack
     return {"v": vals, "brack_min": brack_min, "q": block.terminal}
@@ -683,8 +654,9 @@ def _qbracket_chunk(p: _QBracketParams, start: int, count: int) -> dict[str, np.
 def _run_qbracket(st: RunSettings) -> tuple[list[TargetCheck], list[CurveSeries]]:
     horizon = st.horizon if st.horizon is not None else 2.0
     offs = st.checkpoints if st.checkpoints is not None else (0.25, 0.5, 0.75, 1.0)
-    p = _QBracketParams(st.master_seed, st.step, horizon, offs, _ERF)
-    feats = run_chunked(st.n_paths, functools.partial(_qbracket_chunk, p), workers=st.workers)
+    if horizon < 1.0 + max(offs) - 1e-9:  # offsets count from a last zero as late as 1.0
+        raise ConfigurationError(f"q-bracket offsets up to {max(offs):g} need a horizon of {1.0 + max(offs):g}")
+    feats = _chunked(st, _qbracket_chunk, horizon=horizon, offsets=offs, model=_ERF)
     rep = flatness_test(feats["v"].T, feats["q"], offs)
     worst = float(np.min(feats["brack_min"]))
     checks = [
@@ -699,61 +671,55 @@ def _run_qbracket(st: RunSettings) -> tuple[list[TargetCheck], list[CurveSeries]
 _LADDER = (4, 2, 1)
 
 
-@dataclass(frozen=True)
-class _LadderParams:
-    seed: int
-    step: float
-    horizon: float
-    model: DensityModel
-    form: str
-    level: float = 0.0
-
-
 def _restarted_on(values: np.ndarray, grid: TimeGrid, zs) -> Path:
     # signed restarted driver; level 0 is crossed transversally, which is
     # what the local-time identities are about
     return Path(grid=grid, values=values - values[zs.gamma_index])
 
 
-def _ladder_paths(p: _LadderParams, index: int):
+def _ladder_paths(index: int, seed: int, step: float, horizon: float, model: ErfSign):
     """Fine path plus its zero set, subsampled onto each ladder rung."""
-    fine = make_grid(p.horizon, p.step)
-    seed = SeedSpec(master_seed=p.seed, path_index=index)
-    w = sample_bm(fine, 0.0, seed)
-    driver = density_driver_path(p.model, seed, fine)
+    fine = make_grid(horizon, step)
+    spec = SeedSpec(master_seed=seed, path_index=index)
+    w = sample_bm(fine, 0.0, spec)
+    driver = density_driver_path(model, spec, fine)
     out = []
     for factor in _LADDER:
-        grid = make_grid(p.horizon, p.step * factor)
+        grid = make_grid(horizon, step * factor)
         values = w.values[::factor]
-        level_series = driver.values[::factor] + p.model.offset
-        zs = zero_set_from_level_series(level_series, grid, last_index=grid.index_of(p.model.terminal_time))
+        level_series = driver.values[::factor] + model.offset
+        zs = zero_set_from_level_series(level_series, grid, last_index=grid.index_of(model.terminal_time))
         out.append((grid, values, zs))
     return out
 
 
-def _tanaka_chunk(p: _LadderParams, start: int, count: int) -> dict[str, np.ndarray]:
+def _tanaka_chunk(
+    start: int, count: int, *, seed: int, step: float, horizon: float, model: ErfSign, form: str
+) -> dict[str, np.ndarray]:
     sups = {f: np.empty(count) for f in _LADDER}
     tri_bad = np.zeros(count)
     for i in range(count):
-        rungs = _ladder_paths(p, start + i)
+        rungs = _ladder_paths(start + i, seed, step, horizon, model)
         for factor, (grid, values, zs) in zip(_LADDER, rungs):
             x = _restarted_on(values, grid, zs)
-            res = tanaka_residual(x, p.level, zs, form=p.form)
+            res = tanaka_residual(x, 0.0, zs, form=form)
             sups[factor][i] = float(np.max(np.abs(res.residual.values)))
-            if factor == 1 and p.form == "abs":
-                rp = tanaka_residual(x, p.level, zs, form="plus").residual.values
-                rm = tanaka_residual(x, p.level, zs, form="minus").residual.values
+            if factor == 1 and form == "abs":
+                rp = tanaka_residual(x, 0.0, zs, form="plus").residual.values
+                rm = tanaka_residual(x, 0.0, zs, form="minus").residual.values
                 gap = np.abs(res.residual.values) - (np.abs(rp) + np.abs(rm))
                 if float(np.max(gap)) > 1e-12:
                     tri_bad[i] = 1.0
     return {"sup4": sups[4], "sup2": sups[2], "sup1": sups[1], "tri_bad": tri_bad}
 
 
-def _ito_chunk(p: _LadderParams, start: int, count: int) -> dict[str, np.ndarray]:
-    F, dF, d2F = _ITO_FORMS[p.form]
+def _ito_chunk(
+    start: int, count: int, *, seed: int, step: float, horizon: float, model: ErfSign, form: str
+) -> dict[str, np.ndarray]:
+    F, dF, d2F = _ITO_FORMS[form]
     sups = {f: np.empty(count) for f in _LADDER}
     for i in range(count):
-        rungs = _ladder_paths(p, start + i)
+        rungs = _ladder_paths(start + i, seed, step, horizon, model)
         for factor, (grid, values, zs) in zip(_LADDER, rungs):
             x = _restarted_on(values, grid, zs)
             res = ito_residual(F, dF, d2F, x, zs)
@@ -789,31 +755,32 @@ def _constant_path_residual(st: RunSettings, form: str, ito_form: str | None) ->
     return float(np.max(np.abs(res)))
 
 
-def _make_tanaka_runner(form: str):
-    def _run(st: RunSettings) -> tuple[list[TargetCheck], list[CurveSeries]]:
-        p = _LadderParams(st.master_seed, st.step, st.horizon if st.horizon is not None else 1.0, _ERF, form)
-        feats = run_chunked(st.n_paths, functools.partial(_tanaka_chunk, p), workers=st.workers)
-        checks = _ladder_rows(f"{form}-residual", feats, st)
-        checks.append(exact_check("constant-path-residual", _constant_path_residual(st, form, None)))
-        if form == "abs":
-            checks.append(
-                count_check(
-                    "abs-bounded-by-parts",
-                    int(feats["tri_bad"].sum()),
-                    f"|abs residual| <= |plus| + |minus| pathwise on {st.n_paths} paths",
-                )
+def _run_tanaka(st: RunSettings, *, form: str) -> tuple[list[TargetCheck], list[CurveSeries]]:
+    horizon = st.horizon if st.horizon is not None else 1.0
+    feats = _chunked(st, _tanaka_chunk, horizon=horizon, model=_ERF, form=form)
+    checks = _ladder_rows(f"{form}-residual", feats, st)
+    checks.append(exact_check("constant-path-residual", _constant_path_residual(st, form, None)))
+    if form == "abs":
+        checks.append(
+            count_check(
+                "abs-bounded-by-parts",
+                int(feats["tri_bad"].sum()),
+                f"|abs residual| <= |plus| + |minus| pathwise on {st.n_paths} paths",
             )
-        return checks, []
+        )
+    return checks, []
 
-    return _run
+
+_run_tanaka_abs = functools.partial(_run_tanaka, form="abs")
+_run_tanaka_plus = functools.partial(_run_tanaka, form="plus")
+_run_tanaka_minus = functools.partial(_run_tanaka, form="minus")
 
 
 def _run_ito(st: RunSettings) -> tuple[list[TargetCheck], list[CurveSeries]]:
     checks: list[TargetCheck] = []
     horizon = st.horizon if st.horizon is not None else 1.0
     for form in ("linear", "square", "cosine"):
-        p = _LadderParams(st.master_seed, st.step, horizon, _ERF, form)
-        feats = run_chunked(st.n_paths, functools.partial(_ito_chunk, p), workers=st.workers)
+        feats = _chunked(st, _ito_chunk, horizon=horizon, model=_ERF, form=form)
         checks.extend(_ladder_rows(f"{form}", feats, st))
         checks.append(exact_check(f"{form}-constant-path-residual", _constant_path_residual(st, "abs", form)))
     return checks, []
@@ -821,44 +788,51 @@ def _run_ito(st: RunSettings) -> tuple[list[TargetCheck], list[CurveSeries]]:
 
 # ---------------------------------------------------------------- doob maximal
 
-@dataclass(frozen=True)
-class _DoobParams:
-    seed: int
-    step: float
-    horizon: float
-    levels: tuple[float, ...]
-    model: DensityModel
-
-
-def _doob_chunk(p: _DoobParams, start: int, count: int) -> dict[str, np.ndarray]:
-    grid = make_grid(p.horizon, p.step)
-    w = _primary(p.seed, start, count, grid)
+def _doob_chunk(
+    start: int,
+    count: int,
+    *,
+    seed: int,
+    step: float,
+    horizon: float,
+    levels: tuple[float, ...],
+    model: DensityModel,
+) -> dict[str, np.ndarray]:
+    grid = make_grid(horizon, step)
+    w = _primary(seed, start, count, grid)
     z = w - 0.5 * grid.times[None, :]
-    block = _density_block(p.model, p.seed, start, count, p.step)
+    block = _density_block(model, seed, start, count, step)
     gbar = block.gbar
     col = np.arange(grid.n_steps + 1)
     pre = col[None, :] < gbar[:, None]
     out: dict[str, np.ndarray] = {
         "zg": _gather(z, gbar),
-        "gbar_t": gbar.astype(np.float64) * p.step,
+        "gbar_t": gbar.astype(np.float64) * step,
         "q": block.terminal,
     }
-    for a in p.levels:
+    for a in levels:
         b = float(np.log(a))
-        zm = np.where(pre, b - 50.0, z)
+        zm = np.where(pre, b - 50.0, z) if gbar.any() else z
         crossed = (zm >= b).any(axis=1)
-        arr = -2.0 * (b - zm[:, :-1]) * (b - zm[:, 1:]) / p.step
-        e = np.minimum(np.exp(np.minimum(arr, 0.0)), 1.0 - 1e-16)
-        smooth = -np.expm1(np.sum(np.log1p(-e), axis=1))
-        out[f"freq|{a:g}"] = np.where(crossed, 1.0, smooth)
+        # A row that reaches b scores 1; only the others need the
+        # per-step bridge crossing probabilities.
+        d = b - zm[~crossed]
+        arr = -2.0 * d[:, :-1] * d[:, 1:] / step
+        # Far from b, exp(arr) underflows to 0 and log1p(-0) is -0, so
+        # only the near steps are evaluated; the row sums are unchanged.
+        near = arr > -800.0
+        logs = np.full(arr.shape, -0.0)
+        logs[near] = np.log1p(-np.minimum(np.exp(np.minimum(arr[near], 0.0)), 1.0 - 1e-16))
+        freq = np.ones(count)
+        freq[~crossed] = -np.expm1(np.sum(logs, axis=1))
+        out[f"freq|{a:g}"] = freq
     return out
 
 
 def _run_doob(st: RunSettings) -> tuple[list[TargetCheck], list[CurveSeries]]:
     h1 = st.horizon if st.horizon is not None else 8.0
     curve_levels = (1.25, 1.5, 2.0, 3.0, 4.0)
-    p1 = _DoobParams(st.master_seed, st.step, h1, curve_levels, ConstantOne())
-    feats = run_chunked(st.n_paths, functools.partial(_doob_chunk, p1), workers=st.workers, chunk_size=64)
+    feats = _chunked(st, _doob_chunk, chunk_size=64, horizon=h1, levels=curve_levels, model=ConstantOne())
     checks: list[TargetCheck] = []
     ests = []
     for a in curve_levels:
@@ -879,8 +853,7 @@ def _run_doob(st: RunSettings) -> tuple[list[TargetCheck], list[CurveSeries]]:
     curve = _curve("constant-one-levels", curve_levels, [1.0 / a for a in curve_levels], ests)
 
     h2 = 2.5 * h1
-    p2 = _DoobParams(st.master_seed, st.step, h2, (2.0,), _ERF)
-    feats2 = run_chunked(st.n_paths, functools.partial(_doob_chunk, p2), workers=st.workers, chunk_size=64)
+    feats2 = _chunked(st, _doob_chunk, chunk_size=64, horizon=h2, levels=(2.0,), model=_ERF)
     pprime = ensemble_weights(feats2["q"]).pprime_weight
     freq = weighted_mean(feats2[f"freq|{2.0:g}"], pprime)
     xg = np.exp(feats2["zg"])
@@ -913,22 +886,15 @@ def _run_doob(st: RunSettings) -> tuple[list[TargetCheck], list[CurveSeries]]:
 
 # ---------------------------------------------------------------- passage laws
 
-@dataclass(frozen=True)
-class _PassageParams:
-    seed: int
-    step: float
-    horizon: float
-    boundary: BoundarySpec
-
-
-def _passage_chunk(p: _PassageParams, start: int, count: int) -> dict[str, np.ndarray]:
-    grid = make_grid(p.horizon, p.step)
-    w = _primary(p.seed, start, count, grid)
+def _passage_chunk(
+    start: int, count: int, *, seed: int, step: float, horizon: float, boundary: BoundarySpec
+) -> dict[str, np.ndarray]:
+    grid = make_grid(horizon, step)
+    w = _primary(seed, start, count, grid)
     x = np.abs(w)
-    b = float(np.sqrt(p.step))
-    a = _kernel_matrix(x, p.step, b)
-    viol = x > p.boundary.phi_of(a)
-    v = _first_true(viol)
+    a = occupation_kernel(x, step)
+    viol = x > boundary.phi_of(a)
+    v = first_hit(viol)
     rows = np.arange(count)
     aprev = np.where(v > 0, a[rows, np.maximum(v - 1, 0)], np.where(v == 0, 0.0, np.inf))
     return {"hit": (v >= 0).astype(np.float64), "aprev": aprev, "aterm": a[:, -1]}
@@ -960,18 +926,25 @@ def _passage_rows(
     return check, curve
 
 
-def _make_passage_runner(boundary: BoundarySpec, u: float | None, default_horizon: float, trunc: float):
-    def _run(st: RunSettings) -> tuple[list[TargetCheck], list[CurveSeries]]:
-        horizon = st.horizon if st.horizon is not None else default_horizon
-        p = _PassageParams(st.master_seed, st.step, horizon, boundary)
-        feats = run_chunked(st.n_paths, functools.partial(_passage_chunk, p), workers=st.workers)
-        label = "crossing-before-growth-1" if u is not None else "crossing-over-full-span"
-        check, curve = _passage_rows(feats, boundary, u, label, None, 0.012, trunc)
-        undecided = float(np.mean((feats["hit"] == 0.0) & (feats["aterm"] <= (u if u is not None else boundary_cap(boundary)))))
-        check = replace(check, detail=check.detail + f"; undecided fraction {undecided:.4f}")
-        return [check], [curve]
+def _run_passage(
+    st: RunSettings, *, boundary: BoundarySpec, u: float | None, trunc: float
+) -> tuple[list[TargetCheck], list[CurveSeries]]:
+    horizon = st.horizon if st.horizon is not None else 6.0
+    feats = _chunked(st, _passage_chunk, horizon=horizon, boundary=boundary)
+    label = "crossing-before-growth-1" if u is not None else "crossing-over-full-span"
+    check, curve = _passage_rows(feats, boundary, u, label, None, 0.012, trunc)
+    undecided = float(np.mean((feats["hit"] == 0.0) & (feats["aterm"] <= (u if u is not None else boundary_cap(boundary)))))
+    check = replace(check, detail=check.detail + f"; undecided fraction {undecided:.4f}")
+    return [check], [curve]
 
-    return _run
+
+_run_passage_eq2 = functools.partial(
+    _run_passage, boundary=TableBoundary(((0.0, 1.0), (0.5, 2.0))), u=1.0, trunc=0.008
+)
+_run_passage_eq3 = functools.partial(
+    _run_passage, boundary=TableBoundary(((0.0, 1.0), (1.0, float("inf")))), u=None, trunc=0.004
+)
+_run_passage_eq4 = functools.partial(_run_passage, boundary=ConstantBoundary(1.0), u=1.0, trunc=0.008)
 
 
 def boundary_cap(boundary: BoundarySpec) -> float:
@@ -983,36 +956,25 @@ def boundary_cap(boundary: BoundarySpec) -> float:
     return float("inf")
 
 
-@dataclass(frozen=True)
-class _S32Params:
-    seed: int
-    step: float
-    horizon: float
-    span: float
-    model: DensityModel
-
-
-def _s32_chunk(p: _S32Params, start: int, count: int) -> dict[str, np.ndarray]:
-    grid = make_grid(p.horizon, p.step)
-    w = _primary(p.seed, start, count, grid)
-    b = float(np.sqrt(p.step))
+def _s32_chunk(
+    start: int, count: int, *, seed: int, step: float, horizon: float, span: float, model: DensityModel
+) -> dict[str, np.ndarray]:
+    grid = make_grid(horizon, step)
+    w = _primary(seed, start, count, grid)
     rows = np.arange(count)
 
-    n6 = grid.index_of(p.span)
+    n6 = grid.index_of(span)
     xc = np.abs(w[:, : n6 + 1])
-    ac = _kernel_matrix(xc, p.step, b)
-    vc = _first_true(xc > 1.0)
+    ac = occupation_kernel(xc, step)
+    vc = first_hit(xc > 1.0)
     aprev_c = np.where(vc > 0, ac[rows, np.maximum(vc - 1, 0)], np.where(vc == 0, 0.0, np.inf))
 
-    block = _density_block(p.model, p.seed, start, count, p.step)
+    block = _density_block(model, seed, start, count, step)
     gbar = block.gbar
     xs = np.abs(w - _gather(w, gbar)[:, None])
-    pref = np.zeros_like(xs)
-    np.cumsum((xs[:, :-1] < b).astype(np.float64), axis=1, out=pref[:, 1:])
-    pref *= p.step / (2.0 * b)
-    a_sh = pref - _gather(pref, gbar)[:, None]
+    a_sh = occupation_kernel(xs, step, anchors=gbar[:, None])
     col = np.arange(grid.n_steps + 1)
-    ve = _first_true((xs > 1.0) & (col[None, :] >= gbar[:, None]))
+    ve = first_hit((xs > 1.0) & (col[None, :] >= gbar[:, None]))
     aprev_e = np.where(ve > 0, a_sh[rows, np.maximum(ve - 1, 0)], np.inf)
     return {
         "hit_c": (vc >= 0).astype(np.float64),
@@ -1026,8 +988,7 @@ def _s32_chunk(p: _S32Params, start: int, count: int) -> dict[str, np.ndarray]:
 def _run_s32(st: RunSettings) -> tuple[list[TargetCheck], list[CurveSeries]]:
     span = 6.0
     horizon = st.horizon if st.horizon is not None else span + 1.0
-    p = _S32Params(st.master_seed, st.step, horizon, span, _ERF)
-    feats = run_chunked(st.n_paths, functools.partial(_s32_chunk, p), workers=st.workers)
+    feats = _chunked(st, _s32_chunk, horizon=horizon, span=span, model=_ERF)
     ev_e = ((feats["hit_e"] > 0.0) & (feats["aprev_e"] <= 1.0)).astype(np.float64)
     ev_c = ((feats["hit_c"] > 0.0) & (feats["aprev_c"] <= 1.0)).astype(np.float64)
     pprime = ensemble_weights(feats["pprime_raw"]).pprime_weight
@@ -1079,31 +1040,21 @@ def _run_s32(st: RunSettings) -> tuple[list[TargetCheck], list[CurveSeries]]:
 
 # ---------------------------------------------------------------- terminal growth law
 
-@dataclass(frozen=True)
-class _AinfParams:
-    seed: int
-    step: float
-    horizon: float
-    stop_level: float
-    model: DensityModel
-
-
-def _ainf_chunk(p: _AinfParams, start: int, count: int) -> dict[str, np.ndarray]:
-    grid = make_grid(p.horizon, p.step)
-    w = _primary(p.seed, start, count, grid)
-    block = _density_block(p.model, p.seed, start, count, p.step)
+def _ainf_chunk(
+    start: int, count: int, *, seed: int, step: float, horizon: float, stop_level: float, model: DensityModel
+) -> dict[str, np.ndarray]:
+    grid = make_grid(horizon, step)
+    w = _primary(seed, start, count, grid)
+    block = _density_block(model, seed, start, count, step)
     gbar = block.gbar
     xs = np.abs(w - _gather(w, gbar)[:, None])
     col = np.arange(grid.n_steps + 1)
-    after = col[None, :] >= gbar[:, None]
-    reach = _first_true((xs >= p.stop_level) & after)
-    b = float(np.sqrt(p.step))
-    left = col[:-1]
-    live = after[:, :-1] & ((reach < 0)[:, None] | (left[None, :] < reach[:, None]))
-    hits = (xs[:, :-1] < b) & live
-    aterm = hits.sum(axis=1) * (p.step / (2.0 * b))
+    reach = first_hit((xs >= stop_level) & (col[None, :] >= gbar[:, None]))
+    # the clock restarted at the last zero, read where X first reaches the
+    # stop level (or at the horizon)
+    a = occupation_kernel(xs, step, anchors=gbar[:, None])
     return {
-        "aterm": aterm,
+        "aterm": _gather(a, np.where(reach >= 0, reach, grid.n_steps)),
         "reached": (reach >= 0).astype(np.float64),
         "q": block.terminal,
     }
@@ -1116,8 +1067,7 @@ def _run_ainf(st: RunSettings) -> tuple[list[TargetCheck], list[CurveSeries]]:
     xs = tuple(0.25 * k for k in range(13))
     for model, extra_span in ((ConstantOne(), 0.0), (_ERF, 1.0)):
         horizon = (st.horizon if st.horizon is not None else 6.0) + extra_span
-        p = _AinfParams(st.master_seed, st.step, horizon, 1.0, model)
-        feats = run_chunked(st.n_paths, functools.partial(_ainf_chunk, p), workers=st.workers)
+        feats = _chunked(st, _ainf_chunk, horizon=horizon, stop_level=1.0, model=model)
         label = _model_label(model)
         pprime = ensemble_weights(feats["q"]).pprime_weight
         rep = ks_test(feats["aterm"], pprime, law.cdf, extra_allowance=0.03)
@@ -1146,37 +1096,29 @@ def _run_ainf(st: RunSettings) -> tuple[list[TargetCheck], list[CurveSeries]]:
 
 # ---------------------------------------------------------------- levy corollaries
 
-@dataclass(frozen=True)
-class _LevyParams:
-    seed: int
-    step: float
-    horizon: float
-    x_low: float | None
-
-
-def _levy_chunk(p: _LevyParams, start: int, count: int) -> dict[str, np.ndarray]:
-    grid = make_grid(p.horizon, p.step)
-    w = _primary(p.seed, start, count, grid)
+def _levy_chunk(
+    start: int, count: int, *, seed: int, step: float, horizon: float, x_low: float | None
+) -> dict[str, np.ndarray]:
+    grid = make_grid(horizon, step)
+    w = _primary(seed, start, count, grid)
     s = np.maximum.accumulate(w, axis=1)
     dd = s - w
     rows = np.arange(count)
     viol = dd > 1.0
-    if p.x_low is not None:
-        tx = _first_true(s > p.x_low)
+    if x_low is not None:
+        tx = first_hit(s > x_low)
         col = np.arange(grid.n_steps + 1)
         viol = viol & (col[None, :] >= tx[:, None]) & (tx >= 0)[:, None]
-    v = _first_true(viol)
+    v = first_hit(viol)
     sprev = np.where(v > 0, s[rows, np.maximum(v - 1, 0)], np.inf)
     out = {"has_viol": (v >= 0).astype(np.float64), "sprev": sprev}
-    if p.x_low is not None:
+    if x_low is not None:
         out["x_unreached"] = (tx < 0).astype(np.float64)
     # terminal weights for every density model off the shared density stream
-    sgrid = make_grid(1.0, p.step)
-    incs = increments_matrix(p.seed, start, count, sgrid.n_steps, p.step, SUBSTREAM_DENSITY)
-    erf_driver = cumsum_paths(incs)
-    out["q_erf"] = density_matrix(_ERF, erf_driver, sgrid)[:, -1].copy()
-    sbm_driver = cumsum_paths(incs, 1.0)
-    out["q_sbm"] = density_matrix(_SBM, sbm_driver, sgrid)[:, -1].copy()
+    sgrid = make_grid(1.0, step)
+    incs = increments_matrix(seed, start, count, sgrid.n_steps, step, SUBSTREAM_DENSITY)
+    out["q_erf"] = density_matrix(_ERF, cumsum_paths(incs), sgrid)[:, -1]
+    out["q_sbm"] = density_matrix(_SBM, cumsum_paths(incs, 1.0), sgrid)[:, -1]
     return out
 
 
@@ -1186,8 +1128,7 @@ def _hold_values(feats: dict[str, np.ndarray], u: float) -> np.ndarray:
 
 def _run_levy5(st: RunSettings) -> tuple[list[TargetCheck], list[CurveSeries]]:
     horizon = st.horizon if st.horizon is not None else 8.0
-    p = _LevyParams(st.master_seed, st.step, horizon, None)
-    feats = run_chunked(st.n_paths, functools.partial(_levy_chunk, p), workers=st.workers, chunk_size=128)
+    feats = _chunked(st, _levy_chunk, chunk_size=128, horizon=horizon, x_low=None)
     hold = _hold_values(feats, 1.0)
     checks = [
         mean_check(
@@ -1222,8 +1163,7 @@ def _run_levy5(st: RunSettings) -> tuple[list[TargetCheck], list[CurveSeries]]:
 def _run_levy6(st: RunSettings) -> tuple[list[TargetCheck], list[CurveSeries]]:
     horizon = st.horizon if st.horizon is not None else 12.0
     x_low = 0.05
-    p = _LevyParams(st.master_seed, st.step, horizon, x_low)
-    feats = run_chunked(st.n_paths, functools.partial(_levy_chunk, p), workers=st.workers, chunk_size=128)
+    feats = _chunked(st, _levy_chunk, chunk_size=128, horizon=horizon, x_low=x_low)
     hold = _hold_values(feats, 1.0)
     factor = float(np.exp(-(1.0 - x_low)))
     unreached = float(np.mean(feats["x_unreached"]))
@@ -1256,30 +1196,27 @@ def _run_levy6(st: RunSettings) -> tuple[list[TargetCheck], list[CurveSeries]]:
 
 # ---------------------------------------------------------------- products / scaling
 
-@dataclass(frozen=True)
-class _ProductsParams:
-    seed: int
-    step: float
-    horizon: float
-    checkpoints: tuple[float, ...]
-    model: DensityModel
-
-
-def _products_chunk(p: _ProductsParams, start: int, count: int) -> dict[str, np.ndarray]:
-    grid = make_grid(p.horizon, p.step)
-    w1 = _primary(p.seed, start, count, grid)
-    incs2 = increments_matrix(p.seed, start, count, grid.n_steps, p.step, SUBSTREAM_SECONDARY)
-    w2 = cumsum_paths(incs2)
+def _products_chunk(
+    start: int,
+    count: int,
+    *,
+    seed: int,
+    step: float,
+    horizon: float,
+    checkpoints: tuple[float, ...],
+    model: DensityModel,
+) -> dict[str, np.ndarray]:
+    grid = make_grid(horizon, step)
+    w1 = _primary(seed, start, count, grid)
+    w2 = cumsum_paths(increments_matrix(seed, start, count, grid.n_steps, step, SUBSTREAM_SECONDARY))
     s1 = np.maximum.accumulate(w1, axis=1)
     s2 = np.maximum.accumulate(w2, axis=1)
     x1, a1 = s1 - w1, s1
     x2, a2 = s2 - w2, s2
     incr = x1[:, :-1] * np.diff(a2, axis=1) + x2[:, :-1] * np.diff(a1, axis=1)
-    ap = np.zeros_like(x1)
-    np.cumsum(incr, axis=1, out=ap[:, 1:])
-    n = x1 * x2 - ap
-    cols = np.array([grid.index_of(t) for t in p.checkpoints])
-    block = _density_block(p.model, p.seed, start, count, p.step)
+    n = x1 * x2 - gathered_prefix(incr)
+    cols = np.array([grid.index_of(t) for t in checkpoints])
+    block = _density_block(model, seed, start, count, step)
     return {"n": n[:, cols], "q": block.terminal}
 
 
@@ -1314,8 +1251,7 @@ def _build_scaled(grid: TimeGrid, seed: SeedSpec):
 def _run_products(st: RunSettings) -> tuple[list[TargetCheck], list[CurveSeries]]:
     horizon = st.horizon if st.horizon is not None else 1.0
     cps = st.checkpoints if st.checkpoints is not None else (0.25, 0.5, 0.75, 1.0)
-    p = _ProductsParams(st.master_seed, st.step, horizon, cps, _SBM)
-    feats = run_chunked(st.n_paths, functools.partial(_products_chunk, p), workers=st.workers)
+    feats = _chunked(st, _products_chunk, horizon=horizon, checkpoints=cps, model=_SBM)
     rep = flatness_test(feats["n"].T, feats["q"], cps)
     bad = _membership_sample(_build_product, 40, st.master_seed, st.step, horizon)
     checks = [
@@ -1325,30 +1261,29 @@ def _run_products(st: RunSettings) -> tuple[list[TargetCheck], list[CurveSeries]
     return checks, []
 
 
-@dataclass(frozen=True)
-class _ScaledParams:
-    seed: int
-    step: float
-    horizon: float
-    checkpoints: tuple[float, ...]
-    model: DensityModel
-
-
-def _scaled_chunk(p: _ScaledParams, start: int, count: int) -> dict[str, np.ndarray]:
-    grid = make_grid(p.horizon, p.step)
-    w = _primary(p.seed, start, count, grid)
+def _scaled_chunk(
+    start: int,
+    count: int,
+    *,
+    seed: int,
+    step: float,
+    horizon: float,
+    checkpoints: tuple[float, ...],
+    model: DensityModel,
+) -> dict[str, np.ndarray]:
+    grid = make_grid(horizon, step)
+    w = _primary(seed, start, count, grid)
     s = np.maximum.accumulate(w, axis=1)
     n = 2.0 * s * (s - w) - s * s
-    cols = np.array([grid.index_of(t) for t in p.checkpoints])
-    block = _density_block(p.model, p.seed, start, count, p.step)
+    cols = np.array([grid.index_of(t) for t in checkpoints])
+    block = _density_block(model, seed, start, count, step)
     return {"n": n[:, cols], "q": block.terminal}
 
 
 def _run_scaled(st: RunSettings) -> tuple[list[TargetCheck], list[CurveSeries]]:
     horizon = st.horizon if st.horizon is not None else 1.0
     cps = st.checkpoints if st.checkpoints is not None else (0.25, 0.5, 0.75, 1.0)
-    p = _ScaledParams(st.master_seed, st.step, horizon, cps, _SBM)
-    feats = run_chunked(st.n_paths, functools.partial(_scaled_chunk, p), workers=st.workers)
+    feats = _chunked(st, _scaled_chunk, horizon=horizon, checkpoints=cps, model=_SBM)
     rep = flatness_test(feats["n"].T, feats["q"], cps)
     bad = _membership_sample(_build_scaled, 40, st.master_seed, st.step, horizon)
     checks = [
@@ -1372,18 +1307,12 @@ _VARIANTS = (
 _SHIFTED_VARIANTS = ("drawdown", "lifted", "lifted-stopped", "product", "scaled")
 
 
-@dataclass(frozen=True)
-class _MembershipParams:
-    seed: int
-    step: float
-    horizon: float
-    model: DensityModel
-
-
-def _membership_chunk(p: _MembershipParams, start: int, count: int) -> dict[str, np.ndarray]:
-    grid = make_grid(p.horizon, p.step)
-    fine = make_grid(p.horizon, p.step / 2.0)
-    stress_tol = 0.6 * float(np.sqrt(2.0 * p.step))
+def _membership_chunk(
+    start: int, count: int, *, seed: int, step: float, horizon: float, model: DensityModel
+) -> dict[str, np.ndarray]:
+    grid = make_grid(horizon, step)
+    fine = make_grid(horizon, step / 2.0)
+    stress_tol = 0.6 * float(np.sqrt(2.0 * step))
     out: dict[str, np.ndarray] = {}
     for key in _VARIANTS:
         out[f"fail|{key}"] = np.zeros(count)
@@ -1395,11 +1324,11 @@ def _membership_chunk(p: _MembershipParams, start: int, count: int) -> dict[str,
         out[f"tot_{rung}"] = np.zeros(count)
     times = grid.times
     for i in range(count):
-        seed = SeedSpec(master_seed=p.seed, path_index=start + i)
-        w, w2 = sample_independent_pair(grid, (0.0, 0.0), seed)
-        driver = density_driver_path(p.model, seed, grid)
-        dens = density_path(p.model, seed, grid)
-        zs = zero_set(dens, p.model, driver)
+        spec = SeedSpec(master_seed=seed, path_index=start + i)
+        w, w2 = sample_independent_pair(grid, (0.0, 0.0), spec)
+        driver = density_driver_path(model, spec, grid)
+        dens = density_path(model, spec, grid)
+        zs = zero_set(dens, model, driver)
         members = {
             "drawdown": drawdown(w),
             "abs-martingale": abs_martingale(w, zs),
@@ -1429,9 +1358,9 @@ def _membership_chunk(p: _MembershipParams, start: int, count: int) -> dict[str,
         if verify_membership(bad).passed:
             out["corrupt_pass"][i] = 1.0
         # fixed-tolerance support mass on a common-randomness step ladder
-        wf = sample_bm(fine, 0.0, seed)
+        wf = sample_bm(fine, 0.0, spec)
         for rung, factor in (("c", 4), ("m", 2), ("f", 1)):
-            g = make_grid(p.horizon, p.step / 2.0 * factor)
+            g = make_grid(horizon, step / 2.0 * factor)
             d = abs_martingale(Path(grid=g, values=wf.values[::factor]))
             rep = verify_membership(d, support_tolerance=stress_tol)
             out[f"viol_{rung}"][i] = rep.support.violation_mass
@@ -1441,8 +1370,7 @@ def _membership_chunk(p: _MembershipParams, start: int, count: int) -> dict[str,
 
 def _run_membership(st: RunSettings) -> tuple[list[TargetCheck], list[CurveSeries]]:
     horizon = st.horizon if st.horizon is not None else 1.0
-    p = _MembershipParams(st.master_seed, st.step, horizon, _ERF)
-    feats = run_chunked(st.n_paths, functools.partial(_membership_chunk, p), workers=st.workers)
+    feats = _chunked(st, _membership_chunk, horizon=horizon, model=_ERF)
     checks: list[TargetCheck] = []
     for key in _VARIANTS:
         checks.append(
@@ -1484,17 +1412,10 @@ def _run_membership(st: RunSettings) -> tuple[list[TargetCheck], list[CurveSerie
 
 # ---------------------------------------------------------------- zero geometry
 
-@dataclass(frozen=True)
-class _GeomParams:
-    seed: int
-    step: float
-    model: DensityModel
-
-
-def _geom_chunk(p: _GeomParams, start: int, count: int) -> dict[str, np.ndarray]:
-    grid = make_grid(p.model.stop_time, p.step)
-    driver = driver_matrix(p.model, p.seed, start, count, grid)
-    dens = density_matrix(p.model, driver, grid)
+def _geom_chunk(start: int, count: int, *, seed: int, step: float, model: StoppedBM) -> dict[str, np.ndarray]:
+    grid = make_grid(model.stop_time, step)
+    driver = driver_matrix(model, seed, start, count, grid)
+    dens = density_matrix(model, driver, grid)
     zg = zero_geometry(dens, last_index=grid.n_steps)
     gbar = zg.gbar_idx
     col = np.arange(grid.n_steps + 1)
@@ -1507,8 +1428,7 @@ def _geom_chunk(p: _GeomParams, start: int, count: int) -> dict[str, np.ndarray]
 
 
 def _run_geometry(st: RunSettings) -> tuple[list[TargetCheck], list[CurveSeries]]:
-    p = _GeomParams(st.master_seed, st.step, _SBM)
-    feats = run_chunked(st.n_paths, functools.partial(_geom_chunk, p), workers=st.workers)
+    feats = _chunked(st, _geom_chunk, model=_SBM)
     checks = [
         mean_check("last-zero-positive", _P_HIT, feats["haszero"], grid_allowance=0.01),
         count_check(
@@ -1523,145 +1443,55 @@ def _run_geometry(st: RunSettings) -> tuple[list[TargetCheck], list[CurveSeries]
 
 # ---------------------------------------------------------------- registry
 
-@dataclass(frozen=True)
-class ExperimentSpec:
-    name: str
-    anchor: str
-    runner: Callable[[RunSettings], tuple[list[TargetCheck], list[CurveSeries]]]
-    fast: tuple[int, float]
-    full: tuple[int, float]
-
-
 _FAST = (20000, 2e-3)
 _FULL = (100000, 1e-3)
 _LADDER_SCALE = (100, 1e-3)
 
-EXPERIMENTS: dict[str, ExperimentSpec] = {}
+
+@dataclass(frozen=True)
+class ExperimentSpec:
+    """One registry row.
+
+    ``min_horizon`` is the smallest horizon override the runner can
+    honour: ErfSign zero sets span the model's terminal time 1.0, and
+    restart anchors found there index the driver's own grid.
+    """
+
+    name: str
+    anchor: str
+    runner: Callable[[RunSettings], tuple[list[TargetCheck], list[CurveSeries]]]
+    fast: tuple[int, float] = _FAST
+    full: tuple[int, float] = _FULL
+    min_horizon: float = 0.0
 
 
-def _register(name: str, anchor: str, runner, fast=_FAST, full=_FULL) -> None:
-    EXPERIMENTS[name] = ExperimentSpec(name=name, anchor=anchor, runner=runner, fast=fast, full=full)
+# name, paper anchor, runner, then the fast and full scales (paths, step) and the smallest
+# horizon override where they differ from the defaults (doob's ErfSign pass runs at 2.5x)
+_TABLE = (
+    ("t1-characterization", "martingale characterization of the base zero-set class", _run_t1),
+    ("r1-ui-martingale", "uniformly integrable restart martingale for bounded class members", _run_r1, _FAST, _FULL, 1.0),
+    ("sigma-s-characterization", "martingale characterization of the restarted class", _run_sigma_s, _FAST, _FULL, 1.0),
+    ("rho-algebra", "linearity, positivity, and product rules of the restart operator", _run_rho, (1000, 2e-3), (1000, 2e-3)),
+    ("q-bracket", "quadratic bracket of the restarted driver", _run_qbracket, _FAST, _FULL, 1.0),
+    ("tanaka-abs", "signed local-time identity for the absolute value", _run_tanaka_abs, _LADDER_SCALE, _LADDER_SCALE),
+    ("tanaka-plus", "signed local-time identity for the positive part", _run_tanaka_plus, _LADDER_SCALE, _LADDER_SCALE),
+    ("tanaka-minus", "signed local-time identity for the negative part", _run_tanaka_minus, _LADDER_SCALE, _LADDER_SCALE),
+    ("ito", "second-order expansion along restarted paths", _run_ito, _LADDER_SCALE, _LADDER_SCALE),
+    ("doob-maximal", "maximal identity for the supremum after the last zero", _run_doob, _FAST, _FULL, 0.4),
+    ("passage-eq2", "boundary-crossing law stopped at a growth level, stepped boundary", _run_passage_eq2),
+    ("passage-eq3", "boundary-crossing law over the full span, finite total integral", _run_passage_eq3),
+    ("passage-eq4", "probability-case crossing law with a unit boundary", _run_passage_eq4),
+    ("passage-s32", "signed crossing law for the restarted reflected driver", _run_s32),
+    ("a-infinity", "terminal growth law of the stopped reflected construction", _run_ainf),
+    ("levy-eq5", "drawdown confinement law under the signed weight", _run_levy5),
+    ("levy-eq6", "drawdown confinement law between supremum levels", _run_levy6),
+    ("products", "closure of the zero-set class under products", _run_products),
+    ("scaled-f", "closure of the zero-set class under growth rescaling", _run_scaled),
+    ("membership", "pathwise membership checks for every construction", _run_membership, (300, 1e-3), (300, 1e-3)),
+    ("zero-geometry", "geometry of the terminal-density zero set", _run_geometry, (20000, 1e-3), (100000, 2.5e-4)),
+)
 
-
-_register(
-    "t1-characterization",
-    "martingale characterization of the base zero-set class",
-    _run_t1,
-)
-_register(
-    "r1-ui-martingale",
-    "uniformly integrable restart martingale for bounded class members",
-    _run_r1,
-)
-_register(
-    "sigma-s-characterization",
-    "martingale characterization of the restarted class",
-    _run_sigma_s,
-)
-_register(
-    "rho-algebra",
-    "linearity, positivity, and product rules of the restart operator",
-    _run_rho,
-    fast=(1000, 2e-3),
-    full=(1000, 2e-3),
-)
-_register(
-    "q-bracket",
-    "quadratic bracket of the restarted driver",
-    _run_qbracket,
-)
-_register(
-    "tanaka-abs",
-    "signed local-time identity for the absolute value",
-    _make_tanaka_runner("abs"),
-    fast=_LADDER_SCALE,
-    full=_LADDER_SCALE,
-)
-_register(
-    "tanaka-plus",
-    "signed local-time identity for the positive part",
-    _make_tanaka_runner("plus"),
-    fast=_LADDER_SCALE,
-    full=_LADDER_SCALE,
-)
-_register(
-    "tanaka-minus",
-    "signed local-time identity for the negative part",
-    _make_tanaka_runner("minus"),
-    fast=_LADDER_SCALE,
-    full=_LADDER_SCALE,
-)
-_register(
-    "ito",
-    "second-order expansion along restarted paths",
-    _run_ito,
-    fast=_LADDER_SCALE,
-    full=_LADDER_SCALE,
-)
-_register(
-    "doob-maximal",
-    "maximal identity for the supremum after the last zero",
-    _run_doob,
-)
-_register(
-    "passage-eq2",
-    "boundary-crossing law stopped at a growth level, stepped boundary",
-    _make_passage_runner(TableBoundary(((0.0, 1.0), (0.5, 2.0))), 1.0, 6.0, 0.008),
-)
-_register(
-    "passage-eq3",
-    "boundary-crossing law over the full span, finite total integral",
-    _make_passage_runner(TableBoundary(((0.0, 1.0), (1.0, float("inf")))), None, 6.0, 0.004),
-)
-_register(
-    "passage-eq4",
-    "probability-case crossing law with a unit boundary",
-    _make_passage_runner(ConstantBoundary(1.0), 1.0, 6.0, 0.008),
-)
-_register(
-    "passage-s32",
-    "signed crossing law for the restarted reflected driver",
-    _run_s32,
-)
-_register(
-    "a-infinity",
-    "terminal growth law of the stopped reflected construction",
-    _run_ainf,
-)
-_register(
-    "levy-eq5",
-    "drawdown confinement law under the signed weight",
-    _run_levy5,
-)
-_register(
-    "levy-eq6",
-    "drawdown confinement law between supremum levels",
-    _run_levy6,
-)
-_register(
-    "products",
-    "closure of the zero-set class under products",
-    _run_products,
-)
-_register(
-    "scaled-f",
-    "closure of the zero-set class under growth rescaling",
-    _run_scaled,
-)
-_register(
-    "membership",
-    "pathwise membership checks for every construction",
-    _run_membership,
-    fast=(300, 1e-3),
-    full=(300, 1e-3),
-)
-_register(
-    "zero-geometry",
-    "geometry of the terminal-density zero set",
-    _run_geometry,
-    fast=(20000, 1e-3),
-    full=(100000, 2.5e-4),
-)
+EXPERIMENTS: dict[str, ExperimentSpec] = {row[0]: ExperimentSpec(*row) for row in _TABLE}
 
 
 def experiment_names() -> list[str]:
@@ -1687,6 +1517,8 @@ def resolve_settings(cfg: ExperimentConfig, suite: str | None = None) -> RunSett
         raise ConfigurationError("step must be positive")
     if cfg.horizon is not None and cfg.horizon <= 0.0:
         raise ConfigurationError("horizon must be positive")
+    if cfg.horizon is not None and cfg.horizon < spec.min_horizon:
+        raise ConfigurationError(f"{cfg.experiment} needs a horizon of at least {spec.min_horizon:g}")
     if cfg.policy not in ("drop", "extend"):
         raise ConfigurationError(f"policy must be drop or extend, not {cfg.policy!r}")
     if cfg.workers < 1:

@@ -23,6 +23,7 @@ path functionals evaluated on the grid.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,6 +40,9 @@ __all__ = [
     "make_grid",
     "make_stream",
     "bm_increments",
+    "increments_matrix",
+    "cumsum_paths",
+    "first_hit",
     "sample_bm",
     "sample_independent_pair",
 ]
@@ -126,32 +130,91 @@ def make_grid(horizon: float, step: float) -> TimeGrid:
     return TimeGrid(step=float(step), horizon=float(horizon), n_steps=n)
 
 
+def _stream_words(seed: SeedSpec, substream: int) -> tuple[int, int]:
+    """The Philox key and start counter of one (path, substream) pair."""
+    key = ((int(seed.master_seed) & _MASK64) << 64) | (int(seed.path_index) & _MASK64)
+    return key, int(substream) << 128
+
+
 def make_stream(seed: SeedSpec, substream: int = SUBSTREAM_PRIMARY) -> np.random.Generator:
     """Counter-based generator for one (path, substream) pair."""
-    key = ((int(seed.master_seed) & _MASK64) << 64) | (int(seed.path_index) & _MASK64)
-    counter = int(substream) << 128
+    key, counter = _stream_words(seed, substream)
     return np.random.Generator(np.random.Philox(key=key, counter=counter))
+
+
+# bm_increments re-keys one Philox per process instead of constructing a
+# fresh one per path: the constructor draws OS entropy for a seed
+# sequence the key then overrides, and costs several times the reset.
+# The generator never leaves this module, and the lock keeps the reset
+# and the draw together.
+_DRAW_LOCK = threading.Lock()
+_DRAW_BITGEN = np.random.Philox(key=0)
+_DRAW_GEN = np.random.Generator(_DRAW_BITGEN)
+_FRESH_STATE = _DRAW_BITGEN.state  # as constructed; key and counter set per stream
 
 
 def bm_increments(seed: SeedSpec, n_steps: int, step: float, substream: int) -> np.ndarray:
     """Exact N(0, step) increments for one path; the single source used by
-    both the per-path samplers and the ensemble engine (bit-identical)."""
-    gen = make_stream(seed, substream)
-    return gen.standard_normal(n_steps) * np.sqrt(step)
+    both the per-path samplers and the ensemble engine (bit-identical).
+
+    The draws are those of ``make_stream(seed, substream)``: the shared
+    Philox is reset to that stream's freshly constructed state.
+    """
+    key, counter = _stream_words(seed, substream)
+    words = _FRESH_STATE["state"]
+    with _DRAW_LOCK:
+        words["key"][:] = [(key >> s) & _MASK64 for s in (0, 64)]
+        words["counter"][:] = [(counter >> s) & _MASK64 for s in (0, 64, 128, 192)]
+        _DRAW_BITGEN.state = _FRESH_STATE
+        draws = _DRAW_GEN.standard_normal(n_steps)
+    return draws * np.sqrt(step)
+
+
+def increments_matrix(
+    master_seed: int,
+    start_index: int,
+    count: int,
+    n_steps: int,
+    step: float,
+    substream: int = SUBSTREAM_PRIMARY,
+) -> np.ndarray:
+    """Gaussian increment rows for paths start_index .. start_index+count-1."""
+    out = np.empty((count, n_steps))
+    for i in range(count):
+        seed = SeedSpec(master_seed=master_seed, path_index=start_index + i)
+        out[i] = bm_increments(seed, n_steps, step, substream)
+    return out
+
+
+def cumsum_paths(incs: np.ndarray, start: float = 0.0) -> np.ndarray:
+    """Path values from increment rows, with the given common start."""
+    count, n = incs.shape
+    values = np.empty((count, n + 1))
+    values[:, 0] = start
+    np.cumsum(incs, axis=1, out=values[:, 1:])
+    if start != 0.0:
+        values[:, 1:] += start
+    return values
+
+
+def first_hit(mask: np.ndarray) -> np.ndarray:
+    """Index of the first True along the last axis, or -1 where there is none."""
+    return np.where(mask.any(axis=-1), mask.argmax(axis=-1), -1)
+
+
+def _one_path(grid: TimeGrid, start: float, seed: SeedSpec, substream: int) -> Path:
+    incs = increments_matrix(seed.master_seed, seed.path_index, 1, grid.n_steps, grid.step, substream)
+    return Path(grid=grid, values=cumsum_paths(incs, start)[0])
 
 
 def sample_bm(grid: TimeGrid, start: float, seed: SeedSpec) -> Path:
     """Brownian path on the grid: values[0] = start, exact Gaussian increments.
 
     Deterministic: the same (grid, start, seed) always yields bit-identical
-    values, independent of call order or process.
+    values, independent of call order or process.  It is the one-row
+    case of ``increments_matrix`` and ``cumsum_paths``.
     """
-    incs = bm_increments(seed, grid.n_steps, grid.step, SUBSTREAM_PRIMARY)
-    values = np.empty(grid.n_steps + 1)
-    values[0] = start
-    np.cumsum(incs, out=values[1:])
-    values[1:] += start
-    return Path(grid=grid, values=values)
+    return _one_path(grid, start, seed, SUBSTREAM_PRIMARY)
 
 
 def sample_independent_pair(
@@ -162,10 +225,4 @@ def sample_independent_pair(
     The first path equals sample_bm(grid, starts[0], seed); the second
     draws from the disjoint secondary substream of the same seed.
     """
-    first = sample_bm(grid, starts[0], seed)
-    incs = bm_increments(seed, grid.n_steps, grid.step, SUBSTREAM_SECONDARY)
-    values = np.empty(grid.n_steps + 1)
-    values[0] = starts[1]
-    np.cumsum(incs, out=values[1:])
-    values[1:] += starts[1]
-    return first, Path(grid=grid, values=values)
+    return sample_bm(grid, starts[0], seed), _one_path(grid, starts[1], seed, SUBSTREAM_SECONDARY)

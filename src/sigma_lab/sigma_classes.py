@@ -37,10 +37,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .balayage import _blocks, _gathered_prefix
+from .balayage import _blocks, gathered_prefix, kernel_bandwidth, occupation_kernel
 from .density import ZeroSetInfo, zero_set_from_level_series
 from .errors import ConfigurationError, ContractError
-from .paths import Path, TimeGrid, make_grid
+from .paths import Path, TimeGrid, first_hit, make_grid
 
 __all__ = [
     "CLASSICAL",
@@ -154,16 +154,6 @@ def assemble(
     )
 
 
-def _kernel_local_time(values: np.ndarray, step: float, bandwidth: float | None) -> tuple[np.ndarray, float]:
-    b = float(bandwidth) if bandwidth is not None else float(np.sqrt(step))
-    if b <= 0.0:
-        raise ConfigurationError("bandwidth must be positive")
-    out = np.zeros_like(values)
-    np.cumsum((np.abs(values[:-1]) < b).astype(np.float64), out=out[1:])
-    out[1:] *= step / (2.0 * b)
-    return out, b
-
-
 def abs_martingale(M: Path, zs: ZeroSetInfo | None = None, bandwidth: float | None = None) -> Decomposition:
     """|M| with its sign-integral part and a kernel local time at 0.
 
@@ -180,9 +170,9 @@ def abs_martingale(M: Path, zs: ZeroSetInfo | None = None, bandwidth: float | No
     values = M.values
     x = np.abs(values)
     integrand = np.where(values[:-1] > 0.0, 1.0, -1.0)
-    n = np.zeros_like(values)
-    np.cumsum(integrand * np.diff(values), out=n[1:])
-    a, b = _kernel_local_time(values, M.grid.step, bandwidth)
+    n = gathered_prefix(integrand * np.diff(values))
+    b = kernel_bandwidth(M.grid.step, bandwidth)
+    a = occupation_kernel(values, M.grid.step, bandwidth=b)
     zz = zs if zs is not None else _empty_zero_set(M.grid)
     return Decomposition(
         x=Path(grid=M.grid, values=x),
@@ -223,10 +213,9 @@ def pm_combination(
     values = M.values
     x = alpha * np.maximum(values, 0.0) + beta * np.maximum(-values, 0.0)
     integrand = np.where(values[:-1] > 0.0, alpha, -beta)
-    n = np.zeros_like(values)
-    np.cumsum(integrand * np.diff(values), out=n[1:])
-    kernel, b = _kernel_local_time(values, M.grid.step, bandwidth)
-    a = ((alpha + beta) / 2.0) * kernel
+    n = gathered_prefix(integrand * np.diff(values))
+    b = kernel_bandwidth(M.grid.step, bandwidth)
+    a = ((alpha + beta) / 2.0) * occupation_kernel(values, M.grid.step, bandwidth=b)
     zz = zs if zs is not None else _empty_zero_set(M.grid)
     return Decomposition(
         x=Path(grid=M.grid, values=x),
@@ -282,21 +271,17 @@ def lifted_reflected(
     if W.grid != zs.grid:
         raise ContractError("driver and zero set live on different grids")
     grid = W.grid
-    b = float(bandwidth) if bandwidth is not None else float(np.sqrt(grid.step))
-    if b <= 0.0:
-        raise ConfigurationError("bandwidth must be positive")
-    beta = W.values - W.values[zs.gamma_index]
-    x = np.abs(beta)
+    b = kernel_bandwidth(grid.step, bandwidth)
+    x = np.abs(W.values - W.values[zs.gamma_index])
     if stop_level is not None:
         if stop_level <= 0.0:
             raise ConfigurationError("stop_level must be positive")
         for anchor, last in _blocks(zs):
             seg = x[anchor : last + 1]
-            reached = np.nonzero(seg >= stop_level)[0]
-            if reached.size:
-                seg[reached[0] :] = seg[reached[0]]
-    hits = (x[:-1] < b).astype(np.float64)
-    a = _gathered_prefix(hits, zs) * (grid.step / (2.0 * b))
+            k = first_hit(seg >= stop_level)
+            if k >= 0:
+                seg[k:] = seg[k]
+    a = occupation_kernel(x, grid.step, bandwidth=b, anchors=zs.gamma_index)
     return assemble(
         Path(grid=grid, values=x),
         Path(grid=grid, values=a),
@@ -372,18 +357,16 @@ def _product_pair(d1: Decomposition, d2: Decomposition) -> Decomposition:
     x1, x2 = d1.x.values, d2.x.values
     a1, a2 = d1.a.values, d2.a.values
     c = x1[:-1] * np.diff(a2) + x2[:-1] * np.diff(a1)
+    zs = d1.zero_set
     if d1.class_tag == SIGMA_SH:
-        zs = d1.zero_set
         same_zs = zs is d2.zero_set or (
             d2.zero_set is not None and np.array_equal(zs.h_indices, d2.zero_set.h_indices)
         )
         if not same_zs:
             raise ContractError("restarted product factors must share the zero set")
-        a = _gathered_prefix(c, zs)
+        a = gathered_prefix(c, zs.gamma_index)
     else:
-        zs = d1.zero_set
-        a = np.zeros_like(x1)
-        np.cumsum(c, out=a[1:])
+        a = gathered_prefix(c)
     s1 = d1.support_scale if d1.support_scale is not None else float(np.sqrt(grid.step))
     s2 = d2.support_scale if d2.support_scale is not None else float(np.sqrt(grid.step))
     scale = max(s1 * _running_sup(x2), s2 * _running_sup(x1))
@@ -500,7 +483,7 @@ def sigma_s_characterization_process(d: Decomposition, f: Callable[[np.ndarray],
         raise ContractError("restarted characterization needs a restarted member")
     a = d.a.values
     fa = np.asarray(f(a), dtype=np.float64)
-    values = _gathered_prefix(fa[:-1] * np.diff(a), d.zero_set) - fa * d.x.values
+    values = gathered_prefix(fa[:-1] * np.diff(a), d.zero_set.gamma_index) - fa * d.x.values
     return Path(grid=d.grid, values=values)
 
 

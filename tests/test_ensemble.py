@@ -1,5 +1,7 @@
 """Vectorized engine against the per-path reference implementations."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -10,23 +12,17 @@ from sigma_lab import (
     StoppedBM,
     density_driver_path,
     density_path,
+    lifted_reflected,
     make_grid,
     q_bracket,
     sample_bm,
     zero_set,
 )
-from sigma_lab.ensemble import (
-    chunk_ranges,
-    cumsum_paths,
-    density_matrix,
-    driver_matrix,
-    first_reach_index,
-    gathered_prefix_matrix,
-    increments_matrix,
-    run_chunked,
-    subsample_paths,
-    zero_geometry,
-)
+from sigma_lab.balayage import gathered_prefix
+from sigma_lab.density import density_matrix, driver_matrix, zero_geometry
+from sigma_lab.ensemble import chunk_ranges, run_chunked
+from sigma_lab.experiments import _sigs_rows
+from sigma_lab.paths import cumsum_paths, first_hit, increments_matrix
 
 SEED = 20260822
 
@@ -80,7 +76,7 @@ def test_gathered_prefix_matches_q_bracket():
     D = density_matrix(model, rows, grid)
     geo = zero_geometry(D, last_index=grid.index_of(2.0))
     W = cumsum_paths(increments_matrix(SEED + 2, 0, 20, grid.n_steps, grid.step))
-    got = gathered_prefix_matrix(np.diff(W, axis=1) ** 2, geo.gamma_idx)
+    got = gathered_prefix(np.diff(W, axis=1) ** 2, geo.gamma_idx)
     for i in range(20):
         ref = q_bracket(
             sample_bm(grid, 0.0, SeedSpec(SEED + 2, i)),
@@ -101,17 +97,34 @@ def test_run_chunked_is_chunking_invariant():
     assert a["idx"].shape == (1000,)
 
 
-def test_subsample_is_exact_grid_coarsening():
-    grid = make_grid(horizon=1.0, step=0.01)
-    W = cumsum_paths(increments_matrix(SEED, 0, 3, grid.n_steps, grid.step))
-    coarse = subsample_paths(W, 4)
-    assert coarse.shape == (3, 26)
-    assert np.array_equal(coarse[:, 1], W[:, 4])
-    with pytest.raises(ConfigurationError):
-        subsample_paths(W, 3)
+def test_sigma_s_chunk_rows_are_lifted_reflected_bitwise():
+    model = ErfSign(offset=1.0, terminal_time=1.0)
+    grid, x, a, _ = _sigs_rows(0, 12, seed=SEED, step=0.01, horizon=2.0, model=model)
+    for i in range(12):
+        seed = SeedSpec(SEED, i)
+        zs = zero_set(density_path(model, seed, grid), model, density_driver_path(model, seed, grid))
+        ref = lifted_reflected(sample_bm(grid, 0.0, seed), zs)
+        assert np.array_equal(x[i], ref.x.values)
+        assert np.array_equal(a[i], ref.a.values)
+
+
+def test_serial_chunks_do_not_pin_their_matrices():
+    alive = []
+    live_at_start = []
+
+    def fn(start, count):
+        live_at_start.append(sum(ref() is not None for ref in alive))
+        big = np.ones((count, 20000))
+        alive.append(weakref.ref(big))
+        return {"last": big[:, -1]}
+
+    out = run_chunked(40, fn, chunk_size=8)
+    assert out["last"].shape == (40,)
+    assert live_at_start == [0] * 5
 
 
 def test_first_reach_index():
     values = np.array([[0.0, 0.5, 1.2, 0.3], [0.0, 0.1, 0.2, 0.3]])
-    idx = first_reach_index(values, 1.0)
+    idx = first_hit(values >= 1.0)
     assert list(idx) == [2, -1]
+    assert first_hit(values[0] >= 1.0) == 2

@@ -70,6 +70,16 @@ def test_resolve_settings_rejects_bad_input():
         resolve_settings(ExperimentConfig(experiment="passage-eq4", workers=0))
     with pytest.raises(ConfigurationError):
         resolve_settings(ExperimentConfig(experiment="passage-eq4"), suite="medium")
+    # horizons shorter than the ErfSign zero-set span (2.5x shorter for doob)
+    for name, horizon, checkpoints in (
+        ("r1-ui-martingale", 0.5, None),
+        ("q-bracket", 0.5, None),
+        ("sigma-s-characterization", 0.5, (0.25, 0.5)),
+        ("doob-maximal", 0.3, None),
+    ):
+        with pytest.raises(ConfigurationError):
+            resolve_settings(ExperimentConfig(experiment=name, horizon=horizon, checkpoints=checkpoints))
+    resolve_settings(ExperimentConfig(experiment="doob-maximal", horizon=0.4))
 
 
 def test_suite_scales_differ():
@@ -253,6 +263,13 @@ def test_cli_unknown_experiment_suggests(capsys):
 
 def test_cli_zero_paths_is_config_error():
     assert main(["run", "--experiment", "passage-eq4", "--paths", "0"]) == 1
+
+
+def test_cli_short_horizon_is_config_error(tmp_path):
+    assert main(["run", "--experiment", "doob-maximal", "--horizon", "0.3", "--paths", "8", "--out", str(tmp_path)]) == 1
+    # the q-bracket offsets are read after a last zero that may sit at 1.0
+    argv = ["run", "--experiment", "q-bracket", "--horizon", "1.0", "--paths", "8", "--suite", "fast"]
+    assert main(argv + ["--out", str(tmp_path)]) == 1
 
 
 def test_cli_bad_suite_is_config_error():

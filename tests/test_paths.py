@@ -54,6 +54,20 @@ def test_streams_are_deterministic_and_separated():
     assert not np.array_equal(d, e)
 
 
+def test_increments_are_the_stream_draws_bitwise():
+    # bm_increments re-keys a shared Philox; its draws must stay those of a
+    # freshly constructed stream, for extreme keys and interleaved calls too.
+    seeds = [SeedSpec(master_seed=m, path_index=i) for m in (0, SEED, 2**64 - 1) for i in (0, 5, 2**64 - 1)]
+    for substream in (SUBSTREAM_PRIMARY, SUBSTREAM_DENSITY, SUBSTREAM_SECONDARY):
+        for seed in seeds:
+            got = bm_increments(seed, 13, 0.02, substream)
+            want = make_stream(seed, substream).standard_normal(13) * np.sqrt(0.02)
+            assert got.tobytes() == want.tobytes()
+    first = bm_increments(seeds[1], 9, 0.5, SUBSTREAM_PRIMARY)
+    bm_increments(seeds[2], 4, 0.5, SUBSTREAM_DENSITY)
+    assert np.array_equal(first, bm_increments(seeds[1], 9, 0.5, SUBSTREAM_PRIMARY))
+
+
 def test_bm_path_matches_raw_increments():
     grid = make_grid(horizon=1.0, step=0.01)
     seed = SeedSpec(master_seed=SEED, path_index=3)
