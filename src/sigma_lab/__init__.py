@@ -34,7 +34,6 @@ from .density import (
     zero_set,
     zero_set_from_level_series,
     ensemble_weights,
-    qp_martingale,
 )
 from .balayage import (
     PathFunctional,
@@ -73,7 +72,6 @@ from .sigma_classes import (
     retag,
     product,
     scaled_by_f,
-    characterization_process,
     sigma_s_characterization_process,
     MembershipReport,
     verify_membership,
@@ -90,7 +88,6 @@ from .estimates import (
     count_check,
     ratio_check,
     ConstantBoundary,
-    ExponentialBoundary,
     TableBoundary,
     GrowthLaw,
 )

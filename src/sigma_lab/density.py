@@ -28,6 +28,11 @@ The driver, density and zero-set kernels (``driver_matrix``,
 per-path functions (``density_driver_path``, ``density_path``,
 ``zero_set_from_level_series``) call the same kernels on one row, so a
 per-path result equals the matching ensemble row bit for bit.
+
+What differs between the models is decided here and nowhere else: the
+model's own time span (``model_time``), where its driver starts
+(``driver_from_increments``), and the series whose sign changes are
+D's zeros (``zero_level``).
 """
 
 from __future__ import annotations
@@ -48,15 +53,18 @@ __all__ = [
     "ZeroSetInfo",
     "ZeroGeometry",
     "EnsembleWeights",
+    "model_time",
+    "driver_from_increments",
     "driver_matrix",
     "density_matrix",
+    "zero_level",
     "zero_geometry",
     "density_path",
     "density_driver_path",
     "zero_set",
+    "driver_zero_set",
     "zero_set_from_level_series",
     "ensemble_weights",
-    "qp_martingale",
 ]
 
 
@@ -102,8 +110,6 @@ class ZeroSetInfo:
 
     Attributes
     ----------
-    crossing_intervals:
-        Pairs (k, k+1) of grid indices bracketing a sign change.
     h_indices:
         Sorted grid indices carrying a detected zero (right endpoints).
     gbar / gbar_index:
@@ -111,41 +117,20 @@ class ZeroSetInfo:
     gamma_index:
         For each grid index j, the index of the last zero at or before
         j (0 when there is none).
-    gbar_before_index:
-        Same with strict inequality: last zero before j.
     excursion_start_indices:
         Left endpoints of the maximal zero-free runs: the zero opening
         each run, or 0 for the initial run.
     """
 
     grid: TimeGrid
-    crossing_intervals: tuple[tuple[int, int], ...]
     h_indices: np.ndarray = field(repr=False)
     gbar_index: int
     gamma_index: np.ndarray = field(repr=False)
-    gbar_before_index: np.ndarray = field(repr=False)
     excursion_start_indices: np.ndarray = field(repr=False)
 
     @property
     def gbar(self) -> float:
         return self.gbar_index * self.grid.step
-
-    @property
-    def gamma(self) -> np.ndarray:
-        """Last-zero-at-or-before times, one per grid point."""
-        return self.gamma_index * self.grid.step
-
-    @property
-    def gbar_before(self) -> np.ndarray:
-        """Last-zero-strictly-before times, one per grid point."""
-        return self.gbar_before_index * self.grid.step
-
-    @property
-    def excursion_starts(self) -> np.ndarray:
-        return self.excursion_start_indices * self.grid.step
-
-    def gamma_at(self, t: float) -> float:
-        return float(self.gamma[self.grid.index_of(t)])
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,12 +148,20 @@ class EnsembleWeights:
     q_weight: np.ndarray = field(repr=False)
 
 
-def _require_horizon(model: DensityModel, grid: TimeGrid) -> int:
-    """Validate the grid against the model's intrinsic time; return the
-    grid index of that intrinsic time (n_steps for ConstantOne)."""
+def model_time(model: DensityModel) -> float | None:
+    """The model's own time span: where StoppedBM freezes and ErfSign
+    closes.  None for ConstantOne, which has no span."""
     if isinstance(model, ConstantOne):
+        return None
+    return model.stop_time if isinstance(model, StoppedBM) else model.terminal_time
+
+
+def _require_horizon(model: DensityModel, grid: TimeGrid) -> int:
+    """Validate the grid against the model's own time; return the grid
+    index of that time (n_steps for ConstantOne)."""
+    intrinsic = model_time(model)
+    if intrinsic is None:
         return grid.n_steps
-    intrinsic = model.stop_time if isinstance(model, StoppedBM) else model.terminal_time
     if grid.horizon < intrinsic - 1e-12:
         raise ConfigurationError(
             f"grid horizon {grid.horizon} is shorter than the model time {intrinsic}"
@@ -176,18 +169,20 @@ def _require_horizon(model: DensityModel, grid: TimeGrid) -> int:
     return grid.index_of(min(intrinsic, grid.horizon))
 
 
-def driver_matrix(model: DensityModel, master_seed: int, start_index: int, count: int, grid: TimeGrid) -> np.ndarray | None:
-    """Density-substream driver rows; None for the constant model.
+def driver_from_increments(model: StoppedBM | ErfSign, incs: np.ndarray) -> np.ndarray:
+    """Driver rows from density-substream increments: StoppedBM's starts
+    at ``start``, ErfSign's at 0, so models given the same increments
+    share one Brownian draw."""
+    return cumsum_paths(incs, model.start if isinstance(model, StoppedBM) else 0.0)
 
-    For StoppedBM the driver is the unfrozen Brownian path from `start`;
-    for ErfSign it is the Brownian path from 0 feeding the CDF transform.
-    """
+
+def driver_matrix(model: DensityModel, master_seed: int, start_index: int, count: int, grid: TimeGrid) -> np.ndarray | None:
+    """Density-substream driver rows; None for the constant model."""
     if isinstance(model, ConstantOne):
         return None
     _require_horizon(model, grid)
-    start = model.start if isinstance(model, StoppedBM) else 0.0
     incs = increments_matrix(master_seed, start_index, count, grid.n_steps, grid.step, SUBSTREAM_DENSITY)
-    return cumsum_paths(incs, start)
+    return driver_from_increments(model, incs)
 
 
 def density_matrix(model: DensityModel, driver: np.ndarray | None, grid: TimeGrid) -> np.ndarray:
@@ -232,10 +227,6 @@ class ZeroGeometry:
     gamma_idx: np.ndarray = field(repr=False)
     gbar_idx: np.ndarray = field(repr=False)
 
-    @property
-    def has_zero(self) -> np.ndarray:
-        return self.gbar_idx > 0
-
 
 def zero_geometry(level_rows: np.ndarray, last_index: int | None = None) -> ZeroGeometry:
     """Sign-change geometry of series crossing level 0, shaped (..., n+1).
@@ -265,34 +256,45 @@ def zero_set_from_level_series(series: np.ndarray, grid: TimeGrid, last_index: i
     if series.shape != (grid.n_steps + 1,):
         raise ContractError("level series length does not match the grid")
     zg = zero_geometry(series, last_index)
-    h_indices = np.nonzero(zg.in_h)[0].astype(np.int64)
     gamma_index = zg.gamma_idx.astype(np.int64)
-    gbar_before_index = np.concatenate(([0], gamma_index[:-1]))
     return ZeroSetInfo(
         grid=grid,
-        crossing_intervals=tuple((int(k) - 1, int(k)) for k in h_indices),
-        h_indices=h_indices,
+        h_indices=np.nonzero(zg.in_h)[0].astype(np.int64),
         gbar_index=int(zg.gbar_idx),
         gamma_index=gamma_index,
-        gbar_before_index=gbar_before_index,
         # One anchor per maximal run: the distinct last-zero values.
         excursion_start_indices=np.unique(gamma_index),
     )
 
 
-def zero_set(D: Path, model: DensityModel, driver: Path | None = None) -> ZeroSetInfo:
-    """Detect the density zero set by grid sign changes.
+def zero_level(model: StoppedBM | ErfSign, driver: np.ndarray) -> np.ndarray:
+    """Driver rows whose sign changes, up to the model's own time, are
+    D's zeros.
 
-    For ErfSign, when the driver path is supplied the crossings are
-    detected directly on W through the level -offset, which avoids any
-    CDF round-off near zero; without a driver the detection falls back
-    to sign changes of D itself (the CDF transform is strictly monotone
-    in W, so the two detections agree wherever the CDF is resolvable).
+    ErfSign's D vanishes exactly where W crosses -offset, and reading
+    that off W + offset avoids any CDF round-off near zero.  StoppedBM's
+    D is its driver until the freeze.
     """
-    stop = _require_horizon(model, D.grid)
-    if isinstance(model, ErfSign) and driver is not None:
-        return zero_set_from_level_series(driver.values + model.offset, D.grid, last_index=stop)
-    return zero_set_from_level_series(D.values, D.grid, last_index=stop)
+    return driver + model.offset if isinstance(model, ErfSign) else driver
+
+
+def zero_set(D: Path, model: DensityModel, driver: Path | None = None) -> ZeroSetInfo:
+    """Detect the density zero set by grid sign changes, up to the
+    model's own time: of ``zero_level`` when the driver path is supplied,
+    else of D itself (the CDF transform is strictly monotone in W, so
+    the two detections agree wherever the CDF is resolvable)."""
+    if driver is None:
+        return zero_set_from_level_series(D.values, D.grid, last_index=_require_horizon(model, D.grid))
+    if driver.grid != D.grid:
+        raise ContractError("driver and density paths live on different grids")
+    return driver_zero_set(model, driver)
+
+
+def driver_zero_set(model: StoppedBM | ErfSign, driver: Path) -> ZeroSetInfo:
+    """D's zero set read off its driver path alone, so that one draw of
+    the density substream serves both."""
+    stop = _require_horizon(model, driver.grid)
+    return zero_set_from_level_series(zero_level(model, driver.values), driver.grid, last_index=stop)
 
 
 def ensemble_weights(terminal_values: np.ndarray) -> EnsembleWeights:
@@ -318,18 +320,3 @@ def ensemble_weights(terminal_values: np.ndarray) -> EnsembleWeights:
         q_weight=terminal.copy(),
     )
 
-
-def qp_martingale(kind: str, driver: Path) -> Path:
-    """Reference processes whose product with D is a martingale.
-
-    ``independent_bm`` returns the driver itself; ``exponential``
-    returns exp(W_t - t/2), the positive martingale tending to zero.
-    Both rely on the driver being independent of the density driver,
-    which the substream layout guarantees.
-    """
-    if kind == "independent_bm":
-        return driver
-    if kind == "exponential":
-        values = np.exp(driver.values - 0.5 * driver.grid.times)
-        return Path(grid=driver.grid, values=values)
-    raise ConfigurationError(f"unknown martingale kind {kind!r}")

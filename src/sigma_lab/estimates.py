@@ -10,7 +10,7 @@ simulates.
 The boundary specifications carry the closed-form pieces of the
 first-passage and accumulated-growth laws: a positive boundary
 function of the running maximum, the integral of its reciprocal, and
-the derived distribution functions.
+the crossing probabilities derived from it.
 """
 
 from __future__ import annotations
@@ -32,12 +32,12 @@ __all__ = [
     "ks_test",
     "TargetCheck",
     "mean_check",
+    "agreement_check",
     "exact_check",
     "count_check",
     "ratio_check",
     "BoundarySpec",
     "ConstantBoundary",
-    "ExponentialBoundary",
     "TableBoundary",
     "GrowthLaw",
 ]
@@ -241,6 +241,32 @@ def mean_check(
     )
 
 
+def agreement_check(
+    name: str, estimate: McEstimate, reference: McEstimate, stat_scale: float, detail: str
+) -> TargetCheck:
+    """Two estimates of one quantity agree within stat_scale combined
+    standard errors (their stderrs added in quadrature).
+
+    ``detail`` is a format string; its fields ``estimate``, ``target``
+    and ``stderr`` receive the two values and the combined error.
+    """
+    combined = float(np.hypot(estimate.stderr, reference.stderr))
+    gap = abs(estimate.value - reference.value)
+    return TargetCheck(
+        name=name,
+        kind="mean",
+        target=reference.value,
+        estimate=estimate.value,
+        stderr=combined,
+        z=gap / combined if combined > 0.0 else 0.0,
+        stat_tolerance=stat_scale * combined,
+        grid_allowance=0.0,
+        truncation_allowance=0.0,
+        passed=gap <= stat_scale * combined,
+        detail=detail.format(estimate=estimate.value, target=reference.value, stderr=combined),
+    )
+
+
 def exact_check(name: str, magnitude: float, tolerance: float = 0.0) -> TargetCheck:
     """A pathwise magnitude that must not exceed a (possibly zero) tolerance."""
     m = float(magnitude)
@@ -288,22 +314,8 @@ def ratio_check(
     When both errors sit below the floor the quantity is exact to
     rounding and the ratio criterion is met trivially.
     """
-    if coarse_error < floor and fine_error < floor:
-        return TargetCheck(
-            name=name,
-            kind="ratio",
-            target=min_ratio,
-            estimate=float("inf"),
-            stderr=None,
-            z=None,
-            stat_tolerance=0.0,
-            grid_allowance=0.0,
-            truncation_allowance=0.0,
-            passed=True,
-            detail=f"both errors below {floor:.1e}; exact to rounding",
-            extras={"coarse_error": coarse_error, "fine_error": fine_error},
-        )
-    ratio = coarse_error / fine_error if fine_error > 0.0 else float("inf")
+    exact = coarse_error < floor and fine_error < floor
+    ratio = coarse_error / fine_error if fine_error > 0.0 and not exact else float("inf")
     return TargetCheck(
         name=name,
         kind="ratio",
@@ -314,8 +326,12 @@ def ratio_check(
         stat_tolerance=0.0,
         grid_allowance=0.0,
         truncation_allowance=0.0,
-        passed=ratio >= min_ratio,
-        detail=f"error ratio {ratio:.3f} vs required {min_ratio:.3f}",
+        passed=exact or ratio >= min_ratio,
+        detail=(
+            f"both errors below {floor:.1e}; exact to rounding"
+            if exact
+            else f"error ratio {ratio:.3f} vs required {min_ratio:.3f}"
+        ),
         extras={"coarse_error": coarse_error, "fine_error": fine_error},
     )
 
@@ -324,7 +340,7 @@ class BoundarySpec:
     """Positive boundary as a function of the running maximum.
 
     Subclasses provide the pointwise value and the integral of the
-    reciprocal from 0; the distribution pieces of the passage laws
+    reciprocal from 0; the crossing probabilities of the passage laws
     derive from those.
     """
 
@@ -339,10 +355,9 @@ class BoundarySpec:
         """Integral of 1/phi over [0, infinity); may be inf."""
         raise NotImplementedError
 
-    # Distribution pieces.  With I the reciprocal integral, the chance
-    # that the running maximum ever exceeds u is 1 - exp(-I(u)); the
-    # level-u variants replace the total integral by I(u), and
-    # conditioning on having reached x replaces I(.) by I(.) - I(x).
+    # Crossing probabilities.  With I the reciprocal integral, the chance
+    # of crossing the boundary before the running maximum passes u is
+    # 1 - exp(-I(u)); over the full span I(u) becomes the total integral.
 
     def crossing_probability(self, u: float) -> float:
         return 1.0 - float(np.exp(-self.integral_to(u)))
@@ -350,37 +365,6 @@ class BoundarySpec:
     def full_crossing_probability(self) -> float:
         total = self.integral_total()
         return 1.0 if np.isinf(total) else 1.0 - float(np.exp(-total))
-
-    def _integral_at(self, x: np.ndarray) -> np.ndarray:
-        return np.vectorize(self.integral_to, otypes=[np.float64])(np.asarray(x, dtype=np.float64))
-
-    def F_of(self, x: np.ndarray) -> np.ndarray:
-        """Improper law of the all-time maximum: 1 - exp(-(I(inf) - I(x))).
-
-        Defined only when the total reciprocal integral is finite; with
-        an infinite one the maximum is unbounded and there is nothing
-        to evaluate.
-        """
-        total = self.integral_total()
-        if np.isinf(total):
-            raise ConfigurationError(
-                "total reciprocal integral is infinite; the all-time law degenerates"
-            )
-        return 1.0 - np.exp(-(total - self._integral_at(x)))
-
-    def f_of(self, x: np.ndarray) -> np.ndarray:
-        """Density companion of F_of: -(1 - F)(x) / phi(x) with sign kept."""
-        x = np.asarray(x, dtype=np.float64)
-        return -(1.0 - self.F_of(x)) / self.phi_of(x)
-
-    def Fu_of(self, x: np.ndarray, u: float) -> np.ndarray:
-        """Law of the maximum truncated at level u: 1 - exp(-(I(u) - I(x)))."""
-        return 1.0 - np.exp(-(self.integral_to(u) - self._integral_at(x)))
-
-    def fu_of(self, x: np.ndarray, u: float) -> np.ndarray:
-        """Density companion of Fu_of."""
-        x = np.asarray(x, dtype=np.float64)
-        return -(1.0 - self.Fu_of(x, u)) / self.phi_of(x)
 
 
 @dataclass(frozen=True)
@@ -401,28 +385,6 @@ class ConstantBoundary(BoundarySpec):
 
     def integral_total(self) -> float:
         return float("inf")
-
-
-@dataclass(frozen=True)
-class ExponentialBoundary(BoundarySpec):
-    """phi(s) = scale * exp(s): finite total reciprocal integral 1/scale."""
-
-    scale: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.scale <= 0.0:
-            raise ConfigurationError("boundary scale must be positive")
-
-    def phi_of(self, s: np.ndarray) -> np.ndarray:
-        return self.scale * np.exp(np.asarray(s, dtype=np.float64))
-
-    def integral_to(self, u: float) -> float:
-        if u < 0.0:
-            raise ConfigurationError("integral endpoint must be nonnegative")
-        return float(-np.expm1(-u)) / self.scale
-
-    def integral_total(self) -> float:
-        return 1.0 / self.scale
 
 
 @dataclass(frozen=True)

@@ -48,13 +48,16 @@ from .density import (
     DensityModel,
     ErfSign,
     StoppedBM,
+    ZeroGeometry,
     density_driver_path,
     density_matrix,
-    density_path,
+    driver_from_increments,
     driver_matrix,
+    driver_zero_set,
     ensemble_weights,
+    model_time,
     zero_geometry,
-    zero_set,
+    zero_level,
     zero_set_from_level_series,
 )
 from .ensemble import CHUNK_SIZE, run_chunked
@@ -67,6 +70,7 @@ from .estimates import (
     KsReport,
     TableBoundary,
     TargetCheck,
+    agreement_check,
     count_check,
     exact_check,
     flatness_test,
@@ -82,6 +86,7 @@ from .paths import (
     Path,
     SeedSpec,
     TimeGrid,
+    before_hit,
     cumsum_paths,
     first_hit,
     increments_matrix,
@@ -123,7 +128,6 @@ _ERF = ErfSign(offset=1.0, terminal_time=1.0)
 _SBM = StoppedBM(start=1.0, stop_time=1.0)
 _D0_ERF = float(2.0 * norm.cdf(1.0) - 1.0)
 _P_HIT = float(2.0 * (1.0 - norm.cdf(1.0)))
-_EULER = float(1.0 - np.exp(-1.0))
 
 
 # ---------------------------------------------------------------- config
@@ -272,36 +276,20 @@ def _primary(seed: int, start: int, count: int, grid: TimeGrid) -> np.ndarray:
     return cumsum_paths(incs)
 
 
-@dataclass(frozen=True)
-class _DensityBlock:
-    terminal: np.ndarray
-    gbar: np.ndarray
-    gamma: np.ndarray
-
-
-def _density_block(model: DensityModel, seed: int, start: int, count: int, step: float) -> _DensityBlock:
-    """Terminal weights and zero geometry on the model's own span.
+def _density_block(model: DensityModel, seed: int, start: int, count: int, step: float) -> tuple[np.ndarray, ZeroGeometry]:
+    """Terminal density values and zero geometry on the model's own span.
 
     The indices live on any grid with the same step, because the
-    model is constant past its intrinsic time.
+    model is constant past its own time.  ConstantOne has no span: its
+    terminal value is 1 and its zero set is empty.
     """
-    if isinstance(model, ConstantOne):
-        z = np.zeros(count, dtype=np.int64)
-        return _DensityBlock(terminal=np.ones(count), gbar=z, gamma=z[:, None])
-    intrinsic = model.stop_time if isinstance(model, StoppedBM) else model.terminal_time
-    sgrid = make_grid(intrinsic, step)
+    span = model_time(model)
+    if span is None:
+        return np.ones(count), zero_geometry(np.ones((count, 1)))
+    sgrid = make_grid(span, step)
     driver = driver_matrix(model, seed, start, count, sgrid)
     dens = density_matrix(model, driver, sgrid)
-    if isinstance(model, StoppedBM):
-        level = dens
-    else:
-        level = driver + model.offset
-    zg = zero_geometry(level, last_index=sgrid.n_steps)
-    return _DensityBlock(
-        terminal=dens[:, -1],
-        gbar=zg.gbar_idx,
-        gamma=zg.gamma_idx,
-    )
+    return dens[:, -1], zero_geometry(zero_level(model, driver), last_index=sgrid.n_steps)
 
 
 def _extend_gamma(gamma: np.ndarray, gbar: np.ndarray, n_cols: int) -> np.ndarray:
@@ -390,20 +378,14 @@ def _sup_deficit(level_log, span):
 _F_ORDER = ("one", "below-1", "cap-1")
 
 
-def _f_eval(kind: str, a: np.ndarray) -> np.ndarray:
+def _characterization(kind: str, a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """F(A) - f(A) X for the bounded f named by ``kind`` and its
+    primitive F: driftless exactly when X is a member."""
     if kind == "one":
-        return np.ones_like(a)
+        return a - x
     if kind == "below-1":
-        return (a < 1.0).astype(np.float64)
-    return np.minimum(a, 1.0)
-
-
-def _f_primitive(kind: str, a: np.ndarray) -> np.ndarray:
-    if kind == "one":
-        return a.copy()
-    if kind == "below-1":
-        return np.minimum(a, 1.0)
-    return np.where(a < 1.0, 0.5 * a * a, a - 0.5)
+        return np.minimum(a, 1.0) - (a < 1.0) * x
+    return np.where(a < 1.0, 0.5 * a * a, a - 0.5) - np.minimum(a, 1.0) * x
 
 
 def _t1_chunk(
@@ -427,13 +409,13 @@ def _t1_chunk(
         "drawdown": (s - w, s),
         "abs": (np.abs(w), occupation_kernel(w, step)),
     }
-    block = _density_block(model, seed, start, count, step)
-    out: dict[str, np.ndarray] = {"q": block.terminal}
+    terminal, _ = _density_block(model, seed, start, count, step)
+    out: dict[str, np.ndarray] = {"q": terminal}
     for cons, (x, a) in variants.items():
         xc = x[:, cols]
         ac = a[:, cols]
         for kind in _F_ORDER:
-            out[f"{cons}|{kind}"] = _f_primitive(kind, ac) - _f_eval(kind, ac) * xc
+            out[f"{cons}|{kind}"] = _characterization(kind, ac, xc)
     return out
 
 
@@ -482,8 +464,8 @@ def _r1_chunk(
     w = _primary(seed, start, count, grid)
     t = grid.times
     u = norm.cdf((0.5 - w) / np.sqrt(cdf_time - t)[None, :])
-    block = _density_block(model, seed, start, count, step)
-    gbar = block.gbar
+    terminal, zg = _density_block(model, seed, start, count, step)
+    gbar = zg.gbar_idx
     ug = _gather(u, gbar)
     offs = np.array([round(s / step) for s in offsets], dtype=np.int64)
     vals = np.empty((count, offs.size))
@@ -499,7 +481,7 @@ def _r1_chunk(
     return {
         "v": vals[keep],
         "bound": np.full(count, bound),
-        "pprime_raw": block.terminal[keep],
+        "pprime_raw": terminal[keep],
         "kept": keep.astype(np.float64),
     }
 
@@ -526,25 +508,27 @@ def _run_r1(st: RunSettings) -> tuple[list[TargetCheck], list[CurveSeries]]:
 
 def _sigs_rows(
     start: int, count: int, *, seed: int, step: float, horizon: float, model: DensityModel
-) -> tuple[TimeGrid, np.ndarray, np.ndarray, _DensityBlock]:
+) -> tuple[TimeGrid, np.ndarray, np.ndarray, tuple[np.ndarray, ZeroGeometry]]:
     """Rows of the restarted reflected driver X and its kernel clock A:
-    the ``lifted_reflected`` construction, one row per path."""
+    the ``lifted_reflected`` construction, one row per path; then the
+    ``_density_block`` they were restarted on."""
     grid = make_grid(horizon, step)
     w = _primary(seed, start, count, grid)
-    block = _density_block(model, seed, start, count, step)
-    gamma = _extend_gamma(block.gamma, block.gbar, grid.n_steps + 1)
+    terminal, zg = _density_block(model, seed, start, count, step)
+    gamma = _extend_gamma(zg.gamma_idx, zg.gbar_idx, grid.n_steps + 1)
     x = np.abs(w - np.take_along_axis(w, gamma, axis=1))
-    return grid, x, occupation_kernel(x, step, anchors=gamma), block
+    return grid, x, occupation_kernel(x, step, anchors=gamma), (terminal, zg)
 
 
 def _sigs_chunk(start: int, count: int, *, checkpoints: tuple[float, ...], **rows) -> dict[str, np.ndarray]:
-    grid, x, a, block = _sigs_rows(start, count, **rows)
+    grid, x, a, (terminal, zg) = _sigs_rows(start, count, **rows)
+    gbar = zg.gbar_idx
     cols = np.array([grid.index_of(t) for t in checkpoints])
     xc, ac = x[:, cols], a[:, cols]
-    out: dict[str, np.ndarray] = {"q": block.terminal}
+    out: dict[str, np.ndarray] = {"q": terminal}
     for kind in _F_ORDER:
-        out[kind] = _f_primitive(kind, ac) - _f_eval(kind, ac) * xc
-    out["null_mag"] = np.abs(_gather(x, block.gbar)) + np.abs(_gather(a, block.gbar))
+        out[kind] = _characterization(kind, ac, xc)
+    out["null_mag"] = np.abs(_gather(x, gbar)) + np.abs(_gather(a, gbar))
     return out
 
 
@@ -581,9 +565,7 @@ def _rho_chunk(
     for i in range(count):
         spec = SeedSpec(master_seed=seed, path_index=start + i)
         w = sample_bm(grid, 0.0, spec)
-        driver = density_driver_path(model, spec, grid)
-        dens = density_path(model, spec, grid)
-        zs = zero_set(dens, model, driver)
+        zs = driver_zero_set(model, density_driver_path(model, spec, grid))
         shifted = shift(w, zs)
         g = zs.gbar_index
         for v1, v2 in _rho_pairs():
@@ -635,8 +617,8 @@ def _qbracket_chunk(
 ) -> dict[str, np.ndarray]:
     grid = make_grid(horizon, step)
     w = _primary(seed, start, count, grid)
-    block = _density_block(model, seed, start, count, step)
-    gbar = block.gbar
+    terminal, zg = _density_block(model, seed, start, count, step)
+    gbar = zg.gbar_idx
     bracket = gathered_prefix(np.diff(w, axis=1) ** 2, gbar[:, None])
     wg = _gather(w, gbar)
     offs = np.array([round(s / step) for s in offsets], dtype=np.int64)
@@ -648,7 +630,7 @@ def _qbracket_chunk(
         brack = _gather(bracket, cols)
         brack_min = np.minimum(brack_min, brack)
         vals[:, k] = beta * beta - brack
-    return {"v": vals, "brack_min": brack_min, "q": block.terminal}
+    return {"v": vals, "brack_min": brack_min, "q": terminal}
 
 
 def _run_qbracket(st: RunSettings) -> tuple[list[TargetCheck], list[CurveSeries]]:
@@ -686,14 +668,27 @@ def _ladder_paths(index: int, seed: int, step: float, horizon: float, model: Erf
     out = []
     for factor in _LADDER:
         grid = make_grid(horizon, step * factor)
-        values = w.values[::factor]
-        level_series = driver.values[::factor] + model.offset
-        zs = zero_set_from_level_series(level_series, grid, last_index=grid.index_of(model.terminal_time))
-        out.append((grid, values, zs))
+        zs = driver_zero_set(model, Path(grid=grid, values=driver.values[::factor]))
+        out.append((grid, w.values[::factor], zs))
     return out
 
 
-def _tanaka_chunk(
+_ITO_FORMS = {
+    "linear": (lambda x: x.copy(), lambda x: np.ones_like(x), lambda x: np.zeros_like(x)),
+    "square": (lambda x: x * x, lambda x: 2.0 * x, lambda x: np.full_like(x, 2.0)),
+    "cosine": (np.cos, lambda x: -np.sin(x), lambda x: -np.cos(x)),
+}
+
+
+def _residual(x: Path, zs, form: str) -> np.ndarray:
+    """Ito residual for the forms of ``_ITO_FORMS``, Tanaka residual at
+    level 0 for abs, plus and minus."""
+    if form in _ITO_FORMS:
+        return ito_residual(*_ITO_FORMS[form], x, zs).values
+    return tanaka_residual(x, 0.0, zs, form=form).residual.values
+
+
+def _ladder_chunk(
     start: int, count: int, *, seed: int, step: float, horizon: float, model: ErfSign, form: str
 ) -> dict[str, np.ndarray]:
     sups = {f: np.empty(count) for f in _LADDER}
@@ -702,36 +697,15 @@ def _tanaka_chunk(
         rungs = _ladder_paths(start + i, seed, step, horizon, model)
         for factor, (grid, values, zs) in zip(_LADDER, rungs):
             x = _restarted_on(values, grid, zs)
-            res = tanaka_residual(x, 0.0, zs, form=form)
-            sups[factor][i] = float(np.max(np.abs(res.residual.values)))
+            res = _residual(x, zs, form)
+            sups[factor][i] = float(np.max(np.abs(res)))
             if factor == 1 and form == "abs":
-                rp = tanaka_residual(x, 0.0, zs, form="plus").residual.values
-                rm = tanaka_residual(x, 0.0, zs, form="minus").residual.values
-                gap = np.abs(res.residual.values) - (np.abs(rp) + np.abs(rm))
+                rp = _residual(x, zs, "plus")
+                rm = _residual(x, zs, "minus")
+                gap = np.abs(res) - (np.abs(rp) + np.abs(rm))
                 if float(np.max(gap)) > 1e-12:
                     tri_bad[i] = 1.0
     return {"sup4": sups[4], "sup2": sups[2], "sup1": sups[1], "tri_bad": tri_bad}
-
-
-def _ito_chunk(
-    start: int, count: int, *, seed: int, step: float, horizon: float, model: ErfSign, form: str
-) -> dict[str, np.ndarray]:
-    F, dF, d2F = _ITO_FORMS[form]
-    sups = {f: np.empty(count) for f in _LADDER}
-    for i in range(count):
-        rungs = _ladder_paths(start + i, seed, step, horizon, model)
-        for factor, (grid, values, zs) in zip(_LADDER, rungs):
-            x = _restarted_on(values, grid, zs)
-            res = ito_residual(F, dF, d2F, x, zs)
-            sups[factor][i] = float(np.max(np.abs(res.values)))
-    return {"sup4": sups[4], "sup2": sups[2], "sup1": sups[1]}
-
-
-_ITO_FORMS = {
-    "linear": (lambda x: x.copy(), lambda x: np.ones_like(x), lambda x: np.zeros_like(x)),
-    "square": (lambda x: x * x, lambda x: 2.0 * x, lambda x: np.full_like(x, 2.0)),
-    "cosine": (np.cos, lambda x: -np.sin(x), lambda x: -np.cos(x)),
-}
 
 
 def _ladder_rows(name: str, feats: dict[str, np.ndarray], st: RunSettings) -> list[TargetCheck]:
@@ -743,23 +717,18 @@ def _ladder_rows(name: str, feats: dict[str, np.ndarray], st: RunSettings) -> li
     ]
 
 
-def _constant_path_residual(st: RunSettings, form: str, ito_form: str | None) -> float:
+def _constant_path_residual(st: RunSettings, form: str) -> float:
     grid = make_grid(1.0, st.step)
     flat = Path(grid=grid, values=np.full(grid.n_steps + 1, 0.5))
     zs = zero_set_from_level_series(np.ones(grid.n_steps + 1), grid)
-    if ito_form is None:
-        res = tanaka_residual(flat, 0.0, zs, form=form).residual.values
-    else:
-        F, dF, d2F = _ITO_FORMS[ito_form]
-        res = ito_residual(F, dF, d2F, flat, zs).values
-    return float(np.max(np.abs(res)))
+    return float(np.max(np.abs(_residual(flat, zs, form))))
 
 
 def _run_tanaka(st: RunSettings, *, form: str) -> tuple[list[TargetCheck], list[CurveSeries]]:
     horizon = st.horizon if st.horizon is not None else 1.0
-    feats = _chunked(st, _tanaka_chunk, horizon=horizon, model=_ERF, form=form)
+    feats = _chunked(st, _ladder_chunk, horizon=horizon, model=_ERF, form=form)
     checks = _ladder_rows(f"{form}-residual", feats, st)
-    checks.append(exact_check("constant-path-residual", _constant_path_residual(st, form, None)))
+    checks.append(exact_check("constant-path-residual", _constant_path_residual(st, form)))
     if form == "abs":
         checks.append(
             count_check(
@@ -780,9 +749,9 @@ def _run_ito(st: RunSettings) -> tuple[list[TargetCheck], list[CurveSeries]]:
     checks: list[TargetCheck] = []
     horizon = st.horizon if st.horizon is not None else 1.0
     for form in ("linear", "square", "cosine"):
-        feats = _chunked(st, _ito_chunk, horizon=horizon, model=_ERF, form=form)
+        feats = _chunked(st, _ladder_chunk, horizon=horizon, model=_ERF, form=form)
         checks.extend(_ladder_rows(f"{form}", feats, st))
-        checks.append(exact_check(f"{form}-constant-path-residual", _constant_path_residual(st, "abs", form)))
+        checks.append(exact_check(f"{form}-constant-path-residual", _constant_path_residual(st, form)))
     return checks, []
 
 
@@ -801,14 +770,14 @@ def _doob_chunk(
     grid = make_grid(horizon, step)
     w = _primary(seed, start, count, grid)
     z = w - 0.5 * grid.times[None, :]
-    block = _density_block(model, seed, start, count, step)
-    gbar = block.gbar
+    terminal, zg = _density_block(model, seed, start, count, step)
+    gbar = zg.gbar_idx
     col = np.arange(grid.n_steps + 1)
     pre = col[None, :] < gbar[:, None]
     out: dict[str, np.ndarray] = {
         "zg": _gather(z, gbar),
         "gbar_t": gbar.astype(np.float64) * step,
-        "q": block.terminal,
+        "q": terminal,
     }
     for a in levels:
         b = float(np.log(a))
@@ -829,8 +798,20 @@ def _doob_chunk(
     return out
 
 
+# The level-2 row's budget for grid bias and the finite-span deficit
+# together; the deficit is exact, the grid bias gets what it leaves.
+_DOOB_LEVEL2_BUDGET = 0.02
+
+
 def _run_doob(st: RunSettings) -> tuple[list[TargetCheck], list[CurveSeries]]:
     h1 = st.horizon if st.horizon is not None else 8.0
+    deficit2 = float(_sup_deficit(np.log(2.0), h1))
+    if deficit2 > _DOOB_LEVEL2_BUDGET:
+        # below a horizon of about 6.13 the level-2 row could only fail
+        raise ConfigurationError(
+            f"doob-maximal at horizon {h1:g}: the level-2 finite-span deficit {deficit2:.5f}"
+            f" exceeds its budget {_DOOB_LEVEL2_BUDGET:g}"
+        )
     curve_levels = (1.25, 1.5, 2.0, 3.0, 4.0)
     feats = _chunked(st, _doob_chunk, chunk_size=64, horizon=h1, levels=curve_levels, model=ConstantOne())
     checks: list[TargetCheck] = []
@@ -840,7 +821,7 @@ def _run_doob(st: RunSettings) -> tuple[list[TargetCheck], list[CurveSeries]]:
         ests.append(est)
         if a in (1.5, 2.0, 3.0):
             deficit = float(_sup_deficit(np.log(a), h1))
-            grid_allow = 0.02 - deficit if a == 2.0 else 0.004
+            grid_allow = _DOOB_LEVEL2_BUDGET - deficit if a == 2.0 else 0.004
             checks.append(
                 mean_check(
                     f"constant-one-sup-exceeds-{a:g}",
@@ -858,27 +839,17 @@ def _run_doob(st: RunSettings) -> tuple[list[TargetCheck], list[CurveSeries]]:
     freq = weighted_mean(feats2[f"freq|{2.0:g}"], pprime)
     xg = np.exp(feats2["zg"])
     mean_side = weighted_mean(np.minimum(xg / 2.0, 1.0), pprime)
-    combined = float(np.hypot(freq.stderr, mean_side.stderr))
-    gap = abs(freq.value - mean_side.value)
     spans = h2 - feats2["gbar_t"]
     blog = np.log(2.0 / np.minimum(xg, 2.0))
     resid = float(np.mean(_sup_deficit(blog, spans)))
     checks.append(
-        TargetCheck(
-            name="erf-sign-two-sided-at-2",
-            kind="mean",
-            target=mean_side.value,
-            estimate=freq.value,
-            stderr=combined,
-            z=gap / combined if combined > 0.0 else 0.0,
-            stat_tolerance=3.0 * combined,
-            grid_allowance=0.0,
-            truncation_allowance=0.0,
-            passed=gap <= 3.0 * combined,
-            detail=(
-                f"frequency {freq.value:.5f} vs restart mean {mean_side.value:.5f}"
-                f" (combined se {combined:.5f}, residual horizon deficit {resid:.5f})"
-            ),
+        agreement_check(
+            "erf-sign-two-sided-at-2",
+            freq,
+            mean_side,
+            3.0,
+            "frequency {estimate:.5f} vs restart mean {target:.5f}"
+            " (combined se {stderr:.5f}, residual horizon deficit " + f"{resid:.5f})",
         )
     )
     return checks, [curve]
@@ -895,22 +866,22 @@ def _passage_chunk(
     a = occupation_kernel(x, step)
     viol = x > boundary.phi_of(a)
     v = first_hit(viol)
-    rows = np.arange(count)
-    aprev = np.where(v > 0, a[rows, np.maximum(v - 1, 0)], np.where(v == 0, 0.0, np.inf))
-    return {"hit": (v >= 0).astype(np.float64), "aprev": aprev, "aterm": a[:, -1]}
+    return {"hit": (v >= 0).astype(np.float64), "aprev": before_hit(a, v), "aterm": a[:, -1]}
 
 
 def _passage_rows(
-    feats: dict[str, np.ndarray],
+    hit: np.ndarray,
+    aprev: np.ndarray,
     boundary: BoundarySpec,
     u: float | None,
     name: str,
     weights: np.ndarray | None,
-    grid_allow: float,
     trunc_allow: float,
+    curve_name: str = "crossing-by-level",
 ) -> tuple[TargetCheck, CurveSeries]:
-    hit = feats["hit"] > 0.0
-    aprev = feats["aprev"]
+    """Crossing frequency against the boundary's law, before growth
+    level u or over the full span (u None), with its curve over u."""
+    hit = hit > 0.0
     if u is None:
         event = hit.astype(np.float64)
         target = boundary.full_crossing_probability()
@@ -918,11 +889,11 @@ def _passage_rows(
         event = (hit & (aprev <= u)).astype(np.float64)
         target = boundary.crossing_probability(u)
     check = mean_check(
-        name, target, event, weights, grid_allowance=grid_allow, truncation_allowance=trunc_allow
+        name, target, event, weights, grid_allowance=0.012, truncation_allowance=trunc_allow
     )
     xs = (0.2, 0.4, 0.6, 0.8, 1.0)
     ests = [weighted_mean((hit & (aprev <= g)).astype(np.float64), weights) for g in xs]
-    curve = _curve("crossing-by-level", xs, [boundary.crossing_probability(g) for g in xs], ests)
+    curve = _curve(curve_name, xs, [boundary.crossing_probability(g) for g in xs], ests)
     return check, curve
 
 
@@ -932,7 +903,7 @@ def _run_passage(
     horizon = st.horizon if st.horizon is not None else 6.0
     feats = _chunked(st, _passage_chunk, horizon=horizon, boundary=boundary)
     label = "crossing-before-growth-1" if u is not None else "crossing-over-full-span"
-    check, curve = _passage_rows(feats, boundary, u, label, None, 0.012, trunc)
+    check, curve = _passage_rows(feats["hit"], feats["aprev"], boundary, u, label, None, trunc)
     undecided = float(np.mean((feats["hit"] == 0.0) & (feats["aterm"] <= (u if u is not None else boundary_cap(boundary)))))
     check = replace(check, detail=check.detail + f"; undecided fraction {undecided:.4f}")
     return [check], [curve]
@@ -961,27 +932,24 @@ def _s32_chunk(
 ) -> dict[str, np.ndarray]:
     grid = make_grid(horizon, step)
     w = _primary(seed, start, count, grid)
-    rows = np.arange(count)
 
     n6 = grid.index_of(span)
     xc = np.abs(w[:, : n6 + 1])
     ac = occupation_kernel(xc, step)
     vc = first_hit(xc > 1.0)
-    aprev_c = np.where(vc > 0, ac[rows, np.maximum(vc - 1, 0)], np.where(vc == 0, 0.0, np.inf))
 
-    block = _density_block(model, seed, start, count, step)
-    gbar = block.gbar
+    terminal, zg = _density_block(model, seed, start, count, step)
+    gbar = zg.gbar_idx
     xs = np.abs(w - _gather(w, gbar)[:, None])
     a_sh = occupation_kernel(xs, step, anchors=gbar[:, None])
     col = np.arange(grid.n_steps + 1)
     ve = first_hit((xs > 1.0) & (col[None, :] >= gbar[:, None]))
-    aprev_e = np.where(ve > 0, a_sh[rows, np.maximum(ve - 1, 0)], np.inf)
     return {
         "hit_c": (vc >= 0).astype(np.float64),
-        "aprev_c": aprev_c,
+        "aprev_c": before_hit(ac, vc),
         "hit_e": (ve >= 0).astype(np.float64),
-        "aprev_e": aprev_e,
-        "pprime_raw": block.terminal,
+        "aprev_e": before_hit(a_sh, ve),
+        "pprime_raw": terminal,
     }
 
 
@@ -989,53 +957,23 @@ def _run_s32(st: RunSettings) -> tuple[list[TargetCheck], list[CurveSeries]]:
     span = 6.0
     horizon = st.horizon if st.horizon is not None else span + 1.0
     feats = _chunked(st, _s32_chunk, horizon=horizon, span=span, model=_ERF)
+    pprime = ensemble_weights(feats["pprime_raw"]).pprime_weight
+    bnd = ConstantBoundary(1.0)
+    restarted, curve = _passage_rows(
+        feats["hit_e"], feats["aprev_e"], bnd, 1.0, "restarted-crossing-before-growth-1", pprime, 0.008,
+        curve_name="restarted-crossing-by-level",
+    )
+    paired, _ = _passage_rows(feats["hit_c"], feats["aprev_c"], bnd, 1.0, "paired-driver-crossing", None, 0.008)
     ev_e = ((feats["hit_e"] > 0.0) & (feats["aprev_e"] <= 1.0)).astype(np.float64)
     ev_c = ((feats["hit_c"] > 0.0) & (feats["aprev_c"] <= 1.0)).astype(np.float64)
-    pprime = ensemble_weights(feats["pprime_raw"]).pprime_weight
-    checks = [
-        mean_check(
-            "restarted-crossing-before-growth-1",
-            _EULER,
-            ev_e,
-            pprime,
-            grid_allowance=0.012,
-            truncation_allowance=0.008,
-        ),
-        mean_check(
-            "paired-driver-crossing",
-            _EULER,
-            ev_c,
-            grid_allowance=0.012,
-            truncation_allowance=0.008,
-        ),
-    ]
-    e_est = weighted_mean(ev_e, pprime)
-    c_est = weighted_mean(ev_c)
-    combined = float(np.hypot(e_est.stderr, c_est.stderr))
-    gap = abs(e_est.value - c_est.value)
-    checks.append(
-        TargetCheck(
-            name="common-numbers-agreement",
-            kind="mean",
-            target=c_est.value,
-            estimate=e_est.value,
-            stderr=combined,
-            z=gap / combined if combined > 0.0 else 0.0,
-            stat_tolerance=2.0 * combined,
-            grid_allowance=0.0,
-            truncation_allowance=0.0,
-            passed=gap <= 2.0 * combined,
-            detail=f"restarted {e_est.value:.5f} vs driver {c_est.value:.5f}, combined se {combined:.5f}",
-        )
+    agreement = agreement_check(
+        "common-numbers-agreement",
+        weighted_mean(ev_e, pprime),
+        weighted_mean(ev_c),
+        2.0,
+        "restarted {estimate:.5f} vs driver {target:.5f}, combined se {stderr:.5f}",
     )
-    xs = (0.2, 0.4, 0.6, 0.8, 1.0)
-    bnd = ConstantBoundary(1.0)
-    ests = [
-        weighted_mean(((feats["hit_e"] > 0.0) & (feats["aprev_e"] <= g)).astype(np.float64), pprime)
-        for g in xs
-    ]
-    curve = _curve("restarted-crossing-by-level", xs, [bnd.crossing_probability(g) for g in xs], ests)
-    return checks, [curve]
+    return [restarted, paired, agreement], [curve]
 
 
 # ---------------------------------------------------------------- terminal growth law
@@ -1045,8 +983,8 @@ def _ainf_chunk(
 ) -> dict[str, np.ndarray]:
     grid = make_grid(horizon, step)
     w = _primary(seed, start, count, grid)
-    block = _density_block(model, seed, start, count, step)
-    gbar = block.gbar
+    terminal, zg = _density_block(model, seed, start, count, step)
+    gbar = zg.gbar_idx
     xs = np.abs(w - _gather(w, gbar)[:, None])
     col = np.arange(grid.n_steps + 1)
     reach = first_hit((xs >= stop_level) & (col[None, :] >= gbar[:, None]))
@@ -1056,7 +994,7 @@ def _ainf_chunk(
     return {
         "aterm": _gather(a, np.where(reach >= 0, reach, grid.n_steps)),
         "reached": (reach >= 0).astype(np.float64),
-        "q": block.terminal,
+        "q": terminal,
     }
 
 
@@ -1103,22 +1041,20 @@ def _levy_chunk(
     w = _primary(seed, start, count, grid)
     s = np.maximum.accumulate(w, axis=1)
     dd = s - w
-    rows = np.arange(count)
     viol = dd > 1.0
     if x_low is not None:
         tx = first_hit(s > x_low)
         col = np.arange(grid.n_steps + 1)
         viol = viol & (col[None, :] >= tx[:, None]) & (tx >= 0)[:, None]
     v = first_hit(viol)
-    sprev = np.where(v > 0, s[rows, np.maximum(v - 1, 0)], np.inf)
-    out = {"has_viol": (v >= 0).astype(np.float64), "sprev": sprev}
+    out = {"has_viol": (v >= 0).astype(np.float64), "sprev": before_hit(s, v)}
     if x_low is not None:
         out["x_unreached"] = (tx < 0).astype(np.float64)
     # terminal weights for every density model off the shared density stream
     sgrid = make_grid(1.0, step)
     incs = increments_matrix(seed, start, count, sgrid.n_steps, step, SUBSTREAM_DENSITY)
-    out["q_erf"] = density_matrix(_ERF, cumsum_paths(incs), sgrid)[:, -1]
-    out["q_sbm"] = density_matrix(_SBM, cumsum_paths(incs, 1.0), sgrid)[:, -1]
+    for key, model in (("q_erf", _ERF), ("q_sbm", _SBM)):
+        out[key] = density_matrix(model, driver_from_increments(model, incs), sgrid)[:, -1]
     return out
 
 
@@ -1196,7 +1132,26 @@ def _run_levy6(st: RunSettings) -> tuple[list[TargetCheck], list[CurveSeries]]:
 
 # ---------------------------------------------------------------- products / scaling
 
-def _products_chunk(
+def _product_part(seed: int, start: int, count: int, grid: TimeGrid) -> np.ndarray:
+    """Driving part N of the product of two independent drawdowns."""
+    w1 = _primary(seed, start, count, grid)
+    w2 = cumsum_paths(increments_matrix(seed, start, count, grid.n_steps, grid.step, SUBSTREAM_SECONDARY))
+    s1 = np.maximum.accumulate(w1, axis=1)
+    s2 = np.maximum.accumulate(w2, axis=1)
+    x1, a1 = s1 - w1, s1
+    x2, a2 = s2 - w2, s2
+    incr = x1[:, :-1] * np.diff(a2, axis=1) + x2[:, :-1] * np.diff(a1, axis=1)
+    return x1 * x2 - gathered_prefix(incr)
+
+
+def _scaled_part(seed: int, start: int, count: int, grid: TimeGrid) -> np.ndarray:
+    """Driving part N of the drawdown rescaled by f(a) = 2a."""
+    w = _primary(seed, start, count, grid)
+    s = np.maximum.accumulate(w, axis=1)
+    return 2.0 * s * (s - w) - s * s
+
+
+def _closure_chunk(
     start: int,
     count: int,
     *,
@@ -1205,19 +1160,13 @@ def _products_chunk(
     horizon: float,
     checkpoints: tuple[float, ...],
     model: DensityModel,
+    driving_part: Callable[[int, int, int, TimeGrid], np.ndarray],
 ) -> dict[str, np.ndarray]:
     grid = make_grid(horizon, step)
-    w1 = _primary(seed, start, count, grid)
-    w2 = cumsum_paths(increments_matrix(seed, start, count, grid.n_steps, step, SUBSTREAM_SECONDARY))
-    s1 = np.maximum.accumulate(w1, axis=1)
-    s2 = np.maximum.accumulate(w2, axis=1)
-    x1, a1 = s1 - w1, s1
-    x2, a2 = s2 - w2, s2
-    incr = x1[:, :-1] * np.diff(a2, axis=1) + x2[:, :-1] * np.diff(a1, axis=1)
-    n = x1 * x2 - gathered_prefix(incr)
+    n = driving_part(seed, start, count, grid)
     cols = np.array([grid.index_of(t) for t in checkpoints])
-    block = _density_block(model, seed, start, count, step)
-    return {"n": n[:, cols], "q": block.terminal}
+    terminal, _ = _density_block(model, seed, start, count, step)
+    return {"n": n[:, cols], "q": terminal}
 
 
 def _membership_sample(build, n_paths: int, seed: int, step: float, horizon: float) -> int:
@@ -1248,49 +1197,23 @@ def _build_scaled(grid: TimeGrid, seed: SeedSpec):
     return scaled_by_f(drawdown(w), _double, _square)
 
 
-def _run_products(st: RunSettings) -> tuple[list[TargetCheck], list[CurveSeries]]:
+def _run_closure(
+    st: RunSettings, *, driving_part: Callable, build: Callable, label: str
+) -> tuple[list[TargetCheck], list[CurveSeries]]:
     horizon = st.horizon if st.horizon is not None else 1.0
     cps = st.checkpoints if st.checkpoints is not None else (0.25, 0.5, 0.75, 1.0)
-    feats = _chunked(st, _products_chunk, horizon=horizon, checkpoints=cps, model=_SBM)
+    feats = _chunked(st, _closure_chunk, horizon=horizon, checkpoints=cps, model=_SBM, driving_part=driving_part)
     rep = flatness_test(feats["n"].T, feats["q"], cps)
-    bad = _membership_sample(_build_product, 40, st.master_seed, st.step, horizon)
+    bad = _membership_sample(build, 40, st.master_seed, st.step, horizon)
     checks = [
-        _flatness_check("product-martingale-part-flat", rep, "q-weighted"),
-        count_check("product-membership-sample", bad, "40 pathwise product decompositions verify"),
+        _flatness_check(f"{label}-martingale-part-flat", rep, "q-weighted"),
+        count_check(f"{label}-membership-sample", bad, f"40 pathwise {label} decompositions verify"),
     ]
     return checks, []
 
 
-def _scaled_chunk(
-    start: int,
-    count: int,
-    *,
-    seed: int,
-    step: float,
-    horizon: float,
-    checkpoints: tuple[float, ...],
-    model: DensityModel,
-) -> dict[str, np.ndarray]:
-    grid = make_grid(horizon, step)
-    w = _primary(seed, start, count, grid)
-    s = np.maximum.accumulate(w, axis=1)
-    n = 2.0 * s * (s - w) - s * s
-    cols = np.array([grid.index_of(t) for t in checkpoints])
-    block = _density_block(model, seed, start, count, step)
-    return {"n": n[:, cols], "q": block.terminal}
-
-
-def _run_scaled(st: RunSettings) -> tuple[list[TargetCheck], list[CurveSeries]]:
-    horizon = st.horizon if st.horizon is not None else 1.0
-    cps = st.checkpoints if st.checkpoints is not None else (0.25, 0.5, 0.75, 1.0)
-    feats = _chunked(st, _scaled_chunk, horizon=horizon, checkpoints=cps, model=_SBM)
-    rep = flatness_test(feats["n"].T, feats["q"], cps)
-    bad = _membership_sample(_build_scaled, 40, st.master_seed, st.step, horizon)
-    checks = [
-        _flatness_check("rescaled-martingale-part-flat", rep, "q-weighted"),
-        count_check("rescaled-membership-sample", bad, "40 pathwise rescaled decompositions verify"),
-    ]
-    return checks, []
+_run_products = functools.partial(_run_closure, driving_part=_product_part, build=_build_product, label="product")
+_run_scaled = functools.partial(_run_closure, driving_part=_scaled_part, build=_build_scaled, label="rescaled")
 
 
 # ---------------------------------------------------------------- membership suite
@@ -1326,9 +1249,7 @@ def _membership_chunk(
     for i in range(count):
         spec = SeedSpec(master_seed=seed, path_index=start + i)
         w, w2 = sample_independent_pair(grid, (0.0, 0.0), spec)
-        driver = density_driver_path(model, spec, grid)
-        dens = density_path(model, spec, grid)
-        zs = zero_set(dens, model, driver)
+        zs = driver_zero_set(model, density_driver_path(model, spec, grid))
         members = {
             "drawdown": drawdown(w),
             "abs-martingale": abs_martingale(w, zs),
@@ -1413,12 +1334,9 @@ def _run_membership(st: RunSettings) -> tuple[list[TargetCheck], list[CurveSerie
 # ---------------------------------------------------------------- zero geometry
 
 def _geom_chunk(start: int, count: int, *, seed: int, step: float, model: StoppedBM) -> dict[str, np.ndarray]:
-    grid = make_grid(model.stop_time, step)
-    driver = driver_matrix(model, seed, start, count, grid)
-    dens = density_matrix(model, driver, grid)
-    zg = zero_geometry(dens, last_index=grid.n_steps)
+    _, zg = _density_block(model, seed, start, count, step)
     gbar = zg.gbar_idx
-    col = np.arange(grid.n_steps + 1)
+    col = np.arange(zg.in_h.shape[1])
     after = col[None, :] >= gbar[:, None]
     return {
         "haszero": (gbar > 0).astype(np.float64),
@@ -1446,49 +1364,57 @@ def _run_geometry(st: RunSettings) -> tuple[list[TargetCheck], list[CurveSeries]
 _FAST = (20000, 2e-3)
 _FULL = (100000, 1e-3)
 _LADDER_SCALE = (100, 1e-3)
+_H = ("horizon",)
+_HC = ("horizon", "checkpoints")
 
 
 @dataclass(frozen=True)
 class ExperimentSpec:
     """One registry row.
 
-    ``min_horizon`` is the smallest horizon override the runner can
-    honour: ErfSign zero sets span the model's terminal time 1.0, and
-    restart anchors found there index the driver's own grid.
+    ``reads`` names the run options the runner consumes: ``horizon``,
+    ``checkpoints`` and ``policy=extend``.  ``resolve_settings`` rejects
+    any other, because an ignored option would still change the config
+    hash.  ``min_horizon`` is the smallest horizon override the runner
+    can honour: ErfSign zero sets span the model's terminal time 1.0,
+    and restart anchors found there index the driver's own grid.
     """
 
     name: str
     anchor: str
     runner: Callable[[RunSettings], tuple[list[TargetCheck], list[CurveSeries]]]
+    reads: tuple[str, ...]
     fast: tuple[int, float] = _FAST
     full: tuple[int, float] = _FULL
     min_horizon: float = 0.0
 
 
-# name, paper anchor, runner, then the fast and full scales (paths, step) and the smallest
-# horizon override where they differ from the defaults (doob's ErfSign pass runs at 2.5x)
+# name, paper anchor, runner, the options it reads, then the fast and full scales (paths, step)
+# and the smallest horizon override where they differ from the defaults (doob's ErfSign pass
+# runs at 2.5x)
 _TABLE = (
-    ("t1-characterization", "martingale characterization of the base zero-set class", _run_t1),
-    ("r1-ui-martingale", "uniformly integrable restart martingale for bounded class members", _run_r1, _FAST, _FULL, 1.0),
-    ("sigma-s-characterization", "martingale characterization of the restarted class", _run_sigma_s, _FAST, _FULL, 1.0),
-    ("rho-algebra", "linearity, positivity, and product rules of the restart operator", _run_rho, (1000, 2e-3), (1000, 2e-3)),
-    ("q-bracket", "quadratic bracket of the restarted driver", _run_qbracket, _FAST, _FULL, 1.0),
-    ("tanaka-abs", "signed local-time identity for the absolute value", _run_tanaka_abs, _LADDER_SCALE, _LADDER_SCALE),
-    ("tanaka-plus", "signed local-time identity for the positive part", _run_tanaka_plus, _LADDER_SCALE, _LADDER_SCALE),
-    ("tanaka-minus", "signed local-time identity for the negative part", _run_tanaka_minus, _LADDER_SCALE, _LADDER_SCALE),
-    ("ito", "second-order expansion along restarted paths", _run_ito, _LADDER_SCALE, _LADDER_SCALE),
-    ("doob-maximal", "maximal identity for the supremum after the last zero", _run_doob, _FAST, _FULL, 0.4),
-    ("passage-eq2", "boundary-crossing law stopped at a growth level, stepped boundary", _run_passage_eq2),
-    ("passage-eq3", "boundary-crossing law over the full span, finite total integral", _run_passage_eq3),
-    ("passage-eq4", "probability-case crossing law with a unit boundary", _run_passage_eq4),
-    ("passage-s32", "signed crossing law for the restarted reflected driver", _run_s32),
-    ("a-infinity", "terminal growth law of the stopped reflected construction", _run_ainf),
-    ("levy-eq5", "drawdown confinement law under the signed weight", _run_levy5),
-    ("levy-eq6", "drawdown confinement law between supremum levels", _run_levy6),
-    ("products", "closure of the zero-set class under products", _run_products),
-    ("scaled-f", "closure of the zero-set class under growth rescaling", _run_scaled),
-    ("membership", "pathwise membership checks for every construction", _run_membership, (300, 1e-3), (300, 1e-3)),
-    ("zero-geometry", "geometry of the terminal-density zero set", _run_geometry, (20000, 1e-3), (100000, 2.5e-4)),
+    ("t1-characterization", "martingale characterization of the base zero-set class", _run_t1, _HC),
+    ("r1-ui-martingale", "uniformly integrable restart martingale for bounded class members", _run_r1, _HC + ("policy=extend",), _FAST, _FULL, 1.0),
+    ("sigma-s-characterization", "martingale characterization of the restarted class", _run_sigma_s, _HC, _FAST, _FULL, 1.0),
+    ("rho-algebra", "linearity, positivity, and product rules of the restart operator", _run_rho, _H, (1000, 2e-3), (1000, 2e-3)),
+    ("q-bracket", "quadratic bracket of the restarted driver", _run_qbracket, _HC, _FAST, _FULL, 1.0),
+    ("tanaka-abs", "signed local-time identity for the absolute value", _run_tanaka_abs, _H, _LADDER_SCALE, _LADDER_SCALE),
+    ("tanaka-plus", "signed local-time identity for the positive part", _run_tanaka_plus, _H, _LADDER_SCALE, _LADDER_SCALE),
+    ("tanaka-minus", "signed local-time identity for the negative part", _run_tanaka_minus, _H, _LADDER_SCALE, _LADDER_SCALE),
+    ("ito", "second-order expansion along restarted paths", _run_ito, _H, _LADDER_SCALE, _LADDER_SCALE),
+    ("doob-maximal", "maximal identity for the supremum after the last zero", _run_doob, _H, _FAST, _FULL, 0.4),
+    ("passage-eq2", "boundary-crossing law stopped at a growth level, stepped boundary", _run_passage_eq2, _H),
+    ("passage-eq3", "boundary-crossing law over the full span, finite total integral", _run_passage_eq3, _H),
+    ("passage-eq4", "probability-case crossing law with a unit boundary", _run_passage_eq4, _H),
+    ("passage-s32", "signed crossing law for the restarted reflected driver", _run_s32, _H),
+    ("a-infinity", "terminal growth law of the stopped reflected construction", _run_ainf, _H),
+    ("levy-eq5", "drawdown confinement law under the signed weight", _run_levy5, _H),
+    ("levy-eq6", "drawdown confinement law between supremum levels", _run_levy6, _H),
+    ("products", "closure of the zero-set class under products", _run_products, _HC),
+    ("scaled-f", "closure of the zero-set class under growth rescaling", _run_scaled, _HC),
+    ("membership", "pathwise membership checks for every construction", _run_membership, _H, (300, 1e-3), (300, 1e-3)),
+    # the grid is the density model's own span, so no horizon applies
+    ("zero-geometry", "geometry of the terminal-density zero set", _run_geometry, (), (20000, 1e-3), (100000, 2.5e-4)),
 )
 
 EXPERIMENTS: dict[str, ExperimentSpec] = {row[0]: ExperimentSpec(*row) for row in _TABLE}
@@ -1521,6 +1447,15 @@ def resolve_settings(cfg: ExperimentConfig, suite: str | None = None) -> RunSett
         raise ConfigurationError(f"{cfg.experiment} needs a horizon of at least {spec.min_horizon:g}")
     if cfg.policy not in ("drop", "extend"):
         raise ConfigurationError(f"policy must be drop or extend, not {cfg.policy!r}")
+    requested = {
+        "horizon": cfg.horizon is not None,
+        "checkpoints": cfg.checkpoints is not None,
+        "policy=extend": cfg.policy == "extend",
+    }
+    ignored = [option for option, given in requested.items() if given and option not in spec.reads]
+    if ignored:
+        reads = ", ".join(spec.reads) or "no option"
+        raise ConfigurationError(f"{cfg.experiment} ignores {', '.join(ignored)}; it reads {reads}")
     if cfg.workers < 1:
         raise ConfigurationError("workers must be at least 1")
     return RunSettings(

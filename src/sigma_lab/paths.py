@@ -43,6 +43,7 @@ __all__ = [
     "increments_matrix",
     "cumsum_paths",
     "first_hit",
+    "before_hit",
     "sample_bm",
     "sample_independent_pair",
 ]
@@ -200,6 +201,14 @@ def cumsum_paths(incs: np.ndarray, start: float = 0.0) -> np.ndarray:
 def first_hit(mask: np.ndarray) -> np.ndarray:
     """Index of the first True along the last axis, or -1 where there is none."""
     return np.where(mask.any(axis=-1), mask.argmax(axis=-1), -1)
+
+
+def before_hit(values: np.ndarray, hit: np.ndarray) -> np.ndarray:
+    """Each row's value one step before its first hit (``first_hit``
+    indices); inf where there is none, and for a hit at index 0, which
+    no caller meets: the processes they scan start at 0, below their level."""
+    picked = values[np.arange(values.shape[0]), np.maximum(hit - 1, 0)]
+    return np.where(hit > 0, picked, np.inf)
 
 
 def _one_path(grid: TimeGrid, start: float, seed: SeedSpec, substream: int) -> Path:

@@ -56,7 +56,6 @@ __all__ = [
     "retag",
     "product",
     "scaled_by_f",
-    "characterization_process",
     "sigma_s_characterization_process",
     "CheckOutcome",
     "SupportCheck",
@@ -161,30 +160,10 @@ def abs_martingale(M: Path, zs: ZeroSetInfo | None = None, bandwidth: float | No
     -1) against dM; A is the plain, unrestarted occupation kernel at
     level 0, so relative to an ambient zero set its growth may land on
     H as well as on the zeros of X.  The decomposition identity holds
-    only up to the kernel error, hence ``exact=False``.
+    only up to the kernel error, hence ``exact=False``.  This is
+    ``pm_combination`` at unit weights.
     """
-    if M.values[0] != 0.0:
-        raise ContractError("abs_martingale needs a path started at 0")
-    if zs is not None and zs.grid != M.grid:
-        raise ContractError("zero set grid does not match the path")
-    values = M.values
-    x = np.abs(values)
-    integrand = np.where(values[:-1] > 0.0, 1.0, -1.0)
-    n = gathered_prefix(integrand * np.diff(values))
-    b = kernel_bandwidth(M.grid.step, bandwidth)
-    a = occupation_kernel(values, M.grid.step, bandwidth=b)
-    zz = zs if zs is not None else _empty_zero_set(M.grid)
-    return Decomposition(
-        x=Path(grid=M.grid, values=x),
-        n=Path(grid=M.grid, values=n),
-        a=Path(grid=M.grid, values=a),
-        class_tag=SIGMA_H,
-        zero_set=zz,
-        exact=False,
-        flags=_computed_flags(x, a, zz),
-        source="abs_martingale",
-        support_scale=b,
-    )
+    return replace(pm_combination(M, 1.0, 1.0, zs, bandwidth), source="abs_martingale")
 
 
 def pm_combination(
@@ -311,12 +290,7 @@ def retag(d: Decomposition, class_tag: str, zs: ZeroSetInfo | None = None) -> De
     if zz.grid != d.grid:
         raise ContractError("zero set grid does not match the paths")
     if class_tag == SIGMA_SH and zz.h_indices.size:
-        off = max(
-            float(np.max(np.abs(d.x.values[zz.h_indices]))),
-            float(np.max(np.abs(d.n.values[zz.h_indices]))),
-            float(np.max(np.abs(d.a.values[zz.h_indices]))),
-        )
-        if off != 0.0:
+        if _max_on_zero_set(d, zz) != 0.0:
             raise ContractError("restarted class needs X, N, A exactly 0 on the zero set")
     return replace(
         d,
@@ -324,6 +298,11 @@ def retag(d: Decomposition, class_tag: str, zs: ZeroSetInfo | None = None) -> De
         zero_set=zz,
         flags=_computed_flags(d.x.values, d.a.values, zz),
     )
+
+
+def _max_on_zero_set(d: Decomposition, zs: ZeroSetInfo) -> float:
+    """Largest of |X|, |N|, |A| over the points of a nonempty zero set."""
+    return max(float(np.max(np.abs(p.values[zs.h_indices]))) for p in (d.x, d.n, d.a))
 
 
 def _require_member_shape(d: Decomposition, who: str) -> None:
@@ -456,23 +435,6 @@ def scaled_by_f(
     return out
 
 
-def characterization_process(
-    d: Decomposition,
-    f: Callable[[np.ndarray], np.ndarray],
-    primitive: Callable[[np.ndarray], np.ndarray],
-) -> Path:
-    """primitive(A) - f(A) X: driftless exactly when X is a member.
-
-    With f constant 1 and primitive the identity this is A - X = -N,
-    so its weighted flatness over checkpoints is exactly the
-    martingale property of the driving part; general bounded f probes
-    the full characterization.
-    """
-    a = d.a.values
-    values = np.asarray(primitive(a), dtype=np.float64) - np.asarray(f(a), dtype=np.float64) * d.x.values
-    return Path(grid=d.grid, values=values)
-
-
 def sigma_s_characterization_process(d: Decomposition, f: Callable[[np.ndarray], np.ndarray]) -> Path:
     """Restarted analogue: restarted integral of f(A) dA minus f(A) X.
 
@@ -559,12 +521,11 @@ def _support_check(
     if d.class_tag == SIGMA_SH:
         g = zs.gbar_index
         xw, aw = x[g:], a[g:]
-        exempt = np.zeros(xw.size, dtype=bool)
     else:
         xw, aw = x, a
-        exempt = np.zeros(xw.size, dtype=bool)
-        if d.class_tag == SIGMA_H:
-            exempt[zs.h_indices] = True
+    exempt = np.zeros(xw.size, dtype=bool)
+    if d.class_tag == SIGMA_H:
+        exempt[zs.h_indices] = True
     da = np.diff(aw)
     grow = da > 0.0
     clear = np.minimum(xw[:-1], xw[1:]) > tol
@@ -673,11 +634,7 @@ def verify_membership(
     )
 
     if d.class_tag == SIGMA_SH and zs.h_indices.size:
-        off_all = max(
-            float(np.max(np.abs(x[zs.h_indices]))),
-            float(np.max(np.abs(n[zs.h_indices]))),
-            float(np.max(np.abs(a[zs.h_indices]))),
-        )
+        off_all = _max_on_zero_set(d, zs)
         checks.append(
             CheckOutcome(
                 "null_on_zero_set",

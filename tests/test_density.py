@@ -15,7 +15,6 @@ from sigma_lab import (
     density_path,
     ensemble_weights,
     make_grid,
-    qp_martingale,
     sample_bm,
     zero_set,
     zero_set_from_level_series,
@@ -44,12 +43,9 @@ def test_forced_sign_change_geometry():
     grid = make_grid(horizon=3.0, step=1.0)
     zs = zero_set_from_level_series(np.array([1.0, 0.5, -0.2, 0.3]), grid)
     assert list(zs.h_indices) == [2, 3]
-    assert zs.crossing_intervals == ((1, 2), (2, 3))
     assert zs.gbar_index == 3
     assert list(zs.gamma_index) == [0, 0, 2, 3]
-    assert list(zs.gbar_before_index) == [0, 0, 0, 2]
     assert list(zs.excursion_start_indices) == [0, 2, 3]
-    assert zs.gamma_at(2.0) == 2.0
 
 
 def test_exact_zero_counts_once():
@@ -106,6 +102,14 @@ def test_erf_sign_zero_detection_matches_driver():
         via_D = zero_set(D, model)
         via_driver = zero_set(D, model, driver=driver)
         assert np.array_equal(via_D.h_indices, via_driver.h_indices)
+    # StoppedBM's driver runs on past the freeze; detection stops there
+    grid = make_grid(horizon=2.0, step=0.002)
+    model = StoppedBM(start=1.0, stop_time=1.0)
+    for i in range(100):
+        seed = SeedSpec(SEED + 1, i)
+        D = density_path(model, seed, grid)
+        via_driver = zero_set(D, model, driver=density_driver_path(model, seed, grid))
+        assert np.array_equal(zero_set(D, model).gamma_index, via_driver.gamma_index)
 
 
 def test_horizon_shorter_than_model_time_rejected():
@@ -135,22 +139,6 @@ def test_ensemble_weights_normalization():
         ensemble_weights(np.zeros(5))
 
 
-def test_exponential_martingale_reference():
-    grid = make_grid(horizon=1.0, step=0.01)
-    n = 4000
-    terminals = np.empty(n)
-    for i in range(n):
-        W = sample_bm(grid, 0.0, SeedSpec(SEED + 2, i))
-        M = qp_martingale("exponential", W)
-        assert M.values[0] == 1.0
-        assert np.all(M.values > 0.0)
-        terminals[i] = M.values[-1]
-    se = terminals.std(ddof=1) / np.sqrt(n)
-    assert abs(terminals.mean() - 1.0) < 3 * se
-    with pytest.raises(ConfigurationError):
-        qp_martingale("bogus", W)
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.floats(-5, 5, allow_nan=False), min_size=2, max_size=40))
 def test_zero_geometry_invariants(raw):
@@ -170,5 +158,3 @@ def test_zero_geometry_invariants(raw):
     off = ~in_h
     anchors = zs.gamma_index[off]
     assert np.all(in_h[anchors] | (anchors == 0))
-    # Strict version lags by one grid point.
-    assert np.all(zs.gbar_before_index[1:] == zs.gamma_index[:-1])

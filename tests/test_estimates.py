@@ -6,7 +6,6 @@ import pytest
 from sigma_lab import (
     ConstantBoundary,
     ContractError,
-    ExponentialBoundary,
     GrowthLaw,
     TableBoundary,
     count_check,
@@ -111,14 +110,6 @@ def test_constant_boundary():
     assert b.full_crossing_probability() == 1.0
 
 
-def test_exponential_boundary():
-    b = ExponentialBoundary(scale=0.5)
-    assert b.integral_total() == pytest.approx(2.0)
-    assert b.integral_to(1e9) == pytest.approx(2.0)
-    assert b.integral_to(1.0) == pytest.approx((1.0 - np.exp(-1.0)) / 0.5)
-    assert b.full_crossing_probability() == pytest.approx(1.0 - np.exp(-2.0))
-
-
 def test_table_boundary():
     b = TableBoundary(segments=((0.0, 1.0), (1.0, np.inf)))
     assert np.allclose(b.phi_of(np.array([0.0, 0.5, 2.0])), [1.0, 1.0, np.inf])
@@ -128,25 +119,6 @@ def test_table_boundary():
     assert b.full_crossing_probability() == pytest.approx(1.0 - np.exp(-1.0))
     with pytest.raises(Exception):
         TableBoundary(segments=((0.5, 1.0),))
-
-
-def test_boundary_distribution_pieces():
-    b = ConstantBoundary(level=1.0)
-    xs = np.array([0.0, 0.5, 1.0])
-    F = b.Fu_of(xs, u=1.0)
-    assert np.all(np.diff(F) < 0.0)  # decreasing in x
-    assert F[-1] == pytest.approx(0.0)
-    f = b.fu_of(xs, u=1.0)
-    assert np.all(f < 0.0)
-    # The all-time law needs a finite reciprocal integral.
-    with pytest.raises(Exception):
-        b.F_of(xs)
-    e = ExponentialBoundary(scale=1.0)
-    Fe = e.F_of(xs)
-    assert Fe[0] == pytest.approx(1.0 - np.exp(-1.0))
-    assert np.all(e.f_of(xs) < 0.0)
-    # The two families agree when u carries the whole mass.
-    assert np.allclose(e.Fu_of(xs, u=50.0), Fe)
 
 
 def test_growth_law():

@@ -1,13 +1,17 @@
 """Registry, runner, reporting, and CLI behavior at small scales."""
 
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import sigma_lab.paths as paths
 from sigma_lab import (
+    SUBSTREAM_DENSITY,
     ConfigurationError,
+    ErfSign,
     ExperimentConfig,
     config_digest,
     experiment_names,
@@ -18,7 +22,7 @@ from sigma_lab import (
     write_report,
 )
 from sigma_lab.cli import main
-from sigma_lab.experiments import RunSettings
+from sigma_lab.experiments import RunSettings, _membership_chunk, _rho_chunk
 from sigma_lab.reporting import CSV_COLUMNS, rows_as_json
 
 EXPECTED_NAMES = [
@@ -80,6 +84,14 @@ def test_resolve_settings_rejects_bad_input():
         with pytest.raises(ConfigurationError):
             resolve_settings(ExperimentConfig(experiment=name, horizon=horizon, checkpoints=checkpoints))
     resolve_settings(ExperimentConfig(experiment="doob-maximal", horizon=0.4))
+    # options the experiment does not read
+    for cfg in (
+        ExperimentConfig(experiment="passage-eq4", checkpoints=(0.5,)),
+        ExperimentConfig(experiment="levy-eq5", policy="extend"),
+        ExperimentConfig(experiment="zero-geometry", horizon=1.0),
+    ):
+        with pytest.raises(ConfigurationError):
+            resolve_settings(cfg)
 
 
 def test_suite_scales_differ():
@@ -267,9 +279,32 @@ def test_cli_zero_paths_is_config_error():
 
 def test_cli_short_horizon_is_config_error(tmp_path):
     assert main(["run", "--experiment", "doob-maximal", "--horizon", "0.3", "--paths", "8", "--out", str(tmp_path)]) == 1
+    # the level-2 finite-span deficit exceeds the row's 0.02 budget below about 6.13
+    assert main(["run", "--experiment", "doob-maximal", "--horizon", "6.0", "--paths", "8", "--out", str(tmp_path)]) == 1
     # the q-bracket offsets are read after a last zero that may sit at 1.0
     argv = ["run", "--experiment", "q-bracket", "--horizon", "1.0", "--paths", "8", "--suite", "fast"]
     assert main(argv + ["--out", str(tmp_path)]) == 1
+
+
+def test_cli_ignored_option_is_config_error(tmp_path):
+    assert main(["run", "--experiment", "passage-eq4", "--checkpoints", "0.5", "--paths", "8", "--out", str(tmp_path)]) == 1
+
+
+def test_pathwise_chunks_draw_each_density_stream_once(monkeypatch):
+    draws = Counter()
+    original = paths.bm_increments
+
+    def counting(seed, n_steps, step, substream):
+        draws[substream] += 1
+        return original(seed, n_steps, step, substream)
+
+    monkeypatch.setattr(paths, "bm_increments", counting)
+    model = ErfSign(offset=1.0, terminal_time=1.0)
+    _rho_chunk(0, 10, seed=20260822, step=0.02, horizon=2.0, model=model)
+    assert draws[SUBSTREAM_DENSITY] == 10
+    draws.clear()
+    _membership_chunk(0, 10, seed=20260822, step=0.01, horizon=1.0, model=model)
+    assert draws[SUBSTREAM_DENSITY] == 10
 
 
 def test_cli_bad_suite_is_config_error():

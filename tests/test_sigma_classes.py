@@ -13,7 +13,6 @@ from sigma_lab import (
     SeedSpec,
     abs_martingale,
     assemble,
-    characterization_process,
     drawdown,
     lifted_reflected,
     make_grid,
@@ -272,9 +271,6 @@ def test_retag_between_classes():
 def test_characterization_processes():
     grid = make_grid(horizon=1.0, step=1e-3)
     d = drawdown(_bm(grid, 14))
-    ch = characterization_process(d, lambda a: np.ones_like(a), lambda a: a)
-    # With f constant 1 the output is A - X, the negated driving part.
-    assert np.array_equal(ch.values, -d.n.values)
     zs = _signed_zero_set(grid, 15)
     lifted = lifted_reflected(_bm(grid, 15), zs)
     ch_s = sigma_s_characterization_process(lifted, lambda a: a)
