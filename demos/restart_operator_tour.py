@@ -14,11 +14,11 @@ from sigma_lab import (
     SeedSpec,
     density_driver_path,
     density_path,
+    driver_zero_set,
     make_grid,
     rho,
     sample_bm,
     shift,
-    zero_set,
 )
 
 GRID = make_grid(1.0, 1e-3)
@@ -30,7 +30,7 @@ def main() -> None:
     w = sample_bm(GRID, 0.0, SEED)
     driver = density_driver_path(MODEL, SEED, GRID)
     dens = density_path(MODEL, SEED, GRID)
-    zs = zero_set(dens, MODEL, driver)
+    zs = driver_zero_set(MODEL, driver)
 
     print(f"driver at horizon: {w.values[-1]:+.4f}")
     print(f"terminal density sign: {dens.values[-1]:+.0f}")

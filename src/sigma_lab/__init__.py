@@ -32,6 +32,7 @@ from .density import (
     density_path,
     density_driver_path,
     zero_set,
+    driver_zero_set,
     zero_set_from_level_series,
     ensemble_weights,
 )
@@ -52,7 +53,6 @@ from .balayage import (
     q_integral,
     q_bracket,
     q_local_time,
-    QLocalTime,
     tanaka_residual,
     TanakaResidual,
     ito_residual,

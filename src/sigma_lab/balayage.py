@@ -13,7 +13,8 @@ That gather (``gathered_prefix``) and the occupation kernel
 (``occupation_kernel``) take arrays shaped (..., n+1) and per-row
 anchors.  The per-path functions here and in ``sigma_classes`` call
 them on one path, and the ensemble chunks in ``experiments`` call them
-on path rows, so the two forms share code, not just formulas.
+on path rows, so the two forms share code, not just formulas.  The
+kernel's bandwidth is sqrt(step) everywhere.
 
 Grid conventions: a run is the maximal index block sharing one
 last-zero anchor; the anchor belongs to its own block; index 0 anchors
@@ -45,14 +46,12 @@ __all__ = [
     "Product",
     "assert_adapted",
     "gathered_prefix",
-    "kernel_bandwidth",
     "occupation_kernel",
     "rho",
     "shift",
     "q_integral",
     "q_bracket",
     "q_local_time",
-    "QLocalTime",
     "tanaka_residual",
     "TanakaResidual",
     "ito_residual",
@@ -99,18 +98,15 @@ class QuadraticVariation(PathFunctional):
 class LocalTimeAt(PathFunctional):
     """Occupation-kernel local time at a level (``occupation_kernel``).
 
-    Counts left endpoints within ``bandwidth`` of the level and scales
-    by step / (2 * bandwidth).  Default bandwidth is sqrt(step).
+    Counts left endpoints within sqrt(step) of the level and scales by
+    step / (2 * sqrt(step)).
     """
 
-    def __init__(self, level: float, bandwidth: float | None = None):
-        if bandwidth is not None and bandwidth <= 0.0:
-            raise ConfigurationError("bandwidth must be positive")
+    def __init__(self, level: float):
         self.level = float(level)
-        self.bandwidth = bandwidth
 
     def evaluate(self, values: np.ndarray, step: float) -> np.ndarray:
-        return occupation_kernel(values, step, self.level, self.bandwidth)
+        return occupation_kernel(values, step, self.level)
 
 
 class Constant(PathFunctional):
@@ -164,18 +160,18 @@ class Product(PathFunctional):
         return out
 
 
-def assert_adapted(phi: PathFunctional, values: np.ndarray, step: float, probes: int = 4) -> None:
+def assert_adapted(phi: PathFunctional, values: np.ndarray, step: float) -> None:
     """Probe a functional for adaptedness on a concrete path.
 
-    Evaluates on truncated prefixes and requires bitwise agreement with
-    the full evaluation; raises ContractError when entry i of the
-    output is found to depend on values beyond index i.
+    Evaluates on up to four truncated prefixes and requires bitwise
+    agreement with the full evaluation; raises ContractError when entry
+    i of the output is found to depend on values beyond index i.
     """
     full = phi.evaluate(values, step)
     if full.shape != values.shape:
         raise ContractError("functional output length must match its input")
     n = values.shape[0]
-    cuts = np.unique(np.linspace(1, n - 1, num=min(probes, n - 1), dtype=int))
+    cuts = np.unique(np.linspace(1, n - 1, num=min(4, n - 1), dtype=int))
     for c in cuts:
         prefix = phi.evaluate(values[: c + 1], step)
         if not np.array_equal(prefix, full[: c + 1]):
@@ -252,30 +248,21 @@ def gathered_prefix(c: np.ndarray, anchors: np.ndarray | None = None) -> np.ndar
     return P
 
 
-def kernel_bandwidth(step: float, bandwidth: float | None = None) -> float:
-    """The occupation-kernel bandwidth: ``bandwidth``, or sqrt(step)."""
-    b = float(bandwidth) if bandwidth is not None else float(np.sqrt(step))
-    if b <= 0.0:
-        raise ConfigurationError("bandwidth must be positive")
-    return b
-
-
 def occupation_kernel(
     values: np.ndarray,
     step: float,
     level: float = 0.0,
-    bandwidth: float | None = None,
     anchors: np.ndarray | None = None,
 ) -> np.ndarray:
     """Occupation-kernel local time at a level, shaped like ``values``.
 
-    Counts left endpoints x with |x - level| < b (b from
-    ``kernel_bandwidth``), restarted at ``anchors`` as in
-    ``gathered_prefix``, and scales the counts once by step / (2 b).
-    The counts are exact integers, so any difference of two entries
-    before the scaling is exact too.
+    Counts left endpoints x with |x - level| < b, the bandwidth
+    b = sqrt(step), restarted at ``anchors`` as in ``gathered_prefix``,
+    and scales the counts once by step / (2 b).  The counts are exact
+    integers, so any difference of two entries before the scaling is
+    exact too.
     """
-    b = kernel_bandwidth(step, bandwidth)
+    b = float(np.sqrt(step))
     left = values[..., :-1]
     # x - 0.0 == x, so level 0 skips one full-size temporary
     hits = np.abs(left - level) < b if level != 0.0 else np.abs(left) < b
@@ -328,26 +315,14 @@ def q_bracket(X: Path, zs: ZeroSetInfo) -> Path:
     return Path(grid=X.grid, values=gathered_prefix(np.diff(X.values) ** 2, zs.gamma_index))
 
 
-@dataclass(frozen=True)
-class QLocalTime:
-    """Occupation-kernel local time restarted over a zero set."""
-
-    path: Path
-    level: float
-    bandwidth: float
-
-
-def q_local_time(X: Path, level: float, zs: ZeroSetInfo, bandwidth: float | None = None) -> QLocalTime:
+def q_local_time(X: Path, level: float, zs: ZeroSetInfo) -> Path:
     """Occupation-kernel local time at a level, restarted at each zero.
 
-    Counts left endpoints of the current segment within ``bandwidth``
-    of the level, scaled by step / (2 * bandwidth); default bandwidth
-    sqrt(step).
+    Counts left endpoints of the current segment within sqrt(step) of
+    the level, scaled by step / (2 * sqrt(step)).
     """
     _check_same_grid(X, zs)
-    b = kernel_bandwidth(zs.grid.step, bandwidth)
-    vals = occupation_kernel(X.values, zs.grid.step, level, b, zs.gamma_index)
-    return QLocalTime(path=Path(grid=X.grid, values=vals), level=level, bandwidth=b)
+    return Path(grid=X.grid, values=occupation_kernel(X.values, zs.grid.step, level, zs.gamma_index))
 
 
 _TANAKA_FORMS = ("abs", "plus", "minus")
@@ -398,15 +373,14 @@ def tanaka_residual(
     level: float,
     zs: ZeroSetInfo,
     form: str = "abs",
-    bandwidth: float | None = None,
 ) -> TanakaResidual:
     """Residual between the convex-identity and kernel local times.
 
     Per zero-free segment, the identity local time is
     f(X_t) - f(X at the segment start) minus the restarted left-point
     integral of f' against dX, rescaled so that every form estimates
-    the same symmetric local time.  The kernel estimate uses the same
-    segments and bandwidth rules as ``q_local_time``.
+    the same symmetric local time.  The kernel estimate is
+    ``q_local_time`` on the same segments.
     """
     _check_same_grid(X, zs)
     values = X.values
@@ -415,14 +389,14 @@ def tanaka_residual(
     lhs = fx - fx[zs.gamma_index]
     stoch = gathered_prefix(d * np.diff(values), zs.gamma_index)
     identity = (lhs - stoch) / half
-    kernel = q_local_time(X, level, zs, bandwidth=bandwidth)
-    residual = identity - kernel.path.values
+    kernel = q_local_time(X, level, zs)
+    residual = identity - kernel.values
     grid = X.grid
     return TanakaResidual(
         form=form,
         level=level,
         identity_local_time=Path(grid=grid, values=identity),
-        kernel_local_time=kernel.path,
+        kernel_local_time=kernel,
         residual=Path(grid=grid, values=residual),
     )
 

@@ -186,12 +186,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_run_all(args: argparse.Namespace) -> int:
-    if args.suite not in ("fast", "full"):
-        raise ConfigurationError(f"unknown suite {args.suite!r}; choose fast or full")
     seed = DEFAULT_SEED if args.seed is None else args.seed
     workers = 1 if args.workers is None else args.workers
-    if workers < 1:
-        raise ConfigurationError("workers must be at least 1")
     runs = run_suite(args.suite, master_seed=seed, workers=workers)
     for line in matrix_lines(runs):
         print(line)
@@ -201,8 +197,17 @@ def _cmd_run_all(args: argparse.Namespace) -> int:
     return 0 if all(r.passed for r in runs) else 2
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ConfigurationError, so they exit 1 like every
+    other configuration problem; argparse's own code 2 means a failed
+    check here."""
+
+    def error(self, message: str):
+        raise ConfigurationError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sigma-lab",
         description="Monte Carlo verification of restart-operator and signed-measure identities",
     )
@@ -231,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.set_defaults(func=_cmd_run)
 
     p_all = sub.add_parser("run-all", help="run every experiment in a suite")
-    p_all.add_argument("--suite", default="fast", help="fast or full")
+    p_all.add_argument("--suite", choices=("fast", "full"), default="fast", help="scale preset (default: fast)")
     p_all.add_argument("--seed", type=int, help="master seed")
     p_all.add_argument("--workers", type=int, help="worker process count")
     p_all.add_argument("--out", help="output directory for report files")
@@ -240,8 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(sys.argv[1:] if argv is None else argv)
     try:
+        args = build_parser().parse_args(sys.argv[1:] if argv is None else argv)
         return args.func(args)
     except (ConfigurationError, ContractError) as exc:
         print(f"error: {exc}", file=sys.stderr)

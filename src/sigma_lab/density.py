@@ -40,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from .errors import ConfigurationError, ContractError, DegenerateMeasureError
 from .paths import Path, SeedSpec, TimeGrid, cumsum_paths, increments_matrix, SUBSTREAM_DENSITY
@@ -201,7 +201,7 @@ def density_matrix(model: DensityModel, driver: np.ndarray | None, grid: TimeGri
     times = grid.times
     values = np.empty_like(driver)
     shifted = driver[:, :stop] + model.offset
-    values[:, :stop] = 2.0 * norm.cdf(shifted / np.sqrt(model.terminal_time - times[:stop])) - 1.0
+    values[:, :stop] = 2.0 * ndtr(shifted / np.sqrt(model.terminal_time - times[:stop])) - 1.0
     values[:, stop:] = np.where(driver[:, stop : stop + 1] + model.offset >= 0.0, 1.0, -1.0)
     return values
 
@@ -278,16 +278,12 @@ def zero_level(model: StoppedBM | ErfSign, driver: np.ndarray) -> np.ndarray:
     return driver + model.offset if isinstance(model, ErfSign) else driver
 
 
-def zero_set(D: Path, model: DensityModel, driver: Path | None = None) -> ZeroSetInfo:
-    """Detect the density zero set by grid sign changes, up to the
-    model's own time: of ``zero_level`` when the driver path is supplied,
-    else of D itself (the CDF transform is strictly monotone in W, so
-    the two detections agree wherever the CDF is resolvable)."""
-    if driver is None:
-        return zero_set_from_level_series(D.values, D.grid, last_index=_require_horizon(model, D.grid))
-    if driver.grid != D.grid:
-        raise ContractError("driver and density paths live on different grids")
-    return driver_zero_set(model, driver)
+def zero_set(D: Path, model: DensityModel) -> ZeroSetInfo:
+    """Detect the density zero set by sign changes of D on the grid, up
+    to the model's own time.  The CDF transform is strictly monotone in
+    W, so this agrees with ``driver_zero_set`` wherever the CDF is
+    resolvable."""
+    return zero_set_from_level_series(D.values, D.grid, last_index=_require_horizon(model, D.grid))
 
 
 def driver_zero_set(model: StoppedBM | ErfSign, driver: Path) -> ZeroSetInfo:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -41,6 +42,12 @@ __all__ = [
     "TableBoundary",
     "GrowthLaw",
 ]
+
+# Verdict thresholds shared by every experiment.
+_FLATNESS_Z = 4.0  # largest pairwise z between checkpoint means
+_KS_SCALE = 1.63  # KS critical value times sqrt(effective sample size)
+_MEAN_Z = 3.0  # standard errors a weighted mean may stray from its target
+_RATIO_FLOOR = 1e-12  # errors below this are exact to rounding
 
 
 @dataclass(frozen=True)
@@ -95,7 +102,7 @@ class FlatnessReport:
     times: tuple[float, ...]
     means: tuple[McEstimate, ...]
     max_z: float
-    threshold: float
+    threshold: ClassVar[float] = _FLATNESS_Z
 
     @property
     def passed(self) -> bool:
@@ -106,13 +113,12 @@ def flatness_test(
     samples: np.ndarray,
     weights: np.ndarray | None,
     times: Sequence[float],
-    threshold: float = 4.0,
 ) -> FlatnessReport:
     """Test that weighted means agree across checkpoints.
 
     ``samples`` has one row per checkpoint.  Every pair of rows is
     compared by |difference| / combined stderr; the report passes when
-    the largest such ratio stays below the threshold.  With common
+    the largest such ratio stays below 4.  With common
     random numbers across rows this is conservative.
     """
     s = np.asarray(samples, dtype=np.float64)
@@ -128,7 +134,7 @@ def flatness_test(
                     max_z = float("inf")
                 continue
             max_z = max(max_z, abs(means[i].value - means[j].value) / se)
-    return FlatnessReport(times=tuple(float(t) for t in times), means=means, max_z=max_z, threshold=threshold)
+    return FlatnessReport(times=tuple(float(t) for t in times), means=means, max_z=max_z)
 
 
 @dataclass(frozen=True)
@@ -148,12 +154,11 @@ def ks_test(
     samples: np.ndarray,
     weights: np.ndarray | None,
     cdf: Callable[[np.ndarray], np.ndarray],
-    scale: float = 1.63,
     extra_allowance: float = 0.0,
 ) -> KsReport:
     """Sup distance between the weighted empirical cdf and a target cdf.
 
-    The critical value is scale / sqrt(effective sample size) plus a
+    The critical value is 1.63 / sqrt(effective sample size) plus a
     caller-supplied allowance for discretization bias.  Weights must
     be nonnegative (the empirical cdf must be monotone).
     """
@@ -176,7 +181,7 @@ def ks_test(
     target = np.asarray(cdf(xs), dtype=np.float64)
     stat = float(max(np.max(np.abs(after - target)), np.max(np.abs(before - target))))
     n_eff = effective_sample_size(ws)
-    return KsReport(statistic=stat, n_effective=n_eff, critical=scale / float(np.sqrt(n_eff)) + extra_allowance)
+    return KsReport(statistic=stat, n_effective=n_eff, critical=_KS_SCALE / float(np.sqrt(n_eff)) + extra_allowance)
 
 
 @dataclass(frozen=True)
@@ -212,15 +217,14 @@ def mean_check(
     target: float,
     values: np.ndarray,
     weights: np.ndarray | None = None,
-    stat_scale: float = 3.0,
     grid_allowance: float = 0.0,
     truncation_allowance: float = 0.0,
 ) -> TargetCheck:
-    """Weighted mean against a target within stat_scale standard errors
-    plus the stated allowances."""
+    """Weighted mean against a target within three standard errors plus
+    the stated allowances."""
     est = weighted_mean(values, weights)
     gap = abs(est.value - target)
-    stat_tol = stat_scale * est.stderr
+    stat_tol = _MEAN_Z * est.stderr
     if est.stderr > 0.0:
         z = gap / est.stderr
     else:
@@ -307,14 +311,13 @@ def ratio_check(
     coarse_error: float,
     fine_error: float,
     min_ratio: float,
-    floor: float = 1e-12,
 ) -> TargetCheck:
     """Error halving between grids: coarse / fine must reach min_ratio.
 
-    When both errors sit below the floor the quantity is exact to
-    rounding and the ratio criterion is met trivially.
+    When both errors sit below 1e-12 the quantity is exact to rounding
+    and the ratio criterion is met trivially.
     """
-    exact = coarse_error < floor and fine_error < floor
+    exact = coarse_error < _RATIO_FLOOR and fine_error < _RATIO_FLOOR
     ratio = coarse_error / fine_error if fine_error > 0.0 and not exact else float("inf")
     return TargetCheck(
         name=name,
@@ -328,7 +331,7 @@ def ratio_check(
         truncation_allowance=0.0,
         passed=exact or ratio >= min_ratio,
         detail=(
-            f"both errors below {floor:.1e}; exact to rounding"
+            f"both errors below {_RATIO_FLOOR:.1e}; exact to rounding"
             if exact
             else f"error ratio {ratio:.3f} vs required {min_ratio:.3f}"
         ),
@@ -442,19 +445,16 @@ class TableBoundary(BoundarySpec):
 
 @dataclass(frozen=True)
 class GrowthLaw:
-    """Intensity and survival function for the accumulated-growth law."""
+    """Survival function of the accumulated-growth law."""
 
-    rate: Callable[[np.ndarray], np.ndarray]
     survival: Callable[[np.ndarray], np.ndarray]
 
     @classmethod
     def constant(cls, rate: float) -> "GrowthLaw":
+        """Exponential law of the given positive rate."""
         if rate <= 0.0:
             raise ConfigurationError("rate must be positive")
-        return cls(
-            rate=lambda x: np.full_like(np.asarray(x, dtype=np.float64), rate),
-            survival=lambda x: np.exp(-rate * np.asarray(x, dtype=np.float64)),
-        )
+        return cls(survival=lambda x: np.exp(-rate * np.asarray(x, dtype=np.float64)))
 
     def cdf(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)

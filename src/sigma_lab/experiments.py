@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 from time import perf_counter
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from .balayage import (
     Constant,
@@ -126,8 +126,8 @@ DEFAULT_SEED = 20260822
 
 _ERF = ErfSign(offset=1.0, terminal_time=1.0)
 _SBM = StoppedBM(start=1.0, stop_time=1.0)
-_D0_ERF = float(2.0 * norm.cdf(1.0) - 1.0)
-_P_HIT = float(2.0 * (1.0 - norm.cdf(1.0)))
+_D0_ERF = float(2.0 * ndtr(1.0) - 1.0)
+_P_HIT = float(2.0 * (1.0 - ndtr(1.0)))
 
 
 # ---------------------------------------------------------------- config
@@ -302,6 +302,14 @@ def _extend_gamma(gamma: np.ndarray, gbar: np.ndarray, n_cols: int) -> np.ndarra
     return np.concatenate([gamma, pad], axis=1)
 
 
+def _offset_steps(offsets: tuple[float, ...], horizon: float, step: float) -> tuple[int, ...]:
+    """Grid steps of restart offsets, checked before any simulation:
+    each must be a time of the simulated grid, so none is negative, off
+    the grid, or past the horizon (where r1 would drop every path)."""
+    grid = make_grid(horizon, step)
+    return tuple(grid.index_of(s) for s in offsets)
+
+
 def _flatness_check(name: str, rep: FlatnessReport, label: str) -> TargetCheck:
     means = ", ".join(f"{m.value:.5g}" for m in rep.means)
     return TargetCheck(
@@ -369,7 +377,7 @@ def _sup_deficit(level_log, span):
     b = np.asarray(level_log, dtype=np.float64)
     t = np.asarray(span, dtype=np.float64)
     rt = np.sqrt(t)
-    finite = 1.0 - norm.cdf((b + 0.5 * t) / rt) + np.exp(-b) * norm.cdf((0.5 * t - b) / rt)
+    finite = 1.0 - ndtr((b + 0.5 * t) / rt) + np.exp(-b) * ndtr((0.5 * t - b) / rt)
     return np.where(b > 0.0, np.maximum(np.exp(-b) - finite, 0.0), 0.0)
 
 
@@ -457,20 +465,19 @@ def _r1_chunk(
     step: float,
     horizon: float,
     cdf_time: float,
-    offsets: tuple[float, ...],
+    offset_steps: tuple[int, ...],
     model: DensityModel,
 ) -> dict[str, np.ndarray]:
     grid = make_grid(horizon, step)
     w = _primary(seed, start, count, grid)
     t = grid.times
-    u = norm.cdf((0.5 - w) / np.sqrt(cdf_time - t)[None, :])
+    u = ndtr((0.5 - w) / np.sqrt(cdf_time - t)[None, :])
     terminal, zg = _density_block(model, seed, start, count, step)
     gbar = zg.gbar_idx
     ug = _gather(u, gbar)
-    offs = np.array([round(s / step) for s in offsets], dtype=np.int64)
-    vals = np.empty((count, offs.size))
+    vals = np.empty((count, len(offset_steps)))
     keep = np.ones(count, dtype=bool)
-    for k, d in enumerate(offs):
+    for k, d in enumerate(offset_steps):
         cols = gbar + d
         over = cols > grid.n_steps
         if over.any():
@@ -493,7 +500,8 @@ def _run_r1(st: RunSettings) -> tuple[list[TargetCheck], list[CurveSeries]]:
         # make sure every restart window fits on the simulated grid
         horizon = max(horizon, 1.0 + max(offsets) + st.step)
         horizon = round(horizon / st.step) * st.step
-    feats = _chunked(st, _r1_chunk, horizon=horizon, cdf_time=horizon + 1.0, offsets=offsets, model=_ERF)
+    steps = _offset_steps(offsets, horizon, st.step)
+    feats = _chunked(st, _r1_chunk, horizon=horizon, cdf_time=horizon + 1.0, offset_steps=steps, model=_ERF)
     pprime = ensemble_weights(feats["pprime_raw"]).pprime_weight
     rep = flatness_test(feats["v"].T, pprime, offsets)
     dropped = int(st.n_paths - feats["v"].shape[0])
@@ -612,7 +620,7 @@ def _qbracket_chunk(
     seed: int,
     step: float,
     horizon: float,
-    offsets: tuple[float, ...],
+    offset_steps: tuple[int, ...],
     model: DensityModel,
 ) -> dict[str, np.ndarray]:
     grid = make_grid(horizon, step)
@@ -621,10 +629,9 @@ def _qbracket_chunk(
     gbar = zg.gbar_idx
     bracket = gathered_prefix(np.diff(w, axis=1) ** 2, gbar[:, None])
     wg = _gather(w, gbar)
-    offs = np.array([round(s / step) for s in offsets], dtype=np.int64)
-    vals = np.empty((count, offs.size))
+    vals = np.empty((count, len(offset_steps)))
     brack_min = np.full(count, np.inf)
-    for k, d in enumerate(offs):
+    for k, d in enumerate(offset_steps):
         cols = gbar + d
         beta = _gather(w, cols) - wg
         brack = _gather(bracket, cols)
@@ -638,7 +645,8 @@ def _run_qbracket(st: RunSettings) -> tuple[list[TargetCheck], list[CurveSeries]
     offs = st.checkpoints if st.checkpoints is not None else (0.25, 0.5, 0.75, 1.0)
     if horizon < 1.0 + max(offs) - 1e-9:  # offsets count from a last zero as late as 1.0
         raise ConfigurationError(f"q-bracket offsets up to {max(offs):g} need a horizon of {1.0 + max(offs):g}")
-    feats = _chunked(st, _qbracket_chunk, horizon=horizon, offsets=offs, model=_ERF)
+    steps = _offset_steps(offs, horizon, st.step)
+    feats = _chunked(st, _qbracket_chunk, horizon=horizon, offset_steps=steps, model=_ERF)
     rep = flatness_test(feats["v"].T, feats["q"], offs)
     worst = float(np.min(feats["brack_min"]))
     checks = [
@@ -1486,17 +1494,9 @@ def run_experiment(cfg: ExperimentConfig, suite: str | None = None) -> Experimen
     )
 
 
-def run_suite(
-    suite: str,
-    master_seed: int = DEFAULT_SEED,
-    workers: int = 1,
-    names: list[str] | None = None,
-) -> list[ExperimentRun]:
-    if suite not in ("fast", "full"):
-        raise ConfigurationError(f"unknown suite {suite!r}")
-    chosen = experiment_names() if names is None else names
+def run_suite(suite: str, master_seed: int = DEFAULT_SEED, workers: int = 1) -> list[ExperimentRun]:
     runs = []
-    for name in chosen:
+    for name in experiment_names():
         cfg = ExperimentConfig(experiment=name, master_seed=master_seed, workers=workers)
         runs.append(run_experiment(cfg, suite))
     return runs

@@ -26,8 +26,8 @@ so the verifier can pick the right gap tolerance.
 Each constructor also leaves behind ``support_scale``, the natural
 tolerance below which X should be considered "at zero" for the support
 check: 0 for constructions whose A provably grows only at exact zeros,
-and the kernel bandwidth (times the weight of the construction) for
-the occupation-kernel ones.
+and the kernel bandwidth sqrt(step) (times the weight of the
+construction) for the occupation-kernel ones.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .balayage import _blocks, gathered_prefix, kernel_bandwidth, occupation_kernel
+from .balayage import _blocks, gathered_prefix, occupation_kernel
 from .density import ZeroSetInfo, zero_set_from_level_series
 from .errors import ConfigurationError, ContractError
 from .paths import Path, TimeGrid, first_hit, make_grid
@@ -153,7 +153,7 @@ def assemble(
     )
 
 
-def abs_martingale(M: Path, zs: ZeroSetInfo | None = None, bandwidth: float | None = None) -> Decomposition:
+def abs_martingale(M: Path, zs: ZeroSetInfo | None = None) -> Decomposition:
     """|M| with its sign-integral part and a kernel local time at 0.
 
     N is the left-point integral of the sign of M (sign 0 counted as
@@ -163,7 +163,7 @@ def abs_martingale(M: Path, zs: ZeroSetInfo | None = None, bandwidth: float | No
     only up to the kernel error, hence ``exact=False``.  This is
     ``pm_combination`` at unit weights.
     """
-    return replace(pm_combination(M, 1.0, 1.0, zs, bandwidth), source="abs_martingale")
+    return replace(pm_combination(M, 1.0, 1.0, zs), source="abs_martingale")
 
 
 def pm_combination(
@@ -171,7 +171,6 @@ def pm_combination(
     alpha: float,
     beta: float,
     zs: ZeroSetInfo | None = None,
-    bandwidth: float | None = None,
 ) -> Decomposition:
     """alpha * positive part + beta * negative part of a martingale.
 
@@ -193,8 +192,7 @@ def pm_combination(
     x = alpha * np.maximum(values, 0.0) + beta * np.maximum(-values, 0.0)
     integrand = np.where(values[:-1] > 0.0, alpha, -beta)
     n = gathered_prefix(integrand * np.diff(values))
-    b = kernel_bandwidth(M.grid.step, bandwidth)
-    a = ((alpha + beta) / 2.0) * occupation_kernel(values, M.grid.step, bandwidth=b)
+    a = ((alpha + beta) / 2.0) * occupation_kernel(values, M.grid.step)
     zz = zs if zs is not None else _empty_zero_set(M.grid)
     return Decomposition(
         x=Path(grid=M.grid, values=x),
@@ -205,7 +203,7 @@ def pm_combination(
         exact=False,
         flags=_computed_flags(x, a, zz),
         source="pm_combination",
-        support_scale=max(alpha, beta) * b,
+        support_scale=max(alpha, beta) * float(np.sqrt(M.grid.step)),
         gap_scale=(alpha + beta) / 2.0,
     )
 
@@ -234,7 +232,6 @@ def lifted_reflected(
     W: Path,
     zs: ZeroSetInfo,
     stop_level: float | None = None,
-    bandwidth: float | None = None,
 ) -> Decomposition:
     """Reflected restart of a driver over a zero set.
 
@@ -250,7 +247,6 @@ def lifted_reflected(
     if W.grid != zs.grid:
         raise ContractError("driver and zero set live on different grids")
     grid = W.grid
-    b = kernel_bandwidth(grid.step, bandwidth)
     x = np.abs(W.values - W.values[zs.gamma_index])
     if stop_level is not None:
         if stop_level <= 0.0:
@@ -260,14 +256,14 @@ def lifted_reflected(
             k = first_hit(seg >= stop_level)
             if k >= 0:
                 seg[k:] = seg[k]
-    a = occupation_kernel(x, grid.step, bandwidth=b, anchors=zs.gamma_index)
+    a = occupation_kernel(x, grid.step, anchors=zs.gamma_index)
     return assemble(
         Path(grid=grid, values=x),
         Path(grid=grid, values=a),
         class_tag=SIGMA_SH,
         zero_set=zs,
         source="lifted_reflected",
-        support_scale=b,
+        support_scale=float(np.sqrt(grid.step)),
     )
 
 
@@ -391,7 +387,7 @@ def product(ds: Sequence[Decomposition]) -> Decomposition:
 def scaled_by_f(
     d: Decomposition,
     f: Callable[[np.ndarray], np.ndarray],
-    primitive: Callable[[np.ndarray], np.ndarray] | None = None,
+    primitive: Callable[[np.ndarray], np.ndarray],
 ) -> Decomposition:
     """Scale a member by a nonnegative function of its increasing part.
 
@@ -403,8 +399,6 @@ def scaled_by_f(
     after every restart.
     """
     _require_member_shape(d, "scaled_by_f")
-    if primitive is None:
-        raise ContractError("scaled_by_f needs the primitive of f")
     a = d.a.values
     fa = np.asarray(f(a), dtype=np.float64)
     if fa.shape != a.shape:
@@ -466,13 +460,12 @@ class SupportCheck:
     excluding intervals touching the ambient zero set where the class
     allows charge on H; ``total_mass`` is the net growth of A over the
     examined window.  The check passes when the violating fraction
-    stays at or below the threshold.
+    stays at or below 0.05.
     """
 
     violation_mass: float
     total_mass: float
     tolerance: float
-    threshold: float = 0.05
 
     @property
     def ratio(self) -> float:
@@ -482,7 +475,7 @@ class SupportCheck:
 
     @property
     def passed(self) -> bool:
-        return self.ratio <= self.threshold
+        return self.ratio <= 0.05
 
 
 @dataclass(frozen=True)
@@ -511,12 +504,7 @@ def _default_gap_tolerance(d: Decomposition) -> float:
     return 10.0 * d.gap_scale * step**0.25 * float(np.sqrt(max(1.0, horizon)))
 
 
-def _support_check(
-    d: Decomposition,
-    zs: ZeroSetInfo,
-    tol: float,
-    threshold: float,
-) -> SupportCheck:
+def _support_check(d: Decomposition, zs: ZeroSetInfo, tol: float) -> SupportCheck:
     x, a = d.x.values, d.a.values
     if d.class_tag == SIGMA_SH:
         g = zs.gbar_index
@@ -532,50 +520,43 @@ def _support_check(
     viol = grow & clear & ~(exempt[:-1] | exempt[1:])
     mass = float(np.sum(da[viol]))
     total = float(aw[-1] - aw[0]) if aw.size else 0.0
-    return SupportCheck(violation_mass=mass, total_mass=total, tolerance=tol, threshold=threshold)
+    return SupportCheck(violation_mass=mass, total_mass=total, tolerance=tol)
 
 
-def verify_membership(
-    d: Decomposition,
-    zs: ZeroSetInfo | None = None,
-    gap_tolerance: float | None = None,
-    support_tolerance: float | None = None,
-    support_threshold: float = 0.05,
-    positivity_tolerance: float = 0.0,
-    check_shifted: bool = True,
-) -> MembershipReport:
-    """Run every pathwise membership check for the declared class.
+def verify_membership(d: Decomposition, support_tolerance: float | None = None) -> MembershipReport:
+    """Run every pathwise membership check for the declared class,
+    relative to the decomposition's own zero set.
 
     Checks: the decomposition identity (bitwise for exact
-    constructions, within ``gap_tolerance`` otherwise), nonnegativity
-    of X, zero starts, monotonicity of A (drops allowed exactly into
+    constructions, within a tolerance of order step**0.25 scaled by
+    the construction's ``gap_scale`` otherwise), nonnegativity of X,
+    zero starts, monotonicity of A (drops allowed exactly into
     zero-set points for the restarted class), the support condition
     (the fraction of A-growth across intervals whose smaller X
     endpoint exceeds ``support_tolerance`` must stay at or below
-    ``support_threshold``; for the restarted class the window starts
-    at the last zero, matching its definition), null-on-H for the
-    restarted class, consistency of the recorded flags with the data,
-    and the classical membership of the shifted triple past the last
-    zero where the class calls for it.
+    0.05; for the restarted class the window starts at the last zero,
+    matching its definition), null-on-H for the restarted class,
+    consistency of the recorded flags with the data, and the classical
+    membership of the shifted triple past the last zero where the
+    class calls for it, under the same two tolerances.
 
     The default support tolerance is the construction's own
-    ``support_scale`` (its kernel bandwidth times the weight it puts
-    on X), falling back to sqrt(step).
+    ``support_scale`` (its kernel bandwidth sqrt(step) times the
+    weight it puts on X), falling back to sqrt(step).
     """
-    grid = d.grid
-    step = grid.step
-    if zs is None:
-        zs = d.zero_set if d.zero_set is not None else _empty_zero_set(grid)
-    elif zs.grid != grid:
-        raise ContractError("zero set grid does not match the paths")
-    gap_tol = _default_gap_tolerance(d) if gap_tolerance is None else float(gap_tolerance)
     if support_tolerance is not None:
         supp_tol = float(support_tolerance)
     elif d.support_scale is not None:
         supp_tol = float(d.support_scale)
     else:
-        supp_tol = float(np.sqrt(step))
+        supp_tol = float(np.sqrt(d.grid.step))
+    return _membership(d, _default_gap_tolerance(d), supp_tol)
 
+
+def _membership(d: Decomposition, gap_tol: float, supp_tol: float) -> MembershipReport:
+    """``verify_membership`` at given identity and support tolerances."""
+    grid = d.grid
+    zs = d.zero_set if d.zero_set is not None else _empty_zero_set(grid)
     x, n, a = d.x.values, d.n.values, d.a.values
     in_h = np.zeros(grid.n_steps + 1, dtype=bool)
     in_h[zs.h_indices] = True
@@ -595,7 +576,7 @@ def verify_membership(
     checks.append(
         CheckOutcome(
             "nonnegative",
-            low >= -positivity_tolerance,
+            low >= 0.0,
             f"min X = {low:.3e}",
             low,
         )
@@ -620,7 +601,7 @@ def verify_membership(
         )
     )
 
-    support = _support_check(d, zs, supp_tol, support_threshold)
+    support = _support_check(d, zs, supp_tol)
     checks.append(
         CheckOutcome(
             "support_condition",
@@ -670,7 +651,7 @@ def verify_membership(
     wants_shift = d.class_tag == SIGMA_SH or (
         d.class_tag == SIGMA_H and d.flags is not None and d.flags.all_set
     )
-    if check_shifted and wants_shift:
+    if wants_shift:
         g = zs.gbar_index
         if g >= grid.n_steps:
             checks.append(
@@ -680,7 +661,7 @@ def verify_membership(
             if g == 0:
                 sub_grid = grid
             else:
-                sub_grid = make_grid(step=step, horizon=(grid.n_steps - g) * step)
+                sub_grid = make_grid(step=grid.step, horizon=(grid.n_steps - g) * grid.step)
             shifted = Decomposition(
                 x=Path(grid=sub_grid, values=x[g:].copy()),
                 n=Path(grid=sub_grid, values=n[g:] - n[g]),
@@ -690,14 +671,8 @@ def verify_membership(
                 source=d.source + "+shift",
                 support_scale=d.support_scale,
             )
-            sub = verify_membership(
-                shifted,
-                gap_tolerance=gap_tol,
-                support_tolerance=supp_tol,
-                support_threshold=support_threshold,
-                positivity_tolerance=positivity_tolerance,
-                check_shifted=False,
-            )
+            # classical, so this call makes no further shifted check
+            sub = _membership(shifted, gap_tol, supp_tol)
             bad = ", ".join(c.name for c in sub.failing()) or "all classical checks pass"
             checks.append(CheckOutcome("shifted_classical", sub.passed, bad, None))
 

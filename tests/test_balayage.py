@@ -163,7 +163,7 @@ def test_q_local_time_mean_matches_reflection_law():
     vals = np.empty(n)
     for i in range(n):
         W = _bm(grid, i, master=SEED + 3)
-        vals[i] = q_local_time(W, 0.0, empty).path.values[-1]
+        vals[i] = q_local_time(W, 0.0, empty).values[-1]
     se = vals.std(ddof=1) / np.sqrt(n)
     assert abs(vals.mean() - EXPECTED_L1_AT_0) < 3 * se + 0.02
 
@@ -175,7 +175,7 @@ def test_q_local_time_agrees_with_crossing_count_oracle():
     diffs = np.empty(n)
     for i in range(n):
         W = _bm(grid, i, master=SEED + 4)
-        kernel = q_local_time(W, 0.0, empty).path.values[-1]
+        kernel = q_local_time(W, 0.0, empty).values[-1]
         crossings = np.count_nonzero(W.values[:-1] * W.values[1:] < 0.0)
         oracle = crossings * np.sqrt(np.pi * grid.step / 2.0)
         diffs[i] = kernel - oracle
@@ -241,7 +241,7 @@ def test_local_time_functional_under_restart_matches_q_local_time():
     zs = zero_set_from_level_series(D.values, grid)
     level = 0.1
     via_rho = rho(LocalTimeAt(level), W, zs).values
-    direct = q_local_time(W, level, zs).path.values
+    direct = q_local_time(W, level, zs).values
     # Same counting rule, but rho recounts the level hits per segment
     # while the q-form gathers global prefix sums: equal up to rounding,
     # and the q-form is exactly 0 on H while rho is 0 there by masking.

@@ -13,6 +13,7 @@ from sigma_lab import (
     StoppedBM,
     density_driver_path,
     density_path,
+    driver_zero_set,
     ensemble_weights,
     make_grid,
     sample_bm,
@@ -100,7 +101,7 @@ def test_erf_sign_zero_detection_matches_driver():
         driver = density_driver_path(model, seed, grid)
         D = density_path(model, seed, grid)
         via_D = zero_set(D, model)
-        via_driver = zero_set(D, model, driver=driver)
+        via_driver = driver_zero_set(model, driver)
         assert np.array_equal(via_D.h_indices, via_driver.h_indices)
     # StoppedBM's driver runs on past the freeze; detection stops there
     grid = make_grid(horizon=2.0, step=0.002)
@@ -108,7 +109,7 @@ def test_erf_sign_zero_detection_matches_driver():
     for i in range(100):
         seed = SeedSpec(SEED + 1, i)
         D = density_path(model, seed, grid)
-        via_driver = zero_set(D, model, driver=density_driver_path(model, seed, grid))
+        via_driver = driver_zero_set(model, density_driver_path(model, seed, grid))
         assert np.array_equal(zero_set(D, model).gamma_index, via_driver.gamma_index)
 
 

@@ -12,6 +12,7 @@ from sigma_lab import (
     StoppedBM,
     density_driver_path,
     density_path,
+    driver_zero_set,
     lifted_reflected,
     make_grid,
     q_bracket,
@@ -102,7 +103,7 @@ def test_sigma_s_chunk_rows_are_lifted_reflected_bitwise():
     grid, x, a, _ = _sigs_rows(0, 12, seed=SEED, step=0.01, horizon=2.0, model=model)
     for i in range(12):
         seed = SeedSpec(SEED, i)
-        zs = zero_set(density_path(model, seed, grid), model, density_driver_path(model, seed, grid))
+        zs = driver_zero_set(model, density_driver_path(model, seed, grid))
         ref = lifted_reflected(sample_bm(grid, 0.0, seed), zs)
         assert np.array_equal(x[i], ref.x.values)
         assert np.array_equal(a[i], ref.a.values)

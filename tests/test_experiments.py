@@ -1,7 +1,11 @@
 """Registry, runner, reporting, and CLI behavior at small scales."""
 
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -265,6 +269,9 @@ def test_cli_list(capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) == len(EXPECTED_NAMES)
     assert [line.split()[0] for line in lines] == EXPECTED_NAMES
+    with pytest.raises(SystemExit) as done:
+        main(["--help"])
+    assert done.value.code == 0
 
 
 def test_cli_unknown_experiment_suggests(capsys):
@@ -277,13 +284,20 @@ def test_cli_zero_paths_is_config_error():
     assert main(["run", "--experiment", "passage-eq4", "--paths", "0"]) == 1
 
 
-def test_cli_short_horizon_is_config_error(tmp_path):
+def test_cli_short_horizon_is_config_error(tmp_path, capsys):
     assert main(["run", "--experiment", "doob-maximal", "--horizon", "0.3", "--paths", "8", "--out", str(tmp_path)]) == 1
     # the level-2 finite-span deficit exceeds the row's 0.02 budget below about 6.13
     assert main(["run", "--experiment", "doob-maximal", "--horizon", "6.0", "--paths", "8", "--out", str(tmp_path)]) == 1
     # the q-bracket offsets are read after a last zero that may sit at 1.0
     argv = ["run", "--experiment", "q-bracket", "--horizon", "1.0", "--paths", "8", "--suite", "fast"]
     assert main(argv + ["--out", str(tmp_path)]) == 1
+    # restart offsets must be grid times of the simulated horizon: a negative one
+    # wraps to the path's end, an off-grid one would run at a rounded time, and
+    # one past the horizon drops every r1 path
+    for name, offsets in (("q-bracket", "-0.2,0.5"), ("q-bracket", "0.3333"), ("r1-ui-martingale", "2.5")):
+        argv = ["run", "--experiment", name, f"--checkpoints={offsets}", "--paths", "8", "--suite", "fast"]
+        assert main(argv + ["--out", str(tmp_path)]) == 1
+        assert "not a grid point" in capsys.readouterr().err
 
 
 def test_cli_ignored_option_is_config_error(tmp_path):
@@ -308,7 +322,19 @@ def test_pathwise_chunks_draw_each_density_stream_once(monkeypatch):
 
 
 def test_cli_bad_suite_is_config_error():
-    assert main(["run-all", "--suite", "fats"]) == 1
+    # usage errors exit 1 like any configuration problem; 2 means a failed check
+    for argv in (["run-all", "--suite", "fats"], ["run", "--suite", "medium"], ["run", "--paths", "abc"], ["run", "--policy", "keep"]):
+        assert main(argv) == 1
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    code = "import sys, sigma_lab; print('scipy.stats' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 def test_cli_missing_experiment_is_config_error():

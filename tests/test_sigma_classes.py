@@ -228,7 +228,7 @@ def test_scaled_by_f_classical_branch():
     assert np.array_equal(s.a.values, d.a.values ** 2)
     assert np.array_equal(s.x.values, 2.0 * d.a.values * d.x.values)
     _report_or_fail(verify_membership(s))
-    with pytest.raises(ContractError):
+    with pytest.raises(TypeError):
         scaled_by_f(d, lambda a: 2.0 * a)  # no primitive
     with pytest.raises(ContractError):
         scaled_by_f(d, lambda a: a - 10.0, primitive=lambda a: a**2 / 2 - 10 * a)
