@@ -28,7 +28,6 @@ from .density import (
     StoppedBM,
     ErfSign,
     ZeroSetInfo,
-    EnsembleWeights,
     density_path,
     density_driver_path,
     zero_set,
@@ -61,7 +60,6 @@ from .sigma_classes import (
     CLASSICAL,
     SIGMA_H,
     SIGMA_SH,
-    ClassFlags,
     Decomposition,
     SupportCheck,
     assemble,

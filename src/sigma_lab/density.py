@@ -52,7 +52,6 @@ __all__ = [
     "DensityModel",
     "ZeroSetInfo",
     "ZeroGeometry",
-    "EnsembleWeights",
     "model_time",
     "driver_from_increments",
     "driver_matrix",
@@ -131,21 +130,6 @@ class ZeroSetInfo:
     @property
     def gbar(self) -> float:
         return self.gbar_index * self.grid.step
-
-
-@dataclass(frozen=True, eq=False)
-class EnsembleWeights:
-    """Reweighting of an ensemble by terminal density values.
-
-    ``raw`` is |D_terminal| per path, ``normalizer`` its ensemble mean,
-    ``pprime_weight`` = raw / normalizer (mean 1 by construction), and
-    ``q_weight`` the signed terminal values themselves.
-    """
-
-    raw: np.ndarray = field(repr=False)
-    normalizer: float
-    pprime_weight: np.ndarray = field(repr=False)
-    q_weight: np.ndarray = field(repr=False)
 
 
 def model_time(model: DensityModel) -> float | None:
@@ -293,8 +277,9 @@ def driver_zero_set(model: StoppedBM | ErfSign, driver: Path) -> ZeroSetInfo:
     return zero_set_from_level_series(zero_level(model, driver.values), driver.grid, last_index=stop)
 
 
-def ensemble_weights(terminal_values: np.ndarray) -> EnsembleWeights:
-    """Build the three weight systems from terminal density values.
+def ensemble_weights(terminal_values: np.ndarray) -> np.ndarray:
+    """The P' weight of each path: |D_terminal| over its ensemble mean,
+    so the weights have mean 1.
 
     Raises
     ------
@@ -309,10 +294,5 @@ def ensemble_weights(terminal_values: np.ndarray) -> EnsembleWeights:
     normalizer = float(np.mean(raw))
     if normalizer == 0.0:
         raise DegenerateMeasureError("all terminal density values are zero")
-    return EnsembleWeights(
-        raw=raw,
-        normalizer=normalizer,
-        pprime_weight=raw / normalizer,
-        q_weight=terminal.copy(),
-    )
+    return raw / normalizer
 

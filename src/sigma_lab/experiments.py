@@ -302,12 +302,13 @@ def _extend_gamma(gamma: np.ndarray, gbar: np.ndarray, n_cols: int) -> np.ndarra
     return np.concatenate([gamma, pad], axis=1)
 
 
-def _offset_steps(offsets: tuple[float, ...], horizon: float, step: float) -> tuple[int, ...]:
-    """Grid steps of restart offsets, checked before any simulation:
-    each must be a time of the simulated grid, so none is negative, off
-    the grid, or past the horizon (where r1 would drop every path)."""
+def _grid_steps(times: tuple[float, ...], horizon: float, step: float) -> tuple[int, ...]:
+    """Grid steps of checkpoints or restart offsets, checked before any
+    simulation: each must be a time of the simulated grid, so none is
+    negative, off the grid, or past the horizon (where r1 would drop
+    every path)."""
     grid = make_grid(horizon, step)
-    return tuple(grid.index_of(s) for s in offsets)
+    return tuple(grid.index_of(t) for t in times)
 
 
 def _flatness_check(name: str, rep: FlatnessReport, label: str) -> TargetCheck:
@@ -403,7 +404,7 @@ def _t1_chunk(
     seed: int,
     step: float,
     horizon: float,
-    checkpoints: tuple[float, ...],
+    cols: tuple[int, ...],
     model: DensityModel,
     drift: float = 0.0,
 ) -> dict[str, np.ndarray]:
@@ -411,7 +412,6 @@ def _t1_chunk(
     w = _primary(seed, start, count, grid)
     if drift != 0.0:
         w = w + drift * grid.times[None, :]
-    cols = np.array([grid.index_of(t) for t in checkpoints])
     s = np.maximum.accumulate(w, axis=1)
     variants = {
         "drawdown": (s - w, s),
@@ -438,9 +438,10 @@ def _model_label(model: DensityModel) -> str:
 def _run_t1(st: RunSettings) -> tuple[list[TargetCheck], list[CurveSeries]]:
     horizon = st.horizon if st.horizon is not None else 1.0
     cps = st.checkpoints if st.checkpoints is not None else (0.25, 0.5, 0.75, 1.0)
+    cols = _grid_steps(cps, horizon, st.step)
     checks: list[TargetCheck] = []
     for model in (ConstantOne(), _SBM):
-        feats = _chunked(st, _t1_chunk, horizon=horizon, checkpoints=cps, model=model)
+        feats = _chunked(st, _t1_chunk, horizon=horizon, cols=cols, model=model)
         q = feats["q"]
         for cons in ("drawdown", "abs"):
             for kind in _F_ORDER:
@@ -449,7 +450,7 @@ def _run_t1(st: RunSettings) -> tuple[list[TargetCheck], list[CurveSeries]]:
                     _flatness_check(f"{_model_label(model)}-{cons}-f-{kind}", rep, "q-weighted")
                 )
     n_ctrl = min(st.n_paths, 20000)
-    feats = _chunked(st, _t1_chunk, n_ctrl, horizon=horizon, checkpoints=cps, model=ConstantOne(), drift=0.3)
+    feats = _chunked(st, _t1_chunk, n_ctrl, horizon=horizon, cols=cols, model=ConstantOne(), drift=0.3)
     rep = flatness_test(feats["drawdown|one"].T, feats["q"], cps)
     checks.append(_control_check("drifted-control-fails", rep))
     return checks, []
@@ -500,9 +501,9 @@ def _run_r1(st: RunSettings) -> tuple[list[TargetCheck], list[CurveSeries]]:
         # make sure every restart window fits on the simulated grid
         horizon = max(horizon, 1.0 + max(offsets) + st.step)
         horizon = round(horizon / st.step) * st.step
-    steps = _offset_steps(offsets, horizon, st.step)
+    steps = _grid_steps(offsets, horizon, st.step)
     feats = _chunked(st, _r1_chunk, horizon=horizon, cdf_time=horizon + 1.0, offset_steps=steps, model=_ERF)
-    pprime = ensemble_weights(feats["pprime_raw"]).pprime_weight
+    pprime = ensemble_weights(feats["pprime_raw"])
     rep = flatness_test(feats["v"].T, pprime, offsets)
     dropped = int(st.n_paths - feats["v"].shape[0])
     checks = [
@@ -528,10 +529,9 @@ def _sigs_rows(
     return grid, x, occupation_kernel(x, step, anchors=gamma), (terminal, zg)
 
 
-def _sigs_chunk(start: int, count: int, *, checkpoints: tuple[float, ...], **rows) -> dict[str, np.ndarray]:
-    grid, x, a, (terminal, zg) = _sigs_rows(start, count, **rows)
+def _sigs_chunk(start: int, count: int, *, cols: tuple[int, ...], **rows) -> dict[str, np.ndarray]:
+    _, x, a, (terminal, zg) = _sigs_rows(start, count, **rows)
     gbar = zg.gbar_idx
-    cols = np.array([grid.index_of(t) for t in checkpoints])
     xc, ac = x[:, cols], a[:, cols]
     out: dict[str, np.ndarray] = {"q": terminal}
     for kind in _F_ORDER:
@@ -543,7 +543,7 @@ def _sigs_chunk(start: int, count: int, *, checkpoints: tuple[float, ...], **row
 def _run_sigma_s(st: RunSettings) -> tuple[list[TargetCheck], list[CurveSeries]]:
     horizon = st.horizon if st.horizon is not None else 2.0
     cps = st.checkpoints if st.checkpoints is not None else (0.5, 1.0, 1.5, 2.0)
-    feats = _chunked(st, _sigs_chunk, horizon=horizon, checkpoints=cps, model=_ERF)
+    feats = _chunked(st, _sigs_chunk, horizon=horizon, cols=_grid_steps(cps, horizon, st.step), model=_ERF)
     checks = []
     for kind in _F_ORDER:
         rep = flatness_test(feats[kind].T, feats["q"], cps)
@@ -645,7 +645,7 @@ def _run_qbracket(st: RunSettings) -> tuple[list[TargetCheck], list[CurveSeries]
     offs = st.checkpoints if st.checkpoints is not None else (0.25, 0.5, 0.75, 1.0)
     if horizon < 1.0 + max(offs) - 1e-9:  # offsets count from a last zero as late as 1.0
         raise ConfigurationError(f"q-bracket offsets up to {max(offs):g} need a horizon of {1.0 + max(offs):g}")
-    steps = _offset_steps(offs, horizon, st.step)
+    steps = _grid_steps(offs, horizon, st.step)
     feats = _chunked(st, _qbracket_chunk, horizon=horizon, offset_steps=steps, model=_ERF)
     rep = flatness_test(feats["v"].T, feats["q"], offs)
     worst = float(np.min(feats["brack_min"]))
@@ -843,7 +843,7 @@ def _run_doob(st: RunSettings) -> tuple[list[TargetCheck], list[CurveSeries]]:
 
     h2 = 2.5 * h1
     feats2 = _chunked(st, _doob_chunk, chunk_size=64, horizon=h2, levels=(2.0,), model=_ERF)
-    pprime = ensemble_weights(feats2["q"]).pprime_weight
+    pprime = ensemble_weights(feats2["q"])
     freq = weighted_mean(feats2[f"freq|{2.0:g}"], pprime)
     xg = np.exp(feats2["zg"])
     mean_side = weighted_mean(np.minimum(xg / 2.0, 1.0), pprime)
@@ -965,7 +965,7 @@ def _run_s32(st: RunSettings) -> tuple[list[TargetCheck], list[CurveSeries]]:
     span = 6.0
     horizon = st.horizon if st.horizon is not None else span + 1.0
     feats = _chunked(st, _s32_chunk, horizon=horizon, span=span, model=_ERF)
-    pprime = ensemble_weights(feats["pprime_raw"]).pprime_weight
+    pprime = ensemble_weights(feats["pprime_raw"])
     bnd = ConstantBoundary(1.0)
     restarted, curve = _passage_rows(
         feats["hit_e"], feats["aprev_e"], bnd, 1.0, "restarted-crossing-before-growth-1", pprime, 0.008,
@@ -1015,7 +1015,7 @@ def _run_ainf(st: RunSettings) -> tuple[list[TargetCheck], list[CurveSeries]]:
         horizon = (st.horizon if st.horizon is not None else 6.0) + extra_span
         feats = _chunked(st, _ainf_chunk, horizon=horizon, stop_level=1.0, model=model)
         label = _model_label(model)
-        pprime = ensemble_weights(feats["q"]).pprime_weight
+        pprime = ensemble_weights(feats["q"])
         rep = ks_test(feats["aterm"], pprime, law.cdf, extra_allowance=0.03)
         checks.append(_ks_check(f"{label}-terminal-law-ks", rep, 0.03))
         checks.append(
@@ -1166,13 +1166,11 @@ def _closure_chunk(
     seed: int,
     step: float,
     horizon: float,
-    checkpoints: tuple[float, ...],
+    cols: tuple[int, ...],
     model: DensityModel,
     driving_part: Callable[[int, int, int, TimeGrid], np.ndarray],
 ) -> dict[str, np.ndarray]:
-    grid = make_grid(horizon, step)
-    n = driving_part(seed, start, count, grid)
-    cols = np.array([grid.index_of(t) for t in checkpoints])
+    n = driving_part(seed, start, count, make_grid(horizon, step))
     terminal, _ = _density_block(model, seed, start, count, step)
     return {"n": n[:, cols], "q": terminal}
 
@@ -1210,7 +1208,8 @@ def _run_closure(
 ) -> tuple[list[TargetCheck], list[CurveSeries]]:
     horizon = st.horizon if st.horizon is not None else 1.0
     cps = st.checkpoints if st.checkpoints is not None else (0.25, 0.5, 0.75, 1.0)
-    feats = _chunked(st, _closure_chunk, horizon=horizon, checkpoints=cps, model=_SBM, driving_part=driving_part)
+    cols = _grid_steps(cps, horizon, st.step)
+    feats = _chunked(st, _closure_chunk, horizon=horizon, cols=cols, model=_SBM, driving_part=driving_part)
     rep = flatness_test(feats["n"].T, feats["q"], cps)
     bad = _membership_sample(build, 40, st.master_seed, st.step, horizon)
     checks = [
@@ -1271,8 +1270,7 @@ def _membership_chunk(
             rep = verify_membership(d)
             if not rep.passed:
                 out[f"fail|{key}"][i] = 1.0
-            if rep.support is not None:
-                out[f"supratio|{key}"][i] = rep.support.ratio
+            out[f"supratio|{key}"][i] = rep.support.ratio
             for c in rep.checks:
                 if c.name == "shifted_classical" and not c.passed and key in _SHIFTED_VARIANTS:
                     out["shifted_fail"][i] += 1.0
@@ -1445,12 +1443,14 @@ def resolve_settings(cfg: ExperimentConfig, suite: str | None = None) -> RunSett
     scale = spec.full if suite == "full" else spec.fast
     n_paths = cfg.n_paths if cfg.n_paths is not None else scale[0]
     step = cfg.step if cfg.step is not None else scale[1]
-    if n_paths <= 0:
-        raise ConfigurationError("n_paths must be positive")
-    if step <= 0.0:
-        raise ConfigurationError("step must be positive")
-    if cfg.horizon is not None and cfg.horizon <= 0.0:
-        raise ConfigurationError("horizon must be positive")
+    if n_paths < 2:
+        raise ConfigurationError("n_paths must be at least 2")
+    if not 0.0 < step < np.inf:
+        raise ConfigurationError("step must be positive and finite")
+    if cfg.horizon is not None and not 0.0 < cfg.horizon < np.inf:
+        raise ConfigurationError("horizon must be positive and finite")
+    if cfg.checkpoints is not None and not np.all(np.isfinite(cfg.checkpoints)):
+        raise ConfigurationError("checkpoints must be finite")
     if cfg.horizon is not None and cfg.horizon < spec.min_horizon:
         raise ConfigurationError(f"{cfg.experiment} needs a horizon of at least {spec.min_horizon:g}")
     if cfg.policy not in ("drop", "extend"):

@@ -70,7 +70,7 @@ class TimeGrid:
 
     def index_of(self, t: float) -> int:
         """Grid index of time t (must lie on the grid up to rounding)."""
-        k = int(round(t / self.step))
+        k = int(round(t / self.step)) if np.isfinite(t) else -1
         if k < 0 or k > self.n_steps or abs(k * self.step - t) > _REL_TOL * max(1.0, self.horizon):
             raise ConfigurationError(f"time {t!r} is not a grid point of {self!r}")
         return k
@@ -118,11 +118,11 @@ def make_grid(horizon: float, step: float) -> TimeGrid:
     Raises
     ------
     ConfigurationError
-        If step or horizon is non-positive, or horizon/step is not an
-        integer within relative tolerance 1e-9.
+        If step or horizon is not positive and finite, or horizon/step
+        is not an integer within relative tolerance 1e-9.
     """
-    if step <= 0.0 or horizon <= 0.0:
-        raise ConfigurationError("step and horizon must be positive")
+    if not (0.0 < step < np.inf and 0.0 < horizon < np.inf):
+        raise ConfigurationError("step and horizon must be positive and finite")
     n = int(round(horizon / step))
     if n < 1 or abs(n * step - horizon) > _REL_TOL * max(1.0, abs(horizon)):
         raise ConfigurationError(

@@ -8,26 +8,23 @@ carried by the zero set of X.  Three class tags are distinguished:
     A starts at 0 and never decreases; no ambient zero set.
 ``sigma_h``
     Same, relative to an ambient zero set H: growth of A is allowed
-    both where X vanishes and on H itself.  Optional flags record
-    that H sits inside the zeros of X, that A has not grown by the
-    last zero, and that the family is uniformly integrable; with all
-    flags set the part of the path after the last zero must again be
-    a classical member.
+    both where X vanishes and on H itself.  Where the data show that
+    X vanishes on H and that A is still 0 at the last zero, the part
+    of the path after the last zero must again be a classical member.
 ``sigma_s_h``
     The restarted variant: X, N, A all vanish on H, and A restarts
     from 0 after each zero, so A is increasing within each zero-free
     run and drops back to 0 when a zero is hit.
 
-Constructors that assemble N as X - A make the decomposition identity
-hold bitwise; the kernel-based ones still do that, but their A only
-approximates the continuum object, which the ``exact`` flag records
-so the verifier can pick the right gap tolerance.
-
-Each constructor also leaves behind ``support_scale``, the natural
-tolerance below which X should be considered "at zero" for the support
-check: 0 for constructions whose A provably grows only at exact zeros,
-and the kernel bandwidth sqrt(step) (times the weight of the
-construction) for the occupation-kernel ones.
+A decomposition records the triple, its class tag and zero set, any
+warnings of its construction, and two scales for the verifier.
+``gap_scale`` is 0.0 where N = X - A holds bitwise (every constructor
+that assembles N so); the kernel ``pm_combination`` records the mean
+weight its A puts on the identity residual instead.  ``support_scale``
+is the level below which X counts as "at zero" for the support check:
+0 for constructions whose A provably grows only at exact zeros, and
+the kernel bandwidth sqrt(step) (times the weight of the construction)
+for the occupation-kernel ones; ``assemble`` defaults it to sqrt(step).
 """
 
 from __future__ import annotations
@@ -46,7 +43,6 @@ __all__ = [
     "CLASSICAL",
     "SIGMA_H",
     "SIGMA_SH",
-    "ClassFlags",
     "Decomposition",
     "assemble",
     "abs_martingale",
@@ -70,19 +66,6 @@ _TAGS = (CLASSICAL, SIGMA_H, SIGMA_SH)
 
 
 @dataclass(frozen=True)
-class ClassFlags:
-    """Structural side conditions recorded for zero-set classes."""
-
-    h_inside_zeros_of_x: bool = True
-    a_null_at_last_zero: bool = True
-    uniformly_integrable: bool = True
-
-    @property
-    def all_set(self) -> bool:
-        return self.h_inside_zeros_of_x and self.a_null_at_last_zero and self.uniformly_integrable
-
-
-@dataclass(frozen=True)
 class Decomposition:
     """One path triple X = N + A with its class bookkeeping."""
 
@@ -90,13 +73,10 @@ class Decomposition:
     n: Path
     a: Path
     class_tag: str
+    support_scale: float
     zero_set: ZeroSetInfo | None = None
-    exact: bool = True
-    flags: ClassFlags | None = None
-    source: str = "assembled"
     warnings: tuple[str, ...] = ()
-    support_scale: float | None = None
-    gap_scale: float = 1.0
+    gap_scale: float = 0.0
 
     def __post_init__(self) -> None:
         if self.class_tag not in _TAGS:
@@ -117,39 +97,26 @@ def _empty_zero_set(grid: TimeGrid) -> ZeroSetInfo:
     return zero_set_from_level_series(np.ones(grid.n_steps + 1), grid)
 
 
-def _computed_flags(x: np.ndarray, a: np.ndarray, zs: ZeroSetInfo) -> ClassFlags:
-    h = zs.h_indices
-    inside = bool(h.size == 0 or np.all(x[h] == 0.0))
-    return ClassFlags(
-        h_inside_zeros_of_x=inside,
-        a_null_at_last_zero=bool(a[zs.gbar_index] == 0.0),
-        uniformly_integrable=True,
-    )
-
-
 def assemble(
     x: Path,
     a: Path,
     class_tag: str = CLASSICAL,
     zero_set: ZeroSetInfo | None = None,
-    source: str = "assembled",
     warnings: tuple[str, ...] = (),
     support_scale: float | None = None,
 ) -> Decomposition:
     """Build a decomposition from X and A, with N defined as X - A.
 
     The identity check then holds bitwise by construction; everything
-    else about the triple is still up to ``verify_membership``.  For
-    the zero-set classes the structural flags are read off the data.
+    else about the triple is still up to ``verify_membership``.  The
+    support scale defaults to the kernel bandwidth sqrt(step).
     """
     n = Path(grid=x.grid, values=x.values - a.values)
-    flags = None
-    if zero_set is not None and class_tag != CLASSICAL:
-        flags = _computed_flags(x.values, a.values, zero_set)
+    if support_scale is None:
+        support_scale = float(np.sqrt(x.grid.step))
     return Decomposition(
-        x=x, n=n, a=a, class_tag=class_tag, zero_set=zero_set,
-        exact=True, flags=flags, source=source, warnings=warnings,
-        support_scale=support_scale,
+        x=x, n=n, a=a, class_tag=class_tag, support_scale=support_scale,
+        zero_set=zero_set, warnings=warnings,
     )
 
 
@@ -160,10 +127,10 @@ def abs_martingale(M: Path, zs: ZeroSetInfo | None = None) -> Decomposition:
     -1) against dM; A is the plain, unrestarted occupation kernel at
     level 0, so relative to an ambient zero set its growth may land on
     H as well as on the zeros of X.  The decomposition identity holds
-    only up to the kernel error, hence ``exact=False``.  This is
-    ``pm_combination`` at unit weights.
+    only up to the kernel error, hence a positive ``gap_scale``.  This
+    is ``pm_combination`` at unit weights.
     """
-    return replace(pm_combination(M, 1.0, 1.0, zs), source="abs_martingale")
+    return pm_combination(M, 1.0, 1.0, zs)
 
 
 def pm_combination(
@@ -193,17 +160,13 @@ def pm_combination(
     integrand = np.where(values[:-1] > 0.0, alpha, -beta)
     n = gathered_prefix(integrand * np.diff(values))
     a = ((alpha + beta) / 2.0) * occupation_kernel(values, M.grid.step)
-    zz = zs if zs is not None else _empty_zero_set(M.grid)
     return Decomposition(
         x=Path(grid=M.grid, values=x),
         n=Path(grid=M.grid, values=n),
         a=Path(grid=M.grid, values=a),
         class_tag=SIGMA_H,
-        zero_set=zz,
-        exact=False,
-        flags=_computed_flags(x, a, zz),
-        source="pm_combination",
         support_scale=max(alpha, beta) * float(np.sqrt(M.grid.step)),
+        zero_set=zs if zs is not None else _empty_zero_set(M.grid),
         gap_scale=(alpha + beta) / 2.0,
     )
 
@@ -223,9 +186,7 @@ def drawdown(M: Path, zs: ZeroSetInfo | None = None) -> Decomposition:
     x = Path(grid=M.grid, values=s - values)
     a = Path(grid=M.grid, values=s - s[0])
     zz = zs if zs is not None else _empty_zero_set(M.grid)
-    return assemble(
-        x, a, class_tag=SIGMA_H, zero_set=zz, source="drawdown", support_scale=0.0,
-    )
+    return assemble(x, a, class_tag=SIGMA_H, zero_set=zz, support_scale=0.0)
 
 
 def lifted_reflected(
@@ -262,8 +223,6 @@ def lifted_reflected(
         Path(grid=grid, values=a),
         class_tag=SIGMA_SH,
         zero_set=zs,
-        source="lifted_reflected",
-        support_scale=float(np.sqrt(grid.step)),
     )
 
 
@@ -272,14 +231,13 @@ def retag(d: Decomposition, class_tag: str, zs: ZeroSetInfo | None = None) -> De
 
     Moving to ``classical`` simply forgets the ambient zero set; the
     relabelled triple still has to pass ``verify_membership``, which
-    is the point of the move.  Moving to a zero-set class records the
-    structural flags read off the data; moving to the restarted class
-    additionally requires X, N, A to vanish exactly on the target H.
+    is the point of the move.  Moving to the restarted class requires
+    X, N, A to vanish exactly on the target H.
     """
     if class_tag not in _TAGS:
         raise ConfigurationError(f"unknown class tag {class_tag!r}")
     if class_tag == CLASSICAL:
-        return replace(d, class_tag=CLASSICAL, zero_set=None, flags=None)
+        return replace(d, class_tag=CLASSICAL, zero_set=None)
     zz = zs if zs is not None else d.zero_set
     if zz is None:
         raise ContractError(f"retag to {class_tag!r} needs a zero set")
@@ -288,12 +246,7 @@ def retag(d: Decomposition, class_tag: str, zs: ZeroSetInfo | None = None) -> De
     if class_tag == SIGMA_SH and zz.h_indices.size:
         if _max_on_zero_set(d, zz) != 0.0:
             raise ContractError("restarted class needs X, N, A exactly 0 on the zero set")
-    return replace(
-        d,
-        class_tag=class_tag,
-        zero_set=zz,
-        flags=_computed_flags(d.x.values, d.a.values, zz),
-    )
+    return replace(d, class_tag=class_tag, zero_set=zz)
 
 
 def _max_on_zero_set(d: Decomposition, zs: ZeroSetInfo) -> float:
@@ -342,27 +295,16 @@ def _product_pair(d1: Decomposition, d2: Decomposition) -> Decomposition:
         a = gathered_prefix(c, zs.gamma_index)
     else:
         a = gathered_prefix(c)
-    s1 = d1.support_scale if d1.support_scale is not None else float(np.sqrt(grid.step))
-    s2 = d2.support_scale if d2.support_scale is not None else float(np.sqrt(grid.step))
-    scale = max(s1 * _running_sup(x2), s2 * _running_sup(x1))
+    scale = max(d1.support_scale * _running_sup(x2), d2.support_scale * _running_sup(x1))
     warnings = d1.warnings + d2.warnings + _cross_bracket_warning(d1.n.values, d2.n.values)
-    out = assemble(
+    return assemble(
         Path(grid=grid, values=x1 * x2),
         Path(grid=grid, values=a),
         class_tag=d1.class_tag,
         zero_set=zs,
-        source="product",
         warnings=warnings,
         support_scale=scale,
     )
-    if d1.flags is not None and d2.flags is not None and out.flags is not None:
-        flags = ClassFlags(
-            h_inside_zeros_of_x=out.flags.h_inside_zeros_of_x,
-            a_null_at_last_zero=d1.flags.a_null_at_last_zero and d2.flags.a_null_at_last_zero,
-            uniformly_integrable=d1.flags.uniformly_integrable and d2.flags.uniformly_integrable,
-        )
-        out = replace(out, flags=flags)
-    return out
 
 
 def product(ds: Sequence[Decomposition]) -> Decomposition:
@@ -415,18 +357,14 @@ def scaled_by_f(
     p0 = float(np.asarray(primitive(np.zeros(1)), dtype=np.float64)[0])
     if p0 != 0.0:
         raise ContractError("the primitive must vanish at 0")
-    base = d.support_scale if d.support_scale is not None else float(np.sqrt(d.grid.step))
-    scale = base * max(float(np.max(fa)), 0.0) if fa.size else base
-    out = assemble(
+    return assemble(
         Path(grid=d.grid, values=fa * d.x.values),
         Path(grid=d.grid, values=p),
         class_tag=d.class_tag,
         zero_set=d.zero_set,
-        source="scaled_by_f",
         warnings=d.warnings,
-        support_scale=scale,
+        support_scale=d.support_scale * float(np.max(fa)),
     )
-    return out
 
 
 def sigma_s_characterization_process(d: Decomposition, f: Callable[[np.ndarray], np.ndarray]) -> Path:
@@ -448,7 +386,6 @@ class CheckOutcome:
     name: str
     passed: bool
     detail: str
-    magnitude: float | None = None
 
 
 @dataclass(frozen=True)
@@ -465,7 +402,6 @@ class SupportCheck:
 
     violation_mass: float
     total_mass: float
-    tolerance: float
 
     @property
     def ratio(self) -> float:
@@ -480,10 +416,8 @@ class SupportCheck:
 
 @dataclass(frozen=True)
 class MembershipReport:
-    class_tag: str
     checks: tuple[CheckOutcome, ...]
-    support: SupportCheck | None = None
-    warnings: tuple[str, ...] = ()
+    support: SupportCheck
 
     @property
     def passed(self) -> bool:
@@ -494,7 +428,7 @@ class MembershipReport:
 
 
 def _default_gap_tolerance(d: Decomposition) -> float:
-    if d.exact:
+    if d.gap_scale == 0.0:
         return 0.0
     # kernel constructions: the residual tail is heavy, the worst of 2000
     # unit-coefficient paths reaches about 6.4 * step**0.25, so clear it
@@ -519,37 +453,32 @@ def _support_check(d: Decomposition, zs: ZeroSetInfo, tol: float) -> SupportChec
     clear = np.minimum(xw[:-1], xw[1:]) > tol
     viol = grow & clear & ~(exempt[:-1] | exempt[1:])
     mass = float(np.sum(da[viol]))
-    total = float(aw[-1] - aw[0]) if aw.size else 0.0
-    return SupportCheck(violation_mass=mass, total_mass=total, tolerance=tol)
+    total = float(aw[-1] - aw[0])
+    return SupportCheck(violation_mass=mass, total_mass=total)
 
 
 def verify_membership(d: Decomposition, support_tolerance: float | None = None) -> MembershipReport:
     """Run every pathwise membership check for the declared class,
     relative to the decomposition's own zero set.
 
-    Checks: the decomposition identity (bitwise for exact
-    constructions, within a tolerance of order step**0.25 scaled by
-    the construction's ``gap_scale`` otherwise), nonnegativity of X,
-    zero starts, monotonicity of A (drops allowed exactly into
-    zero-set points for the restarted class), the support condition
-    (the fraction of A-growth across intervals whose smaller X
-    endpoint exceeds ``support_tolerance`` must stay at or below
-    0.05; for the restarted class the window starts at the last zero,
-    matching its definition), null-on-H for the restarted class,
-    consistency of the recorded flags with the data, and the classical
-    membership of the shifted triple past the last zero where the
-    class calls for it, under the same two tolerances.
+    Checks: the decomposition identity (bitwise at ``gap_scale`` 0,
+    within a tolerance of order step**0.25 scaled by ``gap_scale``
+    otherwise), nonnegativity of X, zero starts, monotonicity of A
+    (drops allowed exactly into zero-set points for the restarted
+    class), the support condition (the fraction of A-growth across
+    intervals whose smaller X endpoint exceeds ``support_tolerance``
+    must stay at or below 0.05; for the restarted class the window
+    starts at the last zero, matching its definition), null-on-H for
+    the restarted class, and the classical membership of the shifted
+    triple past the last zero under the same two tolerances.  The
+    shifted check runs for the restarted class always, and for
+    ``sigma_h`` where the data meet its side conditions: X vanishes on
+    H and A is still 0 at the last zero.
 
     The default support tolerance is the construction's own
-    ``support_scale`` (its kernel bandwidth sqrt(step) times the
-    weight it puts on X), falling back to sqrt(step).
+    ``support_scale``.
     """
-    if support_tolerance is not None:
-        supp_tol = float(support_tolerance)
-    elif d.support_scale is not None:
-        supp_tol = float(d.support_scale)
-    else:
-        supp_tol = float(np.sqrt(d.grid.step))
+    supp_tol = float(d.support_scale if support_tolerance is None else support_tolerance)
     return _membership(d, _default_gap_tolerance(d), supp_tol)
 
 
@@ -562,28 +491,20 @@ def _membership(d: Decomposition, gap_tol: float, supp_tol: float) -> Membership
     in_h[zs.h_indices] = True
     checks: list[CheckOutcome] = []
 
-    gap = float(np.max(np.abs((x - a) - n))) if x.size else 0.0
+    gap = float(np.max(np.abs((x - a) - n)))
     checks.append(
         CheckOutcome(
             "decomposition_identity",
             gap <= gap_tol,
             f"max |X - A - N| = {gap:.3e} (tolerance {gap_tol:.3e})",
-            gap,
         )
     )
 
     low = float(np.min(x))
-    checks.append(
-        CheckOutcome(
-            "nonnegative",
-            low >= 0.0,
-            f"min X = {low:.3e}",
-            low,
-        )
-    )
+    checks.append(CheckOutcome("nonnegative", low >= 0.0, f"min X = {low:.3e}"))
 
     starts = max(abs(float(x[0])), abs(float(n[0])), abs(float(a[0])))
-    checks.append(CheckOutcome("starts_at_zero", starts == 0.0, f"|value at 0| = {starts:.3e}", starts))
+    checks.append(CheckOutcome("starts_at_zero", starts == 0.0, f"|value at 0| = {starts:.3e}"))
 
     da = np.diff(a)
     if d.class_tag == SIGMA_SH:
@@ -597,7 +518,6 @@ def _membership(d: Decomposition, gap_tol: float, supp_tol: float) -> Membership
             "increasing_part_monotone",
             n_drops == 0,
             f"{n_drops} decreasing steps outside restarts (worst {worst:.3e})",
-            float(n_drops),
         )
     )
 
@@ -610,7 +530,6 @@ def _membership(d: Decomposition, gap_tol: float, supp_tol: float) -> Membership
                 f"violating mass {support.violation_mass:.3e} of {support.total_mass:.3e}"
                 f" (ratio {support.ratio:.3f}, tolerance {supp_tol:.3e})"
             ),
-            support.ratio,
         )
     )
 
@@ -621,41 +540,17 @@ def _membership(d: Decomposition, gap_tol: float, supp_tol: float) -> Membership
                 "null_on_zero_set",
                 off_all == 0.0,
                 f"max |X|, |N|, |A| on the zero set = {off_all:.3e}",
-                off_all,
-            )
-        )
-
-    if d.class_tag == SIGMA_H and d.flags is not None:
-        if zs.h_indices.size:
-            off = float(np.max(np.abs(x[zs.h_indices])))
-        else:
-            off = 0.0
-        checks.append(
-            CheckOutcome(
-                "zeros_flag_consistent",
-                (off == 0.0) == d.flags.h_inside_zeros_of_x,
-                f"max |X| on the zero set = {off:.3e}, flag says {d.flags.h_inside_zeros_of_x}",
-                off,
-            )
-        )
-        a_gbar = abs(float(a[zs.gbar_index]))
-        checks.append(
-            CheckOutcome(
-                "last_zero_flag_consistent",
-                (a_gbar == 0.0) == d.flags.a_null_at_last_zero,
-                f"|A at last zero| = {a_gbar:.3e}, flag says {d.flags.a_null_at_last_zero}",
-                a_gbar,
             )
         )
 
     wants_shift = d.class_tag == SIGMA_SH or (
-        d.class_tag == SIGMA_H and d.flags is not None and d.flags.all_set
+        d.class_tag == SIGMA_H and bool(np.all(x[zs.h_indices] == 0.0)) and a[zs.gbar_index] == 0.0
     )
     if wants_shift:
         g = zs.gbar_index
         if g >= grid.n_steps:
             checks.append(
-                CheckOutcome("shifted_classical", True, "last zero at grid end; shift degenerate, skipped", None)
+                CheckOutcome("shifted_classical", True, "last zero at grid end; shift degenerate, skipped")
             )
         else:
             if g == 0:
@@ -667,13 +562,12 @@ def _membership(d: Decomposition, gap_tol: float, supp_tol: float) -> Membership
                 n=Path(grid=sub_grid, values=n[g:] - n[g]),
                 a=Path(grid=sub_grid, values=a[g:] - a[g]),
                 class_tag=CLASSICAL,
-                exact=d.exact,
-                source=d.source + "+shift",
                 support_scale=d.support_scale,
+                gap_scale=d.gap_scale,
             )
             # classical, so this call makes no further shifted check
             sub = _membership(shifted, gap_tol, supp_tol)
             bad = ", ".join(c.name for c in sub.failing()) or "all classical checks pass"
-            checks.append(CheckOutcome("shifted_classical", sub.passed, bad, None))
+            checks.append(CheckOutcome("shifted_classical", sub.passed, bad))
 
-    return MembershipReport(class_tag=d.class_tag, checks=tuple(checks), support=support, warnings=d.warnings)
+    return MembershipReport(checks=tuple(checks), support=support)

@@ -70,6 +70,9 @@ def test_resolve_settings_rejects_bad_input():
         resolve_settings(ExperimentConfig(experiment="no-such-thing"))
     with pytest.raises(ConfigurationError):
         resolve_settings(ExperimentConfig(experiment="passage-eq4", n_paths=0))
+    # one path has no sample spread to check against
+    with pytest.raises(ConfigurationError):
+        resolve_settings(ExperimentConfig(experiment="passage-eq4", n_paths=1))
     with pytest.raises(ConfigurationError):
         resolve_settings(ExperimentConfig(experiment="passage-eq4", step=-1.0))
     with pytest.raises(ConfigurationError):
@@ -298,27 +301,49 @@ def test_cli_short_horizon_is_config_error(tmp_path, capsys):
         argv = ["run", "--experiment", name, f"--checkpoints={offsets}", "--paths", "8", "--suite", "fast"]
         assert main(argv + ["--out", str(tmp_path)]) == 1
         assert "not a grid point" in capsys.readouterr().err
+    # non-finite options
+    for name, option, value in (
+        ("passage-eq4", "--step", "nan"),
+        ("passage-eq4", "--horizon", "nan"),
+        ("passage-eq4", "--horizon", "inf"),
+        ("t1-characterization", "--checkpoints", "nan"),
+    ):
+        assert main(["run", "--experiment", name, option, value, "--paths", "8", "--out", str(tmp_path)]) == 1
 
 
 def test_cli_ignored_option_is_config_error(tmp_path):
     assert main(["run", "--experiment", "passage-eq4", "--checkpoints", "0.5", "--paths", "8", "--out", str(tmp_path)]) == 1
 
 
-def test_pathwise_chunks_draw_each_density_stream_once(monkeypatch):
-    draws = Counter()
+@pytest.fixture
+def draws(monkeypatch):
+    """Counts of ``paths.bm_increments`` calls per substream."""
+    counts = Counter()
     original = paths.bm_increments
 
     def counting(seed, n_steps, step, substream):
-        draws[substream] += 1
+        counts[substream] += 1
         return original(seed, n_steps, step, substream)
 
     monkeypatch.setattr(paths, "bm_increments", counting)
+    return counts
+
+
+def test_pathwise_chunks_draw_each_density_stream_once(draws):
     model = ErfSign(offset=1.0, terminal_time=1.0)
     _rho_chunk(0, 10, seed=20260822, step=0.02, horizon=2.0, model=model)
     assert draws[SUBSTREAM_DENSITY] == 10
     draws.clear()
     _membership_chunk(0, 10, seed=20260822, step=0.01, horizon=1.0, model=model)
     assert draws[SUBSTREAM_DENSITY] == 10
+
+
+@pytest.mark.parametrize("name", ["t1-characterization", "sigma-s-characterization", "products", "scaled-f"])
+def test_off_grid_checkpoint_fails_before_any_draw(draws, name):
+    cfg = ExperimentConfig(experiment=name, n_paths=8, step=0.01, checkpoints=(0.5, 0.3333))
+    with pytest.raises(ConfigurationError, match="not a grid point"):
+        run_experiment(cfg, "fast")
+    assert sum(draws.values()) == 0
 
 
 def test_cli_bad_suite_is_config_error():

@@ -27,8 +27,9 @@ def test_grid_times_and_index():
     assert np.allclose(grid.times, [0.0, 0.5, 1.0, 1.5, 2.0])
     assert grid.index_of(1.5) == 3
     assert grid.index_of(0.0) == 0
-    with pytest.raises(ConfigurationError):
-        grid.index_of(0.7)
+    for t in (0.7, float("nan"), float("inf")):
+        with pytest.raises(ConfigurationError):
+            grid.index_of(t)
 
 
 def test_grid_rejects_bad_shapes():
@@ -38,6 +39,9 @@ def test_grid_rejects_bad_shapes():
         make_grid(horizon=0.0, step=0.1)
     with pytest.raises(ConfigurationError):
         make_grid(horizon=1.0, step=-0.1)
+    for horizon, step in ((float("nan"), 0.1), (float("inf"), 0.1), (1.0, float("nan")), (1.0, float("inf"))):
+        with pytest.raises(ConfigurationError):
+            make_grid(horizon=horizon, step=step)
 
 
 def test_streams_are_deterministic_and_separated():

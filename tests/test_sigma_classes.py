@@ -54,7 +54,7 @@ def _report_or_fail(report):
 def test_drawdown_is_exact_and_supported_on_zeros():
     grid = make_grid(horizon=2.0, step=1e-3)
     d = drawdown(_bm(grid, 0))
-    assert d.exact and d.class_tag == SIGMA_H
+    assert d.gap_scale == 0.0 and d.class_tag == SIGMA_H
     assert d.support_scale == 0.0
     gap = np.max(np.abs((d.x.values - d.a.values) - d.n.values))
     assert gap == 0.0
@@ -72,7 +72,7 @@ def test_abs_martingale_verifies_within_kernel_tolerance():
     grid = make_grid(horizon=1.0, step=1e-3)
     for i in range(10):
         d = abs_martingale(_bm(grid, i))
-        assert not d.exact
+        assert d.gap_scale > 0.0
         assert d.class_tag == SIGMA_H
         _report_or_fail(verify_membership(d))
     with pytest.raises(ContractError):
@@ -84,9 +84,11 @@ def test_abs_martingale_over_a_real_zero_set_keeps_honest_flags():
     zs = _signed_zero_set(grid, 2, require_interior=False)
     d = abs_martingale(_bm(grid, 2), zs)
     # The driver is independent of the ambient zeros, so X does not
-    # vanish on H and the flags must say so.
-    assert d.flags is not None and not d.flags.h_inside_zeros_of_x
-    _report_or_fail(verify_membership(d))
+    # vanish on H and the shifted classical check must not run.
+    assert np.any(d.x.values[zs.h_indices] != 0.0)
+    report = verify_membership(d)
+    _report_or_fail(report)
+    assert "shifted_classical" not in [c.name for c in report.checks]
 
 
 def test_pm_combination_bitwise_matches_abs_at_unit_weights():
@@ -117,12 +119,13 @@ def test_lifted_reflected_structure_over_signed_zero_set():
     zs = _signed_zero_set(grid, 3)
     assert zs.h_indices.size > 0, "seed choice must produce zeros"
     d = lifted_reflected(_bm(grid, 3), zs)
-    assert d.class_tag == SIGMA_SH and d.exact
-    assert d.flags is not None and d.flags.all_set
+    assert d.class_tag == SIGMA_SH and d.gap_scale == 0.0
     # X, N, A all vanish exactly on the zero set.
     for part in (d.x, d.n, d.a):
         assert np.all(part.values[zs.h_indices] == 0.0)
-    _report_or_fail(verify_membership(d))
+    report = verify_membership(d)
+    _report_or_fail(report)
+    assert "shifted_classical" in [c.name for c in report.checks]
 
 
 def test_lifted_reflected_stop_freezes_each_run_and_stays_null_on_h():
@@ -159,7 +162,7 @@ def test_product_exact_identity_and_support():
     d1 = drawdown(_bm(grid, 4))
     d2 = drawdown(_bm(grid, 5))
     p = product([d1, d2])
-    assert p.exact
+    assert p.gap_scale == 0.0
     gap = np.max(np.abs((p.x.values - p.a.values) - p.n.values))
     assert gap == 0.0
     assert p.support_scale == 0.0
@@ -224,7 +227,7 @@ def test_scaled_by_f_classical_branch():
     grid = make_grid(horizon=1.0, step=1e-3)
     d = drawdown(_bm(grid, 11))
     s = scaled_by_f(d, lambda a: 2.0 * a, primitive=lambda a: a**2)
-    assert s.exact
+    assert s.gap_scale == 0.0
     assert np.array_equal(s.a.values, d.a.values ** 2)
     assert np.array_equal(s.x.values, 2.0 * d.a.values * d.x.values)
     _report_or_fail(verify_membership(s))
@@ -258,8 +261,9 @@ def test_retag_between_classes():
     _report_or_fail(verify_membership(classical))
     back = retag(classical, SIGMA_H, zs=_empty(grid))
     assert back.class_tag == SIGMA_H
-    assert back.flags is not None and back.flags.all_set
-    _report_or_fail(verify_membership(back))
+    report = verify_membership(back)
+    _report_or_fail(report)
+    assert "shifted_classical" in [c.name for c in report.checks]
     # The restarted tag demands exact nullity on H.
     zs = _signed_zero_set(grid, 13)
     with pytest.raises(ContractError):
