@@ -7,6 +7,22 @@ emits survival-curve points.  Reductions run on the concatenated
 arrays in path-index order, so for a fixed seed the resulting report
 bytes do not depend on the worker count.
 
+Experiments that read the same paths share one simulation.  A path's
+increments depend only on (seed, path index, substream), so a longer
+draw extends a shorter one exactly, and one chunk function computes
+every member's features off the longest draw:
+
+- the laws family, passage-eq2/3/4, passage-s32 and a-infinity: |W|
+  and its clock to horizon 6, and the driver restarted at the ErfSign
+  last zero to horizon 7;
+- the Levy family, levy-eq5 (horizon 8) and levy-eq6 (horizon 12).
+
+The first member to run simulates the family and its features are
+kept, read-only, keyed by the whole call (seed, step, path count and
+horizons).  Each other member that makes the same call reads them
+once; a member that runs again, or whose horizon override changes the
+call, simulates afresh.  doob-maximal's two passes read one draw too.
+
 Scale defaults come in two suites: ``fast`` for smoke runs and
 ``full`` for the reproduction runs.  A handful of experiments pin
 their own scales (convergence ladders, pathwise algebra) because
@@ -124,8 +140,11 @@ __all__ = [
 
 DEFAULT_SEED = 20260822
 
-_ERF = ErfSign(offset=1.0, terminal_time=1.0)
-_SBM = StoppedBM(start=1.0, stop_time=1.0)
+# The span of both density models: ErfSign's terminal time and
+# StoppedBM's stop time.  Restart anchors fall inside it.
+_MODEL_SPAN = 1.0
+_ERF = ErfSign(offset=1.0, terminal_time=_MODEL_SPAN)
+_SBM = StoppedBM(start=1.0, stop_time=_MODEL_SPAN)
 _D0_ERF = float(2.0 * ndtr(1.0) - 1.0)
 _P_HIT = float(2.0 * (1.0 - ndtr(1.0)))
 
@@ -254,6 +273,11 @@ def report_rows(run: ExperimentRun) -> list[ReportRow]:
 
 # ---------------------------------------------------------------- helpers
 
+# The last call of each family chunk: (key, features, the experiments
+# that have read them).
+_KEPT: dict[Callable, tuple[tuple, dict[str, np.ndarray], set[str]]] = {}
+
+
 def _chunked(
     st: RunSettings,
     chunk: Callable[..., dict[str, np.ndarray]],
@@ -261,10 +285,30 @@ def _chunked(
     chunk_size: int = CHUNK_SIZE,
     **params,
 ) -> dict[str, np.ndarray]:
-    """``run_chunked`` over chunk(start, count, seed=..., step=..., **params)."""
+    """``run_chunked`` over chunk(start, count, seed=..., step=..., **params).
+
+    A family chunk's features are kept, read-only, and handed once to
+    each other experiment that makes the identical call.
+    """
     fn = functools.partial(chunk, seed=st.master_seed, step=st.step, **params)
     n = st.n_paths if n_paths is None else n_paths
-    return run_chunked(n, fn, chunk_size=chunk_size, workers=st.workers)
+    if chunk not in _FAMILY_CHUNKS:
+        return run_chunked(n, fn, chunk_size=chunk_size, workers=st.workers)
+    key = (st.master_seed, st.step, n, chunk_size, tuple(sorted(params.items())))
+    kept = _KEPT.get(chunk)
+    if kept is not None and kept[0] == key and st.name not in kept[2]:
+        kept[2].add(st.name)
+        return dict(kept[1])
+    feats = run_chunked(n, fn, chunk_size=chunk_size, workers=st.workers)
+    for values in feats.values():
+        values.flags.writeable = False
+    _KEPT[chunk] = (key, feats, {st.name})
+    return dict(feats)
+
+
+def _horizon(st: RunSettings) -> float:
+    """The run's horizon: the override, else the registry default."""
+    return st.horizon if st.horizon is not None else EXPERIMENTS[st.name].horizon
 
 
 def _gather(matrix: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -436,7 +480,7 @@ def _model_label(model: DensityModel) -> str:
 
 
 def _run_t1(st: RunSettings) -> tuple[list[TargetCheck], list[CurveSeries]]:
-    horizon = st.horizon if st.horizon is not None else 1.0
+    horizon = _horizon(st)
     cps = st.checkpoints if st.checkpoints is not None else (0.25, 0.5, 0.75, 1.0)
     cols = _grid_steps(cps, horizon, st.step)
     checks: list[TargetCheck] = []
@@ -494,13 +538,23 @@ def _r1_chunk(
     }
 
 
-def _run_r1(st: RunSettings) -> tuple[list[TargetCheck], list[CurveSeries]]:
-    horizon = st.horizon if st.horizon is not None else 2.0
+def _r1_plan(st: RunSettings) -> tuple[float, tuple[float, ...]]:
+    """The simulated horizon and the restart offsets."""
+    horizon = _horizon(st)
     offsets = st.checkpoints if st.checkpoints is not None else (0.2, 0.45, 0.7, 0.95)
     if st.policy == "extend":
         # make sure every restart window fits on the simulated grid
         horizon = max(horizon, 1.0 + max(offsets) + st.step)
         horizon = round(horizon / st.step) * st.step
+    return horizon, offsets
+
+
+def _r1_grid(st: RunSettings) -> tuple[float, float]:
+    return _r1_plan(st)[0], st.step
+
+
+def _run_r1(st: RunSettings) -> tuple[list[TargetCheck], list[CurveSeries]]:
+    horizon, offsets = _r1_plan(st)
     steps = _grid_steps(offsets, horizon, st.step)
     feats = _chunked(st, _r1_chunk, horizon=horizon, cdf_time=horizon + 1.0, offset_steps=steps, model=_ERF)
     pprime = ensemble_weights(feats["pprime_raw"])
@@ -541,7 +595,7 @@ def _sigs_chunk(start: int, count: int, *, cols: tuple[int, ...], **rows) -> dic
 
 
 def _run_sigma_s(st: RunSettings) -> tuple[list[TargetCheck], list[CurveSeries]]:
-    horizon = st.horizon if st.horizon is not None else 2.0
+    horizon = _horizon(st)
     cps = st.checkpoints if st.checkpoints is not None else (0.5, 1.0, 1.5, 2.0)
     feats = _chunked(st, _sigs_chunk, horizon=horizon, cols=_grid_steps(cps, horizon, st.step), model=_ERF)
     checks = []
@@ -599,7 +653,7 @@ def _rho_chunk(
 
 
 def _run_rho(st: RunSettings) -> tuple[list[TargetCheck], list[CurveSeries]]:
-    horizon = st.horizon if st.horizon is not None else 2.0
+    horizon = _horizon(st)
     feats = _chunked(st, _rho_chunk, horizon=horizon, model=_ERF)
     n = st.n_paths
     checks = [
@@ -641,7 +695,7 @@ def _qbracket_chunk(
 
 
 def _run_qbracket(st: RunSettings) -> tuple[list[TargetCheck], list[CurveSeries]]:
-    horizon = st.horizon if st.horizon is not None else 2.0
+    horizon = _horizon(st)
     offs = st.checkpoints if st.checkpoints is not None else (0.25, 0.5, 0.75, 1.0)
     if horizon < 1.0 + max(offs) - 1e-9:  # offsets count from a last zero as late as 1.0
         raise ConfigurationError(f"q-bracket offsets up to {max(offs):g} need a horizon of {1.0 + max(offs):g}")
@@ -733,7 +787,7 @@ def _constant_path_residual(st: RunSettings, form: str) -> float:
 
 
 def _run_tanaka(st: RunSettings, *, form: str) -> tuple[list[TargetCheck], list[CurveSeries]]:
-    horizon = st.horizon if st.horizon is not None else 1.0
+    horizon = _horizon(st)
     feats = _chunked(st, _ladder_chunk, horizon=horizon, model=_ERF, form=form)
     checks = _ladder_rows(f"{form}-residual", feats, st)
     checks.append(exact_check("constant-path-residual", _constant_path_residual(st, form)))
@@ -755,7 +809,7 @@ _run_tanaka_minus = functools.partial(_run_tanaka, form="minus")
 
 def _run_ito(st: RunSettings) -> tuple[list[TargetCheck], list[CurveSeries]]:
     checks: list[TargetCheck] = []
-    horizon = st.horizon if st.horizon is not None else 1.0
+    horizon = _horizon(st)
     for form in ("linear", "square", "cosine"):
         feats = _chunked(st, _ladder_chunk, horizon=horizon, model=_ERF, form=form)
         checks.extend(_ladder_rows(f"{form}", feats, st))
@@ -765,54 +819,63 @@ def _run_ito(st: RunSettings) -> tuple[list[TargetCheck], list[CurveSeries]]:
 
 # ---------------------------------------------------------------- doob maximal
 
+def _bridge_freq(z: np.ndarray, b: float, step: float) -> np.ndarray:
+    """Per-row probability that Z, bridged between grid points, reaches b."""
+    crossed = (z >= b).any(axis=1)
+    # A row that reaches b scores 1; only the others need the
+    # per-step bridge crossing probabilities.
+    d = b - z[~crossed]
+    arr = -2.0 * d[:, :-1] * d[:, 1:] / step
+    # Far from b, exp(arr) underflows to 0 and log1p(-0) is -0, so
+    # only the near steps are evaluated; the row sums are unchanged.
+    near = arr > -800.0
+    logs = np.full(arr.shape, -0.0)
+    logs[near] = np.log1p(-np.minimum(np.exp(np.minimum(arr[near], 0.0)), 1.0 - 1e-16))
+    freq = np.ones(z.shape[0])
+    freq[~crossed] = -np.expm1(np.sum(logs, axis=1))
+    return freq
+
+
 def _doob_chunk(
     start: int,
     count: int,
     *,
     seed: int,
     step: float,
-    horizon: float,
+    horizons: tuple[float, float],
     levels: tuple[float, ...],
-    model: DensityModel,
 ) -> dict[str, np.ndarray]:
-    grid = make_grid(horizon, step)
-    w = _primary(seed, start, count, grid)
-    z = w - 0.5 * grid.times[None, :]
-    terminal, zg = _density_block(model, seed, start, count, step)
+    """Both doob-maximal passes off one primary draw of Z = W - t/2:
+    ConstantOne over the first horizon at each level, ErfSign over the
+    second, after the last zero, at level 2."""
+    h1, h2 = horizons
+    grid = make_grid(h2, step)
+    n1 = make_grid(h1, step).n_steps
+    z = _primary(seed, start, count, grid)
+    z -= 0.5 * grid.times[None, :]
+    # ConstantOne has no zeros: the whole prefix is after the last zero
+    out = {f"freq|{a:g}": _bridge_freq(z[:, : n1 + 1], float(np.log(a)), step) for a in levels}
+
+    terminal, zg = _density_block(_ERF, seed, start, count, step)
     gbar = zg.gbar_idx
-    col = np.arange(grid.n_steps + 1)
-    pre = col[None, :] < gbar[:, None]
-    out: dict[str, np.ndarray] = {
-        "zg": _gather(z, gbar),
-        "gbar_t": gbar.astype(np.float64) * step,
-        "q": terminal,
-    }
-    for a in levels:
-        b = float(np.log(a))
-        zm = np.where(pre, b - 50.0, z) if gbar.any() else z
-        crossed = (zm >= b).any(axis=1)
-        # A row that reaches b scores 1; only the others need the
-        # per-step bridge crossing probabilities.
-        d = b - zm[~crossed]
-        arr = -2.0 * d[:, :-1] * d[:, 1:] / step
-        # Far from b, exp(arr) underflows to 0 and log1p(-0) is -0, so
-        # only the near steps are evaluated; the row sums are unchanged.
-        near = arr > -800.0
-        logs = np.full(arr.shape, -0.0)
-        logs[near] = np.log1p(-np.minimum(np.exp(np.minimum(arr[near], 0.0)), 1.0 - 1e-16))
-        freq = np.ones(count)
-        freq[~crossed] = -np.expm1(np.sum(logs, axis=1))
-        out[f"freq|{a:g}"] = freq
+    b = float(np.log(2.0))
+    pre = np.arange(grid.n_steps + 1)[None, :] < gbar[:, None]
+    out["erf|freq|2"] = _bridge_freq(np.where(pre, b - 50.0, z) if gbar.any() else z, b, step)
+    out["zg"] = _gather(z, gbar)
+    out["gbar_t"] = gbar.astype(np.float64) * step
+    out["q"] = terminal
     return out
 
 
+# doob-maximal's ErfSign pass runs this many times its horizon
+_DOOB_SPAN_FACTOR = 2.5
 # The level-2 row's budget for grid bias and the finite-span deficit
 # together; the deficit is exact, the grid bias gets what it leaves.
 _DOOB_LEVEL2_BUDGET = 0.02
 
 
 def _run_doob(st: RunSettings) -> tuple[list[TargetCheck], list[CurveSeries]]:
-    h1 = st.horizon if st.horizon is not None else 8.0
+    h1 = _horizon(st)
     deficit2 = float(_sup_deficit(np.log(2.0), h1))
     if deficit2 > _DOOB_LEVEL2_BUDGET:
         # below a horizon of about 6.13 the level-2 row could only fail
@@ -820,8 +883,9 @@ def _run_doob(st: RunSettings) -> tuple[list[TargetCheck], list[CurveSeries]]:
             f"doob-maximal at horizon {h1:g}: the level-2 finite-span deficit {deficit2:.5f}"
             f" exceeds its budget {_DOOB_LEVEL2_BUDGET:g}"
         )
+    h2 = _DOOB_SPAN_FACTOR * h1
     curve_levels = (1.25, 1.5, 2.0, 3.0, 4.0)
-    feats = _chunked(st, _doob_chunk, chunk_size=64, horizon=h1, levels=curve_levels, model=ConstantOne())
+    feats = _chunked(st, _doob_chunk, chunk_size=64, horizons=(h1, h2), levels=curve_levels)
     checks: list[TargetCheck] = []
     ests = []
     for a in curve_levels:
@@ -841,13 +905,11 @@ def _run_doob(st: RunSettings) -> tuple[list[TargetCheck], list[CurveSeries]]:
             )
     curve = _curve("constant-one-levels", curve_levels, [1.0 / a for a in curve_levels], ests)
 
-    h2 = 2.5 * h1
-    feats2 = _chunked(st, _doob_chunk, chunk_size=64, horizon=h2, levels=(2.0,), model=_ERF)
-    pprime = ensemble_weights(feats2["q"])
-    freq = weighted_mean(feats2[f"freq|{2.0:g}"], pprime)
-    xg = np.exp(feats2["zg"])
+    pprime = ensemble_weights(feats["q"])
+    freq = weighted_mean(feats["erf|freq|2"], pprime)
+    xg = np.exp(feats["zg"])
     mean_side = weighted_mean(np.minimum(xg / 2.0, 1.0), pprime)
-    spans = h2 - feats2["gbar_t"]
+    spans = h2 - feats["gbar_t"]
     blog = np.log(2.0 / np.minimum(xg, 2.0))
     resid = float(np.mean(_sup_deficit(blog, spans)))
     checks.append(
@@ -863,18 +925,92 @@ def _run_doob(st: RunSettings) -> tuple[list[TargetCheck], list[CurveSeries]]:
     return checks, [curve]
 
 
-# ---------------------------------------------------------------- passage laws
+def _doob_grid(st: RunSettings) -> tuple[float, float]:
+    return _DOOB_SPAN_FACTOR * _horizon(st), st.step
 
-def _passage_chunk(
-    start: int, count: int, *, seed: int, step: float, horizon: float, boundary: BoundarySpec
+
+# ---------------------------------------------------------------- crossing and growth laws
+
+_PASSAGE_BOUNDARIES: dict[str, BoundarySpec] = {
+    "passage-eq2": TableBoundary(((0.0, 1.0), (0.5, 2.0))),
+    "passage-eq3": TableBoundary(((0.0, 1.0), (1.0, float("inf")))),
+    "passage-eq4": ConstantBoundary(1.0),
+}
+# passage-s32 crosses on |W| up to this span, then restarts past it
+_S32_SPAN = 6.0
+
+
+def _stopped_clock(x: np.ndarray, a: np.ndarray, after: np.ndarray | bool = True) -> np.ndarray:
+    """The clock A where X first reaches 1 after the last zero, or at the end."""
+    reach = first_hit((x >= 1.0) & after)
+    return _gather(a, np.where(reach >= 0, reach, x.shape[1] - 1))
+
+
+def _laws_chunk(
+    start: int, count: int, *, seed: int, step: float, span: float, horizon: float | None
 ) -> dict[str, np.ndarray]:
-    grid = make_grid(horizon, step)
+    """The laws family's features off one primary draw.
+
+    |W| and its clock A up to ``span`` give each passage boundary's
+    crossing (passage-s32's paired crossing is passage-eq4's) and
+    a-infinity's ConstantOne law: that model has no zeros, so its
+    restart anchor is 0 and the anchored clock is the plain one.  The
+    driver restarted at the ErfSign last zero, up to ``horizon``, gives
+    passage-s32's restarted crossing and a-infinity's ErfSign law;
+    ``horizon`` None leaves that half out.
+    """
+    grid = make_grid(span if horizon is None else horizon, step)
+    n = grid.index_of(span)
     w = _primary(seed, start, count, grid)
-    x = np.abs(w)
+    x = np.abs(w[:, : n + 1])
     a = occupation_kernel(x, step)
-    viol = x > boundary.phi_of(a)
-    v = first_hit(viol)
-    return {"hit": (v >= 0).astype(np.float64), "aprev": before_hit(a, v), "aterm": a[:, -1]}
+    out = {"aterm": a[:, -1].copy(), "aterm|constant-one": _stopped_clock(x, a)}
+    for name, boundary in _PASSAGE_BOUNDARIES.items():
+        v = first_hit(x > boundary.phi_of(a))
+        out[f"hit|{name}"] = (v >= 0).astype(np.float64)
+        out[f"aprev|{name}"] = before_hit(a, v)
+    if horizon is None:
+        return out
+    del x, a
+
+    terminal, zg = _density_block(_ERF, seed, start, count, step)
+    gbar = zg.gbar_idx
+    xs = np.abs(w - _gather(w, gbar)[:, None])
+    a_sh = occupation_kernel(xs, step, anchors=gbar[:, None])
+    after = np.arange(grid.n_steps + 1)[None, :] >= gbar[:, None]
+    ve = first_hit((xs > 1.0) & after)
+    out["hit|restarted"] = (ve >= 0).astype(np.float64)
+    out["aprev|restarted"] = before_hit(a_sh, ve)
+    out["aterm|erf-sign"] = _stopped_clock(xs, a_sh, after)
+    out["q"] = terminal
+    return out
+
+
+def _laws_call(st: RunSettings) -> dict[str, float | None]:
+    """The run's laws-family parameters.  At the registry horizons every
+    member makes the same call: |W| to 6, the restarted driver to 7.
+    A passage run at a step that does not divide the ErfSign span needs
+    |W| alone, and no other member runs at that step."""
+    h = _horizon(st)
+    if st.name == "passage-s32":
+        return {"span": _S32_SPAN, "horizon": h}
+    extended = h + _MODEL_SPAN
+    if st.name in _PASSAGE_BOUNDARIES and not _divides(st.step, _MODEL_SPAN):
+        extended = None
+    return {"span": h, "horizon": extended}
+
+
+def _divides(step: float, span: float) -> bool:
+    try:
+        make_grid(span, step)
+    except ConfigurationError:
+        return False
+    return True
+
+
+def _laws_grid(st: RunSettings) -> tuple[float, float]:
+    call = _laws_call(st)
+    return max(call["span"], call["horizon"] or 0.0), st.step
 
 
 def _passage_rows(
@@ -905,25 +1041,20 @@ def _passage_rows(
     return check, curve
 
 
-def _run_passage(
-    st: RunSettings, *, boundary: BoundarySpec, u: float | None, trunc: float
-) -> tuple[list[TargetCheck], list[CurveSeries]]:
-    horizon = st.horizon if st.horizon is not None else 6.0
-    feats = _chunked(st, _passage_chunk, horizon=horizon, boundary=boundary)
+def _run_passage(st: RunSettings, *, u: float | None, trunc: float) -> tuple[list[TargetCheck], list[CurveSeries]]:
+    boundary = _PASSAGE_BOUNDARIES[st.name]
+    feats = _chunked(st, _laws_chunk, **_laws_call(st))
+    hit, aprev = feats[f"hit|{st.name}"], feats[f"aprev|{st.name}"]
     label = "crossing-before-growth-1" if u is not None else "crossing-over-full-span"
-    check, curve = _passage_rows(feats["hit"], feats["aprev"], boundary, u, label, None, trunc)
-    undecided = float(np.mean((feats["hit"] == 0.0) & (feats["aterm"] <= (u if u is not None else boundary_cap(boundary)))))
+    check, curve = _passage_rows(hit, aprev, boundary, u, label, None, trunc)
+    undecided = float(np.mean((hit == 0.0) & (feats["aterm"] <= (u if u is not None else boundary_cap(boundary)))))
     check = replace(check, detail=check.detail + f"; undecided fraction {undecided:.4f}")
     return [check], [curve]
 
 
-_run_passage_eq2 = functools.partial(
-    _run_passage, boundary=TableBoundary(((0.0, 1.0), (0.5, 2.0))), u=1.0, trunc=0.008
-)
-_run_passage_eq3 = functools.partial(
-    _run_passage, boundary=TableBoundary(((0.0, 1.0), (1.0, float("inf")))), u=None, trunc=0.004
-)
-_run_passage_eq4 = functools.partial(_run_passage, boundary=ConstantBoundary(1.0), u=1.0, trunc=0.008)
+_run_passage_eq2 = functools.partial(_run_passage, u=1.0, trunc=0.008)
+_run_passage_eq3 = functools.partial(_run_passage, u=None, trunc=0.004)
+_run_passage_eq4 = functools.partial(_run_passage, u=1.0, trunc=0.008)
 
 
 def boundary_cap(boundary: BoundarySpec) -> float:
@@ -935,45 +1066,21 @@ def boundary_cap(boundary: BoundarySpec) -> float:
     return float("inf")
 
 
-def _s32_chunk(
-    start: int, count: int, *, seed: int, step: float, horizon: float, span: float, model: DensityModel
-) -> dict[str, np.ndarray]:
-    grid = make_grid(horizon, step)
-    w = _primary(seed, start, count, grid)
-
-    n6 = grid.index_of(span)
-    xc = np.abs(w[:, : n6 + 1])
-    ac = occupation_kernel(xc, step)
-    vc = first_hit(xc > 1.0)
-
-    terminal, zg = _density_block(model, seed, start, count, step)
-    gbar = zg.gbar_idx
-    xs = np.abs(w - _gather(w, gbar)[:, None])
-    a_sh = occupation_kernel(xs, step, anchors=gbar[:, None])
-    col = np.arange(grid.n_steps + 1)
-    ve = first_hit((xs > 1.0) & (col[None, :] >= gbar[:, None]))
-    return {
-        "hit_c": (vc >= 0).astype(np.float64),
-        "aprev_c": before_hit(ac, vc),
-        "hit_e": (ve >= 0).astype(np.float64),
-        "aprev_e": before_hit(a_sh, ve),
-        "pprime_raw": terminal,
-    }
-
-
 def _run_s32(st: RunSettings) -> tuple[list[TargetCheck], list[CurveSeries]]:
-    span = 6.0
-    horizon = st.horizon if st.horizon is not None else span + 1.0
-    feats = _chunked(st, _s32_chunk, horizon=horizon, span=span, model=_ERF)
-    pprime = ensemble_weights(feats["pprime_raw"])
+    # |W| needs its whole span on the simulated grid
+    _grid_steps((_S32_SPAN,), _horizon(st), st.step)
+    feats = _chunked(st, _laws_chunk, **_laws_call(st))
+    pprime = ensemble_weights(feats["q"])
     bnd = ConstantBoundary(1.0)
+    hit_e, aprev_e = feats["hit|restarted"], feats["aprev|restarted"]
+    hit_c, aprev_c = feats["hit|passage-eq4"], feats["aprev|passage-eq4"]
     restarted, curve = _passage_rows(
-        feats["hit_e"], feats["aprev_e"], bnd, 1.0, "restarted-crossing-before-growth-1", pprime, 0.008,
+        hit_e, aprev_e, bnd, 1.0, "restarted-crossing-before-growth-1", pprime, 0.008,
         curve_name="restarted-crossing-by-level",
     )
-    paired, _ = _passage_rows(feats["hit_c"], feats["aprev_c"], bnd, 1.0, "paired-driver-crossing", None, 0.008)
-    ev_e = ((feats["hit_e"] > 0.0) & (feats["aprev_e"] <= 1.0)).astype(np.float64)
-    ev_c = ((feats["hit_c"] > 0.0) & (feats["aprev_c"] <= 1.0)).astype(np.float64)
+    paired, _ = _passage_rows(hit_c, aprev_c, bnd, 1.0, "paired-driver-crossing", None, 0.008)
+    ev_e = ((hit_e > 0.0) & (aprev_e <= 1.0)).astype(np.float64)
+    ev_c = ((hit_c > 0.0) & (aprev_c <= 1.0)).astype(np.float64)
     agreement = agreement_check(
         "common-numbers-agreement",
         weighted_mean(ev_e, pprime),
@@ -984,45 +1091,22 @@ def _run_s32(st: RunSettings) -> tuple[list[TargetCheck], list[CurveSeries]]:
     return [restarted, paired, agreement], [curve]
 
 
-# ---------------------------------------------------------------- terminal growth law
-
-def _ainf_chunk(
-    start: int, count: int, *, seed: int, step: float, horizon: float, stop_level: float, model: DensityModel
-) -> dict[str, np.ndarray]:
-    grid = make_grid(horizon, step)
-    w = _primary(seed, start, count, grid)
-    terminal, zg = _density_block(model, seed, start, count, step)
-    gbar = zg.gbar_idx
-    xs = np.abs(w - _gather(w, gbar)[:, None])
-    col = np.arange(grid.n_steps + 1)
-    reach = first_hit((xs >= stop_level) & (col[None, :] >= gbar[:, None]))
-    # the clock restarted at the last zero, read where X first reaches the
-    # stop level (or at the horizon)
-    a = occupation_kernel(xs, step, anchors=gbar[:, None])
-    return {
-        "aterm": _gather(a, np.where(reach >= 0, reach, grid.n_steps)),
-        "reached": (reach >= 0).astype(np.float64),
-        "q": terminal,
-    }
-
-
 def _run_ainf(st: RunSettings) -> tuple[list[TargetCheck], list[CurveSeries]]:
     law = GrowthLaw.constant(1.0)
     checks: list[TargetCheck] = []
     curves: list[CurveSeries] = []
     xs = tuple(0.25 * k for k in range(13))
-    for model, extra_span in ((ConstantOne(), 0.0), (_ERF, 1.0)):
-        horizon = (st.horizon if st.horizon is not None else 6.0) + extra_span
-        feats = _chunked(st, _ainf_chunk, horizon=horizon, stop_level=1.0, model=model)
-        label = _model_label(model)
-        pprime = ensemble_weights(feats["q"])
-        rep = ks_test(feats["aterm"], pprime, law.cdf, extra_allowance=0.03)
+    feats = _chunked(st, _laws_chunk, **_laws_call(st))
+    for label, q in (("constant-one", np.ones(st.n_paths)), ("erf-sign", feats["q"])):
+        aterm = feats[f"aterm|{label}"]
+        pprime = ensemble_weights(q)
+        rep = ks_test(aterm, pprime, law.cdf, extra_allowance=0.03)
         checks.append(_ks_check(f"{label}-terminal-law-ks", rep, 0.03))
         checks.append(
             mean_check(
                 f"{label}-survival-at-1",
                 float(np.exp(-1.0)),
-                (feats["aterm"] > 1.0).astype(np.float64),
+                (aterm > 1.0).astype(np.float64),
                 pprime,
                 grid_allowance=0.015,
                 truncation_allowance=0.005,
@@ -1031,49 +1115,76 @@ def _run_ainf(st: RunSettings) -> tuple[list[TargetCheck], list[CurveSeries]]:
         checks.append(
             count_check(
                 f"{label}-survival-at-0-exact",
-                int(np.count_nonzero(feats["aterm"] <= 0.0)),
+                int(np.count_nonzero(aterm <= 0.0)),
                 "terminal local time is strictly positive on every path",
             )
         )
-        ests = [weighted_mean((feats["aterm"] > g).astype(np.float64), pprime) for g in xs]
+        ests = [weighted_mean((aterm > g).astype(np.float64), pprime) for g in xs]
         curves.append(_curve(f"{label}-survival", xs, [float(np.exp(-g)) for g in xs], ests))
     return checks, curves
 
 
 # ---------------------------------------------------------------- levy corollaries
 
-def _levy_chunk(
-    start: int, count: int, *, seed: int, step: float, horizon: float, x_low: float | None
-) -> dict[str, np.ndarray]:
-    grid = make_grid(horizon, step)
-    w = _primary(seed, start, count, grid)
+_LEVY = ("levy-eq5", "levy-eq6")
+# levy-eq6 opens its window once the supremum passes this level
+_LEVY_X_LOW = 0.05
+
+
+def _drawdown_hold(w: np.ndarray, x_low: float | None) -> dict[str, np.ndarray]:
+    """First drawdown past 1 (after the supremum passes x_low, if given)
+    and the supremum just before it."""
     s = np.maximum.accumulate(w, axis=1)
-    dd = s - w
-    viol = dd > 1.0
+    viol = s - w > 1.0
+    out = {}
     if x_low is not None:
         tx = first_hit(s > x_low)
-        col = np.arange(grid.n_steps + 1)
+        col = np.arange(w.shape[1])
         viol = viol & (col[None, :] >= tx[:, None]) & (tx >= 0)[:, None]
-    v = first_hit(viol)
-    out = {"has_viol": (v >= 0).astype(np.float64), "sprev": before_hit(s, v)}
-    if x_low is not None:
         out["x_unreached"] = (tx < 0).astype(np.float64)
+    v = first_hit(viol)
+    out["has_viol"] = (v >= 0).astype(np.float64)
+    out["sprev"] = before_hit(s, v)
+    return out
+
+
+def _levy_chunk(
+    start: int, count: int, *, seed: int, step: float, horizons: tuple[float, float]
+) -> dict[str, np.ndarray]:
+    """levy-eq5's hold over the first horizon and levy-eq6's windowed
+    hold over the second, off one primary draw to the longer one."""
+    grid = make_grid(max(horizons), step)
+    ends = [make_grid(h, step).n_steps for h in horizons]
+    w = _primary(seed, start, count, grid)
+    out = {}
+    for name, end, x_low in zip(_LEVY, ends, (None, _LEVY_X_LOW)):
+        for key, values in _drawdown_hold(w[:, : end + 1], x_low).items():
+            out[f"{key}|{name}"] = values
     # terminal weights for every density model off the shared density stream
-    sgrid = make_grid(1.0, step)
+    sgrid = make_grid(_MODEL_SPAN, step)
     incs = increments_matrix(seed, start, count, sgrid.n_steps, step, SUBSTREAM_DENSITY)
     for key, model in (("q_erf", _ERF), ("q_sbm", _SBM)):
         out[key] = density_matrix(model, driver_from_increments(model, incs), sgrid)[:, -1]
     return out
 
 
-def _hold_values(feats: dict[str, np.ndarray], u: float) -> np.ndarray:
-    return ((feats["has_viol"] == 0.0) | (feats["sprev"] > u)).astype(np.float64)
+def _levy_horizons(st: RunSettings) -> tuple[float, float]:
+    """levy-eq5's and levy-eq6's horizons: the run's own, the other's default."""
+    h5, h6 = (_horizon(st) if name == st.name else EXPERIMENTS[name].horizon for name in _LEVY)
+    return h5, h6
+
+
+def _levy_grid(st: RunSettings) -> tuple[float, float]:
+    return max(_levy_horizons(st)), st.step
+
+
+def _hold_values(feats: dict[str, np.ndarray], name: str, u: float) -> np.ndarray:
+    return ((feats[f"has_viol|{name}"] == 0.0) | (feats[f"sprev|{name}"] > u)).astype(np.float64)
 
 
 def _run_levy5(st: RunSettings) -> tuple[list[TargetCheck], list[CurveSeries]]:
-    horizon = st.horizon if st.horizon is not None else 8.0
-    feats = _chunked(st, _levy_chunk, chunk_size=128, horizon=horizon, x_low=None)
-    hold = _hold_values(feats, 1.0)
+    feats = _chunked(st, _levy_chunk, chunk_size=128, horizons=_levy_horizons(st))
+    hold = _hold_values(feats, st.name, 1.0)
     checks = [
         mean_check(
             "constant-one-hold",
@@ -1095,8 +1206,8 @@ def _run_levy5(st: RunSettings) -> tuple[list[TargetCheck], list[CurveSeries]]:
         mean_check("q-mean-of-one-stopped-bm", 1.0, np.ones_like(hold), feats["q_sbm"]),
     ]
     xs = (0.2, 0.4, 0.6, 0.8, 1.0)
-    plain = [weighted_mean(_hold_values(feats, g)) for g in xs]
-    signed = [weighted_mean(_hold_values(feats, g), feats["q_erf"]) for g in xs]
+    plain = [weighted_mean(_hold_values(feats, st.name, g)) for g in xs]
+    signed = [weighted_mean(_hold_values(feats, st.name, g), feats["q_erf"]) for g in xs]
     curves = [
         _curve("constant-one-hold", xs, [float(np.exp(-g)) for g in xs], plain),
         _curve("erf-sign-hold", xs, [_D0_ERF * float(np.exp(-g)) for g in xs], signed),
@@ -1105,12 +1216,10 @@ def _run_levy5(st: RunSettings) -> tuple[list[TargetCheck], list[CurveSeries]]:
 
 
 def _run_levy6(st: RunSettings) -> tuple[list[TargetCheck], list[CurveSeries]]:
-    horizon = st.horizon if st.horizon is not None else 12.0
-    x_low = 0.05
-    feats = _chunked(st, _levy_chunk, chunk_size=128, horizon=horizon, x_low=x_low)
-    hold = _hold_values(feats, 1.0)
-    factor = float(np.exp(-(1.0 - x_low)))
-    unreached = float(np.mean(feats["x_unreached"]))
+    feats = _chunked(st, _levy_chunk, chunk_size=128, horizons=_levy_horizons(st))
+    hold = _hold_values(feats, st.name, 1.0)
+    factor = float(np.exp(-(1.0 - _LEVY_X_LOW)))
+    unreached = float(np.mean(feats[f"x_unreached|{st.name}"]))
     # Crossing detection is biased twice here: the running sup is understated
     # between samples and so is the excursion depth, and the window opener
     # fires late for the same reason.  All three push the hold frequency up
@@ -1137,6 +1246,9 @@ def _run_levy6(st: RunSettings) -> tuple[list[TargetCheck], list[CurveSeries]]:
     ]
     return checks, []
 
+
+# Chunk functions whose features several experiments read (see _chunked)
+_FAMILY_CHUNKS = frozenset({_laws_chunk, _levy_chunk})
 
 # ---------------------------------------------------------------- products / scaling
 
@@ -1206,7 +1318,7 @@ def _build_scaled(grid: TimeGrid, seed: SeedSpec):
 def _run_closure(
     st: RunSettings, *, driving_part: Callable, build: Callable, label: str
 ) -> tuple[list[TargetCheck], list[CurveSeries]]:
-    horizon = st.horizon if st.horizon is not None else 1.0
+    horizon = _horizon(st)
     cps = st.checkpoints if st.checkpoints is not None else (0.25, 0.5, 0.75, 1.0)
     cols = _grid_steps(cps, horizon, st.step)
     feats = _chunked(st, _closure_chunk, horizon=horizon, cols=cols, model=_SBM, driving_part=driving_part)
@@ -1296,7 +1408,7 @@ def _membership_chunk(
 
 
 def _run_membership(st: RunSettings) -> tuple[list[TargetCheck], list[CurveSeries]]:
-    horizon = st.horizon if st.horizon is not None else 1.0
+    horizon = _horizon(st)
     feats = _chunked(st, _membership_chunk, horizon=horizon, model=_ERF)
     checks: list[TargetCheck] = []
     for key in _VARIANTS:
@@ -1374,6 +1486,23 @@ _H = ("horizon",)
 _HC = ("horizon", "checkpoints")
 
 
+def _own_grid(st: RunSettings) -> tuple[float, float]:
+    # the run's grid, or the density models' own span where that is longer
+    return max(_horizon(st), _MODEL_SPAN), st.step
+
+
+def _membership_grid(st: RunSettings) -> tuple[float, float]:
+    # the support-mass ladder's finest rung
+    return _horizon(st), st.step / 2.0
+
+
+# One row of the longest grid a run builds may take at most this many
+# bytes (262,144 grid points).  A chunk holds a few matrices of 64 to 256
+# such rows; the registry's longest row, doob-maximal's ErfSign pass at
+# the full step, is 160 KB.
+_ROW_BYTE_BUDGET = 2 << 20
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     """One registry row.
@@ -1381,49 +1510,54 @@ class ExperimentSpec:
     ``reads`` names the run options the runner consumes: ``horizon``,
     ``checkpoints`` and ``policy=extend``.  ``resolve_settings`` rejects
     any other, because an ignored option would still change the config
-    hash.  ``min_horizon`` is the smallest horizon override the runner
-    can honour: ErfSign zero sets span the model's terminal time 1.0,
-    and restart anchors found there index the driver's own grid.
+    hash.  ``horizon`` is the runner's horizon when none is given.
+    ``min_horizon`` is the smallest horizon override the runner can
+    honour: ErfSign zero sets span the model's terminal time 1.0, and
+    restart anchors found there index the driver's own grid.
+    ``largest_grid`` gives the (horizon, step) of the longest grid a
+    run builds, which ``resolve_settings`` holds to the row byte budget.
     """
 
     name: str
     anchor: str
     runner: Callable[[RunSettings], tuple[list[TargetCheck], list[CurveSeries]]]
     reads: tuple[str, ...]
+    horizon: float
     fast: tuple[int, float] = _FAST
     full: tuple[int, float] = _FULL
     min_horizon: float = 0.0
+    largest_grid: Callable[[RunSettings], tuple[float, float]] = _own_grid
 
 
-# name, paper anchor, runner, the options it reads, then the fast and full scales (paths, step)
-# and the smallest horizon override where they differ from the defaults (doob's ErfSign pass
-# runs at 2.5x)
-_TABLE = (
-    ("t1-characterization", "martingale characterization of the base zero-set class", _run_t1, _HC),
-    ("r1-ui-martingale", "uniformly integrable restart martingale for bounded class members", _run_r1, _HC + ("policy=extend",), _FAST, _FULL, 1.0),
-    ("sigma-s-characterization", "martingale characterization of the restarted class", _run_sigma_s, _HC, _FAST, _FULL, 1.0),
-    ("rho-algebra", "linearity, positivity, and product rules of the restart operator", _run_rho, _H, (1000, 2e-3), (1000, 2e-3)),
-    ("q-bracket", "quadratic bracket of the restarted driver", _run_qbracket, _HC, _FAST, _FULL, 1.0),
-    ("tanaka-abs", "signed local-time identity for the absolute value", _run_tanaka_abs, _H, _LADDER_SCALE, _LADDER_SCALE),
-    ("tanaka-plus", "signed local-time identity for the positive part", _run_tanaka_plus, _H, _LADDER_SCALE, _LADDER_SCALE),
-    ("tanaka-minus", "signed local-time identity for the negative part", _run_tanaka_minus, _H, _LADDER_SCALE, _LADDER_SCALE),
-    ("ito", "second-order expansion along restarted paths", _run_ito, _H, _LADDER_SCALE, _LADDER_SCALE),
-    ("doob-maximal", "maximal identity for the supremum after the last zero", _run_doob, _H, _FAST, _FULL, 0.4),
-    ("passage-eq2", "boundary-crossing law stopped at a growth level, stepped boundary", _run_passage_eq2, _H),
-    ("passage-eq3", "boundary-crossing law over the full span, finite total integral", _run_passage_eq3, _H),
-    ("passage-eq4", "probability-case crossing law with a unit boundary", _run_passage_eq4, _H),
-    ("passage-s32", "signed crossing law for the restarted reflected driver", _run_s32, _H),
-    ("a-infinity", "terminal growth law of the stopped reflected construction", _run_ainf, _H),
-    ("levy-eq5", "drawdown confinement law under the signed weight", _run_levy5, _H),
-    ("levy-eq6", "drawdown confinement law between supremum levels", _run_levy6, _H),
-    ("products", "closure of the zero-set class under products", _run_products, _HC),
-    ("scaled-f", "closure of the zero-set class under growth rescaling", _run_scaled, _HC),
-    ("membership", "pathwise membership checks for every construction", _run_membership, _H, (300, 1e-3), (300, 1e-3)),
+# name, paper anchor, runner, the options it reads and the default horizon; then the fast and
+# full scales (paths, step), the smallest horizon override and the longest grid where they
+# differ from the defaults (doob's ErfSign pass runs at 2.5x its horizon)
+_SPECS = (
+    ExperimentSpec("t1-characterization", "martingale characterization of the base zero-set class", _run_t1, _HC, 1.0),
+    ExperimentSpec("r1-ui-martingale", "uniformly integrable restart martingale for bounded class members", _run_r1, _HC + ("policy=extend",), 2.0, min_horizon=1.0, largest_grid=_r1_grid),
+    ExperimentSpec("sigma-s-characterization", "martingale characterization of the restarted class", _run_sigma_s, _HC, 2.0, min_horizon=1.0),
+    ExperimentSpec("rho-algebra", "linearity, positivity, and product rules of the restart operator", _run_rho, _H, 2.0, (1000, 2e-3), (1000, 2e-3)),
+    ExperimentSpec("q-bracket", "quadratic bracket of the restarted driver", _run_qbracket, _HC, 2.0, min_horizon=1.0),
+    ExperimentSpec("tanaka-abs", "signed local-time identity for the absolute value", _run_tanaka_abs, _H, 1.0, _LADDER_SCALE, _LADDER_SCALE),
+    ExperimentSpec("tanaka-plus", "signed local-time identity for the positive part", _run_tanaka_plus, _H, 1.0, _LADDER_SCALE, _LADDER_SCALE),
+    ExperimentSpec("tanaka-minus", "signed local-time identity for the negative part", _run_tanaka_minus, _H, 1.0, _LADDER_SCALE, _LADDER_SCALE),
+    ExperimentSpec("ito", "second-order expansion along restarted paths", _run_ito, _H, 1.0, _LADDER_SCALE, _LADDER_SCALE),
+    ExperimentSpec("doob-maximal", "maximal identity for the supremum after the last zero", _run_doob, _H, 8.0, min_horizon=0.4, largest_grid=_doob_grid),
+    ExperimentSpec("passage-eq2", "boundary-crossing law stopped at a growth level, stepped boundary", _run_passage_eq2, _H, 6.0, largest_grid=_laws_grid),
+    ExperimentSpec("passage-eq3", "boundary-crossing law over the full span, finite total integral", _run_passage_eq3, _H, 6.0, largest_grid=_laws_grid),
+    ExperimentSpec("passage-eq4", "probability-case crossing law with a unit boundary", _run_passage_eq4, _H, 6.0, largest_grid=_laws_grid),
+    ExperimentSpec("passage-s32", "signed crossing law for the restarted reflected driver", _run_s32, _H, _S32_SPAN + _MODEL_SPAN, largest_grid=_laws_grid),
+    ExperimentSpec("a-infinity", "terminal growth law of the stopped reflected construction", _run_ainf, _H, 6.0, largest_grid=_laws_grid),
+    ExperimentSpec("levy-eq5", "drawdown confinement law under the signed weight", _run_levy5, _H, 8.0, largest_grid=_levy_grid),
+    ExperimentSpec("levy-eq6", "drawdown confinement law between supremum levels", _run_levy6, _H, 12.0, largest_grid=_levy_grid),
+    ExperimentSpec("products", "closure of the zero-set class under products", _run_products, _HC, 1.0),
+    ExperimentSpec("scaled-f", "closure of the zero-set class under growth rescaling", _run_scaled, _HC, 1.0),
+    ExperimentSpec("membership", "pathwise membership checks for every construction", _run_membership, _H, 1.0, (300, 1e-3), (300, 1e-3), largest_grid=_membership_grid),
     # the grid is the density model's own span, so no horizon applies
-    ("zero-geometry", "geometry of the terminal-density zero set", _run_geometry, (), (20000, 1e-3), (100000, 2.5e-4)),
+    ExperimentSpec("zero-geometry", "geometry of the terminal-density zero set", _run_geometry, (), _MODEL_SPAN, (20000, 1e-3), (100000, 2.5e-4)),
 )
 
-EXPERIMENTS: dict[str, ExperimentSpec] = {row[0]: ExperimentSpec(*row) for row in _TABLE}
+EXPERIMENTS: dict[str, ExperimentSpec] = {spec.name: spec for spec in _SPECS}
 
 
 def experiment_names() -> list[str]:
@@ -1466,7 +1600,7 @@ def resolve_settings(cfg: ExperimentConfig, suite: str | None = None) -> RunSett
         raise ConfigurationError(f"{cfg.experiment} ignores {', '.join(ignored)}; it reads {reads}")
     if cfg.workers < 1:
         raise ConfigurationError("workers must be at least 1")
-    return RunSettings(
+    st = RunSettings(
         name=cfg.experiment,
         n_paths=int(n_paths),
         step=float(step),
@@ -1476,6 +1610,14 @@ def resolve_settings(cfg: ExperimentConfig, suite: str | None = None) -> RunSett
         policy=cfg.policy,
         workers=int(cfg.workers),
     )
+    span, finest = spec.largest_grid(st)
+    row_bytes = 8.0 * (span / finest + 1.0)
+    if row_bytes > _ROW_BYTE_BUDGET:
+        raise ConfigurationError(
+            f"{st.name}: one row of its grid to time {span:g} at step {finest:g} takes {row_bytes:.3g} bytes,"
+            f" over the {_ROW_BYTE_BUDGET} byte budget; lengthen the step or shorten the horizon"
+        )
+    return st
 
 
 def run_experiment(cfg: ExperimentConfig, suite: str | None = None) -> ExperimentRun:

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 import sigma_lab.paths as paths
 from sigma_lab import (
     SUBSTREAM_DENSITY,
+    SUBSTREAM_PRIMARY,
     ConfigurationError,
     ErfSign,
     ExperimentConfig,
@@ -26,7 +27,13 @@ from sigma_lab import (
     write_report,
 )
 from sigma_lab.cli import main
-from sigma_lab.experiments import RunSettings, _membership_chunk, _rho_chunk
+from sigma_lab.experiments import (
+    RunSettings,
+    _chunked,
+    _levy_chunk,
+    _membership_chunk,
+    _rho_chunk,
+)
 from sigma_lab.reporting import CSV_COLUMNS, rows_as_json
 
 EXPECTED_NAMES = [
@@ -287,7 +294,7 @@ def test_cli_zero_paths_is_config_error():
     assert main(["run", "--experiment", "passage-eq4", "--paths", "0"]) == 1
 
 
-def test_cli_short_horizon_is_config_error(tmp_path, capsys):
+def test_cli_short_horizon_is_config_error(tmp_path, capsys, draws):
     assert main(["run", "--experiment", "doob-maximal", "--horizon", "0.3", "--paths", "8", "--out", str(tmp_path)]) == 1
     # the level-2 finite-span deficit exceeds the row's 0.02 budget below about 6.13
     assert main(["run", "--experiment", "doob-maximal", "--horizon", "6.0", "--paths", "8", "--out", str(tmp_path)]) == 1
@@ -309,6 +316,24 @@ def test_cli_short_horizon_is_config_error(tmp_path, capsys):
         ("t1-characterization", "--checkpoints", "nan"),
     ):
         assert main(["run", "--experiment", name, option, value, "--paths", "8", "--out", str(tmp_path)]) == 1
+    # a grid whose rows outgrow the byte budget fails before any draw, not in the allocator
+    capsys.readouterr()
+    for name, option, value in (("passage-eq4", "--horizon", "1e13"), ("zero-geometry", "--step", "1e-9")):
+        assert main(["run", "--experiment", name, option, value, "--paths", "2", "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "byte budget" in err and "Traceback" not in err
+    # the budget counts doob's 2.5x ErfSign pass and membership's half-step rung
+    for name in ("t1-characterization", "passage-eq4", "doob-maximal", "membership"):
+        cfg = ExperimentConfig(experiment=name, horizon=200.0, step=1e-3)
+        if name in ("doob-maximal", "membership"):
+            with pytest.raises(ConfigurationError, match="byte budget"):
+                resolve_settings(cfg)
+        else:
+            resolve_settings(cfg)
+    assert sum(draws.values()) == 0
+    for name in experiment_names():
+        for suite in ("fast", "full"):
+            resolve_settings(ExperimentConfig(experiment=name), suite)
 
 
 def test_cli_ignored_option_is_config_error(tmp_path):
@@ -336,6 +361,53 @@ def test_pathwise_chunks_draw_each_density_stream_once(draws):
     draws.clear()
     _membership_chunk(0, 10, seed=20260822, step=0.01, horizon=1.0, model=model)
     assert draws[SUBSTREAM_DENSITY] == 10
+
+
+_LAWS = ("passage-eq2", "passage-eq3", "passage-eq4", "passage-s32", "a-infinity")
+
+
+def test_shared_families_draw_each_path_once(draws):
+    n = 400
+    for name in _LAWS:
+        _micro(name, n_paths=n)
+    assert draws[SUBSTREAM_PRIMARY] == n and draws[SUBSTREAM_DENSITY] == n
+    draws.clear()
+    for name in ("levy-eq5", "levy-eq6"):
+        _micro(name, n_paths=n)
+    assert draws[SUBSTREAM_PRIMARY] == n and draws[SUBSTREAM_DENSITY] == n
+    draws.clear()
+    # both doob passes read one primary draw
+    _micro("doob-maximal", n_paths=n)
+    assert draws[SUBSTREAM_PRIMARY] == n
+    draws.clear()
+    # a horizon override changes the call, so that member simulates on its own
+    _micro("passage-eq4", n_paths=n, horizon=5.0)
+    assert draws[SUBSTREAM_PRIMARY] == n
+    draws.clear()
+    # at a step off the ErfSign span's grid, passage draws |W| alone
+    _micro("passage-eq4", n_paths=n, step=3e-3)
+    assert draws[SUBSTREAM_PRIMARY] == n and draws[SUBSTREAM_DENSITY] == 0
+
+
+def test_family_member_rerun_draws_again(draws):
+    first = _micro("passage-eq4", n_paths=300)
+    draws.clear()
+    second = _micro("passage-eq4", n_paths=300)
+    assert draws[SUBSTREAM_PRIMARY] == 300
+    assert report_rows(first) == report_rows(second)
+
+
+def test_laws_family_rows_match_across_worker_counts():
+    serial = [report_rows(_micro(name, n_paths=600)) for name in _LAWS]
+    pooled = [report_rows(_micro(name, n_paths=600, workers=2)) for name in _LAWS]
+    assert serial == pooled
+
+
+def test_shared_features_are_read_only():
+    st_ = resolve_settings(ExperimentConfig(experiment="levy-eq5", n_paths=20, step=5e-3))
+    feats = _chunked(st_, _levy_chunk, horizons=(8.0, 12.0))
+    with pytest.raises(ValueError):
+        feats["q_erf"][0] = 0.0
 
 
 @pytest.mark.parametrize("name", ["t1-characterization", "sigma-s-characterization", "products", "scaled-f"])
