@@ -9,12 +9,17 @@ segment rule and are implemented with one shared prefix-sum gather, so
 the algebraic identities between them hold bitwise, not just to
 rounding.
 
-That gather (``gathered_prefix``) and the occupation kernel
-(``occupation_kernel``) take arrays shaped (..., n+1) and per-row
-anchors.  The per-path functions here and in ``sigma_classes`` call
-them on one path, and the ensemble chunks in ``experiments`` call them
-on path rows, so the two forms share code, not just formulas.  The
-kernel's bandwidth is sqrt(step) everywhere.
+Every kernel here works along the last axis of arrays shaped (..., n+1)
+with per-row anchors: the gather (``gathered_prefix``), the occupation
+kernel (``occupation_kernel``), the residual kernels
+(``tanaka_rows``, ``ito_rows``), and every ``PathFunctional``, whose
+``evaluate`` maps each row on its own.  ``SegmentLayout`` gathers the
+zero-free runs of a whole chunk of rows once, grouped by length, and
+evaluates a functional on all of them at a time.  ``rho``,
+``q_integral``, ``tanaka_residual`` and ``ito_residual`` are the
+one-row case of these kernels, and the ensemble chunks in
+``experiments`` call them on path rows, so the two forms share code,
+not just formulas.  The kernel's bandwidth is sqrt(step) everywhere.
 
 Grid conventions: a run is the maximal index block sharing one
 last-zero anchor; the anchor belongs to its own block; index 0 anchors
@@ -24,7 +29,7 @@ the initial block and is never a zero-set point.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +50,7 @@ __all__ = [
     "LinearCombination",
     "Product",
     "assert_adapted",
+    "SegmentLayout",
     "gathered_prefix",
     "occupation_kernel",
     "rho",
@@ -52,17 +58,23 @@ __all__ = [
     "q_integral",
     "q_bracket",
     "q_local_time",
+    "tanaka_rows",
     "tanaka_residual",
     "TanakaResidual",
+    "ito_rows",
     "ito_residual",
 ]
 
 
 class PathFunctional(ABC):
-    """Adapted functional of a discrete path.
+    """Adapted functional of discrete paths.
 
-    ``evaluate`` maps the value array of a path (and its step) to an
-    equally long array whose entry i may depend only on values[: i+1].
+    ``evaluate`` maps value rows shaped (..., n+1) (and their step) to
+    an equally shaped array, along the last axis: each output row
+    depends on its own input row alone, and its entry i only on that
+    row's values[: i+1].  A one-dimensional path is the one-row case.
+    ``assert_adapted`` probes both halves of this contract, and
+    ``SegmentLayout`` relies on them to evaluate many runs in one call.
     """
 
     @abstractmethod
@@ -73,26 +85,27 @@ class RunningSup(PathFunctional):
     """Running maximum of the path values."""
 
     def evaluate(self, values: np.ndarray, step: float) -> np.ndarray:
-        return np.maximum.accumulate(values)
+        return np.maximum.accumulate(values, axis=-1)
 
 
 class RunningIntegralAgainst(PathFunctional):
-    """Left-point integral of h(X) against dX."""
+    """Left-point integral of h(X) against dX (h maps values elementwise)."""
 
     def __init__(self, h: Callable[[np.ndarray], np.ndarray]):
         self.h = h
 
     def evaluate(self, values: np.ndarray, step: float) -> np.ndarray:
-        if values.shape[0] < 2:
+        if values.shape[-1] < 2:
             return np.zeros_like(values)
-        return gathered_prefix(np.asarray(self.h(values[:-1]), dtype=np.float64) * np.diff(values))
+        left = np.asarray(self.h(values[..., :-1]), dtype=np.float64)
+        return gathered_prefix(left * np.diff(values, axis=-1))
 
 
 class QuadraticVariation(PathFunctional):
     """Realized quadratic variation: cumulative sum of squared steps."""
 
     def evaluate(self, values: np.ndarray, step: float) -> np.ndarray:
-        return gathered_prefix(np.diff(values) ** 2)
+        return gathered_prefix(np.diff(values, axis=-1) ** 2)
 
 
 class LocalTimeAt(PathFunctional):
@@ -130,7 +143,7 @@ class NetChange(PathFunctional):
     """Change of the path value since its start."""
 
     def evaluate(self, values: np.ndarray, step: float) -> np.ndarray:
-        return values - values[0]
+        return values - values[..., :1]
 
 
 class LinearCombination(PathFunctional):
@@ -160,12 +173,26 @@ class Product(PathFunctional):
         return out
 
 
+class _IntegralOf(PathFunctional):
+    """Left-point integral of a functional's own values against dX."""
+
+    def __init__(self, h: PathFunctional):
+        self.h = h
+
+    def evaluate(self, values: np.ndarray, step: float) -> np.ndarray:
+        hv = self.h.evaluate(values, step)
+        return gathered_prefix(hv[..., :-1] * np.diff(values, axis=-1))
+
+
 def assert_adapted(phi: PathFunctional, values: np.ndarray, step: float) -> None:
-    """Probe a functional for adaptedness on a concrete path.
+    """Probe a functional for its evaluation contract on a concrete path.
 
     Evaluates on up to four truncated prefixes and requires bitwise
-    agreement with the full evaluation; raises ContractError when entry
-    i of the output is found to depend on values beyond index i.
+    agreement with the full evaluation; then evaluates the two-row
+    stack of the path and its reversal and requires each output row to
+    equal that row evaluated alone.  Raises ContractError when entry i
+    of the output is found to depend on values beyond index i, or on
+    another row.
     """
     full = phi.evaluate(values, step)
     if full.shape != values.shape:
@@ -176,20 +203,75 @@ def assert_adapted(phi: PathFunctional, values: np.ndarray, step: float) -> None
         prefix = phi.evaluate(values[: c + 1], step)
         if not np.array_equal(prefix, full[: c + 1]):
             raise ContractError("functional is not adapted: prefix evaluation differs")
+    rows = np.stack([values, values[::-1]])
+    stacked = phi.evaluate(rows, step)
+    if stacked.shape != rows.shape or not all(
+        np.array_equal(stacked[k], phi.evaluate(rows[k], step)) for k in range(2)
+    ):
+        raise ContractError("functional does not work along the last axis: a row stack evaluates differently")
 
 
-def _blocks(zs: ZeroSetInfo) -> Iterator[tuple[int, int]]:
-    """Yield (anchor, last_index) for each maximal constant-anchor run."""
-    anchors = zs.excursion_start_indices
-    n = zs.grid.n_steps
-    for i, g in enumerate(anchors):
-        e = int(anchors[i + 1]) - 1 if i + 1 < len(anchors) else n
-        yield int(g), e
+# Runs shorter than this share one bucket: it saves evaluate calls on the
+# many short runs near a crossing, at a few padded entries each.
+_MIN_WIDTH_LOG2 = 3
+
+
+class SegmentLayout:
+    """The zero-free runs of a chunk of rows, gathered once by length.
+
+    ``values`` are rows shaped (R, n+1) and ``in_h`` their zero-set
+    masks.  Each run (its row, anchor and length) joins the bucket of
+    the smallest power of two, at least 8, that covers its length.  A
+    bucket holds its runs' values as one matrix, read on past each
+    run's end (past the row end, the last value repeats); an adapted
+    functional never looks there.  ``restart`` evaluates a functional
+    once per bucket and scatters each run's entries back, so it equals
+    the functional evaluated run by run, bit for bit.
+    """
+
+    def __init__(self, values: np.ndarray, in_h: np.ndarray):
+        if values.ndim != 2 or in_h.shape != values.shape:
+            raise ContractError("segment layout needs value rows and zero-set masks of one shape")
+        width = values.shape[1]
+        starts = in_h.copy()
+        starts[:, 0] = True
+        anchor = np.flatnonzero(starts)  # flat index of each run's anchor
+        length = np.diff(anchor, append=starts.size)
+        row_last = anchor - anchor % width + width - 1
+        log2 = np.maximum(np.ceil(np.log2(length)).astype(np.int64), _MIN_WIDTH_LOG2)
+        flat = values.reshape(-1)
+        self.shape = values.shape
+        self._buckets = []
+        for b in np.unique(log2):
+            sel = log2 == b
+            offsets = np.arange(1 << int(b))
+            idx = np.minimum(anchor[sel, None] + offsets, row_last[sel, None])
+            keep = offsets < length[sel, None]
+            # only each row's initial run keeps its anchor entry; a run
+            # opened by a zero books 0 there
+            keep[:, 0] = anchor[sel] % width == 0
+            self._buckets.append((flat[idx], keep, idx[keep]))
+
+    def restart(self, phi: PathFunctional, step: float) -> np.ndarray:
+        """The functional restarted on every run: the ``rho`` row kernel."""
+        out = np.zeros(self.shape)
+        flat = out.reshape(-1)
+        for vals, keep, targets in self._buckets:
+            res = phi.evaluate(vals, step)
+            if res.shape != vals.shape:
+                raise ContractError("functional output shape must match its input")
+            flat[targets] = res[keep]
+        return out
 
 
 def _check_same_grid(X: Path, zs: ZeroSetInfo) -> None:
     if X.grid != zs.grid:
         raise ContractError("path and zero set live on different grids")
+
+
+def _restart_one(phi: PathFunctional, X: Path, zs: ZeroSetInfo) -> Path:
+    layout = SegmentLayout(X.values[None], zs.in_h[None])
+    return Path(grid=X.grid, values=layout.restart(phi, zs.grid.step)[0])
 
 
 def rho(phi: PathFunctional, X: Path, zs: ZeroSetInfo) -> Path:
@@ -198,20 +280,11 @@ def rho(phi: PathFunctional, X: Path, zs: ZeroSetInfo) -> Path:
     Output is 0 at zero-set points; elsewhere the functional is
     evaluated afresh on the segment from the last zero.  The tail past
     the final zero therefore reproduces, entry for entry, the
-    functional evaluated on the shifted path.
+    functional evaluated on the shifted path.  The one-row case of
+    ``SegmentLayout.restart``.
     """
     _check_same_grid(X, zs)
-    values = X.values
-    in_h = np.zeros(zs.grid.n_steps + 1, dtype=bool)
-    in_h[zs.h_indices] = True
-    out = np.zeros_like(values)
-    for g, e in _blocks(zs):
-        vals = phi.evaluate(values[g : e + 1], zs.grid.step)
-        if in_h[g]:
-            out[g + 1 : e + 1] = vals[1:]
-        else:
-            out[g : e + 1] = vals
-    return Path(grid=X.grid, values=out)
+    return _restart_one(phi, X, zs)
 
 
 def shift(X: Path, zs: ZeroSetInfo) -> Path:
@@ -286,18 +359,11 @@ def q_integral(
     restart operator itself).
     """
     _check_same_grid(X, zs)
+    if isinstance(h, PathFunctional):
+        # the restarted integral is 0 at every anchor
+        return _restart_one(_IntegralOf(h), X, zs)
     values = X.values
     incs = np.diff(values)
-    if isinstance(h, PathFunctional):
-        out = np.zeros_like(values)
-        for g, e in _blocks(zs):
-            if e == g:
-                continue
-            seg = values[g : e + 1]
-            hv = h.evaluate(seg, zs.grid.step)
-            out[g : e + 1] = gathered_prefix(hv[:-1] * np.diff(seg))
-        # Zero-set anchors already carry 0 from the local cumsum start.
-        return Path(grid=X.grid, values=out)
     if callable(h):
         hw = np.asarray(h(values[:-1]), dtype=np.float64)
     else:
@@ -368,6 +434,26 @@ def _form_pieces(form: str, left: np.ndarray, level: float):
     return f, d, half
 
 
+def tanaka_rows(
+    values: np.ndarray,
+    level: float,
+    gamma: np.ndarray,
+    step: float,
+    form: str = "abs",
+) -> tuple[np.ndarray, np.ndarray]:
+    """Identity and kernel local times of rows restarted at ``gamma``.
+
+    ``gamma`` holds the last-zero anchor column of every entry, shaped
+    like ``values``; the residual is the first output minus the second.
+    The row kernel behind ``tanaka_residual``.
+    """
+    f, d, half = _form_pieces(form, values[..., :-1], level)
+    fx = f(values)
+    lhs = fx - np.take_along_axis(fx, gamma, axis=-1)
+    stoch = gathered_prefix(d * np.diff(values, axis=-1), gamma)
+    return (lhs - stoch) / half, occupation_kernel(values, step, level, gamma)
+
+
 def tanaka_residual(
     X: Path,
     level: float,
@@ -380,25 +466,37 @@ def tanaka_residual(
     f(X_t) - f(X at the segment start) minus the restarted left-point
     integral of f' against dX, rescaled so that every form estimates
     the same symmetric local time.  The kernel estimate is
-    ``q_local_time`` on the same segments.
+    ``q_local_time`` on the same segments.  The one-row case of
+    ``tanaka_rows``.
     """
     _check_same_grid(X, zs)
-    values = X.values
-    f, d, half = _form_pieces(form, values[:-1], level)
-    fx = f(values)
-    lhs = fx - fx[zs.gamma_index]
-    stoch = gathered_prefix(d * np.diff(values), zs.gamma_index)
-    identity = (lhs - stoch) / half
-    kernel = q_local_time(X, level, zs)
-    residual = identity - kernel.values
+    identity, kernel = tanaka_rows(X.values, level, zs.gamma_index, zs.grid.step, form)
     grid = X.grid
     return TanakaResidual(
         form=form,
         level=level,
         identity_local_time=Path(grid=grid, values=identity),
-        kernel_local_time=kernel,
-        residual=Path(grid=grid, values=residual),
+        kernel_local_time=Path(grid=grid, values=kernel),
+        residual=Path(grid=grid, values=identity - kernel),
     )
+
+
+def ito_rows(
+    F: Callable[[np.ndarray], np.ndarray],
+    dF: Callable[[np.ndarray], np.ndarray],
+    d2F: Callable[[np.ndarray], np.ndarray],
+    values: np.ndarray,
+    gamma: np.ndarray,
+) -> np.ndarray:
+    """Second-order expansion residual of rows restarted at ``gamma``
+    (anchor columns shaped like ``values``): the row kernel behind
+    ``ito_residual``."""
+    left = values[..., :-1]
+    incs = np.diff(values, axis=-1)
+    fx = np.asarray(F(values), dtype=np.float64)
+    lhs = fx - np.take_along_axis(fx, gamma, axis=-1)
+    c = np.asarray(dF(left), dtype=np.float64) * incs + 0.5 * np.asarray(d2F(left), dtype=np.float64) * incs**2
+    return lhs - gathered_prefix(c, gamma)
 
 
 def ito_residual(
@@ -413,12 +511,7 @@ def ito_residual(
     F(X_t) - F(X at the segment start) minus the restarted left-point
     sum of dF * increment + d2F / 2 * increment squared.  Quadratic F
     makes this vanish to rounding; smooth F decays like sqrt(step).
+    The one-row case of ``ito_rows``.
     """
     _check_same_grid(X, zs)
-    values = X.values
-    left = values[:-1]
-    incs = np.diff(values)
-    fx = np.asarray(F(values), dtype=np.float64)
-    lhs = fx - fx[zs.gamma_index]
-    c = np.asarray(dF(left), dtype=np.float64) * incs + 0.5 * np.asarray(d2F(left), dtype=np.float64) * incs**2
-    return Path(grid=X.grid, values=lhs - gathered_prefix(c, zs.gamma_index))
+    return Path(grid=X.grid, values=ito_rows(F, dF, d2F, X.values, zs.gamma_index))

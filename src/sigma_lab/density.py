@@ -24,10 +24,11 @@ k + 1.  The convention sup(empty) = 0 applies throughout: with no
 crossing, the last zero time and every last-zero-before-t time is 0.
 
 The driver, density and zero-set kernels (``driver_matrix``,
-``density_matrix``, ``zero_geometry``) work on path rows.  The
-per-path functions (``density_driver_path``, ``density_path``,
-``zero_set_from_level_series``) call the same kernels on one row, so a
-per-path result equals the matching ensemble row bit for bit.
+``density_matrix``, ``zero_geometry``, ``driver_geometry``) work on
+path rows.  The per-path functions (``density_driver_path``,
+``density_path``, ``zero_set_from_level_series``, ``driver_zero_set``)
+call the same kernels on one row, so a per-path result equals the
+matching ensemble row bit for bit.
 
 What differs between the models is decided here and nowhere else: the
 model's own time span (``model_time``), where its driver starts
@@ -51,6 +52,7 @@ __all__ = [
     "ErfSign",
     "DensityModel",
     "ZeroSetInfo",
+    "empty_zero_set",
     "ZeroGeometry",
     "model_time",
     "driver_from_increments",
@@ -62,6 +64,7 @@ __all__ = [
     "density_driver_path",
     "zero_set",
     "driver_zero_set",
+    "driver_geometry",
     "zero_set_from_level_series",
     "ensemble_weights",
 ]
@@ -130,6 +133,24 @@ class ZeroSetInfo:
     @property
     def gbar(self) -> float:
         return self.gbar_index * self.grid.step
+
+    @property
+    def in_h(self) -> np.ndarray:
+        """The zero set as a mask over the grid indices."""
+        mask = np.zeros(self.grid.n_steps + 1, dtype=bool)
+        mask[self.h_indices] = True
+        return mask
+
+
+def empty_zero_set(grid: TimeGrid) -> ZeroSetInfo:
+    """The empty zero set: no zeros, and every anchor at index 0."""
+    return ZeroSetInfo(
+        grid=grid,
+        h_indices=np.zeros(0, dtype=np.int64),
+        gbar_index=0,
+        gamma_index=np.zeros(grid.n_steps + 1, dtype=np.int64),
+        excursion_start_indices=np.zeros(1, dtype=np.int64),
+    )
 
 
 def model_time(model: DensityModel) -> float | None:
@@ -275,6 +296,12 @@ def driver_zero_set(model: StoppedBM | ErfSign, driver: Path) -> ZeroSetInfo:
     the density substream serves both."""
     stop = _require_horizon(model, driver.grid)
     return zero_set_from_level_series(zero_level(model, driver.values), driver.grid, last_index=stop)
+
+
+def driver_geometry(model: StoppedBM | ErfSign, driver: np.ndarray, grid: TimeGrid) -> ZeroGeometry:
+    """Zero geometry of D read off driver rows on the grid, up to the
+    model's own time: the row form of ``driver_zero_set``."""
+    return zero_geometry(zero_level(model, driver), last_index=_require_horizon(model, grid))
 
 
 def ensemble_weights(terminal_values: np.ndarray) -> np.ndarray:

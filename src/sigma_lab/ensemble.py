@@ -6,8 +6,8 @@ features in index order, so results are independent of chunking and
 of the worker count.
 
 The row kernels behind the chunk functions live with their concepts
-(``paths``, ``density``, ``balayage``); the path, density and
-zero-geometry kernels are re-exported here.  Each per-path function
+(``paths``, ``density``, ``balayage``, ``sigma_classes``); the path,
+density and zero-geometry kernels are re-exported here.  Each per-path function
 calls the same kernel on one row, so an ensemble row equals the
 per-path result bit for bit because the two share code, not just
 formulas.  Row generation keeps one counter-based stream per path for

@@ -52,12 +52,11 @@ from .balayage import (
     QuadraticVariation,
     RunningIntegralAgainst,
     RunningSup,
+    SegmentLayout,
     gathered_prefix,
-    ito_residual,
+    ito_rows,
     occupation_kernel,
-    rho,
-    shift,
-    tanaka_residual,
+    tanaka_rows,
 )
 from .density import (
     ConstantOne,
@@ -65,19 +64,18 @@ from .density import (
     ErfSign,
     StoppedBM,
     ZeroGeometry,
-    density_driver_path,
     density_matrix,
     driver_from_increments,
+    driver_geometry,
     driver_matrix,
-    driver_zero_set,
+    empty_zero_set,
     ensemble_weights,
     model_time,
     zero_geometry,
     zero_level,
-    zero_set_from_level_series,
 )
 from .ensemble import CHUNK_SIZE, run_chunked
-from .errors import ConfigurationError
+from .errors import ConfigurationError, DegenerateShiftError
 from .estimates import (
     BoundarySpec,
     ConstantBoundary,
@@ -99,26 +97,21 @@ from .paths import (
     SUBSTREAM_DENSITY,
     SUBSTREAM_PRIMARY,
     SUBSTREAM_SECONDARY,
-    Path,
-    SeedSpec,
     TimeGrid,
     before_hit,
     cumsum_paths,
     first_hit,
     increments_matrix,
     make_grid,
-    sample_bm,
-    sample_independent_pair,
 )
 from .sigma_classes import (
-    abs_martingale,
-    assemble,
-    drawdown,
-    lifted_reflected,
-    pm_combination,
-    product,
-    scaled_by_f,
-    verify_membership,
+    MemberRows,
+    drawdown_rows,
+    lifted_rows,
+    membership_rows,
+    pm_rows,
+    product_rows,
+    scaled_rows,
 )
 
 __all__ = [
@@ -320,6 +313,11 @@ def _primary(seed: int, start: int, count: int, grid: TimeGrid) -> np.ndarray:
     return cumsum_paths(incs)
 
 
+def _secondary(seed: int, start: int, count: int, grid: TimeGrid) -> np.ndarray:
+    incs = increments_matrix(seed, start, count, grid.n_steps, grid.step, SUBSTREAM_SECONDARY)
+    return cumsum_paths(incs)
+
+
 def _density_block(model: DensityModel, seed: int, start: int, count: int, step: float) -> tuple[np.ndarray, ZeroGeometry]:
     """Terminal density values and zero geometry on the model's own span.
 
@@ -336,14 +334,16 @@ def _density_block(model: DensityModel, seed: int, start: int, count: int, step:
     return dens[:, -1], zero_geometry(zero_level(model, driver), last_index=sgrid.n_steps)
 
 
-def _extend_gamma(gamma: np.ndarray, gbar: np.ndarray, n_cols: int) -> np.ndarray:
-    """Pad per-path gamma indices out to n_cols; past the last zero the
-    anchor stays at the last zero."""
-    have = gamma.shape[1]
-    if have >= n_cols:
-        return gamma[:, :n_cols]
-    pad = np.repeat(gbar[:, None], n_cols - have, axis=1)
-    return np.concatenate([gamma, pad], axis=1)
+def _extend_geometry(zg: ZeroGeometry, n_cols: int) -> ZeroGeometry:
+    """Zero geometry on the model's span, padded out to n_cols columns:
+    the model has no zeros past its span, so the anchor stays at the
+    last zero."""
+    count, pad = zg.in_h.shape[0], n_cols - zg.in_h.shape[1]
+    return ZeroGeometry(
+        in_h=np.concatenate([zg.in_h, np.zeros((count, pad), dtype=bool)], axis=1),
+        gamma_idx=np.concatenate([zg.gamma_idx, np.repeat(zg.gbar_idx[:, None], pad, axis=1)], axis=1),
+        gbar_idx=zg.gbar_idx,
+    )
 
 
 def _grid_steps(times: tuple[float, ...], horizon: float, step: float) -> tuple[int, ...]:
@@ -578,9 +578,8 @@ def _sigs_rows(
     grid = make_grid(horizon, step)
     w = _primary(seed, start, count, grid)
     terminal, zg = _density_block(model, seed, start, count, step)
-    gamma = _extend_gamma(zg.gamma_idx, zg.gbar_idx, grid.n_steps + 1)
-    x = np.abs(w - np.take_along_axis(w, gamma, axis=1))
-    return grid, x, occupation_kernel(x, step, anchors=gamma), (terminal, zg)
+    rows = lifted_rows(w, _extend_geometry(zg, grid.n_steps + 1), step)
+    return grid, rows.x, rows.a, (terminal, zg)
 
 
 def _sigs_chunk(start: int, count: int, *, cols: tuple[int, ...], **rows) -> dict[str, np.ndarray]:
@@ -616,45 +615,53 @@ def _rho_pairs() -> tuple[tuple[PathFunctional, PathFunctional], ...]:
     )
 
 
+# Rows per rho-algebra chunk: its segment buckets and restart rows keep
+# the chunk's tracemalloc peak well under the laws family's.
+_RHO_CHUNK = 128
+
+
 def _rho_chunk(
     start: int, count: int, *, seed: int, step: float, horizon: float, model: DensityModel
 ) -> dict[str, np.ndarray]:
     grid = make_grid(horizon, step)
+    n = grid.n_steps
+    w = _primary(seed, start, count, grid)
+    zg = driver_geometry(model, driver_matrix(model, seed, start, count, grid), grid)
+    g = zg.gbar_idx
+    if np.any(g >= n):
+        raise DegenerateShiftError("last zero at the grid end leaves no shifted path")
+    layout = SegmentLayout(w, zg.in_h)
+    # each row from its last zero on (the shifted path), and the restart
+    # values over the same columns; entries past the row end repeat it
+    past = np.minimum(g[:, None] + np.arange(n + 1), n)
+    on_shift = np.arange(1, n + 1) <= n - g[:, None]
+    shifted = np.take_along_axis(w, past, axis=1)
     lin_bad = np.zeros(count)
     pos_bad = np.zeros(count)
     prod_bad = np.zeros(count)
     defn_bad = np.zeros(count)
-    for i in range(count):
-        spec = SeedSpec(master_seed=seed, path_index=start + i)
-        w = sample_bm(grid, 0.0, spec)
-        zs = driver_zero_set(model, density_driver_path(model, spec, grid))
-        shifted = shift(w, zs)
-        g = zs.gbar_index
-        for v1, v2 in _rho_pairs():
-            u1 = rho(v1, w, zs).values
-            u2 = rho(v2, w, zs).values
-            combo = rho(LinearCombination((2.0, -1.0), (v1, v2)), w, zs).values
-            if not np.array_equal(combo, 2.0 * u1 - u2):
-                lin_bad[i] += 1.0
-            prod = rho(Product((v1, v2)), w, zs).values
-            if not np.array_equal(prod, u1 * u2):
-                prod_bad[i] += 1.0
-            # entry for entry past the restart point; at the point itself
-            # the lift books 0 whenever the point is a detected zero
-            direct = v1.evaluate(shifted.values, step)
-            tail_ok = np.array_equal(u1[g + 1 :], direct[1:])
-            head_ok = u1[g] == (0.0 if g > 0 else direct[0])
-            if not (tail_ok and head_ok):
-                defn_bad[i] += 1.0
-        for v in (QuadraticVariation(), LocalTimeAt(0.0)):
-            if float(np.min(rho(v, w, zs).values)) < 0.0:
-                pos_bad[i] += 1.0
+    for v1, v2 in _rho_pairs():
+        u1 = layout.restart(v1, step)
+        u2 = layout.restart(v2, step)
+        combo = layout.restart(LinearCombination((2.0, -1.0), (v1, v2)), step)
+        lin_bad += np.any(combo != 2.0 * u1 - u2, axis=1)
+        prod = layout.restart(Product((v1, v2)), step)
+        prod_bad += np.any(prod != u1 * u2, axis=1)
+        # entry for entry past the restart point; at the point itself
+        # the lift books 0 whenever the point is a detected zero
+        direct = v1.evaluate(shifted, step)
+        u1_tail = np.take_along_axis(u1, past, axis=1)
+        tail_bad = np.any((u1_tail[:, 1:] != direct[:, 1:]) & on_shift, axis=1)
+        head_bad = u1_tail[:, 0] != np.where(g > 0, 0.0, direct[:, 0])
+        defn_bad += tail_bad | head_bad
+    for v in (QuadraticVariation(), LocalTimeAt(0.0)):
+        pos_bad += np.min(layout.restart(v, step), axis=1) < 0.0
     return {"lin": lin_bad, "pos": pos_bad, "prod": prod_bad, "defn": defn_bad}
 
 
 def _run_rho(st: RunSettings) -> tuple[list[TargetCheck], list[CurveSeries]]:
     horizon = _horizon(st)
-    feats = _chunked(st, _rho_chunk, horizon=horizon, model=_ERF)
+    feats = _chunked(st, _rho_chunk, chunk_size=_RHO_CHUNK, horizon=horizon, model=_ERF)
     n = st.n_paths
     checks = [
         count_check("linearity-bitwise", int(feats["lin"].sum()), f"0 of {3 * n} pair evaluations differ"),
@@ -715,26 +722,6 @@ def _run_qbracket(st: RunSettings) -> tuple[list[TargetCheck], list[CurveSeries]
 _LADDER = (4, 2, 1)
 
 
-def _restarted_on(values: np.ndarray, grid: TimeGrid, zs) -> Path:
-    # signed restarted driver; level 0 is crossed transversally, which is
-    # what the local-time identities are about
-    return Path(grid=grid, values=values - values[zs.gamma_index])
-
-
-def _ladder_paths(index: int, seed: int, step: float, horizon: float, model: ErfSign):
-    """Fine path plus its zero set, subsampled onto each ladder rung."""
-    fine = make_grid(horizon, step)
-    spec = SeedSpec(master_seed=seed, path_index=index)
-    w = sample_bm(fine, 0.0, spec)
-    driver = density_driver_path(model, spec, fine)
-    out = []
-    for factor in _LADDER:
-        grid = make_grid(horizon, step * factor)
-        zs = driver_zero_set(model, Path(grid=grid, values=driver.values[::factor]))
-        out.append((grid, w.values[::factor], zs))
-    return out
-
-
 _ITO_FORMS = {
     "linear": (lambda x: x.copy(), lambda x: np.ones_like(x), lambda x: np.zeros_like(x)),
     "square": (lambda x: x * x, lambda x: 2.0 * x, lambda x: np.full_like(x, 2.0)),
@@ -742,36 +729,44 @@ _ITO_FORMS = {
 }
 
 
-def _residual(x: Path, zs, form: str) -> np.ndarray:
-    """Ito residual for the forms of ``_ITO_FORMS``, Tanaka residual at
-    level 0 for abs, plus and minus."""
+def _residual(x: np.ndarray, gamma: np.ndarray, step: float, form: str) -> np.ndarray:
+    """Ito residual rows for the forms of ``_ITO_FORMS``, Tanaka residual
+    rows at level 0 for abs, plus and minus."""
     if form in _ITO_FORMS:
-        return ito_residual(*_ITO_FORMS[form], x, zs).values
-    return tanaka_residual(x, 0.0, zs, form=form).residual.values
+        return ito_rows(*_ITO_FORMS[form], x, gamma)
+    identity, kernel = tanaka_rows(x, 0.0, gamma, step, form)
+    return identity - kernel
 
 
 def _ladder_chunk(
-    start: int, count: int, *, seed: int, step: float, horizon: float, model: ErfSign, form: str
+    start: int, count: int, *, seed: int, step: float, horizon: float, model: ErfSign, forms: tuple[str, ...]
 ) -> dict[str, np.ndarray]:
-    sups = {f: np.empty(count) for f in _LADDER}
-    tri_bad = np.zeros(count)
-    for i in range(count):
-        rungs = _ladder_paths(start + i, seed, step, horizon, model)
-        for factor, (grid, values, zs) in zip(_LADDER, rungs):
-            x = _restarted_on(values, grid, zs)
-            res = _residual(x, zs, form)
-            sups[factor][i] = float(np.max(np.abs(res)))
+    """Sup residuals of each form on every ladder rung: the fine rows and
+    their zero sets, subsampled onto each rung's grid."""
+    fine = make_grid(horizon, step)
+    w = _primary(seed, start, count, fine)
+    driver = driver_matrix(model, seed, start, count, fine)
+    out: dict[str, np.ndarray] = {}
+    for factor in _LADDER:
+        grid = make_grid(horizon, step * factor)
+        gamma = driver_geometry(model, driver[:, ::factor], grid).gamma_idx
+        values = w[:, ::factor]
+        # signed restarted driver; level 0 is crossed transversally, which
+        # is what the local-time identities are about
+        x = values - np.take_along_axis(values, gamma, axis=1)
+        for form in forms:
+            res = _residual(x, gamma, grid.step, form)
+            out[f"sup{factor}|{form}"] = np.max(np.abs(res), axis=1)
             if factor == 1 and form == "abs":
-                rp = _residual(x, zs, "plus")
-                rm = _residual(x, zs, "minus")
+                rp = _residual(x, gamma, grid.step, "plus")
+                rm = _residual(x, gamma, grid.step, "minus")
                 gap = np.abs(res) - (np.abs(rp) + np.abs(rm))
-                if float(np.max(gap)) > 1e-12:
-                    tri_bad[i] = 1.0
-    return {"sup4": sups[4], "sup2": sups[2], "sup1": sups[1], "tri_bad": tri_bad}
+                out["tri_bad"] = (np.max(gap, axis=1) > 1e-12).astype(np.float64)
+    return out
 
 
-def _ladder_rows(name: str, feats: dict[str, np.ndarray], st: RunSettings) -> list[TargetCheck]:
-    med = {f: float(np.median(feats[f"sup{f}"])) for f in _LADDER}
+def _ladder_rows(name: str, form: str, feats: dict[str, np.ndarray], st: RunSettings) -> list[TargetCheck]:
+    med = {f: float(np.median(feats[f"sup{f}|{form}"])) for f in _LADDER}
     s = st.step
     return [
         ratio_check(f"{name}-halving-{4 * s:g}-to-{2 * s:g}", med[4], med[2], 1.2),
@@ -781,15 +776,15 @@ def _ladder_rows(name: str, feats: dict[str, np.ndarray], st: RunSettings) -> li
 
 def _constant_path_residual(st: RunSettings, form: str) -> float:
     grid = make_grid(1.0, st.step)
-    flat = Path(grid=grid, values=np.full(grid.n_steps + 1, 0.5))
-    zs = zero_set_from_level_series(np.ones(grid.n_steps + 1), grid)
-    return float(np.max(np.abs(_residual(flat, zs, form))))
+    flat = np.full((1, grid.n_steps + 1), 0.5)
+    gamma = empty_zero_set(grid).gamma_index[None]
+    return float(np.max(np.abs(_residual(flat, gamma, grid.step, form))))
 
 
 def _run_tanaka(st: RunSettings, *, form: str) -> tuple[list[TargetCheck], list[CurveSeries]]:
     horizon = _horizon(st)
-    feats = _chunked(st, _ladder_chunk, horizon=horizon, model=_ERF, form=form)
-    checks = _ladder_rows(f"{form}-residual", feats, st)
+    feats = _chunked(st, _ladder_chunk, horizon=horizon, model=_ERF, forms=(form,))
+    checks = _ladder_rows(f"{form}-residual", form, feats, st)
     checks.append(exact_check("constant-path-residual", _constant_path_residual(st, form)))
     if form == "abs":
         checks.append(
@@ -809,10 +804,11 @@ _run_tanaka_minus = functools.partial(_run_tanaka, form="minus")
 
 def _run_ito(st: RunSettings) -> tuple[list[TargetCheck], list[CurveSeries]]:
     checks: list[TargetCheck] = []
-    horizon = _horizon(st)
-    for form in ("linear", "square", "cosine"):
-        feats = _chunked(st, _ladder_chunk, horizon=horizon, model=_ERF, form=form)
-        checks.extend(_ladder_rows(f"{form}", feats, st))
+    forms = tuple(_ITO_FORMS)
+    # one pass draws each path once for all three forms
+    feats = _chunked(st, _ladder_chunk, horizon=_horizon(st), model=_ERF, forms=forms)
+    for form in forms:
+        checks.extend(_ladder_rows(form, form, feats, st))
         checks.append(exact_check(f"{form}-constant-path-residual", _constant_path_residual(st, form)))
     return checks, []
 
@@ -1252,23 +1248,23 @@ _FAMILY_CHUNKS = frozenset({_laws_chunk, _levy_chunk})
 
 # ---------------------------------------------------------------- products / scaling
 
-def _product_part(seed: int, start: int, count: int, grid: TimeGrid) -> np.ndarray:
-    """Driving part N of the product of two independent drawdowns."""
-    w1 = _primary(seed, start, count, grid)
-    w2 = cumsum_paths(increments_matrix(seed, start, count, grid.n_steps, grid.step, SUBSTREAM_SECONDARY))
-    s1 = np.maximum.accumulate(w1, axis=1)
-    s2 = np.maximum.accumulate(w2, axis=1)
-    x1, a1 = s1 - w1, s1
-    x2, a2 = s2 - w2, s2
-    incr = x1[:, :-1] * np.diff(a2, axis=1) + x2[:, :-1] * np.diff(a1, axis=1)
-    return x1 * x2 - gathered_prefix(incr)
+def _double(a: np.ndarray) -> np.ndarray:
+    return 2.0 * a
 
 
-def _scaled_part(seed: int, start: int, count: int, grid: TimeGrid) -> np.ndarray:
-    """Driving part N of the drawdown rescaled by f(a) = 2a."""
-    w = _primary(seed, start, count, grid)
-    s = np.maximum.accumulate(w, axis=1)
-    return 2.0 * s * (s - w) - s * s
+def _square(a: np.ndarray) -> np.ndarray:
+    return a * a
+
+
+def _build_product(seed: int, start: int, count: int, grid: TimeGrid) -> MemberRows:
+    """The product of two independent drawdowns."""
+    w2 = _secondary(seed, start, count, grid)
+    return product_rows(drawdown_rows(_primary(seed, start, count, grid)), drawdown_rows(w2))
+
+
+def _build_scaled(seed: int, start: int, count: int, grid: TimeGrid) -> MemberRows:
+    """The drawdown rescaled by f(a) = 2a."""
+    return scaled_rows(drawdown_rows(_primary(seed, start, count, grid)), _double, _square)
 
 
 def _closure_chunk(
@@ -1280,50 +1276,22 @@ def _closure_chunk(
     horizon: float,
     cols: tuple[int, ...],
     model: DensityModel,
-    driving_part: Callable[[int, int, int, TimeGrid], np.ndarray],
+    build: Callable[[int, int, int, TimeGrid], MemberRows],
 ) -> dict[str, np.ndarray]:
-    n = driving_part(seed, start, count, make_grid(horizon, step))
+    n = build(seed, start, count, make_grid(horizon, step)).n
     terminal, _ = _density_block(model, seed, start, count, step)
     return {"n": n[:, cols], "q": terminal}
 
 
-def _membership_sample(build, n_paths: int, seed: int, step: float, horizon: float) -> int:
-    grid = make_grid(horizon, step)
-    bad = 0
-    for i in range(n_paths):
-        d = build(grid, SeedSpec(master_seed=seed, path_index=i))
-        if not verify_membership(d).passed:
-            bad += 1
-    return bad
-
-
-def _build_product(grid: TimeGrid, seed: SeedSpec):
-    w1, w2 = sample_independent_pair(grid, (0.0, 0.0), seed)
-    return product([drawdown(w1), drawdown(w2)])
-
-
-def _double(a: np.ndarray) -> np.ndarray:
-    return 2.0 * a
-
-
-def _square(a: np.ndarray) -> np.ndarray:
-    return a * a
-
-
-def _build_scaled(grid: TimeGrid, seed: SeedSpec):
-    w = sample_bm(grid, 0.0, seed)
-    return scaled_by_f(drawdown(w), _double, _square)
-
-
-def _run_closure(
-    st: RunSettings, *, driving_part: Callable, build: Callable, label: str
-) -> tuple[list[TargetCheck], list[CurveSeries]]:
+def _run_closure(st: RunSettings, *, build: Callable, label: str) -> tuple[list[TargetCheck], list[CurveSeries]]:
     horizon = _horizon(st)
     cps = st.checkpoints if st.checkpoints is not None else (0.25, 0.5, 0.75, 1.0)
     cols = _grid_steps(cps, horizon, st.step)
-    feats = _chunked(st, _closure_chunk, horizon=horizon, cols=cols, model=_SBM, driving_part=driving_part)
+    feats = _chunked(st, _closure_chunk, horizon=horizon, cols=cols, model=_SBM, build=build)
     rep = flatness_test(feats["n"].T, feats["q"], cps)
-    bad = _membership_sample(build, 40, st.master_seed, st.step, horizon)
+    # the first 40 paths' decompositions, checked pathwise
+    grid = make_grid(horizon, st.step)
+    bad = int(np.count_nonzero(~membership_rows(grid, build(st.master_seed, 0, 40, grid)).passed))
     checks = [
         _flatness_check(f"{label}-martingale-part-flat", rep, "q-weighted"),
         count_check(f"{label}-membership-sample", bad, f"40 pathwise {label} decompositions verify"),
@@ -1331,8 +1299,8 @@ def _run_closure(
     return checks, []
 
 
-_run_products = functools.partial(_run_closure, driving_part=_product_part, build=_build_product, label="product")
-_run_scaled = functools.partial(_run_closure, driving_part=_scaled_part, build=_build_scaled, label="rescaled")
+_run_products = functools.partial(_run_closure, build=_build_product, label="product")
+_run_scaled = functools.partial(_run_closure, build=_build_scaled, label="rescaled")
 
 
 # ---------------------------------------------------------------- membership suite
@@ -1349,67 +1317,54 @@ _VARIANTS = (
 _SHIFTED_VARIANTS = ("drawdown", "lifted", "lifted-stopped", "product", "scaled")
 
 
+# Rows per membership chunk: a chunk holds some twenty (rows, 2n+1)
+# matrices of the support-mass ladder's finest rung at its peak.
+_MEMBERSHIP_CHUNK = 64
+
+
 def _membership_chunk(
     start: int, count: int, *, seed: int, step: float, horizon: float, model: DensityModel
 ) -> dict[str, np.ndarray]:
     grid = make_grid(horizon, step)
-    fine = make_grid(horizon, step / 2.0)
+    w = _primary(seed, start, count, grid)
+    zg = driver_geometry(model, driver_matrix(model, seed, start, count, grid), grid)
+    base = drawdown_rows(w)
+    members = {
+        "drawdown": base,
+        "abs-martingale": pm_rows(w, 1.0, 1.0, step, zg),
+        "pm-combination": pm_rows(w, 2.0, 0.5, step, zg),
+        "lifted": lifted_rows(w, zg, step),
+        "lifted-stopped": lifted_rows(w, zg, step, stop_level=1.0),
+        "product": product_rows(base, drawdown_rows(_secondary(seed, start, count, grid))),
+        "scaled": scaled_rows(base, _double, _square),
+    }
+    out: dict[str, np.ndarray] = {"shifted_fail": np.zeros(count)}
+    for key, rows in members.items():
+        rep = membership_rows(grid, rows)
+        out[f"fail|{key}"] = (~rep.passed).astype(np.float64)
+        out[f"supratio|{key}"] = rep.support_ratio
+        if key in _SHIFTED_VARIANTS:
+            out["shifted_fail"] += ~rep.checks()["shifted_classical"]
+    del members
+    ramp = base.a + 0.5 * grid.times
+    bad = MemberRows(
+        x=base.x, n=base.x - ramp, a=ramp, class_tag=base.class_tag, support_scale=base.support_scale
+    )
+    out["corrupt_pass"] = membership_rows(grid, bad).passed.astype(np.float64)
+    # fixed-tolerance support mass on a common-randomness step ladder
     stress_tol = 0.6 * float(np.sqrt(2.0 * step))
-    out: dict[str, np.ndarray] = {}
-    for key in _VARIANTS:
-        out[f"fail|{key}"] = np.zeros(count)
-        out[f"supratio|{key}"] = np.zeros(count)
-    out["shifted_fail"] = np.zeros(count)
-    out["corrupt_pass"] = np.zeros(count)
-    for rung in ("c", "m", "f"):
-        out[f"viol_{rung}"] = np.zeros(count)
-        out[f"tot_{rung}"] = np.zeros(count)
-    times = grid.times
-    for i in range(count):
-        spec = SeedSpec(master_seed=seed, path_index=start + i)
-        w, w2 = sample_independent_pair(grid, (0.0, 0.0), spec)
-        zs = driver_zero_set(model, density_driver_path(model, spec, grid))
-        members = {
-            "drawdown": drawdown(w),
-            "abs-martingale": abs_martingale(w, zs),
-            "pm-combination": pm_combination(w, 2.0, 0.5, zs),
-            "lifted": lifted_reflected(w, zs),
-            "lifted-stopped": lifted_reflected(w, zs, stop_level=1.0),
-            "product": product([drawdown(w), drawdown(w2)]),
-            "scaled": scaled_by_f(drawdown(w), _double, _square),
-        }
-        for key, d in members.items():
-            rep = verify_membership(d)
-            if not rep.passed:
-                out[f"fail|{key}"][i] = 1.0
-            out[f"supratio|{key}"][i] = rep.support.ratio
-            for c in rep.checks:
-                if c.name == "shifted_classical" and not c.passed and key in _SHIFTED_VARIANTS:
-                    out["shifted_fail"][i] += 1.0
-        base = members["drawdown"]
-        bad = assemble(
-            base.x,
-            Path(grid=grid, values=base.a.values + 0.5 * times),
-            class_tag=base.class_tag,
-            zero_set=base.zero_set,
-            support_scale=base.support_scale,
-        )
-        if verify_membership(bad).passed:
-            out["corrupt_pass"][i] = 1.0
-        # fixed-tolerance support mass on a common-randomness step ladder
-        wf = sample_bm(fine, 0.0, spec)
-        for rung, factor in (("c", 4), ("m", 2), ("f", 1)):
-            g = make_grid(horizon, step / 2.0 * factor)
-            d = abs_martingale(Path(grid=g, values=wf.values[::factor]))
-            rep = verify_membership(d, support_tolerance=stress_tol)
-            out[f"viol_{rung}"][i] = rep.support.violation_mass
-            out[f"tot_{rung}"][i] = rep.support.total_mass
+    wf = _primary(seed, start, count, make_grid(horizon, step / 2.0))
+    for rung, factor in (("c", 4), ("m", 2), ("f", 1)):
+        g = make_grid(horizon, step / 2.0 * factor)
+        rep = membership_rows(g, pm_rows(wf[:, ::factor], 1.0, 1.0, g.step), stress_tol)
+        out[f"viol_{rung}"] = rep.top.violation_mass
+        out[f"tot_{rung}"] = rep.top.total_mass
     return out
 
 
 def _run_membership(st: RunSettings) -> tuple[list[TargetCheck], list[CurveSeries]]:
     horizon = _horizon(st)
-    feats = _chunked(st, _membership_chunk, horizon=horizon, model=_ERF)
+    feats = _chunked(st, _membership_chunk, chunk_size=_MEMBERSHIP_CHUNK, horizon=horizon, model=_ERF)
     checks: list[TargetCheck] = []
     for key in _VARIANTS:
         checks.append(

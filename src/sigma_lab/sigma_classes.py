@@ -25,6 +25,17 @@ is the level below which X counts as "at zero" for the support check:
 0 for constructions whose A provably grows only at exact zeros, and
 the kernel bandwidth sqrt(step) (times the weight of the construction)
 for the occupation-kernel ones; ``assemble`` defaults it to sqrt(step).
+
+The constructors and the checks run on path rows.  ``MemberRows`` is
+the row form of a decomposition: X, N and A shaped (R, n+1), the zero
+sets as one ``ZeroGeometry``, and a support scale per row.  The row
+constructors (``drawdown_rows``, ``pm_rows``, ``lifted_rows``,
+``product_rows``, ``scaled_rows``) build it, and ``membership_rows``
+runs every check on all rows at once, with each row's own zero set and
+tolerances.  The per-path constructors and ``verify_membership`` are
+the one-row case of these kernels, so a per-path verdict equals its
+ensemble row bit for bit; each row's support mass is summed on its
+own, in the order a lone ``np.sum`` would take.
 """
 
 from __future__ import annotations
@@ -34,28 +45,36 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .balayage import _blocks, gathered_prefix, occupation_kernel
-from .density import ZeroSetInfo, zero_set_from_level_series
+from .balayage import PathFunctional, SegmentLayout, gathered_prefix, occupation_kernel
+from .density import ZeroGeometry, ZeroSetInfo, empty_zero_set
 from .errors import ConfigurationError, ContractError
-from .paths import Path, TimeGrid, first_hit, make_grid
+from .paths import Path, TimeGrid, first_hit
 
 __all__ = [
     "CLASSICAL",
     "SIGMA_H",
     "SIGMA_SH",
     "Decomposition",
+    "MemberRows",
     "assemble",
     "abs_martingale",
     "pm_combination",
+    "pm_rows",
     "drawdown",
+    "drawdown_rows",
     "lifted_reflected",
+    "lifted_rows",
     "retag",
     "product",
+    "product_rows",
     "scaled_by_f",
+    "scaled_rows",
     "sigma_s_characterization_process",
     "CheckOutcome",
     "SupportCheck",
     "MembershipReport",
+    "MembershipRows",
+    "membership_rows",
     "verify_membership",
 ]
 
@@ -93,8 +112,56 @@ class Decomposition:
         return self.x.grid
 
 
-def _empty_zero_set(grid: TimeGrid) -> ZeroSetInfo:
-    return zero_set_from_level_series(np.ones(grid.n_steps + 1), grid)
+@dataclass(frozen=True, eq=False)
+class MemberRows:
+    """Decompositions of a chunk of paths, one per row of (R, n+1) arrays.
+
+    The row form of ``Decomposition``: the zero sets are one
+    ``ZeroGeometry`` (None for the empty set), and the support scale
+    holds one entry per row.  The row constructors build these, and
+    ``membership_rows`` checks them.
+    """
+
+    x: np.ndarray
+    n: np.ndarray
+    a: np.ndarray
+    class_tag: str
+    support_scale: np.ndarray
+    zeros: ZeroGeometry | None = None
+    gap_scale: float = 0.0
+
+
+def _rows(x: np.ndarray, a: np.ndarray, class_tag: str, support_scale, zeros: ZeroGeometry | None) -> MemberRows:
+    """Member rows with N = X - A bitwise."""
+    scale = np.broadcast_to(np.asarray(support_scale, dtype=np.float64), x.shape[:1])
+    return MemberRows(x=x, n=x - a, a=a, class_tag=class_tag, support_scale=scale, zeros=zeros)
+
+
+def _geometry(zs: ZeroSetInfo) -> ZeroGeometry:
+    """One path's zero set as a one-row geometry."""
+    return ZeroGeometry(in_h=zs.in_h[None], gamma_idx=zs.gamma_index[None], gbar_idx=np.array([zs.gbar_index]))
+
+
+def _one(rows: MemberRows, grid: TimeGrid, zs: ZeroSetInfo | None, warnings: tuple[str, ...] = ()) -> Decomposition:
+    """The decomposition of a one-row ``MemberRows`` over the zero set ``zs``."""
+    return Decomposition(
+        x=Path(grid=grid, values=rows.x[0]),
+        n=Path(grid=grid, values=rows.n[0]),
+        a=Path(grid=grid, values=rows.a[0]),
+        class_tag=rows.class_tag,
+        support_scale=float(rows.support_scale[0]),
+        zero_set=zs,
+        warnings=warnings,
+        gap_scale=rows.gap_scale,
+    )
+
+
+def _zero_set_or_empty(zs: ZeroSetInfo | None, grid: TimeGrid) -> ZeroSetInfo:
+    if zs is None:
+        return empty_zero_set(grid)
+    if zs.grid != grid:
+        raise ContractError("zero set grid does not match the path")
+    return zs
 
 
 def assemble(
@@ -133,6 +200,22 @@ def abs_martingale(M: Path, zs: ZeroSetInfo | None = None) -> Decomposition:
     return pm_combination(M, 1.0, 1.0, zs)
 
 
+def pm_rows(
+    w: np.ndarray, alpha: float, beta: float, step: float, zeros: ZeroGeometry | None = None
+) -> MemberRows:
+    """``pm_combination`` of martingale rows started at 0."""
+    if alpha <= 0.0 or beta <= 0.0:
+        raise ConfigurationError("pm_combination needs strictly positive weights")
+    if np.any(w[:, 0] != 0.0):
+        raise ContractError("pm_combination needs a path started at 0")
+    x = alpha * np.maximum(w, 0.0) + beta * np.maximum(-w, 0.0)
+    integrand = np.where(w[:, :-1] > 0.0, alpha, -beta)
+    n = gathered_prefix(integrand * np.diff(w, axis=-1))
+    a = ((alpha + beta) / 2.0) * occupation_kernel(w, step)
+    scale = np.full(w.shape[0], max(alpha, beta) * float(np.sqrt(step)))
+    return MemberRows(x=x, n=n, a=a, class_tag=SIGMA_H, support_scale=scale, zeros=zeros, gap_scale=(alpha + beta) / 2.0)
+
+
 def pm_combination(
     M: Path,
     alpha: float,
@@ -147,28 +230,17 @@ def pm_combination(
     bitwise with ``abs_martingale``.  Both weights must be strictly
     positive; X scales the kernel band by up to max(alpha, beta),
     recorded as the support scale, and the identity residual by the
-    mean weight, recorded as the gap scale.
+    mean weight, recorded as the gap scale.  The one-row case of
+    ``pm_rows``.
     """
-    if alpha <= 0.0 or beta <= 0.0:
-        raise ConfigurationError("pm_combination needs strictly positive weights")
-    if M.values[0] != 0.0:
-        raise ContractError("pm_combination needs a path started at 0")
-    if zs is not None and zs.grid != M.grid:
-        raise ContractError("zero set grid does not match the path")
-    values = M.values
-    x = alpha * np.maximum(values, 0.0) + beta * np.maximum(-values, 0.0)
-    integrand = np.where(values[:-1] > 0.0, alpha, -beta)
-    n = gathered_prefix(integrand * np.diff(values))
-    a = ((alpha + beta) / 2.0) * occupation_kernel(values, M.grid.step)
-    return Decomposition(
-        x=Path(grid=M.grid, values=x),
-        n=Path(grid=M.grid, values=n),
-        a=Path(grid=M.grid, values=a),
-        class_tag=SIGMA_H,
-        support_scale=max(alpha, beta) * float(np.sqrt(M.grid.step)),
-        zero_set=zs if zs is not None else _empty_zero_set(M.grid),
-        gap_scale=(alpha + beta) / 2.0,
-    )
+    rows = pm_rows(M.values[None], alpha, beta, M.grid.step)
+    return _one(rows, M.grid, _zero_set_or_empty(zs, M.grid))
+
+
+def drawdown_rows(w: np.ndarray) -> MemberRows:
+    """``drawdown`` of path rows, over the empty zero set."""
+    s = np.maximum.accumulate(w, axis=-1)
+    return _rows(s - w, s - s[:, :1], SIGMA_H, 0.0, None)
 
 
 def drawdown(M: Path, zs: ZeroSetInfo | None = None) -> Decomposition:
@@ -177,16 +249,37 @@ def drawdown(M: Path, zs: ZeroSetInfo | None = None) -> Decomposition:
     A grows exactly at the indices where a new maximum is set, and
     there X is exactly zero, so the support condition holds with zero
     tolerance.  Exact by assembly; N agrees with -(M - M_0) up to
-    rounding.
+    rounding.  The one-row case of ``drawdown_rows``.
     """
-    if zs is not None and zs.grid != M.grid:
-        raise ContractError("zero set grid does not match the path")
-    values = M.values
-    s = np.maximum.accumulate(values)
-    x = Path(grid=M.grid, values=s - values)
-    a = Path(grid=M.grid, values=s - s[0])
-    zz = zs if zs is not None else _empty_zero_set(M.grid)
-    return assemble(x, a, class_tag=SIGMA_H, zero_set=zz, support_scale=0.0)
+    return _one(drawdown_rows(M.values[None]), M.grid, _zero_set_or_empty(zs, M.grid))
+
+
+class _HeldAt(PathFunctional):
+    """The path held at its value where it first reaches a level."""
+
+    def __init__(self, level: float):
+        self.level = level
+
+    def evaluate(self, values: np.ndarray, step: float) -> np.ndarray:
+        last = values.shape[-1] - 1
+        hit = first_hit(values >= self.level)
+        k = np.where(hit >= 0, hit, last)[..., None]
+        return np.where(np.arange(last + 1) >= k, np.take_along_axis(values, k, axis=-1), values)
+
+
+def lifted_rows(
+    w: np.ndarray, zeros: ZeroGeometry, step: float, stop_level: float | None = None
+) -> MemberRows:
+    """``lifted_reflected`` of driver rows over their zero sets."""
+    x = np.abs(w - np.take_along_axis(w, zeros.gamma_idx, axis=-1))
+    if stop_level is not None:
+        if stop_level <= 0.0:
+            raise ConfigurationError("stop_level must be positive")
+        # every run starts at X = 0, below the level, so the restart's
+        # zero at each anchor is X's own value there
+        x = SegmentLayout(x, zeros.in_h).restart(_HeldAt(stop_level), step)
+    a = occupation_kernel(x, step, anchors=zeros.gamma_idx)
+    return _rows(x, a, SIGMA_SH, float(np.sqrt(step)), zeros)
 
 
 def lifted_reflected(
@@ -204,26 +297,11 @@ def lifted_reflected(
     recipe from each restart.  With a ``stop_level``, each run freezes
     at its first time X reaches that level (the run after the last
     zero is the one the terminal laws consume).  N = X - A bitwise.
+    The one-row case of ``lifted_rows``.
     """
     if W.grid != zs.grid:
         raise ContractError("driver and zero set live on different grids")
-    grid = W.grid
-    x = np.abs(W.values - W.values[zs.gamma_index])
-    if stop_level is not None:
-        if stop_level <= 0.0:
-            raise ConfigurationError("stop_level must be positive")
-        for anchor, last in _blocks(zs):
-            seg = x[anchor : last + 1]
-            k = first_hit(seg >= stop_level)
-            if k >= 0:
-                seg[k:] = seg[k]
-    a = occupation_kernel(x, grid.step, anchors=zs.gamma_index)
-    return assemble(
-        Path(grid=grid, values=x),
-        Path(grid=grid, values=a),
-        class_tag=SIGMA_SH,
-        zero_set=zs,
-    )
+    return _one(lifted_rows(W.values[None], _geometry(zs), W.grid.step, stop_level), W.grid, zs)
 
 
 def retag(d: Decomposition, class_tag: str, zs: ZeroSetInfo | None = None) -> Decomposition:
@@ -243,19 +321,19 @@ def retag(d: Decomposition, class_tag: str, zs: ZeroSetInfo | None = None) -> De
         raise ContractError(f"retag to {class_tag!r} needs a zero set")
     if zz.grid != d.grid:
         raise ContractError("zero set grid does not match the paths")
-    if class_tag == SIGMA_SH and zz.h_indices.size:
-        if _max_on_zero_set(d, zz) != 0.0:
-            raise ContractError("restarted class needs X, N, A exactly 0 on the zero set")
+    if class_tag == SIGMA_SH and _null_magnitude(d.x.values, d.n.values, d.a.values, zz.in_h) != 0.0:
+        raise ContractError("restarted class needs X, N, A exactly 0 on the zero set")
     return replace(d, class_tag=class_tag, zero_set=zz)
 
 
-def _max_on_zero_set(d: Decomposition, zs: ZeroSetInfo) -> float:
-    """Largest of |X|, |N|, |A| over the points of a nonempty zero set."""
-    return max(float(np.max(np.abs(p.values[zs.h_indices]))) for p in (d.x, d.n, d.a))
+def _null_magnitude(x: np.ndarray, n: np.ndarray, a: np.ndarray, in_h: np.ndarray) -> np.ndarray:
+    """Largest of |X|, |N|, |A| over each row's zero set (0 where it is empty)."""
+    biggest = np.maximum(np.maximum(np.abs(x), np.abs(n)), np.abs(a))
+    return np.max(biggest, axis=-1, where=in_h, initial=0.0)
 
 
-def _require_member_shape(d: Decomposition, who: str) -> None:
-    if d.x.values[0] != 0.0 or d.a.values[0] != 0.0:
+def _require_member_shape(r: MemberRows, who: str) -> None:
+    if np.any(r.x[:, 0] != 0.0) or np.any(r.a[:, 0] != 0.0):
         raise ContractError(f"{who}: members must have X and A start at 0")
 
 
@@ -270,41 +348,49 @@ def _cross_bracket_warning(n1: np.ndarray, n2: np.ndarray) -> tuple[str, ...]:
     return ()
 
 
-def _running_sup(values: np.ndarray) -> float:
-    return float(np.max(np.abs(values))) if values.size else 0.0
+def product_rows(r1: MemberRows, r2: MemberRows) -> MemberRows:
+    """The product of two member rows, pair by pair (see ``product``)."""
+    if r1.class_tag != r2.class_tag:
+        raise ContractError("product factors must share a class tag")
+    _require_member_shape(r1, "product")
+    _require_member_shape(r2, "product")
+    x1, x2 = r1.x, r2.x
+    c = x1[:, :-1] * np.diff(r2.a, axis=-1) + x2[:, :-1] * np.diff(r1.a, axis=-1)
+    zeros = r1.zeros
+    if r1.class_tag == SIGMA_SH:
+        same = zeros is r2.zeros or (
+            zeros is not None and r2.zeros is not None and np.array_equal(zeros.in_h, r2.zeros.in_h)
+        )
+        if not same:
+            raise ContractError("restarted product factors must share the zero set")
+        a = gathered_prefix(c, zeros.gamma_idx)
+    else:
+        a = gathered_prefix(c)
+    scale = np.maximum(
+        r1.support_scale * np.max(np.abs(x2), axis=-1), r2.support_scale * np.max(np.abs(x1), axis=-1)
+    )
+    return _rows(x1 * x2, a, r1.class_tag, scale, zeros)
+
+
+def _as_rows(d: Decomposition) -> MemberRows:
+    """A decomposition as one member row."""
+    return MemberRows(
+        x=d.x.values[None],
+        n=d.n.values[None],
+        a=d.a.values[None],
+        class_tag=d.class_tag,
+        support_scale=np.array([d.support_scale]),
+        zeros=None if d.zero_set is None else _geometry(d.zero_set),
+        gap_scale=d.gap_scale,
+    )
 
 
 def _product_pair(d1: Decomposition, d2: Decomposition) -> Decomposition:
     if d1.grid != d2.grid:
         raise ContractError("product factors live on different grids")
-    if d1.class_tag != d2.class_tag:
-        raise ContractError("product factors must share a class tag")
-    _require_member_shape(d1, "product")
-    _require_member_shape(d2, "product")
-    grid = d1.grid
-    x1, x2 = d1.x.values, d2.x.values
-    a1, a2 = d1.a.values, d2.a.values
-    c = x1[:-1] * np.diff(a2) + x2[:-1] * np.diff(a1)
-    zs = d1.zero_set
-    if d1.class_tag == SIGMA_SH:
-        same_zs = zs is d2.zero_set or (
-            d2.zero_set is not None and np.array_equal(zs.h_indices, d2.zero_set.h_indices)
-        )
-        if not same_zs:
-            raise ContractError("restarted product factors must share the zero set")
-        a = gathered_prefix(c, zs.gamma_index)
-    else:
-        a = gathered_prefix(c)
-    scale = max(d1.support_scale * _running_sup(x2), d2.support_scale * _running_sup(x1))
+    rows = product_rows(_as_rows(d1), _as_rows(d2))
     warnings = d1.warnings + d2.warnings + _cross_bracket_warning(d1.n.values, d2.n.values)
-    return assemble(
-        Path(grid=grid, values=x1 * x2),
-        Path(grid=grid, values=a),
-        class_tag=d1.class_tag,
-        zero_set=zs,
-        warnings=warnings,
-        support_scale=scale,
-    )
+    return _one(rows, d1.grid, d1.zero_set, warnings)
 
 
 def product(ds: Sequence[Decomposition]) -> Decomposition:
@@ -315,7 +401,8 @@ def product(ds: Sequence[Decomposition]) -> Decomposition:
     the restarted class) and N' is X1 X2 - A' bitwise.  A one-element
     sequence comes back unchanged.  The construction presumes
     orthogonal driving parts; a realized cross bracket that looks
-    significant is surfaced as a warning, not an error.
+    significant is surfaced as a warning, not an error.  Each pair is
+    the one-row case of ``product_rows``.
     """
     factors = list(ds)
     if not factors:
@@ -324,6 +411,33 @@ def product(ds: Sequence[Decomposition]) -> Decomposition:
     for nxt in factors[1:]:
         out = _product_pair(out, nxt)
     return out
+
+
+def scaled_rows(
+    r: MemberRows,
+    f: Callable[[np.ndarray], np.ndarray],
+    primitive: Callable[[np.ndarray], np.ndarray],
+) -> MemberRows:
+    """Member rows scaled by a function of their increasing part (see
+    ``scaled_by_f``)."""
+    _require_member_shape(r, "scaled_by_f")
+    a = r.a
+    fa = np.asarray(f(a), dtype=np.float64)
+    if fa.shape != a.shape:
+        raise ContractError("f must map the A values elementwise")
+    if np.any(fa < 0.0):
+        raise ContractError("f must be nonnegative on the range of A")
+    if r.class_tag == SIGMA_SH:
+        f0 = float(np.asarray(f(np.zeros(1)), dtype=np.float64)[0])
+        if f0 != 0.0:
+            raise ContractError("restarted scaling needs f(0) = 0")
+    p = np.asarray(primitive(a), dtype=np.float64)
+    if p.shape != a.shape:
+        raise ContractError("primitive must map the A values elementwise")
+    p0 = float(np.asarray(primitive(np.zeros(1)), dtype=np.float64)[0])
+    if p0 != 0.0:
+        raise ContractError("the primitive must vanish at 0")
+    return _rows(fa * r.x, p, r.class_tag, r.support_scale * np.max(fa, axis=-1), r.zeros)
 
 
 def scaled_by_f(
@@ -338,33 +452,9 @@ def scaled_by_f(
     support of dA' is the support of dA and the construction stays
     exact.  The restarted class additionally needs f(0) = 0, so that
     the scaled triple still vanishes on the zero set and A' = 0 right
-    after every restart.
+    after every restart.  The one-row case of ``scaled_rows``.
     """
-    _require_member_shape(d, "scaled_by_f")
-    a = d.a.values
-    fa = np.asarray(f(a), dtype=np.float64)
-    if fa.shape != a.shape:
-        raise ContractError("f must map the A values elementwise")
-    if np.any(fa < 0.0):
-        raise ContractError("f must be nonnegative on the range of A")
-    if d.class_tag == SIGMA_SH:
-        f0 = float(np.asarray(f(np.zeros(1)), dtype=np.float64)[0])
-        if f0 != 0.0:
-            raise ContractError("restarted scaling needs f(0) = 0")
-    p = np.asarray(primitive(a), dtype=np.float64)
-    if p.shape != a.shape:
-        raise ContractError("primitive must map the A values elementwise")
-    p0 = float(np.asarray(primitive(np.zeros(1)), dtype=np.float64)[0])
-    if p0 != 0.0:
-        raise ContractError("the primitive must vanish at 0")
-    return assemble(
-        Path(grid=d.grid, values=fa * d.x.values),
-        Path(grid=d.grid, values=p),
-        class_tag=d.class_tag,
-        zero_set=d.zero_set,
-        warnings=d.warnings,
-        support_scale=d.support_scale * float(np.max(fa)),
-    )
+    return _one(scaled_rows(_as_rows(d), f, primitive), d.grid, d.zero_set, d.warnings)
 
 
 def sigma_s_characterization_process(d: Decomposition, f: Callable[[np.ndarray], np.ndarray]) -> Path:
@@ -386,6 +476,10 @@ class CheckOutcome:
     name: str
     passed: bool
     detail: str
+
+
+# the largest share of A's growth the support condition lets land off the allowed set
+_SUPPORT_SHARE = 0.05
 
 
 @dataclass(frozen=True)
@@ -411,7 +505,7 @@ class SupportCheck:
 
     @property
     def passed(self) -> bool:
-        return self.ratio <= 0.05
+        return self.ratio <= _SUPPORT_SHARE
 
 
 @dataclass(frozen=True)
@@ -427,34 +521,205 @@ class MembershipReport:
         return tuple(c for c in self.checks if not c.passed)
 
 
-def _default_gap_tolerance(d: Decomposition) -> float:
-    if d.gap_scale == 0.0:
+def _gap_tolerance(gap_scale: float, grid: TimeGrid) -> float:
+    if gap_scale == 0.0:
         return 0.0
     # kernel constructions: the residual tail is heavy, the worst of 2000
     # unit-coefficient paths reaches about 6.4 * step**0.25, so clear it
     # with room to spare and let the construction declare its coefficient
-    step = d.grid.step
-    horizon = d.grid.horizon
-    return 10.0 * d.gap_scale * step**0.25 * float(np.sqrt(max(1.0, horizon)))
+    return 10.0 * gap_scale * grid.step**0.25 * float(np.sqrt(max(1.0, grid.horizon)))
 
 
-def _support_check(d: Decomposition, zs: ZeroSetInfo, tol: float) -> SupportCheck:
-    x, a = d.x.values, d.a.values
-    if d.class_tag == SIGMA_SH:
-        g = zs.gbar_index
-        xw, aw = x[g:], a[g:]
+def _masked_row_sums(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Per-row sums of the masked entries, each summed as ``np.sum``
+    sums that row's entries alone: rows with equally many entries are
+    summed together, so the pairwise order, and the bits, match."""
+    counts = np.count_nonzero(mask, axis=-1)
+    out = np.zeros(mask.shape[0])
+    for k in np.unique(counts[counts > 0]):
+        rows = counts == k
+        out[rows] = np.sum(values[rows][mask[rows]].reshape(-1, k), axis=-1)
+    return out
+
+
+@dataclass(frozen=True, eq=False)
+class _WindowChecks:
+    """The classical checks of each row on its window from column ``start``."""
+
+    gap: np.ndarray
+    low: np.ndarray
+    starts: np.ndarray
+    n_drops: np.ndarray
+    worst: np.ndarray
+    violation_mass: np.ndarray
+    total_mass: np.ndarray
+
+    @property
+    def ratio(self) -> np.ndarray:
+        return np.divide(
+            self.violation_mass, self.total_mass, out=np.zeros_like(self.total_mass), where=self.total_mass > 0.0
+        )
+
+    def passes(self, gap_tol: float) -> dict[str, np.ndarray]:
+        return {
+            "decomposition_identity": self.gap <= gap_tol,
+            "nonnegative": self.low >= 0.0,
+            "starts_at_zero": self.starts == 0.0,
+            "increasing_part_monotone": self.n_drops == 0,
+            "support_condition": self.ratio <= _SUPPORT_SHARE,
+        }
+
+
+def _window_checks(
+    x: np.ndarray,
+    n: np.ndarray,
+    a: np.ndarray,
+    start: np.ndarray,
+    support_start: np.ndarray,
+    supp_tol: np.ndarray,
+    restarts: np.ndarray | None = None,
+    exempt: np.ndarray | None = None,
+) -> _WindowChecks:
+    """Identity, sign, start, monotonicity and support of each row from
+    its ``start`` column on; the support window opens at
+    ``support_start``.  A may drop into ``restarts``, and its growth
+    may land on ``exempt`` points."""
+    cols = np.arange(x.shape[-1])
+    inside = cols >= start[:, None]
+    steps_in = inside[:, :-1]  # the intervals (j, j+1) with j >= start
+
+    def at(p: np.ndarray, c: np.ndarray) -> np.ndarray:
+        return np.take_along_axis(p, c[:, None], axis=-1)[:, 0]
+
+    da = np.diff(a, axis=-1)
+    drops = (da < 0.0) & steps_in
+    if restarts is not None:
+        drops &= ~restarts[:, 1:]
+    clear = np.minimum(x[:, :-1], x[:, 1:]) > supp_tol[:, None]
+    viol = (da > 0.0) & clear & (cols[:-1] >= support_start[:, None])
+    if exempt is not None:
+        viol &= ~(exempt[:, :-1] | exempt[:, 1:])
+    return _WindowChecks(
+        gap=np.max(np.abs((x - a) - n), axis=-1, where=inside, initial=0.0),
+        low=np.min(x, axis=-1, where=inside, initial=np.inf),
+        starts=np.maximum(np.maximum(np.abs(at(x, start)), np.abs(at(n, start))), np.abs(at(a, start))),
+        n_drops=np.count_nonzero(drops, axis=-1),
+        worst=np.min(da, axis=-1, where=drops, initial=0.0),
+        violation_mass=_masked_row_sums(da, viol),
+        total_mass=a[:, -1] - at(a, support_start),
+    )
+
+
+@dataclass(frozen=True, eq=False)
+class MembershipRows:
+    """Membership check outcomes for a chunk of member rows.
+
+    ``top`` holds the checks of each row as given, ``shifted`` those of
+    its triple shifted to the last zero (classical checks; None for the
+    classical class).  ``null_magnitude`` is None off the restarted
+    class.  ``checks`` maps each check name, in report order, to its
+    per-row outcome; a check that does not apply to a row passes there.
+    """
+
+    rows: MemberRows
+    gap_tolerance: float
+    support_tolerance: np.ndarray
+    top: _WindowChecks
+    null_magnitude: np.ndarray | None
+    wants_shift: np.ndarray
+    degenerate: np.ndarray
+    shifted: _WindowChecks | None
+
+    @property
+    def support_ratio(self) -> np.ndarray:
+        return self.top.ratio
+
+    def checks(self) -> dict[str, np.ndarray]:
+        out = self.top.passes(self.gap_tolerance)
+        if self.null_magnitude is not None:
+            out["null_on_zero_set"] = self.null_magnitude == 0.0
+        if self.shifted is not None:
+            shifted_ok = np.all(list(self.shifted.passes(self.gap_tolerance).values()), axis=0)
+            out["shifted_classical"] = ~self.wants_shift | self.degenerate | shifted_ok
+        return out
+
+    @property
+    def passed(self) -> np.ndarray:
+        return np.all(list(self.checks().values()), axis=0)
+
+    def report(self, i: int) -> MembershipReport:
+        """Row ``i`` as a ``MembershipReport``."""
+        top, gap_tol, supp_tol = self.top, self.gap_tolerance, float(self.support_tolerance[i])
+        passes = self.checks()
+        support = SupportCheck(violation_mass=float(top.violation_mass[i]), total_mass=float(top.total_mass[i]))
+        details = {
+            "decomposition_identity": f"max |X - A - N| = {top.gap[i]:.3e} (tolerance {gap_tol:.3e})",
+            "nonnegative": f"min X = {top.low[i]:.3e}",
+            "starts_at_zero": f"|value at 0| = {top.starts[i]:.3e}",
+            "increasing_part_monotone": (
+                f"{int(top.n_drops[i])} decreasing steps outside restarts (worst {top.worst[i]:.3e})"
+            ),
+            "support_condition": (
+                f"violating mass {support.violation_mass:.3e} of {support.total_mass:.3e}"
+                f" (ratio {support.ratio:.3f}, tolerance {supp_tol:.3e})"
+            ),
+        }
+        zeros = self.rows.zeros
+        if self.null_magnitude is not None and zeros is not None and zeros.in_h[i].any():
+            details["null_on_zero_set"] = f"max |X|, |N|, |A| on the zero set = {self.null_magnitude[i]:.3e}"
+        if self.shifted is not None and self.wants_shift[i]:
+            if self.degenerate[i]:
+                details["shifted_classical"] = "last zero at grid end; shift degenerate, skipped"
+            else:
+                failing = [k for k, ok in self.shifted.passes(gap_tol).items() if not ok[i]]
+                details["shifted_classical"] = ", ".join(failing) or "all classical checks pass"
+        checks = tuple(CheckOutcome(name, bool(passes[name][i]), text) for name, text in details.items())
+        return MembershipReport(checks=checks, support=support)
+
+
+def membership_rows(grid: TimeGrid, rows: MemberRows, support_tolerance=None) -> MembershipRows:
+    """Run every pathwise membership check on each row, relative to
+    its own zero set: the row kernel behind ``verify_membership``.
+
+    ``support_tolerance`` (a number or one per row) defaults to the
+    rows' support scales.
+    """
+    count, width = rows.x.shape
+    scale = rows.support_scale if support_tolerance is None else support_tolerance
+    supp_tol = np.broadcast_to(np.asarray(scale, dtype=np.float64), (count,))
+    x, n, a = rows.x, rows.n, rows.a
+    if rows.zeros is None:
+        in_h, gbar = np.zeros(x.shape, dtype=bool), np.zeros(count, dtype=np.int64)
     else:
-        xw, aw = x, a
-    exempt = np.zeros(xw.size, dtype=bool)
-    if d.class_tag == SIGMA_H:
-        exempt[zs.h_indices] = True
-    da = np.diff(aw)
-    grow = da > 0.0
-    clear = np.minimum(xw[:-1], xw[1:]) > tol
-    viol = grow & clear & ~(exempt[:-1] | exempt[1:])
-    mass = float(np.sum(da[viol]))
-    total = float(aw[-1] - aw[0])
-    return SupportCheck(violation_mass=mass, total_mass=total)
+        in_h, gbar = rows.zeros.in_h, rows.zeros.gbar_idx
+    origin = np.zeros(count, dtype=np.int64)
+    restarted = rows.class_tag == SIGMA_SH
+    top = _window_checks(
+        x, n, a, origin, gbar if restarted else origin, supp_tol,
+        restarts=in_h if restarted else None,
+        exempt=in_h if rows.class_tag == SIGMA_H else None,
+    )
+    null = _null_magnitude(x, n, a, in_h) if restarted else None
+    wants = np.full(count, rows.class_tag != CLASSICAL)
+    shifted = None
+    if rows.class_tag != CLASSICAL:
+        # the restarted class always; sigma_h where X vanishes on H and
+        # A is still 0 at the last zero
+        a_last_zero = np.take_along_axis(a, gbar[:, None], axis=-1)
+        if not restarted:
+            wants = np.all((x == 0.0) | ~in_h, axis=-1) & (a_last_zero[:, 0] == 0.0)
+        n_last_zero = np.take_along_axis(n, gbar[:, None], axis=-1)
+        shifted = _window_checks(x, n - n_last_zero, a - a_last_zero, gbar, gbar, supp_tol)
+    return MembershipRows(
+        rows=rows,
+        gap_tolerance=_gap_tolerance(rows.gap_scale, grid),
+        support_tolerance=supp_tol,
+        top=top,
+        null_magnitude=null,
+        wants_shift=wants,
+        degenerate=gbar >= width - 1,
+        shifted=shifted,
+    )
 
 
 def verify_membership(d: Decomposition, support_tolerance: float | None = None) -> MembershipReport:
@@ -476,98 +741,7 @@ def verify_membership(d: Decomposition, support_tolerance: float | None = None) 
     H and A is still 0 at the last zero.
 
     The default support tolerance is the construction's own
-    ``support_scale``.
+    ``support_scale``.  The one-row case of ``membership_rows``.
     """
     supp_tol = float(d.support_scale if support_tolerance is None else support_tolerance)
-    return _membership(d, _default_gap_tolerance(d), supp_tol)
-
-
-def _membership(d: Decomposition, gap_tol: float, supp_tol: float) -> MembershipReport:
-    """``verify_membership`` at given identity and support tolerances."""
-    grid = d.grid
-    zs = d.zero_set if d.zero_set is not None else _empty_zero_set(grid)
-    x, n, a = d.x.values, d.n.values, d.a.values
-    in_h = np.zeros(grid.n_steps + 1, dtype=bool)
-    in_h[zs.h_indices] = True
-    checks: list[CheckOutcome] = []
-
-    gap = float(np.max(np.abs((x - a) - n)))
-    checks.append(
-        CheckOutcome(
-            "decomposition_identity",
-            gap <= gap_tol,
-            f"max |X - A - N| = {gap:.3e} (tolerance {gap_tol:.3e})",
-        )
-    )
-
-    low = float(np.min(x))
-    checks.append(CheckOutcome("nonnegative", low >= 0.0, f"min X = {low:.3e}"))
-
-    starts = max(abs(float(x[0])), abs(float(n[0])), abs(float(a[0])))
-    checks.append(CheckOutcome("starts_at_zero", starts == 0.0, f"|value at 0| = {starts:.3e}"))
-
-    da = np.diff(a)
-    if d.class_tag == SIGMA_SH:
-        drops = (da < 0.0) & ~in_h[1:]
-    else:
-        drops = da < 0.0
-    n_drops = int(np.count_nonzero(drops))
-    worst = float(np.min(da[drops])) if n_drops else 0.0
-    checks.append(
-        CheckOutcome(
-            "increasing_part_monotone",
-            n_drops == 0,
-            f"{n_drops} decreasing steps outside restarts (worst {worst:.3e})",
-        )
-    )
-
-    support = _support_check(d, zs, supp_tol)
-    checks.append(
-        CheckOutcome(
-            "support_condition",
-            support.passed,
-            (
-                f"violating mass {support.violation_mass:.3e} of {support.total_mass:.3e}"
-                f" (ratio {support.ratio:.3f}, tolerance {supp_tol:.3e})"
-            ),
-        )
-    )
-
-    if d.class_tag == SIGMA_SH and zs.h_indices.size:
-        off_all = _max_on_zero_set(d, zs)
-        checks.append(
-            CheckOutcome(
-                "null_on_zero_set",
-                off_all == 0.0,
-                f"max |X|, |N|, |A| on the zero set = {off_all:.3e}",
-            )
-        )
-
-    wants_shift = d.class_tag == SIGMA_SH or (
-        d.class_tag == SIGMA_H and bool(np.all(x[zs.h_indices] == 0.0)) and a[zs.gbar_index] == 0.0
-    )
-    if wants_shift:
-        g = zs.gbar_index
-        if g >= grid.n_steps:
-            checks.append(
-                CheckOutcome("shifted_classical", True, "last zero at grid end; shift degenerate, skipped")
-            )
-        else:
-            if g == 0:
-                sub_grid = grid
-            else:
-                sub_grid = make_grid(step=grid.step, horizon=(grid.n_steps - g) * grid.step)
-            shifted = Decomposition(
-                x=Path(grid=sub_grid, values=x[g:].copy()),
-                n=Path(grid=sub_grid, values=n[g:] - n[g]),
-                a=Path(grid=sub_grid, values=a[g:] - a[g]),
-                class_tag=CLASSICAL,
-                support_scale=d.support_scale,
-                gap_scale=d.gap_scale,
-            )
-            # classical, so this call makes no further shifted check
-            sub = _membership(shifted, gap_tol, supp_tol)
-            bad = ", ".join(c.name for c in sub.failing()) or "all classical checks pass"
-            checks.append(CheckOutcome("shifted_classical", sub.passed, bad))
-
-    return MembershipReport(checks=tuple(checks), support=support)
+    return membership_rows(d.grid, _as_rows(d), supp_tol).report(0)

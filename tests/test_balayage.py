@@ -8,6 +8,7 @@ from sigma_lab import (
     Constant,
     ContractError,
     DegenerateShiftError,
+    Identity,
     LinearCombination,
     LocalTimeAt,
     NetChange,
@@ -15,6 +16,7 @@ from sigma_lab import (
     PathFunctional,
     Product,
     QuadraticVariation,
+    RunningIntegralAgainst,
     RunningSup,
     SeedSpec,
     assert_adapted,
@@ -29,6 +31,7 @@ from sigma_lab import (
     tanaka_residual,
     zero_set_from_level_series,
 )
+from sigma_lab.balayage import SegmentLayout
 
 SEED = 20260822
 
@@ -266,3 +269,81 @@ def test_restart_properties_hold_for_arbitrary_series(xs, ds):
     assert np.all(out >= 0.0)
     bracket = q_bracket(X, zs).values
     assert np.all(bracket[zs.h_indices] == 0.0)
+
+
+def _builtin_functionals():
+    return (
+        RunningSup(),
+        RunningIntegralAgainst(lambda v: v * v),
+        QuadraticVariation(),
+        LocalTimeAt(0.1),
+        Constant(2.0),
+        Identity(),
+        NetChange(),
+        LinearCombination([2.0, -1.0], [RunningSup(), NetChange()]),
+        Product([NetChange(), QuadraticVariation()]),
+    )
+
+
+def test_adaptedness_probe_rejects_functionals_that_mix_rows():
+    grid = make_grid(horizon=1.0, step=0.05)
+    W = _bm(grid, 21)
+
+    class OneDimensional(PathFunctional):
+        # adapted on one path, but on rows it subtracts the first row
+        def evaluate(self, values, step):
+            return values - values[0]
+
+    with pytest.raises(ContractError, match="last axis"):
+        assert_adapted(OneDimensional(), W.values, grid.step)
+    for phi in _builtin_functionals():
+        assert_adapted(phi, W.values, grid.step)
+
+
+def _per_run_restart(phi, values, in_h, step):
+    """The restart evaluated run by run: each run from its anchor to the
+    point before the next zero, its anchor booked 0 when it is a zero."""
+    n = values.shape[0] - 1
+    anchors = [0] + [j for j in range(1, n + 1) if in_h[j]]
+    out = np.zeros_like(values)
+    for i, g in enumerate(anchors):
+        e = anchors[i + 1] - 1 if i + 1 < len(anchors) else n
+        vals = phi.evaluate(values[g : e + 1], step)
+        if in_h[g]:
+            out[g + 1 : e + 1] = vals[1:]
+        else:
+            out[g : e + 1] = vals
+    return out
+
+
+def _masks(n):
+    cases = {
+        "empty": [],
+        "zero-at-1": [1],
+        "single-point-runs": [5, 6, 7, 12],
+        "last-zero-at-end": [9, n],
+        "anchors-in-h": [3, 30],
+        "zero-at-1-and-end": [1, 2, n - 1, n],
+    }
+    masks = np.zeros((len(cases), n + 1), dtype=bool)
+    for row, zeros in enumerate(cases.values()):
+        masks[row, zeros] = True
+    return masks
+
+
+def test_segment_layout_matches_the_per_run_loop():
+    n, step = 40, 0.025
+    masks = _masks(n)
+    rng = np.random.default_rng(7)
+    values = np.cumsum(rng.standard_normal((masks.shape[0], n + 1)), axis=1)
+    layout = SegmentLayout(values, masks)
+    grid = make_grid(horizon=n * step, step=step)
+    for phi in _builtin_functionals():
+        rows = layout.restart(phi, step)
+        for r in range(masks.shape[0]):
+            expected = _per_run_restart(phi, values[r], masks[r], step)
+            assert np.array_equal(rows[r], expected)
+            # the one-row case: rho over the same zero set
+            zs = zero_set_from_level_series(np.where(np.cumsum(masks[r]) % 2 == 0, 1.0, -1.0), grid)
+            assert np.array_equal(zs.in_h, masks[r])
+            assert np.array_equal(rho(phi, Path(grid=grid, values=values[r]), zs).values, expected)

@@ -1,0 +1,167 @@
+"""The row-batched pathwise chunks against per-path references.
+
+rho-algebra, membership and the residual ladders evaluate whole chunks
+of path rows at once.  Each reference below rebuilds one path's
+features from the public per-path API (``rho``, the constructors,
+``verify_membership``, ``tanaka_residual`` and ``ito_residual``), and
+the chunk features must equal them bit for bit.
+"""
+
+import numpy as np
+import pytest
+
+from sigma_lab import (
+    ErfSign,
+    LinearCombination,
+    LocalTimeAt,
+    Path,
+    Product,
+    QuadraticVariation,
+    SeedSpec,
+    abs_martingale,
+    assemble,
+    density_driver_path,
+    driver_zero_set,
+    drawdown,
+    ito_residual,
+    lifted_reflected,
+    make_grid,
+    pm_combination,
+    product,
+    rho,
+    sample_bm,
+    sample_independent_pair,
+    scaled_by_f,
+    shift,
+    tanaka_residual,
+    verify_membership,
+)
+from sigma_lab.experiments import (
+    _ITO_FORMS,
+    _SHIFTED_VARIANTS,
+    _ladder_chunk,
+    _membership_chunk,
+    _rho_chunk,
+    _rho_pairs,
+)
+
+SEED = 20260822
+MODEL = ErfSign(offset=1.0, terminal_time=1.0)
+PATHS = 12
+
+
+def _zero_set(spec, grid):
+    return driver_zero_set(MODEL, density_driver_path(MODEL, spec, grid))
+
+
+def _rho_reference(spec, step, horizon):
+    grid = make_grid(horizon, step)
+    w = sample_bm(grid, 0.0, spec)
+    zs = _zero_set(spec, grid)
+    shifted = shift(w, zs)
+    g = zs.gbar_index
+    out = dict.fromkeys(("lin", "pos", "prod", "defn"), 0.0)
+    for v1, v2 in _rho_pairs():
+        u1 = rho(v1, w, zs).values
+        u2 = rho(v2, w, zs).values
+        combo = rho(LinearCombination((2.0, -1.0), (v1, v2)), w, zs).values
+        out["lin"] += not np.array_equal(combo, 2.0 * u1 - u2)
+        out["prod"] += not np.array_equal(rho(Product((v1, v2)), w, zs).values, u1 * u2)
+        direct = v1.evaluate(shifted.values, step)
+        head = 0.0 if g > 0 else direct[0]
+        out["defn"] += not (np.array_equal(u1[g + 1 :], direct[1:]) and u1[g] == head)
+    for v in (QuadraticVariation(), LocalTimeAt(0.0)):
+        out["pos"] += float(np.min(rho(v, w, zs).values)) < 0.0
+    return out
+
+
+def _double(a):
+    return 2.0 * a
+
+
+def _square(a):
+    return a * a
+
+
+def _membership_reference(spec, step, horizon):
+    grid = make_grid(horizon, step)
+    w, w2 = sample_independent_pair(grid, (0.0, 0.0), spec)
+    zs = _zero_set(spec, grid)
+    members = {
+        "drawdown": drawdown(w),
+        "abs-martingale": abs_martingale(w, zs),
+        "pm-combination": pm_combination(w, 2.0, 0.5, zs),
+        "lifted": lifted_reflected(w, zs),
+        "lifted-stopped": lifted_reflected(w, zs, stop_level=1.0),
+        "product": product([drawdown(w), drawdown(w2)]),
+        "scaled": scaled_by_f(drawdown(w), _double, _square),
+    }
+    out = {"shifted_fail": 0.0}
+    for key, d in members.items():
+        rep = verify_membership(d)
+        out[f"fail|{key}"] = float(not rep.passed)
+        out[f"supratio|{key}"] = rep.support.ratio
+        if key in _SHIFTED_VARIANTS:
+            out["shifted_fail"] += sum(c.name == "shifted_classical" and not c.passed for c in rep.checks)
+    base = members["drawdown"]
+    ramp = Path(grid=grid, values=base.a.values + 0.5 * grid.times)
+    bad = assemble(base.x, ramp, base.class_tag, base.zero_set, support_scale=base.support_scale)
+    out["corrupt_pass"] = float(verify_membership(bad).passed)
+    wf = sample_bm(make_grid(horizon, step / 2.0), 0.0, spec)
+    for rung, factor in (("c", 4), ("m", 2), ("f", 1)):
+        g = make_grid(horizon, step / 2.0 * factor)
+        rep = verify_membership(abs_martingale(Path(grid=g, values=wf.values[::factor])), 0.6 * np.sqrt(2.0 * step))
+        out[f"viol_{rung}"] = rep.support.violation_mass
+        out[f"tot_{rung}"] = rep.support.total_mass
+    return out
+
+
+def _residual_reference(x, zs, form):
+    if form in _ITO_FORMS:
+        return ito_residual(*_ITO_FORMS[form], x, zs).values
+    return tanaka_residual(x, 0.0, zs, form=form).residual.values
+
+
+def _ladder_reference(spec, step, horizon, forms):
+    fine = make_grid(horizon, step)
+    w = sample_bm(fine, 0.0, spec)
+    driver = density_driver_path(MODEL, spec, fine)
+    out = {}
+    for factor in (4, 2, 1):
+        grid = make_grid(horizon, step * factor)
+        zs = driver_zero_set(MODEL, Path(grid=grid, values=driver.values[::factor]))
+        values = w.values[::factor]
+        x = Path(grid=grid, values=values - values[zs.gamma_index])
+        for form in forms:
+            res = _residual_reference(x, zs, form)
+            out[f"sup{factor}|{form}"] = float(np.max(np.abs(res)))
+            if factor == 1 and form == "abs":
+                parts = np.abs(_residual_reference(x, zs, "plus")) + np.abs(_residual_reference(x, zs, "minus"))
+                out["tri_bad"] = float(float(np.max(np.abs(res) - parts)) > 1e-12)
+    return out
+
+
+def _assert_rows_match(batch, reference, start):
+    refs = [reference(SeedSpec(SEED, start + i)) for i in range(PATHS)]
+    assert set(batch) == set(refs[0])
+    for key, values in batch.items():
+        expected = np.array([r[key] for r in refs])
+        assert np.array_equal(values, expected), key
+
+
+@pytest.mark.parametrize("start", [0, 40])
+def test_rho_chunk_matches_per_path_restarts(start):
+    batch = _rho_chunk(start, PATHS, seed=SEED, step=0.02, horizon=2.0, model=MODEL)
+    _assert_rows_match(batch, lambda spec: _rho_reference(spec, 0.02, 2.0), start)
+
+
+@pytest.mark.parametrize("start", [0, 40])
+def test_membership_chunk_matches_per_path_verdicts(start):
+    batch = _membership_chunk(start, PATHS, seed=SEED, step=0.01, horizon=1.0, model=MODEL)
+    _assert_rows_match(batch, lambda spec: _membership_reference(spec, 0.01, 1.0), start)
+
+
+def test_ladder_chunk_matches_per_path_residuals():
+    forms = ("abs", "plus", "minus") + tuple(_ITO_FORMS)
+    batch = _ladder_chunk(0, PATHS, seed=SEED, step=0.005, horizon=1.0, model=MODEL, forms=forms)
+    _assert_rows_match(batch, lambda spec: _ladder_reference(spec, 0.005, 1.0, forms), 0)

@@ -30,6 +30,7 @@ from sigma_lab.cli import main
 from sigma_lab.experiments import (
     RunSettings,
     _chunked,
+    _ladder_chunk,
     _levy_chunk,
     _membership_chunk,
     _rho_chunk,
@@ -361,6 +362,10 @@ def test_pathwise_chunks_draw_each_density_stream_once(draws):
     draws.clear()
     _membership_chunk(0, 10, seed=20260822, step=0.01, horizon=1.0, model=model)
     assert draws[SUBSTREAM_DENSITY] == 10
+    draws.clear()
+    # every ladder rung and all three Ito forms read one draw per stream
+    _ladder_chunk(0, 10, seed=20260822, step=0.005, horizon=1.0, model=model, forms=("linear", "square", "cosine"))
+    assert draws[SUBSTREAM_DENSITY] == 10 and draws[SUBSTREAM_PRIMARY] == 10
 
 
 _LAWS = ("passage-eq2", "passage-eq3", "passage-eq4", "passage-s32", "a-infinity")

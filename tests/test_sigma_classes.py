@@ -25,6 +25,8 @@ from sigma_lab import (
     verify_membership,
     zero_set_from_level_series,
 )
+from sigma_lab.density import empty_zero_set
+from sigma_lab.sigma_classes import MemberRows, drawdown_rows, membership_rows
 
 SEED = 20260822
 
@@ -314,3 +316,32 @@ def test_verify_membership_shifted_branch_runs_for_restarted_class():
     names = [c.name for c in report.checks]
     assert "shifted_classical" in names
     _report_or_fail(report)
+
+
+def test_membership_rows_sum_each_row_alone():
+    # A grows everywhere by distinct amounts, so every row's violation
+    # mass is a long sum whose bits depend on the summation order.
+    grid = make_grid(horizon=1.0, step=0.01)
+    rng = np.random.default_rng(11)
+    w = np.stack([_bm(grid, i).values for i in range(8)])
+    base = drawdown_rows(w)
+    # each row grows on a different share of its steps, so the rows hold
+    # different numbers of violating intervals
+    grows = rng.random(w.shape) < 0.2 + 0.1 * np.arange(8)[:, None]
+    noise = np.cumsum(rng.exponential(0.01, size=w.shape) * grows, axis=1)
+    a = base.a + noise - noise[:, :1]
+    rows = MemberRows(x=base.x, n=base.x - a, a=a, class_tag=SIGMA_H, support_scale=np.zeros(8))
+    batch = membership_rows(grid, rows)
+    for i in range(8):
+        da = np.diff(a[i])
+        viol = (da > 0.0) & (np.minimum(base.x[i, :-1], base.x[i, 1:]) > 0.0)
+        assert batch.top.violation_mass[i] == float(np.sum(da[viol]))
+        d = assemble(
+            Path(grid=grid, values=base.x[i]),
+            Path(grid=grid, values=a[i]),
+            class_tag=SIGMA_H,
+            zero_set=empty_zero_set(grid),
+            support_scale=0.0,
+        )
+        assert verify_membership(d) == batch.report(i)
+    assert not batch.passed.any()
