@@ -9,17 +9,20 @@ segment rule and are implemented with one shared prefix-sum gather, so
 the algebraic identities between them hold bitwise, not just to
 rounding.
 
-Every kernel here works along the last axis of arrays shaped (..., n+1)
-with per-row anchors: the gather (``gathered_prefix``), the occupation
-kernel (``occupation_kernel``), the residual kernels
-(``tanaka_rows``, ``ito_rows``), and every ``PathFunctional``, whose
-``evaluate`` maps each row on its own.  ``SegmentLayout`` gathers the
-zero-free runs of a whole chunk of rows once, grouped by length, and
-evaluates a functional on all of them at a time.  ``rho``,
-``q_integral``, ``tanaka_residual`` and ``ito_residual`` are the
-one-row case of these kernels, and the ensemble chunks in
-``experiments`` call them on path rows, so the two forms share code,
-not just formulas.  The kernel's bandwidth is sqrt(step) everywhere.
+Every function here works along the last axis of arrays shaped
+(..., n+1), with per-row anchors: the gather (``gathered_prefix``),
+the occupation kernel (``occupation_kernel``), and every
+``PathFunctional``, whose ``evaluate`` maps each row on its own.
+``rho``, ``q_integral``, ``q_bracket``, ``q_local_time``,
+``tanaka_residual`` and ``ito_residual`` take a ``Path`` of one path
+or of rows with a ``ZeroSetInfo`` of the same shape, so a row of a
+chunk's result equals that path's own call bit for bit.
+``SegmentLayout`` gathers the zero-free runs of a whole chunk of rows
+once, grouped by length, and evaluates a functional on all of them at
+a time; ``rho`` restarts through it, and a caller that restarts many
+functionals over one chunk keeps one layout for all of them.
+``shift`` is defined for one path only.  The kernel's bandwidth is
+sqrt(step) everywhere.
 
 Grid conventions: a run is the maximal index block sharing one
 last-zero anchor; the anchor belongs to its own block; index 0 anchors
@@ -58,10 +61,8 @@ __all__ = [
     "q_integral",
     "q_bracket",
     "q_local_time",
-    "tanaka_rows",
     "tanaka_residual",
     "TanakaResidual",
-    "ito_rows",
     "ito_residual",
 ]
 
@@ -264,37 +265,32 @@ class SegmentLayout:
         return out
 
 
-def _check_same_grid(X: Path, zs: ZeroSetInfo) -> None:
-    if X.grid != zs.grid:
-        raise ContractError("path and zero set live on different grids")
-
-
-def _restart_one(phi: PathFunctional, X: Path, zs: ZeroSetInfo) -> Path:
-    layout = SegmentLayout(X.values[None], zs.in_h[None])
-    return Path(grid=X.grid, values=layout.restart(phi, zs.grid.step)[0])
-
-
 def rho(phi: PathFunctional, X: Path, zs: ZeroSetInfo) -> Path:
-    """Restart a functional over the zero set.
+    """Restart a functional over the zero set, row by row.
 
     Output is 0 at zero-set points; elsewhere the functional is
     evaluated afresh on the segment from the last zero.  The tail past
     the final zero therefore reproduces, entry for entry, the
-    functional evaluated on the shifted path.  The one-row case of
-    ``SegmentLayout.restart``.
+    functional evaluated on the shifted path.  Restarts through one
+    ``SegmentLayout`` of the rows.
     """
-    _check_same_grid(X, zs)
-    return _restart_one(phi, X, zs)
+    zs.check_path(X)
+    width = X.values.shape[-1]
+    layout = SegmentLayout(X.values.reshape(-1, width), zs.in_h.reshape(-1, width))
+    return Path(grid=X.grid, values=layout.restart(phi, zs.grid.step).reshape(X.values.shape))
 
 
 def shift(X: Path, zs: ZeroSetInfo) -> Path:
     """The path restarted at its last zero: values from that time on.
 
-    With an empty zero set this is the path itself.  Raises
-    DegenerateShiftError when the last zero sits at the grid end and no
-    shifted path remains.
+    With an empty zero set this is the path itself.  Defined for one
+    path only: shifted rows would live on different grids.  Raises
+    DegenerateShiftError when the last zero sits at the grid end and
+    no shifted path remains.
     """
-    _check_same_grid(X, zs)
+    zs.check_path(X)
+    if X.values.ndim != 1:
+        raise ContractError("shift is defined for one path, not for rows")
     g = zs.gbar_index
     if g == 0:
         return X
@@ -358,27 +354,27 @@ def q_integral(
     path functional (then evaluated afresh per segment, like the
     restart operator itself).
     """
-    _check_same_grid(X, zs)
+    zs.check_path(X)
     if isinstance(h, PathFunctional):
         # the restarted integral is 0 at every anchor
-        return _restart_one(_IntegralOf(h), X, zs)
+        return rho(_IntegralOf(h), X, zs)
     values = X.values
-    incs = np.diff(values)
+    incs = np.diff(values, axis=-1)
     if callable(h):
-        hw = np.asarray(h(values[:-1]), dtype=np.float64)
+        hw = np.asarray(h(values[..., :-1]), dtype=np.float64)
     else:
         hw = np.asarray(h, dtype=np.float64)
-        if hw.shape[0] == values.shape[0]:
-            hw = hw[:-1]
-    if hw.shape[0] != incs.shape[0]:
+        if hw.shape[-1] == values.shape[-1]:
+            hw = hw[..., :-1]
+    if hw.shape[-1] != incs.shape[-1]:
         raise ContractError("integrand length must match the number of grid intervals")
     return Path(grid=X.grid, values=gathered_prefix(hw * incs, zs.gamma_index))
 
 
 def q_bracket(X: Path, zs: ZeroSetInfo) -> Path:
     """Realized quadratic variation per zero-free segment."""
-    _check_same_grid(X, zs)
-    return Path(grid=X.grid, values=gathered_prefix(np.diff(X.values) ** 2, zs.gamma_index))
+    zs.check_path(X)
+    return Path(grid=X.grid, values=gathered_prefix(np.diff(X.values, axis=-1) ** 2, zs.gamma_index))
 
 
 def q_local_time(X: Path, level: float, zs: ZeroSetInfo) -> Path:
@@ -387,7 +383,7 @@ def q_local_time(X: Path, level: float, zs: ZeroSetInfo) -> Path:
     Counts left endpoints of the current segment within sqrt(step) of
     the level, scaled by step / (2 * sqrt(step)).
     """
-    _check_same_grid(X, zs)
+    zs.check_path(X)
     return Path(grid=X.grid, values=occupation_kernel(X.values, zs.grid.step, level, zs.gamma_index))
 
 
@@ -434,26 +430,6 @@ def _form_pieces(form: str, left: np.ndarray, level: float):
     return f, d, half
 
 
-def tanaka_rows(
-    values: np.ndarray,
-    level: float,
-    gamma: np.ndarray,
-    step: float,
-    form: str = "abs",
-) -> tuple[np.ndarray, np.ndarray]:
-    """Identity and kernel local times of rows restarted at ``gamma``.
-
-    ``gamma`` holds the last-zero anchor column of every entry, shaped
-    like ``values``; the residual is the first output minus the second.
-    The row kernel behind ``tanaka_residual``.
-    """
-    f, d, half = _form_pieces(form, values[..., :-1], level)
-    fx = f(values)
-    lhs = fx - np.take_along_axis(fx, gamma, axis=-1)
-    stoch = gathered_prefix(d * np.diff(values, axis=-1), gamma)
-    return (lhs - stoch) / half, occupation_kernel(values, step, level, gamma)
-
-
 def tanaka_residual(
     X: Path,
     level: float,
@@ -466,12 +442,16 @@ def tanaka_residual(
     f(X_t) - f(X at the segment start) minus the restarted left-point
     integral of f' against dX, rescaled so that every form estimates
     the same symmetric local time.  The kernel estimate is
-    ``q_local_time`` on the same segments.  The one-row case of
-    ``tanaka_rows``.
+    ``q_local_time`` on the same segments.
     """
-    _check_same_grid(X, zs)
-    identity, kernel = tanaka_rows(X.values, level, zs.gamma_index, zs.grid.step, form)
-    grid = X.grid
+    zs.check_path(X)
+    values, gamma, grid = X.values, zs.gamma_index, X.grid
+    f, d, half = _form_pieces(form, values[..., :-1], level)
+    fx = f(values)
+    lhs = fx - np.take_along_axis(fx, gamma, axis=-1)
+    stoch = gathered_prefix(d * np.diff(values, axis=-1), gamma)
+    identity = (lhs - stoch) / half
+    kernel = occupation_kernel(values, grid.step, level, gamma)
     return TanakaResidual(
         form=form,
         level=level,
@@ -479,24 +459,6 @@ def tanaka_residual(
         kernel_local_time=Path(grid=grid, values=kernel),
         residual=Path(grid=grid, values=identity - kernel),
     )
-
-
-def ito_rows(
-    F: Callable[[np.ndarray], np.ndarray],
-    dF: Callable[[np.ndarray], np.ndarray],
-    d2F: Callable[[np.ndarray], np.ndarray],
-    values: np.ndarray,
-    gamma: np.ndarray,
-) -> np.ndarray:
-    """Second-order expansion residual of rows restarted at ``gamma``
-    (anchor columns shaped like ``values``): the row kernel behind
-    ``ito_residual``."""
-    left = values[..., :-1]
-    incs = np.diff(values, axis=-1)
-    fx = np.asarray(F(values), dtype=np.float64)
-    lhs = fx - np.take_along_axis(fx, gamma, axis=-1)
-    c = np.asarray(dF(left), dtype=np.float64) * incs + 0.5 * np.asarray(d2F(left), dtype=np.float64) * incs**2
-    return lhs - gathered_prefix(c, gamma)
 
 
 def ito_residual(
@@ -511,7 +473,12 @@ def ito_residual(
     F(X_t) - F(X at the segment start) minus the restarted left-point
     sum of dF * increment + d2F / 2 * increment squared.  Quadratic F
     makes this vanish to rounding; smooth F decays like sqrt(step).
-    The one-row case of ``ito_rows``.
     """
-    _check_same_grid(X, zs)
-    return Path(grid=X.grid, values=ito_rows(F, dF, d2F, X.values, zs.gamma_index))
+    zs.check_path(X)
+    values, gamma = X.values, zs.gamma_index
+    left = values[..., :-1]
+    incs = np.diff(values, axis=-1)
+    fx = np.asarray(F(values), dtype=np.float64)
+    lhs = fx - np.take_along_axis(fx, gamma, axis=-1)
+    c = np.asarray(dF(left), dtype=np.float64) * incs + 0.5 * np.asarray(d2F(left), dtype=np.float64) * incs**2
+    return Path(grid=X.grid, values=lhs - gathered_prefix(c, gamma))

@@ -14,6 +14,7 @@ import configparser
 import difflib
 import json
 import os
+import pathlib
 import sys
 
 from .errors import ConfigurationError, ContractError
@@ -56,7 +57,7 @@ def _parse_checkpoints(text: str) -> tuple[float, ...]:
 def _load_config_file(path: str) -> dict[str, str]:
     """Flat key-value run options from an INI [run] section or a JSON object."""
     try:
-        text = open(path, "r", encoding="utf-8").read()
+        text = pathlib.Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigurationError(f"cannot read config file {path}: {exc}") from exc
     if text.lstrip().startswith("{"):

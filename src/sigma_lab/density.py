@@ -23,12 +23,15 @@ values not both zero, and the zero is booked at the right endpoint
 k + 1.  The convention sup(empty) = 0 applies throughout: with no
 crossing, the last zero time and every last-zero-before-t time is 0.
 
-The driver, density and zero-set kernels (``driver_matrix``,
-``density_matrix``, ``zero_geometry``, ``driver_geometry``) work on
-path rows.  The per-path functions (``density_driver_path``,
-``density_path``, ``zero_set_from_level_series``, ``driver_zero_set``)
-call the same kernels on one row, so a per-path result equals the
-matching ensemble row bit for bit.
+The driver, density and zero-set functions work on path rows.  A
+``ZeroSetInfo`` holds the zero sets of one path or of rows of paths:
+their masks, anchor columns and last zeros on one grid.
+``zero_set_from_level_series``, ``zero_set`` and ``driver_zero_set``
+read it off a series, a density ``Path`` or a driver ``Path`` of
+either shape, through the one sign-change kernel ``zero_geometry``, so
+a row of a chunk's zero set equals that path's own bit for bit.  The
+per-path samplers (``density_driver_path``, ``density_path``) are row
+0 of ``driver_matrix`` and ``density_matrix`` for their seed.
 
 What differs between the models is decided here and nowhere else: the
 model's own time span (``model_time``), where its driver starts
@@ -39,6 +42,7 @@ D's zeros (``zero_level``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.special import ndtr
@@ -53,7 +57,6 @@ __all__ = [
     "DensityModel",
     "ZeroSetInfo",
     "empty_zero_set",
-    "ZeroGeometry",
     "model_time",
     "driver_from_increments",
     "driver_matrix",
@@ -64,7 +67,6 @@ __all__ = [
     "density_driver_path",
     "zero_set",
     "driver_zero_set",
-    "driver_geometry",
     "zero_set_from_level_series",
     "ensemble_weights",
 ]
@@ -108,49 +110,74 @@ DensityModel = ConstantOne | StoppedBM | ErfSign
 
 @dataclass(frozen=True, eq=False)
 class ZeroSetInfo:
-    """Grid geometry of the density zero set for one path.
+    """Grid geometry of the density zero sets of one path or of rows.
+
+    Built from the zero-set mask; the anchors follow from it, computed
+    when first read.
 
     Attributes
     ----------
-    h_indices:
-        Sorted grid indices carrying a detected zero (right endpoints).
-    gbar / gbar_index:
-        Last zero time on the grid (0 when the zero set is empty).
+    in_h:
+        The zero sets as masks over the grid indices (right endpoints),
+        shaped (..., n+1) like the paths; one-dimensional for one path.
     gamma_index:
         For each grid index j, the index of the last zero at or before
-        j (0 when there is none).
-    excursion_start_indices:
-        Left endpoints of the maximal zero-free runs: the zero opening
-        each run, or 0 for the initial run.
+        j (0 when there is none), shaped like ``in_h``.
+    gbar_index / gbar:
+        Each row's last zero index and time (0 when its zero set is
+        empty): an int and a float for one path, one per row otherwise.
     """
 
     grid: TimeGrid
-    h_indices: np.ndarray = field(repr=False)
-    gbar_index: int
-    gamma_index: np.ndarray = field(repr=False)
-    excursion_start_indices: np.ndarray = field(repr=False)
+    in_h: np.ndarray = field(repr=False)
+
+    def __post_init__(self) -> None:
+        in_h = np.asarray(self.in_h, dtype=bool)
+        if in_h.ndim < 1 or in_h.shape[-1] != self.grid.n_steps + 1:
+            raise ContractError("zero-set mask length does not match the grid")
+        object.__setattr__(self, "in_h", in_h)
+
+    @cached_property
+    def gamma_index(self) -> np.ndarray:
+        return np.maximum.accumulate(np.where(self.in_h, np.arange(self.in_h.shape[-1]), 0), axis=-1)
+
+    @cached_property
+    def gbar_index(self) -> int | np.ndarray:
+        last = self.gamma_index[..., -1]
+        return int(last) if self.in_h.ndim == 1 else last.copy()
 
     @property
-    def gbar(self) -> float:
+    def gbar(self) -> float | np.ndarray:
         return self.gbar_index * self.grid.step
 
+    def check_path(self, X: Path) -> None:
+        """Raise ContractError unless X lives on this grid, one row per zero set."""
+        if X.grid != self.grid:
+            raise ContractError("path and zero set live on different grids")
+        if X.values.shape != self.in_h.shape:
+            raise ContractError("path and zero set hold different rows")
+
+    def _one_path(self, what: str) -> None:
+        if self.in_h.ndim != 1:
+            raise ContractError(f"{what} is defined for one path, not for rows")
+
     @property
-    def in_h(self) -> np.ndarray:
-        """The zero set as a mask over the grid indices."""
-        mask = np.zeros(self.grid.n_steps + 1, dtype=bool)
-        mask[self.h_indices] = True
-        return mask
+    def h_indices(self) -> np.ndarray:
+        """Sorted grid indices carrying a detected zero (one path only)."""
+        self._one_path("h_indices")
+        return np.nonzero(self.in_h)[0].astype(np.int64)
+
+    @property
+    def excursion_start_indices(self) -> np.ndarray:
+        """Left endpoints of the maximal zero-free runs: the zero opening
+        each run, or 0 for the initial run (one path only)."""
+        self._one_path("excursion_start_indices")
+        return np.unique(self.gamma_index)
 
 
 def empty_zero_set(grid: TimeGrid) -> ZeroSetInfo:
-    """The empty zero set: no zeros, and every anchor at index 0."""
-    return ZeroSetInfo(
-        grid=grid,
-        h_indices=np.zeros(0, dtype=np.int64),
-        gbar_index=0,
-        gamma_index=np.zeros(grid.n_steps + 1, dtype=np.int64),
-        excursion_start_indices=np.zeros(1, dtype=np.int64),
-    )
+    """One path's empty zero set: no zeros, and every anchor at index 0."""
+    return ZeroSetInfo(grid=grid, in_h=np.zeros(grid.n_steps + 1, dtype=bool))
 
 
 def model_time(model: DensityModel) -> float | None:
@@ -224,17 +251,8 @@ def density_path(model: DensityModel, seed: SeedSpec, grid: TimeGrid) -> Path:
     return Path(grid=grid, values=density_matrix(model, driver, grid)[0])
 
 
-@dataclass(frozen=True, eq=False)
-class ZeroGeometry:
-    """Zero-set geometry along the last axis: one entry per path."""
-
-    in_h: np.ndarray = field(repr=False)
-    gamma_idx: np.ndarray = field(repr=False)
-    gbar_idx: np.ndarray = field(repr=False)
-
-
-def zero_geometry(level_rows: np.ndarray, last_index: int | None = None) -> ZeroGeometry:
-    """Sign-change geometry of series crossing level 0, shaped (..., n+1).
+def zero_geometry(level_rows: np.ndarray, last_index: int | None = None) -> np.ndarray:
+    """Zero-set masks of series crossing level 0, shaped (..., n+1).
 
     Zeros are booked at the right endpoint of a sign-change interval;
     ``last_index`` discards detections past a freeze column.
@@ -245,31 +263,19 @@ def zero_geometry(level_rows: np.ndarray, last_index: int | None = None) -> Zero
         change[..., last_index:] = False
     in_h = np.zeros(level_rows.shape, dtype=bool)
     in_h[..., 1:] = change
-    idx = np.arange(level_rows.shape[-1])
-    gamma_idx = np.maximum.accumulate(np.where(in_h, idx, 0), axis=-1)
-    return ZeroGeometry(in_h=in_h, gamma_idx=gamma_idx, gbar_idx=gamma_idx[..., -1].copy())
+    return in_h
 
 
 def zero_set_from_level_series(series: np.ndarray, grid: TimeGrid, last_index: int | None = None) -> ZeroSetInfo:
-    """Zero-set geometry of a series crossing level 0 on the grid.
+    """Zero sets of series crossing level 0 on the grid, one per row.
 
     ``last_index`` restricts detection to intervals ending at or before
-    that index (used when the series is frozen afterwards).  The
-    geometry is ``zero_geometry`` of the single series.
+    that index (used when the series is frozen afterwards).
     """
     series = np.asarray(series, dtype=np.float64)
-    if series.shape != (grid.n_steps + 1,):
+    if series.ndim < 1 or series.shape[-1] != grid.n_steps + 1:
         raise ContractError("level series length does not match the grid")
-    zg = zero_geometry(series, last_index)
-    gamma_index = zg.gamma_idx.astype(np.int64)
-    return ZeroSetInfo(
-        grid=grid,
-        h_indices=np.nonzero(zg.in_h)[0].astype(np.int64),
-        gbar_index=int(zg.gbar_idx),
-        gamma_index=gamma_index,
-        # One anchor per maximal run: the distinct last-zero values.
-        excursion_start_indices=np.unique(gamma_index),
-    )
+    return ZeroSetInfo(grid=grid, in_h=zero_geometry(series, last_index))
 
 
 def zero_level(model: StoppedBM | ErfSign, driver: np.ndarray) -> np.ndarray:
@@ -292,16 +298,10 @@ def zero_set(D: Path, model: DensityModel) -> ZeroSetInfo:
 
 
 def driver_zero_set(model: StoppedBM | ErfSign, driver: Path) -> ZeroSetInfo:
-    """D's zero set read off its driver path alone, so that one draw of
+    """D's zero sets read off its driver paths alone, so that one draw of
     the density substream serves both."""
     stop = _require_horizon(model, driver.grid)
     return zero_set_from_level_series(zero_level(model, driver.values), driver.grid, last_index=stop)
-
-
-def driver_geometry(model: StoppedBM | ErfSign, driver: np.ndarray, grid: TimeGrid) -> ZeroGeometry:
-    """Zero geometry of D read off driver rows on the grid, up to the
-    model's own time: the row form of ``driver_zero_set``."""
-    return zero_geometry(zero_level(model, driver), last_index=_require_horizon(model, grid))
 
 
 def ensemble_weights(terminal_values: np.ndarray) -> np.ndarray:

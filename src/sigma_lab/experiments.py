@@ -54,28 +54,26 @@ from .balayage import (
     RunningSup,
     SegmentLayout,
     gathered_prefix,
-    ito_rows,
+    ito_residual,
     occupation_kernel,
-    tanaka_rows,
+    tanaka_residual,
 )
 from .density import (
     ConstantOne,
     DensityModel,
     ErfSign,
     StoppedBM,
-    ZeroGeometry,
+    ZeroSetInfo,
     density_matrix,
     driver_from_increments,
-    driver_geometry,
     driver_matrix,
+    driver_zero_set,
     empty_zero_set,
     ensemble_weights,
     model_time,
-    zero_geometry,
-    zero_level,
 )
 from .ensemble import CHUNK_SIZE, run_chunked
-from .errors import ConfigurationError, DegenerateShiftError
+from .errors import ConfigurationError
 from .estimates import (
     BoundarySpec,
     ConstantBoundary,
@@ -97,6 +95,7 @@ from .paths import (
     SUBSTREAM_DENSITY,
     SUBSTREAM_PRIMARY,
     SUBSTREAM_SECONDARY,
+    Path,
     TimeGrid,
     before_hit,
     cumsum_paths,
@@ -105,13 +104,15 @@ from .paths import (
     make_grid,
 )
 from .sigma_classes import (
-    MemberRows,
-    drawdown_rows,
-    lifted_rows,
-    membership_rows,
-    pm_rows,
-    product_rows,
-    scaled_rows,
+    Decomposition,
+    abs_martingale,
+    assemble,
+    drawdown,
+    lifted_reflected,
+    pm_combination,
+    product,
+    scaled_by_f,
+    verify_membership,
 )
 
 __all__ = [
@@ -318,32 +319,29 @@ def _secondary(seed: int, start: int, count: int, grid: TimeGrid) -> np.ndarray:
     return cumsum_paths(incs)
 
 
-def _density_block(model: DensityModel, seed: int, start: int, count: int, step: float) -> tuple[np.ndarray, ZeroGeometry]:
-    """Terminal density values and zero geometry on the model's own span.
+def _density_block(
+    model: DensityModel, seed: int, start: int, count: int, step: float
+) -> tuple[np.ndarray, ZeroSetInfo | None]:
+    """Terminal density values and zero sets on the model's own span.
 
     The indices live on any grid with the same step, because the
     model is constant past its own time.  ConstantOne has no span: its
-    terminal value is 1 and its zero set is empty.
+    terminal value is 1 and it has no zero sets (None).
     """
     span = model_time(model)
     if span is None:
-        return np.ones(count), zero_geometry(np.ones((count, 1)))
+        return np.ones(count), None
     sgrid = make_grid(span, step)
     driver = driver_matrix(model, seed, start, count, sgrid)
     dens = density_matrix(model, driver, sgrid)
-    return dens[:, -1], zero_geometry(zero_level(model, driver), last_index=sgrid.n_steps)
+    return dens[:, -1], driver_zero_set(model, Path(grid=sgrid, values=driver))
 
 
-def _extend_geometry(zg: ZeroGeometry, n_cols: int) -> ZeroGeometry:
-    """Zero geometry on the model's span, padded out to n_cols columns:
-    the model has no zeros past its span, so the anchor stays at the
-    last zero."""
-    count, pad = zg.in_h.shape[0], n_cols - zg.in_h.shape[1]
-    return ZeroGeometry(
-        in_h=np.concatenate([zg.in_h, np.zeros((count, pad), dtype=bool)], axis=1),
-        gamma_idx=np.concatenate([zg.gamma_idx, np.repeat(zg.gbar_idx[:, None], pad, axis=1)], axis=1),
-        gbar_idx=zg.gbar_idx,
-    )
+def _extend(zs: ZeroSetInfo, grid: TimeGrid) -> ZeroSetInfo:
+    """Zero sets on the model's span, out to a longer grid of the same
+    step: the model has no zeros past its span."""
+    pad = grid.n_steps - zs.grid.n_steps
+    return ZeroSetInfo(grid=grid, in_h=np.pad(zs.in_h, ((0, 0), (0, pad))))
 
 
 def _grid_steps(times: tuple[float, ...], horizon: float, step: float) -> tuple[int, ...]:
@@ -517,8 +515,8 @@ def _r1_chunk(
     w = _primary(seed, start, count, grid)
     t = grid.times
     u = ndtr((0.5 - w) / np.sqrt(cdf_time - t)[None, :])
-    terminal, zg = _density_block(model, seed, start, count, step)
-    gbar = zg.gbar_idx
+    terminal, zs = _density_block(model, seed, start, count, step)
+    gbar = zs.gbar_index
     ug = _gather(u, gbar)
     vals = np.empty((count, len(offset_steps)))
     keep = np.ones(count, dtype=bool)
@@ -531,9 +529,9 @@ def _r1_chunk(
         vals[:, k] = _gather(u, cols) - ug
     bound = max(float(np.max(u - 1.0)), float(np.max(-u)), 0.0)
     return {
-        "v": vals[keep],
+        "v": vals,
         "bound": np.full(count, bound),
-        "pprime_raw": terminal[keep],
+        "pprime_raw": terminal,
         "kept": keep.astype(np.float64),
     }
 
@@ -557,9 +555,16 @@ def _run_r1(st: RunSettings) -> tuple[list[TargetCheck], list[CurveSeries]]:
     horizon, offsets = _r1_plan(st)
     steps = _grid_steps(offsets, horizon, st.step)
     feats = _chunked(st, _r1_chunk, horizon=horizon, cdf_time=horizon + 1.0, offset_steps=steps, model=_ERF)
-    pprime = ensemble_weights(feats["pprime_raw"])
-    rep = flatness_test(feats["v"].T, pprime, offsets)
-    dropped = int(st.n_paths - feats["v"].shape[0])
+    kept = feats["kept"] > 0.0
+    n_kept = int(np.count_nonzero(kept))
+    if n_kept < 2:
+        raise ConfigurationError(
+            f"r1-ui-martingale kept {n_kept} of {st.n_paths} paths: the others' restart windows run past"
+            f" horizon {horizon:g}; use a longer horizon, more paths or --policy extend"
+        )
+    pprime = ensemble_weights(feats["pprime_raw"][kept])
+    rep = flatness_test(feats["v"][kept].T, pprime, offsets)
+    dropped = st.n_paths - n_kept
     checks = [
         _flatness_check("restart-increments-flat", rep, f"P'-weighted ({dropped} dropped)"),
         exact_check("bounded-in-unit-interval", float(np.max(feats["bound"]))),
@@ -569,22 +574,19 @@ def _run_r1(st: RunSettings) -> tuple[list[TargetCheck], list[CurveSeries]]:
 
 # ---------------------------------------------------------------- sigma-s characterization
 
-def _sigs_rows(
+def _sigs_members(
     start: int, count: int, *, seed: int, step: float, horizon: float, model: DensityModel
-) -> tuple[TimeGrid, np.ndarray, np.ndarray, tuple[np.ndarray, ZeroGeometry]]:
-    """Rows of the restarted reflected driver X and its kernel clock A:
-    the ``lifted_reflected`` construction, one row per path; then the
-    ``_density_block`` they were restarted on."""
+) -> tuple[Decomposition, np.ndarray]:
+    """The restarted reflected driver X and its kernel clock A, one row
+    per path (``lifted_reflected``), and the terminal density values."""
     grid = make_grid(horizon, step)
-    w = _primary(seed, start, count, grid)
-    terminal, zg = _density_block(model, seed, start, count, step)
-    rows = lifted_rows(w, _extend_geometry(zg, grid.n_steps + 1), step)
-    return grid, rows.x, rows.a, (terminal, zg)
+    terminal, zs = _density_block(model, seed, start, count, step)
+    return lifted_reflected(Path(grid=grid, values=_primary(seed, start, count, grid)), _extend(zs, grid)), terminal
 
 
-def _sigs_chunk(start: int, count: int, *, cols: tuple[int, ...], **rows) -> dict[str, np.ndarray]:
-    _, x, a, (terminal, zg) = _sigs_rows(start, count, **rows)
-    gbar = zg.gbar_idx
+def _sigs_chunk(start: int, count: int, *, cols: tuple[int, ...], **params) -> dict[str, np.ndarray]:
+    d, terminal = _sigs_members(start, count, **params)
+    x, a, gbar = d.x.values, d.a.values, d.zero_set.gbar_index
     xc, ac = x[:, cols], a[:, cols]
     out: dict[str, np.ndarray] = {"q": terminal}
     for kind in _F_ORDER:
@@ -626,11 +628,9 @@ def _rho_chunk(
     grid = make_grid(horizon, step)
     n = grid.n_steps
     w = _primary(seed, start, count, grid)
-    zg = driver_geometry(model, driver_matrix(model, seed, start, count, grid), grid)
-    g = zg.gbar_idx
-    if np.any(g >= n):
-        raise DegenerateShiftError("last zero at the grid end leaves no shifted path")
-    layout = SegmentLayout(w, zg.in_h)
+    zs = driver_zero_set(model, Path(grid=grid, values=driver_matrix(model, seed, start, count, grid)))
+    g = zs.gbar_index
+    layout = SegmentLayout(w, zs.in_h)
     # each row from its last zero on (the shifted path), and the restart
     # values over the same columns; entries past the row end repeat it
     past = np.minimum(g[:, None] + np.arange(n + 1), n)
@@ -661,6 +661,8 @@ def _rho_chunk(
 
 def _run_rho(st: RunSettings) -> tuple[list[TargetCheck], list[CurveSeries]]:
     horizon = _horizon(st)
+    if horizon <= _MODEL_SPAN:  # a last zero at the grid end would leave no shifted path
+        raise ConfigurationError(f"rho-algebra needs a horizon past the model span {_MODEL_SPAN:g}")
     feats = _chunked(st, _rho_chunk, chunk_size=_RHO_CHUNK, horizon=horizon, model=_ERF)
     n = st.n_paths
     checks = [
@@ -686,8 +688,8 @@ def _qbracket_chunk(
 ) -> dict[str, np.ndarray]:
     grid = make_grid(horizon, step)
     w = _primary(seed, start, count, grid)
-    terminal, zg = _density_block(model, seed, start, count, step)
-    gbar = zg.gbar_idx
+    terminal, zs = _density_block(model, seed, start, count, step)
+    gbar = zs.gbar_index
     bracket = gathered_prefix(np.diff(w, axis=1) ** 2, gbar[:, None])
     wg = _gather(w, gbar)
     vals = np.empty((count, len(offset_steps)))
@@ -729,13 +731,12 @@ _ITO_FORMS = {
 }
 
 
-def _residual(x: np.ndarray, gamma: np.ndarray, step: float, form: str) -> np.ndarray:
+def _residual(x: Path, zs: ZeroSetInfo, form: str) -> np.ndarray:
     """Ito residual rows for the forms of ``_ITO_FORMS``, Tanaka residual
     rows at level 0 for abs, plus and minus."""
     if form in _ITO_FORMS:
-        return ito_rows(*_ITO_FORMS[form], x, gamma)
-    identity, kernel = tanaka_rows(x, 0.0, gamma, step, form)
-    return identity - kernel
+        return ito_residual(*_ITO_FORMS[form], x, zs).values
+    return tanaka_residual(x, 0.0, zs, form).residual.values
 
 
 def _ladder_chunk(
@@ -749,17 +750,17 @@ def _ladder_chunk(
     out: dict[str, np.ndarray] = {}
     for factor in _LADDER:
         grid = make_grid(horizon, step * factor)
-        gamma = driver_geometry(model, driver[:, ::factor], grid).gamma_idx
+        zs = driver_zero_set(model, Path(grid=grid, values=driver[:, ::factor]))
         values = w[:, ::factor]
         # signed restarted driver; level 0 is crossed transversally, which
         # is what the local-time identities are about
-        x = values - np.take_along_axis(values, gamma, axis=1)
+        x = Path(grid=grid, values=values - np.take_along_axis(values, zs.gamma_index, axis=1))
         for form in forms:
-            res = _residual(x, gamma, grid.step, form)
+            res = _residual(x, zs, form)
             out[f"sup{factor}|{form}"] = np.max(np.abs(res), axis=1)
             if factor == 1 and form == "abs":
-                rp = _residual(x, gamma, grid.step, "plus")
-                rm = _residual(x, gamma, grid.step, "minus")
+                rp = _residual(x, zs, "plus")
+                rm = _residual(x, zs, "minus")
                 gap = np.abs(res) - (np.abs(rp) + np.abs(rm))
                 out["tri_bad"] = (np.max(gap, axis=1) > 1e-12).astype(np.float64)
     return out
@@ -776,9 +777,8 @@ def _ladder_rows(name: str, form: str, feats: dict[str, np.ndarray], st: RunSett
 
 def _constant_path_residual(st: RunSettings, form: str) -> float:
     grid = make_grid(1.0, st.step)
-    flat = np.full((1, grid.n_steps + 1), 0.5)
-    gamma = empty_zero_set(grid).gamma_index[None]
-    return float(np.max(np.abs(_residual(flat, gamma, grid.step, form))))
+    flat = Path(grid=grid, values=np.full(grid.n_steps + 1, 0.5))
+    return float(np.max(np.abs(_residual(flat, empty_zero_set(grid), form))))
 
 
 def _run_tanaka(st: RunSettings, *, form: str) -> tuple[list[TargetCheck], list[CurveSeries]]:
@@ -852,8 +852,8 @@ def _doob_chunk(
     # ConstantOne has no zeros: the whole prefix is after the last zero
     out = {f"freq|{a:g}": _bridge_freq(z[:, : n1 + 1], float(np.log(a)), step) for a in levels}
 
-    terminal, zg = _density_block(_ERF, seed, start, count, step)
-    gbar = zg.gbar_idx
+    terminal, zs = _density_block(_ERF, seed, start, count, step)
+    gbar = zs.gbar_index
     b = float(np.log(2.0))
     pre = np.arange(grid.n_steps + 1)[None, :] < gbar[:, None]
     out["erf|freq|2"] = _bridge_freq(np.where(pre, b - 50.0, z) if gbar.any() else z, b, step)
@@ -969,8 +969,8 @@ def _laws_chunk(
         return out
     del x, a
 
-    terminal, zg = _density_block(_ERF, seed, start, count, step)
-    gbar = zg.gbar_idx
+    terminal, zs = _density_block(_ERF, seed, start, count, step)
+    gbar = zs.gbar_index
     xs = np.abs(w - _gather(w, gbar)[:, None])
     a_sh = occupation_kernel(xs, step, anchors=gbar[:, None])
     after = np.arange(grid.n_steps + 1)[None, :] >= gbar[:, None]
@@ -1256,15 +1256,15 @@ def _square(a: np.ndarray) -> np.ndarray:
     return a * a
 
 
-def _build_product(seed: int, start: int, count: int, grid: TimeGrid) -> MemberRows:
+def _build_product(seed: int, start: int, count: int, grid: TimeGrid) -> Decomposition:
     """The product of two independent drawdowns."""
-    w2 = _secondary(seed, start, count, grid)
-    return product_rows(drawdown_rows(_primary(seed, start, count, grid)), drawdown_rows(w2))
+    w1, w2 = (Path(grid=grid, values=draw(seed, start, count, grid)) for draw in (_primary, _secondary))
+    return product([drawdown(w1), drawdown(w2)])
 
 
-def _build_scaled(seed: int, start: int, count: int, grid: TimeGrid) -> MemberRows:
+def _build_scaled(seed: int, start: int, count: int, grid: TimeGrid) -> Decomposition:
     """The drawdown rescaled by f(a) = 2a."""
-    return scaled_rows(drawdown_rows(_primary(seed, start, count, grid)), _double, _square)
+    return scaled_by_f(drawdown(Path(grid=grid, values=_primary(seed, start, count, grid))), _double, _square)
 
 
 def _closure_chunk(
@@ -1276,9 +1276,9 @@ def _closure_chunk(
     horizon: float,
     cols: tuple[int, ...],
     model: DensityModel,
-    build: Callable[[int, int, int, TimeGrid], MemberRows],
+    build: Callable[[int, int, int, TimeGrid], Decomposition],
 ) -> dict[str, np.ndarray]:
-    n = build(seed, start, count, make_grid(horizon, step)).n
+    n = build(seed, start, count, make_grid(horizon, step)).n.values
     terminal, _ = _density_block(model, seed, start, count, step)
     return {"n": n[:, cols], "q": terminal}
 
@@ -1291,7 +1291,7 @@ def _run_closure(st: RunSettings, *, build: Callable, label: str) -> tuple[list[
     rep = flatness_test(feats["n"].T, feats["q"], cps)
     # the first 40 paths' decompositions, checked pathwise
     grid = make_grid(horizon, st.step)
-    bad = int(np.count_nonzero(~membership_rows(grid, build(st.master_seed, 0, 40, grid)).passed))
+    bad = int(np.count_nonzero(~verify_membership(build(st.master_seed, 0, 40, grid)).passed))
     checks = [
         _flatness_check(f"{label}-martingale-part-flat", rep, "q-weighted"),
         count_check(f"{label}-membership-sample", bad, f"40 pathwise {label} decompositions verify"),
@@ -1326,39 +1326,37 @@ def _membership_chunk(
     start: int, count: int, *, seed: int, step: float, horizon: float, model: DensityModel
 ) -> dict[str, np.ndarray]:
     grid = make_grid(horizon, step)
-    w = _primary(seed, start, count, grid)
-    zg = driver_geometry(model, driver_matrix(model, seed, start, count, grid), grid)
-    base = drawdown_rows(w)
+    w = Path(grid=grid, values=_primary(seed, start, count, grid))
+    zs = driver_zero_set(model, Path(grid=grid, values=driver_matrix(model, seed, start, count, grid)))
+    base = drawdown(w)
     members = {
         "drawdown": base,
-        "abs-martingale": pm_rows(w, 1.0, 1.0, step, zg),
-        "pm-combination": pm_rows(w, 2.0, 0.5, step, zg),
-        "lifted": lifted_rows(w, zg, step),
-        "lifted-stopped": lifted_rows(w, zg, step, stop_level=1.0),
-        "product": product_rows(base, drawdown_rows(_secondary(seed, start, count, grid))),
-        "scaled": scaled_rows(base, _double, _square),
+        "abs-martingale": abs_martingale(w, zs),
+        "pm-combination": pm_combination(w, 2.0, 0.5, zs),
+        "lifted": lifted_reflected(w, zs),
+        "lifted-stopped": lifted_reflected(w, zs, stop_level=1.0),
+        "product": product([base, drawdown(Path(grid=grid, values=_secondary(seed, start, count, grid)))]),
+        "scaled": scaled_by_f(base, _double, _square),
     }
     out: dict[str, np.ndarray] = {"shifted_fail": np.zeros(count)}
-    for key, rows in members.items():
-        rep = membership_rows(grid, rows)
+    for key, d in members.items():
+        rep = verify_membership(d)
         out[f"fail|{key}"] = (~rep.passed).astype(np.float64)
-        out[f"supratio|{key}"] = rep.support_ratio
+        out[f"supratio|{key}"] = rep.support.ratio
         if key in _SHIFTED_VARIANTS:
-            out["shifted_fail"] += ~rep.checks()["shifted_classical"]
+            out["shifted_fail"] += ~rep.verdicts["shifted_classical"]
     del members
-    ramp = base.a + 0.5 * grid.times
-    bad = MemberRows(
-        x=base.x, n=base.x - ramp, a=ramp, class_tag=base.class_tag, support_scale=base.support_scale
-    )
-    out["corrupt_pass"] = membership_rows(grid, bad).passed.astype(np.float64)
+    ramp = Path(grid=grid, values=base.a.values + 0.5 * grid.times)
+    bad = assemble(base.x, ramp, base.class_tag, base.zero_set, support_scale=base.support_scale)
+    out["corrupt_pass"] = verify_membership(bad).passed.astype(np.float64)
     # fixed-tolerance support mass on a common-randomness step ladder
     stress_tol = 0.6 * float(np.sqrt(2.0 * step))
     wf = _primary(seed, start, count, make_grid(horizon, step / 2.0))
     for rung, factor in (("c", 4), ("m", 2), ("f", 1)):
         g = make_grid(horizon, step / 2.0 * factor)
-        rep = membership_rows(g, pm_rows(wf[:, ::factor], 1.0, 1.0, g.step), stress_tol)
-        out[f"viol_{rung}"] = rep.top.violation_mass
-        out[f"tot_{rung}"] = rep.top.total_mass
+        support = verify_membership(abs_martingale(Path(grid=g, values=wf[:, ::factor])), stress_tol).support
+        out[f"viol_{rung}"] = support.violation_mass
+        out[f"tot_{rung}"] = support.total_mass
     return out
 
 
@@ -1407,14 +1405,14 @@ def _run_membership(st: RunSettings) -> tuple[list[TargetCheck], list[CurveSerie
 # ---------------------------------------------------------------- zero geometry
 
 def _geom_chunk(start: int, count: int, *, seed: int, step: float, model: StoppedBM) -> dict[str, np.ndarray]:
-    _, zg = _density_block(model, seed, start, count, step)
-    gbar = zg.gbar_idx
-    col = np.arange(zg.in_h.shape[1])
+    _, zs = _density_block(model, seed, start, count, step)
+    gbar = zs.gbar_index
+    col = np.arange(zs.in_h.shape[1])
     after = col[None, :] >= gbar[:, None]
     return {
         "haszero": (gbar > 0).astype(np.float64),
-        "gamma_moves": ((zg.gamma_idx != gbar[:, None]) & after).any(axis=1).astype(np.float64),
-        "origin_in_h": zg.in_h[:, 0].astype(np.float64),
+        "gamma_moves": ((zs.gamma_index != gbar[:, None]) & after).any(axis=1).astype(np.float64),
+        "origin_in_h": zs.in_h[:, 0].astype(np.float64),
     }
 
 

@@ -78,10 +78,13 @@ class TimeGrid:
 
 @dataclass(frozen=True, eq=False)
 class Path:
-    """One scalar path sampled on a uniform grid (n_steps + 1 values).
+    """Scalar paths sampled on one uniform grid: values shaped (..., n+1).
 
-    Compared by identity; compare ``values`` arrays explicitly when
-    content equality is meant.
+    A one-dimensional ``values`` is one path; a matrix holds one path
+    per row, and every function that takes a ``Path`` maps each row on
+    its own, so a row of its output equals that row's one-path call bit
+    for bit.  Compared by identity; compare ``values`` arrays
+    explicitly when content equality is meant.
     """
 
     grid: TimeGrid
@@ -90,9 +93,9 @@ class Path:
     def __post_init__(self) -> None:
         values = np.asarray(self.values, dtype=np.float64)
         object.__setattr__(self, "values", values)
-        if values.ndim != 1 or values.shape[0] != self.grid.n_steps + 1:
+        if values.ndim < 1 or values.shape[-1] != self.grid.n_steps + 1:
             raise ConfigurationError(
-                f"path needs {self.grid.n_steps + 1} values, got shape {values.shape}"
+                f"path needs {self.grid.n_steps + 1} values a row, got shape {values.shape}"
             )
         if not np.all(np.isfinite(values)):
             raise ConfigurationError("path values must be finite")

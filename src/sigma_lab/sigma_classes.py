@@ -26,27 +26,28 @@ is the level below which X counts as "at zero" for the support check:
 the kernel bandwidth sqrt(step) (times the weight of the construction)
 for the occupation-kernel ones; ``assemble`` defaults it to sqrt(step).
 
-The constructors and the checks run on path rows.  ``MemberRows`` is
-the row form of a decomposition: X, N and A shaped (R, n+1), the zero
-sets as one ``ZeroGeometry``, and a support scale per row.  The row
-constructors (``drawdown_rows``, ``pm_rows``, ``lifted_rows``,
-``product_rows``, ``scaled_rows``) build it, and ``membership_rows``
-runs every check on all rows at once, with each row's own zero set and
-tolerances.  The per-path constructors and ``verify_membership`` are
-the one-row case of these kernels, so a per-path verdict equals its
-ensemble row bit for bit; each row's support mass is summed on its
-own, in the order a lone ``np.sum`` would take.
+Every constructor and ``verify_membership`` takes a ``Path`` of one
+path or of rows of paths on one grid (values shaped (..., n+1)), with
+a ``ZeroSetInfo`` of the same shape.  A ``Decomposition`` of rows holds
+one triple per row and a support scale that is one number or one per
+row; each row equals that path's own construction bit for bit.  A
+``MembershipReport`` gives each check's verdict (``verdicts``): a bool
+for one path, one per row otherwise.  Each row's support mass is
+summed on its own, in the order a lone ``np.sum`` would take, so a
+row's verdicts equal that path's own.  The detail text of the checks
+(``checks``) is built when it is read, for one path only.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
-from .balayage import PathFunctional, SegmentLayout, gathered_prefix, occupation_kernel
-from .density import ZeroGeometry, ZeroSetInfo, empty_zero_set
+from .balayage import PathFunctional, gathered_prefix, occupation_kernel, rho
+from .density import ZeroSetInfo
 from .errors import ConfigurationError, ContractError
 from .paths import Path, TimeGrid, first_hit
 
@@ -55,26 +56,18 @@ __all__ = [
     "SIGMA_H",
     "SIGMA_SH",
     "Decomposition",
-    "MemberRows",
     "assemble",
     "abs_martingale",
     "pm_combination",
-    "pm_rows",
     "drawdown",
-    "drawdown_rows",
     "lifted_reflected",
-    "lifted_rows",
     "retag",
     "product",
-    "product_rows",
     "scaled_by_f",
-    "scaled_rows",
     "sigma_s_characterization_process",
     "CheckOutcome",
     "SupportCheck",
     "MembershipReport",
-    "MembershipRows",
-    "membership_rows",
     "verify_membership",
 ]
 
@@ -84,15 +77,24 @@ SIGMA_SH = "sigma_s_h"
 _TAGS = (CLASSICAL, SIGMA_H, SIGMA_SH)
 
 
+def _lead(values) -> float | bool | np.ndarray:
+    """A per-row result as returned: a Python scalar for one path."""
+    values = np.asarray(values)
+    return values.item() if values.ndim == 0 else values
+
+
 @dataclass(frozen=True)
 class Decomposition:
-    """One path triple X = N + A with its class bookkeeping."""
+    """X = N + A with its class bookkeeping, for one path or per row.
+
+    ``support_scale`` is one number, or one per row.
+    """
 
     x: Path
     n: Path
     a: Path
     class_tag: str
-    support_scale: float
+    support_scale: float | np.ndarray
     zero_set: ZeroSetInfo | None = None
     warnings: tuple[str, ...] = ()
     gap_scale: float = 0.0
@@ -102,65 +104,21 @@ class Decomposition:
             raise ConfigurationError(f"unknown class tag {self.class_tag!r}")
         if not (self.x.grid == self.n.grid == self.a.grid):
             raise ContractError("decomposition parts live on different grids")
+        if not (self.x.values.shape == self.n.values.shape == self.a.values.shape):
+            raise ContractError("decomposition parts hold different rows")
         if self.class_tag != CLASSICAL and self.zero_set is None:
             raise ContractError(f"class {self.class_tag!r} needs a zero set")
-        if self.zero_set is not None and self.zero_set.grid != self.x.grid:
-            raise ContractError("zero set grid does not match the paths")
+        if self.zero_set is not None:
+            self.zero_set.check_path(self.x)
 
     @property
     def grid(self) -> TimeGrid:
         return self.x.grid
 
 
-@dataclass(frozen=True, eq=False)
-class MemberRows:
-    """Decompositions of a chunk of paths, one per row of (R, n+1) arrays.
-
-    The row form of ``Decomposition``: the zero sets are one
-    ``ZeroGeometry`` (None for the empty set), and the support scale
-    holds one entry per row.  The row constructors build these, and
-    ``membership_rows`` checks them.
-    """
-
-    x: np.ndarray
-    n: np.ndarray
-    a: np.ndarray
-    class_tag: str
-    support_scale: np.ndarray
-    zeros: ZeroGeometry | None = None
-    gap_scale: float = 0.0
-
-
-def _rows(x: np.ndarray, a: np.ndarray, class_tag: str, support_scale, zeros: ZeroGeometry | None) -> MemberRows:
-    """Member rows with N = X - A bitwise."""
-    scale = np.broadcast_to(np.asarray(support_scale, dtype=np.float64), x.shape[:1])
-    return MemberRows(x=x, n=x - a, a=a, class_tag=class_tag, support_scale=scale, zeros=zeros)
-
-
-def _geometry(zs: ZeroSetInfo) -> ZeroGeometry:
-    """One path's zero set as a one-row geometry."""
-    return ZeroGeometry(in_h=zs.in_h[None], gamma_idx=zs.gamma_index[None], gbar_idx=np.array([zs.gbar_index]))
-
-
-def _one(rows: MemberRows, grid: TimeGrid, zs: ZeroSetInfo | None, warnings: tuple[str, ...] = ()) -> Decomposition:
-    """The decomposition of a one-row ``MemberRows`` over the zero set ``zs``."""
-    return Decomposition(
-        x=Path(grid=grid, values=rows.x[0]),
-        n=Path(grid=grid, values=rows.n[0]),
-        a=Path(grid=grid, values=rows.a[0]),
-        class_tag=rows.class_tag,
-        support_scale=float(rows.support_scale[0]),
-        zero_set=zs,
-        warnings=warnings,
-        gap_scale=rows.gap_scale,
-    )
-
-
-def _zero_set_or_empty(zs: ZeroSetInfo | None, grid: TimeGrid) -> ZeroSetInfo:
+def _zero_set_or_empty(zs: ZeroSetInfo | None, M: Path) -> ZeroSetInfo:
     if zs is None:
-        return empty_zero_set(grid)
-    if zs.grid != grid:
-        raise ContractError("zero set grid does not match the path")
+        return ZeroSetInfo(grid=M.grid, in_h=np.zeros(M.values.shape, dtype=bool))
     return zs
 
 
@@ -170,7 +128,7 @@ def assemble(
     class_tag: str = CLASSICAL,
     zero_set: ZeroSetInfo | None = None,
     warnings: tuple[str, ...] = (),
-    support_scale: float | None = None,
+    support_scale: float | np.ndarray | None = None,
 ) -> Decomposition:
     """Build a decomposition from X and A, with N defined as X - A.
 
@@ -200,22 +158,6 @@ def abs_martingale(M: Path, zs: ZeroSetInfo | None = None) -> Decomposition:
     return pm_combination(M, 1.0, 1.0, zs)
 
 
-def pm_rows(
-    w: np.ndarray, alpha: float, beta: float, step: float, zeros: ZeroGeometry | None = None
-) -> MemberRows:
-    """``pm_combination`` of martingale rows started at 0."""
-    if alpha <= 0.0 or beta <= 0.0:
-        raise ConfigurationError("pm_combination needs strictly positive weights")
-    if np.any(w[:, 0] != 0.0):
-        raise ContractError("pm_combination needs a path started at 0")
-    x = alpha * np.maximum(w, 0.0) + beta * np.maximum(-w, 0.0)
-    integrand = np.where(w[:, :-1] > 0.0, alpha, -beta)
-    n = gathered_prefix(integrand * np.diff(w, axis=-1))
-    a = ((alpha + beta) / 2.0) * occupation_kernel(w, step)
-    scale = np.full(w.shape[0], max(alpha, beta) * float(np.sqrt(step)))
-    return MemberRows(x=x, n=n, a=a, class_tag=SIGMA_H, support_scale=scale, zeros=zeros, gap_scale=(alpha + beta) / 2.0)
-
-
 def pm_combination(
     M: Path,
     alpha: float,
@@ -230,17 +172,26 @@ def pm_combination(
     bitwise with ``abs_martingale``.  Both weights must be strictly
     positive; X scales the kernel band by up to max(alpha, beta),
     recorded as the support scale, and the identity residual by the
-    mean weight, recorded as the gap scale.  The one-row case of
-    ``pm_rows``.
+    mean weight, recorded as the gap scale.
     """
-    rows = pm_rows(M.values[None], alpha, beta, M.grid.step)
-    return _one(rows, M.grid, _zero_set_or_empty(zs, M.grid))
-
-
-def drawdown_rows(w: np.ndarray) -> MemberRows:
-    """``drawdown`` of path rows, over the empty zero set."""
-    s = np.maximum.accumulate(w, axis=-1)
-    return _rows(s - w, s - s[:, :1], SIGMA_H, 0.0, None)
+    if alpha <= 0.0 or beta <= 0.0:
+        raise ConfigurationError("pm_combination needs strictly positive weights")
+    w, grid = M.values, M.grid
+    if np.any(w[..., 0] != 0.0):
+        raise ContractError("pm_combination needs a path started at 0")
+    x = alpha * np.maximum(w, 0.0) + beta * np.maximum(-w, 0.0)
+    integrand = np.where(w[..., :-1] > 0.0, alpha, -beta)
+    n = gathered_prefix(integrand * np.diff(w, axis=-1))
+    a = ((alpha + beta) / 2.0) * occupation_kernel(w, grid.step)
+    return Decomposition(
+        x=Path(grid=grid, values=x),
+        n=Path(grid=grid, values=n),
+        a=Path(grid=grid, values=a),
+        class_tag=SIGMA_H,
+        support_scale=max(alpha, beta) * float(np.sqrt(grid.step)),
+        zero_set=_zero_set_or_empty(zs, M),
+        gap_scale=(alpha + beta) / 2.0,
+    )
 
 
 def drawdown(M: Path, zs: ZeroSetInfo | None = None) -> Decomposition:
@@ -249,9 +200,17 @@ def drawdown(M: Path, zs: ZeroSetInfo | None = None) -> Decomposition:
     A grows exactly at the indices where a new maximum is set, and
     there X is exactly zero, so the support condition holds with zero
     tolerance.  Exact by assembly; N agrees with -(M - M_0) up to
-    rounding.  The one-row case of ``drawdown_rows``.
+    rounding.
     """
-    return _one(drawdown_rows(M.values[None]), M.grid, _zero_set_or_empty(zs, M.grid))
+    w = M.values
+    s = np.maximum.accumulate(w, axis=-1)
+    return assemble(
+        Path(grid=M.grid, values=s - w),
+        Path(grid=M.grid, values=s - s[..., :1]),
+        SIGMA_H,
+        _zero_set_or_empty(zs, M),
+        support_scale=0.0,
+    )
 
 
 class _HeldAt(PathFunctional):
@@ -265,21 +224,6 @@ class _HeldAt(PathFunctional):
         hit = first_hit(values >= self.level)
         k = np.where(hit >= 0, hit, last)[..., None]
         return np.where(np.arange(last + 1) >= k, np.take_along_axis(values, k, axis=-1), values)
-
-
-def lifted_rows(
-    w: np.ndarray, zeros: ZeroGeometry, step: float, stop_level: float | None = None
-) -> MemberRows:
-    """``lifted_reflected`` of driver rows over their zero sets."""
-    x = np.abs(w - np.take_along_axis(w, zeros.gamma_idx, axis=-1))
-    if stop_level is not None:
-        if stop_level <= 0.0:
-            raise ConfigurationError("stop_level must be positive")
-        # every run starts at X = 0, below the level, so the restart's
-        # zero at each anchor is X's own value there
-        x = SegmentLayout(x, zeros.in_h).restart(_HeldAt(stop_level), step)
-    a = occupation_kernel(x, step, anchors=zeros.gamma_idx)
-    return _rows(x, a, SIGMA_SH, float(np.sqrt(step)), zeros)
 
 
 def lifted_reflected(
@@ -297,11 +241,18 @@ def lifted_reflected(
     recipe from each restart.  With a ``stop_level``, each run freezes
     at its first time X reaches that level (the run after the last
     zero is the one the terminal laws consume).  N = X - A bitwise.
-    The one-row case of ``lifted_rows``.
     """
-    if W.grid != zs.grid:
-        raise ContractError("driver and zero set live on different grids")
-    return _one(lifted_rows(W.values[None], _geometry(zs), W.grid.step, stop_level), W.grid, zs)
+    zs.check_path(W)
+    grid, w = W.grid, W.values
+    x = Path(grid=grid, values=np.abs(w - np.take_along_axis(w, zs.gamma_index, axis=-1)))
+    if stop_level is not None:
+        if stop_level <= 0.0:
+            raise ConfigurationError("stop_level must be positive")
+        # every run starts at X = 0, below the level, so the restart's
+        # zero at each anchor is X's own value there
+        x = rho(_HeldAt(stop_level), x, zs)
+    a = occupation_kernel(x.values, grid.step, anchors=zs.gamma_index)
+    return assemble(x, Path(grid=grid, values=a), SIGMA_SH, zs, support_scale=float(np.sqrt(grid.step)))
 
 
 def retag(d: Decomposition, class_tag: str, zs: ZeroSetInfo | None = None) -> Decomposition:
@@ -319,9 +270,8 @@ def retag(d: Decomposition, class_tag: str, zs: ZeroSetInfo | None = None) -> De
     zz = zs if zs is not None else d.zero_set
     if zz is None:
         raise ContractError(f"retag to {class_tag!r} needs a zero set")
-    if zz.grid != d.grid:
-        raise ContractError("zero set grid does not match the paths")
-    if class_tag == SIGMA_SH and _null_magnitude(d.x.values, d.n.values, d.a.values, zz.in_h) != 0.0:
+    zz.check_path(d.x)
+    if class_tag == SIGMA_SH and np.any(_null_magnitude(d.x.values, d.n.values, d.a.values, zz.in_h) != 0.0):
         raise ContractError("restarted class needs X, N, A exactly 0 on the zero set")
     return replace(d, class_tag=class_tag, zero_set=zz)
 
@@ -332,65 +282,46 @@ def _null_magnitude(x: np.ndarray, n: np.ndarray, a: np.ndarray, in_h: np.ndarra
     return np.max(biggest, axis=-1, where=in_h, initial=0.0)
 
 
-def _require_member_shape(r: MemberRows, who: str) -> None:
-    if np.any(r.x[:, 0] != 0.0) or np.any(r.a[:, 0] != 0.0):
+def _require_member_shape(d: Decomposition, who: str) -> None:
+    if np.any(d.x.values[..., 0] != 0.0) or np.any(d.a.values[..., 0] != 0.0):
         raise ContractError(f"{who}: members must have X and A start at 0")
 
 
 def _cross_bracket_warning(n1: np.ndarray, n2: np.ndarray) -> tuple[str, ...]:
-    c = np.diff(n1) * np.diff(n2)
-    denom = float(np.sqrt(np.sum(c * c)))
-    if denom == 0.0:
-        return ()
-    z = abs(float(np.sum(c))) / denom
+    """A warning when some row's realized cross bracket looks significant."""
+    c = np.diff(n1, axis=-1) * np.diff(n2, axis=-1)
+    denom = np.sqrt(np.sum(c * c, axis=-1))
+    z = float(np.max(np.abs(np.sum(c, axis=-1)) / np.where(denom == 0.0, np.inf, denom)))
     if z > 4.0:
         return (f"driving parts look correlated: cross bracket z = {z:.2f}",)
     return ()
 
 
-def product_rows(r1: MemberRows, r2: MemberRows) -> MemberRows:
-    """The product of two member rows, pair by pair (see ``product``)."""
-    if r1.class_tag != r2.class_tag:
+def _times(d1: Decomposition, d2: Decomposition) -> Decomposition:
+    """The product of two members, row by row (see ``product``)."""
+    if d1.grid != d2.grid:
+        raise ContractError("product factors live on different grids")
+    if d1.x.values.shape != d2.x.values.shape:
+        raise ContractError("product factors hold different rows")
+    if d1.class_tag != d2.class_tag:
         raise ContractError("product factors must share a class tag")
-    _require_member_shape(r1, "product")
-    _require_member_shape(r2, "product")
-    x1, x2 = r1.x, r2.x
-    c = x1[:, :-1] * np.diff(r2.a, axis=-1) + x2[:, :-1] * np.diff(r1.a, axis=-1)
-    zeros = r1.zeros
-    if r1.class_tag == SIGMA_SH:
-        same = zeros is r2.zeros or (
-            zeros is not None and r2.zeros is not None and np.array_equal(zeros.in_h, r2.zeros.in_h)
-        )
-        if not same:
+    _require_member_shape(d1, "product")
+    _require_member_shape(d2, "product")
+    x1, x2 = d1.x.values, d2.x.values
+    c = x1[..., :-1] * np.diff(d2.a.values, axis=-1) + x2[..., :-1] * np.diff(d1.a.values, axis=-1)
+    zs = d1.zero_set
+    if d1.class_tag == SIGMA_SH:
+        if zs is not d2.zero_set and not np.array_equal(zs.in_h, d2.zero_set.in_h):
             raise ContractError("restarted product factors must share the zero set")
-        a = gathered_prefix(c, zeros.gamma_idx)
+        a = gathered_prefix(c, zs.gamma_index)
     else:
         a = gathered_prefix(c)
     scale = np.maximum(
-        r1.support_scale * np.max(np.abs(x2), axis=-1), r2.support_scale * np.max(np.abs(x1), axis=-1)
+        d1.support_scale * np.max(np.abs(x2), axis=-1), d2.support_scale * np.max(np.abs(x1), axis=-1)
     )
-    return _rows(x1 * x2, a, r1.class_tag, scale, zeros)
-
-
-def _as_rows(d: Decomposition) -> MemberRows:
-    """A decomposition as one member row."""
-    return MemberRows(
-        x=d.x.values[None],
-        n=d.n.values[None],
-        a=d.a.values[None],
-        class_tag=d.class_tag,
-        support_scale=np.array([d.support_scale]),
-        zeros=None if d.zero_set is None else _geometry(d.zero_set),
-        gap_scale=d.gap_scale,
-    )
-
-
-def _product_pair(d1: Decomposition, d2: Decomposition) -> Decomposition:
-    if d1.grid != d2.grid:
-        raise ContractError("product factors live on different grids")
-    rows = product_rows(_as_rows(d1), _as_rows(d2))
     warnings = d1.warnings + d2.warnings + _cross_bracket_warning(d1.n.values, d2.n.values)
-    return _one(rows, d1.grid, d1.zero_set, warnings)
+    grid = d1.grid
+    return assemble(Path(grid=grid, values=x1 * x2), Path(grid=grid, values=a), d1.class_tag, zs, warnings, _lead(scale))
 
 
 def product(ds: Sequence[Decomposition]) -> Decomposition:
@@ -401,43 +332,15 @@ def product(ds: Sequence[Decomposition]) -> Decomposition:
     the restarted class) and N' is X1 X2 - A' bitwise.  A one-element
     sequence comes back unchanged.  The construction presumes
     orthogonal driving parts; a realized cross bracket that looks
-    significant is surfaced as a warning, not an error.  Each pair is
-    the one-row case of ``product_rows``.
+    significant on some row is surfaced as a warning, not an error.
     """
     factors = list(ds)
     if not factors:
         raise ConfigurationError("product needs at least one factor")
     out = factors[0]
     for nxt in factors[1:]:
-        out = _product_pair(out, nxt)
+        out = _times(out, nxt)
     return out
-
-
-def scaled_rows(
-    r: MemberRows,
-    f: Callable[[np.ndarray], np.ndarray],
-    primitive: Callable[[np.ndarray], np.ndarray],
-) -> MemberRows:
-    """Member rows scaled by a function of their increasing part (see
-    ``scaled_by_f``)."""
-    _require_member_shape(r, "scaled_by_f")
-    a = r.a
-    fa = np.asarray(f(a), dtype=np.float64)
-    if fa.shape != a.shape:
-        raise ContractError("f must map the A values elementwise")
-    if np.any(fa < 0.0):
-        raise ContractError("f must be nonnegative on the range of A")
-    if r.class_tag == SIGMA_SH:
-        f0 = float(np.asarray(f(np.zeros(1)), dtype=np.float64)[0])
-        if f0 != 0.0:
-            raise ContractError("restarted scaling needs f(0) = 0")
-    p = np.asarray(primitive(a), dtype=np.float64)
-    if p.shape != a.shape:
-        raise ContractError("primitive must map the A values elementwise")
-    p0 = float(np.asarray(primitive(np.zeros(1)), dtype=np.float64)[0])
-    if p0 != 0.0:
-        raise ContractError("the primitive must vanish at 0")
-    return _rows(fa * r.x, p, r.class_tag, r.support_scale * np.max(fa, axis=-1), r.zeros)
 
 
 def scaled_by_f(
@@ -452,9 +355,28 @@ def scaled_by_f(
     support of dA' is the support of dA and the construction stays
     exact.  The restarted class additionally needs f(0) = 0, so that
     the scaled triple still vanishes on the zero set and A' = 0 right
-    after every restart.  The one-row case of ``scaled_rows``.
+    after every restart.
     """
-    return _one(scaled_rows(_as_rows(d), f, primitive), d.grid, d.zero_set, d.warnings)
+    _require_member_shape(d, "scaled_by_f")
+    a = d.a.values
+    fa = np.asarray(f(a), dtype=np.float64)
+    if fa.shape != a.shape:
+        raise ContractError("f must map the A values elementwise")
+    if np.any(fa < 0.0):
+        raise ContractError("f must be nonnegative on the range of A")
+    if d.class_tag == SIGMA_SH:
+        f0 = float(np.asarray(f(np.zeros(1)), dtype=np.float64)[0])
+        if f0 != 0.0:
+            raise ContractError("restarted scaling needs f(0) = 0")
+    p = np.asarray(primitive(a), dtype=np.float64)
+    if p.shape != a.shape:
+        raise ContractError("primitive must map the A values elementwise")
+    p0 = float(np.asarray(primitive(np.zeros(1)), dtype=np.float64)[0])
+    if p0 != 0.0:
+        raise ContractError("the primitive must vanish at 0")
+    grid = d.grid
+    scale = _lead(d.support_scale * np.max(fa, axis=-1))
+    return assemble(Path(grid=grid, values=fa * d.x.values), Path(grid=grid, values=p), d.class_tag, d.zero_set, d.warnings, scale)
 
 
 def sigma_s_characterization_process(d: Decomposition, f: Callable[[np.ndarray], np.ndarray]) -> Path:
@@ -467,7 +389,7 @@ def sigma_s_characterization_process(d: Decomposition, f: Callable[[np.ndarray],
         raise ContractError("restarted characterization needs a restarted member")
     a = d.a.values
     fa = np.asarray(f(a), dtype=np.float64)
-    values = gathered_prefix(fa[:-1] * np.diff(a), d.zero_set.gamma_index) - fa * d.x.values
+    values = gathered_prefix(fa[..., :-1] * np.diff(a, axis=-1), d.zero_set.gamma_index) - fa * d.x.values
     return Path(grid=d.grid, values=values)
 
 
@@ -491,34 +413,21 @@ class SupportCheck:
     excluding intervals touching the ambient zero set where the class
     allows charge on H; ``total_mass`` is the net growth of A over the
     examined window.  The check passes when the violating fraction
-    stays at or below 0.05.
+    stays at or below 0.05.  Each field is a number for one path and
+    one per row otherwise.
     """
 
-    violation_mass: float
-    total_mass: float
+    violation_mass: float | np.ndarray
+    total_mass: float | np.ndarray
 
     @property
-    def ratio(self) -> float:
-        if self.total_mass <= 0.0:
-            return 0.0
-        return self.violation_mass / self.total_mass
+    def ratio(self) -> float | np.ndarray:
+        v, t = np.asarray(self.violation_mass), np.asarray(self.total_mass)
+        return _lead(np.divide(v, t, out=np.zeros_like(t), where=t > 0.0))
 
     @property
-    def passed(self) -> bool:
-        return self.ratio <= _SUPPORT_SHARE
-
-
-@dataclass(frozen=True)
-class MembershipReport:
-    checks: tuple[CheckOutcome, ...]
-    support: SupportCheck
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def failing(self) -> tuple[CheckOutcome, ...]:
-        return tuple(c for c in self.checks if not c.passed)
+    def passed(self) -> bool | np.ndarray:
+        return _lead(np.asarray(self.ratio) <= _SUPPORT_SHARE)
 
 
 def _gap_tolerance(gap_scale: float, grid: TimeGrid) -> float:
@@ -551,14 +460,7 @@ class _WindowChecks:
     starts: np.ndarray
     n_drops: np.ndarray
     worst: np.ndarray
-    violation_mass: np.ndarray
-    total_mass: np.ndarray
-
-    @property
-    def ratio(self) -> np.ndarray:
-        return np.divide(
-            self.violation_mass, self.total_mass, out=np.zeros_like(self.total_mass), where=self.total_mass > 0.0
-        )
+    support: SupportCheck
 
     def passes(self, gap_tol: float) -> dict[str, np.ndarray]:
         return {
@@ -566,7 +468,7 @@ class _WindowChecks:
             "nonnegative": self.low >= 0.0,
             "starts_at_zero": self.starts == 0.0,
             "increasing_part_monotone": self.n_drops == 0,
-            "support_condition": self.ratio <= _SUPPORT_SHARE,
+            "support_condition": self.support.passed,
         }
 
 
@@ -605,36 +507,35 @@ def _window_checks(
         starts=np.maximum(np.maximum(np.abs(at(x, start)), np.abs(at(n, start))), np.abs(at(a, start))),
         n_drops=np.count_nonzero(drops, axis=-1),
         worst=np.min(da, axis=-1, where=drops, initial=0.0),
-        violation_mass=_masked_row_sums(da, viol),
-        total_mass=a[:, -1] - at(a, support_start),
+        support=SupportCheck(violation_mass=_masked_row_sums(da, viol), total_mass=a[:, -1] - at(a, support_start)),
     )
 
 
 @dataclass(frozen=True, eq=False)
-class MembershipRows:
-    """Membership check outcomes for a chunk of member rows.
+class MembershipReport:
+    """Membership check outcomes of a decomposition: of one path, or per row.
 
-    ``top`` holds the checks of each row as given, ``shifted`` those of
-    its triple shifted to the last zero (classical checks; None for the
-    classical class).  ``null_magnitude`` is None off the restarted
-    class.  ``checks`` maps each check name, in report order, to its
-    per-row outcome; a check that does not apply to a row passes there.
+    ``verdicts`` maps each check name, in report order, to its outcome:
+    a bool for one path, one per row otherwise; a check that does not
+    apply to a row passes there.  ``checks`` lists the checks that
+    apply to one path with their detail text, built when first read;
+    it is not defined for rows.  ``top`` holds the checks of each row
+    as given, ``shifted`` those of its triple shifted to the last zero
+    (None for the classical class); ``null_magnitude`` is None off the
+    restarted class.
     """
 
-    rows: MemberRows
+    shape: tuple[int, ...]
     gap_tolerance: float
     support_tolerance: np.ndarray
     top: _WindowChecks
+    has_zeros: np.ndarray
     null_magnitude: np.ndarray | None
     wants_shift: np.ndarray
     degenerate: np.ndarray
     shifted: _WindowChecks | None
 
-    @property
-    def support_ratio(self) -> np.ndarray:
-        return self.top.ratio
-
-    def checks(self) -> dict[str, np.ndarray]:
+    def _row_verdicts(self) -> dict[str, np.ndarray]:
         out = self.top.passes(self.gap_tolerance)
         if self.null_magnitude is not None:
             out["null_on_zero_set"] = self.null_magnitude == 0.0
@@ -643,88 +544,58 @@ class MembershipRows:
             out["shifted_classical"] = ~self.wants_shift | self.degenerate | shifted_ok
         return out
 
-    @property
-    def passed(self) -> np.ndarray:
-        return np.all(list(self.checks().values()), axis=0)
+    def _shaped(self, values: np.ndarray):
+        return _lead(values.reshape(self.shape))
 
-    def report(self, i: int) -> MembershipReport:
-        """Row ``i`` as a ``MembershipReport``."""
-        top, gap_tol, supp_tol = self.top, self.gap_tolerance, float(self.support_tolerance[i])
-        passes = self.checks()
-        support = SupportCheck(violation_mass=float(top.violation_mass[i]), total_mass=float(top.total_mass[i]))
+    @property
+    def verdicts(self) -> dict[str, bool | np.ndarray]:
+        return {name: self._shaped(ok) for name, ok in self._row_verdicts().items()}
+
+    @property
+    def passed(self) -> bool | np.ndarray:
+        return self._shaped(np.all(list(self._row_verdicts().values()), axis=0))
+
+    @property
+    def support(self) -> SupportCheck:
+        s = self.top.support
+        return SupportCheck(violation_mass=self._shaped(s.violation_mass), total_mass=self._shaped(s.total_mass))
+
+    @cached_property
+    def checks(self) -> tuple[CheckOutcome, ...]:
+        if self.shape != ():
+            raise ContractError("check details are defined for one path; read verdicts on rows")
+        top, gap_tol, supp_tol = self.top, self.gap_tolerance, float(self.support_tolerance[0])
+        support = self.support
         details = {
-            "decomposition_identity": f"max |X - A - N| = {top.gap[i]:.3e} (tolerance {gap_tol:.3e})",
-            "nonnegative": f"min X = {top.low[i]:.3e}",
-            "starts_at_zero": f"|value at 0| = {top.starts[i]:.3e}",
+            "decomposition_identity": f"max |X - A - N| = {top.gap[0]:.3e} (tolerance {gap_tol:.3e})",
+            "nonnegative": f"min X = {top.low[0]:.3e}",
+            "starts_at_zero": f"|value at 0| = {top.starts[0]:.3e}",
             "increasing_part_monotone": (
-                f"{int(top.n_drops[i])} decreasing steps outside restarts (worst {top.worst[i]:.3e})"
+                f"{int(top.n_drops[0])} decreasing steps outside restarts (worst {top.worst[0]:.3e})"
             ),
             "support_condition": (
                 f"violating mass {support.violation_mass:.3e} of {support.total_mass:.3e}"
                 f" (ratio {support.ratio:.3f}, tolerance {supp_tol:.3e})"
             ),
         }
-        zeros = self.rows.zeros
-        if self.null_magnitude is not None and zeros is not None and zeros.in_h[i].any():
-            details["null_on_zero_set"] = f"max |X|, |N|, |A| on the zero set = {self.null_magnitude[i]:.3e}"
-        if self.shifted is not None and self.wants_shift[i]:
-            if self.degenerate[i]:
+        if self.null_magnitude is not None and self.has_zeros[0]:
+            details["null_on_zero_set"] = f"max |X|, |N|, |A| on the zero set = {self.null_magnitude[0]:.3e}"
+        if self.shifted is not None and self.wants_shift[0]:
+            if self.degenerate[0]:
                 details["shifted_classical"] = "last zero at grid end; shift degenerate, skipped"
             else:
-                failing = [k for k, ok in self.shifted.passes(gap_tol).items() if not ok[i]]
+                failing = [k for k, ok in self.shifted.passes(gap_tol).items() if not ok[0]]
                 details["shifted_classical"] = ", ".join(failing) or "all classical checks pass"
-        checks = tuple(CheckOutcome(name, bool(passes[name][i]), text) for name, text in details.items())
-        return MembershipReport(checks=checks, support=support)
+        passes = self._row_verdicts()
+        return tuple(CheckOutcome(name, bool(passes[name][0]), text) for name, text in details.items())
+
+    def failing(self) -> tuple[CheckOutcome, ...]:
+        return tuple(c for c in self.checks if not c.passed)
 
 
-def membership_rows(grid: TimeGrid, rows: MemberRows, support_tolerance=None) -> MembershipRows:
-    """Run every pathwise membership check on each row, relative to
-    its own zero set: the row kernel behind ``verify_membership``.
-
-    ``support_tolerance`` (a number or one per row) defaults to the
-    rows' support scales.
-    """
-    count, width = rows.x.shape
-    scale = rows.support_scale if support_tolerance is None else support_tolerance
-    supp_tol = np.broadcast_to(np.asarray(scale, dtype=np.float64), (count,))
-    x, n, a = rows.x, rows.n, rows.a
-    if rows.zeros is None:
-        in_h, gbar = np.zeros(x.shape, dtype=bool), np.zeros(count, dtype=np.int64)
-    else:
-        in_h, gbar = rows.zeros.in_h, rows.zeros.gbar_idx
-    origin = np.zeros(count, dtype=np.int64)
-    restarted = rows.class_tag == SIGMA_SH
-    top = _window_checks(
-        x, n, a, origin, gbar if restarted else origin, supp_tol,
-        restarts=in_h if restarted else None,
-        exempt=in_h if rows.class_tag == SIGMA_H else None,
-    )
-    null = _null_magnitude(x, n, a, in_h) if restarted else None
-    wants = np.full(count, rows.class_tag != CLASSICAL)
-    shifted = None
-    if rows.class_tag != CLASSICAL:
-        # the restarted class always; sigma_h where X vanishes on H and
-        # A is still 0 at the last zero
-        a_last_zero = np.take_along_axis(a, gbar[:, None], axis=-1)
-        if not restarted:
-            wants = np.all((x == 0.0) | ~in_h, axis=-1) & (a_last_zero[:, 0] == 0.0)
-        n_last_zero = np.take_along_axis(n, gbar[:, None], axis=-1)
-        shifted = _window_checks(x, n - n_last_zero, a - a_last_zero, gbar, gbar, supp_tol)
-    return MembershipRows(
-        rows=rows,
-        gap_tolerance=_gap_tolerance(rows.gap_scale, grid),
-        support_tolerance=supp_tol,
-        top=top,
-        null_magnitude=null,
-        wants_shift=wants,
-        degenerate=gbar >= width - 1,
-        shifted=shifted,
-    )
-
-
-def verify_membership(d: Decomposition, support_tolerance: float | None = None) -> MembershipReport:
-    """Run every pathwise membership check for the declared class,
-    relative to the decomposition's own zero set.
+def verify_membership(d: Decomposition, support_tolerance: float | np.ndarray | None = None) -> MembershipReport:
+    """Run every pathwise membership check for the declared class, on
+    each row relative to its own zero set.
 
     Checks: the decomposition identity (bitwise at ``gap_scale`` 0,
     within a tolerance of order step**0.25 scaled by ``gap_scale``
@@ -740,8 +611,45 @@ def verify_membership(d: Decomposition, support_tolerance: float | None = None) 
     ``sigma_h`` where the data meet its side conditions: X vanishes on
     H and A is still 0 at the last zero.
 
-    The default support tolerance is the construction's own
-    ``support_scale``.  The one-row case of ``membership_rows``.
+    The support tolerance (a number, or one per row) defaults to the
+    construction's own ``support_scale``.
     """
-    supp_tol = float(d.support_scale if support_tolerance is None else support_tolerance)
-    return membership_rows(d.grid, _as_rows(d), supp_tol).report(0)
+    width = d.grid.n_steps + 1
+    shape = d.x.values.shape[:-1]
+    x, n, a = (p.values.reshape(-1, width) for p in (d.x, d.n, d.a))
+    count = x.shape[0]
+    scale = d.support_scale if support_tolerance is None else support_tolerance
+    supp_tol = np.broadcast_to(np.asarray(scale, dtype=np.float64), shape).reshape(count)
+    if d.zero_set is None:
+        in_h, gbar = np.zeros(x.shape, dtype=bool), np.zeros(count, dtype=np.int64)
+    else:
+        in_h, gbar = d.zero_set.in_h.reshape(-1, width), np.reshape(d.zero_set.gbar_index, -1)
+    origin = np.zeros(count, dtype=np.int64)
+    restarted = d.class_tag == SIGMA_SH
+    top = _window_checks(
+        x, n, a, origin, gbar if restarted else origin, supp_tol,
+        restarts=in_h if restarted else None,
+        exempt=in_h if d.class_tag == SIGMA_H else None,
+    )
+    null = _null_magnitude(x, n, a, in_h) if restarted else None
+    wants = np.full(count, d.class_tag != CLASSICAL)
+    shifted = None
+    if d.class_tag != CLASSICAL:
+        # the restarted class always; sigma_h where X vanishes on H and
+        # A is still 0 at the last zero
+        a_last_zero = np.take_along_axis(a, gbar[:, None], axis=-1)
+        if not restarted:
+            wants = np.all((x == 0.0) | ~in_h, axis=-1) & (a_last_zero[:, 0] == 0.0)
+        n_last_zero = np.take_along_axis(n, gbar[:, None], axis=-1)
+        shifted = _window_checks(x, n - n_last_zero, a - a_last_zero, gbar, gbar, supp_tol)
+    return MembershipReport(
+        shape=shape,
+        gap_tolerance=_gap_tolerance(d.gap_scale, d.grid),
+        support_tolerance=supp_tol,
+        top=top,
+        has_zeros=in_h.any(axis=-1),
+        null_magnitude=null,
+        wants_shift=wants,
+        degenerate=gbar >= width - 1,
+        shifted=shifted,
+    )

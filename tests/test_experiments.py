@@ -33,6 +33,7 @@ from sigma_lab.experiments import (
     _ladder_chunk,
     _levy_chunk,
     _membership_chunk,
+    _r1_chunk,
     _rho_chunk,
 )
 from sigma_lab.reporting import CSV_COLUMNS, rows_as_json
@@ -302,6 +303,12 @@ def test_cli_short_horizon_is_config_error(tmp_path, capsys, draws):
     # the q-bracket offsets are read after a last zero that may sit at 1.0
     argv = ["run", "--experiment", "q-bracket", "--horizon", "1.0", "--paths", "8", "--suite", "fast"]
     assert main(argv + ["--out", str(tmp_path)]) == 1
+    # an ErfSign last zero may sit on the last point of a horizon-1.0 grid,
+    # which leaves rho-algebra no shifted path
+    capsys.readouterr()
+    assert main(["run", "--experiment", "rho-algebra", "--horizon", "1.0", "--paths", "8", "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "model span" in err and "Traceback" not in err
     # restart offsets must be grid times of the simulated horizon: a negative one
     # wraps to the path's end, an off-grid one would run at a rounded time, and
     # one past the horizon drops every r1 path
@@ -473,3 +480,34 @@ def test_cli_rejects_unknown_config_key(tmp_path):
     cfg = tmp_path / "run.ini"
     cfg.write_text("[run]\nexperiment = rho-algebra\nbananas = 3\n", encoding="utf-8")
     assert main(["run", "--config", str(cfg)]) == 1
+
+
+def test_r1_chunk_returns_one_row_per_path():
+    # a horizon-1.2 grid drops every path whose last zero comes after 0.25
+    feats = _r1_chunk(
+        0, 12, seed=7, step=0.01, horizon=1.2, cdf_time=2.2, offset_steps=(20, 95), model=ErfSign(1.0, 1.0)
+    )
+    assert {k: v.shape[0] for k, v in feats.items()} == dict.fromkeys(("v", "bound", "pprime_raw", "kept"), 12)
+    assert 0 < feats["kept"].sum() < 12
+
+
+def test_r1_with_fewer_than_two_kept_paths_is_config_error(capsys):
+    argv = ["run", "--experiment", "r1-ui-martingale", "--horizon", "1.0", "--paths", "3", "--step", "0.01", "--seed", "7"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "kept 1 of 3" in err and "--policy extend" in err
+
+
+def test_config_file_is_closed_after_reading(tmp_path):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[run]\nexperiment = rho-algebra\n", encoding="utf-8")
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    code = "import sys; from sigma_lab.cli import _load_config_file; print(_load_config_file(sys.argv[1]))"
+    done = subprocess.run(
+        [sys.executable, "-X", "dev", "-c", code, str(cfg)], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert "rho-algebra" in done.stdout
+    assert "ResourceWarning" not in done.stderr

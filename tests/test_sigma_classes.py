@@ -11,6 +11,7 @@ from sigma_lab import (
     SIGMA_H,
     SIGMA_SH,
     SeedSpec,
+    SupportCheck,
     abs_martingale,
     assemble,
     drawdown,
@@ -26,7 +27,6 @@ from sigma_lab import (
     zero_set_from_level_series,
 )
 from sigma_lab.density import empty_zero_set
-from sigma_lab.sigma_classes import MemberRows, drawdown_rows, membership_rows
 
 SEED = 20260822
 
@@ -324,24 +324,27 @@ def test_membership_rows_sum_each_row_alone():
     grid = make_grid(horizon=1.0, step=0.01)
     rng = np.random.default_rng(11)
     w = np.stack([_bm(grid, i).values for i in range(8)])
-    base = drawdown_rows(w)
+    base = drawdown(Path(grid=grid, values=w))
     # each row grows on a different share of its steps, so the rows hold
     # different numbers of violating intervals
     grows = rng.random(w.shape) < 0.2 + 0.1 * np.arange(8)[:, None]
     noise = np.cumsum(rng.exponential(0.01, size=w.shape) * grows, axis=1)
-    a = base.a + noise - noise[:, :1]
-    rows = MemberRows(x=base.x, n=base.x - a, a=a, class_tag=SIGMA_H, support_scale=np.zeros(8))
-    batch = membership_rows(grid, rows)
+    a = base.a.values + noise - noise[:, :1]
+    batch = verify_membership(assemble(base.x, Path(grid=grid, values=a), SIGMA_H, base.zero_set, support_scale=0.0))
+    x = base.x.values
     for i in range(8):
         da = np.diff(a[i])
-        viol = (da > 0.0) & (np.minimum(base.x[i, :-1], base.x[i, 1:]) > 0.0)
-        assert batch.top.violation_mass[i] == float(np.sum(da[viol]))
+        viol = (da > 0.0) & (np.minimum(x[i, :-1], x[i, 1:]) > 0.0)
+        assert batch.support.violation_mass[i] == float(np.sum(da[viol]))
         d = assemble(
-            Path(grid=grid, values=base.x[i]),
+            Path(grid=grid, values=x[i]),
             Path(grid=grid, values=a[i]),
             class_tag=SIGMA_H,
             zero_set=empty_zero_set(grid),
             support_scale=0.0,
         )
-        assert verify_membership(d) == batch.report(i)
+        alone = verify_membership(d)
+        assert alone.support == SupportCheck(batch.support.violation_mass[i], batch.support.total_mass[i])
+        assert alone.verdicts == {name: ok[i] for name, ok in batch.verdicts.items()}
+        assert alone.passed == batch.passed[i]
     assert not batch.passed.any()
