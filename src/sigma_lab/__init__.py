@@ -85,7 +85,6 @@ from .estimates import (
     exact_check,
     count_check,
     ratio_check,
-    ConstantBoundary,
     TableBoundary,
     GrowthLaw,
 )

@@ -1,9 +1,10 @@
 """Chunked evaluation of path ensembles.
 
-``run_chunked`` evaluates a chunk function over fixed 256-path chunks,
-serially or through a process pool, and concatenates the per-path
-features in index order, so results are independent of chunking and
-of the worker count.  The row contract: a chunk function returns, for
+``run_chunked`` evaluates a chunk function over chunks of a fixed
+number of paths (``CHUNK_SIZE``, 256, unless the caller passes
+another), serially or through a process pool, and concatenates the
+per-path features in index order, so results are independent of
+chunking and of the worker count.  The row contract: a chunk function returns, for
 each feature, one row per path of its chunk (an array whose leading
 length is the chunk's count); ``run_chunked`` raises ``ContractError``
 naming any feature that breaks it.

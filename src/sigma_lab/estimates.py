@@ -7,10 +7,11 @@ measure, and unit weights for the driving measure.  Everything here
 consumes per-path feature arrays and such weights; nothing here
 simulates.
 
-The boundary specifications carry the closed-form pieces of the
-first-passage and accumulated-growth laws: a positive boundary
-function of the running maximum, the integral of its reciprocal, and
-the crossing probabilities derived from it.
+The boundary table carries the closed-form pieces of the first-passage
+laws: a positive piecewise-constant function of the running maximum
+(a constant boundary is its one-segment case), the integral of its
+reciprocal, and the crossing probabilities derived from it.
+``GrowthLaw`` carries the accumulated-growth law.
 """
 
 from __future__ import annotations
@@ -37,8 +38,6 @@ __all__ = [
     "exact_check",
     "count_check",
     "ratio_check",
-    "BoundarySpec",
-    "ConstantBoundary",
     "TableBoundary",
     "GrowthLaw",
 ]
@@ -339,64 +338,16 @@ def ratio_check(
     )
 
 
-class BoundarySpec:
-    """Positive boundary as a function of the running maximum.
-
-    Subclasses provide the pointwise value and the integral of the
-    reciprocal from 0; the crossing probabilities of the passage laws
-    derive from those.
-    """
-
-    def phi_of(self, s: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def integral_to(self, u: float) -> float:
-        """Integral of 1/phi over [0, u]."""
-        raise NotImplementedError
-
-    def integral_total(self) -> float:
-        """Integral of 1/phi over [0, infinity); may be inf."""
-        raise NotImplementedError
-
-    # Crossing probabilities.  With I the reciprocal integral, the chance
-    # of crossing the boundary before the running maximum passes u is
-    # 1 - exp(-I(u)); over the full span I(u) becomes the total integral.
-
-    def crossing_probability(self, u: float) -> float:
-        return 1.0 - float(np.exp(-self.integral_to(u)))
-
-    def full_crossing_probability(self) -> float:
-        total = self.integral_total()
-        return 1.0 if np.isinf(total) else 1.0 - float(np.exp(-total))
-
-
 @dataclass(frozen=True)
-class ConstantBoundary(BoundarySpec):
-    level: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.level <= 0.0:
-            raise ConfigurationError("boundary level must be positive")
-
-    def phi_of(self, s: np.ndarray) -> np.ndarray:
-        return np.full_like(np.asarray(s, dtype=np.float64), self.level)
-
-    def integral_to(self, u: float) -> float:
-        if u < 0.0:
-            raise ConfigurationError("integral endpoint must be nonnegative")
-        return u / self.level
-
-    def integral_total(self) -> float:
-        return float("inf")
-
-
-@dataclass(frozen=True)
-class TableBoundary(BoundarySpec):
-    """Piecewise-constant boundary given as (start, value) segments.
+class TableBoundary:
+    """Positive piecewise-constant boundary of the running maximum,
+    given as (start, value) segments.
 
     Starts must begin at 0 and increase; values may be inf (the
     reciprocal then contributes nothing, so the total reciprocal
-    integral can be finite).
+    integral can be finite).  A constant boundary is one segment.  The
+    crossing probabilities of the passage laws derive from the
+    integral of the reciprocal.
     """
 
     segments: tuple[tuple[float, float], ...]
@@ -410,14 +361,22 @@ class TableBoundary(BoundarySpec):
         if any(v <= 0.0 for _, v in self.segments):
             raise ConfigurationError("boundary values must be positive")
 
+    @property
+    def cap(self) -> float:
+        """Largest growth level at which the boundary is still finite."""
+        return next((s for s, v in self.segments if not np.isfinite(v)), float("inf"))
+
     def phi_of(self, s: np.ndarray) -> np.ndarray:
         s = np.asarray(s, dtype=np.float64)
-        starts = np.array([a for a, _ in self.segments])
-        values = np.array([v for _, v in self.segments])
-        idx = np.clip(np.searchsorted(starts, s, side="right") - 1, 0, len(values) - 1)
-        return values[idx]
+        # each later segment overwrites from its start on; a fill and a
+        # mask per segment cost far less than a search per entry
+        out = np.full(s.shape, float(self.segments[0][1]))
+        for start, v in self.segments[1:]:
+            out[s >= start] = v
+        return out
 
     def integral_to(self, u: float) -> float:
+        """Integral of 1/phi over [0, u]."""
         if u < 0.0:
             raise ConfigurationError("integral endpoint must be nonnegative")
         total = 0.0
@@ -431,16 +390,19 @@ class TableBoundary(BoundarySpec):
         return total
 
     def integral_total(self) -> float:
-        total = 0.0
-        for i, (a, v) in enumerate(self.segments):
-            b = self.segments[i + 1][0] if i + 1 < len(self.segments) else float("inf")
-            if not np.isfinite(v):
-                continue
-            span = b - a
-            if np.isinf(span):
-                return float("inf")
-            total += span / v
-        return total
+        """Integral of 1/phi over [0, infinity); may be inf."""
+        return self.integral_to(float("inf"))
+
+    # Crossing probabilities.  With I the reciprocal integral, the chance
+    # of crossing the boundary before the running maximum passes u is
+    # 1 - exp(-I(u)); over the full span I(u) becomes the total integral.
+
+    def crossing_probability(self, u: float) -> float:
+        return 1.0 - float(np.exp(-self.integral_to(u)))
+
+    def full_crossing_probability(self) -> float:
+        total = self.integral_total()
+        return 1.0 if np.isinf(total) else 1.0 - float(np.exp(-total))
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,11 @@
 """Registry of Monte Carlo experiments behind the command line tool.
 
-Each experiment simulates an ensemble in fixed 256-path chunks (a few
-use smaller chunks to bound memory), reduces it to named checks with
+Each experiment simulates an ensemble in chunks of a fixed number of
+paths: 256 by default, 128 for rho-algebra and the Levy family, 64 for
+membership and doob-maximal, to bound memory.  A chunk builds every
+grid that can be longer than the one it draws first before that draw,
+so a run over ``make_grid``'s row byte budget fails before anything
+is simulated.  The run reduces the ensemble to named checks with
 explicit statistical, grid, and truncation allowances, and optionally
 emits survival-curve points.  Reductions run on the concatenated
 arrays in path-index order, so for a fixed seed the resulting report
@@ -59,7 +63,6 @@ from .balayage import (
     tanaka_residual,
 )
 from .density import (
-    ConstantOne,
     DensityModel,
     ErfSign,
     StoppedBM,
@@ -75,8 +78,6 @@ from .density import (
 from .ensemble import CHUNK_SIZE, run_chunked
 from .errors import ConfigurationError
 from .estimates import (
-    BoundarySpec,
-    ConstantBoundary,
     FlatnessReport,
     GrowthLaw,
     KsReport,
@@ -321,17 +322,13 @@ def _secondary(seed: int, start: int, count: int, grid: TimeGrid) -> np.ndarray:
 
 def _density_block(
     model: DensityModel, seed: int, start: int, count: int, step: float
-) -> tuple[np.ndarray, ZeroSetInfo | None]:
+) -> tuple[np.ndarray, ZeroSetInfo]:
     """Terminal density values and zero sets on the model's own span.
 
     The indices live on any grid with the same step, because the
-    model is constant past its own time.  ConstantOne has no span: its
-    terminal value is 1 and it has no zero sets (None).
+    model is constant past its own time.
     """
-    span = model_time(model)
-    if span is None:
-        return np.ones(count), None
-    sgrid = make_grid(span, step)
+    sgrid = make_grid(model_time(model), step)
     driver = driver_matrix(model, seed, start, count, sgrid)
     dens = density_matrix(model, driver, sgrid)
     return dens[:, -1], driver_zero_set(model, Path(grid=sgrid, values=driver))
@@ -439,28 +436,31 @@ def _characterization(kind: str, a: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.where(a < 1.0, 0.5 * a * a, a - 0.5) - np.minimum(a, 1.0) * x
 
 
+# t1's negative control: the drawdown of W plus this drift is no member
+_T1_DRIFT = 0.3
+
+
 def _t1_chunk(
-    start: int,
-    count: int,
-    *,
-    seed: int,
-    step: float,
-    horizon: float,
-    cols: tuple[int, ...],
-    model: DensityModel,
-    drift: float = 0.0,
+    start: int, count: int, *, seed: int, step: float, horizon: float, cols: tuple[int, ...]
 ) -> dict[str, np.ndarray]:
+    """t1's features off one draw: F(A) - f(A) X at the checkpoints for
+    the drawdown and the reflected path, StoppedBM's terminal weights,
+    and the drifted control's drawdown feature for f = 1."""
     grid = make_grid(horizon, step)
+    terminal, _ = _density_block(_SBM, seed, start, count, step)
     w = _primary(seed, start, count, grid)
-    if drift != 0.0:
-        w = w + drift * grid.times[None, :]
+    wd = w + _T1_DRIFT * grid.times[None, :]
+    sd = np.maximum.accumulate(wd, axis=1)
+    out: dict[str, np.ndarray] = {
+        "q": terminal,
+        "control": _characterization("one", sd[:, cols], (sd - wd)[:, cols]),
+    }
+    del wd, sd
     s = np.maximum.accumulate(w, axis=1)
     variants = {
         "drawdown": (s - w, s),
         "abs": (np.abs(w), occupation_kernel(w, step)),
     }
-    terminal, _ = _density_block(model, seed, start, count, step)
-    out: dict[str, np.ndarray] = {"q": terminal}
     for cons, (x, a) in variants.items():
         xc = x[:, cols]
         ac = a[:, cols]
@@ -469,31 +469,18 @@ def _t1_chunk(
     return out
 
 
-def _model_label(model: DensityModel) -> str:
-    if isinstance(model, ConstantOne):
-        return "constant-one"
-    if isinstance(model, StoppedBM):
-        return "stopped-bm"
-    return "erf-sign"
-
-
 def _run_t1(st: RunSettings) -> tuple[list[TargetCheck], list[CurveSeries]]:
     horizon = _horizon(st)
     cps = st.checkpoints if st.checkpoints is not None else (0.25, 0.5, 0.75, 1.0)
-    cols = _grid_steps(cps, horizon, st.step)
+    feats = _chunked(st, _t1_chunk, horizon=horizon, cols=_grid_steps(cps, horizon, st.step))
     checks: list[TargetCheck] = []
-    for model in (ConstantOne(), _SBM):
-        feats = _chunked(st, _t1_chunk, horizon=horizon, cols=cols, model=model)
-        q = feats["q"]
+    for label, q in (("constant-one", np.ones(st.n_paths)), ("stopped-bm", feats["q"])):
         for cons in ("drawdown", "abs"):
             for kind in _F_ORDER:
                 rep = flatness_test(feats[f"{cons}|{kind}"].T, q, cps)
-                checks.append(
-                    _flatness_check(f"{_model_label(model)}-{cons}-f-{kind}", rep, "q-weighted")
-                )
+                checks.append(_flatness_check(f"{label}-{cons}-f-{kind}", rep, "q-weighted"))
     n_ctrl = min(st.n_paths, 20000)
-    feats = _chunked(st, _t1_chunk, n_ctrl, horizon=horizon, cols=cols, model=ConstantOne(), drift=0.3)
-    rep = flatness_test(feats["drawdown|one"].T, feats["q"], cps)
+    rep = flatness_test(feats["control"][:n_ctrl].T, np.ones(n_ctrl), cps)
     checks.append(_control_check("drifted-control-fails", rep))
     return checks, []
 
@@ -512,10 +499,10 @@ def _r1_chunk(
     model: DensityModel,
 ) -> dict[str, np.ndarray]:
     grid = make_grid(horizon, step)
+    terminal, zs = _density_block(model, seed, start, count, step)
     w = _primary(seed, start, count, grid)
     t = grid.times
     u = ndtr((0.5 - w) / np.sqrt(cdf_time - t)[None, :])
-    terminal, zs = _density_block(model, seed, start, count, step)
     gbar = zs.gbar_index
     ug = _gather(u, gbar)
     vals = np.empty((count, len(offset_steps)))
@@ -543,12 +530,10 @@ def _r1_plan(st: RunSettings) -> tuple[float, tuple[float, ...]]:
     if st.policy == "extend":
         # make sure every restart window fits on the simulated grid
         horizon = max(horizon, 1.0 + max(offsets) + st.step)
-        horizon = round(horizon / st.step) * st.step
+        n = horizon / st.step
+        if n < np.inf:  # else make_grid refuses the grid
+            horizon = round(n) * st.step
     return horizon, offsets
-
-
-def _r1_grid(st: RunSettings) -> tuple[float, float]:
-    return _r1_plan(st)[0], st.step
 
 
 def _run_r1(st: RunSettings) -> tuple[list[TargetCheck], list[CurveSeries]]:
@@ -627,8 +612,9 @@ def _rho_chunk(
 ) -> dict[str, np.ndarray]:
     grid = make_grid(horizon, step)
     n = grid.n_steps
+    _, zs = _density_block(model, seed, start, count, step)
+    zs = _extend(zs, grid)
     w = _primary(seed, start, count, grid)
-    zs = driver_zero_set(model, Path(grid=grid, values=driver_matrix(model, seed, start, count, grid)))
     g = zs.gbar_index
     layout = SegmentLayout(w, zs.in_h)
     # each row from its last zero on (the shifted path), and the restart
@@ -687,8 +673,8 @@ def _qbracket_chunk(
     model: DensityModel,
 ) -> dict[str, np.ndarray]:
     grid = make_grid(horizon, step)
-    w = _primary(seed, start, count, grid)
     terminal, zs = _density_block(model, seed, start, count, step)
+    w = _primary(seed, start, count, grid)
     gbar = zs.gbar_index
     bracket = gathered_prefix(np.diff(w, axis=1) ** 2, gbar[:, None])
     wg = _gather(w, gbar)
@@ -744,12 +730,12 @@ def _ladder_chunk(
 ) -> dict[str, np.ndarray]:
     """Sup residuals of each form on every ladder rung: the fine rows and
     their zero sets, subsampled onto each rung's grid."""
-    fine = make_grid(horizon, step)
-    w = _primary(seed, start, count, fine)
+    grids = {factor: make_grid(horizon, step * factor) for factor in _LADDER}
+    fine = grids[1]
     driver = driver_matrix(model, seed, start, count, fine)
+    w = _primary(seed, start, count, fine)
     out: dict[str, np.ndarray] = {}
-    for factor in _LADDER:
-        grid = make_grid(horizon, step * factor)
+    for factor, grid in grids.items():
         zs = driver_zero_set(model, Path(grid=grid, values=driver[:, ::factor]))
         values = w[:, ::factor]
         # signed restarted driver; level 0 is crossed transversally, which
@@ -847,12 +833,12 @@ def _doob_chunk(
     h1, h2 = horizons
     grid = make_grid(h2, step)
     n1 = make_grid(h1, step).n_steps
+    terminal, zs = _density_block(_ERF, seed, start, count, step)
     z = _primary(seed, start, count, grid)
     z -= 0.5 * grid.times[None, :]
     # ConstantOne has no zeros: the whole prefix is after the last zero
     out = {f"freq|{a:g}": _bridge_freq(z[:, : n1 + 1], float(np.log(a)), step) for a in levels}
 
-    terminal, zs = _density_block(_ERF, seed, start, count, step)
     gbar = zs.gbar_index
     b = float(np.log(2.0))
     pre = np.arange(grid.n_steps + 1)[None, :] < gbar[:, None]
@@ -921,16 +907,12 @@ def _run_doob(st: RunSettings) -> tuple[list[TargetCheck], list[CurveSeries]]:
     return checks, [curve]
 
 
-def _doob_grid(st: RunSettings) -> tuple[float, float]:
-    return _DOOB_SPAN_FACTOR * _horizon(st), st.step
-
-
 # ---------------------------------------------------------------- crossing and growth laws
 
-_PASSAGE_BOUNDARIES: dict[str, BoundarySpec] = {
+_PASSAGE_BOUNDARIES = {
     "passage-eq2": TableBoundary(((0.0, 1.0), (0.5, 2.0))),
     "passage-eq3": TableBoundary(((0.0, 1.0), (1.0, float("inf")))),
-    "passage-eq4": ConstantBoundary(1.0),
+    "passage-eq4": TableBoundary(((0.0, 1.0),)),
 }
 # passage-s32 crosses on |W| up to this span, then restarts past it
 _S32_SPAN = 6.0
@@ -1004,15 +986,10 @@ def _divides(step: float, span: float) -> bool:
     return True
 
 
-def _laws_grid(st: RunSettings) -> tuple[float, float]:
-    call = _laws_call(st)
-    return max(call["span"], call["horizon"] or 0.0), st.step
-
-
 def _passage_rows(
     hit: np.ndarray,
     aprev: np.ndarray,
-    boundary: BoundarySpec,
+    boundary: TableBoundary,
     u: float | None,
     name: str,
     weights: np.ndarray | None,
@@ -1043,7 +1020,7 @@ def _run_passage(st: RunSettings, *, u: float | None, trunc: float) -> tuple[lis
     hit, aprev = feats[f"hit|{st.name}"], feats[f"aprev|{st.name}"]
     label = "crossing-before-growth-1" if u is not None else "crossing-over-full-span"
     check, curve = _passage_rows(hit, aprev, boundary, u, label, None, trunc)
-    undecided = float(np.mean((hit == 0.0) & (feats["aterm"] <= (u if u is not None else boundary_cap(boundary)))))
+    undecided = float(np.mean((hit == 0.0) & (feats["aterm"] <= (u if u is not None else boundary.cap))))
     check = replace(check, detail=check.detail + f"; undecided fraction {undecided:.4f}")
     return [check], [curve]
 
@@ -1053,21 +1030,12 @@ _run_passage_eq3 = functools.partial(_run_passage, u=None, trunc=0.004)
 _run_passage_eq4 = functools.partial(_run_passage, u=1.0, trunc=0.008)
 
 
-def boundary_cap(boundary: BoundarySpec) -> float:
-    """Largest growth level at which the boundary is still finite."""
-    if isinstance(boundary, TableBoundary):
-        for s, v in boundary.segments:
-            if not np.isfinite(v):
-                return s
-    return float("inf")
-
-
 def _run_s32(st: RunSettings) -> tuple[list[TargetCheck], list[CurveSeries]]:
     # |W| needs its whole span on the simulated grid
     _grid_steps((_S32_SPAN,), _horizon(st), st.step)
     feats = _chunked(st, _laws_chunk, **_laws_call(st))
     pprime = ensemble_weights(feats["q"])
-    bnd = ConstantBoundary(1.0)
+    bnd = _PASSAGE_BOUNDARIES["passage-eq4"]
     hit_e, aprev_e = feats["hit|restarted"], feats["aprev|restarted"]
     hit_c, aprev_c = feats["hit|passage-eq4"], feats["aprev|passage-eq4"]
     restarted, curve = _passage_rows(
@@ -1151,13 +1119,13 @@ def _levy_chunk(
     hold over the second, off one primary draw to the longer one."""
     grid = make_grid(max(horizons), step)
     ends = [make_grid(h, step).n_steps for h in horizons]
+    sgrid = make_grid(_MODEL_SPAN, step)
     w = _primary(seed, start, count, grid)
     out = {}
     for name, end, x_low in zip(_LEVY, ends, (None, _LEVY_X_LOW)):
         for key, values in _drawdown_hold(w[:, : end + 1], x_low).items():
             out[f"{key}|{name}"] = values
     # terminal weights for every density model off the shared density stream
-    sgrid = make_grid(_MODEL_SPAN, step)
     incs = increments_matrix(seed, start, count, sgrid.n_steps, step, SUBSTREAM_DENSITY)
     for key, model in (("q_erf", _ERF), ("q_sbm", _SBM)):
         out[key] = density_matrix(model, driver_from_increments(model, incs), sgrid)[:, -1]
@@ -1168,10 +1136,6 @@ def _levy_horizons(st: RunSettings) -> tuple[float, float]:
     """levy-eq5's and levy-eq6's horizons: the run's own, the other's default."""
     h5, h6 = (_horizon(st) if name == st.name else EXPERIMENTS[name].horizon for name in _LEVY)
     return h5, h6
-
-
-def _levy_grid(st: RunSettings) -> tuple[float, float]:
-    return max(_levy_horizons(st)), st.step
 
 
 def _hold_values(feats: dict[str, np.ndarray], name: str, u: float) -> np.ndarray:
@@ -1278,8 +1242,9 @@ def _closure_chunk(
     model: DensityModel,
     build: Callable[[int, int, int, TimeGrid], Decomposition],
 ) -> dict[str, np.ndarray]:
-    n = build(seed, start, count, make_grid(horizon, step)).n.values
+    grid = make_grid(horizon, step)
     terminal, _ = _density_block(model, seed, start, count, step)
+    n = build(seed, start, count, grid).n.values
     return {"n": n[:, cols], "q": terminal}
 
 
@@ -1326,8 +1291,10 @@ def _membership_chunk(
     start: int, count: int, *, seed: int, step: float, horizon: float, model: DensityModel
 ) -> dict[str, np.ndarray]:
     grid = make_grid(horizon, step)
-    w = Path(grid=grid, values=_primary(seed, start, count, grid))
+    # the support-mass ladder's rungs: (factor over the half step, grid)
+    rungs = {r: (f, make_grid(horizon, step / 2.0 * f)) for r, f in (("c", 4), ("m", 2), ("f", 1))}
     zs = driver_zero_set(model, Path(grid=grid, values=driver_matrix(model, seed, start, count, grid)))
+    w = Path(grid=grid, values=_primary(seed, start, count, grid))
     base = drawdown(w)
     members = {
         "drawdown": base,
@@ -1351,9 +1318,8 @@ def _membership_chunk(
     out["corrupt_pass"] = verify_membership(bad).passed.astype(np.float64)
     # fixed-tolerance support mass on a common-randomness step ladder
     stress_tol = 0.6 * float(np.sqrt(2.0 * step))
-    wf = _primary(seed, start, count, make_grid(horizon, step / 2.0))
-    for rung, factor in (("c", 4), ("m", 2), ("f", 1)):
-        g = make_grid(horizon, step / 2.0 * factor)
+    wf = _primary(seed, start, count, rungs["f"][1])
+    for rung, (factor, g) in rungs.items():
         support = verify_membership(abs_martingale(Path(grid=g, values=wf[:, ::factor])), stress_tol).support
         out[f"viol_{rung}"] = support.violation_mass
         out[f"tot_{rung}"] = support.total_mass
@@ -1439,23 +1405,6 @@ _H = ("horizon",)
 _HC = ("horizon", "checkpoints")
 
 
-def _own_grid(st: RunSettings) -> tuple[float, float]:
-    # the run's grid, or the density models' own span where that is longer
-    return max(_horizon(st), _MODEL_SPAN), st.step
-
-
-def _membership_grid(st: RunSettings) -> tuple[float, float]:
-    # the support-mass ladder's finest rung
-    return _horizon(st), st.step / 2.0
-
-
-# One row of the longest grid a run builds may take at most this many
-# bytes (262,144 grid points).  A chunk holds a few matrices of 64 to 256
-# such rows; the registry's longest row, doob-maximal's ErfSign pass at
-# the full step, is 160 KB.
-_ROW_BYTE_BUDGET = 2 << 20
-
-
 @dataclass(frozen=True)
 class ExperimentSpec:
     """One registry row.
@@ -1467,8 +1416,7 @@ class ExperimentSpec:
     ``min_horizon`` is the smallest horizon override the runner can
     honour: ErfSign zero sets span the model's terminal time 1.0, and
     restart anchors found there index the driver's own grid.
-    ``largest_grid`` gives the (horizon, step) of the longest grid a
-    run builds, which ``resolve_settings`` holds to the row byte budget.
+    ``make_grid`` holds every grid a run builds to its row byte budget.
     """
 
     name: str
@@ -1479,15 +1427,13 @@ class ExperimentSpec:
     fast: tuple[int, float] = _FAST
     full: tuple[int, float] = _FULL
     min_horizon: float = 0.0
-    largest_grid: Callable[[RunSettings], tuple[float, float]] = _own_grid
 
 
 # name, paper anchor, runner, the options it reads and the default horizon; then the fast and
-# full scales (paths, step), the smallest horizon override and the longest grid where they
-# differ from the defaults (doob's ErfSign pass runs at 2.5x its horizon)
+# full scales (paths, step) and the smallest horizon override where they differ from the defaults
 _SPECS = (
     ExperimentSpec("t1-characterization", "martingale characterization of the base zero-set class", _run_t1, _HC, 1.0),
-    ExperimentSpec("r1-ui-martingale", "uniformly integrable restart martingale for bounded class members", _run_r1, _HC + ("policy=extend",), 2.0, min_horizon=1.0, largest_grid=_r1_grid),
+    ExperimentSpec("r1-ui-martingale", "uniformly integrable restart martingale for bounded class members", _run_r1, _HC + ("policy=extend",), 2.0, min_horizon=1.0),
     ExperimentSpec("sigma-s-characterization", "martingale characterization of the restarted class", _run_sigma_s, _HC, 2.0, min_horizon=1.0),
     ExperimentSpec("rho-algebra", "linearity, positivity, and product rules of the restart operator", _run_rho, _H, 2.0, (1000, 2e-3), (1000, 2e-3)),
     ExperimentSpec("q-bracket", "quadratic bracket of the restarted driver", _run_qbracket, _HC, 2.0, min_horizon=1.0),
@@ -1495,17 +1441,17 @@ _SPECS = (
     ExperimentSpec("tanaka-plus", "signed local-time identity for the positive part", _run_tanaka_plus, _H, 1.0, _LADDER_SCALE, _LADDER_SCALE),
     ExperimentSpec("tanaka-minus", "signed local-time identity for the negative part", _run_tanaka_minus, _H, 1.0, _LADDER_SCALE, _LADDER_SCALE),
     ExperimentSpec("ito", "second-order expansion along restarted paths", _run_ito, _H, 1.0, _LADDER_SCALE, _LADDER_SCALE),
-    ExperimentSpec("doob-maximal", "maximal identity for the supremum after the last zero", _run_doob, _H, 8.0, min_horizon=0.4, largest_grid=_doob_grid),
-    ExperimentSpec("passage-eq2", "boundary-crossing law stopped at a growth level, stepped boundary", _run_passage_eq2, _H, 6.0, largest_grid=_laws_grid),
-    ExperimentSpec("passage-eq3", "boundary-crossing law over the full span, finite total integral", _run_passage_eq3, _H, 6.0, largest_grid=_laws_grid),
-    ExperimentSpec("passage-eq4", "probability-case crossing law with a unit boundary", _run_passage_eq4, _H, 6.0, largest_grid=_laws_grid),
-    ExperimentSpec("passage-s32", "signed crossing law for the restarted reflected driver", _run_s32, _H, _S32_SPAN + _MODEL_SPAN, largest_grid=_laws_grid),
-    ExperimentSpec("a-infinity", "terminal growth law of the stopped reflected construction", _run_ainf, _H, 6.0, largest_grid=_laws_grid),
-    ExperimentSpec("levy-eq5", "drawdown confinement law under the signed weight", _run_levy5, _H, 8.0, largest_grid=_levy_grid),
-    ExperimentSpec("levy-eq6", "drawdown confinement law between supremum levels", _run_levy6, _H, 12.0, largest_grid=_levy_grid),
+    ExperimentSpec("doob-maximal", "maximal identity for the supremum after the last zero", _run_doob, _H, 8.0, min_horizon=0.4),
+    ExperimentSpec("passage-eq2", "boundary-crossing law stopped at a growth level, stepped boundary", _run_passage_eq2, _H, 6.0),
+    ExperimentSpec("passage-eq3", "boundary-crossing law over the full span, finite total integral", _run_passage_eq3, _H, 6.0),
+    ExperimentSpec("passage-eq4", "probability-case crossing law with a unit boundary", _run_passage_eq4, _H, 6.0),
+    ExperimentSpec("passage-s32", "signed crossing law for the restarted reflected driver", _run_s32, _H, _S32_SPAN + _MODEL_SPAN),
+    ExperimentSpec("a-infinity", "terminal growth law of the stopped reflected construction", _run_ainf, _H, 6.0),
+    ExperimentSpec("levy-eq5", "drawdown confinement law under the signed weight", _run_levy5, _H, 8.0),
+    ExperimentSpec("levy-eq6", "drawdown confinement law between supremum levels", _run_levy6, _H, 12.0),
     ExperimentSpec("products", "closure of the zero-set class under products", _run_products, _HC, 1.0),
     ExperimentSpec("scaled-f", "closure of the zero-set class under growth rescaling", _run_scaled, _HC, 1.0),
-    ExperimentSpec("membership", "pathwise membership checks for every construction", _run_membership, _H, 1.0, (300, 1e-3), (300, 1e-3), largest_grid=_membership_grid),
+    ExperimentSpec("membership", "pathwise membership checks for every construction", _run_membership, _H, 1.0, (300, 1e-3), (300, 1e-3)),
     # the grid is the density model's own span, so no horizon applies
     ExperimentSpec("zero-geometry", "geometry of the terminal-density zero set", _run_geometry, (), _MODEL_SPAN, (20000, 1e-3), (100000, 2.5e-4)),
 )
@@ -1553,7 +1499,7 @@ def resolve_settings(cfg: ExperimentConfig, suite: str | None = None) -> RunSett
         raise ConfigurationError(f"{cfg.experiment} ignores {', '.join(ignored)}; it reads {reads}")
     if cfg.workers < 1:
         raise ConfigurationError("workers must be at least 1")
-    st = RunSettings(
+    return RunSettings(
         name=cfg.experiment,
         n_paths=int(n_paths),
         step=float(step),
@@ -1563,14 +1509,6 @@ def resolve_settings(cfg: ExperimentConfig, suite: str | None = None) -> RunSett
         policy=cfg.policy,
         workers=int(cfg.workers),
     )
-    span, finest = spec.largest_grid(st)
-    row_bytes = 8.0 * (span / finest + 1.0)
-    if row_bytes > _ROW_BYTE_BUDGET:
-        raise ConfigurationError(
-            f"{st.name}: one row of its grid to time {span:g} at step {finest:g} takes {row_bytes:.3g} bytes,"
-            f" over the {_ROW_BYTE_BUDGET} byte budget; lengthen the step or shorten the horizon"
-        )
-    return st
 
 
 def run_experiment(cfg: ExperimentConfig, suite: str | None = None) -> ExperimentRun:

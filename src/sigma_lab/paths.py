@@ -54,6 +54,11 @@ SUBSTREAM_SECONDARY = 2
 
 _MASK64 = (1 << 64) - 1
 _REL_TOL = 1e-9
+# One float64 row of a grid may take at most this many bytes (262,144
+# grid points).  A chunk holds a few matrices of 64 to 256 such rows;
+# the registry's longest row, doob-maximal's ErfSign pass at the full
+# step, is 160 KB.
+_ROW_BYTE_BUDGET = 2 << 20
 
 
 @dataclass(frozen=True)
@@ -70,7 +75,8 @@ class TimeGrid:
 
     def index_of(self, t: float) -> int:
         """Grid index of time t (must lie on the grid up to rounding)."""
-        k = int(round(t / self.step)) if np.isfinite(t) else -1
+        r = t / self.step
+        k = int(round(r)) if np.isfinite(r) else -1
         if k < 0 or k > self.n_steps or abs(k * self.step - t) > _REL_TOL * max(1.0, self.horizon):
             raise ConfigurationError(f"time {t!r} is not a grid point of {self!r}")
         return k
@@ -121,12 +127,21 @@ def make_grid(horizon: float, step: float) -> TimeGrid:
     Raises
     ------
     ConfigurationError
-        If step or horizon is not positive and finite, or horizon/step
-        is not an integer within relative tolerance 1e-9.
+        If step or horizon is not positive and finite, one float64 row
+        of the grid would take more than 2 MiB (262,144 points), or
+        horizon/step is not an integer within relative tolerance 1e-9.
     """
     if not (0.0 < step < np.inf and 0.0 < horizon < np.inf):
         raise ConfigurationError("step and horizon must be positive and finite")
-    n = int(round(horizon / step))
+    ratio = horizon / step
+    # checked on the float ratio, which may be inf, before it becomes an int
+    row_bytes = 8.0 * (ratio + 1.0)
+    if row_bytes > _ROW_BYTE_BUDGET:
+        raise ConfigurationError(
+            f"one row of the grid to time {horizon:g} at step {step:g} takes {row_bytes:.3g} bytes,"
+            f" over the {_ROW_BYTE_BUDGET} byte budget; lengthen the step or shorten the horizon"
+        )
+    n = int(round(ratio))
     if n < 1 or abs(n * step - horizon) > _REL_TOL * max(1.0, abs(horizon)):
         raise ConfigurationError(
             f"horizon {horizon!r} is not an integer multiple of step {step!r}"

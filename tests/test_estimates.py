@@ -1,10 +1,9 @@
-"""Weighted statistics, KS machinery, and boundary specifications."""
+"""Weighted statistics, KS machinery, and the boundary table."""
 
 import numpy as np
 import pytest
 
 from sigma_lab import (
-    ConstantBoundary,
     ContractError,
     GrowthLaw,
     TableBoundary,
@@ -102,7 +101,7 @@ def test_ratio_check_with_floor():
 
 
 def test_constant_boundary():
-    b = ConstantBoundary(level=2.0)
+    b = TableBoundary(((0.0, 2.0),))
     assert np.allclose(b.phi_of(np.array([0.0, 5.0])), [2.0, 2.0])
     assert b.integral_to(3.0) == 1.5
     assert np.isinf(b.integral_total())
@@ -113,6 +112,8 @@ def test_constant_boundary():
 def test_table_boundary():
     b = TableBoundary(segments=((0.0, 1.0), (1.0, np.inf)))
     assert np.allclose(b.phi_of(np.array([0.0, 0.5, 2.0])), [1.0, 1.0, np.inf])
+    # a start belongs to its own segment; below 0 the first value holds
+    assert b.phi_of(np.array([-1.0, 1.0])).tolist() == [1.0, np.inf]
     assert b.integral_to(0.5) == 0.5
     assert b.integral_to(3.0) == 1.0
     assert b.integral_total() == 1.0

@@ -4,12 +4,12 @@ import json
 import os
 import subprocess
 import sys
-from collections import Counter
+from collections import Counter, defaultdict
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import sigma_lab.paths as paths
 from sigma_lab import (
@@ -28,6 +28,7 @@ from sigma_lab import (
 )
 from sigma_lab.cli import main
 from sigma_lab.experiments import (
+    EXPERIMENTS,
     RunSettings,
     _chunked,
     _ladder_chunk,
@@ -326,8 +327,14 @@ def test_cli_short_horizon_is_config_error(tmp_path, capsys, draws):
         assert main(["run", "--experiment", name, option, value, "--paths", "8", "--out", str(tmp_path)]) == 1
     # a grid whose rows outgrow the byte budget fails before any draw, not in the allocator
     capsys.readouterr()
-    for name, option, value in (("passage-eq4", "--horizon", "1e13"), ("zero-geometry", "--step", "1e-9")):
-        assert main(["run", "--experiment", name, option, value, "--paths", "2", "--out", str(tmp_path)]) == 1
+    for args in (
+        ["--experiment", "passage-eq4", "--horizon", "1e13"],
+        ["--experiment", "zero-geometry", "--step", "1e-9"],
+        # horizon / step overflows to inf
+        ["--experiment", "passage-eq4", "--step", "1e-320"],
+        ["--experiment", "r1-ui-martingale", "--policy", "extend", "--step", "1e-320"],
+    ):
+        assert main(["run", *args, "--paths", "2", "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert "byte budget" in err and "Traceback" not in err
     # the budget counts doob's 2.5x ErfSign pass and membership's half-step rung
@@ -335,7 +342,7 @@ def test_cli_short_horizon_is_config_error(tmp_path, capsys, draws):
         cfg = ExperimentConfig(experiment=name, horizon=200.0, step=1e-3)
         if name in ("doob-maximal", "membership"):
             with pytest.raises(ConfigurationError, match="byte budget"):
-                resolve_settings(cfg)
+                run_experiment(cfg)
         else:
             resolve_settings(cfg)
     assert sum(draws.values()) == 0
@@ -348,14 +355,63 @@ def test_cli_ignored_option_is_config_error(tmp_path):
     assert main(["run", "--experiment", "passage-eq4", "--checkpoints", "0.5", "--paths", "8", "--out", str(tmp_path)]) == 1
 
 
+def test_over_budget_grid_fails_before_any_draw(draws):
+    cases = [ExperimentConfig(experiment=name, step=1e-6) for name in experiment_names()]
+    # the run grid fits, the density model's span grid does not
+    for name in ("t1-characterization", "products", "scaled-f"):
+        cases.append(ExperimentConfig(experiment=name, horizon=0.002, checkpoints=(0.002,), step=1e-8))
+    # only the support-mass ladder's half-step rung is over the budget
+    cases.append(ExperimentConfig(experiment="membership", step=5e-6))
+    for cfg in cases:
+        with pytest.raises(ConfigurationError, match="byte budget"):
+            run_experiment(cfg)
+    assert sum(draws.values()) == 0
+
+
+_STEPS = (1e-320, 1e-9, 3e-3, 0.01, 0.05, 0.25, 0.7)
+_HORIZONS = (1e-3, 0.3, 1.0, 2.0, 7.0, 1e13)
+_CHECKPOINTS = ((0.5,), (0.3333,), (0.0,), (0.5, 0.5), (0.25, 1e300), (0.2, 0.45, 0.7, 0.95), (1.0, 2.0))
+
+
+@st.composite
+def _accepted_configs(draw):
+    """A registry name with only the options it reads, at micro scale."""
+    name = draw(st.sampled_from(EXPECTED_NAMES))
+    reads = EXPERIMENTS[name].reads
+    kw = {"n_paths": draw(st.integers(2, 5)), "step": draw(st.sampled_from(_STEPS))}
+    if "horizon" in reads:
+        kw["horizon"] = draw(st.none() | st.sampled_from(_HORIZONS))
+    if "checkpoints" in reads:
+        kw["checkpoints"] = draw(st.none() | st.sampled_from(_CHECKPOINTS))
+    if "policy=extend" in reads:
+        kw["policy"] = draw(st.sampled_from(("drop", "extend")))
+    return ExperimentConfig(experiment=name, **kw)
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@example(ExperimentConfig(experiment="passage-eq4", n_paths=2, step=1e-320))
+@example(ExperimentConfig(experiment="r1-ui-martingale", n_paths=2, step=1e-320, policy="extend"))
+# a checkpoint whose ratio to a step that fits the budget overflows to inf
+@example(ExperimentConfig(experiment="t1-characterization", n_paths=2, step=4e-9, horizon=1e-3, checkpoints=(1e300,)))
+@given(_accepted_configs())
+def test_accepted_config_runs_or_is_config_error(cfg):
+    try:
+        run_experiment(cfg)
+    except ConfigurationError:
+        pass
+
+
 @pytest.fixture
 def draws(monkeypatch):
-    """Counts of ``paths.bm_increments`` calls per substream."""
+    """Counts of ``paths.bm_increments`` calls per substream; ``n_steps``
+    holds the row lengths drawn, per substream."""
     counts = Counter()
+    counts.n_steps = defaultdict(set)
     original = paths.bm_increments
 
     def counting(seed, n_steps, step, substream):
         counts[substream] += 1
+        counts.n_steps[substream].add(n_steps)
         return original(seed, n_steps, step, substream)
 
     monkeypatch.setattr(paths, "bm_increments", counting)
@@ -365,7 +421,8 @@ def draws(monkeypatch):
 def test_pathwise_chunks_draw_each_density_stream_once(draws):
     model = ErfSign(offset=1.0, terminal_time=1.0)
     _rho_chunk(0, 10, seed=20260822, step=0.02, horizon=2.0, model=model)
-    assert draws[SUBSTREAM_DENSITY] == 10
+    # ErfSign's zeros end at its terminal time 1.0, so its stream does too
+    assert draws[SUBSTREAM_DENSITY] == 10 and draws.n_steps[SUBSTREAM_DENSITY] == {50}
     draws.clear()
     _membership_chunk(0, 10, seed=20260822, step=0.01, horizon=1.0, model=model)
     assert draws[SUBSTREAM_DENSITY] == 10
