@@ -24,7 +24,6 @@ from .errors import (
     DegenerateMeasureError,
 )
 from .density import (
-    ConstantOne,
     StoppedBM,
     ErfSign,
     ZeroSetInfo,

@@ -1,11 +1,9 @@
 """Density martingales, their zero sets, and ensemble reweighting.
 
 A signed reference measure is represented through the path of its
-density martingale D relative to the driving probability measure.  Three
+density martingale D relative to the driving probability measure.  Two
 closed-form models are provided:
 
-``ConstantOne``
-    D = 1: the classical probability case, empty zero set.
 ``StoppedBM``
     D is a Brownian motion started at ``start > 0`` and frozen at
     ``stop_time``.  D may cross zero before the freeze, so the measure
@@ -16,6 +14,9 @@ closed-form models are provided:
     the model's own Brownian driver.  D is a bounded martingale whose
     terminal absolute value is 1 on every path, and D vanishes exactly
     where W crosses the level -offset.
+
+The classical probability case D = 1 needs no model: its weights are
+all one and its zero set is empty (``empty_zero_set``).
 
 Zero sets are detected on the grid by sign changes: the interval
 (t_k, t_{k+1}) carries a zero when D_k * D_{k+1} <= 0 with the two
@@ -33,10 +34,10 @@ a row of a chunk's zero set equals that path's own bit for bit.  The
 per-path samplers (``density_driver_path``, ``density_path``) are row
 0 of ``driver_matrix`` and ``density_matrix`` for their seed.
 
-What differs between the models is decided here and nowhere else: the
-model's own time span (``model_time``), where its driver starts
-(``driver_from_increments``), and the series whose sign changes are
-D's zeros (``zero_level``).
+Every model has its own time span and its own driver.  What differs
+between the models is decided here and nowhere else: that span
+(``model_time``), where its driver starts (``driver_from_increments``),
+and the series whose sign changes are D's zeros (``zero_level``).
 """
 
 from __future__ import annotations
@@ -51,7 +52,6 @@ from .errors import ConfigurationError, ContractError, DegenerateMeasureError
 from .paths import Path, SeedSpec, TimeGrid, cumsum_paths, increments_matrix, SUBSTREAM_DENSITY
 
 __all__ = [
-    "ConstantOne",
     "StoppedBM",
     "ErfSign",
     "DensityModel",
@@ -70,11 +70,6 @@ __all__ = [
     "zero_set_from_level_series",
     "ensemble_weights",
 ]
-
-
-@dataclass(frozen=True)
-class ConstantOne:
-    """D = 1 for all t: recovers the driving probability measure."""
 
 
 @dataclass(frozen=True)
@@ -105,7 +100,7 @@ class ErfSign:
             raise ConfigurationError("ErfSign terminal_time must be positive")
 
 
-DensityModel = ConstantOne | StoppedBM | ErfSign
+DensityModel = StoppedBM | ErfSign
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,20 +175,16 @@ def empty_zero_set(grid: TimeGrid) -> ZeroSetInfo:
     return ZeroSetInfo(grid=grid, in_h=np.zeros(grid.n_steps + 1, dtype=bool))
 
 
-def model_time(model: DensityModel) -> float | None:
+def model_time(model: DensityModel) -> float:
     """The model's own time span: where StoppedBM freezes and ErfSign
-    closes.  None for ConstantOne, which has no span."""
-    if isinstance(model, ConstantOne):
-        return None
+    closes."""
     return model.stop_time if isinstance(model, StoppedBM) else model.terminal_time
 
 
 def _require_horizon(model: DensityModel, grid: TimeGrid) -> int:
     """Validate the grid against the model's own time; return the grid
-    index of that time (n_steps for ConstantOne)."""
+    index of that time."""
     intrinsic = model_time(model)
-    if intrinsic is None:
-        return grid.n_steps
     if grid.horizon < intrinsic - 1e-12:
         raise ConfigurationError(
             f"grid horizon {grid.horizon} is shorter than the model time {intrinsic}"
@@ -201,30 +192,23 @@ def _require_horizon(model: DensityModel, grid: TimeGrid) -> int:
     return grid.index_of(min(intrinsic, grid.horizon))
 
 
-def driver_from_increments(model: StoppedBM | ErfSign, incs: np.ndarray) -> np.ndarray:
+def driver_from_increments(model: DensityModel, incs: np.ndarray) -> np.ndarray:
     """Driver rows from density-substream increments: StoppedBM's starts
     at ``start``, ErfSign's at 0, so models given the same increments
     share one Brownian draw."""
     return cumsum_paths(incs, model.start if isinstance(model, StoppedBM) else 0.0)
 
 
-def driver_matrix(model: DensityModel, master_seed: int, start_index: int, count: int, grid: TimeGrid) -> np.ndarray | None:
-    """Density-substream driver rows; None for the constant model."""
-    if isinstance(model, ConstantOne):
-        return None
+def driver_matrix(model: DensityModel, master_seed: int, start_index: int, count: int, grid: TimeGrid) -> np.ndarray:
+    """Density-substream driver rows."""
     _require_horizon(model, grid)
     incs = increments_matrix(master_seed, start_index, count, grid.n_steps, grid.step, SUBSTREAM_DENSITY)
     return driver_from_increments(model, incs)
 
 
-def density_matrix(model: DensityModel, driver: np.ndarray | None, grid: TimeGrid) -> np.ndarray:
-    """Density rows from driver rows (None for ConstantOne, which gives
-    a single row of ones)."""
+def density_matrix(model: DensityModel, driver: np.ndarray, grid: TimeGrid) -> np.ndarray:
+    """Density rows from driver rows."""
     stop = _require_horizon(model, grid)
-    if isinstance(model, ConstantOne):
-        return np.ones((1, grid.n_steps + 1))
-    if driver is None:
-        raise ContractError("density model needs driver rows")
     if isinstance(model, StoppedBM):
         values = driver.copy()
         values[:, stop:] = values[:, stop : stop + 1]
@@ -238,11 +222,10 @@ def density_matrix(model: DensityModel, driver: np.ndarray | None, grid: TimeGri
     return values
 
 
-def density_driver_path(model: DensityModel, seed: SeedSpec, grid: TimeGrid) -> Path | None:
-    """The model's own driver path (density substream); None for
-    ConstantOne.  Row 0 of ``driver_matrix`` for this seed."""
-    rows = driver_matrix(model, seed.master_seed, seed.path_index, 1, grid)
-    return None if rows is None else Path(grid=grid, values=rows[0])
+def density_driver_path(model: DensityModel, seed: SeedSpec, grid: TimeGrid) -> Path:
+    """The model's own driver path (density substream): row 0 of
+    ``driver_matrix`` for this seed."""
+    return Path(grid=grid, values=driver_matrix(model, seed.master_seed, seed.path_index, 1, grid)[0])
 
 
 def density_path(model: DensityModel, seed: SeedSpec, grid: TimeGrid) -> Path:
@@ -278,7 +261,7 @@ def zero_set_from_level_series(series: np.ndarray, grid: TimeGrid, last_index: i
     return ZeroSetInfo(grid=grid, in_h=zero_geometry(series, last_index))
 
 
-def zero_level(model: StoppedBM | ErfSign, driver: np.ndarray) -> np.ndarray:
+def zero_level(model: DensityModel, driver: np.ndarray) -> np.ndarray:
     """Driver rows whose sign changes, up to the model's own time, are
     D's zeros.
 
@@ -297,7 +280,7 @@ def zero_set(D: Path, model: DensityModel) -> ZeroSetInfo:
     return zero_set_from_level_series(D.values, D.grid, last_index=_require_horizon(model, D.grid))
 
 
-def driver_zero_set(model: StoppedBM | ErfSign, driver: Path) -> ZeroSetInfo:
+def driver_zero_set(model: DensityModel, driver: Path) -> ZeroSetInfo:
     """D's zero sets read off its driver paths alone, so that one draw of
     the density substream serves both."""
     stop = _require_horizon(model, driver.grid)

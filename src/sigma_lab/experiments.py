@@ -1,8 +1,8 @@
 """Registry of Monte Carlo experiments behind the command line tool.
 
 Each experiment simulates an ensemble in chunks of a fixed number of
-paths: 256 by default, 128 for rho-algebra and the Levy family, 64 for
-membership and doob-maximal, to bound memory.  A chunk builds every
+paths, 256 unless the chunk function's row in ``_CHUNK_ROWS`` sets
+fewer, to bound memory.  A chunk builds every
 grid that can be longer than the one it draws first before that draw,
 so a run over ``make_grid``'s row byte budget fails before anything
 is simulated.  The run reduces the ensemble to named checks with
@@ -19,7 +19,9 @@ every member's features off the longest draw:
 - the laws family, passage-eq2/3/4, passage-s32 and a-infinity: |W|
   and its clock to horizon 6, and the driver restarted at the ErfSign
   last zero to horizon 7;
-- the Levy family, levy-eq5 (horizon 8) and levy-eq6 (horizon 12).
+- the Levy family, levy-eq5 (horizon 8) and levy-eq6 (horizon 12);
+- the ladder family, tanaka-abs/plus/minus and ito: every residual
+  form on every ladder rung, off one draw on the finest grid.
 
 The first member to run simulates the family and its features are
 kept, read-only, keyed by the whole call (seed, step, path count and
@@ -273,28 +275,23 @@ def report_rows(run: ExperimentRun) -> list[ReportRow]:
 _KEPT: dict[Callable, tuple[tuple, dict[str, np.ndarray], set[str]]] = {}
 
 
-def _chunked(
-    st: RunSettings,
-    chunk: Callable[..., dict[str, np.ndarray]],
-    n_paths: int | None = None,
-    chunk_size: int = CHUNK_SIZE,
-    **params,
-) -> dict[str, np.ndarray]:
-    """``run_chunked`` over chunk(start, count, seed=..., step=..., **params).
+def _chunked(st: RunSettings, chunk: Callable[..., dict[str, np.ndarray]], **params) -> dict[str, np.ndarray]:
+    """``run_chunked`` over chunk(start, count, seed=..., step=..., **params),
+    in chunks of the chunk function's ``_CHUNK_ROWS`` (else ``CHUNK_SIZE``).
 
     A family chunk's features are kept, read-only, and handed once to
     each other experiment that makes the identical call.
     """
     fn = functools.partial(chunk, seed=st.master_seed, step=st.step, **params)
-    n = st.n_paths if n_paths is None else n_paths
+    rows = _CHUNK_ROWS.get(chunk, CHUNK_SIZE)
     if chunk not in _FAMILY_CHUNKS:
-        return run_chunked(n, fn, chunk_size=chunk_size, workers=st.workers)
-    key = (st.master_seed, st.step, n, chunk_size, tuple(sorted(params.items())))
+        return run_chunked(st.n_paths, fn, chunk_size=rows, workers=st.workers)
+    key = (st.master_seed, st.step, st.n_paths, tuple(sorted(params.items())))
     kept = _KEPT.get(chunk)
     if kept is not None and kept[0] == key and st.name not in kept[2]:
         kept[2].add(st.name)
         return dict(kept[1])
-    feats = run_chunked(n, fn, chunk_size=chunk_size, workers=st.workers)
+    feats = run_chunked(st.n_paths, fn, chunk_size=rows, workers=st.workers)
     for values in feats.values():
         values.flags.writeable = False
     _KEPT[chunk] = (key, feats, {st.name})
@@ -488,21 +485,14 @@ def _run_t1(st: RunSettings) -> tuple[list[TargetCheck], list[CurveSeries]]:
 # ---------------------------------------------------------------- r1 restart martingale
 
 def _r1_chunk(
-    start: int,
-    count: int,
-    *,
-    seed: int,
-    step: float,
-    horizon: float,
-    cdf_time: float,
-    offset_steps: tuple[int, ...],
-    model: DensityModel,
+    start: int, count: int, *, seed: int, step: float, horizon: float, offset_steps: tuple[int, ...]
 ) -> dict[str, np.ndarray]:
     grid = make_grid(horizon, step)
-    terminal, zs = _density_block(model, seed, start, count, step)
+    terminal, zs = _density_block(_ERF, seed, start, count, step)
     w = _primary(seed, start, count, grid)
     t = grid.times
-    u = ndtr((0.5 - w) / np.sqrt(cdf_time - t)[None, :])
+    # U_t = P(W_T < 1/2 | W_t) with T one time unit past the horizon
+    u = ndtr((0.5 - w) / np.sqrt(horizon + 1.0 - t)[None, :])
     gbar = zs.gbar_index
     ug = _gather(u, gbar)
     vals = np.empty((count, len(offset_steps)))
@@ -539,7 +529,7 @@ def _r1_plan(st: RunSettings) -> tuple[float, tuple[float, ...]]:
 def _run_r1(st: RunSettings) -> tuple[list[TargetCheck], list[CurveSeries]]:
     horizon, offsets = _r1_plan(st)
     steps = _grid_steps(offsets, horizon, st.step)
-    feats = _chunked(st, _r1_chunk, horizon=horizon, cdf_time=horizon + 1.0, offset_steps=steps, model=_ERF)
+    feats = _chunked(st, _r1_chunk, horizon=horizon, offset_steps=steps)
     kept = feats["kept"] > 0.0
     n_kept = int(np.count_nonzero(kept))
     if n_kept < 2:
@@ -559,13 +549,11 @@ def _run_r1(st: RunSettings) -> tuple[list[TargetCheck], list[CurveSeries]]:
 
 # ---------------------------------------------------------------- sigma-s characterization
 
-def _sigs_members(
-    start: int, count: int, *, seed: int, step: float, horizon: float, model: DensityModel
-) -> tuple[Decomposition, np.ndarray]:
+def _sigs_members(start: int, count: int, *, seed: int, step: float, horizon: float) -> tuple[Decomposition, np.ndarray]:
     """The restarted reflected driver X and its kernel clock A, one row
     per path (``lifted_reflected``), and the terminal density values."""
     grid = make_grid(horizon, step)
-    terminal, zs = _density_block(model, seed, start, count, step)
+    terminal, zs = _density_block(_ERF, seed, start, count, step)
     return lifted_reflected(Path(grid=grid, values=_primary(seed, start, count, grid)), _extend(zs, grid)), terminal
 
 
@@ -583,7 +571,7 @@ def _sigs_chunk(start: int, count: int, *, cols: tuple[int, ...], **params) -> d
 def _run_sigma_s(st: RunSettings) -> tuple[list[TargetCheck], list[CurveSeries]]:
     horizon = _horizon(st)
     cps = st.checkpoints if st.checkpoints is not None else (0.5, 1.0, 1.5, 2.0)
-    feats = _chunked(st, _sigs_chunk, horizon=horizon, cols=_grid_steps(cps, horizon, st.step), model=_ERF)
+    feats = _chunked(st, _sigs_chunk, horizon=horizon, cols=_grid_steps(cps, horizon, st.step))
     checks = []
     for kind in _F_ORDER:
         rep = flatness_test(feats[kind].T, feats["q"], cps)
@@ -602,17 +590,10 @@ def _rho_pairs() -> tuple[tuple[PathFunctional, PathFunctional], ...]:
     )
 
 
-# Rows per rho-algebra chunk: its segment buckets and restart rows keep
-# the chunk's tracemalloc peak well under the laws family's.
-_RHO_CHUNK = 128
-
-
-def _rho_chunk(
-    start: int, count: int, *, seed: int, step: float, horizon: float, model: DensityModel
-) -> dict[str, np.ndarray]:
+def _rho_chunk(start: int, count: int, *, seed: int, step: float, horizon: float) -> dict[str, np.ndarray]:
     grid = make_grid(horizon, step)
     n = grid.n_steps
-    _, zs = _density_block(model, seed, start, count, step)
+    _, zs = _density_block(_ERF, seed, start, count, step)
     zs = _extend(zs, grid)
     w = _primary(seed, start, count, grid)
     g = zs.gbar_index
@@ -649,7 +630,7 @@ def _run_rho(st: RunSettings) -> tuple[list[TargetCheck], list[CurveSeries]]:
     horizon = _horizon(st)
     if horizon <= _MODEL_SPAN:  # a last zero at the grid end would leave no shifted path
         raise ConfigurationError(f"rho-algebra needs a horizon past the model span {_MODEL_SPAN:g}")
-    feats = _chunked(st, _rho_chunk, chunk_size=_RHO_CHUNK, horizon=horizon, model=_ERF)
+    feats = _chunked(st, _rho_chunk, horizon=horizon)
     n = st.n_paths
     checks = [
         count_check("linearity-bitwise", int(feats["lin"].sum()), f"0 of {3 * n} pair evaluations differ"),
@@ -663,17 +644,10 @@ def _run_rho(st: RunSettings) -> tuple[list[TargetCheck], list[CurveSeries]]:
 # ---------------------------------------------------------------- q bracket
 
 def _qbracket_chunk(
-    start: int,
-    count: int,
-    *,
-    seed: int,
-    step: float,
-    horizon: float,
-    offset_steps: tuple[int, ...],
-    model: DensityModel,
+    start: int, count: int, *, seed: int, step: float, horizon: float, offset_steps: tuple[int, ...]
 ) -> dict[str, np.ndarray]:
     grid = make_grid(horizon, step)
-    terminal, zs = _density_block(model, seed, start, count, step)
+    terminal, zs = _density_block(_ERF, seed, start, count, step)
     w = _primary(seed, start, count, grid)
     gbar = zs.gbar_index
     bracket = gathered_prefix(np.diff(w, axis=1) ** 2, gbar[:, None])
@@ -695,7 +669,7 @@ def _run_qbracket(st: RunSettings) -> tuple[list[TargetCheck], list[CurveSeries]
     if horizon < 1.0 + max(offs) - 1e-9:  # offsets count from a last zero as late as 1.0
         raise ConfigurationError(f"q-bracket offsets up to {max(offs):g} need a horizon of {1.0 + max(offs):g}")
     steps = _grid_steps(offs, horizon, st.step)
-    feats = _chunked(st, _qbracket_chunk, horizon=horizon, offset_steps=steps, model=_ERF)
+    feats = _chunked(st, _qbracket_chunk, horizon=horizon, offset_steps=steps)
     rep = flatness_test(feats["v"].T, feats["q"], offs)
     worst = float(np.min(feats["brack_min"]))
     checks = [
@@ -717,6 +691,9 @@ _ITO_FORMS = {
 }
 
 
+_LADDER_FORMS = ("abs", "plus", "minus") + tuple(_ITO_FORMS)
+
+
 def _residual(x: Path, zs: ZeroSetInfo, form: str) -> np.ndarray:
     """Ito residual rows for the forms of ``_ITO_FORMS``, Tanaka residual
     rows at level 0 for abs, plus and minus."""
@@ -725,30 +702,26 @@ def _residual(x: Path, zs: ZeroSetInfo, form: str) -> np.ndarray:
     return tanaka_residual(x, 0.0, zs, form).residual.values
 
 
-def _ladder_chunk(
-    start: int, count: int, *, seed: int, step: float, horizon: float, model: ErfSign, forms: tuple[str, ...]
-) -> dict[str, np.ndarray]:
-    """Sup residuals of each form on every ladder rung: the fine rows and
+def _ladder_chunk(start: int, count: int, *, seed: int, step: float, horizon: float) -> dict[str, np.ndarray]:
+    """Sup residuals of every form on every ladder rung: the fine rows and
     their zero sets, subsampled onto each rung's grid."""
     grids = {factor: make_grid(horizon, step * factor) for factor in _LADDER}
     fine = grids[1]
-    driver = driver_matrix(model, seed, start, count, fine)
+    driver = driver_matrix(_ERF, seed, start, count, fine)
     w = _primary(seed, start, count, fine)
     out: dict[str, np.ndarray] = {}
     for factor, grid in grids.items():
-        zs = driver_zero_set(model, Path(grid=grid, values=driver[:, ::factor]))
+        zs = driver_zero_set(_ERF, Path(grid=grid, values=driver[:, ::factor]))
         values = w[:, ::factor]
         # signed restarted driver; level 0 is crossed transversally, which
         # is what the local-time identities are about
         x = Path(grid=grid, values=values - np.take_along_axis(values, zs.gamma_index, axis=1))
-        for form in forms:
-            res = _residual(x, zs, form)
-            out[f"sup{factor}|{form}"] = np.max(np.abs(res), axis=1)
-            if factor == 1 and form == "abs":
-                rp = _residual(x, zs, "plus")
-                rm = _residual(x, zs, "minus")
-                gap = np.abs(res) - (np.abs(rp) + np.abs(rm))
-                out["tri_bad"] = (np.max(gap, axis=1) > 1e-12).astype(np.float64)
+        res = {form: np.abs(_residual(x, zs, form)) for form in _LADDER_FORMS}
+        for form, r in res.items():
+            out[f"sup{factor}|{form}"] = np.max(r, axis=1)
+        if factor == 1:
+            gap = res["abs"] - (res["plus"] + res["minus"])
+            out["tri_bad"] = (np.max(gap, axis=1) > 1e-12).astype(np.float64)
     return out
 
 
@@ -769,7 +742,7 @@ def _constant_path_residual(st: RunSettings, form: str) -> float:
 
 def _run_tanaka(st: RunSettings, *, form: str) -> tuple[list[TargetCheck], list[CurveSeries]]:
     horizon = _horizon(st)
-    feats = _chunked(st, _ladder_chunk, horizon=horizon, model=_ERF, forms=(form,))
+    feats = _chunked(st, _ladder_chunk, horizon=horizon)
     checks = _ladder_rows(f"{form}-residual", form, feats, st)
     checks.append(exact_check("constant-path-residual", _constant_path_residual(st, form)))
     if form == "abs":
@@ -790,10 +763,8 @@ _run_tanaka_minus = functools.partial(_run_tanaka, form="minus")
 
 def _run_ito(st: RunSettings) -> tuple[list[TargetCheck], list[CurveSeries]]:
     checks: list[TargetCheck] = []
-    forms = tuple(_ITO_FORMS)
-    # one pass draws each path once for all three forms
-    feats = _chunked(st, _ladder_chunk, horizon=_horizon(st), model=_ERF, forms=forms)
-    for form in forms:
+    feats = _chunked(st, _ladder_chunk, horizon=_horizon(st))
+    for form in _ITO_FORMS:
         checks.extend(_ladder_rows(form, form, feats, st))
         checks.append(exact_check(f"{form}-constant-path-residual", _constant_path_residual(st, form)))
     return checks, []
@@ -818,42 +789,36 @@ def _bridge_freq(z: np.ndarray, b: float, step: float) -> np.ndarray:
     return freq
 
 
-def _doob_chunk(
-    start: int,
-    count: int,
-    *,
-    seed: int,
-    step: float,
-    horizons: tuple[float, float],
-    levels: tuple[float, ...],
-) -> dict[str, np.ndarray]:
+# doob-maximal's ErfSign pass runs this many times its horizon
+_DOOB_SPAN_FACTOR = 2.5
+# The level-2 row's budget for grid bias and the finite-span deficit
+# together; the deficit is exact, the grid bias gets what it leaves.
+_DOOB_LEVEL2_BUDGET = 0.02
+# doob-maximal's curve levels
+_DOOB_LEVELS = (1.25, 1.5, 2.0, 3.0, 4.0)
+
+
+def _doob_chunk(start: int, count: int, *, seed: int, step: float, horizon: float) -> dict[str, np.ndarray]:
     """Both doob-maximal passes off one primary draw of Z = W - t/2:
-    ConstantOne over the first horizon at each level, ErfSign over the
-    second, after the last zero, at level 2."""
-    h1, h2 = horizons
+    density one over ``horizon`` at each curve level, ErfSign over
+    ``_DOOB_SPAN_FACTOR`` times it, after the last zero, at level 2."""
+    h2 = _DOOB_SPAN_FACTOR * horizon
     grid = make_grid(h2, step)
-    n1 = make_grid(h1, step).n_steps
+    n1 = make_grid(horizon, step).n_steps
     terminal, zs = _density_block(_ERF, seed, start, count, step)
     z = _primary(seed, start, count, grid)
     z -= 0.5 * grid.times[None, :]
-    # ConstantOne has no zeros: the whole prefix is after the last zero
-    out = {f"freq|{a:g}": _bridge_freq(z[:, : n1 + 1], float(np.log(a)), step) for a in levels}
+    # density one has no zeros: the whole prefix is after the last zero
+    out = {f"freq|{a:g}": _bridge_freq(z[:, : n1 + 1], float(np.log(a)), step) for a in _DOOB_LEVELS}
 
     gbar = zs.gbar_index
     b = float(np.log(2.0))
     pre = np.arange(grid.n_steps + 1)[None, :] < gbar[:, None]
     out["erf|freq|2"] = _bridge_freq(np.where(pre, b - 50.0, z) if gbar.any() else z, b, step)
     out["zg"] = _gather(z, gbar)
-    out["gbar_t"] = gbar.astype(np.float64) * step
+    out["span_after"] = h2 - gbar.astype(np.float64) * step
     out["q"] = terminal
     return out
-
-
-# doob-maximal's ErfSign pass runs this many times its horizon
-_DOOB_SPAN_FACTOR = 2.5
-# The level-2 row's budget for grid bias and the finite-span deficit
-# together; the deficit is exact, the grid bias gets what it leaves.
-_DOOB_LEVEL2_BUDGET = 0.02
 
 
 def _run_doob(st: RunSettings) -> tuple[list[TargetCheck], list[CurveSeries]]:
@@ -865,12 +830,10 @@ def _run_doob(st: RunSettings) -> tuple[list[TargetCheck], list[CurveSeries]]:
             f"doob-maximal at horizon {h1:g}: the level-2 finite-span deficit {deficit2:.5f}"
             f" exceeds its budget {_DOOB_LEVEL2_BUDGET:g}"
         )
-    h2 = _DOOB_SPAN_FACTOR * h1
-    curve_levels = (1.25, 1.5, 2.0, 3.0, 4.0)
-    feats = _chunked(st, _doob_chunk, chunk_size=64, horizons=(h1, h2), levels=curve_levels)
+    feats = _chunked(st, _doob_chunk, horizon=h1)
     checks: list[TargetCheck] = []
     ests = []
-    for a in curve_levels:
+    for a in _DOOB_LEVELS:
         est = weighted_mean(feats[f"freq|{a:g}"])
         ests.append(est)
         if a in (1.5, 2.0, 3.0):
@@ -885,15 +848,14 @@ def _run_doob(st: RunSettings) -> tuple[list[TargetCheck], list[CurveSeries]]:
                     truncation_allowance=round(deficit, 6),
                 )
             )
-    curve = _curve("constant-one-levels", curve_levels, [1.0 / a for a in curve_levels], ests)
+    curve = _curve("constant-one-levels", _DOOB_LEVELS, [1.0 / a for a in _DOOB_LEVELS], ests)
 
     pprime = ensemble_weights(feats["q"])
     freq = weighted_mean(feats["erf|freq|2"], pprime)
     xg = np.exp(feats["zg"])
     mean_side = weighted_mean(np.minimum(xg / 2.0, 1.0), pprime)
-    spans = h2 - feats["gbar_t"]
     blog = np.log(2.0 / np.minimum(xg, 2.0))
-    resid = float(np.mean(_sup_deficit(blog, spans)))
+    resid = float(np.mean(_sup_deficit(blog, feats["span_after"])))
     checks.append(
         agreement_check(
             "erf-sign-two-sided-at-2",
@@ -931,7 +893,7 @@ def _laws_chunk(
 
     |W| and its clock A up to ``span`` give each passage boundary's
     crossing (passage-s32's paired crossing is passage-eq4's) and
-    a-infinity's ConstantOne law: that model has no zeros, so its
+    a-infinity's constant-one law: density one has no zeros, so its
     restart anchor is 0 and the anchored clock is the plain one.  The
     driver restarted at the ErfSign last zero, up to ``horizon``, gives
     passage-s32's restarted crossing and a-infinity's ErfSign law;
@@ -1143,7 +1105,7 @@ def _hold_values(feats: dict[str, np.ndarray], name: str, u: float) -> np.ndarra
 
 
 def _run_levy5(st: RunSettings) -> tuple[list[TargetCheck], list[CurveSeries]]:
-    feats = _chunked(st, _levy_chunk, chunk_size=128, horizons=_levy_horizons(st))
+    feats = _chunked(st, _levy_chunk, horizons=_levy_horizons(st))
     hold = _hold_values(feats, st.name, 1.0)
     checks = [
         mean_check(
@@ -1176,7 +1138,7 @@ def _run_levy5(st: RunSettings) -> tuple[list[TargetCheck], list[CurveSeries]]:
 
 
 def _run_levy6(st: RunSettings) -> tuple[list[TargetCheck], list[CurveSeries]]:
-    feats = _chunked(st, _levy_chunk, chunk_size=128, horizons=_levy_horizons(st))
+    feats = _chunked(st, _levy_chunk, horizons=_levy_horizons(st))
     hold = _hold_values(feats, st.name, 1.0)
     factor = float(np.exp(-(1.0 - _LEVY_X_LOW)))
     unreached = float(np.mean(feats[f"x_unreached|{st.name}"]))
@@ -1207,9 +1169,6 @@ def _run_levy6(st: RunSettings) -> tuple[list[TargetCheck], list[CurveSeries]]:
     return checks, []
 
 
-# Chunk functions whose features several experiments read (see _chunked)
-_FAMILY_CHUNKS = frozenset({_laws_chunk, _levy_chunk})
-
 # ---------------------------------------------------------------- products / scaling
 
 def _double(a: np.ndarray) -> np.ndarray:
@@ -1239,11 +1198,10 @@ def _closure_chunk(
     step: float,
     horizon: float,
     cols: tuple[int, ...],
-    model: DensityModel,
     build: Callable[[int, int, int, TimeGrid], Decomposition],
 ) -> dict[str, np.ndarray]:
     grid = make_grid(horizon, step)
-    terminal, _ = _density_block(model, seed, start, count, step)
+    terminal, _ = _density_block(_SBM, seed, start, count, step)
     n = build(seed, start, count, grid).n.values
     return {"n": n[:, cols], "q": terminal}
 
@@ -1252,7 +1210,7 @@ def _run_closure(st: RunSettings, *, build: Callable, label: str) -> tuple[list[
     horizon = _horizon(st)
     cps = st.checkpoints if st.checkpoints is not None else (0.25, 0.5, 0.75, 1.0)
     cols = _grid_steps(cps, horizon, st.step)
-    feats = _chunked(st, _closure_chunk, horizon=horizon, cols=cols, model=_SBM, build=build)
+    feats = _chunked(st, _closure_chunk, horizon=horizon, cols=cols, build=build)
     rep = flatness_test(feats["n"].T, feats["q"], cps)
     # the first 40 paths' decompositions, checked pathwise
     grid = make_grid(horizon, st.step)
@@ -1282,18 +1240,11 @@ _VARIANTS = (
 _SHIFTED_VARIANTS = ("drawdown", "lifted", "lifted-stopped", "product", "scaled")
 
 
-# Rows per membership chunk: a chunk holds some twenty (rows, 2n+1)
-# matrices of the support-mass ladder's finest rung at its peak.
-_MEMBERSHIP_CHUNK = 64
-
-
-def _membership_chunk(
-    start: int, count: int, *, seed: int, step: float, horizon: float, model: DensityModel
-) -> dict[str, np.ndarray]:
+def _membership_chunk(start: int, count: int, *, seed: int, step: float, horizon: float) -> dict[str, np.ndarray]:
     grid = make_grid(horizon, step)
     # the support-mass ladder's rungs: (factor over the half step, grid)
     rungs = {r: (f, make_grid(horizon, step / 2.0 * f)) for r, f in (("c", 4), ("m", 2), ("f", 1))}
-    zs = driver_zero_set(model, Path(grid=grid, values=driver_matrix(model, seed, start, count, grid)))
+    zs = driver_zero_set(_ERF, Path(grid=grid, values=driver_matrix(_ERF, seed, start, count, grid)))
     w = Path(grid=grid, values=_primary(seed, start, count, grid))
     base = drawdown(w)
     members = {
@@ -1328,7 +1279,7 @@ def _membership_chunk(
 
 def _run_membership(st: RunSettings) -> tuple[list[TargetCheck], list[CurveSeries]]:
     horizon = _horizon(st)
-    feats = _chunked(st, _membership_chunk, chunk_size=_MEMBERSHIP_CHUNK, horizon=horizon, model=_ERF)
+    feats = _chunked(st, _membership_chunk, horizon=horizon)
     checks: list[TargetCheck] = []
     for key in _VARIANTS:
         checks.append(
@@ -1370,8 +1321,8 @@ def _run_membership(st: RunSettings) -> tuple[list[TargetCheck], list[CurveSerie
 
 # ---------------------------------------------------------------- zero geometry
 
-def _geom_chunk(start: int, count: int, *, seed: int, step: float, model: StoppedBM) -> dict[str, np.ndarray]:
-    _, zs = _density_block(model, seed, start, count, step)
+def _geom_chunk(start: int, count: int, *, seed: int, step: float) -> dict[str, np.ndarray]:
+    _, zs = _density_block(_SBM, seed, start, count, step)
     gbar = zs.gbar_index
     col = np.arange(zs.in_h.shape[1])
     after = col[None, :] >= gbar[:, None]
@@ -1383,7 +1334,7 @@ def _geom_chunk(start: int, count: int, *, seed: int, step: float, model: Stoppe
 
 
 def _run_geometry(st: RunSettings) -> tuple[list[TargetCheck], list[CurveSeries]]:
-    feats = _chunked(st, _geom_chunk, model=_SBM)
+    feats = _chunked(st, _geom_chunk)
     checks = [
         mean_check("last-zero-positive", _P_HIT, feats["haszero"], grid_allowance=0.01),
         count_check(
@@ -1394,6 +1345,19 @@ def _run_geometry(st: RunSettings) -> tuple[list[TargetCheck], list[CurveSeries]
         count_check("origin-never-a-zero", int(feats["origin_in_h"].sum())),
     ]
     return checks, []
+
+
+# ---------------------------------------------------------------- chunk tables
+
+# Chunk functions whose features several experiments read (see _chunked)
+_FAMILY_CHUNKS = frozenset({_ladder_chunk, _laws_chunk, _levy_chunk})
+
+# Rows per chunk where fewer than CHUNK_SIZE bound memory.  rho-algebra's
+# segment buckets and restart rows keep its tracemalloc peak well under
+# the laws family's; a membership chunk holds some twenty (rows, 2n+1)
+# matrices of the support-mass ladder's finest rung at its peak; doob's
+# ErfSign pass makes rows ``_DOOB_SPAN_FACTOR`` times its horizon long.
+_CHUNK_ROWS = {_rho_chunk: 128, _levy_chunk: 128, _membership_chunk: 64, _doob_chunk: 64}
 
 
 # ---------------------------------------------------------------- registry
@@ -1415,8 +1379,11 @@ class ExperimentSpec:
     hash.  ``horizon`` is the runner's horizon when none is given.
     ``min_horizon`` is the smallest horizon override the runner can
     honour: ErfSign zero sets span the model's terminal time 1.0, and
-    restart anchors found there index the driver's own grid.
-    ``make_grid`` holds every grid a run builds to its row byte budget.
+    restart anchors found there index the driver's own grid.  A runner
+    whose shortest horizon follows from an error budget refuses shorter
+    ones itself, before any draw: doob-maximal's level-2 deficit does,
+    below a horizon of about 6.13.  ``make_grid`` holds every grid a run
+    builds to its row byte budget.
     """
 
     name: str
@@ -1441,7 +1408,7 @@ _SPECS = (
     ExperimentSpec("tanaka-plus", "signed local-time identity for the positive part", _run_tanaka_plus, _H, 1.0, _LADDER_SCALE, _LADDER_SCALE),
     ExperimentSpec("tanaka-minus", "signed local-time identity for the negative part", _run_tanaka_minus, _H, 1.0, _LADDER_SCALE, _LADDER_SCALE),
     ExperimentSpec("ito", "second-order expansion along restarted paths", _run_ito, _H, 1.0, _LADDER_SCALE, _LADDER_SCALE),
-    ExperimentSpec("doob-maximal", "maximal identity for the supremum after the last zero", _run_doob, _H, 8.0, min_horizon=0.4),
+    ExperimentSpec("doob-maximal", "maximal identity for the supremum after the last zero", _run_doob, _H, 8.0),
     ExperimentSpec("passage-eq2", "boundary-crossing law stopped at a growth level, stepped boundary", _run_passage_eq2, _H, 6.0),
     ExperimentSpec("passage-eq3", "boundary-crossing law over the full span, finite total integral", _run_passage_eq3, _H, 6.0),
     ExperimentSpec("passage-eq4", "probability-case crossing law with a unit boundary", _run_passage_eq4, _H, 6.0),

@@ -12,30 +12,14 @@ worker counts still produce identical reports.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import math
 from pathlib import Path as FsPath
 
 from .experiments import CurveSeries, ExperimentRun, ReportRow, report_rows
 
-CSV_COLUMNS = (
-    "experiment",
-    "paper_anchor",
-    "check",
-    "kind",
-    "target",
-    "estimate",
-    "stderr",
-    "z",
-    "stat_tolerance",
-    "grid_allowance",
-    "truncation_allowance",
-    "tolerance",
-    "passed",
-    "seed",
-    "config_hash",
-    "detail",
-)
+CSV_COLUMNS = tuple(f.name for f in dataclasses.fields(ReportRow))
 
 CURVE_COLUMNS = ("x", "target", "estimate", "ci_lo", "ci_hi")
 

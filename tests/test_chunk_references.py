@@ -151,17 +151,17 @@ def _assert_rows_match(batch, reference, start):
 
 @pytest.mark.parametrize("start", [0, 40])
 def test_rho_chunk_matches_per_path_restarts(start):
-    batch = _rho_chunk(start, PATHS, seed=SEED, step=0.02, horizon=2.0, model=MODEL)
+    batch = _rho_chunk(start, PATHS, seed=SEED, step=0.02, horizon=2.0)
     _assert_rows_match(batch, lambda spec: _rho_reference(spec, 0.02, 2.0), start)
 
 
 @pytest.mark.parametrize("start", [0, 40])
 def test_membership_chunk_matches_per_path_verdicts(start):
-    batch = _membership_chunk(start, PATHS, seed=SEED, step=0.01, horizon=1.0, model=MODEL)
+    batch = _membership_chunk(start, PATHS, seed=SEED, step=0.01, horizon=1.0)
     _assert_rows_match(batch, lambda spec: _membership_reference(spec, 0.01, 1.0), start)
 
 
 def test_ladder_chunk_matches_per_path_residuals():
     forms = ("abs", "plus", "minus") + tuple(_ITO_FORMS)
-    batch = _ladder_chunk(0, PATHS, seed=SEED, step=0.005, horizon=1.0, model=MODEL, forms=forms)
+    batch = _ladder_chunk(0, PATHS, seed=SEED, step=0.005, horizon=1.0)
     _assert_rows_match(batch, lambda spec: _ladder_reference(spec, 0.005, 1.0, forms), 0)

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from sigma_lab import (
     ConfigurationError,
-    ConstantOne,
     DegenerateMeasureError,
     ErfSign,
     SeedSpec,
@@ -26,17 +25,6 @@ SEED = 20260822
 # Frozen analytic values.
 HIT_PROB_FROM_1_BY_1 = 0.31731050786291415  # 2 * (1 - Phi(1))
 ERF_SIGN_START = 0.6826894921370859  # 2 * Phi(1) - 1
-
-
-def test_constant_model_has_empty_zero_set():
-    grid = make_grid(horizon=1.0, step=0.25)
-    D = density_path(ConstantOne(), SeedSpec(SEED, 0), grid)
-    assert np.array_equal(D.values, np.ones(5))
-    zs = zero_set(D, ConstantOne())
-    assert zs.h_indices.size == 0
-    assert zs.gbar_index == 0
-    assert zs.gbar == 0.0
-    assert np.array_equal(zs.gamma_index, np.zeros(5, dtype=np.int64))
 
 
 def test_forced_sign_change_geometry():

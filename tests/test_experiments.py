@@ -16,7 +16,6 @@ from sigma_lab import (
     SUBSTREAM_DENSITY,
     SUBSTREAM_PRIMARY,
     ConfigurationError,
-    ErfSign,
     ExperimentConfig,
     config_digest,
     experiment_names,
@@ -75,7 +74,7 @@ def test_registry_anchors_unique_and_nonempty():
     assert len(set(anchors)) == len(anchors)
 
 
-def test_resolve_settings_rejects_bad_input():
+def test_resolve_settings_rejects_bad_input(draws):
     with pytest.raises(ConfigurationError):
         resolve_settings(ExperimentConfig(experiment="no-such-thing"))
     with pytest.raises(ConfigurationError):
@@ -91,16 +90,18 @@ def test_resolve_settings_rejects_bad_input():
         resolve_settings(ExperimentConfig(experiment="passage-eq4", workers=0))
     with pytest.raises(ConfigurationError):
         resolve_settings(ExperimentConfig(experiment="passage-eq4"), suite="medium")
-    # horizons shorter than the ErfSign zero-set span (2.5x shorter for doob)
+    # horizons shorter than the ErfSign zero-set span
     for name, horizon, checkpoints in (
         ("r1-ui-martingale", 0.5, None),
         ("q-bracket", 0.5, None),
         ("sigma-s-characterization", 0.5, (0.25, 0.5)),
-        ("doob-maximal", 0.3, None),
     ):
         with pytest.raises(ConfigurationError):
             resolve_settings(ExperimentConfig(experiment=name, horizon=horizon, checkpoints=checkpoints))
-    resolve_settings(ExperimentConfig(experiment="doob-maximal", horizon=0.4))
+    # doob-maximal's shortest horizon is its level-2 deficit budget's, checked before any draw
+    with pytest.raises(ConfigurationError):
+        run_experiment(ExperimentConfig(experiment="doob-maximal", horizon=0.3))
+    assert sum(draws.values()) == 0
     # options the experiment does not read
     for cfg in (
         ExperimentConfig(experiment="passage-eq4", checkpoints=(0.5,)),
@@ -419,16 +420,15 @@ def draws(monkeypatch):
 
 
 def test_pathwise_chunks_draw_each_density_stream_once(draws):
-    model = ErfSign(offset=1.0, terminal_time=1.0)
-    _rho_chunk(0, 10, seed=20260822, step=0.02, horizon=2.0, model=model)
+    _rho_chunk(0, 10, seed=20260822, step=0.02, horizon=2.0)
     # ErfSign's zeros end at its terminal time 1.0, so its stream does too
     assert draws[SUBSTREAM_DENSITY] == 10 and draws.n_steps[SUBSTREAM_DENSITY] == {50}
     draws.clear()
-    _membership_chunk(0, 10, seed=20260822, step=0.01, horizon=1.0, model=model)
+    _membership_chunk(0, 10, seed=20260822, step=0.01, horizon=1.0)
     assert draws[SUBSTREAM_DENSITY] == 10
     draws.clear()
-    # every ladder rung and all three Ito forms read one draw per stream
-    _ladder_chunk(0, 10, seed=20260822, step=0.005, horizon=1.0, model=model, forms=("linear", "square", "cosine"))
+    # every ladder rung and all six residual forms read one draw per stream
+    _ladder_chunk(0, 10, seed=20260822, step=0.005, horizon=1.0)
     assert draws[SUBSTREAM_DENSITY] == 10 and draws[SUBSTREAM_PRIMARY] == 10
 
 
@@ -448,6 +448,11 @@ def test_shared_families_draw_each_path_once(draws):
     # both doob passes read one primary draw
     _micro("doob-maximal", n_paths=n)
     assert draws[SUBSTREAM_PRIMARY] == n
+    draws.clear()
+    # every residual form of the four ladder experiments reads one draw
+    for name in ("tanaka-abs", "tanaka-plus", "tanaka-minus", "ito"):
+        _micro(name, n_paths=n)
+    assert draws[SUBSTREAM_PRIMARY] == n and draws[SUBSTREAM_DENSITY] == n
     draws.clear()
     # a horizon override changes the call, so that member simulates on its own
     _micro("passage-eq4", n_paths=n, horizon=5.0)
@@ -541,9 +546,7 @@ def test_cli_rejects_unknown_config_key(tmp_path):
 
 def test_r1_chunk_returns_one_row_per_path():
     # a horizon-1.2 grid drops every path whose last zero comes after 0.25
-    feats = _r1_chunk(
-        0, 12, seed=7, step=0.01, horizon=1.2, cdf_time=2.2, offset_steps=(20, 95), model=ErfSign(1.0, 1.0)
-    )
+    feats = _r1_chunk(0, 12, seed=7, step=0.01, horizon=1.2, offset_steps=(20, 95))
     assert {k: v.shape[0] for k, v in feats.items()} == dict.fromkeys(("v", "bound", "pprime_raw", "kept"), 12)
     assert 0 < feats["kept"].sum() < 12
 
