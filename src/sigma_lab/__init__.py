@@ -69,7 +69,7 @@ from .sigma_classes import (
     retag,
     product,
     scaled_by_f,
-    sigma_s_characterization_process,
+    characterization,
     MembershipReport,
     verify_membership,
 )

@@ -441,23 +441,21 @@ def tanaka_residual(
     Per zero-free segment, the identity local time is
     f(X_t) - f(X at the segment start) minus the restarted left-point
     integral of f' against dX, rescaled so that every form estimates
-    the same symmetric local time.  The kernel estimate is
-    ``q_local_time`` on the same segments.
+    the same symmetric local time.  The integral is ``q_integral`` of
+    f' and the kernel estimate ``q_local_time``, on the same segments.
     """
-    zs.check_path(X)
-    values, gamma, grid = X.values, zs.gamma_index, X.grid
+    values, grid = X.values, X.grid
     f, d, half = _form_pieces(form, values[..., :-1], level)
+    stoch = q_integral(d, X, zs).values
     fx = f(values)
-    lhs = fx - np.take_along_axis(fx, gamma, axis=-1)
-    stoch = gathered_prefix(d * np.diff(values, axis=-1), gamma)
-    identity = (lhs - stoch) / half
-    kernel = occupation_kernel(values, grid.step, level, gamma)
+    identity = (fx - np.take_along_axis(fx, zs.gamma_index, axis=-1) - stoch) / half
+    kernel = q_local_time(X, level, zs)
     return TanakaResidual(
         form=form,
         level=level,
         identity_local_time=Path(grid=grid, values=identity),
-        kernel_local_time=Path(grid=grid, values=kernel),
-        residual=Path(grid=grid, values=identity - kernel),
+        kernel_local_time=kernel,
+        residual=Path(grid=grid, values=identity - kernel.values),
     )
 
 

@@ -16,7 +16,7 @@ closed-form models are provided:
     where W crosses the level -offset.
 
 The classical probability case D = 1 needs no model: its weights are
-all one and its zero set is empty (``empty_zero_set``).
+all one and its zero set is empty (``empty_zero_set`` of its path).
 
 Zero sets are detected on the grid by sign changes: the interval
 (t_k, t_{k+1}) carries a zero when D_k * D_{k+1} <= 0 with the two
@@ -170,9 +170,10 @@ class ZeroSetInfo:
         return np.unique(self.gamma_index)
 
 
-def empty_zero_set(grid: TimeGrid) -> ZeroSetInfo:
-    """One path's empty zero set: no zeros, and every anchor at index 0."""
-    return ZeroSetInfo(grid=grid, in_h=np.zeros(grid.n_steps + 1, dtype=bool))
+def empty_zero_set(path: Path) -> ZeroSetInfo:
+    """The empty zero set of one path or of rows: no zeros, and every
+    anchor at index 0."""
+    return ZeroSetInfo(grid=path.grid, in_h=np.zeros(path.values.shape, dtype=bool))
 
 
 def model_time(model: DensityModel) -> float:

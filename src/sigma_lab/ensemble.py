@@ -15,7 +15,9 @@ rows, so a chunk function calls them on its rows and each row equals
 that path's own result bit for bit, because the two share code, not
 just formulas.  Row generation keeps one counter-based stream per path
 for that reason.  The path and density row kernels are re-exported
-here.
+here because ``perfbench``'s span tracer patches them by name as
+``sigma_lab.ensemble.<name>``: its per-layer metrics are the
+``ensemble.*`` spans, and dropping a re-export would rename one.
 
 Pool workers are spawned once per worker count and kept for the
 process; a worker that dies surfaces as ``BrokenProcessPool``, and the

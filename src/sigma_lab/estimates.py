@@ -183,27 +183,28 @@ def ks_test(
     return KsReport(statistic=stat, n_effective=n_eff, critical=_KS_SCALE / float(np.sqrt(n_eff)) + extra_allowance)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class TargetCheck:
     """One verdict against a frozen target, with its error budget.
 
     The tolerance splits into a statistical part (a multiple of the
     standard error), a grid allowance for discretization bias, and a
     truncation allowance for finite-horizon effects; each component is
-    kept on the record.
+    kept on the record.  A builder states only what it sets: no
+    standard error or z, and zero allowances, by default.
     """
 
     name: str
     kind: str
     target: float | None
     estimate: float
-    stderr: float | None
-    z: float | None
-    stat_tolerance: float
-    grid_allowance: float
-    truncation_allowance: float
     passed: bool
     detail: str
+    stderr: float | None = None
+    z: float | None = None
+    stat_tolerance: float = 0.0
+    grid_allowance: float = 0.0
+    truncation_allowance: float = 0.0
     extras: dict[str, float] = field(default_factory=dict)
 
     @property
@@ -263,8 +264,6 @@ def agreement_check(
         stderr=combined,
         z=gap / combined if combined > 0.0 else 0.0,
         stat_tolerance=stat_scale * combined,
-        grid_allowance=0.0,
-        truncation_allowance=0.0,
         passed=gap <= stat_scale * combined,
         detail=detail.format(estimate=estimate.value, target=reference.value, stderr=combined),
     )
@@ -278,11 +277,7 @@ def exact_check(name: str, magnitude: float, tolerance: float = 0.0) -> TargetCh
         kind="exact",
         target=0.0,
         estimate=m,
-        stderr=None,
-        z=None,
         stat_tolerance=tolerance,
-        grid_allowance=0.0,
-        truncation_allowance=0.0,
         passed=m <= tolerance,
         detail=f"magnitude {m:.3e} vs tolerance {tolerance:.3e}",
     )
@@ -295,11 +290,6 @@ def count_check(name: str, bad_count: int, detail: str = "") -> TargetCheck:
         kind="count",
         target=0.0,
         estimate=float(bad_count),
-        stderr=None,
-        z=None,
-        stat_tolerance=0.0,
-        grid_allowance=0.0,
-        truncation_allowance=0.0,
         passed=bad_count == 0,
         detail=detail or f"{bad_count} violations",
     )
@@ -323,11 +313,6 @@ def ratio_check(
         kind="ratio",
         target=min_ratio,
         estimate=float(ratio),
-        stderr=None,
-        z=None,
-        stat_tolerance=0.0,
-        grid_allowance=0.0,
-        truncation_allowance=0.0,
         passed=exact or ratio >= min_ratio,
         detail=(
             f"both errors below {_RATIO_FLOOR:.1e}; exact to rounding"

@@ -110,6 +110,7 @@ from .sigma_classes import (
     Decomposition,
     abs_martingale,
     assemble,
+    characterization,
     drawdown,
     lifted_reflected,
     pm_combination,
@@ -307,13 +308,9 @@ def _gather(matrix: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return np.take_along_axis(matrix, cols[:, None], axis=1)[:, 0]
 
 
-def _primary(seed: int, start: int, count: int, grid: TimeGrid) -> np.ndarray:
-    incs = increments_matrix(seed, start, count, grid.n_steps, grid.step, SUBSTREAM_PRIMARY)
-    return cumsum_paths(incs)
-
-
-def _secondary(seed: int, start: int, count: int, grid: TimeGrid) -> np.ndarray:
-    incs = increments_matrix(seed, start, count, grid.n_steps, grid.step, SUBSTREAM_SECONDARY)
+def _primary(seed: int, start: int, count: int, grid: TimeGrid, substream: int = SUBSTREAM_PRIMARY) -> np.ndarray:
+    """Brownian rows from 0 on a substream, the primary one by default."""
+    incs = increments_matrix(seed, start, count, grid.n_steps, grid.step, substream)
     return cumsum_paths(incs)
 
 
@@ -342,9 +339,13 @@ def _grid_steps(times: tuple[float, ...], horizon: float, step: float) -> tuple[
     """Grid steps of checkpoints or restart offsets, checked before any
     simulation: each must be a time of the simulated grid, so none is
     negative, off the grid, or past the horizon (where r1 would drop
-    every path)."""
+    every path), and no two distinct times round to one point (where a
+    flatness test would compare a column with itself)."""
     grid = make_grid(horizon, step)
-    return tuple(grid.index_of(t) for t in times)
+    steps = tuple(grid.index_of(t) for t in times)
+    if len(set(steps)) < len(set(times)):
+        raise ConfigurationError(f"times {list(times)} name fewer grid points than distinct times at step {step:g}")
+    return steps
 
 
 def _flatness_check(name: str, rep: FlatnessReport, label: str) -> TargetCheck:
@@ -354,11 +355,8 @@ def _flatness_check(name: str, rep: FlatnessReport, label: str) -> TargetCheck:
         kind="flatness",
         target=None,
         estimate=rep.max_z,
-        stderr=None,
         z=rep.max_z,
         stat_tolerance=rep.threshold,
-        grid_allowance=0.0,
-        truncation_allowance=0.0,
         passed=rep.passed,
         detail=f"{label} means [{means}], max pairwise z = {rep.max_z:.3f}",
     )
@@ -370,11 +368,8 @@ def _control_check(name: str, rep: FlatnessReport) -> TargetCheck:
         kind="control",
         target=None,
         estimate=rep.max_z,
-        stderr=None,
         z=rep.max_z,
         stat_tolerance=rep.threshold,
-        grid_allowance=0.0,
-        truncation_allowance=0.0,
         passed=rep.max_z >= rep.threshold,
         detail=f"drifted control must fail flatness: z = {rep.max_z:.3f} vs {rep.threshold}",
     )
@@ -386,11 +381,8 @@ def _ks_check(name: str, rep: KsReport, extra: float) -> TargetCheck:
         kind="ks",
         target=0.0,
         estimate=rep.statistic,
-        stderr=None,
-        z=None,
         stat_tolerance=rep.critical - extra,
         grid_allowance=extra,
-        truncation_allowance=0.0,
         passed=rep.passed,
         detail=f"ks {rep.statistic:.4f} vs {rep.critical:.4f} (n_eff {rep.n_effective:.0f})",
     )
@@ -420,17 +412,13 @@ def _sup_deficit(level_log, span):
 
 # ---------------------------------------------------------------- t1 suite
 
-_F_ORDER = ("one", "below-1", "cap-1")
-
-
-def _characterization(kind: str, a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """F(A) - f(A) X for the bounded f named by ``kind`` and its
-    primitive F: driftless exactly when X is a member."""
-    if kind == "one":
-        return a - x
-    if kind == "below-1":
-        return np.minimum(a, 1.0) - (a < 1.0) * x
-    return np.where(a < 1.0, 0.5 * a * a, a - 0.5) - np.minimum(a, 1.0) * x
+# The bounded f of the characterization, by name, each with its
+# primitive F as (F, f); "below-1"'s f is the boolean mask 1{A < 1}.
+_F_PAIRS = {
+    "one": (lambda a: a, np.ones_like),
+    "below-1": (lambda a: np.minimum(a, 1.0), lambda a: a < 1.0),
+    "cap-1": (lambda a: np.where(a < 1.0, 0.5 * a * a, a - 0.5), lambda a: np.minimum(a, 1.0)),
+}
 
 
 # t1's negative control: the drawdown of W plus this drift is no member
@@ -450,7 +438,7 @@ def _t1_chunk(
     sd = np.maximum.accumulate(wd, axis=1)
     out: dict[str, np.ndarray] = {
         "q": terminal,
-        "control": _characterization("one", sd[:, cols], (sd - wd)[:, cols]),
+        "control": characterization(*_F_PAIRS["one"], sd[:, cols], (sd - wd)[:, cols]),
     }
     del wd, sd
     s = np.maximum.accumulate(w, axis=1)
@@ -461,8 +449,8 @@ def _t1_chunk(
     for cons, (x, a) in variants.items():
         xc = x[:, cols]
         ac = a[:, cols]
-        for kind in _F_ORDER:
-            out[f"{cons}|{kind}"] = _characterization(kind, ac, xc)
+        for kind, pair in _F_PAIRS.items():
+            out[f"{cons}|{kind}"] = characterization(*pair, ac, xc)
     return out
 
 
@@ -473,7 +461,7 @@ def _run_t1(st: RunSettings) -> tuple[list[TargetCheck], list[CurveSeries]]:
     checks: list[TargetCheck] = []
     for label, q in (("constant-one", np.ones(st.n_paths)), ("stopped-bm", feats["q"])):
         for cons in ("drawdown", "abs"):
-            for kind in _F_ORDER:
+            for kind in _F_PAIRS:
                 rep = flatness_test(feats[f"{cons}|{kind}"].T, q, cps)
                 checks.append(_flatness_check(f"{label}-{cons}-f-{kind}", rep, "q-weighted"))
     n_ctrl = min(st.n_paths, 20000)
@@ -562,8 +550,8 @@ def _sigs_chunk(start: int, count: int, *, cols: tuple[int, ...], **params) -> d
     x, a, gbar = d.x.values, d.a.values, d.zero_set.gbar_index
     xc, ac = x[:, cols], a[:, cols]
     out: dict[str, np.ndarray] = {"q": terminal}
-    for kind in _F_ORDER:
-        out[kind] = _characterization(kind, ac, xc)
+    for kind, pair in _F_PAIRS.items():
+        out[kind] = characterization(*pair, ac, xc)
     out["null_mag"] = np.abs(_gather(x, gbar)) + np.abs(_gather(a, gbar))
     return out
 
@@ -573,7 +561,7 @@ def _run_sigma_s(st: RunSettings) -> tuple[list[TargetCheck], list[CurveSeries]]
     cps = st.checkpoints if st.checkpoints is not None else (0.5, 1.0, 1.5, 2.0)
     feats = _chunked(st, _sigs_chunk, horizon=horizon, cols=_grid_steps(cps, horizon, st.step))
     checks = []
-    for kind in _F_ORDER:
+    for kind in _F_PAIRS:
         rep = flatness_test(feats[kind].T, feats["q"], cps)
         checks.append(_flatness_check(f"restarted-reflected-f-{kind}", rep, "q-weighted"))
     checks.append(exact_check("null-at-last-zero", float(np.max(feats["null_mag"]))))
@@ -650,6 +638,9 @@ def _qbracket_chunk(
     terminal, zs = _density_block(_ERF, seed, start, count, step)
     w = _primary(seed, start, count, grid)
     gbar = zs.gbar_index
+    # q_bracket from the last zero on, gathered at each row's one anchor
+    # instead of every column's: test_qbracket_chunk_matches_per_path_bracket
+    # pins it to q_bracket bit for bit
     bracket = gathered_prefix(np.diff(w, axis=1) ** 2, gbar[:, None])
     wg = _gather(w, gbar)
     vals = np.empty((count, len(offset_steps)))
@@ -737,7 +728,7 @@ def _ladder_rows(name: str, form: str, feats: dict[str, np.ndarray], st: RunSett
 def _constant_path_residual(st: RunSettings, form: str) -> float:
     grid = make_grid(1.0, st.step)
     flat = Path(grid=grid, values=np.full(grid.n_steps + 1, 0.5))
-    return float(np.max(np.abs(_residual(flat, empty_zero_set(grid), form))))
+    return float(np.max(np.abs(_residual(flat, empty_zero_set(flat), form))))
 
 
 def _run_tanaka(st: RunSettings, *, form: str) -> tuple[list[TargetCheck], list[CurveSeries]]:
@@ -1181,8 +1172,9 @@ def _square(a: np.ndarray) -> np.ndarray:
 
 def _build_product(seed: int, start: int, count: int, grid: TimeGrid) -> Decomposition:
     """The product of two independent drawdowns."""
-    w1, w2 = (Path(grid=grid, values=draw(seed, start, count, grid)) for draw in (_primary, _secondary))
-    return product([drawdown(w1), drawdown(w2)])
+    w1 = _primary(seed, start, count, grid)
+    w2 = _primary(seed, start, count, grid, SUBSTREAM_SECONDARY)
+    return product([drawdown(Path(grid=grid, values=w)) for w in (w1, w2)])
 
 
 def _build_scaled(seed: int, start: int, count: int, grid: TimeGrid) -> Decomposition:
@@ -1253,7 +1245,9 @@ def _membership_chunk(start: int, count: int, *, seed: int, step: float, horizon
         "pm-combination": pm_combination(w, 2.0, 0.5, zs),
         "lifted": lifted_reflected(w, zs),
         "lifted-stopped": lifted_reflected(w, zs, stop_level=1.0),
-        "product": product([base, drawdown(Path(grid=grid, values=_secondary(seed, start, count, grid)))]),
+        "product": product(
+            [base, drawdown(Path(grid=grid, values=_primary(seed, start, count, grid, SUBSTREAM_SECONDARY)))]
+        ),
         "scaled": scaled_by_f(base, _double, _square),
     }
     out: dict[str, np.ndarray] = {"shifted_fail": np.zeros(count)}
@@ -1376,10 +1370,12 @@ class ExperimentSpec:
     ``reads`` names the run options the runner consumes: ``horizon``,
     ``checkpoints`` and ``policy=extend``.  ``resolve_settings`` rejects
     any other, because an ignored option would still change the config
-    hash.  ``horizon`` is the runner's horizon when none is given.
-    ``min_horizon`` is the smallest horizon override the runner can
-    honour: ErfSign zero sets span the model's terminal time 1.0, and
-    restart anchors found there index the driver's own grid.  A runner
+    hash, and checkpoints (or offsets) that name fewer than two distinct
+    times, because every reader tests them for flatness.  ``horizon``
+    is the runner's horizon when none is given.  ``min_horizon`` is
+    the smallest horizon override the runner can honour: ErfSign zero
+    sets span the model's terminal time 1.0, and restart anchors found
+    there index the driver's own grid.  A runner
     whose shortest horizon follows from an error budget refuses shorter
     ones itself, before any draw: doob-maximal's level-2 deficit does,
     below a horizon of about 6.13.  ``make_grid`` holds every grid a run
@@ -1464,6 +1460,9 @@ def resolve_settings(cfg: ExperimentConfig, suite: str | None = None) -> RunSett
     if ignored:
         reads = ", ".join(spec.reads) or "no option"
         raise ConfigurationError(f"{cfg.experiment} ignores {', '.join(ignored)}; it reads {reads}")
+    # every reader compares the times pairwise for flatness, which one time cannot fail
+    if cfg.checkpoints is not None and len(set(cfg.checkpoints)) < 2:
+        raise ConfigurationError(f"checkpoints must name at least 2 distinct times, not {list(cfg.checkpoints)}")
     if cfg.workers < 1:
         raise ConfigurationError("workers must be at least 1")
     return RunSettings(

@@ -25,6 +25,12 @@ is the level below which X counts as "at zero" for the support check:
 0 for constructions whose A provably grows only at exact zeros, and
 the kernel bandwidth sqrt(step) (times the weight of the construction)
 for the occupation-kernel ones; ``assemble`` defaults it to sqrt(step).
+A constructor given no zero set books an empty one (``empty_zero_set``).
+
+X is a member exactly when F(A) - f(A) X is a martingale for every
+bounded f with primitive F.  ``characterization`` is that process as a
+row kernel: it maps any columns of A and X, so t1-characterization and
+sigma-s-characterization evaluate it at their checkpoints alone.
 
 Every constructor and ``verify_membership`` takes a ``Path`` of one
 path or of rows of paths on one grid (values shaped (..., n+1)), with
@@ -47,7 +53,7 @@ from functools import cached_property
 import numpy as np
 
 from .balayage import PathFunctional, gathered_prefix, occupation_kernel, rho
-from .density import ZeroSetInfo
+from .density import ZeroSetInfo, empty_zero_set
 from .errors import ConfigurationError, ContractError
 from .paths import Path, TimeGrid, first_hit
 
@@ -64,7 +70,7 @@ __all__ = [
     "retag",
     "product",
     "scaled_by_f",
-    "sigma_s_characterization_process",
+    "characterization",
     "CheckOutcome",
     "SupportCheck",
     "MembershipReport",
@@ -114,12 +120,6 @@ class Decomposition:
     @property
     def grid(self) -> TimeGrid:
         return self.x.grid
-
-
-def _zero_set_or_empty(zs: ZeroSetInfo | None, M: Path) -> ZeroSetInfo:
-    if zs is None:
-        return ZeroSetInfo(grid=M.grid, in_h=np.zeros(M.values.shape, dtype=bool))
-    return zs
 
 
 def assemble(
@@ -189,7 +189,7 @@ def pm_combination(
         a=Path(grid=grid, values=a),
         class_tag=SIGMA_H,
         support_scale=max(alpha, beta) * float(np.sqrt(grid.step)),
-        zero_set=_zero_set_or_empty(zs, M),
+        zero_set=empty_zero_set(M) if zs is None else zs,
         gap_scale=(alpha + beta) / 2.0,
     )
 
@@ -208,7 +208,7 @@ def drawdown(M: Path, zs: ZeroSetInfo | None = None) -> Decomposition:
         Path(grid=M.grid, values=s - w),
         Path(grid=M.grid, values=s - s[..., :1]),
         SIGMA_H,
-        _zero_set_or_empty(zs, M),
+        empty_zero_set(M) if zs is None else zs,
         support_scale=0.0,
     )
 
@@ -379,18 +379,20 @@ def scaled_by_f(
     return assemble(Path(grid=grid, values=fa * d.x.values), Path(grid=grid, values=p), d.class_tag, d.zero_set, d.warnings, scale)
 
 
-def sigma_s_characterization_process(d: Decomposition, f: Callable[[np.ndarray], np.ndarray]) -> Path:
-    """Restarted analogue: restarted integral of f(A) dA minus f(A) X.
+def characterization(
+    F: Callable[[np.ndarray], np.ndarray],
+    f: Callable[[np.ndarray], np.ndarray],
+    a: np.ndarray,
+    x: np.ndarray,
+) -> np.ndarray:
+    """F(A) - f(A) X for a bounded f with primitive F, at whatever
+    columns of a member's A and X the caller passes.
 
-    Both terms vanish on the zero set, so the output restarts with
-    the runs; with f constant 1 it reduces to A - X = -N on each run.
+    X is a member exactly when this is a martingale for every such
+    pair.  With (F, f) = (a, 1) it is A - X = -N; for the restarted
+    class it vanishes on the zero set whenever F(0) = 0.
     """
-    if d.class_tag != SIGMA_SH:
-        raise ContractError("restarted characterization needs a restarted member")
-    a = d.a.values
-    fa = np.asarray(f(a), dtype=np.float64)
-    values = gathered_prefix(fa[..., :-1] * np.diff(a, axis=-1), d.zero_set.gamma_index) - fa * d.x.values
-    return Path(grid=d.grid, values=values)
+    return F(a) - f(a) * x
 
 
 @dataclass(frozen=True)
@@ -620,10 +622,8 @@ def verify_membership(d: Decomposition, support_tolerance: float | np.ndarray | 
     count = x.shape[0]
     scale = d.support_scale if support_tolerance is None else support_tolerance
     supp_tol = np.broadcast_to(np.asarray(scale, dtype=np.float64), shape).reshape(count)
-    if d.zero_set is None:
-        in_h, gbar = np.zeros(x.shape, dtype=bool), np.zeros(count, dtype=np.int64)
-    else:
-        in_h, gbar = d.zero_set.in_h.reshape(-1, width), np.reshape(d.zero_set.gbar_index, -1)
+    zs = empty_zero_set(d.x) if d.zero_set is None else d.zero_set
+    in_h, gbar = zs.in_h.reshape(-1, width), np.reshape(zs.gbar_index, -1)
     origin = np.zeros(count, dtype=np.int64)
     restarted = d.class_tag == SIGMA_SH
     top = _window_checks(

@@ -1,10 +1,11 @@
 """The row-batched pathwise chunks against per-path references.
 
-rho-algebra, membership and the residual ladders evaluate whole chunks
-of path rows at once.  Each reference below rebuilds one path's
-features from the public per-path API (``rho``, the constructors,
-``verify_membership``, ``tanaka_residual`` and ``ito_residual``), and
-the chunk features must equal them bit for bit.
+rho-algebra, membership, the residual ladders, t1, sigma-s and
+q-bracket evaluate whole chunks of path rows at once.  Each reference
+below rebuilds one path's features from the public per-path API
+(``rho``, the constructors, ``characterization``,
+``verify_membership``, ``q_bracket``, ``tanaka_residual`` and
+``ito_residual``), and the chunk features must equal them bit for bit.
 """
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 
 from sigma_lab import (
     ErfSign,
+    StoppedBM,
     LinearCombination,
     LocalTimeAt,
     Path,
@@ -20,7 +22,9 @@ from sigma_lab import (
     SeedSpec,
     abs_martingale,
     assemble,
+    characterization,
     density_driver_path,
+    density_path,
     driver_zero_set,
     drawdown,
     ito_residual,
@@ -28,6 +32,7 @@ from sigma_lab import (
     make_grid,
     pm_combination,
     product,
+    q_bracket,
     rho,
     sample_bm,
     sample_independent_pair,
@@ -37,16 +42,22 @@ from sigma_lab import (
     verify_membership,
 )
 from sigma_lab.experiments import (
+    _F_PAIRS,
     _ITO_FORMS,
     _SHIFTED_VARIANTS,
+    _T1_DRIFT,
     _ladder_chunk,
     _membership_chunk,
+    _qbracket_chunk,
     _rho_chunk,
     _rho_pairs,
+    _sigs_chunk,
+    _t1_chunk,
 )
 
 SEED = 20260822
 MODEL = ErfSign(offset=1.0, terminal_time=1.0)
+STOPPED = StoppedBM(start=1.0, stop_time=1.0)
 PATHS = 12
 
 
@@ -141,6 +152,49 @@ def _ladder_reference(spec, step, horizon, forms):
     return out
 
 
+def _terminal(model, spec, step):
+    return density_path(model, spec, make_grid(1.0, step)).values[-1]
+
+
+def _t1_reference(spec, step, horizon, cols):
+    grid = make_grid(horizon, step)
+    w = sample_bm(grid, 0.0, spec)
+    drifted = drawdown(Path(grid=grid, values=w.values + _T1_DRIFT * grid.times))
+    out = {
+        "q": _terminal(STOPPED, spec, step),
+        "control": characterization(*_F_PAIRS["one"], drifted.a.values[cols], drifted.x.values[cols]),
+    }
+    for cons, d in (("drawdown", drawdown(w)), ("abs", abs_martingale(w))):
+        for kind, pair in _F_PAIRS.items():
+            out[f"{cons}|{kind}"] = characterization(*pair, d.a.values[cols], d.x.values[cols])
+    return out
+
+
+def _sigs_reference(spec, step, horizon, cols):
+    grid = make_grid(horizon, step)
+    d = lifted_reflected(sample_bm(grid, 0.0, spec), _zero_set(spec, grid))
+    g = d.zero_set.gbar_index
+    out = {kind: characterization(*pair, d.a.values[cols], d.x.values[cols]) for kind, pair in _F_PAIRS.items()}
+    out["q"] = _terminal(MODEL, spec, step)
+    out["null_mag"] = abs(d.x.values[g]) + abs(d.a.values[g])
+    return out
+
+
+def _qbracket_reference(spec, step, horizon, offset_steps):
+    grid = make_grid(horizon, step)
+    w = sample_bm(grid, 0.0, spec)
+    zs = _zero_set(spec, grid)
+    bracket = q_bracket(w, zs).values
+    g = zs.gbar_index
+    cols = [g + d for d in offset_steps]
+    beta = w.values[cols] - w.values[g]
+    return {
+        "v": beta * beta - bracket[cols],
+        "brack_min": min(np.inf, *bracket[cols]),
+        "q": _terminal(MODEL, spec, step),
+    }
+
+
 def _assert_rows_match(batch, reference, start):
     refs = [reference(SeedSpec(SEED, start + i)) for i in range(PATHS)]
     assert set(batch) == set(refs[0])
@@ -165,3 +219,28 @@ def test_ladder_chunk_matches_per_path_residuals():
     forms = ("abs", "plus", "minus") + tuple(_ITO_FORMS)
     batch = _ladder_chunk(0, PATHS, seed=SEED, step=0.005, horizon=1.0)
     _assert_rows_match(batch, lambda spec: _ladder_reference(spec, 0.005, 1.0, forms), 0)
+
+
+@pytest.mark.parametrize("start", [0, 40])
+def test_t1_chunk_matches_per_path_characterization(start):
+    cols = (25, 50, 75, 100)
+    batch = _t1_chunk(start, PATHS, seed=SEED, step=0.01, horizon=1.0, cols=cols)
+    _assert_rows_match(batch, lambda spec: _t1_reference(spec, 0.01, 1.0, list(cols)), start)
+
+
+@pytest.mark.parametrize("start", [0, 40])
+def test_sigs_chunk_matches_per_path_characterization(start):
+    cols = (50, 100, 150, 200)
+    batch = _sigs_chunk(start, PATHS, seed=SEED, step=0.01, horizon=2.0, cols=cols)
+    _assert_rows_match(batch, lambda spec: _sigs_reference(spec, 0.01, 2.0, list(cols)), start)
+
+
+@pytest.mark.parametrize("start", [0, 40])
+def test_qbracket_chunk_matches_per_path_bracket(start):
+    # the chunk gathers the bracket from each row's last zero alone; the
+    # reference reads q_bracket on the path's whole zero set
+    offsets = (10, 20, 50, 100)
+    batch = _qbracket_chunk(start, PATHS, seed=SEED, step=0.01, horizon=2.0, offset_steps=offsets)
+    _assert_rows_match(batch, lambda spec: _qbracket_reference(spec, 0.01, 2.0, offsets), start)
+    zeros = [_zero_set(SeedSpec(SEED, start + i), make_grid(2.0, 0.01)).gbar_index > 0 for i in range(PATHS)]
+    assert 0 < sum(zeros) < PATHS

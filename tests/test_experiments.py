@@ -101,6 +101,19 @@ def test_resolve_settings_rejects_bad_input(draws):
     # doob-maximal's shortest horizon is its level-2 deficit budget's, checked before any draw
     with pytest.raises(ConfigurationError):
         run_experiment(ExperimentConfig(experiment="doob-maximal", horizon=0.3))
+    # flatness compares checkpoints (or offsets) pairwise: one time could never fail it
+    for name, checkpoints in (
+        ("q-bracket", (0.5, 0.5)),
+        ("t1-characterization", (0.5,)),
+        ("r1-ui-martingale", (0.45,)),
+        ("sigma-s-characterization", (1.0, 1.0, 1.0)),
+        ("products", (0.5,)),
+    ):
+        with pytest.raises(ConfigurationError, match="2 distinct times"):
+            run_experiment(ExperimentConfig(experiment=name, n_paths=200, step=0.01, checkpoints=checkpoints))
+    # two distinct times that round to one grid point are one checkpoint
+    with pytest.raises(ConfigurationError, match="fewer grid points"):
+        run_experiment(ExperimentConfig(experiment="q-bracket", n_paths=200, step=0.01, checkpoints=(0.5, 0.5 + 1e-13)))
     assert sum(draws.values()) == 0
     # options the experiment does not read
     for cfg in (
@@ -314,7 +327,7 @@ def test_cli_short_horizon_is_config_error(tmp_path, capsys, draws):
     # restart offsets must be grid times of the simulated horizon: a negative one
     # wraps to the path's end, an off-grid one would run at a rounded time, and
     # one past the horizon drops every r1 path
-    for name, offsets in (("q-bracket", "-0.2,0.5"), ("q-bracket", "0.3333"), ("r1-ui-martingale", "2.5")):
+    for name, offsets in (("q-bracket", "-0.2,0.5"), ("q-bracket", "0.25,0.3333"), ("r1-ui-martingale", "0.45,2.5")):
         argv = ["run", "--experiment", name, f"--checkpoints={offsets}", "--paths", "8", "--suite", "fast"]
         assert main(argv + ["--out", str(tmp_path)]) == 1
         assert "not a grid point" in capsys.readouterr().err
@@ -360,7 +373,7 @@ def test_over_budget_grid_fails_before_any_draw(draws):
     cases = [ExperimentConfig(experiment=name, step=1e-6) for name in experiment_names()]
     # the run grid fits, the density model's span grid does not
     for name in ("t1-characterization", "products", "scaled-f"):
-        cases.append(ExperimentConfig(experiment=name, horizon=0.002, checkpoints=(0.002,), step=1e-8))
+        cases.append(ExperimentConfig(experiment=name, horizon=0.002, checkpoints=(0.001, 0.002), step=1e-8))
     # only the support-mass ladder's half-step rung is over the budget
     cases.append(ExperimentConfig(experiment="membership", step=5e-6))
     for cfg in cases:
@@ -371,7 +384,7 @@ def test_over_budget_grid_fails_before_any_draw(draws):
 
 _STEPS = (1e-320, 1e-9, 3e-3, 0.01, 0.05, 0.25, 0.7)
 _HORIZONS = (1e-3, 0.3, 1.0, 2.0, 7.0, 1e13)
-_CHECKPOINTS = ((0.5,), (0.3333,), (0.0,), (0.5, 0.5), (0.25, 1e300), (0.2, 0.45, 0.7, 0.95), (1.0, 2.0))
+_CHECKPOINTS = ((0.25, 0.5), (0.25, 0.3333), (0.0, 0.5), (0.5, 0.5), (0.25, 1e300), (0.2, 0.45, 0.7, 0.95), (1.0, 2.0))
 
 
 @st.composite
@@ -393,7 +406,7 @@ def _accepted_configs(draw):
 @example(ExperimentConfig(experiment="passage-eq4", n_paths=2, step=1e-320))
 @example(ExperimentConfig(experiment="r1-ui-martingale", n_paths=2, step=1e-320, policy="extend"))
 # a checkpoint whose ratio to a step that fits the budget overflows to inf
-@example(ExperimentConfig(experiment="t1-characterization", n_paths=2, step=4e-9, horizon=1e-3, checkpoints=(1e300,)))
+@example(ExperimentConfig(experiment="t1-characterization", n_paths=2, step=4e-9, horizon=1e-3, checkpoints=(1e-3, 1e300)))
 @given(_accepted_configs())
 def test_accepted_config_runs_or_is_config_error(cfg):
     try:

@@ -14,6 +14,7 @@ from sigma_lab import (
     SupportCheck,
     abs_martingale,
     assemble,
+    characterization,
     drawdown,
     lifted_reflected,
     make_grid,
@@ -22,7 +23,6 @@ from sigma_lab import (
     retag,
     sample_bm,
     scaled_by_f,
-    sigma_s_characterization_process,
     verify_membership,
     zero_set_from_level_series,
 )
@@ -279,10 +279,13 @@ def test_characterization_processes():
     d = drawdown(_bm(grid, 14))
     zs = _signed_zero_set(grid, 15)
     lifted = lifted_reflected(_bm(grid, 15), zs)
-    ch_s = sigma_s_characterization_process(lifted, lambda a: a)
-    assert np.all(ch_s.values[zs.h_indices] == 0.0)
-    with pytest.raises(ContractError):
-        sigma_s_characterization_process(d, lambda a: a)
+    # F(0) = 0, and X and A vanish on H, so the process does too
+    ch = characterization(lambda a: 0.5 * a * a, lambda a: a, lifted.a.values, lifted.x.values)
+    assert np.all(ch[zs.h_indices] == 0.0)
+    # with f = 1 it is A - X = -N, bit for bit, where N = X - A by assembly
+    for member in (d, lifted):
+        minus_n = characterization(lambda a: a, np.ones_like, member.a.values, member.x.values)
+        assert np.array_equal(minus_n, -member.n.values)
 
 
 def test_verify_membership_detects_corruption():
@@ -340,7 +343,7 @@ def test_membership_rows_sum_each_row_alone():
             Path(grid=grid, values=x[i]),
             Path(grid=grid, values=a[i]),
             class_tag=SIGMA_H,
-            zero_set=empty_zero_set(grid),
+            zero_set=empty_zero_set(Path(grid=grid, values=x[i])),
             support_scale=0.0,
         )
         alone = verify_membership(d)
