@@ -85,7 +85,7 @@ from .estimates import (
     count_check,
     ratio_check,
     TableBoundary,
-    GrowthLaw,
+    exponential_cdf,
 )
 from .experiments import (
     DEFAULT_SEED,

@@ -16,6 +16,7 @@ import json
 import os
 import pathlib
 import sys
+from collections.abc import Callable
 
 from .errors import ConfigurationError, ContractError
 from .experiments import (
@@ -31,17 +32,6 @@ from .experiments import (
 from .reporting import matrix_lines, write_report
 
 _ENV_OUT = "SIGMA_LAB_OUT"
-_CONFIG_KEYS = (
-    "experiment",
-    "paths",
-    "step",
-    "horizon",
-    "seed",
-    "checkpoints",
-    "policy",
-    "workers",
-    "out",
-)
 
 
 def _parse_checkpoints(text: str) -> tuple[float, ...]:
@@ -52,6 +42,19 @@ def _parse_checkpoints(text: str) -> tuple[float, ...]:
     if not values:
         raise ConfigurationError("checkpoint list is empty")
     return values
+
+
+# run option -> the ExperimentConfig field it sets and that field's parser
+_FIELDS: dict[str, tuple[str, Callable[[str], object]]] = {
+    "paths": ("n_paths", int),
+    "step": ("step", float),
+    "horizon": ("horizon", float),
+    "seed": ("master_seed", int),
+    "checkpoints": ("checkpoints", _parse_checkpoints),
+    "policy": ("policy", str),
+    "workers": ("workers", int),
+}
+_CONFIG_KEYS = ("experiment", *_FIELDS, "out")
 
 
 def _load_config_file(path: str) -> dict[str, str]:
@@ -80,10 +83,8 @@ def _load_config_file(path: str) -> dict[str, str]:
     out: dict[str, str] = {}
     for key, value in raw.items():
         norm = key.replace("-", "_").lower()
-        if norm == "n_paths":
-            norm = "paths"
-        if norm == "master_seed":
-            norm = "seed"
+        # a field name stands for its option: n_paths for paths, master_seed for seed
+        norm = next((option for option, (name, _) in _FIELDS.items() if name == norm), norm)
         if norm not in _CONFIG_KEYS:
             raise ConfigurationError(f"unknown config key {key!r} in {path}")
         if isinstance(value, (list, tuple)):
@@ -93,22 +94,19 @@ def _load_config_file(path: str) -> dict[str, str]:
     return out
 
 
-def _int_option(table: dict[str, str], key: str) -> int | None:
-    if key not in table:
-        return None
+def _option(table: dict[str, str], key: str) -> object:
+    """The table's value for run option ``key``, parsed for its field."""
+    parse = _FIELDS[key][1]
     try:
-        return int(table[key])
+        return parse(table[key])
     except ValueError as exc:
-        raise ConfigurationError(f"option {key} must be an integer, got {table[key]!r}") from exc
+        noun = "an integer" if parse is int else "a number"
+        raise ConfigurationError(f"option {key} must be {noun}, got {table[key]!r}") from exc
 
 
-def _float_option(table: dict[str, str], key: str) -> float | None:
-    if key not in table:
-        return None
-    try:
-        return float(table[key])
-    except ValueError as exc:
-        raise ConfigurationError(f"option {key} must be a number, got {table[key]!r}") from exc
+def _out_dir(out: str | None) -> str:
+    """The output directory: the option, else $SIGMA_LAB_OUT, else sigma-lab-out."""
+    return out or os.environ.get(_ENV_OUT) or "sigma-lab-out"
 
 
 def _build_run_config(args: argparse.Namespace) -> tuple[ExperimentConfig, str]:
@@ -116,17 +114,8 @@ def _build_run_config(args: argparse.Namespace) -> tuple[ExperimentConfig, str]:
     if args.config is not None:
         table.update(_load_config_file(args.config))
     # flags override file values
-    for key, value in (
-        ("experiment", args.experiment),
-        ("paths", args.paths),
-        ("step", args.step),
-        ("horizon", args.horizon),
-        ("seed", args.seed),
-        ("checkpoints", args.checkpoints),
-        ("policy", args.policy),
-        ("workers", args.workers),
-        ("out", args.out),
-    ):
+    for key in _CONFIG_KEYS:
+        value = getattr(args, key)
         if value is not None:
             table[key] = str(value)
     if "experiment" not in table:
@@ -136,23 +125,8 @@ def _build_run_config(args: argparse.Namespace) -> tuple[ExperimentConfig, str]:
         near = difflib.get_close_matches(name, experiment_names(), n=1)
         hint = f"; closest match is {near[0]!r}" if near else ""
         raise ConfigurationError(f"unknown experiment {name!r}{hint}")
-    checkpoints = None
-    if "checkpoints" in table:
-        checkpoints = _parse_checkpoints(table["checkpoints"])
-    seed = _int_option(table, "seed")
-    workers = _int_option(table, "workers")
-    cfg = ExperimentConfig(
-        experiment=name,
-        n_paths=_int_option(table, "paths"),
-        step=_float_option(table, "step"),
-        horizon=_float_option(table, "horizon"),
-        master_seed=DEFAULT_SEED if seed is None else seed,
-        checkpoints=checkpoints,
-        policy=table.get("policy", "drop"),
-        workers=1 if workers is None else workers,
-    )
-    out_dir = table.get("out") or os.environ.get(_ENV_OUT) or "sigma-lab-out"
-    return cfg, out_dir
+    given = {field: _option(table, key) for key, (field, _) in _FIELDS.items() if key in table}
+    return ExperimentConfig(experiment=name, **given), _out_dir(table.get("out"))
 
 
 def _print_run(run: ExperimentRun) -> None:
@@ -192,8 +166,7 @@ def _cmd_run_all(args: argparse.Namespace) -> int:
     runs = run_suite(args.suite, master_seed=seed, workers=workers)
     for line in matrix_lines(runs):
         print(line)
-    out_dir = args.out or os.environ.get(_ENV_OUT) or "sigma-lab-out"
-    out = write_report(runs, out_dir)
+    out = write_report(runs, _out_dir(args.out))
     print(f"report written to {out}")
     return 0 if all(r.passed for r in runs) else 2
 

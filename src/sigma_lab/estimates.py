@@ -11,7 +11,7 @@ The boundary table carries the closed-form pieces of the first-passage
 laws: a positive piecewise-constant function of the running maximum
 (a constant boundary is its one-segment case), the integral of its
 reciprocal, and the crossing probabilities derived from it.
-``GrowthLaw`` carries the accumulated-growth law.
+``exponential_cdf`` is the accumulated-growth law of a constant density.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ __all__ = [
     "count_check",
     "ratio_check",
     "TableBoundary",
-    "GrowthLaw",
+    "exponential_cdf",
 ]
 
 # Verdict thresholds shared by every experiment.
@@ -390,19 +390,8 @@ class TableBoundary:
         return 1.0 if np.isinf(total) else 1.0 - float(np.exp(-total))
 
 
-@dataclass(frozen=True)
-class GrowthLaw:
-    """Survival function of the accumulated-growth law."""
-
-    survival: Callable[[np.ndarray], np.ndarray]
-
-    @classmethod
-    def constant(cls, rate: float) -> "GrowthLaw":
-        """Exponential law of the given positive rate."""
-        if rate <= 0.0:
-            raise ConfigurationError("rate must be positive")
-        return cls(survival=lambda x: np.exp(-rate * np.asarray(x, dtype=np.float64)))
-
-    def cdf(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        return np.where(x < 0.0, 0.0, 1.0 - np.asarray(self.survival(np.maximum(x, 0.0)), dtype=np.float64))
+def exponential_cdf(x: np.ndarray) -> np.ndarray:
+    """CDF 1 - exp(-x) of the unit-rate exponential law, the
+    accumulated-growth law of a constant density; 0 below 0."""
+    x = np.asarray(x, dtype=np.float64)
+    return np.where(x < 0.0, 0.0, 1.0 - np.exp(-np.maximum(x, 0.0)))

@@ -23,11 +23,17 @@ every member's features off the longest draw:
 - the ladder family, tanaka-abs/plus/minus and ito: every residual
   form on every ladder rung, off one draw on the finest grid.
 
-The first member to run simulates the family and its features are
-kept, read-only, keyed by the whole call (seed, step, path count and
-horizons).  Each other member that makes the same call reads them
-once; a member that runs again, or whose horizon override changes the
-call, simulates afresh.  doob-maximal's two passes read one draw too.
+Each member's runner states its own family call, and at the registry
+horizons every member's call is the same.  The first member to run
+simulates the family and its features are kept, read-only, keyed by
+the whole call (seed, step, path count and horizons).  Each other
+member that makes the same call reads them once; a member that runs
+again, or whose horizon override changes the call, simulates afresh.  doob-maximal's two passes read one draw too.
+
+A run request is one ``ExperimentConfig``.  ``resolve_settings``
+checks it and fills its scales; the runners read that resolved
+request, and its fields, all but ``workers``, are the report rows'
+config hash.
 
 Scale defaults come in two suites: ``fast`` for smoke runs and
 ``full`` for the reproduction runs.  A handful of experiments pin
@@ -42,7 +48,7 @@ import hashlib
 import json
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from time import perf_counter
 
 import numpy as np
@@ -81,13 +87,13 @@ from .ensemble import CHUNK_SIZE, run_chunked
 from .errors import ConfigurationError
 from .estimates import (
     FlatnessReport,
-    GrowthLaw,
     KsReport,
     TableBoundary,
     TargetCheck,
     agreement_check,
     count_check,
     exact_check,
+    exponential_cdf,
     flatness_test,
     ks_test,
     mean_check,
@@ -122,7 +128,6 @@ from .sigma_classes import (
 __all__ = [
     "DEFAULT_SEED",
     "ExperimentConfig",
-    "RunSettings",
     "ReportRow",
     "CurveSeries",
     "ExperimentRun",
@@ -151,7 +156,9 @@ _P_HIT = float(2.0 * (1.0 - ndtr(1.0)))
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """User-facing run request; None fields fall back to registry defaults."""
+    """One run request.  None scales fall back to the suite's registry
+    defaults; ``resolve_settings`` returns the request with them filled.
+    A None horizon or checkpoints means the runner's own."""
 
     experiment: str
     n_paths: int | None = None
@@ -161,20 +168,6 @@ class ExperimentConfig:
     checkpoints: tuple[float, ...] | None = None
     policy: str = "drop"
     workers: int = 1
-
-
-@dataclass(frozen=True)
-class RunSettings:
-    """Fully resolved scales for one experiment run."""
-
-    name: str
-    n_paths: int
-    step: float
-    horizon: float | None
-    master_seed: int
-    checkpoints: tuple[float, ...] | None
-    policy: str
-    workers: int
 
 
 @dataclass(frozen=True)
@@ -213,7 +206,7 @@ class CurveSeries:
 class ExperimentRun:
     name: str
     paper_anchor: str
-    settings: RunSettings
+    settings: ExperimentConfig
     checks: tuple[TargetCheck, ...]
     curves: tuple[CurveSeries, ...]
     seconds: float
@@ -223,50 +216,38 @@ class ExperimentRun:
         return all(c.passed for c in self.checks)
 
 
-def config_digest(st: RunSettings) -> str:
-    """Stable hash of everything that determines the numbers.
+def config_digest(settings: ExperimentConfig) -> str:
+    """Stable hash of every field of the resolved request but ``workers``.
 
     The worker count is deliberately excluded: results are bitwise
-    identical across worker counts and the reports must be too.
+    identical across worker counts and the reports must be too.  The
+    seed is hashed under the key ``seed``.
     """
-    payload = {
-        "experiment": st.name,
-        "n_paths": st.n_paths,
-        "step": st.step,
-        "horizon": st.horizon,
-        "seed": st.master_seed,
-        "checkpoints": list(st.checkpoints) if st.checkpoints is not None else None,
-        "policy": st.policy,
-    }
+    payload = asdict(settings)
+    del payload["workers"]
+    payload["seed"] = payload.pop("master_seed")
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:12]
 
 
+# the ReportRow columns a check fills under its own field names
+_CHECK_COLUMNS = tuple(f.name for f in fields(ReportRow) if f.name in {g.name for g in fields(TargetCheck)})
+
+
 def report_rows(run: ExperimentRun) -> list[ReportRow]:
     digest = config_digest(run.settings)
-    rows = []
-    for c in run.checks:
-        rows.append(
-            ReportRow(
-                experiment=run.name,
-                paper_anchor=run.paper_anchor,
-                check=c.name,
-                kind=c.kind,
-                target=c.target,
-                estimate=c.estimate,
-                stderr=c.stderr,
-                z=c.z,
-                stat_tolerance=c.stat_tolerance,
-                grid_allowance=c.grid_allowance,
-                truncation_allowance=c.truncation_allowance,
-                tolerance=c.tolerance,
-                passed=c.passed,
-                seed=run.settings.master_seed,
-                config_hash=digest,
-                detail=c.detail,
-            )
+    return [
+        ReportRow(
+            experiment=run.name,
+            paper_anchor=run.paper_anchor,
+            check=c.name,
+            tolerance=c.tolerance,
+            seed=run.settings.master_seed,
+            config_hash=digest,
+            **{col: getattr(c, col) for col in _CHECK_COLUMNS},
         )
-    return rows
+        for c in run.checks
+    ]
 
 
 # ---------------------------------------------------------------- helpers
@@ -276,7 +257,7 @@ def report_rows(run: ExperimentRun) -> list[ReportRow]:
 _KEPT: dict[Callable, tuple[tuple, dict[str, np.ndarray], set[str]]] = {}
 
 
-def _chunked(st: RunSettings, chunk: Callable[..., dict[str, np.ndarray]], **params) -> dict[str, np.ndarray]:
+def _chunked(st: ExperimentConfig, chunk: Callable[..., dict[str, np.ndarray]], **params) -> dict[str, np.ndarray]:
     """``run_chunked`` over chunk(start, count, seed=..., step=..., **params),
     in chunks of the chunk function's ``_CHUNK_ROWS`` (else ``CHUNK_SIZE``).
 
@@ -289,19 +270,19 @@ def _chunked(st: RunSettings, chunk: Callable[..., dict[str, np.ndarray]], **par
         return run_chunked(st.n_paths, fn, chunk_size=rows, workers=st.workers)
     key = (st.master_seed, st.step, st.n_paths, tuple(sorted(params.items())))
     kept = _KEPT.get(chunk)
-    if kept is not None and kept[0] == key and st.name not in kept[2]:
-        kept[2].add(st.name)
+    if kept is not None and kept[0] == key and st.experiment not in kept[2]:
+        kept[2].add(st.experiment)
         return dict(kept[1])
     feats = run_chunked(st.n_paths, fn, chunk_size=rows, workers=st.workers)
     for values in feats.values():
         values.flags.writeable = False
-    _KEPT[chunk] = (key, feats, {st.name})
+    _KEPT[chunk] = (key, feats, {st.experiment})
     return dict(feats)
 
 
-def _horizon(st: RunSettings) -> float:
+def _horizon(st: ExperimentConfig) -> float:
     """The run's horizon: the override, else the registry default."""
-    return st.horizon if st.horizon is not None else EXPERIMENTS[st.name].horizon
+    return st.horizon if st.horizon is not None else EXPERIMENTS[st.experiment].horizon
 
 
 def _gather(matrix: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -454,7 +435,7 @@ def _t1_chunk(
     return out
 
 
-def _run_t1(st: RunSettings) -> tuple[list[TargetCheck], list[CurveSeries]]:
+def _run_t1(st: ExperimentConfig) -> tuple[list[TargetCheck], list[CurveSeries]]:
     horizon = _horizon(st)
     cps = st.checkpoints if st.checkpoints is not None else (0.25, 0.5, 0.75, 1.0)
     feats = _chunked(st, _t1_chunk, horizon=horizon, cols=_grid_steps(cps, horizon, st.step))
@@ -501,7 +482,7 @@ def _r1_chunk(
     }
 
 
-def _r1_plan(st: RunSettings) -> tuple[float, tuple[float, ...]]:
+def _r1_plan(st: ExperimentConfig) -> tuple[float, tuple[float, ...]]:
     """The simulated horizon and the restart offsets."""
     horizon = _horizon(st)
     offsets = st.checkpoints if st.checkpoints is not None else (0.2, 0.45, 0.7, 0.95)
@@ -514,7 +495,7 @@ def _r1_plan(st: RunSettings) -> tuple[float, tuple[float, ...]]:
     return horizon, offsets
 
 
-def _run_r1(st: RunSettings) -> tuple[list[TargetCheck], list[CurveSeries]]:
+def _run_r1(st: ExperimentConfig) -> tuple[list[TargetCheck], list[CurveSeries]]:
     horizon, offsets = _r1_plan(st)
     steps = _grid_steps(offsets, horizon, st.step)
     feats = _chunked(st, _r1_chunk, horizon=horizon, offset_steps=steps)
@@ -556,7 +537,7 @@ def _sigs_chunk(start: int, count: int, *, cols: tuple[int, ...], **params) -> d
     return out
 
 
-def _run_sigma_s(st: RunSettings) -> tuple[list[TargetCheck], list[CurveSeries]]:
+def _run_sigma_s(st: ExperimentConfig) -> tuple[list[TargetCheck], list[CurveSeries]]:
     horizon = _horizon(st)
     cps = st.checkpoints if st.checkpoints is not None else (0.5, 1.0, 1.5, 2.0)
     feats = _chunked(st, _sigs_chunk, horizon=horizon, cols=_grid_steps(cps, horizon, st.step))
@@ -614,7 +595,7 @@ def _rho_chunk(start: int, count: int, *, seed: int, step: float, horizon: float
     return {"lin": lin_bad, "pos": pos_bad, "prod": prod_bad, "defn": defn_bad}
 
 
-def _run_rho(st: RunSettings) -> tuple[list[TargetCheck], list[CurveSeries]]:
+def _run_rho(st: ExperimentConfig) -> tuple[list[TargetCheck], list[CurveSeries]]:
     horizon = _horizon(st)
     if horizon <= _MODEL_SPAN:  # a last zero at the grid end would leave no shifted path
         raise ConfigurationError(f"rho-algebra needs a horizon past the model span {_MODEL_SPAN:g}")
@@ -654,7 +635,7 @@ def _qbracket_chunk(
     return {"v": vals, "brack_min": brack_min, "q": terminal}
 
 
-def _run_qbracket(st: RunSettings) -> tuple[list[TargetCheck], list[CurveSeries]]:
+def _run_qbracket(st: ExperimentConfig) -> tuple[list[TargetCheck], list[CurveSeries]]:
     horizon = _horizon(st)
     offs = st.checkpoints if st.checkpoints is not None else (0.25, 0.5, 0.75, 1.0)
     if horizon < 1.0 + max(offs) - 1e-9:  # offsets count from a last zero as late as 1.0
@@ -716,7 +697,7 @@ def _ladder_chunk(start: int, count: int, *, seed: int, step: float, horizon: fl
     return out
 
 
-def _ladder_rows(name: str, form: str, feats: dict[str, np.ndarray], st: RunSettings) -> list[TargetCheck]:
+def _ladder_rows(name: str, form: str, feats: dict[str, np.ndarray], st: ExperimentConfig) -> list[TargetCheck]:
     med = {f: float(np.median(feats[f"sup{f}|{form}"])) for f in _LADDER}
     s = st.step
     return [
@@ -725,13 +706,13 @@ def _ladder_rows(name: str, form: str, feats: dict[str, np.ndarray], st: RunSett
     ]
 
 
-def _constant_path_residual(st: RunSettings, form: str) -> float:
+def _constant_path_residual(st: ExperimentConfig, form: str) -> float:
     grid = make_grid(1.0, st.step)
     flat = Path(grid=grid, values=np.full(grid.n_steps + 1, 0.5))
     return float(np.max(np.abs(_residual(flat, empty_zero_set(flat), form))))
 
 
-def _run_tanaka(st: RunSettings, *, form: str) -> tuple[list[TargetCheck], list[CurveSeries]]:
+def _run_tanaka(st: ExperimentConfig, *, form: str) -> tuple[list[TargetCheck], list[CurveSeries]]:
     horizon = _horizon(st)
     feats = _chunked(st, _ladder_chunk, horizon=horizon)
     checks = _ladder_rows(f"{form}-residual", form, feats, st)
@@ -752,7 +733,7 @@ _run_tanaka_plus = functools.partial(_run_tanaka, form="plus")
 _run_tanaka_minus = functools.partial(_run_tanaka, form="minus")
 
 
-def _run_ito(st: RunSettings) -> tuple[list[TargetCheck], list[CurveSeries]]:
+def _run_ito(st: ExperimentConfig) -> tuple[list[TargetCheck], list[CurveSeries]]:
     checks: list[TargetCheck] = []
     feats = _chunked(st, _ladder_chunk, horizon=_horizon(st))
     for form in _ITO_FORMS:
@@ -812,7 +793,7 @@ def _doob_chunk(start: int, count: int, *, seed: int, step: float, horizon: floa
     return out
 
 
-def _run_doob(st: RunSettings) -> tuple[list[TargetCheck], list[CurveSeries]]:
+def _run_doob(st: ExperimentConfig) -> tuple[list[TargetCheck], list[CurveSeries]]:
     h1 = _horizon(st)
     deficit2 = float(_sup_deficit(np.log(2.0), h1))
     if deficit2 > _DOOB_LEVEL2_BUDGET:
@@ -917,20 +898,6 @@ def _laws_chunk(
     return out
 
 
-def _laws_call(st: RunSettings) -> dict[str, float | None]:
-    """The run's laws-family parameters.  At the registry horizons every
-    member makes the same call: |W| to 6, the restarted driver to 7.
-    A passage run at a step that does not divide the ErfSign span needs
-    |W| alone, and no other member runs at that step."""
-    h = _horizon(st)
-    if st.name == "passage-s32":
-        return {"span": _S32_SPAN, "horizon": h}
-    extended = h + _MODEL_SPAN
-    if st.name in _PASSAGE_BOUNDARIES and not _divides(st.step, _MODEL_SPAN):
-        extended = None
-    return {"span": h, "horizon": extended}
-
-
 def _divides(step: float, span: float) -> bool:
     try:
         make_grid(span, step)
@@ -967,10 +934,14 @@ def _passage_rows(
     return check, curve
 
 
-def _run_passage(st: RunSettings, *, u: float | None, trunc: float) -> tuple[list[TargetCheck], list[CurveSeries]]:
-    boundary = _PASSAGE_BOUNDARIES[st.name]
-    feats = _chunked(st, _laws_chunk, **_laws_call(st))
-    hit, aprev = feats[f"hit|{st.name}"], feats[f"aprev|{st.name}"]
+def _run_passage(st: ExperimentConfig, *, u: float | None, trunc: float) -> tuple[list[TargetCheck], list[CurveSeries]]:
+    boundary = _PASSAGE_BOUNDARIES[st.experiment]
+    horizon = _horizon(st)
+    # a step that does not divide the ErfSign span needs |W| alone, and no
+    # other laws member runs at that step
+    restarted = horizon + _MODEL_SPAN if _divides(st.step, _MODEL_SPAN) else None
+    feats = _chunked(st, _laws_chunk, span=horizon, horizon=restarted)
+    hit, aprev = feats[f"hit|{st.experiment}"], feats[f"aprev|{st.experiment}"]
     label = "crossing-before-growth-1" if u is not None else "crossing-over-full-span"
     check, curve = _passage_rows(hit, aprev, boundary, u, label, None, trunc)
     undecided = float(np.mean((hit == 0.0) & (feats["aterm"] <= (u if u is not None else boundary.cap))))
@@ -983,10 +954,10 @@ _run_passage_eq3 = functools.partial(_run_passage, u=None, trunc=0.004)
 _run_passage_eq4 = functools.partial(_run_passage, u=1.0, trunc=0.008)
 
 
-def _run_s32(st: RunSettings) -> tuple[list[TargetCheck], list[CurveSeries]]:
+def _run_s32(st: ExperimentConfig) -> tuple[list[TargetCheck], list[CurveSeries]]:
     # |W| needs its whole span on the simulated grid
     _grid_steps((_S32_SPAN,), _horizon(st), st.step)
-    feats = _chunked(st, _laws_chunk, **_laws_call(st))
+    feats = _chunked(st, _laws_chunk, span=_S32_SPAN, horizon=_horizon(st))
     pprime = ensemble_weights(feats["q"])
     bnd = _PASSAGE_BOUNDARIES["passage-eq4"]
     hit_e, aprev_e = feats["hit|restarted"], feats["aprev|restarted"]
@@ -1008,16 +979,16 @@ def _run_s32(st: RunSettings) -> tuple[list[TargetCheck], list[CurveSeries]]:
     return [restarted, paired, agreement], [curve]
 
 
-def _run_ainf(st: RunSettings) -> tuple[list[TargetCheck], list[CurveSeries]]:
-    law = GrowthLaw.constant(1.0)
+def _run_ainf(st: ExperimentConfig) -> tuple[list[TargetCheck], list[CurveSeries]]:
     checks: list[TargetCheck] = []
     curves: list[CurveSeries] = []
     xs = tuple(0.25 * k for k in range(13))
-    feats = _chunked(st, _laws_chunk, **_laws_call(st))
+    horizon = _horizon(st)
+    feats = _chunked(st, _laws_chunk, span=horizon, horizon=horizon + _MODEL_SPAN)
     for label, q in (("constant-one", np.ones(st.n_paths)), ("erf-sign", feats["q"])):
         aterm = feats[f"aterm|{label}"]
         pprime = ensemble_weights(q)
-        rep = ks_test(aterm, pprime, law.cdf, extra_allowance=0.03)
+        rep = ks_test(aterm, pprime, exponential_cdf, extra_allowance=0.03)
         checks.append(_ks_check(f"{label}-terminal-law-ks", rep, 0.03))
         checks.append(
             mean_check(
@@ -1043,7 +1014,8 @@ def _run_ainf(st: RunSettings) -> tuple[list[TargetCheck], list[CurveSeries]]:
 
 # ---------------------------------------------------------------- levy corollaries
 
-_LEVY = ("levy-eq5", "levy-eq6")
+# levy-eq5's and levy-eq6's default horizons, in _levy_chunk's order
+_LEVY_HORIZONS = {"levy-eq5": 8.0, "levy-eq6": 12.0}
 # levy-eq6 opens its window once the supremum passes this level
 _LEVY_X_LOW = 0.05
 
@@ -1075,7 +1047,7 @@ def _levy_chunk(
     sgrid = make_grid(_MODEL_SPAN, step)
     w = _primary(seed, start, count, grid)
     out = {}
-    for name, end, x_low in zip(_LEVY, ends, (None, _LEVY_X_LOW)):
+    for name, end, x_low in zip(_LEVY_HORIZONS, ends, (None, _LEVY_X_LOW)):
         for key, values in _drawdown_hold(w[:, : end + 1], x_low).items():
             out[f"{key}|{name}"] = values
     # terminal weights for every density model off the shared density stream
@@ -1085,19 +1057,13 @@ def _levy_chunk(
     return out
 
 
-def _levy_horizons(st: RunSettings) -> tuple[float, float]:
-    """levy-eq5's and levy-eq6's horizons: the run's own, the other's default."""
-    h5, h6 = (_horizon(st) if name == st.name else EXPERIMENTS[name].horizon for name in _LEVY)
-    return h5, h6
-
-
 def _hold_values(feats: dict[str, np.ndarray], name: str, u: float) -> np.ndarray:
     return ((feats[f"has_viol|{name}"] == 0.0) | (feats[f"sprev|{name}"] > u)).astype(np.float64)
 
 
-def _run_levy5(st: RunSettings) -> tuple[list[TargetCheck], list[CurveSeries]]:
-    feats = _chunked(st, _levy_chunk, horizons=_levy_horizons(st))
-    hold = _hold_values(feats, st.name, 1.0)
+def _run_levy5(st: ExperimentConfig) -> tuple[list[TargetCheck], list[CurveSeries]]:
+    feats = _chunked(st, _levy_chunk, horizons=(_horizon(st), _LEVY_HORIZONS["levy-eq6"]))
+    hold = _hold_values(feats, st.experiment, 1.0)
     checks = [
         mean_check(
             "constant-one-hold",
@@ -1119,8 +1085,8 @@ def _run_levy5(st: RunSettings) -> tuple[list[TargetCheck], list[CurveSeries]]:
         mean_check("q-mean-of-one-stopped-bm", 1.0, np.ones_like(hold), feats["q_sbm"]),
     ]
     xs = (0.2, 0.4, 0.6, 0.8, 1.0)
-    plain = [weighted_mean(_hold_values(feats, st.name, g)) for g in xs]
-    signed = [weighted_mean(_hold_values(feats, st.name, g), feats["q_erf"]) for g in xs]
+    plain = [weighted_mean(_hold_values(feats, st.experiment, g)) for g in xs]
+    signed = [weighted_mean(_hold_values(feats, st.experiment, g), feats["q_erf"]) for g in xs]
     curves = [
         _curve("constant-one-hold", xs, [float(np.exp(-g)) for g in xs], plain),
         _curve("erf-sign-hold", xs, [_D0_ERF * float(np.exp(-g)) for g in xs], signed),
@@ -1128,11 +1094,11 @@ def _run_levy5(st: RunSettings) -> tuple[list[TargetCheck], list[CurveSeries]]:
     return checks, curves
 
 
-def _run_levy6(st: RunSettings) -> tuple[list[TargetCheck], list[CurveSeries]]:
-    feats = _chunked(st, _levy_chunk, horizons=_levy_horizons(st))
-    hold = _hold_values(feats, st.name, 1.0)
+def _run_levy6(st: ExperimentConfig) -> tuple[list[TargetCheck], list[CurveSeries]]:
+    feats = _chunked(st, _levy_chunk, horizons=(_LEVY_HORIZONS["levy-eq5"], _horizon(st)))
+    hold = _hold_values(feats, st.experiment, 1.0)
     factor = float(np.exp(-(1.0 - _LEVY_X_LOW)))
-    unreached = float(np.mean(feats[f"x_unreached|{st.name}"]))
+    unreached = float(np.mean(feats[f"x_unreached|{st.experiment}"]))
     # Crossing detection is biased twice here: the running sup is understated
     # between samples and so is the excursion depth, and the window opener
     # fires late for the same reason.  All three push the hold frequency up
@@ -1198,7 +1164,7 @@ def _closure_chunk(
     return {"n": n[:, cols], "q": terminal}
 
 
-def _run_closure(st: RunSettings, *, build: Callable, label: str) -> tuple[list[TargetCheck], list[CurveSeries]]:
+def _run_closure(st: ExperimentConfig, *, build: Callable, label: str) -> tuple[list[TargetCheck], list[CurveSeries]]:
     horizon = _horizon(st)
     cps = st.checkpoints if st.checkpoints is not None else (0.25, 0.5, 0.75, 1.0)
     cols = _grid_steps(cps, horizon, st.step)
@@ -1271,7 +1237,7 @@ def _membership_chunk(start: int, count: int, *, seed: int, step: float, horizon
     return out
 
 
-def _run_membership(st: RunSettings) -> tuple[list[TargetCheck], list[CurveSeries]]:
+def _run_membership(st: ExperimentConfig) -> tuple[list[TargetCheck], list[CurveSeries]]:
     horizon = _horizon(st)
     feats = _chunked(st, _membership_chunk, horizon=horizon)
     checks: list[TargetCheck] = []
@@ -1327,7 +1293,7 @@ def _geom_chunk(start: int, count: int, *, seed: int, step: float) -> dict[str, 
     }
 
 
-def _run_geometry(st: RunSettings) -> tuple[list[TargetCheck], list[CurveSeries]]:
+def _run_geometry(st: ExperimentConfig) -> tuple[list[TargetCheck], list[CurveSeries]]:
     feats = _chunked(st, _geom_chunk)
     checks = [
         mean_check("last-zero-positive", _P_HIT, feats["haszero"], grid_allowance=0.01),
@@ -1384,7 +1350,7 @@ class ExperimentSpec:
 
     name: str
     anchor: str
-    runner: Callable[[RunSettings], tuple[list[TargetCheck], list[CurveSeries]]]
+    runner: Callable[[ExperimentConfig], tuple[list[TargetCheck], list[CurveSeries]]]
     reads: tuple[str, ...]
     horizon: float
     fast: tuple[int, float] = _FAST
@@ -1410,8 +1376,8 @@ _SPECS = (
     ExperimentSpec("passage-eq4", "probability-case crossing law with a unit boundary", _run_passage_eq4, _H, 6.0),
     ExperimentSpec("passage-s32", "signed crossing law for the restarted reflected driver", _run_s32, _H, _S32_SPAN + _MODEL_SPAN),
     ExperimentSpec("a-infinity", "terminal growth law of the stopped reflected construction", _run_ainf, _H, 6.0),
-    ExperimentSpec("levy-eq5", "drawdown confinement law under the signed weight", _run_levy5, _H, 8.0),
-    ExperimentSpec("levy-eq6", "drawdown confinement law between supremum levels", _run_levy6, _H, 12.0),
+    ExperimentSpec("levy-eq5", "drawdown confinement law under the signed weight", _run_levy5, _H, _LEVY_HORIZONS["levy-eq5"]),
+    ExperimentSpec("levy-eq6", "drawdown confinement law between supremum levels", _run_levy6, _H, _LEVY_HORIZONS["levy-eq6"]),
     ExperimentSpec("products", "closure of the zero-set class under products", _run_products, _HC, 1.0),
     ExperimentSpec("scaled-f", "closure of the zero-set class under growth rescaling", _run_scaled, _HC, 1.0),
     ExperimentSpec("membership", "pathwise membership checks for every construction", _run_membership, _H, 1.0, (300, 1e-3), (300, 1e-3)),
@@ -1430,7 +1396,9 @@ def paper_anchor(name: str) -> str:
     return EXPERIMENTS[name].anchor
 
 
-def resolve_settings(cfg: ExperimentConfig, suite: str | None = None) -> RunSettings:
+def resolve_settings(cfg: ExperimentConfig, suite: str | None = None) -> ExperimentConfig:
+    """The request with its scales filled from the suite, once every
+    option has been checked."""
     if cfg.experiment not in EXPERIMENTS:
         raise ConfigurationError(f"unknown experiment {cfg.experiment!r}")
     if suite not in (None, "fast", "full"):
@@ -1465,26 +1433,23 @@ def resolve_settings(cfg: ExperimentConfig, suite: str | None = None) -> RunSett
         raise ConfigurationError(f"checkpoints must name at least 2 distinct times, not {list(cfg.checkpoints)}")
     if cfg.workers < 1:
         raise ConfigurationError("workers must be at least 1")
-    return RunSettings(
-        name=cfg.experiment,
+    return replace(
+        cfg,
         n_paths=int(n_paths),
         step=float(step),
-        horizon=cfg.horizon,
         master_seed=int(cfg.master_seed),
-        checkpoints=cfg.checkpoints,
-        policy=cfg.policy,
         workers=int(cfg.workers),
     )
 
 
 def run_experiment(cfg: ExperimentConfig, suite: str | None = None) -> ExperimentRun:
     st = resolve_settings(cfg, suite)
-    spec = EXPERIMENTS[st.name]
+    spec = EXPERIMENTS[st.experiment]
     started = perf_counter()
     checks, curves = spec.runner(st)
     seconds = perf_counter() - started
     return ExperimentRun(
-        name=st.name,
+        name=st.experiment,
         paper_anchor=spec.anchor,
         settings=st,
         checks=tuple(checks),

@@ -5,11 +5,11 @@ import pytest
 
 from sigma_lab import (
     ContractError,
-    GrowthLaw,
     TableBoundary,
     count_check,
     effective_sample_size,
     exact_check,
+    exponential_cdf,
     flatness_test,
     ks_test,
     mean_check,
@@ -123,8 +123,7 @@ def test_table_boundary():
 
 
 def test_growth_law():
-    law = GrowthLaw.constant(1.0)
-    xs = np.array([0.0, 1.0, 2.0])
-    assert np.allclose(law.survival(xs), np.exp(-xs))
-    assert law.cdf(np.array([-1.0]))[0] == 0.0
-    assert law.cdf(np.array([1.0]))[0] == pytest.approx(1.0 - np.exp(-1.0))
+    xs = np.array([-1.0, 0.0, 1.0, 2.0])
+    cdf = exponential_cdf(xs)
+    assert cdf[0] == 0.0 and cdf[1] == 0.0
+    assert np.allclose(1.0 - cdf[1:], np.exp(-xs[1:]))

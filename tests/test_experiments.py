@@ -28,7 +28,6 @@ from sigma_lab import (
 from sigma_lab.cli import main
 from sigma_lab.experiments import (
     EXPERIMENTS,
-    RunSettings,
     _chunked,
     _ladder_chunk,
     _levy_chunk,
@@ -141,7 +140,7 @@ def test_explicit_scales_override_suite():
 
 def _digest_of(**kw):
     base = dict(
-        name="passage-eq4",
+        experiment="passage-eq4",
         n_paths=1000,
         step=1e-2,
         horizon=None,
@@ -151,7 +150,7 @@ def _digest_of(**kw):
         workers=1,
     )
     base.update(kw)
-    return config_digest(RunSettings(**base))
+    return config_digest(ExperimentConfig(**base))
 
 
 def test_config_digest_ignores_workers_only():
@@ -162,7 +161,28 @@ def test_config_digest_ignores_workers_only():
     assert _digest_of(horizon=3.0) != _digest_of()
     assert _digest_of(checkpoints=(0.5,)) != _digest_of()
     assert _digest_of(policy="extend") != _digest_of()
-    assert _digest_of(name="passage-eq3") != _digest_of()
+    assert _digest_of(experiment="passage-eq3") != _digest_of()
+
+
+def test_config_digest_of_resolved_requests_is_pinned():
+    # report rows carry these hashes; a field dropped from the hash would move them
+    for cfg, digest in (
+        (ExperimentConfig(experiment="passage-eq4"), "a7cab3c82c45"),
+        (
+            ExperimentConfig(
+                experiment="r1-ui-martingale",
+                n_paths=300,
+                step=0.01,
+                horizon=3.0,
+                master_seed=7,
+                checkpoints=(0.5, 1.0),
+                policy="extend",
+            ),
+            "bbd4f49d4cd1",
+        ),
+        (ExperimentConfig(experiment="t1-characterization", checkpoints=(0.25, 0.5)), "08c5a651aabb"),
+    ):
+        assert config_digest(resolve_settings(cfg, "fast")) == digest
 
 
 @given(
@@ -470,6 +490,13 @@ def test_shared_families_draw_each_path_once(draws):
     # a horizon override changes the call, so that member simulates on its own
     _micro("passage-eq4", n_paths=n, horizon=5.0)
     assert draws[SUBSTREAM_PRIMARY] == n
+    draws.clear()
+    # a Levy member's override joins the other member's default horizon, so a
+    # default run of that other member makes a different call and draws again
+    _micro("levy-eq5", n_paths=n, horizon=6.0)
+    assert draws[SUBSTREAM_PRIMARY] == n
+    _micro("levy-eq6", n_paths=n)
+    assert draws[SUBSTREAM_PRIMARY] == 2 * n
     draws.clear()
     # at a step off the ErfSign span's grid, passage draws |W| alone
     _micro("passage-eq4", n_paths=n, step=3e-3)
