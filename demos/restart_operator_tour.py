@@ -7,16 +7,18 @@ the defining property: past the last zero the lifted values reproduce
 the functional of the shifted path entry for entry.
 """
 
+from functools import partial
+
 from sigma_lab import (
     ErfSign,
-    LocalTimeAt,
-    RunningSup,
     SeedSpec,
     density_driver_path,
     density_path,
     driver_zero_set,
     make_grid,
+    occupation_kernel,
     rho,
+    running_sup,
     sample_bm,
     shift,
 )
@@ -37,11 +39,11 @@ def main() -> None:
     print(f"zero-set points detected: {len(zs.h_indices)}")
     print(f"last zero gbar = {zs.gbar:.3f}")
 
-    sup = rho(RunningSup(), w, zs)
+    sup = rho(running_sup, w, zs)
     # the density driver sits at -offset on every zero of the level
     # process, so its lifted local time at that level accrues from the
     # restart onward
-    loc = rho(LocalTimeAt(-1.0), driver, zs)
+    loc = rho(partial(occupation_kernel, level=-1.0), driver, zs)
     g = zs.gbar_index
     print("\nlifted running sup near the last zero:")
     for k in range(max(g - 2, 0), min(g + 4, GRID.n_steps + 1)):
@@ -50,7 +52,7 @@ def main() -> None:
 
     if 0 < g < GRID.n_steps:
         tail = shift(w, zs)
-        direct = RunningSup().evaluate(tail.values, tail.grid.step)
+        direct = running_sup(tail.values, tail.grid.step)
         agree = bool((sup.values[g + 1 :] == direct[1:]).all())
         print(f"\ntail reproduces the shifted functional entry for entry: {agree}")
     print(f"density driver's lifted local time at -1 by the horizon: {loc.values[-1]:.4f}")

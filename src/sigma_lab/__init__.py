@@ -36,15 +36,14 @@ from .density import (
 )
 from .balayage import (
     PathFunctional,
-    RunningSup,
-    RunningIntegralAgainst,
-    QuadraticVariation,
-    LocalTimeAt,
-    Constant,
-    Identity,
-    NetChange,
-    LinearCombination,
-    Product,
+    running_sup,
+    quadratic_variation,
+    net_change,
+    constant,
+    integral_against,
+    linear_combination,
+    product_of,
+    occupation_kernel,
     assert_adapted,
     rho,
     shift,

@@ -11,8 +11,12 @@ rounding.
 
 Every function here works along the last axis of arrays shaped
 (..., n+1), with per-row anchors: the gather (``gathered_prefix``),
-the occupation kernel (``occupation_kernel``), and every
-``PathFunctional``, whose ``evaluate`` maps each row on its own.
+the occupation kernel (``occupation_kernel``), and every path
+functional, a plain function of (values, step) that maps each row on
+its own: ``running_sup``, ``quadratic_variation``, ``net_change``,
+the factories ``constant``, ``integral_against``,
+``linear_combination`` and ``product_of``, and the local time at a
+level, ``functools.partial(occupation_kernel, level=level)``.
 ``rho``, ``q_integral``, ``q_bracket``, ``q_local_time``,
 ``tanaka_residual`` and ``ito_residual`` take a ``Path`` of one path
 or of rows with a ``ZeroSetInfo`` of the same shape, so a row of a
@@ -31,7 +35,6 @@ the initial block and is never a zero-set point.
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
@@ -43,15 +46,13 @@ from .paths import Path, make_grid
 
 __all__ = [
     "PathFunctional",
-    "RunningSup",
-    "RunningIntegralAgainst",
-    "QuadraticVariation",
-    "LocalTimeAt",
-    "Constant",
-    "Identity",
-    "NetChange",
-    "LinearCombination",
-    "Product",
+    "running_sup",
+    "quadratic_variation",
+    "net_change",
+    "constant",
+    "integral_against",
+    "linear_combination",
+    "product_of",
     "assert_adapted",
     "SegmentLayout",
     "gathered_prefix",
@@ -67,122 +68,73 @@ __all__ = [
 ]
 
 
-class PathFunctional(ABC):
-    """Adapted functional of discrete paths.
-
-    ``evaluate`` maps value rows shaped (..., n+1) (and their step) to
-    an equally shaped array, along the last axis: each output row
-    depends on its own input row alone, and its entry i only on that
-    row's values[: i+1].  A one-dimensional path is the one-row case.
-    ``assert_adapted`` probes both halves of this contract, and
-    ``SegmentLayout`` relies on them to evaluate many runs in one call.
-    """
-
-    @abstractmethod
-    def evaluate(self, values: np.ndarray, step: float) -> np.ndarray: ...
+# A path functional maps value rows shaped (..., n+1), and their step,
+# to an equally shaped array along the last axis: each output row
+# depends on its own input row alone, and its entry i only on that
+# row's values[: i+1].  A one-dimensional path is the one-row case.
+# ``assert_adapted`` probes both halves of this contract, and
+# ``SegmentLayout`` relies on them to evaluate many runs in one call.
+PathFunctional = Callable[[np.ndarray, float], np.ndarray]
 
 
-class RunningSup(PathFunctional):
+def running_sup(values: np.ndarray, step: float) -> np.ndarray:
     """Running maximum of the path values."""
-
-    def evaluate(self, values: np.ndarray, step: float) -> np.ndarray:
-        return np.maximum.accumulate(values, axis=-1)
+    return np.maximum.accumulate(values, axis=-1)
 
 
-class RunningIntegralAgainst(PathFunctional):
-    """Left-point integral of h(X) against dX (h maps values elementwise)."""
-
-    def __init__(self, h: Callable[[np.ndarray], np.ndarray]):
-        self.h = h
-
-    def evaluate(self, values: np.ndarray, step: float) -> np.ndarray:
-        if values.shape[-1] < 2:
-            return np.zeros_like(values)
-        left = np.asarray(self.h(values[..., :-1]), dtype=np.float64)
-        return gathered_prefix(left * np.diff(values, axis=-1))
-
-
-class QuadraticVariation(PathFunctional):
+def quadratic_variation(values: np.ndarray, step: float) -> np.ndarray:
     """Realized quadratic variation: cumulative sum of squared steps."""
-
-    def evaluate(self, values: np.ndarray, step: float) -> np.ndarray:
-        return gathered_prefix(np.diff(values, axis=-1) ** 2)
+    return gathered_prefix(np.diff(values, axis=-1) ** 2)
 
 
-class LocalTimeAt(PathFunctional):
-    """Occupation-kernel local time at a level (``occupation_kernel``).
-
-    Counts left endpoints within sqrt(step) of the level and scales by
-    step / (2 * sqrt(step)).
-    """
-
-    def __init__(self, level: float):
-        self.level = float(level)
-
-    def evaluate(self, values: np.ndarray, step: float) -> np.ndarray:
-        return occupation_kernel(values, step, self.level)
-
-
-class Constant(PathFunctional):
-    """Constant functional, independent of the path."""
-
-    def __init__(self, value: float):
-        self.value = float(value)
-
-    def evaluate(self, values: np.ndarray, step: float) -> np.ndarray:
-        return np.full_like(values, self.value)
-
-
-class Identity(PathFunctional):
-    """Current value of the path."""
-
-    def evaluate(self, values: np.ndarray, step: float) -> np.ndarray:
-        return values.copy()
-
-
-class NetChange(PathFunctional):
+def net_change(values: np.ndarray, step: float) -> np.ndarray:
     """Change of the path value since its start."""
-
-    def evaluate(self, values: np.ndarray, step: float) -> np.ndarray:
-        return values - values[..., :1]
+    return values - values[..., :1]
 
 
-class LinearCombination(PathFunctional):
-    def __init__(self, coefficients: Sequence[float], functionals: Sequence[PathFunctional]):
-        if len(coefficients) != len(functionals) or not functionals:
-            raise ConfigurationError("need matching, non-empty coefficients and functionals")
-        self.coefficients = [float(c) for c in coefficients]
-        self.functionals = list(functionals)
-
-    def evaluate(self, values: np.ndarray, step: float) -> np.ndarray:
-        out = np.zeros_like(values)
-        for c, phi in zip(self.coefficients, self.functionals):
-            out += c * phi.evaluate(values, step)
-        return out
+def constant(value: float) -> PathFunctional:
+    """Constant functional, independent of the path."""
+    value = float(value)
+    return lambda values, step: np.full_like(values, value)
 
 
-class Product(PathFunctional):
-    def __init__(self, functionals: Sequence[PathFunctional]):
-        if not functionals:
-            raise ConfigurationError("need at least one functional")
-        self.functionals = list(functionals)
-
-    def evaluate(self, values: np.ndarray, step: float) -> np.ndarray:
-        out = np.ones_like(values)
-        for phi in self.functionals:
-            out *= phi.evaluate(values, step)
-        return out
-
-
-class _IntegralOf(PathFunctional):
+def integral_against(phi: PathFunctional) -> PathFunctional:
     """Left-point integral of a functional's own values against dX."""
 
-    def __init__(self, h: PathFunctional):
-        self.h = h
+    def integral(values: np.ndarray, step: float) -> np.ndarray:
+        return gathered_prefix(phi(values, step)[..., :-1] * np.diff(values, axis=-1))
 
-    def evaluate(self, values: np.ndarray, step: float) -> np.ndarray:
-        hv = self.h.evaluate(values, step)
-        return gathered_prefix(hv[..., :-1] * np.diff(values, axis=-1))
+    return integral
+
+
+def linear_combination(coefficients: Sequence[float], functionals: Sequence[PathFunctional]) -> PathFunctional:
+    """Sum of c * phi over the pairs, added in order onto zeros."""
+    if len(coefficients) != len(functionals) or not functionals:
+        raise ConfigurationError("need matching, non-empty coefficients and functionals")
+    terms = [(float(c), phi) for c, phi in zip(coefficients, functionals)]
+
+    def combination(values: np.ndarray, step: float) -> np.ndarray:
+        out = np.zeros_like(values)
+        for c, phi in terms:
+            out += c * phi(values, step)
+        return out
+
+    return combination
+
+
+def product_of(functionals: Sequence[PathFunctional]) -> PathFunctional:
+    """Product of the functionals, multiplied in order onto ones."""
+    if not functionals:
+        raise ConfigurationError("need at least one functional")
+    factors = list(functionals)
+
+    def prod(values: np.ndarray, step: float) -> np.ndarray:
+        out = np.ones_like(values)
+        for phi in factors:
+            out *= phi(values, step)
+        return out
+
+    return prod
 
 
 def assert_adapted(phi: PathFunctional, values: np.ndarray, step: float) -> None:
@@ -195,24 +147,24 @@ def assert_adapted(phi: PathFunctional, values: np.ndarray, step: float) -> None
     of the output is found to depend on values beyond index i, or on
     another row.
     """
-    full = phi.evaluate(values, step)
+    full = phi(values, step)
     if full.shape != values.shape:
         raise ContractError("functional output length must match its input")
     n = values.shape[0]
     cuts = np.unique(np.linspace(1, n - 1, num=min(4, n - 1), dtype=int))
     for c in cuts:
-        prefix = phi.evaluate(values[: c + 1], step)
+        prefix = phi(values[: c + 1], step)
         if not np.array_equal(prefix, full[: c + 1]):
             raise ContractError("functional is not adapted: prefix evaluation differs")
     rows = np.stack([values, values[::-1]])
-    stacked = phi.evaluate(rows, step)
+    stacked = phi(rows, step)
     if stacked.shape != rows.shape or not all(
-        np.array_equal(stacked[k], phi.evaluate(rows[k], step)) for k in range(2)
+        np.array_equal(stacked[k], phi(rows[k], step)) for k in range(2)
     ):
         raise ContractError("functional does not work along the last axis: a row stack evaluates differently")
 
 
-# Runs shorter than this share one bucket: it saves evaluate calls on the
+# Runs shorter than this share one bucket: it saves functional calls on the
 # many short runs near a crossing, at a few padded entries each.
 _MIN_WIDTH_LOG2 = 3
 
@@ -258,7 +210,7 @@ class SegmentLayout:
         out = np.zeros(self.shape)
         flat = out.reshape(-1)
         for vals, keep, targets in self._buckets:
-            res = phi.evaluate(vals, step)
+            res = phi(vals, step)
             if res.shape != vals.shape:
                 raise ContractError("functional output shape must match its input")
             flat[targets] = res[keep]
@@ -341,7 +293,7 @@ def occupation_kernel(
 
 
 def q_integral(
-    h: np.ndarray | Callable[[np.ndarray], np.ndarray] | PathFunctional,
+    h: np.ndarray | Callable[[np.ndarray], np.ndarray],
     X: Path,
     zs: ZeroSetInfo,
 ) -> Path:
@@ -350,14 +302,11 @@ def q_integral(
     At time t the value is the sum of h_k * (X_{k+1} - X_k) over
     intervals from the last zero up to t; it vanishes on the zero set,
     and the interval that crosses a zero is never charged.  ``h`` may
-    be a per-grid-point array, a function of the current value, or a
-    path functional (then evaluated afresh per segment, like the
-    restart operator itself).
+    be a per-grid-point array or a function of the current value; a
+    path functional integrand, evaluated afresh per segment, is
+    ``rho(integral_against(h), X, zs)``.
     """
     zs.check_path(X)
-    if isinstance(h, PathFunctional):
-        # the restarted integral is 0 at every anchor
-        return rho(_IntegralOf(h), X, zs)
     values = X.values
     incs = np.diff(values, axis=-1)
     if callable(h):

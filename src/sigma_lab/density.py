@@ -162,13 +162,6 @@ class ZeroSetInfo:
         self._one_path("h_indices")
         return np.nonzero(self.in_h)[0].astype(np.int64)
 
-    @property
-    def excursion_start_indices(self) -> np.ndarray:
-        """Left endpoints of the maximal zero-free runs: the zero opening
-        each run, or 0 for the initial run (one path only)."""
-        self._one_path("excursion_start_indices")
-        return np.unique(self.gamma_index)
-
 
 def empty_zero_set(path: Path) -> ZeroSetInfo:
     """The empty zero set of one path or of rows: no zeros, and every

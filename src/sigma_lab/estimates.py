@@ -374,20 +374,12 @@ class TableBoundary:
                 total += span / v
         return total
 
-    def integral_total(self) -> float:
-        """Integral of 1/phi over [0, infinity); may be inf."""
-        return self.integral_to(float("inf"))
-
     # Crossing probabilities.  With I the reciprocal integral, the chance
     # of crossing the boundary before the running maximum passes u is
-    # 1 - exp(-I(u)); over the full span I(u) becomes the total integral.
+    # 1 - exp(-I(u)); u = inf gives the full span, 1 where I is infinite.
 
     def crossing_probability(self, u: float) -> float:
         return 1.0 - float(np.exp(-self.integral_to(u)))
-
-    def full_crossing_probability(self) -> float:
-        total = self.integral_total()
-        return 1.0 if np.isinf(total) else 1.0 - float(np.exp(-total))
 
 
 def exponential_cdf(x: np.ndarray) -> np.ndarray:

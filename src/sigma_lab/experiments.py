@@ -55,19 +55,18 @@ import numpy as np
 from scipy.special import ndtr
 
 from .balayage import (
-    Constant,
-    LinearCombination,
-    LocalTimeAt,
-    NetChange,
     PathFunctional,
-    Product,
-    QuadraticVariation,
-    RunningIntegralAgainst,
-    RunningSup,
     SegmentLayout,
+    constant,
     gathered_prefix,
+    integral_against,
     ito_residual,
+    linear_combination,
+    net_change,
     occupation_kernel,
+    product_of,
+    quadratic_variation,
+    running_sup,
     tanaka_residual,
 )
 from .density import (
@@ -553,9 +552,9 @@ def _run_sigma_s(st: ExperimentConfig) -> tuple[list[TargetCheck], list[CurveSer
 
 def _rho_pairs() -> tuple[tuple[PathFunctional, PathFunctional], ...]:
     return (
-        (RunningSup(), QuadraticVariation()),
-        (NetChange(), RunningIntegralAgainst(lambda v: v)),
-        (Constant(2.0), LocalTimeAt(0.0)),
+        (running_sup, quadratic_variation),
+        (net_change, integral_against(lambda values, step: values)),
+        (constant(2.0), functools.partial(occupation_kernel, level=0.0)),
     )
 
 
@@ -579,18 +578,18 @@ def _rho_chunk(start: int, count: int, *, seed: int, step: float, horizon: float
     for v1, v2 in _rho_pairs():
         u1 = layout.restart(v1, step)
         u2 = layout.restart(v2, step)
-        combo = layout.restart(LinearCombination((2.0, -1.0), (v1, v2)), step)
+        combo = layout.restart(linear_combination((2.0, -1.0), (v1, v2)), step)
         lin_bad += np.any(combo != 2.0 * u1 - u2, axis=1)
-        prod = layout.restart(Product((v1, v2)), step)
+        prod = layout.restart(product_of((v1, v2)), step)
         prod_bad += np.any(prod != u1 * u2, axis=1)
         # entry for entry past the restart point; at the point itself
         # the lift books 0 whenever the point is a detected zero
-        direct = v1.evaluate(shifted, step)
+        direct = v1(shifted, step)
         u1_tail = np.take_along_axis(u1, past, axis=1)
         tail_bad = np.any((u1_tail[:, 1:] != direct[:, 1:]) & on_shift, axis=1)
         head_bad = u1_tail[:, 0] != np.where(g > 0, 0.0, direct[:, 0])
         defn_bad += tail_bad | head_bad
-    for v in (QuadraticVariation(), LocalTimeAt(0.0)):
+    for v in (quadratic_variation, functools.partial(occupation_kernel, level=0.0)):
         pos_bad += np.min(layout.restart(v, step), axis=1) < 0.0
     return {"lin": lin_bad, "pos": pos_bad, "prod": prod_bad, "defn": defn_bad}
 
@@ -910,23 +909,18 @@ def _passage_rows(
     hit: np.ndarray,
     aprev: np.ndarray,
     boundary: TableBoundary,
-    u: float | None,
+    u: float,
     name: str,
     weights: np.ndarray | None,
     trunc_allow: float,
     curve_name: str = "crossing-by-level",
 ) -> tuple[TargetCheck, CurveSeries]:
-    """Crossing frequency against the boundary's law, before growth
-    level u or over the full span (u None), with its curve over u."""
+    """Crossing frequency against the boundary's law before growth
+    level u (inf: over the full span), with its curve over u."""
     hit = hit > 0.0
-    if u is None:
-        event = hit.astype(np.float64)
-        target = boundary.full_crossing_probability()
-    else:
-        event = (hit & (aprev <= u)).astype(np.float64)
-        target = boundary.crossing_probability(u)
+    event = (hit & (aprev <= u)).astype(np.float64)
     check = mean_check(
-        name, target, event, weights, grid_allowance=0.012, truncation_allowance=trunc_allow
+        name, boundary.crossing_probability(u), event, weights, grid_allowance=0.012, truncation_allowance=trunc_allow
     )
     xs = (0.2, 0.4, 0.6, 0.8, 1.0)
     ests = [weighted_mean((hit & (aprev <= g)).astype(np.float64), weights) for g in xs]
@@ -934,7 +928,9 @@ def _passage_rows(
     return check, curve
 
 
-def _run_passage(st: ExperimentConfig, *, u: float | None, trunc: float) -> tuple[list[TargetCheck], list[CurveSeries]]:
+def _run_passage(
+    st: ExperimentConfig, *, u: float, label: str, trunc: float
+) -> tuple[list[TargetCheck], list[CurveSeries]]:
     boundary = _PASSAGE_BOUNDARIES[st.experiment]
     horizon = _horizon(st)
     # a step that does not divide the ErfSign span needs |W| alone, and no
@@ -942,16 +938,15 @@ def _run_passage(st: ExperimentConfig, *, u: float | None, trunc: float) -> tupl
     restarted = horizon + _MODEL_SPAN if _divides(st.step, _MODEL_SPAN) else None
     feats = _chunked(st, _laws_chunk, span=horizon, horizon=restarted)
     hit, aprev = feats[f"hit|{st.experiment}"], feats[f"aprev|{st.experiment}"]
-    label = "crossing-before-growth-1" if u is not None else "crossing-over-full-span"
     check, curve = _passage_rows(hit, aprev, boundary, u, label, None, trunc)
-    undecided = float(np.mean((hit == 0.0) & (feats["aterm"] <= (u if u is not None else boundary.cap))))
+    undecided = float(np.mean((hit == 0.0) & (feats["aterm"] <= min(u, boundary.cap))))
     check = replace(check, detail=check.detail + f"; undecided fraction {undecided:.4f}")
     return [check], [curve]
 
 
-_run_passage_eq2 = functools.partial(_run_passage, u=1.0, trunc=0.008)
-_run_passage_eq3 = functools.partial(_run_passage, u=None, trunc=0.004)
-_run_passage_eq4 = functools.partial(_run_passage, u=1.0, trunc=0.008)
+_run_passage_eq2 = functools.partial(_run_passage, u=1.0, label="crossing-before-growth-1", trunc=0.008)
+_run_passage_eq3 = functools.partial(_run_passage, u=float("inf"), label="crossing-over-full-span", trunc=0.004)
+_run_passage_eq4 = functools.partial(_run_passage, u=1.0, label="crossing-before-growth-1", trunc=0.008)
 
 
 def _run_s32(st: ExperimentConfig) -> tuple[list[TargetCheck], list[CurveSeries]]:
@@ -1398,7 +1393,9 @@ def paper_anchor(name: str) -> str:
 
 def resolve_settings(cfg: ExperimentConfig, suite: str | None = None) -> ExperimentConfig:
     """The request with its scales filled from the suite, once every
-    option has been checked."""
+    option has been checked.  A given horizon and checkpoints become
+    floats, and a horizon equal to the registry's becomes None, so one
+    run has one config hash however its numbers were written."""
     if cfg.experiment not in EXPERIMENTS:
         raise ConfigurationError(f"unknown experiment {cfg.experiment!r}")
     if suite not in (None, "fast", "full"):
@@ -1433,11 +1430,16 @@ def resolve_settings(cfg: ExperimentConfig, suite: str | None = None) -> Experim
         raise ConfigurationError(f"checkpoints must name at least 2 distinct times, not {list(cfg.checkpoints)}")
     if cfg.workers < 1:
         raise ConfigurationError("workers must be at least 1")
+    # one number, one hash: 6, 6.0 and the registry's own 6.0 hash alike
+    horizon = None if cfg.horizon is None or float(cfg.horizon) == spec.horizon else float(cfg.horizon)
+    checkpoints = None if cfg.checkpoints is None else tuple(float(c) for c in cfg.checkpoints)
     return replace(
         cfg,
         n_paths=int(n_paths),
         step=float(step),
+        horizon=horizon,
         master_seed=int(cfg.master_seed),
+        checkpoints=checkpoints,
         workers=int(cfg.workers),
     )
 

@@ -26,6 +26,9 @@ is the level below which X counts as "at zero" for the support check:
 the kernel bandwidth sqrt(step) (times the weight of the construction)
 for the occupation-kernel ones; ``assemble`` defaults it to sqrt(step).
 A constructor given no zero set books an empty one (``empty_zero_set``).
+``lifted_reflected`` with a stop level freezes each zero-free run
+where X first reaches it, through ``rho`` of the path functional
+``partial(_held_at, level=stop_level)``.
 
 X is a member exactly when F(A) - f(A) X is a martingale for every
 bounded f with primitive F.  ``characterization`` is that process as a
@@ -48,11 +51,11 @@ from __future__ import annotations
 
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
-from .balayage import PathFunctional, gathered_prefix, occupation_kernel, rho
+from .balayage import gathered_prefix, occupation_kernel, rho
 from .density import ZeroSetInfo, empty_zero_set
 from .errors import ConfigurationError, ContractError
 from .paths import Path, TimeGrid, first_hit
@@ -213,17 +216,12 @@ def drawdown(M: Path, zs: ZeroSetInfo | None = None) -> Decomposition:
     )
 
 
-class _HeldAt(PathFunctional):
+def _held_at(values: np.ndarray, step: float, level: float) -> np.ndarray:
     """The path held at its value where it first reaches a level."""
-
-    def __init__(self, level: float):
-        self.level = level
-
-    def evaluate(self, values: np.ndarray, step: float) -> np.ndarray:
-        last = values.shape[-1] - 1
-        hit = first_hit(values >= self.level)
-        k = np.where(hit >= 0, hit, last)[..., None]
-        return np.where(np.arange(last + 1) >= k, np.take_along_axis(values, k, axis=-1), values)
+    last = values.shape[-1] - 1
+    hit = first_hit(values >= level)
+    k = np.where(hit >= 0, hit, last)[..., None]
+    return np.where(np.arange(last + 1) >= k, np.take_along_axis(values, k, axis=-1), values)
 
 
 def lifted_reflected(
@@ -250,7 +248,7 @@ def lifted_reflected(
             raise ConfigurationError("stop_level must be positive")
         # every run starts at X = 0, below the level, so the restart's
         # zero at each anchor is X's own value there
-        x = rho(_HeldAt(stop_level), x, zs)
+        x = rho(partial(_held_at, level=stop_level), x, zs)
     a = occupation_kernel(x.values, grid.step, anchors=zs.gamma_index)
     return assemble(x, Path(grid=grid, values=a), SIGMA_SH, zs, support_scale=float(np.sqrt(grid.step)))
 

@@ -1,37 +1,38 @@
 """Restart operator algebra, Q-integrals, brackets, and local times."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from sigma_lab import (
-    Constant,
     ContractError,
     DegenerateShiftError,
-    Identity,
-    LinearCombination,
-    LocalTimeAt,
-    NetChange,
     Path,
-    PathFunctional,
-    Product,
-    QuadraticVariation,
-    RunningIntegralAgainst,
-    RunningSup,
     SeedSpec,
     assert_adapted,
+    constant,
+    integral_against,
     ito_residual,
+    linear_combination,
     make_grid,
+    net_change,
+    occupation_kernel,
+    product_of,
     q_bracket,
     q_integral,
     q_local_time,
+    quadratic_variation,
     rho,
+    running_sup,
     sample_bm,
     shift,
     tanaka_residual,
     zero_set_from_level_series,
 )
 from sigma_lab.balayage import SegmentLayout
+from sigma_lab.sigma_classes import _held_at
 
 SEED = 20260822
 
@@ -47,7 +48,7 @@ def test_restart_of_constant_is_zero_on_h_one_off_h():
     series = np.array([1.0, 0.5, -0.2, 0.3, 1.0, 2.0, 3.0])
     zs = zero_set_from_level_series(series, grid)
     X = Path(grid=grid, values=np.arange(7.0))
-    out = rho(Constant(1.0), X, zs).values
+    out = rho(constant(1.0), X, zs).values
     assert list(out) == [1.0, 1.0, 0.0, 0.0, 1.0, 1.0, 1.0]
 
 
@@ -59,10 +60,10 @@ def test_restart_matches_shifted_evaluation_past_last_zero():
     zs = zero_set_from_level_series(D.values, grid)
     if zs.gbar_index in (0, grid.n_steps):
         pytest.skip("need an interior last zero for this seed")
-    for phi in (RunningSup(), QuadraticVariation(), NetChange()):
+    for phi in (running_sup, quadratic_variation, net_change):
         out = rho(phi, W, zs)
         tail = shift(W, zs)
-        direct = phi.evaluate(tail.values, grid.step)
+        direct = phi(tail.values, grid.step)
         assert np.array_equal(out.values[zs.gbar_index + 1 :], direct[1:])
         assert out.values[zs.gbar_index] == 0.0
 
@@ -73,11 +74,11 @@ def test_restart_is_linear_and_multiplicative_bitwise():
     D = _bm(grid, 2, start=0.3, master=SEED + 9)
     zs = zero_set_from_level_series(D.values, grid)
     a, b = 2.5, -1.25
-    phi, psi = RunningSup(), QuadraticVariation()
-    combo = rho(LinearCombination([a, b], [phi, psi]), W, zs).values
+    phi, psi = running_sup, quadratic_variation
+    combo = rho(linear_combination([a, b], [phi, psi]), W, zs).values
     split = a * rho(phi, W, zs).values + b * rho(psi, W, zs).values
     assert np.array_equal(combo, split)
-    prod = rho(Product([phi, psi]), W, zs).values
+    prod = rho(product_of([phi, psi]), W, zs).values
     factors = rho(phi, W, zs).values * rho(psi, W, zs).values
     assert np.array_equal(prod, factors)
 
@@ -87,7 +88,7 @@ def test_restart_nonnegative_functional_stays_nonnegative():
     W = _bm(grid, 3)
     D = _bm(grid, 4, start=0.2, master=SEED + 9)
     zs = zero_set_from_level_series(D.values, grid)
-    out = rho(QuadraticVariation(), W, zs).values
+    out = rho(quadratic_variation, W, zs).values
     assert np.all(out >= 0.0)
 
 
@@ -130,7 +131,7 @@ def test_q_integral_functional_integrand_restarts_per_segment():
     X = Path(grid=grid, values=np.array([0.0, 1.0, 3.0, 2.0, 5.0]))
     series = np.array([1.0, 1.0, -1.0, -1.0, -1.0])  # single zero at index 2
     zs = zero_set_from_level_series(series, grid)
-    out = q_integral(RunningSup(), X, zs).values
+    out = rho(integral_against(running_sup), X, zs).values
     # Segment [0, 2]: sup-weighted sums; at the zero the value drops to 0;
     # segment [2, 4] restarts the running sup at X_2 = 3.
     assert out[0] == 0.0
@@ -228,13 +229,12 @@ def test_adaptedness_probe():
     grid = make_grid(horizon=1.0, step=0.05)
     W = _bm(grid, 17)
 
-    class PeekAhead(PathFunctional):
-        def evaluate(self, values, step):
-            return values - values[-1]
+    def peek_ahead(values, step):
+        return values - values[-1]
 
-    assert_adapted(RunningSup(), W.values, grid.step)
+    assert_adapted(running_sup, W.values, grid.step)
     with pytest.raises(ContractError):
-        assert_adapted(PeekAhead(), W.values, grid.step)
+        assert_adapted(peek_ahead, W.values, grid.step)
 
 
 def test_local_time_functional_under_restart_matches_q_local_time():
@@ -243,7 +243,7 @@ def test_local_time_functional_under_restart_matches_q_local_time():
     D = _bm(grid, 19, start=0.3, master=SEED + 9)
     zs = zero_set_from_level_series(D.values, grid)
     level = 0.1
-    via_rho = rho(LocalTimeAt(level), W, zs).values
+    via_rho = rho(partial(occupation_kernel, level=level), W, zs).values
     direct = q_local_time(W, level, zs).values
     # Same counting rule, but rho recounts the level hits per segment
     # while the q-form gathers global prefix sums: equal up to rounding,
@@ -263,7 +263,7 @@ def test_restart_properties_hold_for_arbitrary_series(xs, ds):
     grid = make_grid(horizon=float(m - 1), step=1.0)
     X = Path(grid=grid, values=np.asarray(xs))
     zs = zero_set_from_level_series(np.asarray(ds), grid)
-    out = rho(QuadraticVariation(), X, zs).values
+    out = rho(quadratic_variation, X, zs).values
     # Zero on H, nonnegative everywhere for a nonnegative functional.
     assert np.all(out[zs.h_indices] == 0.0)
     assert np.all(out >= 0.0)
@@ -273,15 +273,18 @@ def test_restart_properties_hold_for_arbitrary_series(xs, ds):
 
 def _builtin_functionals():
     return (
-        RunningSup(),
-        RunningIntegralAgainst(lambda v: v * v),
-        QuadraticVariation(),
-        LocalTimeAt(0.1),
-        Constant(2.0),
-        Identity(),
-        NetChange(),
-        LinearCombination([2.0, -1.0], [RunningSup(), NetChange()]),
-        Product([NetChange(), QuadraticVariation()]),
+        running_sup,
+        integral_against(lambda values, step: values * values),
+        integral_against(running_sup),
+        quadratic_variation,
+        partial(occupation_kernel, level=0.1),
+        constant(2.0),
+        net_change,
+        linear_combination([2.0, -1.0], [running_sup, net_change]),
+        product_of([net_change, quadratic_variation]),
+        # lifted_reflected's stop, at a level that the probe paths first
+        # reach after their start
+        partial(_held_at, level=0.03),
     )
 
 
@@ -289,13 +292,12 @@ def test_adaptedness_probe_rejects_functionals_that_mix_rows():
     grid = make_grid(horizon=1.0, step=0.05)
     W = _bm(grid, 21)
 
-    class OneDimensional(PathFunctional):
+    def one_dimensional(values, step):
         # adapted on one path, but on rows it subtracts the first row
-        def evaluate(self, values, step):
-            return values - values[0]
+        return values - values[0]
 
     with pytest.raises(ContractError, match="last axis"):
-        assert_adapted(OneDimensional(), W.values, grid.step)
+        assert_adapted(one_dimensional, W.values, grid.step)
     for phi in _builtin_functionals():
         assert_adapted(phi, W.values, grid.step)
 
@@ -308,7 +310,7 @@ def _per_run_restart(phi, values, in_h, step):
     out = np.zeros_like(values)
     for i, g in enumerate(anchors):
         e = anchors[i + 1] - 1 if i + 1 < len(anchors) else n
-        vals = phi.evaluate(values[g : e + 1], step)
+        vals = phi(values[g : e + 1], step)
         if in_h[g]:
             out[g + 1 : e + 1] = vals[1:]
         else:

@@ -8,17 +8,15 @@ below rebuilds one path's features from the public per-path API
 ``ito_residual``), and the chunk features must equal them bit for bit.
 """
 
+from functools import partial
+
 import numpy as np
 import pytest
 
 from sigma_lab import (
     ErfSign,
     StoppedBM,
-    LinearCombination,
-    LocalTimeAt,
     Path,
-    Product,
-    QuadraticVariation,
     SeedSpec,
     abs_martingale,
     assemble,
@@ -29,10 +27,14 @@ from sigma_lab import (
     drawdown,
     ito_residual,
     lifted_reflected,
+    linear_combination,
     make_grid,
+    occupation_kernel,
     pm_combination,
     product,
+    product_of,
     q_bracket,
+    quadratic_variation,
     rho,
     sample_bm,
     sample_independent_pair,
@@ -75,13 +77,13 @@ def _rho_reference(spec, step, horizon):
     for v1, v2 in _rho_pairs():
         u1 = rho(v1, w, zs).values
         u2 = rho(v2, w, zs).values
-        combo = rho(LinearCombination((2.0, -1.0), (v1, v2)), w, zs).values
+        combo = rho(linear_combination((2.0, -1.0), (v1, v2)), w, zs).values
         out["lin"] += not np.array_equal(combo, 2.0 * u1 - u2)
-        out["prod"] += not np.array_equal(rho(Product((v1, v2)), w, zs).values, u1 * u2)
-        direct = v1.evaluate(shifted.values, step)
+        out["prod"] += not np.array_equal(rho(product_of((v1, v2)), w, zs).values, u1 * u2)
+        direct = v1(shifted.values, step)
         head = 0.0 if g > 0 else direct[0]
         out["defn"] += not (np.array_equal(u1[g + 1 :], direct[1:]) and u1[g] == head)
-    for v in (QuadraticVariation(), LocalTimeAt(0.0)):
+    for v in (quadratic_variation, partial(occupation_kernel, level=0.0)):
         out["pos"] += float(np.min(rho(v, w, zs).values)) < 0.0
     return out
 

@@ -104,9 +104,9 @@ def test_constant_boundary():
     b = TableBoundary(((0.0, 2.0),))
     assert np.allclose(b.phi_of(np.array([0.0, 5.0])), [2.0, 2.0])
     assert b.integral_to(3.0) == 1.5
-    assert np.isinf(b.integral_total())
+    assert np.isinf(b.integral_to(np.inf))
     assert b.crossing_probability(2.0) == pytest.approx(1.0 - np.exp(-1.0))
-    assert b.full_crossing_probability() == 1.0
+    assert b.crossing_probability(np.inf) == 1.0
 
 
 def test_table_boundary():
@@ -116,8 +116,8 @@ def test_table_boundary():
     assert b.phi_of(np.array([-1.0, 1.0])).tolist() == [1.0, np.inf]
     assert b.integral_to(0.5) == 0.5
     assert b.integral_to(3.0) == 1.0
-    assert b.integral_total() == 1.0
-    assert b.full_crossing_probability() == pytest.approx(1.0 - np.exp(-1.0))
+    assert b.integral_to(np.inf) == 1.0
+    assert b.crossing_probability(np.inf) == pytest.approx(1.0 - np.exp(-1.0))
     with pytest.raises(Exception):
         TableBoundary(segments=((0.5, 1.0),))
 

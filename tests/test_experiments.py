@@ -181,6 +181,21 @@ def test_config_digest_of_resolved_requests_is_pinned():
             "bbd4f49d4cd1",
         ),
         (ExperimentConfig(experiment="t1-characterization", checkpoints=(0.25, 0.5)), "08c5a651aabb"),
+        # the registry horizon, however written, is the request without one
+        (ExperimentConfig(experiment="passage-eq4", horizon=6), "a7cab3c82c45"),
+        (ExperimentConfig(experiment="passage-eq4", horizon=6.0), "a7cab3c82c45"),
+        (
+            ExperimentConfig(
+                experiment="r1-ui-martingale",
+                n_paths=300,
+                step=0.01,
+                horizon=3,
+                master_seed=7,
+                checkpoints=[0.5, 1],
+                policy="extend",
+            ),
+            "bbd4f49d4cd1",
+        ),
     ):
         assert config_digest(resolve_settings(cfg, "fast")) == digest
 

@@ -6,6 +6,8 @@ path i bit for bit.  The concepts that only make sense for one path
 raise ``ContractError`` on rows.
 """
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -15,26 +17,26 @@ from sigma_lab import (
     SIGMA_SH,
     ContractError,
     ErfSign,
-    LinearCombination,
-    LocalTimeAt,
     Path,
-    QuadraticVariation,
-    RunningIntegralAgainst,
-    RunningSup,
     abs_martingale,
     assemble,
     drawdown,
     driver_zero_set,
+    integral_against,
     ito_residual,
     lifted_reflected,
+    linear_combination,
     make_grid,
+    occupation_kernel,
     pm_combination,
     product,
     q_bracket,
     q_integral,
     q_local_time,
+    quadratic_variation,
     retag,
     rho,
+    running_sup,
     scaled_by_f,
     shift,
     tanaka_residual,
@@ -113,8 +115,13 @@ def test_zero_sets_of_rows_are_the_rows_zero_sets():
 
 def test_restart_calculus_on_rows_is_the_one_path_calculus():
     w, _, zs = _setup()
-    functionals = (RunningSup(), LinearCombination((2.0, -1.0), (QuadraticVariation(), LocalTimeAt(0.0))))
-    integrands = (lambda v: v * v, np.cos(w.values), RunningIntegralAgainst(lambda v: v))
+    functionals = (
+        running_sup,
+        linear_combination((2.0, -1.0), (quadratic_variation, partial(occupation_kernel, level=0.0))),
+        # a functional integrand, restarted per segment
+        integral_against(integral_against(lambda values, step: values)),
+    )
+    integrands = (lambda v: v * v, np.cos(w.values))
     for i in range(K):
         one, one_zs = _row(w, i), _row_zs(zs, i)
         for phi in functionals:
@@ -170,8 +177,6 @@ def test_one_path_concepts_reject_rows():
         shift(w, zs)
     with pytest.raises(ContractError):
         zs.h_indices
-    with pytest.raises(ContractError):
-        zs.excursion_start_indices
     report = verify_membership(drawdown(w))
     with pytest.raises(ContractError):
         report.checks
@@ -179,6 +184,6 @@ def test_one_path_concepts_reject_rows():
         report.failing()
     # rows and a zero set of other rows do not mix
     with pytest.raises(ContractError):
-        rho(RunningSup(), _row(w, 0), zs)
+        rho(running_sup, _row(w, 0), zs)
     with pytest.raises(ContractError):
         lifted_reflected(_row(w, 0), zs)
