@@ -16,10 +16,10 @@ increments depend only on (seed, path index, substream), so a longer
 draw extends a shorter one exactly, and one chunk function computes
 every member's features off the longest draw:
 
-- the laws family, passage-eq2/3/4, passage-s32 and a-infinity: |W|
-  and its clock to horizon 6, and the driver restarted at the ErfSign
-  last zero to horizon 7;
-- the Levy family, levy-eq5 (horizon 8) and levy-eq6 (horizon 12);
+- the laws family, passage-eq2/3/4, passage-s32, a-infinity and
+  levy-eq5/6: |W| and its clock to horizon 6, the driver restarted at
+  the ErfSign last zero to horizon 7, and the drawdown holds to
+  horizons 8 and 12, off one primary and one density draw per path;
 - the ladder family, tanaka-abs/plus/minus and ito: every residual
   form on every ladder rung, off one draw on the finest grid.
 
@@ -463,22 +463,10 @@ def _r1_chunk(
     u = ndtr((0.5 - w) / np.sqrt(horizon + 1.0 - t)[None, :])
     gbar = zs.gbar_index
     ug = _gather(u, gbar)
-    vals = np.empty((count, len(offset_steps)))
-    keep = np.ones(count, dtype=bool)
-    for k, d in enumerate(offset_steps):
-        cols = gbar + d
-        over = cols > grid.n_steps
-        if over.any():
-            keep &= ~over
-            cols = np.minimum(cols, grid.n_steps)
-        vals[:, k] = _gather(u, cols) - ug
+    # a window past the grid end reads the end; the runner drops that path
+    vals = np.stack([_gather(u, np.minimum(gbar + d, grid.n_steps)) - ug for d in offset_steps], axis=1)
     bound = max(float(np.max(u - 1.0)), float(np.max(-u)), 0.0)
-    return {
-        "v": vals,
-        "bound": np.full(count, bound),
-        "pprime_raw": terminal,
-        "kept": keep.astype(np.float64),
-    }
+    return {"v": vals, "bound": np.full(count, bound), "pprime_raw": terminal, "gbar": gbar}
 
 
 def _r1_plan(st: ExperimentConfig) -> tuple[float, tuple[float, ...]]:
@@ -494,20 +482,29 @@ def _r1_plan(st: ExperimentConfig) -> tuple[float, tuple[float, ...]]:
     return horizon, offsets
 
 
+def _r1_last_zero(start: int, count: int, *, seed: int, step: float) -> dict[str, np.ndarray]:
+    """Each path's ErfSign last zero index, off the density draw alone."""
+    return {"gbar": _density_block(_ERF, seed, start, count, step)[1].gbar_index}
+
+
 def _run_r1(st: ExperimentConfig) -> tuple[list[TargetCheck], list[CurveSeries]]:
     horizon, offsets = _r1_plan(st)
     steps = _grid_steps(offsets, horizon, st.step)
+    # a path keeps every restart window while its last zero comes by this
+    # index; last zeros fall inside the model span, so past it every path does
+    room = make_grid(horizon, st.step).n_steps - max(steps)
+    if room < make_grid(_MODEL_SPAN, st.step).n_steps:
+        n_kept = int(np.count_nonzero(_chunked(st, _r1_last_zero)["gbar"] <= room))
+        if n_kept < 2:
+            raise ConfigurationError(
+                f"r1-ui-martingale kept {n_kept} of {st.n_paths} paths: the others' restart windows run past"
+                f" horizon {horizon:g}; use a longer horizon, more paths or --policy extend"
+            )
     feats = _chunked(st, _r1_chunk, horizon=horizon, offset_steps=steps)
-    kept = feats["kept"] > 0.0
-    n_kept = int(np.count_nonzero(kept))
-    if n_kept < 2:
-        raise ConfigurationError(
-            f"r1-ui-martingale kept {n_kept} of {st.n_paths} paths: the others' restart windows run past"
-            f" horizon {horizon:g}; use a longer horizon, more paths or --policy extend"
-        )
+    kept = feats["gbar"] <= room
     pprime = ensemble_weights(feats["pprime_raw"][kept])
     rep = flatness_test(feats["v"][kept].T, pprime, offsets)
-    dropped = st.n_paths - n_kept
+    dropped = st.n_paths - int(np.count_nonzero(kept))
     checks = [
         _flatness_check("restart-increments-flat", rep, f"P'-weighted ({dropped} dropped)"),
         exact_check("bounded-in-unit-interval", float(np.max(feats["bound"]))),
@@ -847,8 +844,13 @@ _PASSAGE_BOUNDARIES = {
     "passage-eq3": TableBoundary(((0.0, 1.0), (1.0, float("inf")))),
     "passage-eq4": TableBoundary(((0.0, 1.0),)),
 }
-# passage-s32 crosses on |W| up to this span, then restarts past it
-_S32_SPAN = 6.0
+# The laws family's call at the registry horizons, one time per half of
+# ``_laws_chunk``: |W| to passage-eq2/3/4's and a-infinity's span, which
+# passage-s32 crosses on before it restarts, the restarted driver to
+# passage-s32's horizon, and each Levy member's hold
+_LAWS_CALL = {"span": 6.0, "horizon": 7.0, "levy-eq5": 8.0, "levy-eq6": 12.0}
+# the level the supremum must pass before each Levy member's hold opens
+_LEVY_X_LOW = {"levy-eq5": None, "levy-eq6": 0.05}
 
 
 def _stopped_clock(x: np.ndarray, a: np.ndarray, after: np.ndarray | bool = True) -> np.ndarray:
@@ -857,43 +859,79 @@ def _stopped_clock(x: np.ndarray, a: np.ndarray, after: np.ndarray | bool = True
     return _gather(a, np.where(reach >= 0, reach, x.shape[1] - 1))
 
 
-def _laws_chunk(
-    start: int, count: int, *, seed: int, step: float, span: float, horizon: float | None
-) -> dict[str, np.ndarray]:
-    """The laws family's features off one primary draw.
+def _drawdown_hold(w: np.ndarray, s: np.ndarray, x_low: float | None) -> dict[str, np.ndarray]:
+    """S (the running maximum of W) just before W's first drawdown past
+    1 after S passes x_low if given, inf where there is none."""
+    viol = s - w > 1.0
+    out = {}
+    if x_low is not None:
+        tx = first_hit(s > x_low)
+        col = np.arange(w.shape[1])
+        viol = viol & (col[None, :] >= tx[:, None]) & (tx >= 0)[:, None]
+        out["x_unreached"] = (tx < 0).astype(np.float64)
+    out["sprev"] = before_hit(s, first_hit(viol))
+    return out
 
-    |W| and its clock A up to ``span`` give each passage boundary's
-    crossing (passage-s32's paired crossing is passage-eq4's) and
-    a-infinity's constant-one law: density one has no zeros, so its
+
+def _laws_chunk(
+    start: int, count: int, *, seed: int, step: float, halves: tuple[tuple[str, float], ...]
+) -> dict[str, np.ndarray]:
+    """The laws family's features off one primary and one density draw.
+
+    ``halves`` pairs each half computed with its ``_LAWS_CALL`` slot's
+    time; the primary draw runs to the longest, and each half reads its
+    prefix.  |W| and its clock A up to ``span`` give each passage
+    boundary's crossing (passage-s32's paired crossing is passage-eq4's)
+    and a-infinity's constant-one law: density one has no zeros, so its
     restart anchor is 0 and the anchored clock is the plain one.  The
     driver restarted at the ErfSign last zero, up to ``horizon``, gives
-    passage-s32's restarted crossing and a-infinity's ErfSign law;
-    ``horizon`` None leaves that half out.
+    passage-s32's restarted crossing and a-infinity's ErfSign law.  The
+    Levy holds read one running maximum, and the density draw gives the
+    ErfSign zero sets and both models' weights.  A lone member computes
+    every half: ``sigma-lab run --experiment passage-eq4 --suite fast``
+    took a median 9.7 s against 5.7 s when passage drew to horizon 7
+    alone (4 runs each, 2 cores).
     """
-    grid = make_grid(span if horizon is None else horizon, step)
-    n = grid.index_of(span)
-    w = _primary(seed, start, count, grid)
-    x = np.abs(w[:, : n + 1])
-    a = occupation_kernel(x, step)
-    out = {"aterm": a[:, -1].copy(), "aterm|constant-one": _stopped_clock(x, a)}
-    for name, boundary in _PASSAGE_BOUNDARIES.items():
-        v = first_hit(x > boundary.phi_of(a))
-        out[f"hit|{name}"] = (v >= 0).astype(np.float64)
-        out[f"aprev|{name}"] = before_hit(a, v)
-    if horizon is None:
+    ends = {slot: make_grid(t, step).n_steps for slot, t in halves}
+    sgrid = make_grid(_MODEL_SPAN, step) if ends.keys() - {"span"} else None
+    w = cumsum_paths(increments_matrix(seed, start, count, max(ends.values()), step))
+    out: dict[str, np.ndarray] = {}
+    if "span" in ends:
+        x = np.abs(w[:, : ends["span"] + 1])
+        a = occupation_kernel(x, step)
+        out["aterm"] = a[:, -1].copy()
+        out["aterm|constant-one"] = _stopped_clock(x, a)
+        for name, boundary in _PASSAGE_BOUNDARIES.items():
+            v = first_hit(x > boundary.phi_of(a))
+            out[f"hit|{name}"] = (v >= 0).astype(np.float64)
+            out[f"aprev|{name}"] = before_hit(a, v)
+        del x, a
+    if sgrid is None:
         return out
-    del x, a
 
-    terminal, zs = _density_block(_ERF, seed, start, count, step)
-    gbar = zs.gbar_index
-    xs = np.abs(w - _gather(w, gbar)[:, None])
-    a_sh = occupation_kernel(xs, step, anchors=gbar[:, None])
-    after = np.arange(grid.n_steps + 1)[None, :] >= gbar[:, None]
-    ve = first_hit((xs > 1.0) & after)
-    out["hit|restarted"] = (ve >= 0).astype(np.float64)
-    out["aprev|restarted"] = before_hit(a_sh, ve)
-    out["aterm|erf-sign"] = _stopped_clock(xs, a_sh, after)
-    out["q"] = terminal
+    incs = increments_matrix(seed, start, count, sgrid.n_steps, step, SUBSTREAM_DENSITY)
+    driver = driver_from_increments(_ERF, incs)
+    out["q_erf"] = density_matrix(_ERF, driver, sgrid)[:, -1]
+    out["q_sbm"] = density_matrix(_SBM, driver_from_increments(_SBM, incs), sgrid)[:, -1]
+    gbar = driver_zero_set(_ERF, Path(grid=sgrid, values=driver)).gbar_index
+    del incs, driver
+    if "horizon" in ends:
+        wh = w[:, : ends["horizon"] + 1]
+        xs = np.abs(wh - _gather(wh, gbar)[:, None])
+        a_sh = occupation_kernel(xs, step, anchors=gbar[:, None])
+        after = np.arange(ends["horizon"] + 1)[None, :] >= gbar[:, None]
+        ve = first_hit((xs > 1.0) & after)
+        out["hit|restarted"] = (ve >= 0).astype(np.float64)
+        out["aprev|restarted"] = before_hit(a_sh, ve)
+        out["aterm|erf-sign"] = _stopped_clock(xs, a_sh, after)
+        del xs, a_sh, after
+
+    levy = {name: ends[name] + 1 for name in _LEVY_X_LOW if name in ends}
+    if levy:
+        s = np.maximum.accumulate(w[:, : max(levy.values())], axis=1)
+        for name, e in levy.items():
+            for key, values in _drawdown_hold(w[:, :e], s[:, :e], _LEVY_X_LOW[name]).items():
+                out[f"{key}|{name}"] = values
     return out
 
 
@@ -903,6 +941,15 @@ def _divides(step: float, span: float) -> bool:
     except ConfigurationError:
         return False
     return True
+
+
+def _laws(st: ExperimentConfig, own: dict[str, float]) -> dict[str, np.ndarray]:
+    """``_LAWS_CALL`` with this member's own times.  Another member's half
+    is left out where its grid, or for all but |W| the density span's,
+    does not exist at the step (off it, or over the row budget)."""
+    erf = _divides(st.step, _MODEL_SPAN)
+    call = {slot: t for slot, t in _LAWS_CALL.items() if _divides(st.step, t) and (erf or slot == "span")}
+    return _chunked(st, _laws_chunk, halves=tuple(sorted((call | own).items())))
 
 
 def _passage_rows(
@@ -932,11 +979,7 @@ def _run_passage(
     st: ExperimentConfig, *, u: float, label: str, trunc: float
 ) -> tuple[list[TargetCheck], list[CurveSeries]]:
     boundary = _PASSAGE_BOUNDARIES[st.experiment]
-    horizon = _horizon(st)
-    # a step that does not divide the ErfSign span needs |W| alone, and no
-    # other laws member runs at that step
-    restarted = horizon + _MODEL_SPAN if _divides(st.step, _MODEL_SPAN) else None
-    feats = _chunked(st, _laws_chunk, span=horizon, horizon=restarted)
+    feats = _laws(st, {"span": _horizon(st)})
     hit, aprev = feats[f"hit|{st.experiment}"], feats[f"aprev|{st.experiment}"]
     check, curve = _passage_rows(hit, aprev, boundary, u, label, None, trunc)
     undecided = float(np.mean((hit == 0.0) & (feats["aterm"] <= min(u, boundary.cap))))
@@ -951,9 +994,9 @@ _run_passage_eq4 = functools.partial(_run_passage, u=1.0, label="crossing-before
 
 def _run_s32(st: ExperimentConfig) -> tuple[list[TargetCheck], list[CurveSeries]]:
     # |W| needs its whole span on the simulated grid
-    _grid_steps((_S32_SPAN,), _horizon(st), st.step)
-    feats = _chunked(st, _laws_chunk, span=_S32_SPAN, horizon=_horizon(st))
-    pprime = ensemble_weights(feats["q"])
+    _grid_steps((_LAWS_CALL["span"],), _horizon(st), st.step)
+    feats = _laws(st, {"horizon": _horizon(st)})
+    pprime = ensemble_weights(feats["q_erf"])
     bnd = _PASSAGE_BOUNDARIES["passage-eq4"]
     hit_e, aprev_e = feats["hit|restarted"], feats["aprev|restarted"]
     hit_c, aprev_c = feats["hit|passage-eq4"], feats["aprev|passage-eq4"]
@@ -979,8 +1022,8 @@ def _run_ainf(st: ExperimentConfig) -> tuple[list[TargetCheck], list[CurveSeries
     curves: list[CurveSeries] = []
     xs = tuple(0.25 * k for k in range(13))
     horizon = _horizon(st)
-    feats = _chunked(st, _laws_chunk, span=horizon, horizon=horizon + _MODEL_SPAN)
-    for label, q in (("constant-one", np.ones(st.n_paths)), ("erf-sign", feats["q"])):
+    feats = _laws(st, {"span": horizon, "horizon": horizon + _MODEL_SPAN})
+    for label, q in (("constant-one", np.ones(st.n_paths)), ("erf-sign", feats["q_erf"])):
         aterm = feats[f"aterm|{label}"]
         pprime = ensemble_weights(q)
         rep = ks_test(aterm, pprime, exponential_cdf, extra_allowance=0.03)
@@ -1009,55 +1052,12 @@ def _run_ainf(st: ExperimentConfig) -> tuple[list[TargetCheck], list[CurveSeries
 
 # ---------------------------------------------------------------- levy corollaries
 
-# levy-eq5's and levy-eq6's default horizons, in _levy_chunk's order
-_LEVY_HORIZONS = {"levy-eq5": 8.0, "levy-eq6": 12.0}
-# levy-eq6 opens its window once the supremum passes this level
-_LEVY_X_LOW = 0.05
-
-
-def _drawdown_hold(w: np.ndarray, x_low: float | None) -> dict[str, np.ndarray]:
-    """First drawdown past 1 (after the supremum passes x_low, if given)
-    and the supremum just before it."""
-    s = np.maximum.accumulate(w, axis=1)
-    viol = s - w > 1.0
-    out = {}
-    if x_low is not None:
-        tx = first_hit(s > x_low)
-        col = np.arange(w.shape[1])
-        viol = viol & (col[None, :] >= tx[:, None]) & (tx >= 0)[:, None]
-        out["x_unreached"] = (tx < 0).astype(np.float64)
-    v = first_hit(viol)
-    out["has_viol"] = (v >= 0).astype(np.float64)
-    out["sprev"] = before_hit(s, v)
-    return out
-
-
-def _levy_chunk(
-    start: int, count: int, *, seed: int, step: float, horizons: tuple[float, float]
-) -> dict[str, np.ndarray]:
-    """levy-eq5's hold over the first horizon and levy-eq6's windowed
-    hold over the second, off one primary draw to the longer one."""
-    grid = make_grid(max(horizons), step)
-    ends = [make_grid(h, step).n_steps for h in horizons]
-    sgrid = make_grid(_MODEL_SPAN, step)
-    w = _primary(seed, start, count, grid)
-    out = {}
-    for name, end, x_low in zip(_LEVY_HORIZONS, ends, (None, _LEVY_X_LOW)):
-        for key, values in _drawdown_hold(w[:, : end + 1], x_low).items():
-            out[f"{key}|{name}"] = values
-    # terminal weights for every density model off the shared density stream
-    incs = increments_matrix(seed, start, count, sgrid.n_steps, step, SUBSTREAM_DENSITY)
-    for key, model in (("q_erf", _ERF), ("q_sbm", _SBM)):
-        out[key] = density_matrix(model, driver_from_increments(model, incs), sgrid)[:, -1]
-    return out
-
-
 def _hold_values(feats: dict[str, np.ndarray], name: str, u: float) -> np.ndarray:
-    return ((feats[f"has_viol|{name}"] == 0.0) | (feats[f"sprev|{name}"] > u)).astype(np.float64)
+    return (feats[f"sprev|{name}"] > u).astype(np.float64)
 
 
 def _run_levy5(st: ExperimentConfig) -> tuple[list[TargetCheck], list[CurveSeries]]:
-    feats = _chunked(st, _levy_chunk, horizons=(_horizon(st), _LEVY_HORIZONS["levy-eq6"]))
+    feats = _laws(st, {st.experiment: _horizon(st)})
     hold = _hold_values(feats, st.experiment, 1.0)
     checks = [
         mean_check(
@@ -1090,9 +1090,9 @@ def _run_levy5(st: ExperimentConfig) -> tuple[list[TargetCheck], list[CurveSerie
 
 
 def _run_levy6(st: ExperimentConfig) -> tuple[list[TargetCheck], list[CurveSeries]]:
-    feats = _chunked(st, _levy_chunk, horizons=(_LEVY_HORIZONS["levy-eq5"], _horizon(st)))
+    feats = _laws(st, {st.experiment: _horizon(st)})
     hold = _hold_values(feats, st.experiment, 1.0)
-    factor = float(np.exp(-(1.0 - _LEVY_X_LOW)))
+    factor = float(np.exp(-(1.0 - _LEVY_X_LOW[st.experiment])))
     unreached = float(np.mean(feats[f"x_unreached|{st.experiment}"]))
     # Crossing detection is biased twice here: the running sup is understated
     # between samples and so is the excursion depth, and the window opener
@@ -1305,14 +1305,14 @@ def _run_geometry(st: ExperimentConfig) -> tuple[list[TargetCheck], list[CurveSe
 # ---------------------------------------------------------------- chunk tables
 
 # Chunk functions whose features several experiments read (see _chunked)
-_FAMILY_CHUNKS = frozenset({_ladder_chunk, _laws_chunk, _levy_chunk})
+_FAMILY_CHUNKS = frozenset({_ladder_chunk, _laws_chunk})
 
-# Rows per chunk where fewer than CHUNK_SIZE bound memory.  rho-algebra's
-# segment buckets and restart rows keep its tracemalloc peak well under
-# the laws family's; a membership chunk holds some twenty (rows, 2n+1)
-# matrices of the support-mass ladder's finest rung at its peak; doob's
-# ErfSign pass makes rows ``_DOOB_SPAN_FACTOR`` times its horizon long.
-_CHUNK_ROWS = {_rho_chunk: 128, _levy_chunk: 128, _membership_chunk: 64, _doob_chunk: 64}
+# Rows per chunk where fewer than CHUNK_SIZE bound memory: rho-algebra's
+# segment buckets and restart rows; the laws family's rows, which run to
+# levy-eq6's horizon 12; a membership chunk's twenty (rows, 2n+1) matrices
+# of the support-mass ladder's finest rung; doob's ErfSign pass, whose
+# rows are ``_DOOB_SPAN_FACTOR`` times its horizon.
+_CHUNK_ROWS = {_rho_chunk: 128, _laws_chunk: 128, _membership_chunk: 64, _doob_chunk: 64}
 
 
 # ---------------------------------------------------------------- registry
@@ -1366,13 +1366,13 @@ _SPECS = (
     ExperimentSpec("tanaka-minus", "signed local-time identity for the negative part", _run_tanaka_minus, _H, 1.0, _LADDER_SCALE, _LADDER_SCALE),
     ExperimentSpec("ito", "second-order expansion along restarted paths", _run_ito, _H, 1.0, _LADDER_SCALE, _LADDER_SCALE),
     ExperimentSpec("doob-maximal", "maximal identity for the supremum after the last zero", _run_doob, _H, 8.0),
-    ExperimentSpec("passage-eq2", "boundary-crossing law stopped at a growth level, stepped boundary", _run_passage_eq2, _H, 6.0),
-    ExperimentSpec("passage-eq3", "boundary-crossing law over the full span, finite total integral", _run_passage_eq3, _H, 6.0),
-    ExperimentSpec("passage-eq4", "probability-case crossing law with a unit boundary", _run_passage_eq4, _H, 6.0),
-    ExperimentSpec("passage-s32", "signed crossing law for the restarted reflected driver", _run_s32, _H, _S32_SPAN + _MODEL_SPAN),
-    ExperimentSpec("a-infinity", "terminal growth law of the stopped reflected construction", _run_ainf, _H, 6.0),
-    ExperimentSpec("levy-eq5", "drawdown confinement law under the signed weight", _run_levy5, _H, _LEVY_HORIZONS["levy-eq5"]),
-    ExperimentSpec("levy-eq6", "drawdown confinement law between supremum levels", _run_levy6, _H, _LEVY_HORIZONS["levy-eq6"]),
+    ExperimentSpec("passage-eq2", "boundary-crossing law stopped at a growth level, stepped boundary", _run_passage_eq2, _H, _LAWS_CALL["span"]),
+    ExperimentSpec("passage-eq3", "boundary-crossing law over the full span, finite total integral", _run_passage_eq3, _H, _LAWS_CALL["span"]),
+    ExperimentSpec("passage-eq4", "probability-case crossing law with a unit boundary", _run_passage_eq4, _H, _LAWS_CALL["span"]),
+    ExperimentSpec("passage-s32", "signed crossing law for the restarted reflected driver", _run_s32, _H, _LAWS_CALL["horizon"]),
+    ExperimentSpec("a-infinity", "terminal growth law of the stopped reflected construction", _run_ainf, _H, _LAWS_CALL["span"]),
+    ExperimentSpec("levy-eq5", "drawdown confinement law under the signed weight", _run_levy5, _H, _LAWS_CALL["levy-eq5"]),
+    ExperimentSpec("levy-eq6", "drawdown confinement law between supremum levels", _run_levy6, _H, _LAWS_CALL["levy-eq6"]),
     ExperimentSpec("products", "closure of the zero-set class under products", _run_products, _HC, 1.0),
     ExperimentSpec("scaled-f", "closure of the zero-set class under growth rescaling", _run_scaled, _HC, 1.0),
     ExperimentSpec("membership", "pathwise membership checks for every construction", _run_membership, _H, 1.0, (300, 1e-3), (300, 1e-3)),

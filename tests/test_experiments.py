@@ -28,9 +28,8 @@ from sigma_lab import (
 from sigma_lab.cli import main
 from sigma_lab.experiments import (
     EXPERIMENTS,
-    _chunked,
     _ladder_chunk,
-    _levy_chunk,
+    _laws,
     _membership_chunk,
     _r1_chunk,
     _rho_chunk,
@@ -450,12 +449,23 @@ def test_accepted_config_runs_or_is_config_error(cfg):
         pass
 
 
+class _Draws(Counter):
+    """Calls per substream; ``n_steps`` holds the row lengths drawn, per
+    substream, and ``clear`` resets both."""
+
+    def __init__(self):
+        super().__init__()
+        self.n_steps = defaultdict(set)
+
+    def clear(self):
+        super().clear()
+        self.n_steps.clear()
+
+
 @pytest.fixture
 def draws(monkeypatch):
-    """Counts of ``paths.bm_increments`` calls per substream; ``n_steps``
-    holds the row lengths drawn, per substream."""
-    counts = Counter()
-    counts.n_steps = defaultdict(set)
+    """``_Draws`` of ``paths.bm_increments``."""
+    counts = _Draws()
     original = paths.bm_increments
 
     def counting(seed, n_steps, step, substream):
@@ -480,18 +490,16 @@ def test_pathwise_chunks_draw_each_density_stream_once(draws):
     assert draws[SUBSTREAM_DENSITY] == 10 and draws[SUBSTREAM_PRIMARY] == 10
 
 
-_LAWS = ("passage-eq2", "passage-eq3", "passage-eq4", "passage-s32", "a-infinity")
+_LAWS = ("passage-eq2", "passage-eq3", "passage-eq4", "passage-s32", "a-infinity", "levy-eq5", "levy-eq6")
 
 
 def test_shared_families_draw_each_path_once(draws):
     n = 400
+    # the seven laws members read one primary and one density draw per path
     for name in _LAWS:
         _micro(name, n_paths=n)
     assert draws[SUBSTREAM_PRIMARY] == n and draws[SUBSTREAM_DENSITY] == n
-    draws.clear()
-    for name in ("levy-eq5", "levy-eq6"):
-        _micro(name, n_paths=n)
-    assert draws[SUBSTREAM_PRIMARY] == n and draws[SUBSTREAM_DENSITY] == n
+    assert draws.n_steps[SUBSTREAM_PRIMARY] == {2400} and draws.n_steps[SUBSTREAM_DENSITY] == {200}
     draws.clear()
     # both doob passes read one primary draw
     _micro("doob-maximal", n_paths=n)
@@ -506,16 +514,29 @@ def test_shared_families_draw_each_path_once(draws):
     _micro("passage-eq4", n_paths=n, horizon=5.0)
     assert draws[SUBSTREAM_PRIMARY] == n
     draws.clear()
-    # a Levy member's override joins the other member's default horizon, so a
-    # default run of that other member makes a different call and draws again
+    # so does a Levy member's, and a default run of the other member after
+    # it makes the registry call again and draws again
     _micro("levy-eq5", n_paths=n, horizon=6.0)
     assert draws[SUBSTREAM_PRIMARY] == n
     _micro("levy-eq6", n_paths=n)
     assert draws[SUBSTREAM_PRIMARY] == 2 * n
     draws.clear()
-    # at a step off the ErfSign span's grid, passage draws |W| alone
+    # at a step off the ErfSign span's grid and off horizon 8, passage draws
+    # |W| alone, to its own horizon 6
     _micro("passage-eq4", n_paths=n, step=3e-3)
     assert draws[SUBSTREAM_PRIMARY] == n and draws[SUBSTREAM_DENSITY] == 0
+    assert draws.n_steps[SUBSTREAM_PRIMARY] == {2000}
+
+
+def test_laws_member_runs_where_another_half_is_over_the_row_budget(draws):
+    # at step 4e-5 levy-eq6's horizon-12 row is over make_grid's row budget
+    # while passage-eq4's 6, the restarted 7 and levy-eq5's 8 fit
+    _micro("passage-eq4", n_paths=2, step=4e-5)
+    assert draws.n_steps[SUBSTREAM_PRIMARY] == {200000}
+    draws.clear()
+    # and a Levy member runs where the horizon-6 and 7 rows do not fit
+    _micro("levy-eq5", n_paths=2, step=2e-5, horizon=2.0)
+    assert draws.n_steps[SUBSTREAM_PRIMARY] == {100000}
 
 
 def test_family_member_rerun_draws_again(draws):
@@ -534,7 +555,7 @@ def test_laws_family_rows_match_across_worker_counts():
 
 def test_shared_features_are_read_only():
     st_ = resolve_settings(ExperimentConfig(experiment="levy-eq5", n_paths=20, step=5e-3))
-    feats = _chunked(st_, _levy_chunk, horizons=(8.0, 12.0))
+    feats = _laws(st_, {})
     with pytest.raises(ValueError):
         feats["q_erf"][0] = 0.0
 
@@ -602,8 +623,8 @@ def test_cli_rejects_unknown_config_key(tmp_path):
 def test_r1_chunk_returns_one_row_per_path():
     # a horizon-1.2 grid drops every path whose last zero comes after 0.25
     feats = _r1_chunk(0, 12, seed=7, step=0.01, horizon=1.2, offset_steps=(20, 95))
-    assert {k: v.shape[0] for k, v in feats.items()} == dict.fromkeys(("v", "bound", "pprime_raw", "kept"), 12)
-    assert 0 < feats["kept"].sum() < 12
+    assert {k: v.shape[0] for k, v in feats.items()} == dict.fromkeys(("v", "bound", "pprime_raw", "gbar"), 12)
+    assert 0 < np.count_nonzero(feats["gbar"] <= 120 - 95) < 12
 
 
 def test_r1_with_fewer_than_two_kept_paths_is_config_error(capsys):
@@ -611,6 +632,17 @@ def test_r1_with_fewer_than_two_kept_paths_is_config_error(capsys):
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert "kept 1 of 3" in err and "--policy extend" in err
+
+
+def test_r1_refuses_too_few_kept_paths_before_any_primary_draw(draws, capsys):
+    argv = ["run", "--experiment", "r1-ui-martingale", "--paths", "3", "--step", "0.01", "--checkpoints", "1.0,2.0", "--seed", "1"]
+    assert main(argv) == 1
+    assert "kept 1 of 3" in capsys.readouterr().err
+    assert draws[SUBSTREAM_PRIMARY] == 0 and draws[SUBSTREAM_DENSITY] == 3
+    draws.clear()
+    # every window fits past the model span, so a default run counts nothing up front
+    _micro("r1-ui-martingale", n_paths=3, step=0.01)
+    assert draws[SUBSTREAM_PRIMARY] == 3 and draws[SUBSTREAM_DENSITY] == 3
 
 
 def test_config_file_is_closed_after_reading(tmp_path):
