@@ -76,10 +76,10 @@ from .estimates import (
     McEstimate,
     weighted_mean,
     effective_sample_size,
-    flatness_test,
-    ks_test,
     TargetCheck,
     mean_check,
+    flatness_check,
+    ks_check,
     exact_check,
     count_check,
     ratio_check,

@@ -7,6 +7,15 @@ measure, and unit weights for the driving measure.  Everything here
 consumes per-path feature arrays and such weights; nothing here
 simulates.
 
+Every verdict the report writes is built here, in one call that
+returns its ``TargetCheck``: a weighted mean within 3 standard errors
+of its target (``mean_check``), two estimates within a stated number
+of combined errors (``agreement_check``), weighted means flat across
+checkpoints, every pairwise z below 4 (``flatness_check``), and a
+weighted Kolmogorov-Smirnov distance within 1.63/sqrt(n_eff) plus a
+grid allowance (``ks_check``), besides the pathwise magnitude, count
+and error-ratio verdicts.  Each rule's thresholds live only here.
+
 The boundary table carries the closed-form pieces of the first-passage
 laws: a positive piecewise-constant function of the running maximum
 (a constant boundary is its one-segment case), the integral of its
@@ -18,7 +27,6 @@ from __future__ import annotations
 
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
-from typing import ClassVar
 
 import numpy as np
 
@@ -28,12 +36,10 @@ __all__ = [
     "McEstimate",
     "weighted_mean",
     "effective_sample_size",
-    "FlatnessReport",
-    "flatness_test",
-    "KsReport",
-    "ks_test",
     "TargetCheck",
     "mean_check",
+    "flatness_check",
+    "ks_check",
     "agreement_check",
     "exact_check",
     "count_check",
@@ -55,7 +61,6 @@ class McEstimate:
 
     value: float
     stderr: float
-    n: int
 
     @property
     def ci_lo(self) -> float:
@@ -77,12 +82,7 @@ def weighted_mean(values: np.ndarray, weights: np.ndarray | None = None) -> McEs
     if v.ndim != 1 or v.size < 2:
         raise ContractError("need a 1-d sample of size at least 2")
     prod = v if weights is None else v * np.asarray(weights, dtype=np.float64)
-    n = prod.size
-    return McEstimate(
-        value=float(np.mean(prod)),
-        stderr=float(np.std(prod, ddof=1) / np.sqrt(n)),
-        n=n,
-    )
+    return McEstimate(value=float(np.mean(prod)), stderr=float(np.std(prod, ddof=1) / np.sqrt(prod.size)))
 
 
 def effective_sample_size(weights: np.ndarray) -> float:
@@ -92,95 +92,6 @@ def effective_sample_size(weights: np.ndarray) -> float:
     if denom == 0.0:
         raise ContractError("all weights vanish")
     return float(np.sum(w)) ** 2 / denom
-
-
-@dataclass(frozen=True)
-class FlatnessReport:
-    """Pairwise comparison of weighted means across checkpoints."""
-
-    times: tuple[float, ...]
-    means: tuple[McEstimate, ...]
-    max_z: float
-    threshold: ClassVar[float] = _FLATNESS_Z
-
-    @property
-    def passed(self) -> bool:
-        return self.max_z < self.threshold
-
-
-def flatness_test(
-    samples: np.ndarray,
-    weights: np.ndarray | None,
-    times: Sequence[float],
-) -> FlatnessReport:
-    """Test that weighted means agree across checkpoints.
-
-    ``samples`` has one row per checkpoint.  Every pair of rows is
-    compared by |difference| / combined stderr; the report passes when
-    the largest such ratio stays below 4.  With common
-    random numbers across rows this is conservative.
-    """
-    s = np.asarray(samples, dtype=np.float64)
-    if s.ndim != 2 or s.shape[0] != len(times):
-        raise ContractError("need one row of samples per checkpoint")
-    means = tuple(weighted_mean(row, weights) for row in s)
-    max_z = 0.0
-    for i in range(len(means)):
-        for j in range(i + 1, len(means)):
-            se = float(np.hypot(means[i].stderr, means[j].stderr))
-            if se == 0.0:
-                if means[i].value != means[j].value:
-                    max_z = float("inf")
-                continue
-            max_z = max(max_z, abs(means[i].value - means[j].value) / se)
-    return FlatnessReport(times=tuple(float(t) for t in times), means=means, max_z=max_z)
-
-
-@dataclass(frozen=True)
-class KsReport:
-    """Weighted one-sample Kolmogorov-Smirnov comparison."""
-
-    statistic: float
-    n_effective: float
-    critical: float
-
-    @property
-    def passed(self) -> bool:
-        return self.statistic <= self.critical
-
-
-def ks_test(
-    samples: np.ndarray,
-    weights: np.ndarray | None,
-    cdf: Callable[[np.ndarray], np.ndarray],
-    extra_allowance: float = 0.0,
-) -> KsReport:
-    """Sup distance between the weighted empirical cdf and a target cdf.
-
-    The critical value is 1.63 / sqrt(effective sample size) plus a
-    caller-supplied allowance for discretization bias.  Weights must
-    be nonnegative (the empirical cdf must be monotone).
-    """
-    x = np.asarray(samples, dtype=np.float64)
-    if x.ndim != 1 or x.size < 2:
-        raise ContractError("need a 1-d sample of size at least 2")
-    if weights is None:
-        w = np.ones_like(x)
-    else:
-        w = np.asarray(weights, dtype=np.float64)
-        if np.any(w < 0.0):
-            raise ContractError("ks_test needs nonnegative weights")
-    order = np.argsort(x, kind="stable")
-    xs, ws = x[order], w[order]
-    total = float(np.sum(ws))
-    if total <= 0.0:
-        raise ContractError("weights sum to zero")
-    after = np.cumsum(ws) / total
-    before = after - ws / total
-    target = np.asarray(cdf(xs), dtype=np.float64)
-    stat = float(max(np.max(np.abs(after - target)), np.max(np.abs(before - target))))
-    n_eff = effective_sample_size(ws)
-    return KsReport(statistic=stat, n_effective=n_eff, critical=_KS_SCALE / float(np.sqrt(n_eff)) + extra_allowance)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -242,6 +153,96 @@ def mean_check(
         truncation_allowance=truncation_allowance,
         passed=gap <= tol,
         detail=f"|{est.value:.6g} - {target:.6g}| = {gap:.3g} vs {tol:.3g}",
+    )
+
+
+def flatness_check(
+    name: str,
+    samples: np.ndarray,
+    weights: np.ndarray | None,
+    times: Sequence[float],
+    label: str,
+) -> TargetCheck:
+    """Weighted means that agree across checkpoints.
+
+    ``samples`` has one row per checkpoint.  Every pair of rows is
+    compared by |difference| / combined stderr; the check passes when
+    the largest such ratio stays below 4.  With common random numbers
+    across rows this is conservative.  ``label`` names the weighting
+    in the detail text.
+    """
+    s = np.asarray(samples, dtype=np.float64)
+    if s.ndim != 2 or s.shape[0] != len(times):
+        raise ContractError("need one row of samples per checkpoint")
+    means = [weighted_mean(row, weights) for row in s]
+    max_z = 0.0
+    for i in range(len(means)):
+        for j in range(i + 1, len(means)):
+            se = float(np.hypot(means[i].stderr, means[j].stderr))
+            if se == 0.0:
+                if means[i].value != means[j].value:
+                    max_z = float("inf")
+                continue
+            max_z = max(max_z, abs(means[i].value - means[j].value) / se)
+    shown = ", ".join(f"{m.value:.5g}" for m in means)
+    return TargetCheck(
+        name=name,
+        kind="flatness",
+        target=None,
+        estimate=max_z,
+        z=max_z,
+        stat_tolerance=_FLATNESS_Z,
+        passed=max_z < _FLATNESS_Z,
+        detail=f"{label} means [{shown}], max pairwise z = {max_z:.3f}",
+    )
+
+
+def ks_check(
+    name: str,
+    samples: np.ndarray,
+    weights: np.ndarray | None,
+    cdf: Callable[[np.ndarray], np.ndarray],
+    grid_allowance: float = 0.0,
+) -> TargetCheck:
+    """Weighted one-sample Kolmogorov-Smirnov distance to a target cdf.
+
+    The statistic is the sup distance between the weighted empirical
+    cdf and the target; the critical value is 1.63 / sqrt(Kish
+    effective sample size) plus the grid allowance for discretization
+    bias.  Weights must be nonnegative (the empirical cdf must be
+    monotone).
+    """
+    x = np.asarray(samples, dtype=np.float64)
+    if x.ndim != 1 or x.size < 2:
+        raise ContractError("need a 1-d sample of size at least 2")
+    if weights is None:
+        w = np.ones_like(x)
+    else:
+        w = np.asarray(weights, dtype=np.float64)
+        if np.any(w < 0.0):
+            raise ContractError("ks_check needs nonnegative weights")
+    order = np.argsort(x, kind="stable")
+    xs, ws = x[order], w[order]
+    total = float(np.sum(ws))
+    if total <= 0.0:
+        raise ContractError("weights sum to zero")
+    after = np.cumsum(ws) / total
+    before = after - ws / total
+    target = np.asarray(cdf(xs), dtype=np.float64)
+    stat = float(max(np.max(np.abs(after - target)), np.max(np.abs(before - target))))
+    n_eff = effective_sample_size(ws)
+    critical = _KS_SCALE / float(np.sqrt(n_eff)) + grid_allowance
+    return TargetCheck(
+        name=name,
+        kind="ks",
+        target=0.0,
+        estimate=stat,
+        # split back off the summed critical value: 1.63/sqrt(n_eff)
+        # taken alone can differ from it in the last bit of the report
+        stat_tolerance=critical - grid_allowance,
+        grid_allowance=grid_allowance,
+        passed=stat <= critical,
+        detail=f"ks {stat:.4f} vs {critical:.4f} (n_eff {n_eff:.0f})",
     )
 
 

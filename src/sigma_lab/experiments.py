@@ -85,16 +85,14 @@ from .density import (
 from .ensemble import CHUNK_SIZE, run_chunked
 from .errors import ConfigurationError
 from .estimates import (
-    FlatnessReport,
-    KsReport,
     TableBoundary,
     TargetCheck,
     agreement_check,
     count_check,
     exact_check,
     exponential_cdf,
-    flatness_test,
-    ks_test,
+    flatness_check,
+    ks_check,
     mean_check,
     ratio_check,
     weighted_mean,
@@ -328,46 +326,6 @@ def _grid_steps(times: tuple[float, ...], horizon: float, step: float) -> tuple[
     return steps
 
 
-def _flatness_check(name: str, rep: FlatnessReport, label: str) -> TargetCheck:
-    means = ", ".join(f"{m.value:.5g}" for m in rep.means)
-    return TargetCheck(
-        name=name,
-        kind="flatness",
-        target=None,
-        estimate=rep.max_z,
-        z=rep.max_z,
-        stat_tolerance=rep.threshold,
-        passed=rep.passed,
-        detail=f"{label} means [{means}], max pairwise z = {rep.max_z:.3f}",
-    )
-
-
-def _control_check(name: str, rep: FlatnessReport) -> TargetCheck:
-    return TargetCheck(
-        name=name,
-        kind="control",
-        target=None,
-        estimate=rep.max_z,
-        z=rep.max_z,
-        stat_tolerance=rep.threshold,
-        passed=rep.max_z >= rep.threshold,
-        detail=f"drifted control must fail flatness: z = {rep.max_z:.3f} vs {rep.threshold}",
-    )
-
-
-def _ks_check(name: str, rep: KsReport, extra: float) -> TargetCheck:
-    return TargetCheck(
-        name=name,
-        kind="ks",
-        target=0.0,
-        estimate=rep.statistic,
-        stat_tolerance=rep.critical - extra,
-        grid_allowance=extra,
-        passed=rep.passed,
-        detail=f"ks {rep.statistic:.4f} vs {rep.critical:.4f} (n_eff {rep.n_effective:.0f})",
-    )
-
-
 def _curve(name, xs, targets, estimates) -> CurveSeries:
     return CurveSeries(
         name=name,
@@ -442,11 +400,12 @@ def _run_t1(st: ExperimentConfig) -> tuple[list[TargetCheck], list[CurveSeries]]
     for label, q in (("constant-one", np.ones(st.n_paths)), ("stopped-bm", feats["q"])):
         for cons in ("drawdown", "abs"):
             for kind in _F_PAIRS:
-                rep = flatness_test(feats[f"{cons}|{kind}"].T, q, cps)
-                checks.append(_flatness_check(f"{label}-{cons}-f-{kind}", rep, "q-weighted"))
+                checks.append(flatness_check(f"{label}-{cons}-f-{kind}", feats[f"{cons}|{kind}"].T, q, cps, "q-weighted"))
     n_ctrl = min(st.n_paths, 20000)
-    rep = flatness_test(feats["control"][:n_ctrl].T, np.ones(n_ctrl), cps)
-    checks.append(_control_check("drifted-control-fails", rep))
+    # the drifted control is its flatness check with the verdict inverted
+    c = flatness_check("drifted-control-fails", feats["control"][:n_ctrl].T, np.ones(n_ctrl), cps, "unit-weighted")
+    detail = f"drifted control must fail flatness: z = {c.z:.3f} vs {c.stat_tolerance}"
+    checks.append(replace(c, kind="control", passed=not c.passed, detail=detail))
     return checks, []
 
 
@@ -503,10 +462,9 @@ def _run_r1(st: ExperimentConfig) -> tuple[list[TargetCheck], list[CurveSeries]]
     feats = _chunked(st, _r1_chunk, horizon=horizon, offset_steps=steps)
     kept = feats["gbar"] <= room
     pprime = ensemble_weights(feats["pprime_raw"][kept])
-    rep = flatness_test(feats["v"][kept].T, pprime, offsets)
     dropped = st.n_paths - int(np.count_nonzero(kept))
     checks = [
-        _flatness_check("restart-increments-flat", rep, f"P'-weighted ({dropped} dropped)"),
+        flatness_check("restart-increments-flat", feats["v"][kept].T, pprime, offsets, f"P'-weighted ({dropped} dropped)"),
         exact_check("bounded-in-unit-interval", float(np.max(feats["bound"]))),
     ]
     return checks, []
@@ -537,10 +495,9 @@ def _run_sigma_s(st: ExperimentConfig) -> tuple[list[TargetCheck], list[CurveSer
     horizon = _horizon(st)
     cps = st.checkpoints if st.checkpoints is not None else (0.5, 1.0, 1.5, 2.0)
     feats = _chunked(st, _sigs_chunk, horizon=horizon, cols=_grid_steps(cps, horizon, st.step))
-    checks = []
-    for kind in _F_PAIRS:
-        rep = flatness_test(feats[kind].T, feats["q"], cps)
-        checks.append(_flatness_check(f"restarted-reflected-f-{kind}", rep, "q-weighted"))
+    checks = [
+        flatness_check(f"restarted-reflected-f-{kind}", feats[kind].T, feats["q"], cps, "q-weighted") for kind in _F_PAIRS
+    ]
     checks.append(exact_check("null-at-last-zero", float(np.max(feats["null_mag"]))))
     return checks, []
 
@@ -638,10 +595,9 @@ def _run_qbracket(st: ExperimentConfig) -> tuple[list[TargetCheck], list[CurveSe
         raise ConfigurationError(f"q-bracket offsets up to {max(offs):g} need a horizon of {1.0 + max(offs):g}")
     steps = _grid_steps(offs, horizon, st.step)
     feats = _chunked(st, _qbracket_chunk, horizon=horizon, offset_steps=steps)
-    rep = flatness_test(feats["v"].T, feats["q"], offs)
     worst = float(np.min(feats["brack_min"]))
     checks = [
-        _flatness_check("squared-restart-minus-bracket-flat", rep, "q-weighted"),
+        flatness_check("squared-restart-minus-bracket-flat", feats["v"].T, feats["q"], offs, "q-weighted"),
         exact_check("bracket-increments-nonnegative", max(0.0, -worst)),
     ]
     return checks, []
@@ -1026,8 +982,7 @@ def _run_ainf(st: ExperimentConfig) -> tuple[list[TargetCheck], list[CurveSeries
     for label, q in (("constant-one", np.ones(st.n_paths)), ("erf-sign", feats["q_erf"])):
         aterm = feats[f"aterm|{label}"]
         pprime = ensemble_weights(q)
-        rep = ks_test(aterm, pprime, exponential_cdf, extra_allowance=0.03)
-        checks.append(_ks_check(f"{label}-terminal-law-ks", rep, 0.03))
+        checks.append(ks_check(f"{label}-terminal-law-ks", aterm, pprime, exponential_cdf, grid_allowance=0.03))
         checks.append(
             mean_check(
                 f"{label}-survival-at-1",
@@ -1131,6 +1086,10 @@ def _square(a: np.ndarray) -> np.ndarray:
     return a * a
 
 
+# how many of a closure run's paths are also verified pathwise
+_CLOSURE_SAMPLE = 40
+
+
 def _build_product(seed: int, start: int, count: int, grid: TimeGrid) -> Decomposition:
     """The product of two independent drawdowns."""
     w1 = _primary(seed, start, count, grid)
@@ -1155,8 +1114,11 @@ def _closure_chunk(
 ) -> dict[str, np.ndarray]:
     grid = make_grid(horizon, step)
     terminal, _ = _density_block(_SBM, seed, start, count, step)
-    n = build(seed, start, count, grid).n.values
-    return {"n": n[:, cols], "q": terminal}
+    d = build(seed, start, count, grid)
+    # a chunk holding some of the membership sample verifies its rows;
+    # each row's verdict is that path's own
+    fail = ~verify_membership(d).passed if start < _CLOSURE_SAMPLE else np.zeros(count, dtype=bool)
+    return {"n": d.n.values[:, cols], "q": terminal, "fail": fail}
 
 
 def _run_closure(st: ExperimentConfig, *, build: Callable, label: str) -> tuple[list[TargetCheck], list[CurveSeries]]:
@@ -1164,13 +1126,12 @@ def _run_closure(st: ExperimentConfig, *, build: Callable, label: str) -> tuple[
     cps = st.checkpoints if st.checkpoints is not None else (0.25, 0.5, 0.75, 1.0)
     cols = _grid_steps(cps, horizon, st.step)
     feats = _chunked(st, _closure_chunk, horizon=horizon, cols=cols, build=build)
-    rep = flatness_test(feats["n"].T, feats["q"], cps)
-    # the first 40 paths' decompositions, checked pathwise
-    grid = make_grid(horizon, st.step)
-    bad = int(np.count_nonzero(~verify_membership(build(st.master_seed, 0, 40, grid)).passed))
+    # the run's first paths' decompositions, checked pathwise
+    sample = min(_CLOSURE_SAMPLE, st.n_paths)
+    bad = int(np.count_nonzero(feats["fail"][:sample]))
     checks = [
-        _flatness_check(f"{label}-martingale-part-flat", rep, "q-weighted"),
-        count_check(f"{label}-membership-sample", bad, f"40 pathwise {label} decompositions verify"),
+        flatness_check(f"{label}-martingale-part-flat", feats["n"].T, feats["q"], cps, "q-weighted"),
+        count_check(f"{label}-membership-sample", bad, f"{sample} pathwise {label} decompositions verify"),
     ]
     return checks, []
 

@@ -40,18 +40,20 @@ path or of rows of paths on one grid (values shaped (..., n+1)), with
 a ``ZeroSetInfo`` of the same shape.  A ``Decomposition`` of rows holds
 one triple per row and a support scale that is one number or one per
 row; each row equals that path's own construction bit for bit.  A
-``MembershipReport`` gives each check's verdict (``verdicts``): a bool
-for one path, one per row otherwise.  Each row's support mass is
-summed on its own, in the order a lone ``np.sum`` would take, so a
-row's verdicts equal that path's own.  The detail text of the checks
-(``checks``) is built when it is read, for one path only.
+``MembershipReport`` holds what ``verify_membership`` computed once:
+each check's verdict (``verdicts``), a bool for one path and one per
+row otherwise, the support mass (``support``), and for one path only
+the detail text that ``checks`` and ``failing`` pair with the
+verdicts.  Each row's support mass is summed on its own, in the order
+a lone ``np.sum`` would take, so a row's verdicts equal that path's
+own.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, replace
-from functools import cached_property, partial
+from functools import partial
 
 import numpy as np
 
@@ -517,80 +519,44 @@ class MembershipReport:
 
     ``verdicts`` maps each check name, in report order, to its outcome:
     a bool for one path, one per row otherwise; a check that does not
-    apply to a row passes there.  ``checks`` lists the checks that
-    apply to one path with their detail text, built when first read;
-    it is not defined for rows.  ``top`` holds the checks of each row
-    as given, ``shifted`` those of its triple shifted to the last zero
-    (None for the classical class); ``null_magnitude`` is None off the
-    restarted class.
+    apply to a row passes there.  ``support`` is the support mass of
+    each row.  ``details`` holds the detail text of the checks that
+    apply to one path, and is None on rows, where ``checks`` and
+    ``failing`` are not defined.
     """
 
-    shape: tuple[int, ...]
-    gap_tolerance: float
-    support_tolerance: np.ndarray
-    top: _WindowChecks
-    has_zeros: np.ndarray
-    null_magnitude: np.ndarray | None
-    wants_shift: np.ndarray
-    degenerate: np.ndarray
-    shifted: _WindowChecks | None
-
-    def _row_verdicts(self) -> dict[str, np.ndarray]:
-        out = self.top.passes(self.gap_tolerance)
-        if self.null_magnitude is not None:
-            out["null_on_zero_set"] = self.null_magnitude == 0.0
-        if self.shifted is not None:
-            shifted_ok = np.all(list(self.shifted.passes(self.gap_tolerance).values()), axis=0)
-            out["shifted_classical"] = ~self.wants_shift | self.degenerate | shifted_ok
-        return out
-
-    def _shaped(self, values: np.ndarray):
-        return _lead(values.reshape(self.shape))
-
-    @property
-    def verdicts(self) -> dict[str, bool | np.ndarray]:
-        return {name: self._shaped(ok) for name, ok in self._row_verdicts().items()}
+    verdicts: dict[str, bool | np.ndarray]
+    support: SupportCheck
+    details: dict[str, str] | None
 
     @property
     def passed(self) -> bool | np.ndarray:
-        return self._shaped(np.all(list(self._row_verdicts().values()), axis=0))
+        return _lead(np.all(list(self.verdicts.values()), axis=0))
 
     @property
-    def support(self) -> SupportCheck:
-        s = self.top.support
-        return SupportCheck(violation_mass=self._shaped(s.violation_mass), total_mass=self._shaped(s.total_mass))
-
-    @cached_property
     def checks(self) -> tuple[CheckOutcome, ...]:
-        if self.shape != ():
+        if self.details is None:
             raise ContractError("check details are defined for one path; read verdicts on rows")
-        top, gap_tol, supp_tol = self.top, self.gap_tolerance, float(self.support_tolerance[0])
-        support = self.support
-        details = {
-            "decomposition_identity": f"max |X - A - N| = {top.gap[0]:.3e} (tolerance {gap_tol:.3e})",
-            "nonnegative": f"min X = {top.low[0]:.3e}",
-            "starts_at_zero": f"|value at 0| = {top.starts[0]:.3e}",
-            "increasing_part_monotone": (
-                f"{int(top.n_drops[0])} decreasing steps outside restarts (worst {top.worst[0]:.3e})"
-            ),
-            "support_condition": (
-                f"violating mass {support.violation_mass:.3e} of {support.total_mass:.3e}"
-                f" (ratio {support.ratio:.3f}, tolerance {supp_tol:.3e})"
-            ),
-        }
-        if self.null_magnitude is not None and self.has_zeros[0]:
-            details["null_on_zero_set"] = f"max |X|, |N|, |A| on the zero set = {self.null_magnitude[0]:.3e}"
-        if self.shifted is not None and self.wants_shift[0]:
-            if self.degenerate[0]:
-                details["shifted_classical"] = "last zero at grid end; shift degenerate, skipped"
-            else:
-                failing = [k for k, ok in self.shifted.passes(gap_tol).items() if not ok[0]]
-                details["shifted_classical"] = ", ".join(failing) or "all classical checks pass"
-        passes = self._row_verdicts()
-        return tuple(CheckOutcome(name, bool(passes[name][0]), text) for name, text in details.items())
+        return tuple(CheckOutcome(name, self.verdicts[name], text) for name, text in self.details.items())
 
     def failing(self) -> tuple[CheckOutcome, ...]:
         return tuple(c for c in self.checks if not c.passed)
+
+
+def _path_details(top: _WindowChecks, gap_tol: float, supp_tol: float, support: SupportCheck) -> dict[str, str]:
+    """The detail text of one path's classical checks."""
+    return {
+        "decomposition_identity": f"max |X - A - N| = {top.gap[0]:.3e} (tolerance {gap_tol:.3e})",
+        "nonnegative": f"min X = {top.low[0]:.3e}",
+        "starts_at_zero": f"|value at 0| = {top.starts[0]:.3e}",
+        "increasing_part_monotone": (
+            f"{int(top.n_drops[0])} decreasing steps outside restarts (worst {top.worst[0]:.3e})"
+        ),
+        "support_condition": (
+            f"violating mass {support.violation_mass:.3e} of {support.total_mass:.3e}"
+            f" (ratio {support.ratio:.3f}, tolerance {supp_tol:.3e})"
+        ),
+    }
 
 
 def verify_membership(d: Decomposition, support_tolerance: float | np.ndarray | None = None) -> MembershipReport:
@@ -624,30 +590,39 @@ def verify_membership(d: Decomposition, support_tolerance: float | np.ndarray | 
     in_h, gbar = zs.in_h.reshape(-1, width), np.reshape(zs.gbar_index, -1)
     origin = np.zeros(count, dtype=np.int64)
     restarted = d.class_tag == SIGMA_SH
+    gap_tol = _gap_tolerance(d.gap_scale, d.grid)
     top = _window_checks(
         x, n, a, origin, gbar if restarted else origin, supp_tol,
         restarts=in_h if restarted else None,
         exempt=in_h if d.class_tag == SIGMA_H else None,
     )
-    null = _null_magnitude(x, n, a, in_h) if restarted else None
-    wants = np.full(count, d.class_tag != CLASSICAL)
-    shifted = None
+    passes = top.passes(gap_tol)
+    if restarted:
+        null = _null_magnitude(x, n, a, in_h)
+        passes["null_on_zero_set"] = null == 0.0
     if d.class_tag != CLASSICAL:
         # the restarted class always; sigma_h where X vanishes on H and
         # A is still 0 at the last zero
         a_last_zero = np.take_along_axis(a, gbar[:, None], axis=-1)
-        if not restarted:
-            wants = np.all((x == 0.0) | ~in_h, axis=-1) & (a_last_zero[:, 0] == 0.0)
         n_last_zero = np.take_along_axis(n, gbar[:, None], axis=-1)
-        shifted = _window_checks(x, n - n_last_zero, a - a_last_zero, gbar, gbar, supp_tol)
-    return MembershipReport(
-        shape=shape,
-        gap_tolerance=_gap_tolerance(d.gap_scale, d.grid),
-        support_tolerance=supp_tol,
-        top=top,
-        has_zeros=in_h.any(axis=-1),
-        null_magnitude=null,
-        wants_shift=wants,
-        degenerate=gbar >= width - 1,
-        shifted=shifted,
-    )
+        wants = np.full(count, True) if restarted else np.all((x == 0.0) | ~in_h, axis=-1) & (a_last_zero[:, 0] == 0.0)
+        degenerate = gbar >= width - 1
+        shifted = _window_checks(x, n - n_last_zero, a - a_last_zero, gbar, gbar, supp_tol).passes(gap_tol)
+        passes["shifted_classical"] = ~wants | degenerate | np.all(list(shifted.values()), axis=0)
+
+    def shaped(values: np.ndarray):
+        return _lead(values.reshape(shape))
+
+    support = SupportCheck(violation_mass=shaped(top.support.violation_mass), total_mass=shaped(top.support.total_mass))
+    details = None
+    if shape == ():
+        details = _path_details(top, gap_tol, float(supp_tol[0]), support)
+        if restarted and in_h.any():
+            details["null_on_zero_set"] = f"max |X|, |N|, |A| on the zero set = {null[0]:.3e}"
+        if d.class_tag != CLASSICAL and wants[0]:
+            failing = ", ".join(k for k, ok in shifted.items() if not ok[0])
+            details["shifted_classical"] = (
+                "last zero at grid end; shift degenerate, skipped" if degenerate[0]
+                else failing or "all classical checks pass"
+            )
+    return MembershipReport(verdicts={name: shaped(ok) for name, ok in passes.items()}, support=support, details=details)

@@ -10,8 +10,8 @@ from sigma_lab import (
     effective_sample_size,
     exact_check,
     exponential_cdf,
-    flatness_test,
-    ks_test,
+    flatness_check,
+    ks_check,
     mean_check,
     ratio_check,
     weighted_mean,
@@ -44,32 +44,37 @@ def test_flatness_passes_for_flat_and_fails_for_drift():
     n = 5000
     base = RNG.standard_normal(n)
     flat = np.stack([base + 0.001 * RNG.standard_normal(n) for _ in range(4)])
-    report = flatness_test(flat, None, times=[1.0, 2.0, 3.0, 4.0])
-    assert report.passed, report.max_z
+    check = flatness_check("flat", flat, None, [1.0, 2.0, 3.0, 4.0], "unit-weighted")
+    assert check.passed and check.kind == "flatness", check.z
+    assert check.estimate == check.z < check.stat_tolerance == 4.0
     drifted = flat.copy()
     drifted[3] = drifted[3] + 0.2
-    bad = flatness_test(drifted, None, times=[1.0, 2.0, 3.0, 4.0])
+    bad = flatness_check("drifted", drifted, None, [1.0, 2.0, 3.0, 4.0], "unit-weighted")
     assert not bad.passed
-    assert bad.max_z > 4.0
+    assert bad.z > 4.0
 
 
 def test_ks_uniform_sample():
     x = RNG.uniform(size=2000)
-    report = ks_test(x, None, lambda t: np.clip(t, 0.0, 1.0))
-    assert report.passed
-    shifted = ks_test(x + 0.08, None, lambda t: np.clip(t, 0.0, 1.0))
+    check = ks_check("uniform", x, None, lambda t: np.clip(t, 0.0, 1.0))
+    assert check.passed and check.kind == "ks"
+    shifted = ks_check("shifted", x + 0.08, None, lambda t: np.clip(t, 0.0, 1.0))
     assert not shifted.passed
     with pytest.raises(ContractError):
-        ks_test(x, -np.ones_like(x), lambda t: t)
+        ks_check("negative", x, -np.ones_like(x), lambda t: t)
 
 
 def test_ks_effective_size_shrinks_with_weights():
     x = RNG.uniform(size=1000)
     w = np.ones_like(x)
     w[:10] = 50.0
-    report = ks_test(x, w, lambda t: np.clip(t, 0.0, 1.0))
-    assert report.n_effective < 1000.0
-    assert report.critical > 1.63 / np.sqrt(1000.0)
+    check = ks_check("weighted", x, w, lambda t: np.clip(t, 0.0, 1.0), grid_allowance=0.01)
+    n_eff = effective_sample_size(w)
+    assert n_eff < 1000.0 and f"(n_eff {n_eff:.0f})" in check.detail
+    assert check.stat_tolerance == pytest.approx(1.63 / np.sqrt(n_eff))
+    assert check.stat_tolerance > 1.63 / np.sqrt(1000.0)
+    assert check.grid_allowance == 0.01
+    assert check.tolerance == pytest.approx(check.stat_tolerance + 0.01)
 
 
 def test_mean_check_budget():

@@ -15,6 +15,7 @@ import sigma_lab.paths as paths
 from sigma_lab import (
     SUBSTREAM_DENSITY,
     SUBSTREAM_PRIMARY,
+    SUBSTREAM_SECONDARY,
     ConfigurationError,
     ExperimentConfig,
     config_digest,
@@ -238,6 +239,34 @@ def test_t1_control_fails_once_paths_suffice():
     run = _micro("t1-characterization", n_paths=2000)
     control = [c for c in run.checks if c.name == "drifted-control-fails"]
     assert len(control) == 1 and control[0].passed
+
+
+# each verdict rule as a function of its report row's own numbers
+_ROW_RULES = {
+    "flatness": lambda row: row.estimate < row.stat_tolerance,
+    "control": lambda row: row.estimate >= row.stat_tolerance,
+    "ks": lambda row: row.estimate <= row.tolerance,
+}
+
+
+def test_flatness_control_and_ks_verdicts_follow_from_their_rows():
+    seen = Counter()
+    for name in (
+        "t1-characterization",
+        "r1-ui-martingale",
+        "sigma-s-characterization",
+        "q-bracket",
+        "products",
+        "scaled-f",
+        "a-infinity",
+    ):
+        for row in report_rows(_micro(name)):
+            if row.kind in _ROW_RULES:
+                seen[row.kind] += 1
+                assert row.passed == _ROW_RULES[row.kind](row), (row.experiment, row.check)
+                if row.kind == "ks":
+                    assert row.grid_allowance == 0.03, row.check
+    assert seen == {"flatness": 19, "control": 1, "ks": 2}
 
 
 def test_ladder_structure_rows_are_scale_free():
@@ -558,6 +587,16 @@ def test_shared_features_are_read_only():
     feats = _laws(st_, {})
     with pytest.raises(ValueError):
         feats["q_erf"][0] = 0.0
+
+
+@pytest.mark.parametrize("name, label, pairs", [("products", "product", 1), ("scaled-f", "rescaled", 0)])
+def test_closure_membership_sample_reads_the_runs_own_paths(draws, name, label, pairs):
+    # below the 40-path sample the row verifies the run's paths, and no others
+    run = _micro(name, n_paths=3)
+    assert draws[SUBSTREAM_PRIMARY] == 3 and draws[SUBSTREAM_DENSITY] == 3
+    assert draws[SUBSTREAM_SECONDARY] == 3 * pairs
+    (sample,) = [c for c in run.checks if c.name == f"{label}-membership-sample"]
+    assert sample.passed and sample.detail == f"3 pathwise {label} decompositions verify"
 
 
 @pytest.mark.parametrize("name", ["t1-characterization", "sigma-s-characterization", "products", "scaled-f"])

@@ -11,7 +11,7 @@ from sigma_lab import (
     SUBSTREAM_PRIMARY,
     SUBSTREAM_SECONDARY,
     bm_increments,
-    ks_test,
+    ks_check,
     make_grid,
     make_stream,
     sample_bm,
@@ -88,8 +88,8 @@ def test_terminal_values_are_gaussian():
     terminal = np.array(
         [sample_bm(grid, 0.0, SeedSpec(SEED, i)).values[-1] for i in range(2000)]
     )
-    report = ks_test(terminal, None, norm.cdf)
-    assert report.passed, f"KS {report.statistic:.4f} > {report.critical:.4f}"
+    check = ks_check("terminal-gaussian", terminal, None, norm.cdf)
+    assert check.passed, check.detail
 
 
 def test_increments_uncorrelated_within_and_across_substreams():
