@@ -337,17 +337,6 @@ def _curve(name, xs, targets, estimates) -> CurveSeries:
     )
 
 
-def _sup_deficit(level_log, span):
-    """Shortfall of the finite-span barrier probability against the
-    all-time law e^{-b} for the drift -1/2 Brownian exponent; exact via
-    the reflection formula.  Vectorizes over either argument."""
-    b = np.asarray(level_log, dtype=np.float64)
-    t = np.asarray(span, dtype=np.float64)
-    rt = np.sqrt(t)
-    finite = 1.0 - ndtr((b + 0.5 * t) / rt) + np.exp(-b) * ndtr((0.5 * t - b) / rt)
-    return np.where(b > 0.0, np.maximum(np.exp(-b) - finite, 0.0), 0.0)
-
-
 # ---------------------------------------------------------------- t1 suite
 
 # The bounded f of the characterization, by name, each with its
@@ -696,8 +685,10 @@ def _run_ito(st: ExperimentConfig) -> tuple[list[TargetCheck], list[CurveSeries]
 
 # ---------------------------------------------------------------- doob maximal
 
-def _bridge_freq(z: np.ndarray, b: float, step: float) -> np.ndarray:
-    """Per-row probability that Z, bridged between grid points, reaches b."""
+def _crossing_freq(z: np.ndarray, b: float, step: float) -> np.ndarray:
+    """Per-row probability that Z = W - t/2 ever reaches b, given its
+    grid values: bridged between grid points, and past the last one by
+    the all-time law P(sup_{s>=h} Z_s >= b | Z_h) = e^{-(b - Z_h)+}."""
     crossed = (z >= b).any(axis=1)
     # A row that reaches b scores 1; only the others need the
     # per-step bridge crossing probabilities.
@@ -709,85 +700,56 @@ def _bridge_freq(z: np.ndarray, b: float, step: float) -> np.ndarray:
     logs = np.full(arr.shape, -0.0)
     logs[near] = np.log1p(-np.minimum(np.exp(np.minimum(arr[near], 0.0)), 1.0 - 1e-16))
     freq = np.ones(z.shape[0])
-    freq[~crossed] = -np.expm1(np.sum(logs, axis=1))
+    # no crossing on the grid, then none past its end, where d > 0
+    freq[~crossed] = -np.expm1(np.sum(logs, axis=1) + np.log(-np.expm1(-d[:, -1])))
     return freq
 
 
-# doob-maximal's ErfSign pass runs this many times its horizon
-_DOOB_SPAN_FACTOR = 2.5
-# The level-2 row's budget for grid bias and the finite-span deficit
-# together; the deficit is exact, the grid bias gets what it leaves.
-_DOOB_LEVEL2_BUDGET = 0.02
 # doob-maximal's curve levels
 _DOOB_LEVELS = (1.25, 1.5, 2.0, 3.0, 4.0)
 
 
 def _doob_chunk(start: int, count: int, *, seed: int, step: float, horizon: float) -> dict[str, np.ndarray]:
-    """Both doob-maximal passes off one primary draw of Z = W - t/2:
-    density one over ``horizon`` at each curve level, ErfSign over
-    ``_DOOB_SPAN_FACTOR`` times it, after the last zero, at level 2."""
-    h2 = _DOOB_SPAN_FACTOR * horizon
-    grid = make_grid(h2, step)
-    n1 = make_grid(horizon, step).n_steps
+    """Both doob-maximal passes off one primary draw of Z = W - t/2 to
+    ``horizon``: density one at each curve level, and ErfSign after its
+    last zero at level 2."""
+    grid = make_grid(horizon, step)
     terminal, zs = _density_block(_ERF, seed, start, count, step)
     z = _primary(seed, start, count, grid)
     z -= 0.5 * grid.times[None, :]
-    # density one has no zeros: the whole prefix is after the last zero
-    out = {f"freq|{a:g}": _bridge_freq(z[:, : n1 + 1], float(np.log(a)), step) for a in _DOOB_LEVELS}
+    # density one has no zeros: the whole path is after the last zero
+    out = {f"freq|{a:g}": _crossing_freq(z, float(np.log(a)), step) for a in _DOOB_LEVELS}
 
     gbar = zs.gbar_index
     b = float(np.log(2.0))
     pre = np.arange(grid.n_steps + 1)[None, :] < gbar[:, None]
-    out["erf|freq|2"] = _bridge_freq(np.where(pre, b - 50.0, z) if gbar.any() else z, b, step)
+    out["erf|freq|2"] = _crossing_freq(np.where(pre, b - 50.0, z) if gbar.any() else z, b, step)
     out["zg"] = _gather(z, gbar)
-    out["span_after"] = h2 - gbar.astype(np.float64) * step
     out["q"] = terminal
     return out
 
 
 def _run_doob(st: ExperimentConfig) -> tuple[list[TargetCheck], list[CurveSeries]]:
-    h1 = _horizon(st)
-    deficit2 = float(_sup_deficit(np.log(2.0), h1))
-    if deficit2 > _DOOB_LEVEL2_BUDGET:
-        # below a horizon of about 6.13 the level-2 row could only fail
-        raise ConfigurationError(
-            f"doob-maximal at horizon {h1:g}: the level-2 finite-span deficit {deficit2:.5f}"
-            f" exceeds its budget {_DOOB_LEVEL2_BUDGET:g}"
-        )
-    feats = _chunked(st, _doob_chunk, horizon=h1)
+    feats = _chunked(st, _doob_chunk, horizon=_horizon(st))
     checks: list[TargetCheck] = []
     ests = []
     for a in _DOOB_LEVELS:
         est = weighted_mean(feats[f"freq|{a:g}"])
         ests.append(est)
         if a in (1.5, 2.0, 3.0):
-            deficit = float(_sup_deficit(np.log(a), h1))
-            grid_allow = _DOOB_LEVEL2_BUDGET - deficit if a == 2.0 else 0.004
-            checks.append(
-                mean_check(
-                    f"constant-one-sup-exceeds-{a:g}",
-                    1.0 / a,
-                    feats[f"freq|{a:g}"],
-                    grid_allowance=round(grid_allow, 6),
-                    truncation_allowance=round(deficit, 6),
-                )
-            )
+            checks.append(mean_check(f"constant-one-sup-exceeds-{a:g}", 1.0 / a, feats[f"freq|{a:g}"]))
     curve = _curve("constant-one-levels", _DOOB_LEVELS, [1.0 / a for a in _DOOB_LEVELS], ests)
 
     pprime = ensemble_weights(feats["q"])
     freq = weighted_mean(feats["erf|freq|2"], pprime)
-    xg = np.exp(feats["zg"])
-    mean_side = weighted_mean(np.minimum(xg / 2.0, 1.0), pprime)
-    blog = np.log(2.0 / np.minimum(xg, 2.0))
-    resid = float(np.mean(_sup_deficit(blog, feats["span_after"])))
+    mean_side = weighted_mean(np.minimum(np.exp(feats["zg"]) / 2.0, 1.0), pprime)
     checks.append(
         agreement_check(
             "erf-sign-two-sided-at-2",
             freq,
             mean_side,
             3.0,
-            "frequency {estimate:.5f} vs restart mean {target:.5f}"
-            " (combined se {stderr:.5f}, residual horizon deficit " + f"{resid:.5f})",
+            "frequency {estimate:.5f} vs restart mean {target:.5f} (combined se {stderr:.5f})",
         )
     )
     return checks, [curve]
@@ -1271,9 +1233,8 @@ _FAMILY_CHUNKS = frozenset({_ladder_chunk, _laws_chunk})
 # Rows per chunk where fewer than CHUNK_SIZE bound memory: rho-algebra's
 # segment buckets and restart rows; the laws family's rows, which run to
 # levy-eq6's horizon 12; a membership chunk's twenty (rows, 2n+1) matrices
-# of the support-mass ladder's finest rung; doob's ErfSign pass, whose
-# rows are ``_DOOB_SPAN_FACTOR`` times its horizon.
-_CHUNK_ROWS = {_rho_chunk: 128, _laws_chunk: 128, _membership_chunk: 64, _doob_chunk: 64}
+# of the support-mass ladder's finest rung.
+_CHUNK_ROWS = {_rho_chunk: 128, _laws_chunk: 128, _membership_chunk: 64}
 
 
 # ---------------------------------------------------------------- registry
@@ -1297,11 +1258,8 @@ class ExperimentSpec:
     is the runner's horizon when none is given.  ``min_horizon`` is
     the smallest horizon override the runner can honour: ErfSign zero
     sets span the model's terminal time 1.0, and restart anchors found
-    there index the driver's own grid.  A runner
-    whose shortest horizon follows from an error budget refuses shorter
-    ones itself, before any draw: doob-maximal's level-2 deficit does,
-    below a horizon of about 6.13.  ``make_grid`` holds every grid a run
-    builds to its row byte budget.
+    there index the driver's own grid.  ``make_grid`` holds every grid
+    a run builds to its row byte budget.
     """
 
     name: str
@@ -1318,15 +1276,15 @@ class ExperimentSpec:
 # full scales (paths, step) and the smallest horizon override where they differ from the defaults
 _SPECS = (
     ExperimentSpec("t1-characterization", "martingale characterization of the base zero-set class", _run_t1, _HC, 1.0),
-    ExperimentSpec("r1-ui-martingale", "uniformly integrable restart martingale for bounded class members", _run_r1, _HC + ("policy=extend",), 2.0, min_horizon=1.0),
-    ExperimentSpec("sigma-s-characterization", "martingale characterization of the restarted class", _run_sigma_s, _HC, 2.0, min_horizon=1.0),
+    ExperimentSpec("r1-ui-martingale", "uniformly integrable restart martingale for bounded class members", _run_r1, _HC + ("policy=extend",), 2.0, min_horizon=_MODEL_SPAN),
+    ExperimentSpec("sigma-s-characterization", "martingale characterization of the restarted class", _run_sigma_s, _HC, 2.0, min_horizon=_MODEL_SPAN),
     ExperimentSpec("rho-algebra", "linearity, positivity, and product rules of the restart operator", _run_rho, _H, 2.0, (1000, 2e-3), (1000, 2e-3)),
-    ExperimentSpec("q-bracket", "quadratic bracket of the restarted driver", _run_qbracket, _HC, 2.0, min_horizon=1.0),
+    ExperimentSpec("q-bracket", "quadratic bracket of the restarted driver", _run_qbracket, _HC, 2.0, min_horizon=_MODEL_SPAN),
     ExperimentSpec("tanaka-abs", "signed local-time identity for the absolute value", _run_tanaka_abs, _H, 1.0, _LADDER_SCALE, _LADDER_SCALE),
     ExperimentSpec("tanaka-plus", "signed local-time identity for the positive part", _run_tanaka_plus, _H, 1.0, _LADDER_SCALE, _LADDER_SCALE),
     ExperimentSpec("tanaka-minus", "signed local-time identity for the negative part", _run_tanaka_minus, _H, 1.0, _LADDER_SCALE, _LADDER_SCALE),
     ExperimentSpec("ito", "second-order expansion along restarted paths", _run_ito, _H, 1.0, _LADDER_SCALE, _LADDER_SCALE),
-    ExperimentSpec("doob-maximal", "maximal identity for the supremum after the last zero", _run_doob, _H, 8.0),
+    ExperimentSpec("doob-maximal", "maximal identity for the supremum after the last zero", _run_doob, _H, _MODEL_SPAN, min_horizon=_MODEL_SPAN),
     ExperimentSpec("passage-eq2", "boundary-crossing law stopped at a growth level, stepped boundary", _run_passage_eq2, _H, _LAWS_CALL["span"]),
     ExperimentSpec("passage-eq3", "boundary-crossing law over the full span, finite total integral", _run_passage_eq3, _H, _LAWS_CALL["span"]),
     ExperimentSpec("passage-eq4", "probability-case crossing law with a unit boundary", _run_passage_eq4, _H, _LAWS_CALL["span"]),
