@@ -17,9 +17,11 @@ grid allowance (``ks_check``), besides the pathwise magnitude, count
 and error-ratio verdicts.  Each rule's thresholds live only here.
 
 The boundary table carries the closed-form pieces of the first-passage
-laws: a positive piecewise-constant function of the running maximum
+laws: a positive piecewise-constant function of the growth process
 (a constant boundary is its one-segment case), the integral of its
-reciprocal, and the crossing probabilities derived from it.
+reciprocal, and the crossing probability they give from any state:
+from the origin it states each target, and from a path's last state
+it completes a path that has not crossed by its horizon.
 ``exponential_cdf`` is the accumulated-growth law of a constant density.
 """
 
@@ -100,9 +102,11 @@ class TargetCheck:
 
     The tolerance splits into a statistical part (a multiple of the
     standard error), a grid allowance for discretization bias, and a
-    truncation allowance for finite-horizon effects; each component is
-    kept on the record.  A builder states only what it sets: no
-    standard error or z, and zero allowances, by default.
+    truncation allowance for finite-horizon effects, which every
+    builder leaves at 0 (each finite-horizon estimate is completed
+    exactly); each component is kept on the record.  A builder states
+    only what it sets: no standard error or z, and zero allowances, by
+    default.
     """
 
     name: str
@@ -129,10 +133,9 @@ def mean_check(
     values: np.ndarray,
     weights: np.ndarray | None = None,
     grid_allowance: float = 0.0,
-    truncation_allowance: float = 0.0,
 ) -> TargetCheck:
     """Weighted mean against a target within three standard errors plus
-    the stated allowances."""
+    the stated grid allowance."""
     est = weighted_mean(values, weights)
     gap = abs(est.value - target)
     stat_tol = _MEAN_Z * est.stderr
@@ -140,7 +143,7 @@ def mean_check(
         z = gap / est.stderr
     else:
         z = float("inf") if gap > 0.0 else 0.0
-    tol = stat_tol + grid_allowance + truncation_allowance
+    tol = stat_tol + grid_allowance
     return TargetCheck(
         name=name,
         kind="mean",
@@ -150,7 +153,6 @@ def mean_check(
         z=float(z),
         stat_tolerance=stat_tol,
         grid_allowance=grid_allowance,
-        truncation_allowance=truncation_allowance,
         passed=gap <= tol,
         detail=f"|{est.value:.6g} - {target:.6g}| = {gap:.3g} vs {tol:.3g}",
     )
@@ -203,14 +205,21 @@ def ks_check(
     weights: np.ndarray | None,
     cdf: Callable[[np.ndarray], np.ndarray],
     grid_allowance: float = 0.0,
+    tails: np.ndarray | None = None,
 ) -> TargetCheck:
     """Weighted one-sample Kolmogorov-Smirnov distance to a target cdf.
 
-    The statistic is the sup distance between the weighted empirical
-    cdf and the target; the critical value is 1.63 / sqrt(Kish
-    effective sample size) plus the grid allowance for discretization
-    bias.  Weights must be nonnegative (the empirical cdf must be
-    monotone).
+    The statistic is the sup distance between the weighted mean of the
+    per-sample cdfs and the target; the critical value is 1.63 /
+    sqrt(Kish effective sample size) plus the grid allowance for
+    discretization bias.  Weights must be nonnegative (the mean cdf
+    must be monotone).
+
+    Without ``tails`` a sample c is the point mass 1{g >= c}.  With
+    them a sample is a completed law 1{g >= c} (1 - r e^{-(g - c)}),
+    r in [0, 1] its tail mass.  Its tail is exponential, so against
+    ``exponential_cdf`` the gap is monotone between sorted samples and
+    its sup is still read at each sample and just before it.
     """
     x = np.asarray(samples, dtype=np.float64)
     if x.ndim != 1 or x.size < 2:
@@ -226,8 +235,18 @@ def ks_check(
     total = float(np.sum(ws))
     if total <= 0.0:
         raise ContractError("weights sum to zero")
-    after = np.cumsum(ws) / total
-    before = after - ws / total
+    if tails is None:
+        after = np.cumsum(ws) / total
+        before = after - ws / total
+    else:
+        # the open tails at each sample: sum over c_i <= c_k of
+        # w_i r_i e^{-(c_k - c_i)}.  A prefix holds no term above e^{c_k},
+        # so nothing cancels; completed laws are of growth levels, of
+        # order one, far below where e^{c} overflows.
+        wr = ws * np.asarray(tails, dtype=np.float64)[order]
+        open_tails = np.cumsum(wr * np.exp(xs)) * np.exp(-xs)
+        after = (np.cumsum(ws) - open_tails) / total
+        before = after - (ws - wr) / total
     target = np.asarray(cdf(xs), dtype=np.float64)
     stat = float(max(np.max(np.abs(after - target)), np.max(np.abs(before - target))))
     n_eff = effective_sample_size(ws)
@@ -326,8 +345,8 @@ def ratio_check(
 
 @dataclass(frozen=True)
 class TableBoundary:
-    """Positive piecewise-constant boundary of the running maximum,
-    given as (start, value) segments.
+    """Positive piecewise-constant boundary phi(A) of a growth process
+    A, given as (start, value) segments.
 
     Starts must begin at 0 and increase; values may be inf (the
     reciprocal then contributes nothing, so the total reciprocal
@@ -347,11 +366,6 @@ class TableBoundary:
         if any(v <= 0.0 for _, v in self.segments):
             raise ConfigurationError("boundary values must be positive")
 
-    @property
-    def cap(self) -> float:
-        """Largest growth level at which the boundary is still finite."""
-        return next((s for s, v in self.segments if not np.isfinite(v)), float("inf"))
-
     def phi_of(self, s: np.ndarray) -> np.ndarray:
         s = np.asarray(s, dtype=np.float64)
         # each later segment overwrites from its start on; a fill and a
@@ -361,26 +375,37 @@ class TableBoundary:
             out[s >= start] = v
         return out
 
-    def integral_to(self, u: float) -> float:
-        """Integral of 1/phi over [0, u]."""
-        if u < 0.0:
+    def integral_to(self, u: np.ndarray | float) -> np.ndarray:
+        """Integral of 1/phi over [0, u], elementwise."""
+        u = np.asarray(u, dtype=np.float64)
+        if np.any(u < 0.0):
             raise ConfigurationError("integral endpoint must be nonnegative")
-        total = 0.0
-        for i, (a, v) in enumerate(self.segments):
-            b = self.segments[i + 1][0] if i + 1 < len(self.segments) else float("inf")
-            span = min(u, b) - a
-            if span <= 0.0:
-                break
+        ends = [s for s, _ in self.segments[1:]] + [float("inf")]
+        total = np.zeros(u.shape)
+        for (a, v), b in zip(self.segments, ends):
             if np.isfinite(v):
-                total += span / v
+                total += np.maximum(np.minimum(u, b) - a, 0.0) / v
         return total
 
-    # Crossing probabilities.  With I the reciprocal integral, the chance
-    # of crossing the boundary before the running maximum passes u is
-    # 1 - exp(-I(u)); u = inf gives the full span, 1 where I is infinite.
+    def crossing_probability(
+        self, u: float, x: np.ndarray | float = 0.0, a: np.ndarray | float = 0.0
+    ) -> np.ndarray | float:
+        """Chance that X = N + A crosses phi(A) before A passes u, from
+        X = x and A = a, for N a continuous local martingale and A
+        nondecreasing and growing only on {X = 0} (elementwise; a float
+        for scalar states).
 
-    def crossing_probability(self, u: float) -> float:
-        return 1.0 - float(np.exp(-self.integral_to(u)))
+        With I the reciprocal integral it is q + (1 - q)(1 - e^{-(I(u) -
+        I(a))}) for a <= u and 0 past u: X reaches phi(a) before 0 with
+        chance q = x / phi(a), and otherwise restarts from (0, a).  At
+        x = a = 0 it is 1 - e^{-I(u)}; u = inf gives the full span, 1
+        where I is infinite.
+        """
+        a = np.asarray(a, dtype=np.float64)
+        q = np.asarray(x, dtype=np.float64) / self.phi_of(a)
+        rest = self.integral_to(u) - self.integral_to(np.minimum(a, u))
+        p = np.where(a > u, 0.0, q + (1.0 - q) * (1.0 - np.exp(-rest)))
+        return p if p.ndim else float(p)
 
 
 def exponential_cdf(x: np.ndarray) -> np.ndarray:

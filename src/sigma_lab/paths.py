@@ -56,8 +56,8 @@ _MASK64 = (1 << 64) - 1
 _REL_TOL = 1e-9
 # One float64 row of a grid may take at most this many bytes (262,144
 # grid points).  A chunk holds a few matrices of 64 to 256 such rows;
-# the registry's longest row, the laws family's draw to horizon 12 at
-# the full step, is 96 KB.
+# the registry's longest row, zero-geometry's model span at its full
+# step 2.5e-4, is 32 KB (4,001 points).
 _ROW_BYTE_BUDGET = 2 << 20
 
 

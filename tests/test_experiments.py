@@ -95,6 +95,7 @@ def test_resolve_settings_rejects_bad_input(draws):
         ("q-bracket", 0.5, None),
         ("sigma-s-characterization", 0.5, (0.25, 0.5)),
         ("doob-maximal", 0.3, None),
+        ("passage-eq4", 0.5, None),
     ):
         with pytest.raises(ConfigurationError):
             resolve_settings(ExperimentConfig(experiment=name, horizon=horizon, checkpoints=checkpoints))
@@ -180,8 +181,8 @@ def test_config_digest_of_resolved_requests_is_pinned():
         ),
         (ExperimentConfig(experiment="t1-characterization", checkpoints=(0.25, 0.5)), "08c5a651aabb"),
         # the registry horizon, however written, is the request without one
-        (ExperimentConfig(experiment="passage-eq4", horizon=6), "a7cab3c82c45"),
-        (ExperimentConfig(experiment="passage-eq4", horizon=6.0), "a7cab3c82c45"),
+        (ExperimentConfig(experiment="passage-eq4", horizon=1), "a7cab3c82c45"),
+        (ExperimentConfig(experiment="passage-eq4", horizon=1.0), "a7cab3c82c45"),
         (
             ExperimentConfig(
                 experiment="r1-ui-martingale",
@@ -278,6 +279,22 @@ def test_doob_tail_completion_has_no_horizon_bias():
         (level2[horizon],) = [c for c in run.checks if c.name == "constant-one-sup-exceeds-2"]
     short, long = level2[1.0], level2[6.0]
     assert abs(short.estimate - long.estimate) <= 3.0 * np.hypot(short.stderr, long.stderr)
+
+
+def test_laws_tail_completion_has_no_horizon_bias():
+    # the crossing law from each undecided path's last state leaves no
+    # horizon bias from the model span on, and no truncation allowance
+    # to absorb one
+    rows = {}
+    for horizon in (1.0, 2.0, 6.0):
+        for name in _LAWS:
+            run = _micro(name, n_paths=4000, horizon=horizon)
+            assert run.passed, (name, horizon)
+            assert all(c.truncation_allowance == 0.0 for c in run.checks)
+            rows.update({(name, c.name, horizon): c for c in run.checks})
+    for name, check in (("passage-eq4", "crossing-before-growth-1"), ("levy-eq5", "constant-one-hold")):
+        short, long = rows[name, check, 1.0], rows[name, check, 6.0]
+        assert abs(short.estimate - long.estimate) <= 3.0 * np.hypot(short.stderr, long.stderr), name
 
 
 def test_ladder_structure_rows_are_scale_free():
@@ -537,7 +554,7 @@ def test_shared_families_draw_each_path_once(draws):
     for name in _LAWS:
         _micro(name, n_paths=n)
     assert draws[SUBSTREAM_PRIMARY] == n and draws[SUBSTREAM_DENSITY] == n
-    assert draws.n_steps[SUBSTREAM_PRIMARY] == {2400} and draws.n_steps[SUBSTREAM_DENSITY] == {200}
+    assert draws.n_steps[SUBSTREAM_PRIMARY] == {200} and draws.n_steps[SUBSTREAM_DENSITY] == {200}
     draws.clear()
     # both doob passes read one primary draw, to the model span
     _micro("doob-maximal", n_paths=n, step=2e-3)
@@ -559,22 +576,10 @@ def test_shared_families_draw_each_path_once(draws):
     _micro("levy-eq6", n_paths=n)
     assert draws[SUBSTREAM_PRIMARY] == 2 * n
     draws.clear()
-    # at a step off the ErfSign span's grid and off horizon 8, passage draws
-    # |W| alone, to its own horizon 6
-    _micro("passage-eq4", n_paths=n, step=3e-3)
-    assert draws[SUBSTREAM_PRIMARY] == n and draws[SUBSTREAM_DENSITY] == 0
-    assert draws.n_steps[SUBSTREAM_PRIMARY] == {2000}
-
-
-def test_laws_member_runs_where_another_half_is_over_the_row_budget(draws):
-    # at step 4e-5 levy-eq6's horizon-12 row is over make_grid's row budget
-    # while passage-eq4's 6, the restarted 7 and levy-eq5's 8 fit
-    _micro("passage-eq4", n_paths=2, step=4e-5)
-    assert draws.n_steps[SUBSTREAM_PRIMARY] == {200000}
-    draws.clear()
-    # and a Levy member runs where the horizon-6 and 7 rows do not fit
-    _micro("levy-eq5", n_paths=2, step=2e-5, horizon=2.0)
-    assert draws.n_steps[SUBSTREAM_PRIMARY] == {100000}
+    # every member reads the ErfSign span's grid, so a step off it is refused before any draw
+    with pytest.raises(ConfigurationError, match="not an integer multiple"):
+        _micro("passage-eq4", n_paths=n, step=3e-3)
+    assert sum(draws.values()) == 0
 
 
 def test_family_member_rerun_draws_again(draws):
@@ -593,7 +598,7 @@ def test_laws_family_rows_match_across_worker_counts():
 
 def test_shared_features_are_read_only():
     st_ = resolve_settings(ExperimentConfig(experiment="levy-eq5", n_paths=20, step=5e-3))
-    feats = _laws(st_, {})
+    feats = _laws(st_)
     with pytest.raises(ValueError):
         feats["q_erf"][0] = 0.0
 
