@@ -51,7 +51,6 @@ _FIELDS: dict[str, tuple[str, Callable[[str], object]]] = {
     "horizon": ("horizon", float),
     "seed": ("master_seed", int),
     "checkpoints": ("checkpoints", _parse_checkpoints),
-    "policy": ("policy", str),
     "workers": ("workers", int),
 }
 _CONFIG_KEYS = ("experiment", *_FIELDS, "out")
@@ -197,7 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--horizon", type=float, help="time horizon override")
     p_run.add_argument("--seed", type=int, help="master seed")
     p_run.add_argument("--checkpoints", help="comma-separated checkpoint times")
-    p_run.add_argument("--policy", choices=("drop", "extend"), help="degenerate-shift policy")
     p_run.add_argument("--workers", type=int, help="worker process count")
     p_run.add_argument("--out", help="output directory for report files")
     p_run.add_argument("--config", help="INI or JSON config file with run options")

@@ -101,12 +101,11 @@ class TargetCheck:
     """One verdict against a frozen target, with its error budget.
 
     The tolerance splits into a statistical part (a multiple of the
-    standard error), a grid allowance for discretization bias, and a
-    truncation allowance for finite-horizon effects, which every
-    builder leaves at 0 (each finite-horizon estimate is completed
-    exactly); each component is kept on the record.  A builder states
-    only what it sets: no standard error or z, and zero allowances, by
-    default.
+    standard error) and a grid allowance for discretization bias; both
+    are kept on the record.  No finite-horizon allowance exists: each
+    estimate past a finite horizon is completed exactly.  A builder
+    states only what it sets: no standard error or z, and a zero
+    allowance, by default.
     """
 
     name: str
@@ -119,12 +118,11 @@ class TargetCheck:
     z: float | None = None
     stat_tolerance: float = 0.0
     grid_allowance: float = 0.0
-    truncation_allowance: float = 0.0
     extras: dict[str, float] = field(default_factory=dict)
 
     @property
     def tolerance(self) -> float:
-        return self.stat_tolerance + self.grid_allowance + self.truncation_allowance
+        return self.stat_tolerance + self.grid_allowance
 
 
 def mean_check(

@@ -7,10 +7,11 @@ grid that can be longer than the one it draws first before that draw,
 so a run over ``make_grid``'s row byte budget fails before anything
 is simulated.  The run reduces the ensemble to named checks with
 explicit statistical and grid allowances, and optionally emits
-survival-curve points; no check carries a truncation allowance, because
-every estimate past a finite horizon is completed exactly.  Reductions
-run on the concatenated arrays in path-index order, so for a fixed seed
-the resulting report bytes do not depend on the worker count.
+survival-curve points; no check carries a finite-horizon allowance,
+because every estimate past a finite horizon is completed exactly.
+Reductions run on the concatenated arrays in path-index order, so for
+a fixed seed the resulting report bytes do not depend on the worker
+count.
 
 Experiments that read the same paths share one simulation.  A path's
 increments depend only on (seed, path index, substream), so a longer
@@ -170,7 +171,6 @@ class ExperimentConfig:
     horizon: float | None = None
     master_seed: int = DEFAULT_SEED
     checkpoints: tuple[float, ...] | None = None
-    policy: str = "drop"
     workers: int = 1
 
 
@@ -186,7 +186,6 @@ class ReportRow:
     z: float | None
     stat_tolerance: float
     grid_allowance: float
-    truncation_allowance: float
     tolerance: float
     passed: bool
     seed: int
@@ -323,13 +322,27 @@ def _extend(zs: ZeroSetInfo, grid: TimeGrid) -> ZeroSetInfo:
 def _grid_steps(times: tuple[float, ...], horizon: float, step: float) -> tuple[int, ...]:
     """Grid steps of checkpoints or restart offsets, checked before any
     simulation: each must be a time of the simulated grid, so none is
-    negative, off the grid, or past the horizon (where r1 would drop
-    every path), and no two distinct times round to one point (where a
-    flatness test would compare a column with itself)."""
+    negative, off the grid, or past the horizon, and no two distinct
+    times round to one point (where a flatness test would compare a
+    column with itself)."""
     grid = make_grid(horizon, step)
     steps = tuple(grid.index_of(t) for t in times)
     if len(set(steps)) < len(set(times)):
         raise ConfigurationError(f"times {list(times)} name fewer grid points than distinct times at step {step:g}")
+    return steps
+
+
+def _restart_steps(offsets: tuple[float, ...], horizon: float, step: float) -> tuple[int, ...]:
+    """Grid steps of restart offsets, checked before any simulation.
+    Offsets count from a last zero, which comes by the model span, so
+    every path's windows fit on the grid exactly when the steps past
+    the largest offset still cover the span."""
+    steps = _grid_steps(offsets, horizon, step)
+    if make_grid(horizon, step).n_steps - max(steps) < make_grid(_MODEL_SPAN, step).n_steps:
+        raise ConfigurationError(
+            f"restart offsets up to {max(offsets):g} need a horizon of at least {_MODEL_SPAN + max(offsets):g},"
+            f" not {horizon:g}"
+        )
     return steps
 
 
@@ -418,49 +431,20 @@ def _r1_chunk(
     u = ndtr((0.5 - w) / np.sqrt(horizon + 1.0 - t)[None, :])
     gbar = zs.gbar_index
     ug = _gather(u, gbar)
-    # a window past the grid end reads the end; the runner drops that path
-    vals = np.stack([_gather(u, np.minimum(gbar + d, grid.n_steps)) - ug for d in offset_steps], axis=1)
+    vals = np.stack([_gather(u, gbar + d) - ug for d in offset_steps], axis=1)
     bound = max(float(np.max(u - 1.0)), float(np.max(-u)), 0.0)
-    return {"v": vals, "bound": np.full(count, bound), "pprime_raw": terminal, "gbar": gbar}
-
-
-def _r1_plan(st: ExperimentConfig) -> tuple[float, tuple[float, ...]]:
-    """The simulated horizon and the restart offsets."""
-    horizon = _horizon(st)
-    offsets = st.checkpoints if st.checkpoints is not None else (0.2, 0.45, 0.7, 0.95)
-    if st.policy == "extend":
-        # make sure every restart window fits on the simulated grid
-        horizon = max(horizon, 1.0 + max(offsets) + st.step)
-        n = horizon / st.step
-        if n < np.inf:  # else make_grid refuses the grid
-            horizon = round(n) * st.step
-    return horizon, offsets
-
-
-def _r1_last_zero(start: int, count: int, *, seed: int, step: float) -> dict[str, np.ndarray]:
-    """Each path's ErfSign last zero index, off the density draw alone."""
-    return {"gbar": _density_block(_ERF, seed, start, count, step)[1].gbar_index}
+    return {"v": vals, "bound": np.full(count, bound), "pprime_raw": terminal}
 
 
 def _run_r1(st: ExperimentConfig) -> tuple[list[TargetCheck], list[CurveSeries]]:
-    horizon, offsets = _r1_plan(st)
-    steps = _grid_steps(offsets, horizon, st.step)
-    # a path keeps every restart window while its last zero comes by this
-    # index; last zeros fall inside the model span, so past it every path does
-    room = make_grid(horizon, st.step).n_steps - max(steps)
-    if room < make_grid(_MODEL_SPAN, st.step).n_steps:
-        n_kept = int(np.count_nonzero(_chunked(st, _r1_last_zero)["gbar"] <= room))
-        if n_kept < 2:
-            raise ConfigurationError(
-                f"r1-ui-martingale kept {n_kept} of {st.n_paths} paths: the others' restart windows run past"
-                f" horizon {horizon:g}; use a longer horizon, more paths or --policy extend"
-            )
+    horizon = _horizon(st)
+    offsets = st.checkpoints if st.checkpoints is not None else (0.2, 0.45, 0.7, 0.95)
+    steps = _restart_steps(offsets, horizon, st.step)
     feats = _chunked(st, _r1_chunk, horizon=horizon, offset_steps=steps)
-    kept = feats["gbar"] <= room
-    pprime = ensemble_weights(feats["pprime_raw"][kept])
-    dropped = st.n_paths - int(np.count_nonzero(kept))
     checks = [
-        flatness_check("restart-increments-flat", feats["v"][kept].T, pprime, offsets, f"P'-weighted ({dropped} dropped)"),
+        flatness_check(
+            "restart-increments-flat", feats["v"].T, ensemble_weights(feats["pprime_raw"]), offsets, "P'-weighted"
+        ),
         exact_check("bounded-in-unit-interval", float(np.max(feats["bound"]))),
     ]
     return checks, []
@@ -587,9 +571,7 @@ def _qbracket_chunk(
 def _run_qbracket(st: ExperimentConfig) -> tuple[list[TargetCheck], list[CurveSeries]]:
     horizon = _horizon(st)
     offs = st.checkpoints if st.checkpoints is not None else (0.25, 0.5, 0.75, 1.0)
-    if horizon < 1.0 + max(offs) - 1e-9:  # offsets count from a last zero as late as 1.0
-        raise ConfigurationError(f"q-bracket offsets up to {max(offs):g} need a horizon of {1.0 + max(offs):g}")
-    steps = _grid_steps(offs, horizon, st.step)
+    steps = _restart_steps(offs, horizon, st.step)
     feats = _chunked(st, _qbracket_chunk, horizon=horizon, offset_steps=steps)
     worst = float(np.min(feats["brack_min"]))
     checks = [
@@ -1175,16 +1157,18 @@ _HC = ("horizon", "checkpoints")
 class ExperimentSpec:
     """One registry row.
 
-    ``reads`` names the run options the runner consumes: ``horizon``,
-    ``checkpoints`` and ``policy=extend``.  ``resolve_settings`` rejects
-    any other, because an ignored option would still change the config
-    hash, and checkpoints (or offsets) that name fewer than two distinct
-    times, because every reader tests them for flatness.  ``horizon``
-    is the runner's horizon when none is given.  ``min_horizon`` is
-    the smallest horizon override the runner can honour: ErfSign zero
-    sets span the model's terminal time 1.0, and restart anchors found
-    there index the driver's own grid.  ``make_grid`` holds every grid
-    a run builds to its row byte budget.
+    ``reads`` names the run options the runner consumes: ``horizon``
+    and ``checkpoints``.  ``resolve_settings`` rejects any other,
+    because an ignored option would still change the config hash, and
+    checkpoints (or offsets) that name fewer than two distinct times,
+    because every reader tests them for flatness.  ``horizon`` is the
+    runner's horizon when none is given.  ``min_horizon`` is the
+    smallest horizon override the runner can honour: ErfSign zero sets
+    span the model's terminal time 1.0, and restart anchors found there
+    index the driver's own grid.  r1 and q-bracket read windows that
+    run their offsets past such an anchor, so each refuses a horizon
+    short of 1.0 plus its largest offset before any draw.  ``make_grid``
+    holds every grid a run builds to its row byte budget.
     """
 
     name: str
@@ -1201,7 +1185,7 @@ class ExperimentSpec:
 # full scales (paths, step) and the smallest horizon override where they differ from the defaults
 _SPECS = (
     ExperimentSpec("t1-characterization", "martingale characterization of the base zero-set class", _run_t1, _HC, 1.0),
-    ExperimentSpec("r1-ui-martingale", "uniformly integrable restart martingale for bounded class members", _run_r1, _HC + ("policy=extend",), 2.0, min_horizon=_MODEL_SPAN),
+    ExperimentSpec("r1-ui-martingale", "uniformly integrable restart martingale for bounded class members", _run_r1, _HC, 2.0, min_horizon=_MODEL_SPAN),
     ExperimentSpec("sigma-s-characterization", "martingale characterization of the restarted class", _run_sigma_s, _HC, 2.0, min_horizon=_MODEL_SPAN),
     ExperimentSpec("rho-algebra", "linearity, positivity, and product rules of the restart operator", _run_rho, _H, 2.0, (1000, 2e-3), (1000, 2e-3)),
     ExperimentSpec("q-bracket", "quadratic bracket of the restarted driver", _run_qbracket, _HC, 2.0, min_horizon=_MODEL_SPAN),
@@ -1258,13 +1242,7 @@ def resolve_settings(cfg: ExperimentConfig, suite: str | None = None) -> Experim
         raise ConfigurationError("checkpoints must be finite")
     if cfg.horizon is not None and cfg.horizon < spec.min_horizon:
         raise ConfigurationError(f"{cfg.experiment} needs a horizon of at least {spec.min_horizon:g}")
-    if cfg.policy not in ("drop", "extend"):
-        raise ConfigurationError(f"policy must be drop or extend, not {cfg.policy!r}")
-    requested = {
-        "horizon": cfg.horizon is not None,
-        "checkpoints": cfg.checkpoints is not None,
-        "policy=extend": cfg.policy == "extend",
-    }
+    requested = {"horizon": cfg.horizon is not None, "checkpoints": cfg.checkpoints is not None}
     ignored = [option for option, given in requested.items() if given and option not in spec.reads]
     if ignored:
         reads = ", ".join(spec.reads) or "no option"

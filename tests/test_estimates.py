@@ -117,7 +117,7 @@ def test_mean_check_budget():
     saved = mean_check("m", 0.6, v, grid_allowance=0.2)
     assert saved.passed
     assert saved.tolerance == pytest.approx(saved.stat_tolerance + 0.2)
-    assert saved.grid_allowance == 0.2 and saved.truncation_allowance == 0.0
+    assert saved.grid_allowance == 0.2 and saved.tolerance == saved.stat_tolerance + saved.grid_allowance
 
 
 def test_exact_and_count_checks():

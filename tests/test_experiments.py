@@ -35,7 +35,7 @@ from sigma_lab.experiments import (
     _r1_chunk,
     _rho_chunk,
 )
-from sigma_lab.reporting import CSV_COLUMNS, rows_as_json
+from sigma_lab.reporting import rows_as_json
 
 EXPECTED_NAMES = [
     "a-infinity",
@@ -84,8 +84,6 @@ def test_resolve_settings_rejects_bad_input(draws):
     with pytest.raises(ConfigurationError):
         resolve_settings(ExperimentConfig(experiment="passage-eq4", step=-1.0))
     with pytest.raises(ConfigurationError):
-        resolve_settings(ExperimentConfig(experiment="passage-eq4", policy="retry"))
-    with pytest.raises(ConfigurationError):
         resolve_settings(ExperimentConfig(experiment="passage-eq4", workers=0))
     with pytest.raises(ConfigurationError):
         resolve_settings(ExperimentConfig(experiment="passage-eq4"), suite="medium")
@@ -116,7 +114,6 @@ def test_resolve_settings_rejects_bad_input(draws):
     # options the experiment does not read
     for cfg in (
         ExperimentConfig(experiment="passage-eq4", checkpoints=(0.5,)),
-        ExperimentConfig(experiment="levy-eq5", policy="extend"),
         ExperimentConfig(experiment="zero-geometry", horizon=1.0),
     ):
         with pytest.raises(ConfigurationError):
@@ -145,7 +142,6 @@ def _digest_of(**kw):
         horizon=None,
         master_seed=1,
         checkpoints=None,
-        policy="drop",
         workers=1,
     )
     base.update(kw)
@@ -159,14 +155,13 @@ def test_config_digest_ignores_workers_only():
     assert _digest_of(step=2e-2) != _digest_of()
     assert _digest_of(horizon=3.0) != _digest_of()
     assert _digest_of(checkpoints=(0.5,)) != _digest_of()
-    assert _digest_of(policy="extend") != _digest_of()
     assert _digest_of(experiment="passage-eq3") != _digest_of()
 
 
 def test_config_digest_of_resolved_requests_is_pinned():
     # report rows carry these hashes; a field dropped from the hash would move them
     for cfg, digest in (
-        (ExperimentConfig(experiment="passage-eq4"), "a7cab3c82c45"),
+        (ExperimentConfig(experiment="passage-eq4"), "ce126ca16fb3"),
         (
             ExperimentConfig(
                 experiment="r1-ui-martingale",
@@ -175,14 +170,13 @@ def test_config_digest_of_resolved_requests_is_pinned():
                 horizon=3.0,
                 master_seed=7,
                 checkpoints=(0.5, 1.0),
-                policy="extend",
             ),
-            "bbd4f49d4cd1",
+            "a7a34fa925dd",
         ),
-        (ExperimentConfig(experiment="t1-characterization", checkpoints=(0.25, 0.5)), "08c5a651aabb"),
+        (ExperimentConfig(experiment="t1-characterization", checkpoints=(0.25, 0.5)), "8b7741fdf7fe"),
         # the registry horizon, however written, is the request without one
-        (ExperimentConfig(experiment="passage-eq4", horizon=1), "a7cab3c82c45"),
-        (ExperimentConfig(experiment="passage-eq4", horizon=1.0), "a7cab3c82c45"),
+        (ExperimentConfig(experiment="passage-eq4", horizon=1), "ce126ca16fb3"),
+        (ExperimentConfig(experiment="passage-eq4", horizon=1.0), "ce126ca16fb3"),
         (
             ExperimentConfig(
                 experiment="r1-ui-martingale",
@@ -191,9 +185,8 @@ def test_config_digest_of_resolved_requests_is_pinned():
                 horizon=3,
                 master_seed=7,
                 checkpoints=[0.5, 1],
-                policy="extend",
             ),
-            "bbd4f49d4cd1",
+            "a7a34fa925dd",
         ),
     ):
         assert config_digest(resolve_settings(cfg, "fast")) == digest
@@ -275,7 +268,7 @@ def test_doob_tail_completion_has_no_horizon_bias():
     for horizon in (1.0, 2.0, 6.0):
         run = _micro("doob-maximal", n_paths=4000, horizon=horizon)
         assert run.passed
-        assert all(c.grid_allowance == 0.0 and c.truncation_allowance == 0.0 for c in run.checks)
+        assert all(c.grid_allowance == 0.0 for c in run.checks)
         (level2[horizon],) = [c for c in run.checks if c.name == "constant-one-sup-exceeds-2"]
     short, long = level2[1.0], level2[6.0]
     assert abs(short.estimate - long.estimate) <= 3.0 * np.hypot(short.stderr, long.stderr)
@@ -283,14 +276,12 @@ def test_doob_tail_completion_has_no_horizon_bias():
 
 def test_laws_tail_completion_has_no_horizon_bias():
     # the crossing law from each undecided path's last state leaves no
-    # horizon bias from the model span on, and no truncation allowance
-    # to absorb one
+    # horizon bias from the model span on
     rows = {}
     for horizon in (1.0, 2.0, 6.0):
         for name in _LAWS:
             run = _micro(name, n_paths=4000, horizon=horizon)
             assert run.passed, (name, horizon)
-            assert all(c.truncation_allowance == 0.0 for c in run.checks)
             rows.update({(name, c.name, horizon): c for c in run.checks})
     for name, check in (("passage-eq4", "crossing-before-growth-1"), ("levy-eq5", "constant-one-hold")):
         short, long = rows[name, check, 1.0], rows[name, check, 6.0]
@@ -338,6 +329,25 @@ def test_report_rows_carry_registry_identity():
 # ---------------------------------------------------------------- report files
 
 
+_REPORT_COLUMNS = (
+    "experiment",
+    "paper_anchor",
+    "check",
+    "kind",
+    "target",
+    "estimate",
+    "stderr",
+    "z",
+    "stat_tolerance",
+    "grid_allowance",
+    "tolerance",
+    "passed",
+    "seed",
+    "config_hash",
+    "detail",
+)
+
+
 def test_write_report_layout(tmp_path):
     run = _micro("a-infinity", n_paths=600)
     out = write_report([run], tmp_path / "rep")
@@ -352,11 +362,12 @@ def test_write_report_layout(tmp_path):
     raw = (out / "report.csv").read_bytes()
     assert b"\r\n" in raw
     header = raw.split(b"\r\n", 1)[0].decode("utf-8")
-    assert header == ",".join(CSV_COLUMNS)
+    # a literal, so that a change of report format is a deliberate one
+    assert header == ",".join(_REPORT_COLUMNS)
     assert b"runtime" not in raw
     doc = json.loads((out / "report.json").read_text(encoding="utf-8"))
     assert len(doc) == len(run.checks)
-    assert list(doc[0]) == sorted(CSV_COLUMNS)
+    assert list(doc[0]) == sorted(_REPORT_COLUMNS)
 
 
 def test_report_json_sanitizes_nonfinite():
@@ -435,7 +446,7 @@ def test_cli_short_horizon_is_config_error(tmp_path, capsys, draws):
         ["--experiment", "zero-geometry", "--step", "1e-9"],
         # horizon / step overflows to inf
         ["--experiment", "passage-eq4", "--step", "1e-320"],
-        ["--experiment", "r1-ui-martingale", "--policy", "extend", "--step", "1e-320"],
+        ["--experiment", "r1-ui-martingale", "--step", "1e-320"],
     ):
         assert main(["run", *args, "--paths", "2", "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err
@@ -486,14 +497,12 @@ def _accepted_configs(draw):
         kw["horizon"] = draw(st.none() | st.sampled_from(_HORIZONS))
     if "checkpoints" in reads:
         kw["checkpoints"] = draw(st.none() | st.sampled_from(_CHECKPOINTS))
-    if "policy=extend" in reads:
-        kw["policy"] = draw(st.sampled_from(("drop", "extend")))
     return ExperimentConfig(experiment=name, **kw)
 
 
 @settings(max_examples=1000, deadline=None, derandomize=True)
 @example(ExperimentConfig(experiment="passage-eq4", n_paths=2, step=1e-320))
-@example(ExperimentConfig(experiment="r1-ui-martingale", n_paths=2, step=1e-320, policy="extend"))
+@example(ExperimentConfig(experiment="r1-ui-martingale", n_paths=2, step=1e-320))
 # a checkpoint whose ratio to a step that fits the budget overflows to inf
 @example(ExperimentConfig(experiment="t1-characterization", n_paths=2, step=4e-9, horizon=1e-3, checkpoints=(1e-3, 1e300)))
 @given(_accepted_configs())
@@ -674,28 +683,26 @@ def test_cli_rejects_unknown_config_key(tmp_path):
 
 
 def test_r1_chunk_returns_one_row_per_path():
-    # a horizon-1.2 grid drops every path whose last zero comes after 0.25
-    feats = _r1_chunk(0, 12, seed=7, step=0.01, horizon=1.2, offset_steps=(20, 95))
-    assert {k: v.shape[0] for k, v in feats.items()} == dict.fromkeys(("v", "bound", "pprime_raw", "gbar"), 12)
-    assert 0 < np.count_nonzero(feats["gbar"] <= 120 - 95) < 12
+    # the largest offset, 0.95, leaves the model span's 100 steps on a horizon-1.95 grid
+    feats = _r1_chunk(0, 12, seed=7, step=0.01, horizon=1.95, offset_steps=(20, 95))
+    assert {k: v.shape[0] for k, v in feats.items()} == dict.fromkeys(("v", "bound", "pprime_raw"), 12)
 
 
-def test_r1_with_fewer_than_two_kept_paths_is_config_error(capsys):
-    argv = ["run", "--experiment", "r1-ui-martingale", "--horizon", "1.0", "--paths", "3", "--step", "0.01", "--seed", "7"]
-    assert main(argv) == 1
-    err = capsys.readouterr().err
-    assert "kept 1 of 3" in err and "--policy extend" in err
-
-
-def test_r1_refuses_too_few_kept_paths_before_any_primary_draw(draws, capsys):
-    argv = ["run", "--experiment", "r1-ui-martingale", "--paths", "3", "--step", "0.01", "--checkpoints", "1.0,2.0", "--seed", "1"]
-    assert main(argv) == 1
-    assert "kept 1 of 3" in capsys.readouterr().err
-    assert draws[SUBSTREAM_PRIMARY] == 0 and draws[SUBSTREAM_DENSITY] == 3
-    draws.clear()
-    # every window fits past the model span, so a default run counts nothing up front
-    _micro("r1-ui-martingale", n_paths=3, step=0.01)
-    assert draws[SUBSTREAM_PRIMARY] == 3 and draws[SUBSTREAM_DENSITY] == 3
+def test_restart_windows_past_the_horizon_are_refused_before_any_draw(draws, capsys, tmp_path):
+    # a last zero comes by the model span 1.0, so the windows need 1.0 plus the largest offset
+    for args, needed in (
+        (["--experiment", "r1-ui-martingale", "--horizon", "1.5"], "1.95"),
+        (["--experiment", "r1-ui-martingale", "--checkpoints", "1.0,2.0"], "3"),
+        (["--experiment", "q-bracket", "--horizon", "1.5"], "2"),
+    ):
+        assert main(["run", *args, "--paths", "3", "--step", "0.01", "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert f"need a horizon of at least {needed}," in err and "Traceback" not in err
+    assert sum(draws.values()) == 0
+    # at exactly 1.0 plus the largest offset every window fits
+    run = _micro("r1-ui-martingale", n_paths=400, step=0.01, horizon=1.95)
+    assert run.passed
+    assert draws.n_steps[SUBSTREAM_PRIMARY] == {195}
 
 
 def test_config_file_is_closed_after_reading(tmp_path):
