@@ -37,7 +37,9 @@ per-path samplers (``density_driver_path``, ``density_path``) are row
 Every model has its own time span and its own driver.  What differs
 between the models is decided here and nowhere else: that span
 (``model_time``), where its driver starts (``driver_from_increments``),
-and the series whose sign changes are D's zeros (``zero_level``).
+D's value from that span on (``terminal_density``, which every check
+weights by), and the series whose sign changes are D's zeros
+(``zero_level``).
 """
 
 from __future__ import annotations
@@ -60,6 +62,7 @@ __all__ = [
     "model_time",
     "driver_from_increments",
     "driver_matrix",
+    "terminal_density",
     "density_matrix",
     "zero_level",
     "zero_geometry",
@@ -107,8 +110,8 @@ DensityModel = StoppedBM | ErfSign
 class ZeroSetInfo:
     """Grid geometry of the density zero sets of one path or of rows.
 
-    Built from the zero-set mask; the anchors follow from it, computed
-    when first read.
+    Built from the zero-set mask; the anchors and last zeros follow from
+    it, each computed when first read and from the mask alone.
 
     Attributes
     ----------
@@ -138,8 +141,10 @@ class ZeroSetInfo:
 
     @cached_property
     def gbar_index(self) -> int | np.ndarray:
-        last = self.gamma_index[..., -1]
-        return int(last) if self.in_h.ndim == 1 else last.copy()
+        # each row's last True, read from the right; 0 for an empty row
+        in_h = self.in_h
+        last = np.where(in_h.any(axis=-1), in_h.shape[-1] - 1 - in_h[..., ::-1].argmax(axis=-1), 0)
+        return int(last) if in_h.ndim == 1 else last
 
     @property
     def gbar(self) -> float | np.ndarray:
@@ -200,19 +205,27 @@ def driver_matrix(model: DensityModel, master_seed: int, start_index: int, count
     return driver_from_increments(model, incs)
 
 
+def terminal_density(model: DensityModel, driver: np.ndarray, grid: TimeGrid) -> np.ndarray:
+    """D at the model's own time, and so at every later grid time, one
+    value per driver row: StoppedBM's driver there, and ErfSign's sign
+    of W + offset there, which needs no CDF."""
+    at_stop = driver[..., _require_horizon(model, grid)]
+    if isinstance(model, StoppedBM):
+        return at_stop.copy()
+    return np.where(at_stop + model.offset >= 0.0, 1.0, -1.0)
+
+
 def density_matrix(model: DensityModel, driver: np.ndarray, grid: TimeGrid) -> np.ndarray:
     """Density rows from driver rows."""
     stop = _require_horizon(model, grid)
-    if isinstance(model, StoppedBM):
-        values = driver.copy()
-        values[:, stop:] = values[:, stop : stop + 1]
-        return values
-    # ErfSign: smooth CDF transform before the terminal time, then the sign.
-    times = grid.times
     values = np.empty_like(driver)
-    shifted = driver[:, :stop] + model.offset
-    values[:, :stop] = 2.0 * ndtr(shifted / np.sqrt(model.terminal_time - times[:stop])) - 1.0
-    values[:, stop:] = np.where(driver[:, stop : stop + 1] + model.offset >= 0.0, 1.0, -1.0)
+    if isinstance(model, StoppedBM):
+        values[:, :stop] = driver[:, :stop]
+    else:
+        # ErfSign: smooth CDF transform before the terminal time
+        shifted = driver[:, :stop] + model.offset
+        values[:, :stop] = 2.0 * ndtr(shifted / np.sqrt(model.terminal_time - grid.times[:stop])) - 1.0
+    values[:, stop:] = terminal_density(model, driver, grid)[:, None]
     return values
 
 

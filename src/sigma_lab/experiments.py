@@ -82,13 +82,12 @@ from .density import (
     ErfSign,
     StoppedBM,
     ZeroSetInfo,
-    density_matrix,
-    driver_from_increments,
     driver_matrix,
     driver_zero_set,
     empty_zero_set,
     ensemble_weights,
     model_time,
+    terminal_density,
 )
 from .ensemble import CHUNK_SIZE, run_chunked
 from .errors import ConfigurationError
@@ -106,7 +105,6 @@ from .estimates import (
     weighted_mean,
 )
 from .paths import (
-    SUBSTREAM_DENSITY,
     SUBSTREAM_PRIMARY,
     SUBSTREAM_SECONDARY,
     Path,
@@ -308,8 +306,7 @@ def _density_block(
     """
     sgrid = make_grid(model_time(model), step)
     driver = driver_matrix(model, seed, start, count, sgrid)
-    dens = density_matrix(model, driver, sgrid)
-    return dens[:, -1], driver_zero_set(model, Path(grid=sgrid, values=driver))
+    return terminal_density(model, driver, sgrid), driver_zero_set(model, Path(grid=sgrid, values=driver))
 
 
 def _extend(zs: ZeroSetInfo, grid: TimeGrid) -> ZeroSetInfo:
@@ -336,14 +333,17 @@ def _restart_steps(offsets: tuple[float, ...], horizon: float, step: float) -> t
     """Grid steps of restart offsets, checked before any simulation.
     Offsets count from a last zero, which comes by the model span, so
     every path's windows fit on the grid exactly when the steps past
-    the largest offset still cover the span."""
-    steps = _grid_steps(offsets, horizon, step)
-    if make_grid(horizon, step).n_steps - max(steps) < make_grid(_MODEL_SPAN, step).n_steps:
-        raise ConfigurationError(
-            f"restart offsets up to {max(offsets):g} need a horizon of at least {_MODEL_SPAN + max(offsets):g},"
-            f" not {horizon:g}"
-        )
-    return steps
+    the largest offset still cover the span.  An offset past the
+    horizon is refused for the same reason, before it is looked up on
+    the grid."""
+    if max(offsets) <= horizon:
+        steps = _grid_steps(offsets, horizon, step)
+        if make_grid(horizon, step).n_steps - max(steps) >= make_grid(_MODEL_SPAN, step).n_steps:
+            return steps
+    raise ConfigurationError(
+        f"restart offsets up to {max(offsets):g} need a horizon of at least {_MODEL_SPAN + max(offsets):g},"
+        f" not {horizon:g}"
+    )
 
 
 def _curve(name, xs, targets, estimates) -> CurveSeries:
@@ -787,14 +787,15 @@ def _laws_chunk(start: int, count: int, *, seed: int, step: float, horizon: floa
     """
     grid = make_grid(horizon, step)
     sgrid = make_grid(_MODEL_SPAN, step)
-    incs = increments_matrix(seed, start, count, sgrid.n_steps, step, SUBSTREAM_DENSITY)
-    driver = driver_from_increments(_ERF, incs)
+    driver = driver_matrix(_ERF, seed, start, count, sgrid)
     out = {
-        "q_erf": density_matrix(_ERF, driver, sgrid)[:, -1],
-        "q_sbm": density_matrix(_SBM, driver_from_increments(_SBM, incs), sgrid)[:, -1],
+        "q_erf": terminal_density(_ERF, driver, sgrid),
+        # StoppedBM's driver is ErfSign's plus its start (driver_from_increments),
+        # added after the sum, so its terminal value is ErfSign's last column plus it
+        "q_sbm": driver[:, -1] + _SBM.start,
     }
     gbar = driver_zero_set(_ERF, Path(grid=sgrid, values=driver)).gbar_index
-    del incs, driver
+    del driver
     for pair, x, a in _pairs(_primary(seed, start, count, grid), gbar, step):
         out[f"x|{pair}"], out[f"a|{pair}"] = x[:, -1].copy(), a[:, -1].copy()
         for law, (p, boundary) in _CROSSING_LAWS.items():

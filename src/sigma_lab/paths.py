@@ -10,7 +10,11 @@ for one path is a pure function of ``(master_seed, path_index)``:
 
 so streams never overlap (each substream owns a 2**128 block of the
 counter space) and any path can be regenerated in isolation, bit for
-bit, on any worker.  Substream indices are fixed constants:
+bit, on any worker.  ``make_stream`` builds that generator;
+``bm_increments``, the single source of every increment row, re-keys
+one Philox per process to it instead, writing the key words and the
+substream's counter word, and draws the row in place.  Substream
+indices are fixed constants:
 
     0  primary construction driver
     1  density driver
@@ -23,6 +27,7 @@ path functionals evaluated on the grid.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass, field
 
@@ -149,44 +154,49 @@ def make_grid(horizon: float, step: float) -> TimeGrid:
     return TimeGrid(step=float(step), horizon=float(horizon), n_steps=n)
 
 
-def _stream_words(seed: SeedSpec, substream: int) -> tuple[int, int]:
-    """The Philox key and start counter of one (path, substream) pair."""
-    key = ((int(seed.master_seed) & _MASK64) << 64) | (int(seed.path_index) & _MASK64)
-    return key, int(substream) << 128
-
-
 def make_stream(seed: SeedSpec, substream: int = SUBSTREAM_PRIMARY) -> np.random.Generator:
     """Counter-based generator for one (path, substream) pair."""
-    key, counter = _stream_words(seed, substream)
-    return np.random.Generator(np.random.Philox(key=key, counter=counter))
+    key = (int(seed.master_seed) << 64) | (int(seed.path_index) & _MASK64)
+    return np.random.Generator(np.random.Philox(key=key, counter=int(substream) << 128))
 
 
 # bm_increments re-keys one Philox per process instead of constructing a
 # fresh one per path: the constructor draws OS entropy for a seed
 # sequence the key then overrides, and costs several times the reset.
-# The generator never leaves this module, and the lock keeps the reset
-# and the draw together.
+# A Philox state is its key and counter words plus an empty output
+# buffer, so a re-key writes the three words that differ between
+# streams into a freshly constructed state and loads it.  The generator
+# never leaves this module, and the lock keeps the reset and the draw
+# together.
 _DRAW_LOCK = threading.Lock()
 _DRAW_BITGEN = np.random.Philox(key=0)
 _DRAW_GEN = np.random.Generator(_DRAW_BITGEN)
-_FRESH_STATE = _DRAW_BITGEN.state  # as constructed; key and counter set per stream
+_FRESH_STATE = _DRAW_BITGEN.state
+_KEY_WORDS = _FRESH_STATE["state"]["key"]  # [path index, master seed]
+_COUNTER_WORDS = _FRESH_STATE["state"]["counter"]  # word 2 is the substream; the others stay 0
 
 
-def bm_increments(seed: SeedSpec, n_steps: int, step: float, substream: int) -> np.ndarray:
+def bm_increments(
+    seed: SeedSpec, n_steps: int, step: float, substream: int, out: np.ndarray | None = None
+) -> np.ndarray:
     """Exact N(0, step) increments for one path; the single source used by
     both the per-path samplers and the ensemble engine (bit-identical).
 
     The draws are those of ``make_stream(seed, substream)``: the shared
-    Philox is reset to that stream's freshly constructed state.
+    Philox is re-keyed to that stream's start.  They are drawn into
+    ``out`` (a new array when None), a contiguous float64 row of
+    ``n_steps``, and scaled there; the row is returned.
     """
-    key, counter = _stream_words(seed, substream)
-    words = _FRESH_STATE["state"]
+    if out is None:
+        out = np.empty(n_steps)
     with _DRAW_LOCK:
-        words["key"][:] = [(key >> s) & _MASK64 for s in (0, 64)]
-        words["counter"][:] = [(counter >> s) & _MASK64 for s in (0, 64, 128, 192)]
+        _KEY_WORDS[0] = int(seed.path_index) & _MASK64
+        _KEY_WORDS[1] = seed.master_seed
+        _COUNTER_WORDS[2] = substream
         _DRAW_BITGEN.state = _FRESH_STATE
-        draws = _DRAW_GEN.standard_normal(n_steps)
-    return draws * np.sqrt(step)
+        _DRAW_GEN.standard_normal(n_steps, out=out)
+    out *= math.sqrt(step)
+    return out
 
 
 def increments_matrix(
@@ -197,11 +207,11 @@ def increments_matrix(
     step: float,
     substream: int = SUBSTREAM_PRIMARY,
 ) -> np.ndarray:
-    """Gaussian increment rows for paths start_index .. start_index+count-1."""
+    """Gaussian increment rows for paths start_index .. start_index+count-1,
+    each drawn in place by ``bm_increments``."""
     out = np.empty((count, n_steps))
     for i in range(count):
-        seed = SeedSpec(master_seed=master_seed, path_index=start_index + i)
-        out[i] = bm_increments(seed, n_steps, step, substream)
+        bm_increments(SeedSpec(master_seed=master_seed, path_index=start_index + i), n_steps, step, substream, out=out[i])
     return out
 
 

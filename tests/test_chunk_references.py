@@ -6,6 +6,8 @@ below rebuilds one path's features from the public per-path API
 (``rho``, the constructors, ``characterization``,
 ``verify_membership``, ``q_bracket``, ``tanaka_residual`` and
 ``ito_residual``), and the chunk features must equal them bit for bit.
+The laws chunk's terminal densities are checked against the full
+density rows of both models.
 """
 
 from functools import partial
@@ -43,12 +45,14 @@ from sigma_lab import (
     tanaka_residual,
     verify_membership,
 )
+from sigma_lab.density import density_matrix, driver_from_increments
 from sigma_lab.experiments import (
     _F_PAIRS,
     _ITO_FORMS,
     _SHIFTED_VARIANTS,
     _T1_DRIFT,
     _ladder_chunk,
+    _laws_chunk,
     _membership_chunk,
     _qbracket_chunk,
     _rho_chunk,
@@ -56,6 +60,7 @@ from sigma_lab.experiments import (
     _sigs_chunk,
     _t1_chunk,
 )
+from sigma_lab.paths import SUBSTREAM_DENSITY, increments_matrix
 
 SEED = 20260822
 MODEL = ErfSign(offset=1.0, terminal_time=1.0)
@@ -246,3 +251,15 @@ def test_qbracket_chunk_matches_per_path_bracket(start):
     _assert_rows_match(batch, lambda spec: _qbracket_reference(spec, 0.01, 2.0, offsets), start)
     zeros = [_zero_set(SeedSpec(SEED, start + i), make_grid(2.0, 0.01)).gbar_index > 0 for i in range(PATHS)]
     assert 0 < sum(zeros) < PATHS
+
+
+def test_laws_chunk_terminal_densities_match_the_density_rows():
+    # StoppedBM's terminal value is read off the ErfSign driver plus the
+    # start, with no driver of its own
+    batch = _laws_chunk(40, 64, seed=SEED, step=0.01, horizon=1.0)
+    grid = make_grid(1.0, 0.01)
+    incs = increments_matrix(SEED, 40, 64, grid.n_steps, grid.step, SUBSTREAM_DENSITY)
+    for key, model in (("q_erf", MODEL), ("q_sbm", STOPPED)):
+        want = density_matrix(model, driver_from_increments(model, incs), grid)[:, -1]
+        assert batch[key].tobytes() == want.tobytes()
+    assert set(batch["q_erf"]) == {-1.0, 1.0} and np.any(batch["q_sbm"] < 0.0)

@@ -2,7 +2,8 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from sigma_lab import (
     ConfigurationError,
@@ -19,6 +20,7 @@ from sigma_lab import (
     zero_set,
     zero_set_from_level_series,
 )
+from sigma_lab.density import ZeroSetInfo, density_matrix, driver_matrix, terminal_density
 
 SEED = 20260822
 
@@ -147,3 +149,33 @@ def test_zero_geometry_invariants(raw):
     off = ~in_h
     anchors = zs.gamma_index[off]
     assert np.all(in_h[anchors] | (anchors == 0))
+
+
+@pytest.mark.parametrize("model", [StoppedBM(start=1.0, stop_time=1.0), ErfSign(offset=1.0, terminal_time=1.0)])
+@pytest.mark.parametrize("horizon", [1.0, 1.5])
+def test_terminal_density_is_the_density_matrix_last_column(model, horizon):
+    grid = make_grid(horizon=horizon, step=0.01)
+    driver = driver_matrix(model, SEED, 0, 300, grid)
+    # row 0 sits on D's zero level from the model time 1.0 on: ErfSign's D is +1 there
+    driver[0, 100:] = -model.offset if isinstance(model, ErfSign) else 0.0
+    D = density_matrix(model, driver, grid)
+    got = terminal_density(model, driver, grid)
+    assert got.tobytes() == D[:, -1].tobytes()
+    assert got.tobytes() == D[:, grid.index_of(1.0)].tobytes()
+    if isinstance(model, ErfSign):
+        assert got[0] == 1.0 and set(got) == {-1.0, 1.0}
+
+
+@settings(max_examples=60, deadline=None)
+@given(arrays(bool, st.tuples(st.integers(1, 5), st.integers(2, 12)), elements=st.booleans()))
+@example(np.zeros((3, 6), dtype=bool))  # every zero set empty
+@example(np.eye(4, 6, 2, dtype=bool))  # one row's only zero at the last index
+def test_last_zero_read_off_the_mask_is_the_last_anchor(in_h):
+    grid = make_grid(horizon=float(in_h.shape[1] - 1), step=1.0)
+    rows = ZeroSetInfo(grid=grid, in_h=in_h)
+    want = rows.gamma_index
+    assert rows.gbar_index.dtype == want.dtype
+    assert rows.gbar_index.tobytes() == want[:, -1].tobytes()
+    for i in range(in_h.shape[0]):
+        one = ZeroSetInfo(grid=grid, in_h=in_h[i]).gbar_index
+        assert type(one) is int and one == want[i, -1]

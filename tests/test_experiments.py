@@ -426,11 +426,15 @@ def test_cli_short_horizon_is_config_error(tmp_path, capsys, draws):
     assert "model span" in err and "Traceback" not in err
     # restart offsets must be grid times of the simulated horizon: a negative one
     # wraps to the path's end, an off-grid one would run at a rounded time, and
-    # one past the horizon drops every r1 path
-    for name, offsets in (("q-bracket", "-0.2,0.5"), ("q-bracket", "0.25,0.3333"), ("r1-ui-martingale", "0.45,2.5")):
+    # one past the horizon drops every r1 path, so the error names the horizon needed
+    for name, offsets, message in (
+        ("q-bracket", "-0.2,0.5", "not a grid point"),
+        ("q-bracket", "0.25,0.3333", "not a grid point"),
+        ("r1-ui-martingale", "0.45,2.5", "need a horizon of at least 3.5,"),
+    ):
         argv = ["run", "--experiment", name, f"--checkpoints={offsets}", "--paths", "8", "--suite", "fast"]
         assert main(argv + ["--out", str(tmp_path)]) == 1
-        assert "not a grid point" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
     # non-finite options
     for name, option, value in (
         ("passage-eq4", "--step", "nan"),
@@ -532,10 +536,10 @@ def draws(monkeypatch):
     counts = _Draws()
     original = paths.bm_increments
 
-    def counting(seed, n_steps, step, substream):
+    def counting(seed, n_steps, step, substream, out=None):
         counts[substream] += 1
         counts.n_steps[substream].add(n_steps)
-        return original(seed, n_steps, step, substream)
+        return original(seed, n_steps, step, substream, out=out)
 
     monkeypatch.setattr(paths, "bm_increments", counting)
     return counts
@@ -694,6 +698,9 @@ def test_restart_windows_past_the_horizon_are_refused_before_any_draw(draws, cap
         (["--experiment", "r1-ui-martingale", "--horizon", "1.5"], "1.95"),
         (["--experiment", "r1-ui-martingale", "--checkpoints", "1.0,2.0"], "3"),
         (["--experiment", "q-bracket", "--horizon", "1.5"], "2"),
+        # an offset past the horizon is named the same way, not as an off-grid time
+        (["--experiment", "r1-ui-martingale", "--checkpoints", "1.0,3.0"], "4"),
+        (["--experiment", "q-bracket", "--checkpoints", "0.5,2.5"], "3.5"),
     ):
         assert main(["run", *args, "--paths", "3", "--step", "0.01", "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err

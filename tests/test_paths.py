@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.stats import norm
 
 from sigma_lab import (
@@ -17,6 +18,7 @@ from sigma_lab import (
     sample_bm,
     sample_independent_pair,
 )
+from sigma_lab.paths import increments_matrix
 
 SEED = 20260822
 
@@ -70,6 +72,40 @@ def test_increments_are_the_stream_draws_bitwise():
     first = bm_increments(seeds[1], 9, 0.5, SUBSTREAM_PRIMARY)
     bm_increments(seeds[2], 4, 0.5, SUBSTREAM_DENSITY)
     assert np.array_equal(first, bm_increments(seeds[1], 9, 0.5, SUBSTREAM_PRIMARY))
+
+
+_STREAMS = st.lists(
+    st.tuples(
+        st.integers(0, 2**64 - 1),  # master seed
+        st.integers(0, 2**64 - 3),  # first path index
+        st.sampled_from((SUBSTREAM_PRIMARY, SUBSTREAM_DENSITY, SUBSTREAM_SECONDARY)),
+        st.integers(1, 37),  # row length: odd lengths leave the Philox buffer part-used
+    ),
+    min_size=2,
+    max_size=6,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_STREAMS, st.sampled_from((1.0, 0.02, 2e-3)))
+def test_rekeyed_rows_are_fresh_stream_draws_bitwise(streams, step):
+    # Each draw re-keys the shared Philox from the previous stream's words,
+    # so a word left stale by one stream would show in the next.
+    for master_seed, first, substream, n in streams:
+        want = [
+            make_stream(SeedSpec(master_seed, first + i), substream).standard_normal(n) * np.sqrt(step)
+            for i in range(3)
+        ]
+        rows = increments_matrix(master_seed, first, 3, n, step, substream)
+        for i in range(3):
+            assert rows[i].tobytes() == want[i].tobytes()
+        assert bm_increments(SeedSpec(master_seed, first + 1), n, step, substream).tobytes() == want[1].tobytes()
+        # drawn in place into one row of a matrix, leaving the others alone
+        block = np.full((3, n), np.nan)
+        out = block[1]
+        assert bm_increments(SeedSpec(master_seed, first + 2), n, step, substream, out=out) is out
+        assert block[1].tobytes() == want[2].tobytes()
+        assert np.isnan(block[[0, 2]]).all()
 
 
 def test_bm_path_matches_raw_increments():
