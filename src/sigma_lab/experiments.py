@@ -39,9 +39,9 @@ whose horizon override changes the call, simulates afresh.
 doob-maximal is no family, but its two passes read one draw too.
 
 A run request is one ``ExperimentConfig``.  ``resolve_settings``
-checks it and fills its scales; the runners read that resolved
-request, and its fields, all but ``workers``, are the report rows'
-config hash.
+checks it and fills its scales, horizon and checkpoints from the
+registry row; the runners read that resolved request, and its
+fields, all but ``workers``, are the report rows' config hash.
 
 Scale defaults come in two suites: ``fast`` for smoke runs and
 ``full`` for the reproduction runs.  A handful of experiments pin
@@ -110,6 +110,7 @@ from .paths import (
     Path,
     TimeGrid,
     before_hit,
+    check_key,
     cumsum_paths,
     first_hit,
     increments_matrix,
@@ -159,9 +160,8 @@ _P_HIT = float(2.0 * (1.0 - ndtr(1.0)))
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One run request.  None scales fall back to the suite's registry
-    defaults; ``resolve_settings`` returns the request with them filled.
-    A None horizon or checkpoints means the runner's own."""
+    """One run request.  None fields take the registry row's defaults (the
+    scales at the suite's); ``resolve_settings`` returns it with them filled."""
 
     experiment: str
     n_paths: int | None = None
@@ -281,11 +281,6 @@ def _chunked(st: ExperimentConfig, chunk: Callable[..., dict[str, np.ndarray]], 
     return dict(feats)
 
 
-def _horizon(st: ExperimentConfig) -> float:
-    """The run's horizon: the override, else the registry default."""
-    return st.horizon if st.horizon is not None else EXPERIMENTS[st.experiment].horizon
-
-
 def _gather(matrix: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return np.take_along_axis(matrix, cols[:, None], axis=1)[:, 0]
 
@@ -402,9 +397,8 @@ def _t1_chunk(
 
 
 def _run_t1(st: ExperimentConfig) -> tuple[list[TargetCheck], list[CurveSeries]]:
-    horizon = _horizon(st)
-    cps = st.checkpoints if st.checkpoints is not None else (0.25, 0.5, 0.75, 1.0)
-    feats = _chunked(st, _t1_chunk, horizon=horizon, cols=_grid_steps(cps, horizon, st.step))
+    cps = st.checkpoints
+    feats = _chunked(st, _t1_chunk, horizon=st.horizon, cols=_grid_steps(cps, st.horizon, st.step))
     checks: list[TargetCheck] = []
     for label, q in (("constant-one", np.ones(st.n_paths)), ("stopped-bm", feats["q"])):
         for cons in ("drawdown", "abs"):
@@ -437,13 +431,11 @@ def _r1_chunk(
 
 
 def _run_r1(st: ExperimentConfig) -> tuple[list[TargetCheck], list[CurveSeries]]:
-    horizon = _horizon(st)
-    offsets = st.checkpoints if st.checkpoints is not None else (0.2, 0.45, 0.7, 0.95)
-    steps = _restart_steps(offsets, horizon, st.step)
-    feats = _chunked(st, _r1_chunk, horizon=horizon, offset_steps=steps)
+    steps = _restart_steps(st.checkpoints, st.horizon, st.step)
+    feats = _chunked(st, _r1_chunk, horizon=st.horizon, offset_steps=steps)
     checks = [
         flatness_check(
-            "restart-increments-flat", feats["v"].T, ensemble_weights(feats["pprime_raw"]), offsets, "P'-weighted"
+            "restart-increments-flat", feats["v"].T, ensemble_weights(feats["pprime_raw"]), st.checkpoints, "P'-weighted"
         ),
         exact_check("bounded-in-unit-interval", float(np.max(feats["bound"]))),
     ]
@@ -472,11 +464,10 @@ def _sigs_chunk(start: int, count: int, *, cols: tuple[int, ...], **params) -> d
 
 
 def _run_sigma_s(st: ExperimentConfig) -> tuple[list[TargetCheck], list[CurveSeries]]:
-    horizon = _horizon(st)
-    cps = st.checkpoints if st.checkpoints is not None else (0.5, 1.0, 1.5, 2.0)
-    feats = _chunked(st, _sigs_chunk, horizon=horizon, cols=_grid_steps(cps, horizon, st.step))
+    feats = _chunked(st, _sigs_chunk, horizon=st.horizon, cols=_grid_steps(st.checkpoints, st.horizon, st.step))
     checks = [
-        flatness_check(f"restarted-reflected-f-{kind}", feats[kind].T, feats["q"], cps, "q-weighted") for kind in _F_PAIRS
+        flatness_check(f"restarted-reflected-f-{kind}", feats[kind].T, feats["q"], st.checkpoints, "q-weighted")
+        for kind in _F_PAIRS
     ]
     checks.append(exact_check("null-at-last-zero", float(np.max(feats["null_mag"]))))
     return checks, []
@@ -529,10 +520,9 @@ def _rho_chunk(start: int, count: int, *, seed: int, step: float, horizon: float
 
 
 def _run_rho(st: ExperimentConfig) -> tuple[list[TargetCheck], list[CurveSeries]]:
-    horizon = _horizon(st)
-    if horizon <= _MODEL_SPAN:  # a last zero at the grid end would leave no shifted path
+    if st.horizon <= _MODEL_SPAN:  # a last zero at the grid end would leave no shifted path
         raise ConfigurationError(f"rho-algebra needs a horizon past the model span {_MODEL_SPAN:g}")
-    feats = _chunked(st, _rho_chunk, horizon=horizon)
+    feats = _chunked(st, _rho_chunk, horizon=st.horizon)
     n = st.n_paths
     checks = [
         count_check("linearity-bitwise", int(feats["lin"].sum()), f"0 of {3 * n} pair evaluations differ"),
@@ -569,13 +559,11 @@ def _qbracket_chunk(
 
 
 def _run_qbracket(st: ExperimentConfig) -> tuple[list[TargetCheck], list[CurveSeries]]:
-    horizon = _horizon(st)
-    offs = st.checkpoints if st.checkpoints is not None else (0.25, 0.5, 0.75, 1.0)
-    steps = _restart_steps(offs, horizon, st.step)
-    feats = _chunked(st, _qbracket_chunk, horizon=horizon, offset_steps=steps)
+    steps = _restart_steps(st.checkpoints, st.horizon, st.step)
+    feats = _chunked(st, _qbracket_chunk, horizon=st.horizon, offset_steps=steps)
     worst = float(np.min(feats["brack_min"]))
     checks = [
-        flatness_check("squared-restart-minus-bracket-flat", feats["v"].T, feats["q"], offs, "q-weighted"),
+        flatness_check("squared-restart-minus-bracket-flat", feats["v"].T, feats["q"], st.checkpoints, "q-weighted"),
         exact_check("bracket-increments-nonnegative", max(0.0, -worst)),
     ]
     return checks, []
@@ -643,8 +631,7 @@ def _constant_path_residual(st: ExperimentConfig, form: str) -> float:
 
 
 def _run_tanaka(st: ExperimentConfig, *, form: str) -> tuple[list[TargetCheck], list[CurveSeries]]:
-    horizon = _horizon(st)
-    feats = _chunked(st, _ladder_chunk, horizon=horizon)
+    feats = _chunked(st, _ladder_chunk, horizon=st.horizon)
     checks = _ladder_rows(f"{form}-residual", form, feats, st)
     checks.append(exact_check("constant-path-residual", _constant_path_residual(st, form)))
     if form == "abs":
@@ -665,7 +652,7 @@ _run_tanaka_minus = functools.partial(_run_tanaka, form="minus")
 
 def _run_ito(st: ExperimentConfig) -> tuple[list[TargetCheck], list[CurveSeries]]:
     checks: list[TargetCheck] = []
-    feats = _chunked(st, _ladder_chunk, horizon=_horizon(st))
+    feats = _chunked(st, _ladder_chunk, horizon=st.horizon)
     for form in _ITO_FORMS:
         checks.extend(_ladder_rows(form, form, feats, st))
         checks.append(exact_check(f"{form}-constant-path-residual", _constant_path_residual(st, form)))
@@ -719,7 +706,7 @@ def _doob_chunk(start: int, count: int, *, seed: int, step: float, horizon: floa
 
 
 def _run_doob(st: ExperimentConfig) -> tuple[list[TargetCheck], list[CurveSeries]]:
-    feats = _chunked(st, _doob_chunk, horizon=_horizon(st))
+    feats = _chunked(st, _doob_chunk, horizon=st.horizon)
     checks: list[TargetCheck] = []
     ests = []
     for a in _DOOB_LEVELS:
@@ -805,7 +792,7 @@ def _laws_chunk(start: int, count: int, *, seed: int, step: float, horizon: floa
 
 
 def _laws(st: ExperimentConfig) -> dict[str, np.ndarray]:
-    return _chunked(st, _laws_chunk, horizon=_horizon(st))
+    return _chunked(st, _laws_chunk, horizon=st.horizon)
 
 
 def _crossing(feats: dict[str, np.ndarray], law: str, u: float) -> np.ndarray:
@@ -993,15 +980,13 @@ def _closure_chunk(
 
 
 def _run_closure(st: ExperimentConfig, *, build: Callable, label: str) -> tuple[list[TargetCheck], list[CurveSeries]]:
-    horizon = _horizon(st)
-    cps = st.checkpoints if st.checkpoints is not None else (0.25, 0.5, 0.75, 1.0)
-    cols = _grid_steps(cps, horizon, st.step)
-    feats = _chunked(st, _closure_chunk, horizon=horizon, cols=cols, build=build)
+    cols = _grid_steps(st.checkpoints, st.horizon, st.step)
+    feats = _chunked(st, _closure_chunk, horizon=st.horizon, cols=cols, build=build)
     # the run's first paths' decompositions, checked pathwise
     sample = min(_CLOSURE_SAMPLE, st.n_paths)
     bad = int(np.count_nonzero(feats["fail"][:sample]))
     checks = [
-        flatness_check(f"{label}-martingale-part-flat", feats["n"].T, feats["q"], cps, "q-weighted"),
+        flatness_check(f"{label}-martingale-part-flat", feats["n"].T, feats["q"], st.checkpoints, "q-weighted"),
         count_check(f"{label}-membership-sample", bad, f"{sample} pathwise {label} decompositions verify"),
     ]
     return checks, []
@@ -1065,8 +1050,7 @@ def _membership_chunk(start: int, count: int, *, seed: int, step: float, horizon
 
 
 def _run_membership(st: ExperimentConfig) -> tuple[list[TargetCheck], list[CurveSeries]]:
-    horizon = _horizon(st)
-    feats = _chunked(st, _membership_chunk, horizon=horizon)
+    feats = _chunked(st, _membership_chunk, horizon=st.horizon)
     checks: list[TargetCheck] = []
     for key in _VARIANTS:
         checks.append(
@@ -1150,63 +1134,68 @@ _CHUNK_ROWS = {_rho_chunk: 128, _membership_chunk: 64}
 _FAST = (20000, 2e-3)
 _FULL = (100000, 1e-3)
 _LADDER_SCALE = (100, 1e-3)
-_H = ("horizon",)
-_HC = ("horizon", "checkpoints")
+_QUARTERS = (0.25, 0.5, 0.75, 1.0)
 
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """One registry row.
+    """One registry row: the one statement of a run's defaults and bounds.
 
-    ``reads`` names the run options the runner consumes: ``horizon``
-    and ``checkpoints``.  ``resolve_settings`` rejects any other,
-    because an ignored option would still change the config hash, and
-    checkpoints (or offsets) that name fewer than two distinct times,
-    because every reader tests them for flatness.  ``horizon`` is the
-    runner's horizon when none is given.  ``min_horizon`` is the
-    smallest horizon override the runner can honour: ErfSign zero sets
-    span the model's terminal time 1.0, and restart anchors found there
-    index the driver's own grid.  r1 and q-bracket read windows that
-    run their offsets past such an anchor, so each refuses a horizon
-    short of 1.0 plus its largest offset before any draw.  ``make_grid``
-    holds every grid a run builds to its row byte budget.
+    ``horizon`` and ``checkpoints`` are the defaults ``resolve_settings``
+    fills into a request that gives none, and an experiment reads each
+    option its row gives a default for (``reads``).  ``resolve_settings``
+    rejects any other, because an ignored option would still change the
+    config hash, and checkpoints (or offsets) that name fewer than two
+    distinct times, because every reader tests them for flatness.
+    ``min_horizon`` is the smallest horizon the runner can honour, the
+    model span unless the row says otherwise: ErfSign zero sets span the
+    model's terminal time 1.0, and restart anchors found there index the
+    driver's own grid.  r1 and q-bracket read windows that run their
+    offsets past such an anchor, so each refuses a horizon short of 1.0
+    plus its largest offset before any draw.  ``make_grid`` holds every
+    grid a run builds to its row byte budget.
     """
 
     name: str
     anchor: str
     runner: Callable[[ExperimentConfig], tuple[list[TargetCheck], list[CurveSeries]]]
-    reads: tuple[str, ...]
-    horizon: float
+    horizon: float | None
     fast: tuple[int, float] = _FAST
     full: tuple[int, float] = _FULL
-    min_horizon: float = 0.0
+    checkpoints: tuple[float, ...] | None = None
+    min_horizon: float = _MODEL_SPAN
+
+    @property
+    def reads(self) -> tuple[str, ...]:
+        """The run options the runner consumes: those the row gives a default for."""
+        return tuple(option for option in ("horizon", "checkpoints") if getattr(self, option) is not None)
 
 
-# name, paper anchor, runner, the options it reads and the default horizon; then the fast and
-# full scales (paths, step) and the smallest horizon override where they differ from the defaults
+# name, paper anchor, runner and the default horizon; then the fast and full scales (paths, step)
+# where they differ from the defaults, and the default checkpoints and smallest horizon where set
 _SPECS = (
-    ExperimentSpec("t1-characterization", "martingale characterization of the base zero-set class", _run_t1, _HC, 1.0),
-    ExperimentSpec("r1-ui-martingale", "uniformly integrable restart martingale for bounded class members", _run_r1, _HC, 2.0, min_horizon=_MODEL_SPAN),
-    ExperimentSpec("sigma-s-characterization", "martingale characterization of the restarted class", _run_sigma_s, _HC, 2.0, min_horizon=_MODEL_SPAN),
-    ExperimentSpec("rho-algebra", "linearity, positivity, and product rules of the restart operator", _run_rho, _H, 2.0, (1000, 2e-3), (1000, 2e-3)),
-    ExperimentSpec("q-bracket", "quadratic bracket of the restarted driver", _run_qbracket, _HC, 2.0, min_horizon=_MODEL_SPAN),
-    ExperimentSpec("tanaka-abs", "signed local-time identity for the absolute value", _run_tanaka_abs, _H, 1.0, _LADDER_SCALE, _LADDER_SCALE),
-    ExperimentSpec("tanaka-plus", "signed local-time identity for the positive part", _run_tanaka_plus, _H, 1.0, _LADDER_SCALE, _LADDER_SCALE),
-    ExperimentSpec("tanaka-minus", "signed local-time identity for the negative part", _run_tanaka_minus, _H, 1.0, _LADDER_SCALE, _LADDER_SCALE),
-    ExperimentSpec("ito", "second-order expansion along restarted paths", _run_ito, _H, 1.0, _LADDER_SCALE, _LADDER_SCALE),
-    ExperimentSpec("doob-maximal", "maximal identity for the supremum after the last zero", _run_doob, _H, _MODEL_SPAN, min_horizon=_MODEL_SPAN),
-    ExperimentSpec("passage-eq2", "boundary-crossing law stopped at a growth level, stepped boundary", _run_passage_eq2, _H, _MODEL_SPAN, min_horizon=_MODEL_SPAN),
-    ExperimentSpec("passage-eq3", "boundary-crossing law over the full span, finite total integral", _run_passage_eq3, _H, _MODEL_SPAN, min_horizon=_MODEL_SPAN),
-    ExperimentSpec("passage-eq4", "probability-case crossing law with a unit boundary", _run_passage_eq4, _H, _MODEL_SPAN, min_horizon=_MODEL_SPAN),
-    ExperimentSpec("passage-s32", "signed crossing law for the restarted reflected driver", _run_s32, _H, _MODEL_SPAN, min_horizon=_MODEL_SPAN),
-    ExperimentSpec("a-infinity", "terminal growth law of the stopped reflected construction", _run_ainf, _H, _MODEL_SPAN, min_horizon=_MODEL_SPAN),
-    ExperimentSpec("levy-eq5", "drawdown confinement law under the signed weight", _run_levy5, _H, _MODEL_SPAN, min_horizon=_MODEL_SPAN),
-    ExperimentSpec("levy-eq6", "drawdown confinement law between supremum levels", _run_levy6, _H, _MODEL_SPAN, min_horizon=_MODEL_SPAN),
-    ExperimentSpec("products", "closure of the zero-set class under products", _run_products, _HC, 1.0),
-    ExperimentSpec("scaled-f", "closure of the zero-set class under growth rescaling", _run_scaled, _HC, 1.0),
-    ExperimentSpec("membership", "pathwise membership checks for every construction", _run_membership, _H, 1.0, (300, 1e-3), (300, 1e-3)),
+    ExperimentSpec("t1-characterization", "martingale characterization of the base zero-set class", _run_t1, 1.0, checkpoints=_QUARTERS, min_horizon=0.0),
+    ExperimentSpec("r1-ui-martingale", "uniformly integrable restart martingale for bounded class members", _run_r1, 2.0, checkpoints=(0.2, 0.45, 0.7, 0.95)),
+    ExperimentSpec("sigma-s-characterization", "martingale characterization of the restarted class", _run_sigma_s, 2.0, checkpoints=(0.5, 1.0, 1.5, 2.0)),
+    ExperimentSpec("rho-algebra", "linearity, positivity, and product rules of the restart operator", _run_rho, 2.0, (1000, 2e-3), (1000, 2e-3)),
+    ExperimentSpec("q-bracket", "quadratic bracket of the restarted driver", _run_qbracket, 2.0, checkpoints=_QUARTERS),
+    ExperimentSpec("tanaka-abs", "signed local-time identity for the absolute value", _run_tanaka_abs, 1.0, _LADDER_SCALE, _LADDER_SCALE),
+    ExperimentSpec("tanaka-plus", "signed local-time identity for the positive part", _run_tanaka_plus, 1.0, _LADDER_SCALE, _LADDER_SCALE),
+    ExperimentSpec("tanaka-minus", "signed local-time identity for the negative part", _run_tanaka_minus, 1.0, _LADDER_SCALE, _LADDER_SCALE),
+    ExperimentSpec("ito", "second-order expansion along restarted paths", _run_ito, 1.0, _LADDER_SCALE, _LADDER_SCALE),
+    ExperimentSpec("doob-maximal", "maximal identity for the supremum after the last zero", _run_doob, _MODEL_SPAN),
+    ExperimentSpec("passage-eq2", "boundary-crossing law stopped at a growth level, stepped boundary", _run_passage_eq2, _MODEL_SPAN),
+    ExperimentSpec("passage-eq3", "boundary-crossing law over the full span, finite total integral", _run_passage_eq3, _MODEL_SPAN),
+    ExperimentSpec("passage-eq4", "probability-case crossing law with a unit boundary", _run_passage_eq4, _MODEL_SPAN),
+    ExperimentSpec("passage-s32", "signed crossing law for the restarted reflected driver", _run_s32, _MODEL_SPAN),
+    ExperimentSpec("a-infinity", "terminal growth law of the stopped reflected construction", _run_ainf, _MODEL_SPAN),
+    ExperimentSpec("levy-eq5", "drawdown confinement law under the signed weight", _run_levy5, _MODEL_SPAN),
+    ExperimentSpec("levy-eq6", "drawdown confinement law between supremum levels", _run_levy6, _MODEL_SPAN),
+    ExperimentSpec("products", "closure of the zero-set class under products", _run_products, 1.0, checkpoints=_QUARTERS, min_horizon=0.0),
+    ExperimentSpec("scaled-f", "closure of the zero-set class under growth rescaling", _run_scaled, 1.0, checkpoints=_QUARTERS, min_horizon=0.0),
+    ExperimentSpec("membership", "pathwise membership checks for every construction", _run_membership, 1.0, (300, 1e-3), (300, 1e-3)),
     # the grid is the density model's own span, so no horizon applies
-    ExperimentSpec("zero-geometry", "geometry of the terminal-density zero set", _run_geometry, (), _MODEL_SPAN, (20000, 1e-3), (100000, 2.5e-4)),
+    ExperimentSpec("zero-geometry", "geometry of the terminal-density zero set", _run_geometry, None, (20000, 1e-3), (100000, 2.5e-4)),
 )
 
 EXPERIMENTS: dict[str, ExperimentSpec] = {spec.name: spec for spec in _SPECS}
@@ -1221,10 +1210,10 @@ def paper_anchor(name: str) -> str:
 
 
 def resolve_settings(cfg: ExperimentConfig, suite: str | None = None) -> ExperimentConfig:
-    """The request with its scales filled from the suite, once every
-    option has been checked.  A given horizon and checkpoints become
-    floats, and a horizon equal to the registry's becomes None, so one
-    run has one config hash however its numbers were written."""
+    """The request with its scales filled from the suite, and its horizon
+    and checkpoints from the registry row, once every option has been
+    checked.  Numbers become floats, so one run has one config hash
+    however its numbers were written."""
     if cfg.experiment not in EXPERIMENTS:
         raise ConfigurationError(f"unknown experiment {cfg.experiment!r}")
     if suite not in (None, "fast", "full"):
@@ -1237,25 +1226,25 @@ def resolve_settings(cfg: ExperimentConfig, suite: str | None = None) -> Experim
         raise ConfigurationError("n_paths must be at least 2")
     if not 0.0 < step < np.inf:
         raise ConfigurationError("step must be positive and finite")
-    if cfg.horizon is not None and not 0.0 < cfg.horizon < np.inf:
-        raise ConfigurationError("horizon must be positive and finite")
-    if cfg.checkpoints is not None and not np.all(np.isfinite(cfg.checkpoints)):
-        raise ConfigurationError("checkpoints must be finite")
-    if cfg.horizon is not None and cfg.horizon < spec.min_horizon:
-        raise ConfigurationError(f"{cfg.experiment} needs a horizon of at least {spec.min_horizon:g}")
+    check_key(cfg.master_seed)
     requested = {"horizon": cfg.horizon is not None, "checkpoints": cfg.checkpoints is not None}
     ignored = [option for option, given in requested.items() if given and option not in spec.reads]
     if ignored:
         reads = ", ".join(spec.reads) or "no option"
         raise ConfigurationError(f"{cfg.experiment} ignores {', '.join(ignored)}; it reads {reads}")
+    horizon = spec.horizon if cfg.horizon is None else float(cfg.horizon)
+    checkpoints = spec.checkpoints if cfg.checkpoints is None else tuple(float(c) for c in cfg.checkpoints)
+    if horizon is not None and not 0.0 < horizon < np.inf:
+        raise ConfigurationError("horizon must be positive and finite")
+    if checkpoints is not None and not np.all(np.isfinite(checkpoints)):
+        raise ConfigurationError("checkpoints must be finite")
+    if horizon is not None and horizon < spec.min_horizon:
+        raise ConfigurationError(f"{cfg.experiment} needs a horizon of at least {spec.min_horizon:g}")
     # every reader compares the times pairwise for flatness, which one time cannot fail
-    if cfg.checkpoints is not None and len(set(cfg.checkpoints)) < 2:
-        raise ConfigurationError(f"checkpoints must name at least 2 distinct times, not {list(cfg.checkpoints)}")
+    if checkpoints is not None and len(set(checkpoints)) < 2:
+        raise ConfigurationError(f"checkpoints must name at least 2 distinct times, not {list(checkpoints)}")
     if cfg.workers < 1:
         raise ConfigurationError("workers must be at least 1")
-    # one number, one hash: 6, 6.0 and the registry's own 6.0 hash alike
-    horizon = None if cfg.horizon is None or float(cfg.horizon) == spec.horizon else float(cfg.horizon)
-    checkpoints = None if cfg.checkpoints is None else tuple(float(c) for c in cfg.checkpoints)
     return replace(
         cfg,
         n_paths=int(n_paths),

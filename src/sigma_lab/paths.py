@@ -42,6 +42,7 @@ __all__ = [
     "SUBSTREAM_PRIMARY",
     "SUBSTREAM_DENSITY",
     "SUBSTREAM_SECONDARY",
+    "check_key",
     "make_grid",
     "make_stream",
     "bm_increments",
@@ -112,6 +113,14 @@ class Path:
             raise ConfigurationError("path values must be finite")
 
 
+def check_key(master_seed: int, path_index: int = 0) -> None:
+    """Refuse a stream key with a seed past 64 unsigned bits or a negative path index."""
+    if not 0 <= master_seed <= _MASK64:
+        raise ConfigurationError("master_seed must fit in 64 unsigned bits")
+    if path_index < 0:
+        raise ConfigurationError("path_index must be non-negative")
+
+
 @dataclass(frozen=True)
 class SeedSpec:
     """Master seed plus the index of one path in the ensemble."""
@@ -120,10 +129,7 @@ class SeedSpec:
     path_index: int = 0
 
     def __post_init__(self) -> None:
-        if not (0 <= int(self.master_seed) <= _MASK64):
-            raise ConfigurationError("master_seed must fit in 64 unsigned bits")
-        if int(self.path_index) < 0:
-            raise ConfigurationError("path_index must be non-negative")
+        check_key(int(self.master_seed), int(self.path_index))
 
 
 def make_grid(horizon: float, step: float) -> TimeGrid:
@@ -177,21 +183,22 @@ _COUNTER_WORDS = _FRESH_STATE["state"]["counter"]  # word 2 is the substream; th
 
 
 def bm_increments(
-    seed: SeedSpec, n_steps: int, step: float, substream: int, out: np.ndarray | None = None
+    master_seed: int, path_index: int, n_steps: int, step: float, substream: int, out: np.ndarray | None = None
 ) -> np.ndarray:
     """Exact N(0, step) increments for one path; the single source used by
     both the per-path samplers and the ensemble engine (bit-identical).
 
-    The draws are those of ``make_stream(seed, substream)``: the shared
-    Philox is re-keyed to that stream's start.  They are drawn into
-    ``out`` (a new array when None), a contiguous float64 row of
-    ``n_steps``, and scaled there; the row is returned.
+    The draws are those of ``make_stream(SeedSpec(master_seed,
+    path_index), substream)``: the shared Philox is re-keyed to that
+    stream's start.  They are drawn and scaled in ``out`` (a new array
+    when None), a contiguous float64 row of ``n_steps``, and returned.
     """
+    check_key(master_seed, path_index)
     if out is None:
         out = np.empty(n_steps)
     with _DRAW_LOCK:
-        _KEY_WORDS[0] = int(seed.path_index) & _MASK64
-        _KEY_WORDS[1] = seed.master_seed
+        _KEY_WORDS[0] = int(path_index) & _MASK64
+        _KEY_WORDS[1] = master_seed
         _COUNTER_WORDS[2] = substream
         _DRAW_BITGEN.state = _FRESH_STATE
         _DRAW_GEN.standard_normal(n_steps, out=out)
@@ -211,7 +218,7 @@ def increments_matrix(
     each drawn in place by ``bm_increments``."""
     out = np.empty((count, n_steps))
     for i in range(count):
-        bm_increments(SeedSpec(master_seed=master_seed, path_index=start_index + i), n_steps, step, substream, out=out[i])
+        bm_increments(master_seed, start_index + i, n_steps, step, substream, out=out[i])
     return out
 
 

@@ -1,5 +1,6 @@
 """Registry, runner, reporting, and CLI behavior at small scales."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -94,9 +95,17 @@ def test_resolve_settings_rejects_bad_input(draws):
         ("sigma-s-characterization", 0.5, (0.25, 0.5)),
         ("doob-maximal", 0.3, None),
         ("passage-eq4", 0.5, None),
+        # refused by the registry row, not by the density model or a grid step
+        ("tanaka-abs", 0.5, None),
+        ("ito", 0.5, None),
+        ("membership", 0.5, None),
     ):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="needs a horizon of at least 1"):
             resolve_settings(ExperimentConfig(experiment=name, horizon=horizon, checkpoints=checkpoints))
+    # a master seed outside 64 unsigned bits is refused with the request, not at the first draw
+    for seed in (-1, 2**64):
+        with pytest.raises(ConfigurationError, match="64 unsigned bits"):
+            resolve_settings(ExperimentConfig(experiment="passage-eq4", master_seed=seed))
     # flatness compares checkpoints (or offsets) pairwise: one time could never fail it
     for name, checkpoints in (
         ("q-bracket", (0.5, 0.5)),
@@ -161,7 +170,7 @@ def test_config_digest_ignores_workers_only():
 def test_config_digest_of_resolved_requests_is_pinned():
     # report rows carry these hashes; a field dropped from the hash would move them
     for cfg, digest in (
-        (ExperimentConfig(experiment="passage-eq4"), "ce126ca16fb3"),
+        (ExperimentConfig(experiment="passage-eq4"), "3e26624ef763"),
         (
             ExperimentConfig(
                 experiment="r1-ui-martingale",
@@ -173,10 +182,12 @@ def test_config_digest_of_resolved_requests_is_pinned():
             ),
             "a7a34fa925dd",
         ),
-        (ExperimentConfig(experiment="t1-characterization", checkpoints=(0.25, 0.5)), "8b7741fdf7fe"),
-        # the registry horizon, however written, is the request without one
-        (ExperimentConfig(experiment="passage-eq4", horizon=1), "ce126ca16fb3"),
-        (ExperimentConfig(experiment="passage-eq4", horizon=1.0), "ce126ca16fb3"),
+        (ExperimentConfig(experiment="t1-characterization", checkpoints=(0.25, 0.5)), "e2787a030f5e"),
+        # a request without a horizon runs and hashes the registry's, however that is written
+        (ExperimentConfig(experiment="passage-eq4", horizon=1), "3e26624ef763"),
+        (ExperimentConfig(experiment="passage-eq4", horizon=1.0), "3e26624ef763"),
+        # no horizon or checkpoints apply to zero-geometry, so neither enters its hash
+        (ExperimentConfig(experiment="zero-geometry"), "600dcf6317aa"),
         (
             ExperimentConfig(
                 experiment="r1-ui-martingale",
@@ -190,6 +201,39 @@ def test_config_digest_of_resolved_requests_is_pinned():
         ),
     ):
         assert config_digest(resolve_settings(cfg, "fast")) == digest
+
+
+def test_registry_defaults_enter_the_config_hash(monkeypatch):
+    # a default run's rows move when its registry row does, so their hash must too
+    def default_digest(name):
+        return config_digest(resolve_settings(ExperimentConfig(experiment=name), "fast"))
+
+    before = {name: default_digest(name) for name in ("doob-maximal", "t1-characterization")}
+    for name, change in (("doob-maximal", {"horizon": 2.0}), ("t1-characterization", {"checkpoints": (0.5, 1.0)})):
+        with monkeypatch.context() as m:
+            m.setitem(EXPERIMENTS, name, dataclasses.replace(EXPERIMENTS[name], **change))
+            assert default_digest(name) != before[name], name
+        assert default_digest(name) == before[name]
+
+
+_CHECKPOINT_READERS = {
+    "t1-characterization",
+    "r1-ui-martingale",
+    "sigma-s-characterization",
+    "q-bracket",
+    "products",
+    "scaled-f",
+}
+
+
+@pytest.mark.parametrize("suite", ["fast", "full"])
+def test_resolved_requests_carry_the_registry_defaults(suite):
+    for name in experiment_names():
+        st_ = resolve_settings(ExperimentConfig(experiment=name), suite)
+        assert resolve_settings(st_, suite) == st_, name
+        assert (st_.horizon is None) == (name == "zero-geometry"), name
+        assert (st_.checkpoints is not None) == (name in _CHECKPOINT_READERS), name
+        assert st_.horizon == EXPERIMENTS[name].horizon and st_.checkpoints == EXPERIMENTS[name].checkpoints
 
 
 @given(
@@ -536,10 +580,10 @@ def draws(monkeypatch):
     counts = _Draws()
     original = paths.bm_increments
 
-    def counting(seed, n_steps, step, substream, out=None):
+    def counting(master_seed, path_index, n_steps, step, substream, out=None):
         counts[substream] += 1
         counts.n_steps[substream].add(n_steps)
-        return original(seed, n_steps, step, substream, out=out)
+        return original(master_seed, path_index, n_steps, step, substream, out=out)
 
     monkeypatch.setattr(paths, "bm_increments", counting)
     return counts

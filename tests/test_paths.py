@@ -63,15 +63,15 @@ def test_streams_are_deterministic_and_separated():
 def test_increments_are_the_stream_draws_bitwise():
     # bm_increments re-keys a shared Philox; its draws must stay those of a
     # freshly constructed stream, for extreme keys and interleaved calls too.
-    seeds = [SeedSpec(master_seed=m, path_index=i) for m in (0, SEED, 2**64 - 1) for i in (0, 5, 2**64 - 1)]
+    keys = [(m, i) for m in (0, SEED, 2**64 - 1) for i in (0, 5, 2**64 - 1)]
     for substream in (SUBSTREAM_PRIMARY, SUBSTREAM_DENSITY, SUBSTREAM_SECONDARY):
-        for seed in seeds:
-            got = bm_increments(seed, 13, 0.02, substream)
-            want = make_stream(seed, substream).standard_normal(13) * np.sqrt(0.02)
+        for key in keys:
+            got = bm_increments(*key, 13, 0.02, substream)
+            want = make_stream(SeedSpec(*key), substream).standard_normal(13) * np.sqrt(0.02)
             assert got.tobytes() == want.tobytes()
-    first = bm_increments(seeds[1], 9, 0.5, SUBSTREAM_PRIMARY)
-    bm_increments(seeds[2], 4, 0.5, SUBSTREAM_DENSITY)
-    assert np.array_equal(first, bm_increments(seeds[1], 9, 0.5, SUBSTREAM_PRIMARY))
+    first = bm_increments(*keys[1], 9, 0.5, SUBSTREAM_PRIMARY)
+    bm_increments(*keys[2], 4, 0.5, SUBSTREAM_DENSITY)
+    assert np.array_equal(first, bm_increments(*keys[1], 9, 0.5, SUBSTREAM_PRIMARY))
 
 
 _STREAMS = st.lists(
@@ -99,20 +99,19 @@ def test_rekeyed_rows_are_fresh_stream_draws_bitwise(streams, step):
         rows = increments_matrix(master_seed, first, 3, n, step, substream)
         for i in range(3):
             assert rows[i].tobytes() == want[i].tobytes()
-        assert bm_increments(SeedSpec(master_seed, first + 1), n, step, substream).tobytes() == want[1].tobytes()
+        assert bm_increments(master_seed, first + 1, n, step, substream).tobytes() == want[1].tobytes()
         # drawn in place into one row of a matrix, leaving the others alone
         block = np.full((3, n), np.nan)
         out = block[1]
-        assert bm_increments(SeedSpec(master_seed, first + 2), n, step, substream, out=out) is out
+        assert bm_increments(master_seed, first + 2, n, step, substream, out=out) is out
         assert block[1].tobytes() == want[2].tobytes()
         assert np.isnan(block[[0, 2]]).all()
 
 
 def test_bm_path_matches_raw_increments():
     grid = make_grid(horizon=1.0, step=0.01)
-    seed = SeedSpec(master_seed=SEED, path_index=3)
-    path = sample_bm(grid, start=0.5, seed=seed)
-    incs = bm_increments(seed, grid.n_steps, grid.step, SUBSTREAM_PRIMARY)
+    path = sample_bm(grid, start=0.5, seed=SeedSpec(master_seed=SEED, path_index=3))
+    incs = bm_increments(SEED, 3, grid.n_steps, grid.step, SUBSTREAM_PRIMARY)
     rebuilt = 0.5 + np.concatenate([[0.0], np.cumsum(incs)])
     assert path.values[0] == 0.5
     assert np.array_equal(path.values[1:], rebuilt[1:])
@@ -129,10 +128,9 @@ def test_terminal_values_are_gaussian():
 
 
 def test_increments_uncorrelated_within_and_across_substreams():
-    seed = SeedSpec(master_seed=SEED, path_index=0)
     n = 20000
-    w = bm_increments(seed, n, 1.0, SUBSTREAM_PRIMARY)
-    v = bm_increments(seed, n, 1.0, SUBSTREAM_SECONDARY)
+    w = bm_increments(SEED, 0, n, 1.0, SUBSTREAM_PRIMARY)
+    v = bm_increments(SEED, 0, n, 1.0, SUBSTREAM_SECONDARY)
     bound = 3.0 / np.sqrt(n)
     lag1 = np.corrcoef(w[:-1], w[1:])[0, 1]
     cross = np.corrcoef(w, v)[0, 1]
@@ -152,8 +150,11 @@ def test_independent_pair_layout():
 
 
 def test_seed_spec_validation():
-    with pytest.raises(ConfigurationError):
-        SeedSpec(master_seed=-1)
-    with pytest.raises(ConfigurationError):
-        SeedSpec(master_seed=1, path_index=-2)
+    # one key-range rule: a SeedSpec and a per-row draw refuse the same keys
+    for master_seed, path_index in ((-1, 0), (2**64, 0), (1, -2)):
+        with pytest.raises(ConfigurationError):
+            SeedSpec(master_seed=master_seed, path_index=path_index)
+        with pytest.raises(ConfigurationError):
+            bm_increments(master_seed, path_index, 4, 0.1, SUBSTREAM_PRIMARY)
     SeedSpec(master_seed=2**64 - 1, path_index=0)
+    bm_increments(2**64 - 1, 0, 4, 0.1, SUBSTREAM_PRIMARY)
