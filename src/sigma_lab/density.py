@@ -40,6 +40,11 @@ between the models is decided here and nowhere else: that span
 D's value from that span on (``terminal_density``, which every check
 weights by), and the series whose sign changes are D's zeros
 (``zero_level``).
+
+``ndtr`` is the package's one normal CDF Phi: a numpy port of Cephes'
+erfc (Moshier, *Methods and Programs for Mathematical Functions*,
+1989), the code behind ``scipy.special.ndtr``.  ErfSign's density and
+r1's bounded member both evaluate it.
 """
 
 from __future__ import annotations
@@ -48,12 +53,12 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import ConfigurationError, ContractError, DegenerateMeasureError
 from .paths import Path, SeedSpec, TimeGrid, cumsum_paths, increments_matrix, SUBSTREAM_DENSITY
 
 __all__ = [
+    "ndtr",
     "StoppedBM",
     "ErfSign",
     "DensityModel",
@@ -73,6 +78,103 @@ __all__ = [
     "zero_set_from_level_series",
     "ensemble_weights",
 ]
+
+
+# Cephes ndtr.c: erf = x T(x^2)/U(x^2) for |x| < 1; erfc = exp(-x^2) P(x)/Q(x)
+# for 1 <= |x| < 8 and exp(-x^2) R(x)/S(x) beyond; Q, S and U are monic
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3, 7.00332514112805075473e3,
+          5.55923013010394962768e4)
+_ERF_U = (3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3, 2.26290000613890934246e4,
+          4.92673942608635921086e4)
+_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0, 4.86371970985681366614e1,
+           1.96520832956077098242e2, 5.26445194995477358631e2, 9.34528527171957607540e2, 1.02755188689515710272e3,
+           5.57535335369399327526e2)
+_ERFC_Q = (1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2, 9.75708501743205489753e2,
+           1.82390916687909736289e3, 2.24633760818710981792e3, 1.65666309194161350182e3, 5.57535340817727675546e2)
+_ERFC_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0, 6.16021097993053585195e0,
+           7.40974269950448939160e0, 2.97886665372100240670e0)
+_ERFC_S = (2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1, 1.70814450747565897222e1,
+           9.60896809063285878198e0, 3.36907645100081516050e0)
+# exp(-x^2) underflows past x^2 = log(DBL_MAX), where erfc is set to 0 (or 2)
+_MAXLOG = 7.09782712893383996843e2
+_SQRT1_2 = 0.70710678118654752440
+# elements per block of ndtr: its five float64 buffers stay in cache
+_NDTR_BLOCK = 16384
+
+
+def _horner(x: np.ndarray, coefs: tuple[float, ...], out: np.ndarray, monic: bool) -> np.ndarray:
+    """Cephes polevl at x (p1evl when ``monic``: a leading 1 left out
+    of ``coefs``), written into ``out``, which must not be x."""
+    if monic:
+        np.add(x, coefs[0], out=out)
+    else:
+        np.multiply(x, coefs[0], out=out)
+        out += coefs[1]
+        coefs = coefs[1:]
+    for c in coefs[1:]:
+        out *= x
+        out += c
+    return out
+
+
+def _erfc_rational(u: np.ndarray, z: np.ndarray, num: tuple[float, ...], den: tuple[float, ...]) -> np.ndarray:
+    """exp(-u^2) num(z)/den(z), in Cephes' order, with z = |u|."""
+    y = np.exp(-(u * u))
+    y *= _horner(z, num, np.empty_like(z), False)
+    y /= _horner(z, den, np.empty_like(z), True)
+    return y
+
+
+def _erfc_far(u: np.ndarray) -> np.ndarray:
+    """Cephes erfc at arguments with |u| >= 1 (no NaN)."""
+    z = np.abs(u)
+    y = np.zeros_like(u)
+    live = z * z <= _MAXLOG
+    mid = z < 8.0
+    for sel, num, den in ((mid, _ERFC_P, _ERFC_Q), (live & ~mid, _ERFC_R, _ERFC_S)):
+        y[sel] = _erfc_rational(u[sel], z[sel], num, den)
+    return np.where(u < 0.0, 2.0 - y, y)
+
+
+def ndtr(a: np.ndarray | float) -> np.ndarray:
+    """The standard normal CDF Phi(a) = erfc(-a/sqrt(2))/2, elementwise.
+
+    Cephes' arithmetic step for step, so it matches
+    ``scipy.special.ndtr`` to within the rounding of numpy's ``exp``
+    (a few ulp): exactly 0.5 at 0, 0 and 1 at -inf and inf, 0 below
+    a = -sqrt(2 MAXLOG) ~ -37.68 (and 1 above its negative), and NaN
+    at NaN.
+
+    The T/U branch runs in place over cache-sized blocks of the
+    flattened input; the elements with |a| >= sqrt(2) are gathered from
+    all of them and overwritten by the erfc branches, again in blocks.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    out = np.empty(a.shape)
+    flat, flat_out = a.reshape(-1), out.reshape(-1)
+    n = min(_NDTR_BLOCK, flat.size)
+    u, x, x2, num, den = (np.empty(n) for _ in range(5))
+    far_parts = [np.empty(0, dtype=np.intp)]
+    for s in range(0, flat.size, _NDTR_BLOCK):
+        m = min(n, flat.size - s)
+        ub, xb, x2b, nb, db = u[:m], x[:m], x2[:m], num[:m], den[:m]
+        np.multiply(flat[s:s + m], -_SQRT1_2, out=ub)
+        np.abs(ub, out=xb)
+        far_parts.append(np.flatnonzero(xb >= 1.0) + s)
+        # 1 - erf(u) on u clipped to [-1, 1], which keeps +-inf out of T/U
+        np.clip(ub, -1.0, 1.0, out=xb)
+        np.multiply(xb, xb, out=x2b)
+        _horner(x2b, _ERF_T, nb, False)
+        _horner(x2b, _ERF_U, db, True)
+        nb *= xb
+        nb /= db
+        np.subtract(1.0, nb, out=nb)
+        np.multiply(nb, 0.5, out=flat_out[s:s + m])
+    far_at = np.concatenate(far_parts)
+    for s in range(0, far_at.size, _NDTR_BLOCK):
+        idx = far_at[s:s + _NDTR_BLOCK]
+        flat_out[idx] = 0.5 * _erfc_far(flat[idx] * -_SQRT1_2)
+    return out
 
 
 @dataclass(frozen=True)

@@ -60,7 +60,6 @@ from dataclasses import asdict, dataclass, fields, replace
 from time import perf_counter
 
 import numpy as np
-from scipy.special import ndtr
 
 from .balayage import (
     PathFunctional,
@@ -87,6 +86,7 @@ from .density import (
     empty_zero_set,
     ensemble_weights,
     model_time,
+    ndtr,
     terminal_density,
 )
 from .ensemble import CHUNK_SIZE, run_chunked
@@ -152,8 +152,10 @@ DEFAULT_SEED = 20260822
 _MODEL_SPAN = 1.0
 _ERF = ErfSign(offset=1.0, terminal_time=_MODEL_SPAN)
 _SBM = StoppedBM(start=1.0, stop_time=_MODEL_SPAN)
-_D0_ERF = float(2.0 * ndtr(1.0) - 1.0)
-_P_HIT = float(2.0 * (1.0 - ndtr(1.0)))
+# 2 Phi(1) - 1 and 2 (1 - Phi(1)), as erf and erfc of 1/sqrt(2); math.sqrt(0.5)
+# is one ulp away and would move these constants
+_D0_ERF = math.erf(1.0 / math.sqrt(2.0))
+_P_HIT = math.erfc(1.0 / math.sqrt(2.0))
 
 
 # ---------------------------------------------------------------- config

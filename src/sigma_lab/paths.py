@@ -114,11 +114,12 @@ class Path:
 
 
 def check_key(master_seed: int, path_index: int = 0) -> None:
-    """Refuse a stream key with a seed past 64 unsigned bits or a negative path index."""
+    """Refuse a stream key whose seed or path index does not fit in 64
+    unsigned bits: the Philox key holds each in one 64-bit word."""
     if not 0 <= master_seed <= _MASK64:
         raise ConfigurationError("master_seed must fit in 64 unsigned bits")
-    if path_index < 0:
-        raise ConfigurationError("path_index must be non-negative")
+    if not 0 <= path_index <= _MASK64:
+        raise ConfigurationError("path_index must fit in 64 unsigned bits")
 
 
 @dataclass(frozen=True)
@@ -162,7 +163,7 @@ def make_grid(horizon: float, step: float) -> TimeGrid:
 
 def make_stream(seed: SeedSpec, substream: int = SUBSTREAM_PRIMARY) -> np.random.Generator:
     """Counter-based generator for one (path, substream) pair."""
-    key = (int(seed.master_seed) << 64) | (int(seed.path_index) & _MASK64)
+    key = (int(seed.master_seed) << 64) | int(seed.path_index)
     return np.random.Generator(np.random.Philox(key=key, counter=int(substream) << 128))
 
 
@@ -197,7 +198,7 @@ def bm_increments(
     if out is None:
         out = np.empty(n_steps)
     with _DRAW_LOCK:
-        _KEY_WORDS[0] = int(path_index) & _MASK64
+        _KEY_WORDS[0] = int(path_index)
         _KEY_WORDS[1] = master_seed
         _COUNTER_WORDS[2] = substream
         _DRAW_BITGEN.state = _FRESH_STATE

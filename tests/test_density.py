@@ -1,9 +1,10 @@
-"""Density models, zero-set geometry, and ensemble reweighting."""
+"""Density models, zero-set geometry, ensemble reweighting, and the normal CDF."""
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.special import ndtr as scipy_ndtr
 
 from sigma_lab import (
     ConfigurationError,
@@ -20,7 +21,8 @@ from sigma_lab import (
     zero_set,
     zero_set_from_level_series,
 )
-from sigma_lab.density import ZeroSetInfo, density_matrix, driver_matrix, terminal_density
+from sigma_lab.density import ZeroSetInfo, density_matrix, driver_matrix, ndtr, terminal_density
+from sigma_lab.experiments import _D0_ERF, _P_HIT
 
 SEED = 20260822
 
@@ -179,3 +181,52 @@ def test_last_zero_read_off_the_mask_is_the_last_anchor(in_h):
     for i in range(in_h.shape[0]):
         one = ZeroSetInfo(grid=grid, in_h=in_h[i]).gbar_index
         assert type(one) is int and one == want[i, -1]
+
+
+def _ulp_neighbourhood(centre: float, k: int) -> np.ndarray:
+    """The 2k + 1 doubles within k ulp of ``centre`` (> 0), and their negatives."""
+    bits = np.float64(centre).view(np.int64) + np.arange(-k, k + 1)
+    around = bits.view(np.float64)
+    return np.concatenate([around, -around])
+
+
+@pytest.mark.parametrize(
+    "where",
+    [
+        np.linspace(-40.0, 40.0, 800_001),
+        # the T/U and P/Q branches meet at |a| = sqrt(2), P/Q and R/S at 8 sqrt(2)
+        _ulp_neighbourhood(np.sqrt(2.0), 20_000),
+        _ulp_neighbourhood(8.0 * np.sqrt(2.0), 20_000),
+        # exp(-a^2/2) underflows near a = -37.68, where Phi is set to 0
+        np.linspace(-38.5, -37.5, 200_001),
+        -_ulp_neighbourhood(np.sqrt(2.0 * 7.09782712893383996843e2), 20_000),
+    ],
+    ids=["sweep", "sqrt2", "8sqrt2", "underflow", "underflow-ulp"],
+)
+def test_ndtr_matches_the_scipy_reference(where):
+    # the port and scipy run the same Cephes code; only numpy's exp
+    # rounds differently from libm's
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        got = ndtr(where)
+    ref = scipy_ndtr(where)
+    gap = np.abs(got - ref)
+    assert gap.max() <= 2.3e-16
+    assert np.all(gap <= 4 * np.spacing(ref))
+
+
+def test_ndtr_special_values():
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        got = ndtr(np.array([0.0, -0.0, -np.inf, np.inf, np.nan]))
+        scalar = ndtr(1.0)
+    assert list(got[:4]) == [0.5, 0.5, 0.0, 1.0]
+    assert np.isnan(got[4])
+    assert scalar == scipy_ndtr(1.0)
+    assert ndtr(np.empty((3, 0))).shape == (3, 0)
+    # a strided input keeps its shape and order across blocks
+    grid = np.linspace(-5.0, 5.0, 3 * 40_001).reshape(3, -1)
+    assert np.array_equal(ndtr(grid.T), ndtr(grid).T)
+
+
+def test_erf_constants_are_scipys_bit_for_bit():
+    assert _D0_ERF == float(2.0 * scipy_ndtr(1.0) - 1.0) == ERF_SIGN_START
+    assert _P_HIT == float(2.0 * (1.0 - scipy_ndtr(1.0))) == HIT_PROB_FROM_1_BY_1

@@ -150,11 +150,13 @@ def test_independent_pair_layout():
 
 
 def test_seed_spec_validation():
-    # one key-range rule: a SeedSpec and a per-row draw refuse the same keys
-    for master_seed, path_index in ((-1, 0), (2**64, 0), (1, -2)):
+    # one key-range rule: a SeedSpec and a per-row draw refuse the same keys;
+    # the key holds seed and index in a 64-bit word each, so path 2**64
+    # would alias path 0
+    for master_seed, path_index in ((-1, 0), (2**64, 0), (1, -2), (1, 2**64)):
         with pytest.raises(ConfigurationError):
             SeedSpec(master_seed=master_seed, path_index=path_index)
         with pytest.raises(ConfigurationError):
             bm_increments(master_seed, path_index, 4, 0.1, SUBSTREAM_PRIMARY)
-    SeedSpec(master_seed=2**64 - 1, path_index=0)
-    bm_increments(2**64 - 1, 0, 4, 0.1, SUBSTREAM_PRIMARY)
+    SeedSpec(master_seed=2**64 - 1, path_index=2**64 - 1)
+    bm_increments(2**64 - 1, 2**64 - 1, 4, 0.1, SUBSTREAM_PRIMARY)
