@@ -36,10 +36,11 @@ per-path samplers (``density_driver_path``, ``density_path``) are row
 
 Every model has its own time span and its own driver.  What differs
 between the models is decided here and nowhere else: that span
-(``model_time``), where its driver starts (``driver_from_increments``),
-D's value from that span on (``terminal_density``, which every check
+(``model_time``), where its driver starts (``driver_matrix``), D's
+value from that span on (``terminal_density``, which every check
 weights by), and the series whose sign changes are D's zeros
-(``zero_level``).
+(``zero_level``).  ErfSign(offset=c) and StoppedBM(start=c) on one
+span, as in the registry, share one driver and so one zero set H.
 
 ``ndtr`` is the package's one normal CDF Phi: a numpy port of Cephes'
 erfc (Moshier, *Methods and Programs for Mathematical Functions*,
@@ -65,7 +66,6 @@ __all__ = [
     "ZeroSetInfo",
     "empty_zero_set",
     "model_time",
-    "driver_from_increments",
     "driver_matrix",
     "terminal_density",
     "density_matrix",
@@ -293,18 +293,12 @@ def _require_horizon(model: DensityModel, grid: TimeGrid) -> int:
     return grid.index_of(min(intrinsic, grid.horizon))
 
 
-def driver_from_increments(model: DensityModel, incs: np.ndarray) -> np.ndarray:
-    """Driver rows from density-substream increments: StoppedBM's starts
-    at ``start``, ErfSign's at 0, so models given the same increments
-    share one Brownian draw."""
-    return cumsum_paths(incs, model.start if isinstance(model, StoppedBM) else 0.0)
-
-
 def driver_matrix(model: DensityModel, master_seed: int, start_index: int, count: int, grid: TimeGrid) -> np.ndarray:
-    """Density-substream driver rows."""
+    """Density-substream driver rows: StoppedBM's start at ``start``,
+    ErfSign's at 0, so the two models share one Brownian draw."""
     _require_horizon(model, grid)
     incs = increments_matrix(master_seed, start_index, count, grid.n_steps, grid.step, SUBSTREAM_DENSITY)
-    return driver_from_increments(model, incs)
+    return cumsum_paths(incs, model.start if isinstance(model, StoppedBM) else 0.0)
 
 
 def terminal_density(model: DensityModel, driver: np.ndarray, grid: TimeGrid) -> np.ndarray:

@@ -38,6 +38,10 @@ whose horizon override changes the call, simulates afresh.
 
 doob-maximal is no family, but its two passes read one draw too.
 
+Every chunk but the ladder's reads its density weights, ``q_erf`` and
+``q_sbm``, and its zero set H off one draw on the model span, through
+``_density_block``.
+
 A run request is one ``ExperimentConfig``.  ``resolve_settings``
 checks it and fills its scales, horizon and checkpoints from the
 registry row; the runners read that resolved request, and its
@@ -77,7 +81,6 @@ from .balayage import (
     tanaka_residual,
 )
 from .density import (
-    DensityModel,
     ErfSign,
     StoppedBM,
     ZeroSetInfo,
@@ -85,7 +88,6 @@ from .density import (
     driver_zero_set,
     empty_zero_set,
     ensemble_weights,
-    model_time,
     ndtr,
     terminal_density,
 )
@@ -113,6 +115,7 @@ from .paths import (
     check_key,
     cumsum_paths,
     first_hit,
+    gather,
     increments_matrix,
     make_grid,
 )
@@ -283,34 +286,42 @@ def _chunked(st: ExperimentConfig, chunk: Callable[..., dict[str, np.ndarray]], 
     return dict(feats)
 
 
-def _gather(matrix: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    return np.take_along_axis(matrix, cols[:, None], axis=1)[:, 0]
-
-
 def _primary(seed: int, start: int, count: int, grid: TimeGrid, substream: int = SUBSTREAM_PRIMARY) -> np.ndarray:
     """Brownian rows from 0 on a substream, the primary one by default."""
     incs = increments_matrix(seed, start, count, grid.n_steps, grid.step, substream)
     return cumsum_paths(incs)
 
 
-def _density_block(
-    model: DensityModel, seed: int, start: int, count: int, step: float
-) -> tuple[np.ndarray, ZeroSetInfo]:
-    """Terminal density values and zero sets on the model's own span.
+def _density_block(seed: int, start: int, count: int, grid: TimeGrid) -> tuple[np.ndarray, np.ndarray, ZeroSetInfo]:
+    """ErfSign's and StoppedBM's terminal values and their one zero set H
+    off one density draw on the model span: D = 2 Phi((W + 1)/sqrt(1 - t)) - 1
+    and D = 1 + W read one driver W and vanish where it reaches -1.  H
+    comes on ``grid``, of the span's step: padded past the span, where
+    neither model has zeros, or cut to a shorter grid's prefix."""
+    sgrid = make_grid(_MODEL_SPAN, grid.step)
+    driver = driver_matrix(_ERF, seed, start, count, sgrid)
+    q_erf = terminal_density(_ERF, driver, sgrid)
+    # StoppedBM's driver is ErfSign's plus its start, added after the sum,
+    # so its terminal value is ErfSign's last column plus it
+    q_sbm = driver[:, -1] + _SBM.start
+    in_h = driver_zero_set(_ERF, Path(grid=sgrid, values=driver)).in_h
+    pad = grid.n_steps - sgrid.n_steps
+    in_h = np.pad(in_h, ((0, 0), (0, pad))) if pad > 0 else in_h[:, : grid.n_steps + 1]
+    return q_erf, q_sbm, ZeroSetInfo(grid=grid, in_h=in_h)
 
-    The indices live on any grid with the same step, because the
-    model is constant past its own time.
-    """
-    sgrid = make_grid(model_time(model), step)
-    driver = driver_matrix(model, seed, start, count, sgrid)
-    return terminal_density(model, driver, sgrid), driver_zero_set(model, Path(grid=sgrid, values=driver))
 
-
-def _extend(zs: ZeroSetInfo, grid: TimeGrid) -> ZeroSetInfo:
-    """Zero sets on the model's span, out to a longer grid of the same
-    step: the model has no zeros past its span."""
-    pad = grid.n_steps - zs.grid.n_steps
-    return ZeroSetInfo(grid=grid, in_h=np.pad(zs.in_h, ((0, 0), (0, pad))))
+def _rung_grids(horizon: float, step: float, factors: tuple[float, ...], *times: float) -> dict[float, TimeGrid]:
+    """Each rung's grid to ``horizon`` at the step times its factor, holding
+    ``times`` too; refused before any draw, naming the step and the factor."""
+    grids = {}
+    for factor in factors:
+        try:
+            grids[factor] = make_grid(horizon, step * factor)
+            for t in times:
+                grids[factor].index_of(t)
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"the {factor:g}x rung of step {step:g}: {exc}") from None
+    return grids
 
 
 def _grid_steps(times: tuple[float, ...], horizon: float, step: float) -> tuple[int, ...]:
@@ -376,12 +387,12 @@ def _t1_chunk(
     the drawdown and the reflected path, StoppedBM's terminal weights,
     and the drifted control's drawdown feature for f = 1."""
     grid = make_grid(horizon, step)
-    terminal, _ = _density_block(_SBM, seed, start, count, step)
+    _, q_sbm, _ = _density_block(seed, start, count, grid)
     w = _primary(seed, start, count, grid)
     wd = w + _T1_DRIFT * grid.times[None, :]
     sd = np.maximum.accumulate(wd, axis=1)
     out: dict[str, np.ndarray] = {
-        "q": terminal,
+        "q_sbm": q_sbm,
         "control": characterization(*_F_PAIRS["one"], sd[:, cols], (sd - wd)[:, cols]),
     }
     del wd, sd
@@ -402,7 +413,7 @@ def _run_t1(st: ExperimentConfig) -> tuple[list[TargetCheck], list[CurveSeries]]
     cps = st.checkpoints
     feats = _chunked(st, _t1_chunk, horizon=st.horizon, cols=_grid_steps(cps, st.horizon, st.step))
     checks: list[TargetCheck] = []
-    for label, q in (("constant-one", np.ones(st.n_paths)), ("stopped-bm", feats["q"])):
+    for label, q in (("constant-one", np.ones(st.n_paths)), ("stopped-bm", feats["q_sbm"])):
         for cons in ("drawdown", "abs"):
             for kind in _F_PAIRS:
                 checks.append(flatness_check(f"{label}-{cons}-f-{kind}", feats[f"{cons}|{kind}"].T, q, cps, "q-weighted"))
@@ -420,25 +431,23 @@ def _r1_chunk(
     start: int, count: int, *, seed: int, step: float, horizon: float, offset_steps: tuple[int, ...]
 ) -> dict[str, np.ndarray]:
     grid = make_grid(horizon, step)
-    terminal, zs = _density_block(_ERF, seed, start, count, step)
+    q_erf, _, zs = _density_block(seed, start, count, grid)
     w = _primary(seed, start, count, grid)
     t = grid.times
     # U_t = P(W_T < 1/2 | W_t) with T one time unit past the horizon
     u = ndtr((0.5 - w) / np.sqrt(horizon + 1.0 - t)[None, :])
     gbar = zs.gbar_index
-    ug = _gather(u, gbar)
-    vals = np.stack([_gather(u, gbar + d) - ug for d in offset_steps], axis=1)
+    ug = gather(u, gbar)
+    vals = np.stack([gather(u, gbar + d) - ug for d in offset_steps], axis=1)
     bound = max(float(np.max(u - 1.0)), float(np.max(-u)), 0.0)
-    return {"v": vals, "bound": np.full(count, bound), "pprime_raw": terminal}
+    return {"v": vals, "bound": np.full(count, bound), "q_erf": q_erf}
 
 
 def _run_r1(st: ExperimentConfig) -> tuple[list[TargetCheck], list[CurveSeries]]:
     steps = _restart_steps(st.checkpoints, st.horizon, st.step)
     feats = _chunked(st, _r1_chunk, horizon=st.horizon, offset_steps=steps)
     checks = [
-        flatness_check(
-            "restart-increments-flat", feats["v"].T, ensemble_weights(feats["pprime_raw"]), st.checkpoints, "P'-weighted"
-        ),
+        flatness_check("restart-increments-flat", feats["v"].T, ensemble_weights(feats["q_erf"]), st.checkpoints, "P'-weighted"),
         exact_check("bounded-in-unit-interval", float(np.max(feats["bound"]))),
     ]
     return checks, []
@@ -448,27 +457,27 @@ def _run_r1(st: ExperimentConfig) -> tuple[list[TargetCheck], list[CurveSeries]]
 
 def _sigs_members(start: int, count: int, *, seed: int, step: float, horizon: float) -> tuple[Decomposition, np.ndarray]:
     """The restarted reflected driver X and its kernel clock A, one row
-    per path (``lifted_reflected``), and the terminal density values."""
+    per path (``lifted_reflected``), and ErfSign's terminal values."""
     grid = make_grid(horizon, step)
-    terminal, zs = _density_block(_ERF, seed, start, count, step)
-    return lifted_reflected(Path(grid=grid, values=_primary(seed, start, count, grid)), _extend(zs, grid)), terminal
+    q_erf, _, zs = _density_block(seed, start, count, grid)
+    return lifted_reflected(Path(grid=grid, values=_primary(seed, start, count, grid)), zs), q_erf
 
 
 def _sigs_chunk(start: int, count: int, *, cols: tuple[int, ...], **params) -> dict[str, np.ndarray]:
-    d, terminal = _sigs_members(start, count, **params)
+    d, q_erf = _sigs_members(start, count, **params)
     x, a, gbar = d.x.values, d.a.values, d.zero_set.gbar_index
     xc, ac = x[:, cols], a[:, cols]
-    out: dict[str, np.ndarray] = {"q": terminal}
+    out: dict[str, np.ndarray] = {"q_erf": q_erf}
     for kind, pair in _F_PAIRS.items():
         out[kind] = characterization(*pair, ac, xc)
-    out["null_mag"] = np.abs(_gather(x, gbar)) + np.abs(_gather(a, gbar))
+    out["null_mag"] = np.abs(gather(x, gbar)) + np.abs(gather(a, gbar))
     return out
 
 
 def _run_sigma_s(st: ExperimentConfig) -> tuple[list[TargetCheck], list[CurveSeries]]:
     feats = _chunked(st, _sigs_chunk, horizon=st.horizon, cols=_grid_steps(st.checkpoints, st.horizon, st.step))
     checks = [
-        flatness_check(f"restarted-reflected-f-{kind}", feats[kind].T, feats["q"], st.checkpoints, "q-weighted")
+        flatness_check(f"restarted-reflected-f-{kind}", feats[kind].T, feats["q_erf"], st.checkpoints, "q-weighted")
         for kind in _F_PAIRS
     ]
     checks.append(exact_check("null-at-last-zero", float(np.max(feats["null_mag"]))))
@@ -488,8 +497,7 @@ def _rho_pairs() -> tuple[tuple[PathFunctional, PathFunctional], ...]:
 def _rho_chunk(start: int, count: int, *, seed: int, step: float, horizon: float) -> dict[str, np.ndarray]:
     grid = make_grid(horizon, step)
     n = grid.n_steps
-    _, zs = _density_block(_ERF, seed, start, count, step)
-    zs = _extend(zs, grid)
+    _, _, zs = _density_block(seed, start, count, grid)
     w = _primary(seed, start, count, grid)
     g = zs.gbar_index
     layout = SegmentLayout(w, zs.in_h)
@@ -541,23 +549,23 @@ def _qbracket_chunk(
     start: int, count: int, *, seed: int, step: float, horizon: float, offset_steps: tuple[int, ...]
 ) -> dict[str, np.ndarray]:
     grid = make_grid(horizon, step)
-    terminal, zs = _density_block(_ERF, seed, start, count, step)
+    q_erf, _, zs = _density_block(seed, start, count, grid)
     w = _primary(seed, start, count, grid)
     gbar = zs.gbar_index
     # q_bracket from the last zero on, gathered at each row's one anchor
     # instead of every column's: test_qbracket_chunk_matches_per_path_bracket
     # pins it to q_bracket bit for bit
     bracket = gathered_prefix(np.diff(w, axis=1) ** 2, gbar[:, None])
-    wg = _gather(w, gbar)
+    wg = gather(w, gbar)
     vals = np.empty((count, len(offset_steps)))
     brack_min = np.full(count, np.inf)
     for k, d in enumerate(offset_steps):
         cols = gbar + d
-        beta = _gather(w, cols) - wg
-        brack = _gather(bracket, cols)
+        beta = gather(w, cols) - wg
+        brack = gather(bracket, cols)
         brack_min = np.minimum(brack_min, brack)
         vals[:, k] = beta * beta - brack
-    return {"v": vals, "brack_min": brack_min, "q": terminal}
+    return {"v": vals, "brack_min": brack_min, "q_erf": q_erf}
 
 
 def _run_qbracket(st: ExperimentConfig) -> tuple[list[TargetCheck], list[CurveSeries]]:
@@ -565,7 +573,7 @@ def _run_qbracket(st: ExperimentConfig) -> tuple[list[TargetCheck], list[CurveSe
     feats = _chunked(st, _qbracket_chunk, horizon=st.horizon, offset_steps=steps)
     worst = float(np.min(feats["brack_min"]))
     checks = [
-        flatness_check("squared-restart-minus-bracket-flat", feats["v"].T, feats["q"], st.checkpoints, "q-weighted"),
+        flatness_check("squared-restart-minus-bracket-flat", feats["v"].T, feats["q_erf"], st.checkpoints, "q-weighted"),
         exact_check("bracket-increments-nonnegative", max(0.0, -worst)),
     ]
     return checks, []
@@ -596,8 +604,9 @@ def _residual(x: Path, zs: ZeroSetInfo, form: str) -> np.ndarray:
 
 def _ladder_chunk(start: int, count: int, *, seed: int, step: float, horizon: float) -> dict[str, np.ndarray]:
     """Sup residuals of every form on every ladder rung: the fine rows and
-    their zero sets, subsampled onto each rung's grid."""
-    grids = {factor: make_grid(horizon, step * factor) for factor in _LADDER}
+    their zero sets, subsampled onto each rung's grid: a coarse rung's H
+    is no subsample of the fine H, so the ladder draws its own driver."""
+    grids = _rung_grids(horizon, step, _LADDER, _MODEL_SPAN)
     fine = grids[1]
     driver = driver_matrix(_ERF, seed, start, count, fine)
     w = _primary(seed, start, count, fine)
@@ -692,7 +701,7 @@ def _doob_chunk(start: int, count: int, *, seed: int, step: float, horizon: floa
     ``horizon``: density one at each curve level, and ErfSign after its
     last zero at level 2."""
     grid = make_grid(horizon, step)
-    terminal, zs = _density_block(_ERF, seed, start, count, step)
+    q_erf, _, zs = _density_block(seed, start, count, grid)
     z = _primary(seed, start, count, grid)
     z -= 0.5 * grid.times[None, :]
     # density one has no zeros: the whole path is after the last zero
@@ -702,9 +711,7 @@ def _doob_chunk(start: int, count: int, *, seed: int, step: float, horizon: floa
     b = float(np.log(2.0))
     pre = np.arange(grid.n_steps + 1)[None, :] < gbar[:, None]
     out["erf|freq|2"] = _crossing_freq(np.where(pre, b - 50.0, z) if gbar.any() else z, b, step)
-    out["zg"] = _gather(z, gbar)
-    out["q"] = terminal
-    return out
+    return out | {"zg": gather(z, gbar), "q_erf": q_erf}
 
 
 def _run_doob(st: ExperimentConfig) -> tuple[list[TargetCheck], list[CurveSeries]]:
@@ -718,7 +725,7 @@ def _run_doob(st: ExperimentConfig) -> tuple[list[TargetCheck], list[CurveSeries
             checks.append(mean_check(f"constant-one-sup-exceeds-{a:g}", 1.0 / a, feats[f"freq|{a:g}"]))
     curve = _curve("constant-one-levels", _DOOB_LEVELS, [1.0 / a for a in _DOOB_LEVELS], ests)
 
-    pprime = ensemble_weights(feats["q"])
+    pprime = ensemble_weights(feats["q_erf"])
     freq = weighted_mean(feats["erf|freq|2"], pprime)
     mean_side = weighted_mean(np.minimum(np.exp(feats["zg"]) / 2.0, 1.0), pprime)
     checks.append(
@@ -756,7 +763,7 @@ def _pairs(w: np.ndarray, gbar: np.ndarray, step: float):
     """The laws family's (name, X, A) pairs off Brownian rows, one at a time."""
     x = np.abs(w)
     yield "abs", x, occupation_kernel(x, step)
-    x = np.abs(w - _gather(w, gbar)[:, None])
+    x = np.abs(w - gather(w, gbar)[:, None])
     # held at 0, where it cannot cross, until the restart
     x[np.arange(w.shape[1])[None, :] < gbar[:, None]] = 0.0
     yield "restarted", x, occupation_kernel(x, step, anchors=gbar[:, None])
@@ -775,17 +782,9 @@ def _laws_chunk(start: int, count: int, *, seed: int, step: float, horizon: floa
     starts, and both models' terminal values.
     """
     grid = make_grid(horizon, step)
-    sgrid = make_grid(_MODEL_SPAN, step)
-    driver = driver_matrix(_ERF, seed, start, count, sgrid)
-    out = {
-        "q_erf": terminal_density(_ERF, driver, sgrid),
-        # StoppedBM's driver is ErfSign's plus its start (driver_from_increments),
-        # added after the sum, so its terminal value is ErfSign's last column plus it
-        "q_sbm": driver[:, -1] + _SBM.start,
-    }
-    gbar = driver_zero_set(_ERF, Path(grid=sgrid, values=driver)).gbar_index
-    del driver
-    for pair, x, a in _pairs(_primary(seed, start, count, grid), gbar, step):
+    q_erf, q_sbm, zs = _density_block(seed, start, count, grid)
+    out = {"q_erf": q_erf, "q_sbm": q_sbm}
+    for pair, x, a in _pairs(_primary(seed, start, count, grid), zs.gbar_index, step):
         out[f"x|{pair}"], out[f"a|{pair}"] = x[:, -1].copy(), a[:, -1].copy()
         for law, (p, boundary) in _CROSSING_LAWS.items():
             if p == pair:
@@ -973,12 +972,12 @@ def _closure_chunk(
     build: Callable[[int, int, int, TimeGrid], Decomposition],
 ) -> dict[str, np.ndarray]:
     grid = make_grid(horizon, step)
-    terminal, _ = _density_block(_SBM, seed, start, count, step)
+    _, q_sbm, _ = _density_block(seed, start, count, grid)
     d = build(seed, start, count, grid)
     # a chunk holding some of the membership sample verifies its rows;
     # each row's verdict is that path's own
     fail = ~verify_membership(d).passed if start < _CLOSURE_SAMPLE else np.zeros(count, dtype=bool)
-    return {"n": d.n.values[:, cols], "q": terminal, "fail": fail}
+    return {"n": d.n.values[:, cols], "q_sbm": q_sbm, "fail": fail}
 
 
 def _run_closure(st: ExperimentConfig, *, build: Callable, label: str) -> tuple[list[TargetCheck], list[CurveSeries]]:
@@ -988,7 +987,7 @@ def _run_closure(st: ExperimentConfig, *, build: Callable, label: str) -> tuple[
     sample = min(_CLOSURE_SAMPLE, st.n_paths)
     bad = int(np.count_nonzero(feats["fail"][:sample]))
     checks = [
-        flatness_check(f"{label}-martingale-part-flat", feats["n"].T, feats["q"], st.checkpoints, "q-weighted"),
+        flatness_check(f"{label}-martingale-part-flat", feats["n"].T, feats["q_sbm"], st.checkpoints, "q-weighted"),
         count_check(f"{label}-membership-sample", bad, f"{sample} pathwise {label} decompositions verify"),
     ]
     return checks, []
@@ -1014,9 +1013,9 @@ _SHIFTED_VARIANTS = ("drawdown", "lifted", "lifted-stopped", "product", "scaled"
 
 def _membership_chunk(start: int, count: int, *, seed: int, step: float, horizon: float) -> dict[str, np.ndarray]:
     grid = make_grid(horizon, step)
-    # the support-mass ladder's rungs: (factor over the half step, grid)
-    rungs = {r: (f, make_grid(horizon, step / 2.0 * f)) for r, f in (("c", 4), ("m", 2), ("f", 1))}
-    zs = driver_zero_set(_ERF, Path(grid=grid, values=driver_matrix(_ERF, seed, start, count, grid)))
+    # the support-mass ladder's rungs, at twice, once and half the step
+    rungs = _rung_grids(horizon, step, (2.0, 1.0, 0.5))
+    _, _, zs = _density_block(seed, start, count, grid)
     w = Path(grid=grid, values=_primary(seed, start, count, grid))
     base = drawdown(w)
     members = {
@@ -1043,9 +1042,9 @@ def _membership_chunk(start: int, count: int, *, seed: int, step: float, horizon
     out["corrupt_pass"] = verify_membership(bad).passed.astype(np.float64)
     # fixed-tolerance support mass on a common-randomness step ladder
     stress_tol = 0.6 * float(np.sqrt(2.0 * step))
-    wf = _primary(seed, start, count, rungs["f"][1])
-    for rung, (factor, g) in rungs.items():
-        support = verify_membership(abs_martingale(Path(grid=g, values=wf[:, ::factor])), stress_tol).support
+    wf = _primary(seed, start, count, rungs[0.5])
+    for rung, (factor, g) in zip("cmf", rungs.items()):
+        support = verify_membership(abs_martingale(Path(grid=g, values=wf[:, :: int(2 * factor)])), stress_tol).support
         out[f"viol_{rung}"] = support.violation_mass
         out[f"tot_{rung}"] = support.total_mass
     return out
@@ -1095,7 +1094,7 @@ def _run_membership(st: ExperimentConfig) -> tuple[list[TargetCheck], list[Curve
 # ---------------------------------------------------------------- zero geometry
 
 def _geom_chunk(start: int, count: int, *, seed: int, step: float) -> dict[str, np.ndarray]:
-    _, zs = _density_block(_SBM, seed, start, count, step)
+    _, _, zs = _density_block(seed, start, count, make_grid(_MODEL_SPAN, step))
     gbar = zs.gbar_index
     col = np.arange(zs.in_h.shape[1])
     after = col[None, :] >= gbar[:, None]
@@ -1150,12 +1149,12 @@ class ExperimentSpec:
     config hash, and checkpoints (or offsets) that name fewer than two
     distinct times, because every reader tests them for flatness.
     ``min_horizon`` is the smallest horizon the runner can honour, the
-    model span unless the row says otherwise: ErfSign zero sets span the
-    model's terminal time 1.0, and restart anchors found there index the
-    driver's own grid.  r1 and q-bracket read windows that run their
-    offsets past such an anchor, so each refuses a horizon short of 1.0
-    plus its largest offset before any draw.  ``make_grid`` holds every
-    grid a run builds to its row byte budget.
+    model span, which holds every last zero, unless the row says
+    otherwise.  r1 and q-bracket read windows that run their offsets
+    past a last zero, so each refuses a horizon short of 1.0 plus its
+    largest offset before any draw.  ``make_grid`` holds every grid a
+    run builds to its row byte budget, and ``resolve_settings`` refuses
+    a step that does not divide the model span.
     """
 
     name: str
@@ -1228,6 +1227,10 @@ def resolve_settings(cfg: ExperimentConfig, suite: str | None = None) -> Experim
         raise ConfigurationError("n_paths must be at least 2")
     if not 0.0 < step < np.inf:
         raise ConfigurationError("step must be positive and finite")
+    try:
+        make_grid(_MODEL_SPAN, step)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{cfg.experiment} reads its density on the model span {_MODEL_SPAN:g} at step {step:g}: {exc}") from None
     check_key(cfg.master_seed)
     requested = {"horizon": cfg.horizon is not None, "checkpoints": cfg.checkpoints is not None}
     ignored = [option for option, given in requested.items() if given and option not in spec.reads]

@@ -50,6 +50,7 @@ __all__ = [
     "cumsum_paths",
     "first_hit",
     "before_hit",
+    "gather",
     "sample_bm",
     "sample_independent_pair",
 ]
@@ -156,7 +157,7 @@ def make_grid(horizon: float, step: float) -> TimeGrid:
     n = int(round(ratio))
     if n < 1 or abs(n * step - horizon) > _REL_TOL * max(1.0, abs(horizon)):
         raise ConfigurationError(
-            f"horizon {horizon!r} is not an integer multiple of step {step!r}"
+            f"time {horizon!r} is not an integer multiple of step {step!r}"
         )
     return TimeGrid(step=float(step), horizon=float(horizon), n_steps=n)
 
@@ -243,8 +244,12 @@ def before_hit(values: np.ndarray, hit: np.ndarray) -> np.ndarray:
     """Each row's value one step before its first hit (``first_hit``
     indices); inf where there is none, and for a hit at index 0, which
     no caller meets: the processes they scan start at 0, below their level."""
-    picked = values[np.arange(values.shape[0]), np.maximum(hit - 1, 0)]
-    return np.where(hit > 0, picked, np.inf)
+    return np.where(hit > 0, gather(values, np.maximum(hit - 1, 0)), np.inf)
+
+
+def gather(values: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Each row's value at its own column: values[i, cols[i]] for every row i."""
+    return np.take_along_axis(values, np.asarray(cols)[..., None], axis=-1)[..., 0]
 
 
 def _one_path(grid: TimeGrid, start: float, seed: SeedSpec, substream: int) -> Path:

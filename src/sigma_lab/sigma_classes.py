@@ -60,7 +60,7 @@ import numpy as np
 from .balayage import gathered_prefix, occupation_kernel, rho
 from .density import ZeroSetInfo, empty_zero_set
 from .errors import ConfigurationError, ContractError
-from .paths import Path, TimeGrid, first_hit
+from .paths import Path, TimeGrid, first_hit, gather
 
 __all__ = [
     "CLASSICAL",
@@ -491,10 +491,6 @@ def _window_checks(
     cols = np.arange(x.shape[-1])
     inside = cols >= start[:, None]
     steps_in = inside[:, :-1]  # the intervals (j, j+1) with j >= start
-
-    def at(p: np.ndarray, c: np.ndarray) -> np.ndarray:
-        return np.take_along_axis(p, c[:, None], axis=-1)[:, 0]
-
     da = np.diff(a, axis=-1)
     drops = (da < 0.0) & steps_in
     if restarts is not None:
@@ -506,10 +502,10 @@ def _window_checks(
     return _WindowChecks(
         gap=np.max(np.abs((x - a) - n), axis=-1, where=inside, initial=0.0),
         low=np.min(x, axis=-1, where=inside, initial=np.inf),
-        starts=np.maximum(np.maximum(np.abs(at(x, start)), np.abs(at(n, start))), np.abs(at(a, start))),
+        starts=np.maximum(np.maximum(np.abs(gather(x, start)), np.abs(gather(n, start))), np.abs(gather(a, start))),
         n_drops=np.count_nonzero(drops, axis=-1),
         worst=np.min(da, axis=-1, where=drops, initial=0.0),
-        support=SupportCheck(violation_mass=_masked_row_sums(da, viol), total_mass=a[:, -1] - at(a, support_start)),
+        support=SupportCheck(violation_mass=_masked_row_sums(da, viol), total_mass=a[:, -1] - gather(a, support_start)),
     )
 
 
@@ -603,8 +599,7 @@ def verify_membership(d: Decomposition, support_tolerance: float | np.ndarray | 
     if d.class_tag != CLASSICAL:
         # the restarted class always; sigma_h where X vanishes on H and
         # A is still 0 at the last zero
-        a_last_zero = np.take_along_axis(a, gbar[:, None], axis=-1)
-        n_last_zero = np.take_along_axis(n, gbar[:, None], axis=-1)
+        a_last_zero, n_last_zero = gather(a, gbar)[:, None], gather(n, gbar)[:, None]
         wants = np.full(count, True) if restarted else np.all((x == 0.0) | ~in_h, axis=-1) & (a_last_zero[:, 0] == 0.0)
         degenerate = gbar >= width - 1
         shifted = _window_checks(x, n - n_last_zero, a - a_last_zero, gbar, gbar, supp_tol).passes(gap_tol)

@@ -6,14 +6,15 @@ below rebuilds one path's features from the public per-path API
 (``rho``, the constructors, ``characterization``,
 ``verify_membership``, ``q_bracket``, ``tanaka_residual`` and
 ``ito_residual``), and the chunk features must equal them bit for bit.
-The laws chunk's terminal densities are checked against the full
-density rows of both models.
+The density block that every chunk but the ladder's reads is checked
+against each model's own driver, density rows and zero set.
 """
 
 from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sigma_lab import (
     ErfSign,
@@ -45,14 +46,14 @@ from sigma_lab import (
     tanaka_residual,
     verify_membership,
 )
-from sigma_lab.density import density_matrix, driver_from_increments
+from sigma_lab.density import density_matrix, driver_matrix, terminal_density, zero_level, zero_set_from_level_series
 from sigma_lab.experiments import (
     _F_PAIRS,
     _ITO_FORMS,
     _SHIFTED_VARIANTS,
     _T1_DRIFT,
+    _density_block,
     _ladder_chunk,
-    _laws_chunk,
     _membership_chunk,
     _qbracket_chunk,
     _rho_chunk,
@@ -60,7 +61,7 @@ from sigma_lab.experiments import (
     _sigs_chunk,
     _t1_chunk,
 )
-from sigma_lab.paths import SUBSTREAM_DENSITY, increments_matrix
+from sigma_lab.paths import SUBSTREAM_DENSITY, cumsum_paths, increments_matrix
 
 SEED = 20260822
 MODEL = ErfSign(offset=1.0, terminal_time=1.0)
@@ -168,7 +169,7 @@ def _t1_reference(spec, step, horizon, cols):
     w = sample_bm(grid, 0.0, spec)
     drifted = drawdown(Path(grid=grid, values=w.values + _T1_DRIFT * grid.times))
     out = {
-        "q": _terminal(STOPPED, spec, step),
+        "q_sbm": _terminal(STOPPED, spec, step),
         "control": characterization(*_F_PAIRS["one"], drifted.a.values[cols], drifted.x.values[cols]),
     }
     for cons, d in (("drawdown", drawdown(w)), ("abs", abs_martingale(w))):
@@ -182,7 +183,7 @@ def _sigs_reference(spec, step, horizon, cols):
     d = lifted_reflected(sample_bm(grid, 0.0, spec), _zero_set(spec, grid))
     g = d.zero_set.gbar_index
     out = {kind: characterization(*pair, d.a.values[cols], d.x.values[cols]) for kind, pair in _F_PAIRS.items()}
-    out["q"] = _terminal(MODEL, spec, step)
+    out["q_erf"] = _terminal(MODEL, spec, step)
     out["null_mag"] = abs(d.x.values[g]) + abs(d.a.values[g])
     return out
 
@@ -198,7 +199,7 @@ def _qbracket_reference(spec, step, horizon, offset_steps):
     return {
         "v": beta * beta - bracket[cols],
         "brack_min": min(np.inf, *bracket[cols]),
-        "q": _terminal(MODEL, spec, step),
+        "q_erf": _terminal(MODEL, spec, step),
     }
 
 
@@ -253,13 +254,38 @@ def test_qbracket_chunk_matches_per_path_bracket(start):
     assert 0 < sum(zeros) < PATHS
 
 
-def test_laws_chunk_terminal_densities_match_the_density_rows():
-    # StoppedBM's terminal value is read off the ErfSign driver plus the
-    # start, with no driver of its own
-    batch = _laws_chunk(40, 64, seed=SEED, step=0.01, horizon=1.0)
-    grid = make_grid(1.0, 0.01)
-    incs = increments_matrix(SEED, 40, 64, grid.n_steps, grid.step, SUBSTREAM_DENSITY)
-    for key, model in (("q_erf", MODEL), ("q_sbm", STOPPED)):
-        want = density_matrix(model, driver_from_increments(model, incs), grid)[:, -1]
-        assert batch[key].tobytes() == want.tobytes()
-    assert set(batch["q_erf"]) == {-1.0, 1.0} and np.any(batch["q_sbm"] < 0.0)
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    step=st.sampled_from((0.01, 2e-3, 1e-3, 2.5e-4)),
+    start=st.sampled_from((0, 256, 4096)) | st.integers(0, 2**64 - 8),
+)
+def test_density_block_matches_each_models_own_rows(seed, step, start):
+    # one draw gives both models' terminal values and their one zero set,
+    # each bit for bit what that model reads off its own driver
+    span = make_grid(1.0, step)
+    q_erf, q_sbm, zs = _density_block(seed, start, 8, span)
+    for model, q in ((MODEL, q_erf), (STOPPED, q_sbm)):
+        driver = driver_matrix(model, seed, start, 8, span)
+        assert q.tobytes() == terminal_density(model, driver, span).tobytes()
+        assert q.tobytes() == density_matrix(model, driver, span)[:, -1].tobytes()
+        assert np.array_equal(zs.in_h, driver_zero_set(model, Path(grid=span, values=driver)).in_h)
+    assert set(q_erf) <= {-1.0, 1.0}
+
+
+@pytest.mark.parametrize("horizon", [2.0, 0.5])
+def test_density_block_zero_set_on_longer_and_shorter_grids(horizon):
+    # padded past the span, cut to a shorter grid's prefix: either way the
+    # zero set of a driver drawn on that grid itself
+    grid = make_grid(horizon, 0.01)
+    _, _, zs = _density_block(SEED, 40, 64, grid)
+    assert zs.grid == grid
+    if horizon > 1.0:
+        want = driver_zero_set(MODEL, Path(grid=grid, values=driver_matrix(MODEL, SEED, 40, 64, grid)))
+    else:
+        # a grid short of the model span holds no driver of its own, so
+        # the reference reads the drawn prefix's sign changes
+        incs = increments_matrix(SEED, 40, 64, grid.n_steps, grid.step, SUBSTREAM_DENSITY)
+        want = zero_set_from_level_series(zero_level(MODEL, cumsum_paths(incs)), grid)
+    assert np.array_equal(zs.in_h, want.in_h)
+    assert 0 < np.count_nonzero(zs.gbar_index) < 64

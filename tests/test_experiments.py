@@ -119,6 +119,21 @@ def test_resolve_settings_rejects_bad_input(draws):
     # two distinct times that round to one grid point are one checkpoint
     with pytest.raises(ConfigurationError, match="fewer grid points"):
         run_experiment(ExperimentConfig(experiment="q-bracket", n_paths=200, step=0.01, checkpoints=(0.5, 0.5 + 1e-13)))
+    # every experiment reads its density on the model span, so a step that does
+    # not divide it is refused with the request, naming the span, not a grid horizon
+    for cfg in (
+        ExperimentConfig(experiment="t1-characterization", step=0.3, horizon=0.6, checkpoints=(0.3, 0.6)),
+        ExperimentConfig(experiment="passage-eq4", step=0.3, horizon=2.1),
+        ExperimentConfig(experiment="zero-geometry", step=0.3),
+    ):
+        with pytest.raises(ConfigurationError, match=r"model span 1 at step 0\.3: .*not an integer multiple") as info:
+            resolve_settings(cfg)
+        assert "horizon" not in str(info.value)
+    # a ladder rung's step is named by the requested step and the rung factor
+    for name, message in (("ito", "the 4x rung of step 0.2: "), ("membership", "the 2x rung of step 0.2: ")):
+        with pytest.raises(ConfigurationError, match="not an integer multiple") as info:
+            run_experiment(ExperimentConfig(experiment=name, n_paths=2, step=0.2))
+        assert str(info.value).startswith(message)
     assert sum(draws.values()) == 0
     # options the experiment does not read
     for cfg in (
@@ -597,6 +612,10 @@ def test_pathwise_chunks_draw_each_density_stream_once(draws):
     _membership_chunk(0, 10, seed=20260822, step=0.01, horizon=1.0)
     assert draws[SUBSTREAM_DENSITY] == 10
     draws.clear()
+    # past the span, membership's zero sets are padded, not read off a longer draw
+    _membership_chunk(0, 10, seed=20260822, step=0.01, horizon=2.0)
+    assert draws[SUBSTREAM_DENSITY] == 10 and draws.n_steps[SUBSTREAM_DENSITY] == {100}
+    draws.clear()
     # every ladder rung and all six residual forms read one draw per stream
     _ladder_chunk(0, 10, seed=20260822, step=0.005, horizon=1.0)
     assert draws[SUBSTREAM_DENSITY] == 10 and draws[SUBSTREAM_PRIMARY] == 10
@@ -765,7 +784,7 @@ def test_cli_rejects_unknown_config_key(tmp_path):
 def test_r1_chunk_returns_one_row_per_path():
     # the largest offset, 0.95, leaves the model span's 100 steps on a horizon-1.95 grid
     feats = _r1_chunk(0, 12, seed=7, step=0.01, horizon=1.95, offset_steps=(20, 95))
-    assert {k: v.shape[0] for k, v in feats.items()} == dict.fromkeys(("v", "bound", "pprime_raw"), 12)
+    assert {k: v.shape[0] for k, v in feats.items()} == dict.fromkeys(("v", "bound", "q_erf"), 12)
 
 
 def test_restart_windows_past_the_horizon_are_refused_before_any_draw(draws, capsys, tmp_path):
