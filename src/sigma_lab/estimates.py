@@ -54,7 +54,6 @@ __all__ = [
 _FLATNESS_Z = 4.0  # largest pairwise z between checkpoint means
 _KS_SCALE = 1.63  # KS critical value times sqrt(effective sample size)
 _MEAN_Z = 3.0  # standard errors a weighted mean may stray from its target
-_RATIO_FLOOR = 1e-12  # errors below this are exact to rounding
 
 
 @dataclass(frozen=True)
@@ -313,30 +312,16 @@ def count_check(name: str, bad_count: int, detail: str = "") -> TargetCheck:
     )
 
 
-def ratio_check(
-    name: str,
-    coarse_error: float,
-    fine_error: float,
-    min_ratio: float,
-) -> TargetCheck:
-    """Error halving between grids: coarse / fine must reach min_ratio.
-
-    When both errors sit below 1e-12 the quantity is exact to rounding
-    and the ratio criterion is met trivially.
-    """
-    exact = coarse_error < _RATIO_FLOOR and fine_error < _RATIO_FLOOR
-    ratio = coarse_error / fine_error if fine_error > 0.0 and not exact else float("inf")
+def ratio_check(name: str, coarse_error: float, fine_error: float, min_ratio: float) -> TargetCheck:
+    """Error halving between grids: coarse / fine must reach min_ratio."""
+    ratio = coarse_error / fine_error if fine_error > 0.0 else float("inf")
     return TargetCheck(
         name=name,
         kind="ratio",
         target=min_ratio,
         estimate=float(ratio),
-        passed=exact or ratio >= min_ratio,
-        detail=(
-            f"both errors below {_RATIO_FLOOR:.1e}; exact to rounding"
-            if exact
-            else f"error ratio {ratio:.3f} vs required {min_ratio:.3f}"
-        ),
+        passed=ratio >= min_ratio,
+        detail=f"error ratio {ratio:.3f} vs required {min_ratio:.3f}",
         extras={"coarse_error": coarse_error, "fine_error": fine_error},
     )
 

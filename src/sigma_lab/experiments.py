@@ -296,18 +296,23 @@ def _density_block(seed: int, start: int, count: int, grid: TimeGrid) -> tuple[n
     """ErfSign's and StoppedBM's terminal values and their one zero set H
     off one density draw on the model span: D = 2 Phi((W + 1)/sqrt(1 - t)) - 1
     and D = 1 + W read one driver W and vanish where it reaches -1.  H
-    comes on ``grid``, of the span's step: padded past the span, where
-    neither model has zeros, or cut to a shorter grid's prefix."""
+    comes on ``grid``, of the span's step."""
     sgrid = make_grid(_MODEL_SPAN, grid.step)
     driver = driver_matrix(_ERF, seed, start, count, sgrid)
     q_erf = terminal_density(_ERF, driver, sgrid)
     # StoppedBM's driver is ErfSign's plus its start, added after the sum,
     # so its terminal value is ErfSign's last column plus it
     q_sbm = driver[:, -1] + _SBM.start
-    in_h = driver_zero_set(_ERF, Path(grid=sgrid, values=driver)).in_h
-    pad = grid.n_steps - sgrid.n_steps
+    return q_erf, q_sbm, _span_zero_set(driver, grid)
+
+
+def _span_zero_set(driver: np.ndarray, grid: TimeGrid) -> ZeroSetInfo:
+    """H of ErfSign's driver rows on the model span at ``grid``'s step, on
+    ``grid``: padded past the span, where neither model has zeros, or cut short."""
+    in_h = driver_zero_set(_ERF, Path(grid=make_grid(_MODEL_SPAN, grid.step), values=driver)).in_h
+    pad = grid.n_steps + 1 - in_h.shape[1]
     in_h = np.pad(in_h, ((0, 0), (0, pad))) if pad > 0 else in_h[:, : grid.n_steps + 1]
-    return q_erf, q_sbm, ZeroSetInfo(grid=grid, in_h=in_h)
+    return ZeroSetInfo(grid=grid, in_h=in_h)
 
 
 def _rung_grids(horizon: float, step: float, factors: tuple[float, ...], *times: float) -> dict[float, TimeGrid]:
@@ -486,11 +491,12 @@ def _run_sigma_s(st: ExperimentConfig) -> tuple[list[TargetCheck], list[CurveSer
 
 # ---------------------------------------------------------------- rho algebra
 
-def _rho_pairs() -> tuple[tuple[PathFunctional, PathFunctional], ...]:
+def _rho_pairs() -> tuple[tuple[PathFunctional, PathFunctional, bool], ...]:
+    """The restart operator's pairs, each with whether its second is nonnegative."""
     return (
-        (running_sup, quadratic_variation),
-        (net_change, integral_against(lambda values, step: values)),
-        (constant(2.0), functools.partial(occupation_kernel, level=0.0)),
+        (running_sup, quadratic_variation, True),
+        (net_change, integral_against(lambda values, step: values), False),
+        (constant(2.0), functools.partial(occupation_kernel, level=0.0), True),
     )
 
 
@@ -510,9 +516,11 @@ def _rho_chunk(start: int, count: int, *, seed: int, step: float, horizon: float
     pos_bad = np.zeros(count)
     prod_bad = np.zeros(count)
     defn_bad = np.zeros(count)
-    for v1, v2 in _rho_pairs():
+    for v1, v2, nonnegative in _rho_pairs():
         u1 = layout.restart(v1, step)
         u2 = layout.restart(v2, step)
+        if nonnegative:
+            pos_bad += np.min(u2, axis=1) < 0.0
         combo = layout.restart(linear_combination((2.0, -1.0), (v1, v2)), step)
         lin_bad += np.any(combo != 2.0 * u1 - u2, axis=1)
         prod = layout.restart(product_of((v1, v2)), step)
@@ -524,8 +532,6 @@ def _rho_chunk(start: int, count: int, *, seed: int, step: float, horizon: float
         tail_bad = np.any((u1_tail[:, 1:] != direct[:, 1:]) & on_shift, axis=1)
         head_bad = u1_tail[:, 0] != np.where(g > 0, 0.0, direct[:, 0])
         defn_bad += tail_bad | head_bad
-    for v in (quadratic_variation, functools.partial(occupation_kernel, level=0.0)):
-        pos_bad += np.min(layout.restart(v, step), axis=1) < 0.0
     return {"lin": lin_bad, "pos": pos_bad, "prod": prod_bad, "defn": defn_bad}
 
 
@@ -592,6 +598,9 @@ _ITO_FORMS = {
 
 
 _LADDER_FORMS = ("abs", "plus", "minus") + tuple(_ITO_FORMS)
+# the forms whose left-point expansion is exact: their residual is 0 to rounding
+_EXACT_FORMS = ("linear", "square")
+_ROUNDING = 1e-12  # a residual, or a gap between two, below this is exact
 
 
 def _residual(x: Path, zs: ZeroSetInfo, form: str) -> np.ndarray:
@@ -603,26 +612,27 @@ def _residual(x: Path, zs: ZeroSetInfo, form: str) -> np.ndarray:
 
 
 def _ladder_chunk(start: int, count: int, *, seed: int, step: float, horizon: float) -> dict[str, np.ndarray]:
-    """Sup residuals of every form on every ladder rung: the fine rows and
-    their zero sets, subsampled onto each rung's grid: a coarse rung's H
-    is no subsample of the fine H, so the ladder draws its own driver."""
+    """Sup residuals of every form on every ladder rung: the fine rows, and
+    the density driver on the span, subsampled onto each rung's grid: a
+    coarse rung's H is no subsample of the fine H, so the ladder draws
+    its own driver.  On the fine rung, also the largest gaps of the plus
+    and minus residuals from the abs one: all three estimate one local time."""
     grids = _rung_grids(horizon, step, _LADDER, _MODEL_SPAN)
-    fine = grids[1]
-    driver = driver_matrix(_ERF, seed, start, count, fine)
-    w = _primary(seed, start, count, fine)
+    driver = driver_matrix(_ERF, seed, start, count, make_grid(_MODEL_SPAN, step))
+    w = _primary(seed, start, count, grids[1])
     out: dict[str, np.ndarray] = {}
     for factor, grid in grids.items():
-        zs = driver_zero_set(_ERF, Path(grid=grid, values=driver[:, ::factor]))
+        zs = _span_zero_set(driver[:, ::factor], grid)
         values = w[:, ::factor]
         # signed restarted driver; level 0 is crossed transversally, which
         # is what the local-time identities are about
         x = Path(grid=grid, values=values - np.take_along_axis(values, zs.gamma_index, axis=1))
-        res = {form: np.abs(_residual(x, zs, form)) for form in _LADDER_FORMS}
+        res = {form: _residual(x, zs, form) for form in _LADDER_FORMS}
         for form, r in res.items():
-            out[f"sup{factor}|{form}"] = np.max(r, axis=1)
+            out[f"sup{factor}|{form}"] = np.max(np.abs(r), axis=1)
         if factor == 1:
-            gap = res["abs"] - (res["plus"] + res["minus"])
-            out["tri_bad"] = (np.max(gap, axis=1) > 1e-12).astype(np.float64)
+            for form in ("plus", "minus"):
+                out[f"gap|{form}"] = np.max(np.abs(res[form] - res["abs"]), axis=1)
     return out
 
 
@@ -643,16 +653,12 @@ def _constant_path_residual(st: ExperimentConfig, form: str) -> float:
 
 def _run_tanaka(st: ExperimentConfig, *, form: str) -> tuple[list[TargetCheck], list[CurveSeries]]:
     feats = _chunked(st, _ladder_chunk, horizon=st.horizon)
-    checks = _ladder_rows(f"{form}-residual", form, feats, st)
-    checks.append(exact_check("constant-path-residual", _constant_path_residual(st, form)))
     if form == "abs":
-        checks.append(
-            count_check(
-                "abs-bounded-by-parts",
-                int(feats["tri_bad"].sum()),
-                f"|abs residual| <= |plus| + |minus| pathwise on {st.n_paths} paths",
-            )
-        )
+        checks = _ladder_rows("abs-residual", form, feats, st)
+    else:
+        # the abs residual's halving is stated once; plus and minus state that they are it
+        checks = [exact_check(f"{form}-residual-equals-abs", float(np.max(feats[f"gap|{form}"])), _ROUNDING)]
+    checks.append(exact_check("constant-path-residual", _constant_path_residual(st, form)))
     return checks, []
 
 
@@ -665,7 +671,10 @@ def _run_ito(st: ExperimentConfig) -> tuple[list[TargetCheck], list[CurveSeries]
     checks: list[TargetCheck] = []
     feats = _chunked(st, _ladder_chunk, horizon=st.horizon)
     for form in _ITO_FORMS:
-        checks.extend(_ladder_rows(form, form, feats, st))
+        if form in _EXACT_FORMS:
+            checks.append(exact_check(f"{form}-residual-exact", float(np.max(feats[f"sup1|{form}"])), _ROUNDING))
+        else:
+            checks.extend(_ladder_rows(form, form, feats, st))
         checks.append(exact_check(f"{form}-constant-path-residual", _constant_path_residual(st, form)))
     return checks, []
 
@@ -710,7 +719,7 @@ def _doob_chunk(start: int, count: int, *, seed: int, step: float, horizon: floa
     gbar = zs.gbar_index
     b = float(np.log(2.0))
     pre = np.arange(grid.n_steps + 1)[None, :] < gbar[:, None]
-    out["erf|freq|2"] = _crossing_freq(np.where(pre, b - 50.0, z) if gbar.any() else z, b, step)
+    out["erf|freq|2"] = _crossing_freq(np.where(pre, b - 50.0, z), b, step)
     return out | {"zg": gather(z, gbar), "q_erf": q_erf}
 
 
@@ -750,7 +759,7 @@ _UNIT = TableBoundary(((0.0, 1.0),))
 # drawdown S - W with the running maximum S ("drawdown").
 _CROSSING_LAWS = {
     "passage-eq2": ("abs", TableBoundary(((0.0, 1.0), (0.5, 2.0)))),
-    "passage-eq3": ("abs", TableBoundary(((0.0, 1.0), (1.0, float("inf"))))),
+    "passage-eq3": ("abs", TableBoundary(((0.0, 1.0), (0.5, 2.0), (2.0, float("inf"))))),
     "passage-eq4": ("abs", _UNIT),
     "restarted": ("restarted", _UNIT),
     "levy-eq5": ("drawdown", _UNIT),
@@ -806,6 +815,12 @@ def _crossing(feats: dict[str, np.ndarray], law: str, u: float) -> np.ndarray:
     return np.where(np.isfinite(aprev), aprev <= u, rest)
 
 
+# the growth levels of the laws' curves; eq3's boundary is finite up to
+# growth 2 and infinite after, a finite total integral, so its curve runs to 2
+_LEVELS = (0.2, 0.4, 0.6, 0.8, 1.0)
+_CURVE_LEVELS = {"passage-eq3": (0.4, 0.8, 1.2, 1.6, 2.0)}
+
+
 def _passage_rows(
     feats: dict[str, np.ndarray],
     law: str,
@@ -815,10 +830,10 @@ def _passage_rows(
     curve_name: str = "crossing-by-level",
 ) -> tuple[TargetCheck, CurveSeries]:
     """Crossing probability against the boundary's law before growth
-    level u (inf: over the full span), with its curve over u."""
+    level u (inf: over the full span), with its curve over the law's levels."""
     boundary = _CROSSING_LAWS[law][1]
     check = mean_check(name, boundary.crossing_probability(u), _crossing(feats, law, u), weights, grid_allowance=0.012)
-    xs = (0.2, 0.4, 0.6, 0.8, 1.0)
+    xs = _CURVE_LEVELS.get(law, _LEVELS)
     ests = [weighted_mean(_crossing(feats, law, g), weights) for g in xs]
     curve = _curve(curve_name, xs, [boundary.crossing_probability(g) for g in xs], ests)
     return check, curve
@@ -840,7 +855,6 @@ def _run_s32(st: ExperimentConfig) -> tuple[list[TargetCheck], list[CurveSeries]
     restarted, curve = _passage_rows(
         feats, "restarted", 1.0, "restarted-crossing-before-growth-1", pprime, curve_name="restarted-crossing-by-level"
     )
-    paired, _ = _passage_rows(feats, "passage-eq4", 1.0, "paired-driver-crossing", None)
     agreement = agreement_check(
         "common-numbers-agreement",
         weighted_mean(_crossing(feats, "restarted", 1.0), pprime),
@@ -848,7 +862,7 @@ def _run_s32(st: ExperimentConfig) -> tuple[list[TargetCheck], list[CurveSeries]
         2.0,
         "restarted {estimate:.5f} vs driver {target:.5f}, combined se {stderr:.5f}",
     )
-    return [restarted, paired, agreement], [curve]
+    return [restarted, agreement], [curve]
 
 
 def _run_ainf(st: ExperimentConfig) -> tuple[list[TargetCheck], list[CurveSeries]]:
@@ -908,12 +922,11 @@ def _run_levy5(st: ExperimentConfig) -> tuple[list[TargetCheck], list[CurveSerie
         mean_check("q-mean-of-one-erf-sign", _D0_ERF, np.ones_like(hold), feats["q_erf"]),
         mean_check("q-mean-of-one-stopped-bm", 1.0, np.ones_like(hold), feats["q_sbm"]),
     ]
-    xs = (0.2, 0.4, 0.6, 0.8, 1.0)
-    holds = [1.0 - _crossing(feats, st.experiment, g) for g in xs]
-    targets = [_hold_target(st.experiment, g) for g in xs]
+    holds = [1.0 - _crossing(feats, st.experiment, g) for g in _LEVELS]
+    targets = [_hold_target(st.experiment, g) for g in _LEVELS]
     curves = [
-        _curve("constant-one-hold", xs, targets, [weighted_mean(h) for h in holds]),
-        _curve("erf-sign-hold", xs, [_D0_ERF * t for t in targets], [weighted_mean(h, feats["q_erf"]) for h in holds]),
+        _curve("constant-one-hold", _LEVELS, targets, [weighted_mean(h) for h in holds]),
+        _curve("erf-sign-hold", _LEVELS, [_D0_ERF * t for t in targets], [weighted_mean(h, feats["q_erf"]) for h in holds]),
     ]
     return checks, curves
 
@@ -1230,7 +1243,9 @@ def resolve_settings(cfg: ExperimentConfig, suite: str | None = None) -> Experim
     try:
         make_grid(_MODEL_SPAN, step)
     except ConfigurationError as exc:
-        raise ConfigurationError(f"{cfg.experiment} reads its density on the model span {_MODEL_SPAN:g} at step {step:g}: {exc}") from None
+        # the span is the models' own, so only the step can change
+        reason = str(exc).removesuffix(" or shorten the horizon")
+        raise ConfigurationError(f"{cfg.experiment} reads its density on the model span {_MODEL_SPAN:g} at step {step:g}: {reason}") from None
     check_key(cfg.master_seed)
     requested = {"horizon": cfg.horizon is not None, "checkpoints": cfg.checkpoints is not None}
     ignored = [option for option, given in requested.items() if given and option not in spec.reads]

@@ -56,7 +56,8 @@ def test_criterion_01_unit_boundary_crossing_probability():
 def test_criterion_02_signed_crossing_with_paired_control():
     run = full_run("passage-s32")
     restarted = one_check(run, "restarted-crossing-before-growth-1")
-    paired = one_check(run, "paired-driver-crossing")
+    # the paired driver's crossing row is passage-eq4's, off the same paths
+    paired = one_check(full_run("passage-eq4"), "crossing-before-growth-1")
     stated_mean_bound(restarted, EULER_COMPLEMENT, 0.02)
     stated_mean_bound(paired, EULER_COMPLEMENT, 0.02)
     agreement = one_check(run, "common-numbers-agreement")
@@ -111,9 +112,18 @@ def test_criterion_06_residual_ladders_contract():
         run = full_run(name)
         assert run.settings.n_paths == 100 and run.settings.step == 1e-3
         ratio_rows = [c for c in run.checks if c.kind == "ratio"]
-        assert len(ratio_rows) == (6 if name == "ito" else 2)
+        assert len(ratio_rows) == {"tanaka-abs": 2, "ito": 2}.get(name, 0)
         for check in ratio_rows:
             assert check.estimate >= 1.2, f"{name}/{check.name}: ratio {check.estimate:.3f}"
+        # the residuals that vanish to rounding, and plus's and minus's identity with abs's
+        exact_names = {
+            "tanaka-plus": ["plus-residual-equals-abs"],
+            "tanaka-minus": ["minus-residual-equals-abs"],
+            "ito": ["linear-residual-exact", "square-residual-exact"],
+        }
+        for check_name in exact_names.get(name, []):
+            check = one_check(run, check_name)
+            assert check.kind == "exact" and check.estimate <= 1e-12, f"{name}/{check_name}: {check.estimate:.3e}"
         constant_rows = [c for c in run.checks if "constant-path-residual" in c.name]
         assert constant_rows
         for check in constant_rows:

@@ -129,6 +129,10 @@ def test_resolve_settings_rejects_bad_input(draws):
         with pytest.raises(ConfigurationError, match=r"model span 1 at step 0\.3: .*not an integer multiple") as info:
             resolve_settings(cfg)
         assert "horizon" not in str(info.value)
+    # so is a step over the row byte budget on the span, which only a longer step can cure
+    with pytest.raises(ConfigurationError, match=r"model span 1 at step 1e-09: .*byte budget; lengthen the step$") as info:
+        resolve_settings(ExperimentConfig(experiment="zero-geometry", step=1e-9))
+    assert "horizon" not in str(info.value)
     # a ladder rung's step is named by the requested step and the rung factor
     for name, message in (("ito", "the 4x rung of step 0.2: "), ("membership", "the 2x rung of step 0.2: ")):
         with pytest.raises(ConfigurationError, match="not an integer multiple") as info:
@@ -351,9 +355,8 @@ def test_ladder_structure_rows_are_scale_free():
     run = _micro("tanaka-abs", n_paths=12, step=2e-3)
     names = [c.name for c in run.checks]
     assert "constant-path-residual" in names
-    assert "abs-bounded-by-parts" in names
     for c in run.checks:
-        if c.name in ("constant-path-residual", "abs-bounded-by-parts"):
+        if c.name == "constant-path-residual":
             assert c.passed
 
 
@@ -619,6 +622,10 @@ def test_pathwise_chunks_draw_each_density_stream_once(draws):
     # every ladder rung and all six residual forms read one draw per stream
     _ladder_chunk(0, 10, seed=20260822, step=0.005, horizon=1.0)
     assert draws[SUBSTREAM_DENSITY] == 10 and draws[SUBSTREAM_PRIMARY] == 10
+    draws.clear()
+    # past the span, each rung's zero sets are padded too
+    _ladder_chunk(0, 10, seed=20260822, step=0.01, horizon=2.0)
+    assert draws[SUBSTREAM_DENSITY] == 10 and draws.n_steps[SUBSTREAM_DENSITY] == {100}
 
 
 _LAWS = ("passage-eq2", "passage-eq3", "passage-eq4", "passage-s32", "a-infinity", "levy-eq5", "levy-eq6")
