@@ -104,8 +104,14 @@ def _option(table: dict[str, str], key: str) -> object:
 
 
 def _out_dir(out: str | None) -> str:
-    """The output directory: the option, else $SIGMA_LAB_OUT, else sigma-lab-out."""
-    return out or os.environ.get(_ENV_OUT) or "sigma-lab-out"
+    """The output directory (the option, else $SIGMA_LAB_OUT, else sigma-lab-out),
+    created before the run so that a path that cannot be one is refused before any draw."""
+    out = out or os.environ.get(_ENV_OUT) or "sigma-lab-out"
+    try:
+        pathlib.Path(out).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot use output directory {out}: {exc.strerror}") from None
+    return out
 
 
 def _build_run_config(args: argparse.Namespace) -> tuple[ExperimentConfig, str]:
@@ -162,10 +168,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_run_all(args: argparse.Namespace) -> int:
     seed = DEFAULT_SEED if args.seed is None else args.seed
     workers = 1 if args.workers is None else args.workers
+    out_dir = _out_dir(args.out)
     runs = run_suite(args.suite, master_seed=seed, workers=workers)
     for line in matrix_lines(runs):
         print(line)
-    out = write_report(runs, _out_dir(args.out))
+    out = write_report(runs, out_dir)
     print(f"report written to {out}")
     return 0 if all(r.passed for r in runs) else 2
 

@@ -1,42 +1,37 @@
 """Registry of Monte Carlo experiments behind the command line tool.
 
-Each experiment simulates an ensemble in chunks of a fixed number of
-paths, 256 unless the chunk function's row in ``_CHUNK_ROWS`` sets
-fewer, to bound memory.  A chunk builds every
-grid that can be longer than the one it draws first before that draw,
-so a run over ``make_grid``'s row byte budget fails before anything
-is simulated.  The run reduces the ensemble to named checks with
-explicit statistical and grid allowances, and optionally emits
-survival-curve points; no check carries a finite-horizon allowance,
+Each registry row (``ExperimentSpec``) runs as plan, chunk and reduce,
+and ``run_experiment`` is the one scheduler of every row.  ``plan(st)``
+turns the resolved request into the keyword arguments of the row's
+chunk and makes every check the run can refuse, so a refused request
+fails before any chunk runs or pool worker starts.  The chunk returns
+one row of features per path of its range; ``run_chunked`` calls it on
+ranges of the row's ``chunk_rows`` paths, which bound memory, and
+concatenates the features in path-index order, so for a fixed seed the
+report bytes do not depend on the worker count.  ``reduce(st, feats)``
+makes the named checks, with explicit statistical and grid allowances,
+and the survival curves; no check carries a finite-horizon allowance,
 because every estimate past a finite horizon is completed exactly.
-Reductions run on the concatenated arrays in path-index order, so for
-a fixed seed the resulting report bytes do not depend on the worker
-count.
 
-Experiments that read the same paths share one simulation.  A path's
-increments depend only on (seed, path index, substream), so a longer
-draw extends a shorter one exactly, and one chunk function computes
-every member's features off one draw:
+A path's increments depend only on (seed, path index, substream), so a
+longer draw extends a shorter one exactly, and one chunk can compute
+the features of several rows off one draw.  A chunk that two or more
+rows name is shared:
 
-- the laws family, passage-eq2/3/4, passage-s32, a-infinity and
-  levy-eq5/6: three (X, A) pairs, |W| with its local time, the driver
-  restarted at the ErfSign last zero with its anchored local time, and
-  the drawdown with the running maximum, off one primary draw to the
-  horizon and one density draw per path.  A path that has not crossed
-  its boundary by the horizon is completed by the crossing law from
-  its last (X, A), so every horizon from the model span on estimates
-  the all-time law;
-- the ladder family, tanaka-abs/plus/minus and ito: every residual
+- ``_laws_chunk``: passage-eq2/3/4, passage-s32, a-infinity and
+  levy-eq5/6 read three (X, A) pairs, |W| with its local time, the
+  driver restarted at the ErfSign last zero with its anchored local
+  time, and the drawdown with the running maximum.  A path that has
+  not crossed its boundary by the horizon is completed by the crossing
+  law from its last (X, A), so every horizon from the model span on
+  estimates the all-time law;
+- ``_ladder_chunk``: tanaka-abs/plus/minus and ito read every residual
   form on every ladder rung, off one draw on the finest grid.
 
-A member's family call is its horizon, and at the registry horizons
-every member's call is the same.  The first member to run simulates
-the family and its features are kept, read-only, keyed by the whole
-call (seed, step, path count and horizon).  Each other member that
-makes the same call reads them once; a member that runs again, or
-whose horizon override changes the call, simulates afresh.
-
-doob-maximal is no family, but its two passes read one draw too.
+A shared chunk's features are kept, read-only, keyed by the whole call
+(seed, step, path count and plan).  Each other row that makes the
+identical call reads them once; a row that runs again, or whose
+horizon override changes the call, simulates afresh.
 
 Every chunk but the ladder's reads its density weights, ``q_erf`` and
 ``q_sbm``, and its zero set H off one draw on the model span, through
@@ -44,7 +39,7 @@ Every chunk but the ladder's reads its density weights, ``q_erf`` and
 
 A run request is one ``ExperimentConfig``.  ``resolve_settings``
 checks it and fills its scales, horizon and checkpoints from the
-registry row; the runners read that resolved request, and its
+registry row; plan and reduce read that resolved request, and its
 fields, all but ``workers``, are the report rows' config hash.
 
 Scale defaults come in two suites: ``fast`` for smoke runs and
@@ -59,6 +54,7 @@ import functools
 import hashlib
 import json
 import math
+from collections import Counter
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, fields, replace
 from time import perf_counter
@@ -258,34 +254,6 @@ def report_rows(run: ExperimentRun) -> list[ReportRow]:
 
 # ---------------------------------------------------------------- helpers
 
-# The last call of each family chunk: (key, features, the experiments
-# that have read them).
-_KEPT: dict[Callable, tuple[tuple, dict[str, np.ndarray], set[str]]] = {}
-
-
-def _chunked(st: ExperimentConfig, chunk: Callable[..., dict[str, np.ndarray]], **params) -> dict[str, np.ndarray]:
-    """``run_chunked`` over chunk(start, count, seed=..., step=..., **params),
-    in chunks of the chunk function's ``_CHUNK_ROWS`` (else ``CHUNK_SIZE``).
-
-    A family chunk's features are kept, read-only, and handed once to
-    each other experiment that makes the identical call.
-    """
-    fn = functools.partial(chunk, seed=st.master_seed, step=st.step, **params)
-    rows = _CHUNK_ROWS.get(chunk, CHUNK_SIZE)
-    if chunk not in _FAMILY_CHUNKS:
-        return run_chunked(st.n_paths, fn, chunk_size=rows, workers=st.workers)
-    key = (st.master_seed, st.step, st.n_paths, tuple(sorted(params.items())))
-    kept = _KEPT.get(chunk)
-    if kept is not None and kept[0] == key and st.experiment not in kept[2]:
-        kept[2].add(st.experiment)
-        return dict(kept[1])
-    feats = run_chunked(st.n_paths, fn, chunk_size=rows, workers=st.workers)
-    for values in feats.values():
-        values.flags.writeable = False
-    _KEPT[chunk] = (key, feats, {st.experiment})
-    return dict(feats)
-
-
 def _primary(seed: int, start: int, count: int, grid: TimeGrid, substream: int = SUBSTREAM_PRIMARY) -> np.ndarray:
     """Brownian rows from 0 on a substream, the primary one by default."""
     incs = increments_matrix(seed, start, count, grid.n_steps, grid.step, substream)
@@ -359,6 +327,32 @@ def _restart_steps(offsets: tuple[float, ...], horizon: float, step: float) -> t
     )
 
 
+def _horizon_plan(st: ExperimentConfig) -> dict[str, object]:
+    """The call of a chunk that reads only the horizon, if any, once its grid fits."""
+    if st.horizon is None:
+        return {}
+    make_grid(st.horizon, st.step)
+    return {"horizon": st.horizon}
+
+
+def _checkpoint_plan(st: ExperimentConfig) -> dict[str, object]:
+    return {"horizon": st.horizon, "cols": _grid_steps(st.checkpoints, st.horizon, st.step)}
+
+
+def _restart_plan(st: ExperimentConfig) -> dict[str, object]:
+    return {"horizon": st.horizon, "offset_steps": _restart_steps(st.checkpoints, st.horizon, st.step)}
+
+
+def _rung_plan(st: ExperimentConfig, *, factors: tuple[float, ...], times: tuple[float, ...] = ()) -> dict[str, object]:
+    """The horizon, once every rung grid the chunk builds fits and holds ``times``."""
+    _rung_grids(st.horizon, st.step, factors, *times)
+    return {"horizon": st.horizon}
+
+
+# what a reduce returns: its checks and its curves
+_Rows = tuple[list[TargetCheck], list[CurveSeries]]
+
+
 def _curve(name, xs, targets, estimates) -> CurveSeries:
     return CurveSeries(
         name=name,
@@ -414,9 +408,8 @@ def _t1_chunk(
     return out
 
 
-def _run_t1(st: ExperimentConfig) -> tuple[list[TargetCheck], list[CurveSeries]]:
+def _reduce_t1(st: ExperimentConfig, feats: dict[str, np.ndarray]) -> _Rows:
     cps = st.checkpoints
-    feats = _chunked(st, _t1_chunk, horizon=st.horizon, cols=_grid_steps(cps, st.horizon, st.step))
     checks: list[TargetCheck] = []
     for label, q in (("constant-one", np.ones(st.n_paths)), ("stopped-bm", feats["q_sbm"])):
         for cons in ("drawdown", "abs"):
@@ -448,9 +441,7 @@ def _r1_chunk(
     return {"v": vals, "bound": np.full(count, bound), "q_erf": q_erf}
 
 
-def _run_r1(st: ExperimentConfig) -> tuple[list[TargetCheck], list[CurveSeries]]:
-    steps = _restart_steps(st.checkpoints, st.horizon, st.step)
-    feats = _chunked(st, _r1_chunk, horizon=st.horizon, offset_steps=steps)
+def _reduce_r1(st: ExperimentConfig, feats: dict[str, np.ndarray]) -> _Rows:
     checks = [
         flatness_check("restart-increments-flat", feats["v"].T, ensemble_weights(feats["q_erf"]), st.checkpoints, "P'-weighted"),
         exact_check("bounded-in-unit-interval", float(np.max(feats["bound"]))),
@@ -479,8 +470,7 @@ def _sigs_chunk(start: int, count: int, *, cols: tuple[int, ...], **params) -> d
     return out
 
 
-def _run_sigma_s(st: ExperimentConfig) -> tuple[list[TargetCheck], list[CurveSeries]]:
-    feats = _chunked(st, _sigs_chunk, horizon=st.horizon, cols=_grid_steps(st.checkpoints, st.horizon, st.step))
+def _reduce_sigma_s(st: ExperimentConfig, feats: dict[str, np.ndarray]) -> _Rows:
     checks = [
         flatness_check(f"restarted-reflected-f-{kind}", feats[kind].T, feats["q_erf"], st.checkpoints, "q-weighted")
         for kind in _F_PAIRS
@@ -535,10 +525,13 @@ def _rho_chunk(start: int, count: int, *, seed: int, step: float, horizon: float
     return {"lin": lin_bad, "pos": pos_bad, "prod": prod_bad, "defn": defn_bad}
 
 
-def _run_rho(st: ExperimentConfig) -> tuple[list[TargetCheck], list[CurveSeries]]:
+def _rho_plan(st: ExperimentConfig) -> dict[str, object]:
     if st.horizon <= _MODEL_SPAN:  # a last zero at the grid end would leave no shifted path
         raise ConfigurationError(f"rho-algebra needs a horizon past the model span {_MODEL_SPAN:g}")
-    feats = _chunked(st, _rho_chunk, horizon=st.horizon)
+    return _horizon_plan(st)
+
+
+def _reduce_rho(st: ExperimentConfig, feats: dict[str, np.ndarray]) -> _Rows:
     n = st.n_paths
     checks = [
         count_check("linearity-bitwise", int(feats["lin"].sum()), f"0 of {3 * n} pair evaluations differ"),
@@ -574,9 +567,7 @@ def _qbracket_chunk(
     return {"v": vals, "brack_min": brack_min, "q_erf": q_erf}
 
 
-def _run_qbracket(st: ExperimentConfig) -> tuple[list[TargetCheck], list[CurveSeries]]:
-    steps = _restart_steps(st.checkpoints, st.horizon, st.step)
-    feats = _chunked(st, _qbracket_chunk, horizon=st.horizon, offset_steps=steps)
+def _reduce_qbracket(st: ExperimentConfig, feats: dict[str, np.ndarray]) -> _Rows:
     worst = float(np.min(feats["brack_min"]))
     checks = [
         flatness_check("squared-restart-minus-bracket-flat", feats["v"].T, feats["q_erf"], st.checkpoints, "q-weighted"),
@@ -636,6 +627,9 @@ def _ladder_chunk(start: int, count: int, *, seed: int, step: float, horizon: fl
     return out
 
 
+_ladder_plan = functools.partial(_rung_plan, factors=_LADDER, times=(_MODEL_SPAN,))
+
+
 def _ladder_rows(name: str, form: str, feats: dict[str, np.ndarray], st: ExperimentConfig) -> list[TargetCheck]:
     med = {f: float(np.median(feats[f"sup{f}|{form}"])) for f in _LADDER}
     s = st.step
@@ -651,8 +645,8 @@ def _constant_path_residual(st: ExperimentConfig, form: str) -> float:
     return float(np.max(np.abs(_residual(flat, empty_zero_set(flat), form))))
 
 
-def _run_tanaka(st: ExperimentConfig, *, form: str) -> tuple[list[TargetCheck], list[CurveSeries]]:
-    feats = _chunked(st, _ladder_chunk, horizon=st.horizon)
+def _reduce_tanaka(st: ExperimentConfig, feats: dict[str, np.ndarray]) -> _Rows:
+    form = st.experiment.removeprefix("tanaka-")
     if form == "abs":
         checks = _ladder_rows("abs-residual", form, feats, st)
     else:
@@ -662,14 +656,8 @@ def _run_tanaka(st: ExperimentConfig, *, form: str) -> tuple[list[TargetCheck], 
     return checks, []
 
 
-_run_tanaka_abs = functools.partial(_run_tanaka, form="abs")
-_run_tanaka_plus = functools.partial(_run_tanaka, form="plus")
-_run_tanaka_minus = functools.partial(_run_tanaka, form="minus")
-
-
-def _run_ito(st: ExperimentConfig) -> tuple[list[TargetCheck], list[CurveSeries]]:
+def _reduce_ito(st: ExperimentConfig, feats: dict[str, np.ndarray]) -> _Rows:
     checks: list[TargetCheck] = []
-    feats = _chunked(st, _ladder_chunk, horizon=st.horizon)
     for form in _ITO_FORMS:
         if form in _EXACT_FORMS:
             checks.append(exact_check(f"{form}-residual-exact", float(np.max(feats[f"sup1|{form}"])), _ROUNDING))
@@ -723,8 +711,7 @@ def _doob_chunk(start: int, count: int, *, seed: int, step: float, horizon: floa
     return out | {"zg": gather(z, gbar), "q_erf": q_erf}
 
 
-def _run_doob(st: ExperimentConfig) -> tuple[list[TargetCheck], list[CurveSeries]]:
-    feats = _chunked(st, _doob_chunk, horizon=st.horizon)
+def _reduce_doob(st: ExperimentConfig, feats: dict[str, np.ndarray]) -> _Rows:
     checks: list[TargetCheck] = []
     ests = []
     for a in _DOOB_LEVELS:
@@ -801,10 +788,6 @@ def _laws_chunk(start: int, count: int, *, seed: int, step: float, horizon: floa
     return out
 
 
-def _laws(st: ExperimentConfig) -> dict[str, np.ndarray]:
-    return _chunked(st, _laws_chunk, horizon=st.horizon)
-
-
 def _crossing(feats: dict[str, np.ndarray], law: str, u: float) -> np.ndarray:
     """Per path, the chance of crossing before A passes u: read off the
     grid where the path crossed by the horizon, else completed exactly
@@ -839,18 +822,16 @@ def _passage_rows(
     return check, curve
 
 
-def _run_passage(st: ExperimentConfig, *, u: float, label: str) -> tuple[list[TargetCheck], list[CurveSeries]]:
-    check, curve = _passage_rows(_laws(st), st.experiment, u, label, None)
+def _reduce_passage(st: ExperimentConfig, feats: dict[str, np.ndarray], *, u: float, label: str) -> _Rows:
+    check, curve = _passage_rows(feats, st.experiment, u, label, None)
     return [check], [curve]
 
 
-_run_passage_eq2 = functools.partial(_run_passage, u=1.0, label="crossing-before-growth-1")
-_run_passage_eq3 = functools.partial(_run_passage, u=float("inf"), label="crossing-over-full-span")
-_run_passage_eq4 = functools.partial(_run_passage, u=1.0, label="crossing-before-growth-1")
+_reduce_growth_1 = functools.partial(_reduce_passage, u=1.0, label="crossing-before-growth-1")
+_reduce_full_span = functools.partial(_reduce_passage, u=float("inf"), label="crossing-over-full-span")
 
 
-def _run_s32(st: ExperimentConfig) -> tuple[list[TargetCheck], list[CurveSeries]]:
-    feats = _laws(st)
+def _reduce_s32(st: ExperimentConfig, feats: dict[str, np.ndarray]) -> _Rows:
     pprime = ensemble_weights(feats["q_erf"])
     restarted, curve = _passage_rows(
         feats, "restarted", 1.0, "restarted-crossing-before-growth-1", pprime, curve_name="restarted-crossing-by-level"
@@ -865,7 +846,7 @@ def _run_s32(st: ExperimentConfig) -> tuple[list[TargetCheck], list[CurveSeries]
     return [restarted, agreement], [curve]
 
 
-def _run_ainf(st: ExperimentConfig) -> tuple[list[TargetCheck], list[CurveSeries]]:
+def _reduce_ainf(st: ExperimentConfig, feats: dict[str, np.ndarray]) -> _Rows:
     """A_inf, the clock where X first crosses 1, is unit exponential: its
     survival past g is 1 minus the unit boundary's crossing chance.
     Completed, a path's law of A_inf is 1{g >= c} (1 - r e^{-(g - c)}):
@@ -874,7 +855,6 @@ def _run_ainf(st: ExperimentConfig) -> tuple[list[TargetCheck], list[CurveSeries
     checks: list[TargetCheck] = []
     curves: list[CurveSeries] = []
     xs = tuple(0.25 * k for k in range(13))
-    feats = _laws(st)
     for label, law, q in (("constant-one", "passage-eq4", np.ones(st.n_paths)), ("erf-sign", "restarted", feats["q_erf"])):
         pair = _CROSSING_LAWS[law][0]
         pprime = ensemble_weights(q)
@@ -911,8 +891,7 @@ def _hold_target(law: str, u: float) -> float:
     return float(np.exp(-_CROSSING_LAWS[law][1].integral_to(u)))
 
 
-def _run_levy5(st: ExperimentConfig) -> tuple[list[TargetCheck], list[CurveSeries]]:
-    feats = _laws(st)
+def _reduce_levy5(st: ExperimentConfig, feats: dict[str, np.ndarray]) -> _Rows:
     hold = 1.0 - _crossing(feats, st.experiment, 1.0)
     target = _hold_target(st.experiment, 1.0)
     checks = [
@@ -931,8 +910,7 @@ def _run_levy5(st: ExperimentConfig) -> tuple[list[TargetCheck], list[CurveSerie
     return checks, curves
 
 
-def _run_levy6(st: ExperimentConfig) -> tuple[list[TargetCheck], list[CurveSeries]]:
-    feats = _laws(st)
+def _reduce_levy6(st: ExperimentConfig, feats: dict[str, np.ndarray]) -> _Rows:
     hold = 1.0 - _crossing(feats, st.experiment, 1.0)
     target = _hold_target(st.experiment, 1.0)
     # Crossing detection is biased twice here: the running sup is understated
@@ -993,9 +971,7 @@ def _closure_chunk(
     return {"n": d.n.values[:, cols], "q_sbm": q_sbm, "fail": fail}
 
 
-def _run_closure(st: ExperimentConfig, *, build: Callable, label: str) -> tuple[list[TargetCheck], list[CurveSeries]]:
-    cols = _grid_steps(st.checkpoints, st.horizon, st.step)
-    feats = _chunked(st, _closure_chunk, horizon=st.horizon, cols=cols, build=build)
+def _reduce_closure(st: ExperimentConfig, feats: dict[str, np.ndarray], *, label: str) -> _Rows:
     # the run's first paths' decompositions, checked pathwise
     sample = min(_CLOSURE_SAMPLE, st.n_paths)
     bad = int(np.count_nonzero(feats["fail"][:sample]))
@@ -1006,8 +982,11 @@ def _run_closure(st: ExperimentConfig, *, build: Callable, label: str) -> tuple[
     return checks, []
 
 
-_run_products = functools.partial(_run_closure, build=_build_product, label="product")
-_run_scaled = functools.partial(_run_closure, build=_build_scaled, label="rescaled")
+# each row its own chunk, so that products and scaled-f share no features
+_product_chunk = functools.partial(_closure_chunk, build=_build_product)
+_scaled_chunk = functools.partial(_closure_chunk, build=_build_scaled)
+_reduce_products = functools.partial(_reduce_closure, label="product")
+_reduce_scaled = functools.partial(_reduce_closure, label="rescaled")
 
 
 # ---------------------------------------------------------------- membership suite
@@ -1022,12 +1001,13 @@ _VARIANTS = (
     "scaled",
 )
 _SHIFTED_VARIANTS = ("drawdown", "lifted", "lifted-stopped", "product", "scaled")
+# the support-mass ladder's rungs, at twice, once and half the step
+_SUPPORT_RUNGS = (2.0, 1.0, 0.5)
 
 
 def _membership_chunk(start: int, count: int, *, seed: int, step: float, horizon: float) -> dict[str, np.ndarray]:
     grid = make_grid(horizon, step)
-    # the support-mass ladder's rungs, at twice, once and half the step
-    rungs = _rung_grids(horizon, step, (2.0, 1.0, 0.5))
+    rungs = _rung_grids(horizon, step, _SUPPORT_RUNGS)
     _, _, zs = _density_block(seed, start, count, grid)
     w = Path(grid=grid, values=_primary(seed, start, count, grid))
     base = drawdown(w)
@@ -1063,8 +1043,10 @@ def _membership_chunk(start: int, count: int, *, seed: int, step: float, horizon
     return out
 
 
-def _run_membership(st: ExperimentConfig) -> tuple[list[TargetCheck], list[CurveSeries]]:
-    feats = _chunked(st, _membership_chunk, horizon=st.horizon)
+_membership_plan = functools.partial(_rung_plan, factors=_SUPPORT_RUNGS)
+
+
+def _reduce_membership(st: ExperimentConfig, feats: dict[str, np.ndarray]) -> _Rows:
     checks: list[TargetCheck] = []
     for key in _VARIANTS:
         checks.append(
@@ -1118,8 +1100,7 @@ def _geom_chunk(start: int, count: int, *, seed: int, step: float) -> dict[str, 
     }
 
 
-def _run_geometry(st: ExperimentConfig) -> tuple[list[TargetCheck], list[CurveSeries]]:
-    feats = _chunked(st, _geom_chunk)
+def _reduce_geometry(st: ExperimentConfig, feats: dict[str, np.ndarray]) -> _Rows:
     checks = [
         mean_check("last-zero-positive", _P_HIT, feats["haszero"], grid_allowance=0.01),
         count_check(
@@ -1132,17 +1113,6 @@ def _run_geometry(st: ExperimentConfig) -> tuple[list[TargetCheck], list[CurveSe
     return checks, []
 
 
-# ---------------------------------------------------------------- chunk tables
-
-# Chunk functions whose features several experiments read (see _chunked)
-_FAMILY_CHUNKS = frozenset({_ladder_chunk, _laws_chunk})
-
-# Rows per chunk where fewer than CHUNK_SIZE bound memory: rho-algebra's
-# segment buckets and restart rows; a membership chunk's twenty
-# (rows, 2n+1) matrices of the support-mass ladder's finest rung.
-_CHUNK_ROWS = {_rho_chunk: 128, _membership_chunk: 64}
-
-
 # ---------------------------------------------------------------- registry
 
 _FAST = (20000, 2e-3)
@@ -1153,66 +1123,74 @@ _QUARTERS = (0.25, 0.5, 0.75, 1.0)
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """One registry row: the one statement of a run's defaults and bounds.
+    """One registry row: the one statement of a run's defaults, bounds and steps.
 
-    ``horizon`` and ``checkpoints`` are the defaults ``resolve_settings``
-    fills into a request that gives none, and an experiment reads each
-    option its row gives a default for (``reads``).  ``resolve_settings``
-    rejects any other, because an ignored option would still change the
-    config hash, and checkpoints (or offsets) that name fewer than two
-    distinct times, because every reader tests them for flatness.
-    ``min_horizon`` is the smallest horizon the runner can honour, the
-    model span, which holds every last zero, unless the row says
-    otherwise.  r1 and q-bracket read windows that run their offsets
-    past a last zero, so each refuses a horizon short of 1.0 plus its
-    largest offset before any draw.  ``make_grid`` holds every grid a
-    run builds to its row byte budget, and ``resolve_settings`` refuses
-    a step that does not divide the model span.
+    A run is ``plan(st)``, the keyword arguments of ``chunk``; ``chunk``
+    over ranges of ``chunk_rows`` paths, fewer than ``CHUNK_SIZE`` for
+    rho-algebra's restart rows and membership's support-mass matrices;
+    and ``reduce(st, feats)``, the checks and curves.  ``horizon`` and
+    ``checkpoints`` are the defaults ``resolve_settings`` fills into a
+    request that gives none, and an experiment reads each option its
+    row gives a default for (``reads``).  ``resolve_settings`` rejects
+    any other, because an ignored option would still change the config
+    hash, and checkpoints (or offsets) that name fewer than two distinct
+    times, because every reader tests them for flatness.  ``min_horizon``
+    is the smallest horizon the row can honour, the model span, which
+    holds every last zero, unless the row says otherwise.  ``make_grid``
+    holds every grid a run builds to its row byte budget.
     """
 
     name: str
     anchor: str
-    runner: Callable[[ExperimentConfig], tuple[list[TargetCheck], list[CurveSeries]]]
+    chunk: Callable[..., dict[str, np.ndarray]]
+    reduce: Callable[[ExperimentConfig, dict[str, np.ndarray]], _Rows]
     horizon: float | None
     fast: tuple[int, float] = _FAST
     full: tuple[int, float] = _FULL
     checkpoints: tuple[float, ...] | None = None
     min_horizon: float = _MODEL_SPAN
+    plan: Callable[[ExperimentConfig], dict[str, object]] = _horizon_plan
+    chunk_rows: int = CHUNK_SIZE
 
     @property
     def reads(self) -> tuple[str, ...]:
-        """The run options the runner consumes: those the row gives a default for."""
+        """The run options the row consumes: those it gives a default for."""
         return tuple(option for option in ("horizon", "checkpoints") if getattr(self, option) is not None)
 
 
-# name, paper anchor, runner and the default horizon; then the fast and full scales (paths, step)
-# where they differ from the defaults, and the default checkpoints and smallest horizon where set
+# name, paper anchor, chunk, reduce and the default horizon; then the fast and full scales (paths, step)
+# where they differ from the defaults, and the default checkpoints, smallest horizon, plan and chunk rows where set
 _SPECS = (
-    ExperimentSpec("t1-characterization", "martingale characterization of the base zero-set class", _run_t1, 1.0, checkpoints=_QUARTERS, min_horizon=0.0),
-    ExperimentSpec("r1-ui-martingale", "uniformly integrable restart martingale for bounded class members", _run_r1, 2.0, checkpoints=(0.2, 0.45, 0.7, 0.95)),
-    ExperimentSpec("sigma-s-characterization", "martingale characterization of the restarted class", _run_sigma_s, 2.0, checkpoints=(0.5, 1.0, 1.5, 2.0)),
-    ExperimentSpec("rho-algebra", "linearity, positivity, and product rules of the restart operator", _run_rho, 2.0, (1000, 2e-3), (1000, 2e-3)),
-    ExperimentSpec("q-bracket", "quadratic bracket of the restarted driver", _run_qbracket, 2.0, checkpoints=_QUARTERS),
-    ExperimentSpec("tanaka-abs", "signed local-time identity for the absolute value", _run_tanaka_abs, 1.0, _LADDER_SCALE, _LADDER_SCALE),
-    ExperimentSpec("tanaka-plus", "signed local-time identity for the positive part", _run_tanaka_plus, 1.0, _LADDER_SCALE, _LADDER_SCALE),
-    ExperimentSpec("tanaka-minus", "signed local-time identity for the negative part", _run_tanaka_minus, 1.0, _LADDER_SCALE, _LADDER_SCALE),
-    ExperimentSpec("ito", "second-order expansion along restarted paths", _run_ito, 1.0, _LADDER_SCALE, _LADDER_SCALE),
-    ExperimentSpec("doob-maximal", "maximal identity for the supremum after the last zero", _run_doob, _MODEL_SPAN),
-    ExperimentSpec("passage-eq2", "boundary-crossing law stopped at a growth level, stepped boundary", _run_passage_eq2, _MODEL_SPAN),
-    ExperimentSpec("passage-eq3", "boundary-crossing law over the full span, finite total integral", _run_passage_eq3, _MODEL_SPAN),
-    ExperimentSpec("passage-eq4", "probability-case crossing law with a unit boundary", _run_passage_eq4, _MODEL_SPAN),
-    ExperimentSpec("passage-s32", "signed crossing law for the restarted reflected driver", _run_s32, _MODEL_SPAN),
-    ExperimentSpec("a-infinity", "terminal growth law of the stopped reflected construction", _run_ainf, _MODEL_SPAN),
-    ExperimentSpec("levy-eq5", "drawdown confinement law under the signed weight", _run_levy5, _MODEL_SPAN),
-    ExperimentSpec("levy-eq6", "drawdown confinement law between supremum levels", _run_levy6, _MODEL_SPAN),
-    ExperimentSpec("products", "closure of the zero-set class under products", _run_products, 1.0, checkpoints=_QUARTERS, min_horizon=0.0),
-    ExperimentSpec("scaled-f", "closure of the zero-set class under growth rescaling", _run_scaled, 1.0, checkpoints=_QUARTERS, min_horizon=0.0),
-    ExperimentSpec("membership", "pathwise membership checks for every construction", _run_membership, 1.0, (300, 1e-3), (300, 1e-3)),
+    ExperimentSpec("t1-characterization", "martingale characterization of the base zero-set class", _t1_chunk, _reduce_t1, 1.0, checkpoints=_QUARTERS, min_horizon=0.0, plan=_checkpoint_plan),
+    ExperimentSpec("r1-ui-martingale", "uniformly integrable restart martingale for bounded class members", _r1_chunk, _reduce_r1, 2.0, checkpoints=(0.2, 0.45, 0.7, 0.95), plan=_restart_plan),
+    ExperimentSpec("sigma-s-characterization", "martingale characterization of the restarted class", _sigs_chunk, _reduce_sigma_s, 2.0, checkpoints=(0.5, 1.0, 1.5, 2.0), plan=_checkpoint_plan),
+    ExperimentSpec("rho-algebra", "linearity, positivity, and product rules of the restart operator", _rho_chunk, _reduce_rho, 2.0, (1000, 2e-3), (1000, 2e-3), plan=_rho_plan, chunk_rows=128),
+    ExperimentSpec("q-bracket", "quadratic bracket of the restarted driver", _qbracket_chunk, _reduce_qbracket, 2.0, checkpoints=_QUARTERS, plan=_restart_plan),
+    ExperimentSpec("tanaka-abs", "signed local-time identity for the absolute value", _ladder_chunk, _reduce_tanaka, 1.0, _LADDER_SCALE, _LADDER_SCALE, plan=_ladder_plan),
+    ExperimentSpec("tanaka-plus", "signed local-time identity for the positive part", _ladder_chunk, _reduce_tanaka, 1.0, _LADDER_SCALE, _LADDER_SCALE, plan=_ladder_plan),
+    ExperimentSpec("tanaka-minus", "signed local-time identity for the negative part", _ladder_chunk, _reduce_tanaka, 1.0, _LADDER_SCALE, _LADDER_SCALE, plan=_ladder_plan),
+    ExperimentSpec("ito", "second-order expansion along restarted paths", _ladder_chunk, _reduce_ito, 1.0, _LADDER_SCALE, _LADDER_SCALE, plan=_ladder_plan),
+    ExperimentSpec("doob-maximal", "maximal identity for the supremum after the last zero", _doob_chunk, _reduce_doob, _MODEL_SPAN),
+    ExperimentSpec("passage-eq2", "boundary-crossing law stopped at a growth level, stepped boundary", _laws_chunk, _reduce_growth_1, _MODEL_SPAN),
+    ExperimentSpec("passage-eq3", "boundary-crossing law over the full span, finite total integral", _laws_chunk, _reduce_full_span, _MODEL_SPAN),
+    ExperimentSpec("passage-eq4", "probability-case crossing law with a unit boundary", _laws_chunk, _reduce_growth_1, _MODEL_SPAN),
+    ExperimentSpec("passage-s32", "signed crossing law for the restarted reflected driver", _laws_chunk, _reduce_s32, _MODEL_SPAN),
+    ExperimentSpec("a-infinity", "terminal growth law of the stopped reflected construction", _laws_chunk, _reduce_ainf, _MODEL_SPAN),
+    ExperimentSpec("levy-eq5", "drawdown confinement law under the signed weight", _laws_chunk, _reduce_levy5, _MODEL_SPAN),
+    ExperimentSpec("levy-eq6", "drawdown confinement law between supremum levels", _laws_chunk, _reduce_levy6, _MODEL_SPAN),
+    ExperimentSpec("products", "closure of the zero-set class under products", _product_chunk, _reduce_products, 1.0, checkpoints=_QUARTERS, min_horizon=0.0, plan=_checkpoint_plan),
+    ExperimentSpec("scaled-f", "closure of the zero-set class under growth rescaling", _scaled_chunk, _reduce_scaled, 1.0, checkpoints=_QUARTERS, min_horizon=0.0, plan=_checkpoint_plan),
+    ExperimentSpec("membership", "pathwise membership checks for every construction", _membership_chunk, _reduce_membership, 1.0, (300, 1e-3), (300, 1e-3), plan=_membership_plan, chunk_rows=64),
     # the grid is the density model's own span, so no horizon applies
-    ExperimentSpec("zero-geometry", "geometry of the terminal-density zero set", _run_geometry, None, (20000, 1e-3), (100000, 2.5e-4)),
+    ExperimentSpec("zero-geometry", "geometry of the terminal-density zero set", _geom_chunk, _reduce_geometry, None, (20000, 1e-3), (100000, 2.5e-4)),
 )
 
 EXPERIMENTS: dict[str, ExperimentSpec] = {spec.name: spec for spec in _SPECS}
+
+# A chunk that two or more rows name is shared: the laws chunk and the ladder chunk.
+_SHARED = frozenset(chunk for chunk, rows in Counter(spec.chunk for spec in _SPECS).items() if rows > 1)
+# The last call of each shared chunk: (key, features, the experiments that have read them).
+_KEPT: dict[Callable, tuple[tuple, dict[str, np.ndarray], set[str]]] = {}
 
 
 def experiment_names() -> list[str]:
@@ -1277,18 +1255,32 @@ def resolve_settings(cfg: ExperimentConfig, suite: str | None = None) -> Experim
 
 
 def run_experiment(cfg: ExperimentConfig, suite: str | None = None) -> ExperimentRun:
+    """Resolve, plan, compute the features, or read a shared chunk's kept
+    ones, and reduce; every refusal comes before the first chunk."""
     st = resolve_settings(cfg, suite)
     spec = EXPERIMENTS[st.experiment]
     started = perf_counter()
-    checks, curves = spec.runner(st)
-    seconds = perf_counter() - started
+    params = spec.plan(st)
+    key = (st.master_seed, st.step, st.n_paths, tuple(sorted(params.items())))
+    kept = _KEPT.get(spec.chunk)
+    if kept is not None and kept[0] == key and st.experiment not in kept[2]:
+        kept[2].add(st.experiment)
+        feats = kept[1]
+    else:
+        fn = functools.partial(spec.chunk, seed=st.master_seed, step=st.step, **params)
+        feats = run_chunked(st.n_paths, fn, chunk_size=spec.chunk_rows, workers=st.workers)
+        if spec.chunk in _SHARED:
+            for values in feats.values():
+                values.flags.writeable = False
+            _KEPT[spec.chunk] = (key, feats, {st.experiment})
+    checks, curves = spec.reduce(st, dict(feats))
     return ExperimentRun(
         name=st.experiment,
         paper_anchor=spec.anchor,
         settings=st,
         checks=tuple(checks),
         curves=tuple(curves),
-        seconds=seconds,
+        seconds=perf_counter() - started,
     )
 
 

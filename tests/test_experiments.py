@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import sigma_lab.experiments as experiments
 import sigma_lab.paths as paths
 from sigma_lab import (
     SUBSTREAM_DENSITY,
@@ -30,8 +31,10 @@ from sigma_lab import (
 from sigma_lab.cli import main
 from sigma_lab.experiments import (
     EXPERIMENTS,
+    _SHARED,
+    _closure_chunk,
     _ladder_chunk,
-    _laws,
+    _laws_chunk,
     _membership_chunk,
     _r1_chunk,
     _rho_chunk,
@@ -74,7 +77,7 @@ def test_registry_anchors_unique_and_nonempty():
     assert len(set(anchors)) == len(anchors)
 
 
-def test_resolve_settings_rejects_bad_input(draws):
+def test_resolve_settings_rejects_bad_input(draws, chunk_calls):
     with pytest.raises(ConfigurationError):
         resolve_settings(ExperimentConfig(experiment="no-such-thing"))
     with pytest.raises(ConfigurationError):
@@ -133,12 +136,17 @@ def test_resolve_settings_rejects_bad_input(draws):
     with pytest.raises(ConfigurationError, match=r"model span 1 at step 1e-09: .*byte budget; lengthen the step$") as info:
         resolve_settings(ExperimentConfig(experiment="zero-geometry", step=1e-9))
     assert "horizon" not in str(info.value)
-    # a ladder rung's step is named by the requested step and the rung factor
-    for name, message in (("ito", "the 4x rung of step 0.2: "), ("membership", "the 2x rung of step 0.2: ")):
+    # a ladder rung's step is named by the requested step and the rung factor,
+    # and refused before the first chunk, so no pool worker starts
+    for name, message, kw in (
+        ("ito", "the 4x rung of step 0.2: ", {"n_paths": 2}),
+        ("membership", "the 2x rung of step 0.2: ", {"n_paths": 2}),
+        ("ito", "the 4x rung of step 0.2: ", {"n_paths": 600, "workers": 2}),
+    ):
         with pytest.raises(ConfigurationError, match="not an integer multiple") as info:
-            run_experiment(ExperimentConfig(experiment=name, n_paths=2, step=0.2))
+            run_experiment(ExperimentConfig(experiment=name, step=0.2, **kw))
         assert str(info.value).startswith(message)
-    assert sum(draws.values()) == 0
+    assert sum(draws.values()) == 0 and not chunk_calls
     # options the experiment does not read
     for cfg in (
         ExperimentConfig(experiment="passage-eq4", checkpoints=(0.5,)),
@@ -525,6 +533,17 @@ def test_cli_short_horizon_is_config_error(tmp_path, capsys, draws):
                 run_experiment(cfg)
         else:
             resolve_settings(cfg)
+    # an --out that names a file, or a path under one, is refused before the run, naming the path
+    taken = tmp_path / "taken"
+    taken.write_text("", encoding="utf-8")
+    for argv in (
+        ["run", "--experiment", "zero-geometry", "--paths", "8", "--out", str(taken)],
+        ["run", "--experiment", "zero-geometry", "--paths", "8", "--out", str(taken / "sub")],
+        ["run-all", "--out", str(taken)],
+    ):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert f"output directory {argv[-1]}" in err and "Traceback" not in err
     assert sum(draws.values()) == 0
     for name in experiment_names():
         for suite in ("fast", "full"):
@@ -535,17 +554,18 @@ def test_cli_ignored_option_is_config_error(tmp_path):
     assert main(["run", "--experiment", "passage-eq4", "--checkpoints", "0.5", "--paths", "8", "--out", str(tmp_path)]) == 1
 
 
-def test_over_budget_grid_fails_before_any_draw(draws):
+def test_over_budget_grid_fails_before_any_draw(draws, chunk_calls):
     cases = [ExperimentConfig(experiment=name, step=1e-6) for name in experiment_names()]
     # the run grid fits, the density model's span grid does not
     for name in ("t1-characterization", "products", "scaled-f"):
         cases.append(ExperimentConfig(experiment=name, horizon=0.002, checkpoints=(0.001, 0.002), step=1e-8))
     # only the support-mass ladder's half-step rung is over the budget
     cases.append(ExperimentConfig(experiment="membership", step=5e-6))
+    cases.append(ExperimentConfig(experiment="membership", step=5e-6, workers=2))
     for cfg in cases:
         with pytest.raises(ConfigurationError, match="byte budget"):
             run_experiment(cfg)
-    assert sum(draws.values()) == 0
+    assert sum(draws.values()) == 0 and not chunk_calls
 
 
 _STEPS = (1e-320, 1e-9, 3e-3, 0.01, 0.05, 0.25, 0.7)
@@ -605,6 +625,20 @@ def draws(monkeypatch):
 
     monkeypatch.setattr(paths, "bm_increments", counting)
     return counts
+
+
+@pytest.fixture
+def chunk_calls(monkeypatch):
+    """The calls that enter ``run_chunked`` from ``run_experiment``."""
+    calls = []
+    original = experiments.run_chunked
+
+    def spy(*args, **kwargs):
+        calls.append((args, kwargs))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "run_chunked", spy)
+    return calls
 
 
 def test_pathwise_chunks_draw_each_density_stream_once(draws):
@@ -679,11 +713,26 @@ def test_laws_family_rows_match_across_worker_counts():
     assert serial == pooled
 
 
-def test_shared_features_are_read_only():
-    st_ = resolve_settings(ExperimentConfig(experiment="levy-eq5", n_paths=20, step=5e-3))
-    feats = _laws(st_)
+def test_shared_features_are_read_only(monkeypatch):
+    seen = {}
+
+    def keep(st_, feats):
+        seen.update(feats)
+        return [], []
+
+    monkeypatch.setitem(EXPERIMENTS, "levy-eq5", dataclasses.replace(EXPERIMENTS["levy-eq5"], reduce=keep))
+    run_experiment(ExperimentConfig(experiment="levy-eq5", n_paths=20, step=5e-3))
     with pytest.raises(ValueError):
-        feats["q_erf"][0] = 0.0
+        seen["q_erf"][0] = 0.0
+
+
+def test_shared_chunks_are_read_off_the_registry():
+    readers = Counter(spec.chunk for spec in EXPERIMENTS.values())
+    assert _SHARED == {_laws_chunk, _ladder_chunk}
+    assert readers[_laws_chunk] == 7 and readers[_ladder_chunk] == 4
+    # products and scaled-f call one chunk function on different paths, so neither reads the other's features
+    closures = [EXPERIMENTS[name].chunk for name in ("products", "scaled-f")]
+    assert all(chunk.func is _closure_chunk and chunk not in _SHARED for chunk in closures)
 
 
 @pytest.mark.parametrize("name, label, pairs", [("products", "product", 1), ("scaled-f", "rescaled", 0)])
@@ -794,7 +843,7 @@ def test_r1_chunk_returns_one_row_per_path():
     assert {k: v.shape[0] for k, v in feats.items()} == dict.fromkeys(("v", "bound", "q_erf"), 12)
 
 
-def test_restart_windows_past_the_horizon_are_refused_before_any_draw(draws, capsys, tmp_path):
+def test_restart_windows_past_the_horizon_are_refused_before_any_draw(draws, chunk_calls, capsys, tmp_path):
     # a last zero comes by the model span 1.0, so the windows need 1.0 plus the largest offset
     for args, needed in (
         (["--experiment", "r1-ui-martingale", "--horizon", "1.5"], "1.95"),
@@ -807,7 +856,7 @@ def test_restart_windows_past_the_horizon_are_refused_before_any_draw(draws, cap
         assert main(["run", *args, "--paths", "3", "--step", "0.01", "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert f"need a horizon of at least {needed}," in err and "Traceback" not in err
-    assert sum(draws.values()) == 0
+    assert sum(draws.values()) == 0 and not chunk_calls
     # at exactly 1.0 plus the largest offset every window fits
     run = _micro("r1-ui-martingale", n_paths=400, step=0.01, horizon=1.95)
     assert run.passed
