@@ -54,6 +54,7 @@ import functools
 import hashlib
 import json
 import math
+import numbers
 from collections import Counter
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, fields, replace
@@ -415,9 +416,8 @@ def _reduce_t1(st: ExperimentConfig, feats: dict[str, np.ndarray]) -> _Rows:
         for cons in ("drawdown", "abs"):
             for kind in _F_PAIRS:
                 checks.append(flatness_check(f"{label}-{cons}-f-{kind}", feats[f"{cons}|{kind}"].T, q, cps, "q-weighted"))
-    n_ctrl = min(st.n_paths, 20000)
     # the drifted control is its flatness check with the verdict inverted
-    c = flatness_check("drifted-control-fails", feats["control"][:n_ctrl].T, np.ones(n_ctrl), cps, "unit-weighted")
+    c = flatness_check("drifted-control-fails", feats["control"].T, np.ones(st.n_paths), cps, "unit-weighted")
     detail = f"drifted control must fail flatness: z = {c.z:.3f} vs {c.stat_tolerance}"
     checks.append(replace(c, kind="control", passed=not c.passed, detail=detail))
     return checks, []
@@ -848,7 +848,8 @@ def _reduce_s32(st: ExperimentConfig, feats: dict[str, np.ndarray]) -> _Rows:
 
 def _reduce_ainf(st: ExperimentConfig, feats: dict[str, np.ndarray]) -> _Rows:
     """A_inf, the clock where X first crosses 1, is unit exponential: its
-    survival past g is 1 minus the unit boundary's crossing chance.
+    survival past g is 1 minus the unit boundary's crossing chance, so
+    passage-eq4's and passage-s32's crossing rows state its survival at 1.
     Completed, a path's law of A_inf is 1{g >= c} (1 - r e^{-(g - c)}):
     the point mass at c = aprev where it crossed, else an atom x at
     c = a and the tail r = 1 - x from its last (x, a)."""
@@ -862,15 +863,6 @@ def _reduce_ainf(st: ExperimentConfig, feats: dict[str, np.ndarray]) -> _Rows:
         c = np.where(crossed, feats[f"aprev|{law}"], feats[f"a|{pair}"])
         r = np.where(crossed, 0.0, 1.0 - feats[f"x|{pair}"])
         checks.append(ks_check(f"{label}-terminal-law-ks", c, pprime, exponential_cdf, grid_allowance=0.03, tails=r))
-        checks.append(
-            mean_check(
-                f"{label}-survival-at-1",
-                float(np.exp(-1.0)),
-                1.0 - _crossing(feats, law, 1.0),
-                pprime,
-                grid_allowance=0.015,
-            )
-        )
         checks.append(
             count_check(
                 f"{label}-survival-at-0-exact",
@@ -897,7 +889,6 @@ def _reduce_levy5(st: ExperimentConfig, feats: dict[str, np.ndarray]) -> _Rows:
     checks = [
         mean_check("constant-one-hold", target, hold, grid_allowance=0.014),
         mean_check("erf-sign-hold", _D0_ERF * target, hold, feats["q_erf"], grid_allowance=0.014),
-        mean_check("q-mean-of-one-constant-one", 1.0, np.ones_like(hold)),
         mean_check("q-mean-of-one-erf-sign", _D0_ERF, np.ones_like(hold), feats["q_erf"]),
         mean_check("q-mean-of-one-stopped-bm", 1.0, np.ones_like(hold), feats["q_sbm"]),
     ]
@@ -1001,13 +992,13 @@ _VARIANTS = (
     "scaled",
 )
 _SHIFTED_VARIANTS = ("drawdown", "lifted", "lifted-stopped", "product", "scaled")
-# the support-mass ladder's rungs, at twice, once and half the step
-_SUPPORT_RUNGS = (2.0, 1.0, 0.5)
+# the support-mass ladder's rungs, at twice and once the step
+_SUPPORT_RUNGS = (2, 1)
 
 
 def _membership_chunk(start: int, count: int, *, seed: int, step: float, horizon: float) -> dict[str, np.ndarray]:
-    grid = make_grid(horizon, step)
     rungs = _rung_grids(horizon, step, _SUPPORT_RUNGS)
+    grid = rungs[1]
     _, _, zs = _density_block(seed, start, count, grid)
     w = Path(grid=grid, values=_primary(seed, start, count, grid))
     base = drawdown(w)
@@ -1033,13 +1024,13 @@ def _membership_chunk(start: int, count: int, *, seed: int, step: float, horizon
     ramp = Path(grid=grid, values=base.a.values + 0.5 * grid.times)
     bad = assemble(base.x, ramp, base.class_tag, base.zero_set, support_scale=base.support_scale)
     out["corrupt_pass"] = verify_membership(bad).passed.astype(np.float64)
-    # fixed-tolerance support mass on a common-randomness step ladder
+    # fixed-tolerance support mass on a common-randomness step ladder: W
+    # and every second point of it
     stress_tol = 0.6 * float(np.sqrt(2.0 * step))
-    wf = _primary(seed, start, count, rungs[0.5])
-    for rung, (factor, g) in zip("cmf", rungs.items()):
-        support = verify_membership(abs_martingale(Path(grid=g, values=wf[:, :: int(2 * factor)])), stress_tol).support
-        out[f"viol_{rung}"] = support.violation_mass
-        out[f"tot_{rung}"] = support.total_mass
+    for factor, g in rungs.items():
+        support = verify_membership(abs_martingale(Path(grid=g, values=w.values[:, ::factor])), stress_tol).support
+        out[f"viol|{factor}"] = support.violation_mass
+        out[f"tot|{factor}"] = support.total_mass
     return out
 
 
@@ -1073,16 +1064,11 @@ def _reduce_membership(st: ExperimentConfig, feats: dict[str, np.ndarray]) -> _R
         )
     )
     ratios = {}
-    for rung in ("c", "m", "f"):
-        tot = float(feats[f"tot_{rung}"].sum())
-        ratios[rung] = float(feats[f"viol_{rung}"].sum()) / tot if tot > 0.0 else 0.0
+    for factor in _SUPPORT_RUNGS:
+        tot = float(feats[f"tot|{factor}"].sum())
+        ratios[factor] = float(feats[f"viol|{factor}"].sum()) / tot if tot > 0.0 else 0.0
     s = st.step
-    checks.append(
-        ratio_check(f"stressed-ratio-halves-{2 * s:g}-to-{s:g}", ratios["c"], ratios["m"], 2.0)
-    )
-    checks.append(
-        ratio_check(f"stressed-ratio-halves-{s:g}-to-{s / 2:g}", ratios["m"], ratios["f"], 2.0)
-    )
+    checks.append(ratio_check(f"stressed-ratio-halves-{2 * s:g}-to-{s:g}", ratios[2], ratios[1], 2.0))
     return checks, []
 
 
@@ -1127,7 +1113,7 @@ class ExperimentSpec:
 
     A run is ``plan(st)``, the keyword arguments of ``chunk``; ``chunk``
     over ranges of ``chunk_rows`` paths, fewer than ``CHUNK_SIZE`` for
-    rho-algebra's restart rows and membership's support-mass matrices;
+    rho-algebra's restart rows and membership's seven decompositions;
     and ``reduce(st, feats)``, the checks and curves.  ``horizon`` and
     ``checkpoints`` are the defaults ``resolve_settings`` fills into a
     request that gives none, and an experiment reads each option its
@@ -1201,18 +1187,26 @@ def paper_anchor(name: str) -> str:
     return EXPERIMENTS[name].anchor
 
 
+def _whole(option: str, value: object) -> int:
+    """``value`` as an int, refused unless it is a whole number, because
+    truncating it would run a request other than the one made."""
+    if not (isinstance(value, numbers.Integral) or (isinstance(value, float) and value.is_integer())):
+        raise ConfigurationError(f"{option} must be a whole number, not {value!r}")
+    return int(value)
+
+
 def resolve_settings(cfg: ExperimentConfig, suite: str | None = None) -> ExperimentConfig:
     """The request with its scales filled from the suite, and its horizon
     and checkpoints from the registry row, once every option has been
-    checked.  Numbers become floats, so one run has one config hash
-    however its numbers were written."""
+    checked.  Counts and the seed become ints and the rest floats, so one
+    run has one config hash however its numbers were written."""
     if cfg.experiment not in EXPERIMENTS:
         raise ConfigurationError(f"unknown experiment {cfg.experiment!r}")
     if suite not in (None, "fast", "full"):
         raise ConfigurationError(f"unknown suite {suite!r}")
     spec = EXPERIMENTS[cfg.experiment]
     scale = spec.full if suite == "full" else spec.fast
-    n_paths = cfg.n_paths if cfg.n_paths is not None else scale[0]
+    n_paths = _whole("n_paths", cfg.n_paths if cfg.n_paths is not None else scale[0])
     step = cfg.step if cfg.step is not None else scale[1]
     if n_paths < 2:
         raise ConfigurationError("n_paths must be at least 2")
@@ -1224,7 +1218,8 @@ def resolve_settings(cfg: ExperimentConfig, suite: str | None = None) -> Experim
         # the span is the models' own, so only the step can change
         reason = str(exc).removesuffix(" or shorten the horizon")
         raise ConfigurationError(f"{cfg.experiment} reads its density on the model span {_MODEL_SPAN:g} at step {step:g}: {reason}") from None
-    check_key(cfg.master_seed)
+    seed = _whole("master_seed", cfg.master_seed)
+    check_key(seed)
     requested = {"horizon": cfg.horizon is not None, "checkpoints": cfg.checkpoints is not None}
     ignored = [option for option, given in requested.items() if given and option not in spec.reads]
     if ignored:
@@ -1241,16 +1236,17 @@ def resolve_settings(cfg: ExperimentConfig, suite: str | None = None) -> Experim
     # every reader compares the times pairwise for flatness, which one time cannot fail
     if checkpoints is not None and len(set(checkpoints)) < 2:
         raise ConfigurationError(f"checkpoints must name at least 2 distinct times, not {list(checkpoints)}")
-    if cfg.workers < 1:
+    workers = _whole("workers", cfg.workers)
+    if workers < 1:
         raise ConfigurationError("workers must be at least 1")
     return replace(
         cfg,
-        n_paths=int(n_paths),
+        n_paths=n_paths,
         step=float(step),
         horizon=horizon,
-        master_seed=int(cfg.master_seed),
+        master_seed=seed,
         checkpoints=checkpoints,
-        workers=int(cfg.workers),
+        workers=workers,
     )
 
 

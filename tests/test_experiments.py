@@ -91,6 +91,15 @@ def test_resolve_settings_rejects_bad_input(draws, chunk_calls):
         resolve_settings(ExperimentConfig(experiment="passage-eq4", workers=0))
     with pytest.raises(ConfigurationError):
         resolve_settings(ExperimentConfig(experiment="passage-eq4"), suite="medium")
+    # counts and the seed are whole numbers: a fraction is refused, not truncated
+    for kw in ({"master_seed": 1.5}, {"n_paths": 300.7}, {"workers": 1.9}, {"n_paths": float("inf")}, {"n_paths": float("nan")}):
+        (option,) = kw
+        with pytest.raises(ConfigurationError, match=f"^{option} must be a whole number"):
+            resolve_settings(ExperimentConfig(experiment="passage-eq4", **kw))
+    # a whole float is the same request as its int
+    whole = resolve_settings(ExperimentConfig(experiment="passage-eq4", n_paths=300.0, master_seed=7.0, workers=2.0))
+    exact = resolve_settings(ExperimentConfig(experiment="passage-eq4", n_paths=300, master_seed=7, workers=2))
+    assert whole == exact and config_digest(whole) == config_digest(exact)
     # horizons shorter than the ErfSign zero-set span
     for name, horizon, checkpoints in (
         ("r1-ui-martingale", 0.5, None),
@@ -142,6 +151,7 @@ def test_resolve_settings_rejects_bad_input(draws, chunk_calls):
         ("ito", "the 4x rung of step 0.2: ", {"n_paths": 2}),
         ("membership", "the 2x rung of step 0.2: ", {"n_paths": 2}),
         ("ito", "the 4x rung of step 0.2: ", {"n_paths": 600, "workers": 2}),
+        ("membership", "the 2x rung of step 0.2: ", {"n_paths": 600, "workers": 2}),
     ):
         with pytest.raises(ConfigurationError, match="not an integer multiple") as info:
             run_experiment(ExperimentConfig(experiment=name, step=0.2, **kw))
@@ -442,14 +452,12 @@ def test_write_report_layout(tmp_path):
 
 def test_report_json_sanitizes_nonfinite():
     run = _micro("membership", n_paths=6, step=5e-3)
-    rows = report_rows(run)
-    inf_rows = [r for r in rows if isinstance(r.estimate, float) and np.isinf(r.estimate)]
+    # a ratio row reads inf where its fine error is exactly 0
+    rows = [dataclasses.replace(r, estimate=float("inf")) if r.kind == "ratio" else r for r in report_rows(run)]
     doc = rows_as_json(rows)
     as_text = json.dumps(doc)
     assert "Infinity" not in as_text and "NaN" not in as_text
-    if inf_rows:
-        by_check = {d["check"]: d for d in doc}
-        assert any(by_check[r.check]["estimate"] is None for r in inf_rows)
+    assert [d["estimate"] for d in doc if d["kind"] == "ratio"] == [None]
 
 
 def test_report_bytes_identical_across_reruns(tmp_path):
@@ -525,14 +533,9 @@ def test_cli_short_horizon_is_config_error(tmp_path, capsys, draws):
         assert main(["run", *args, "--paths", "2", "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert "byte budget" in err and "Traceback" not in err
-    # the budget counts membership's half-step rung; the others' horizon-200 rows fit
+    # horizon-200 rows fit the budget, every grid a plan builds among them
     for name in ("t1-characterization", "passage-eq4", "doob-maximal", "membership"):
-        cfg = ExperimentConfig(experiment=name, horizon=200.0, step=1e-3)
-        if name == "membership":
-            with pytest.raises(ConfigurationError, match="byte budget"):
-                run_experiment(cfg)
-        else:
-            resolve_settings(cfg)
+        EXPERIMENTS[name].plan(resolve_settings(ExperimentConfig(experiment=name, horizon=200.0, step=1e-3)))
     # an --out that names a file, or a path under one, is refused before the run, naming the path
     taken = tmp_path / "taken"
     taken.write_text("", encoding="utf-8")
@@ -559,12 +562,11 @@ def test_over_budget_grid_fails_before_any_draw(draws, chunk_calls):
     # the run grid fits, the density model's span grid does not
     for name in ("t1-characterization", "products", "scaled-f"):
         cases.append(ExperimentConfig(experiment=name, horizon=0.002, checkpoints=(0.001, 0.002), step=1e-8))
-    # only the support-mass ladder's half-step rung is over the budget
-    cases.append(ExperimentConfig(experiment="membership", step=5e-6))
-    cases.append(ExperimentConfig(experiment="membership", step=5e-6, workers=2))
     for cfg in cases:
         with pytest.raises(ConfigurationError, match="byte budget"):
             run_experiment(cfg)
+    # the support-mass ladder's rungs are at twice and once the step, so each fits where the run grid does
+    EXPERIMENTS["membership"].plan(resolve_settings(ExperimentConfig(experiment="membership", step=5e-6)))
     assert sum(draws.values()) == 0 and not chunk_calls
 
 
@@ -646,8 +648,10 @@ def test_pathwise_chunks_draw_each_density_stream_once(draws):
     # ErfSign's zeros end at its terminal time 1.0, so its stream does too
     assert draws[SUBSTREAM_DENSITY] == 10 and draws.n_steps[SUBSTREAM_DENSITY] == {50}
     draws.clear()
-    _membership_chunk(0, 10, seed=20260822, step=0.01, horizon=1.0)
-    assert draws[SUBSTREAM_DENSITY] == 10
+    # both support-mass rungs read the members' primary draw: 3,000 normals a path at the registry step
+    _membership_chunk(0, 10, seed=20260822, step=1e-3, horizon=1.0)
+    substreams = (SUBSTREAM_PRIMARY, SUBSTREAM_SECONDARY, SUBSTREAM_DENSITY)
+    assert {s: (draws[s], draws.n_steps[s]) for s in draws} == dict.fromkeys(substreams, (10, {1000}))
     draws.clear()
     # past the span, membership's zero sets are padded, not read off a longer draw
     _membership_chunk(0, 10, seed=20260822, step=0.01, horizon=2.0)
