@@ -34,8 +34,12 @@ identical call reads them once; a row that runs again, or whose
 horizon override changes the call, simulates afresh.
 
 Every chunk but the ladder's reads its density weights, ``q_erf`` and
-``q_sbm``, and its zero set H off one draw on the model span, through
-``_density_block``.
+``q_sbm``, its zero set H and the bridged chance that D reaches 0 off
+one draw on the model span, through ``_density_block``.  The process
+keeps each block it draws, for one seed at a time, by step and path
+range, and serves a request inside a kept range as a slice of it, bit
+for bit the fresh draw; so rows that read the same paths at one step
+draw their density once.
 
 A run request is one ``ExperimentConfig``.  ``resolve_settings``
 checks it and fills its scales, horizon and checkpoints from the
@@ -59,6 +63,7 @@ from collections import Counter
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, fields, replace
 from time import perf_counter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -87,6 +92,7 @@ from .density import (
     ensemble_weights,
     ndtr,
     terminal_density,
+    zero_level,
 )
 from .ensemble import CHUNK_SIZE, run_chunked
 from .errors import ConfigurationError
@@ -261,27 +267,111 @@ def _primary(seed: int, start: int, count: int, grid: TimeGrid, substream: int =
     return cumsum_paths(incs)
 
 
-def _density_block(seed: int, start: int, count: int, grid: TimeGrid) -> tuple[np.ndarray, np.ndarray, ZeroSetInfo]:
-    """ErfSign's and StoppedBM's terminal values and their one zero set H
-    off one density draw on the model span: D = 2 Phi((W + 1)/sqrt(1 - t)) - 1
-    and D = 1 + W read one driver W and vanish where it reaches -1.  H
-    comes on ``grid``, of the span's step."""
+def _log_no_crossing(d: np.ndarray, step: float) -> np.ndarray:
+    """Per row, the log chance that a Brownian motion (of any constant
+    drift) whose distances to a level are ``d`` > 0 at the grid points
+    stays clear of it between them: sum_k log(1 - exp(-2 d_k d_{k+1} / step)),
+    the Brownian-bridge crossing law."""
+    arr = -2.0 * d[:, :-1] * d[:, 1:] / step
+    # Far from the level, exp(arr) underflows to 0 and log1p(-0) is -0, so
+    # only the near steps are evaluated; the row sums are unchanged.
+    near = arr > -800.0
+    logs = np.full(arr.shape, -0.0)
+    logs[near] = np.log1p(-np.minimum(np.exp(np.minimum(arr[near], 0.0)), 1.0 - 1e-16))
+    return np.sum(logs, axis=1)
+
+
+def _hit_chance(driver: np.ndarray, in_h: np.ndarray, step: float) -> np.ndarray:
+    """Per ErfSign driver row on the model span, the chance that D reaches
+    0 by the span given the row's grid values: 1 where the grid holds a
+    zero, else bridged between grid points, where W stays above -1 on
+    the grid.  Exact at any step."""
+    hit = np.ones(driver.shape[0])
+    free = ~in_h.any(axis=1)
+    hit[free] = -np.expm1(_log_no_crossing(zero_level(_ERF, driver[free]), step))
+    return hit
+
+
+class _DensityBlock(NamedTuple):
+    """What every chunk reads off the density draw, one entry per path:
+    ErfSign's and StoppedBM's terminal values, their one zero set H on
+    the request's grid, and the bridged chance that D reaches 0 by the
+    model span."""
+
+    q_erf: np.ndarray
+    q_sbm: np.ndarray
+    zs: ZeroSetInfo
+    hit: np.ndarray
+
+
+@dataclass(frozen=True)
+class _KeptBlock:
+    """A drawn block, one read-only entry per path, with H on the model
+    span packed eight grid points to a byte."""
+
+    q_erf: np.ndarray
+    q_sbm: np.ndarray
+    h_bits: np.ndarray
+    hit: np.ndarray
+
+
+# The density blocks this process has drawn, all for one seed: by
+# (seed, step), then by each block's first path index.  It is module
+# state because the rows that read one block are separate
+# ``run_experiment`` calls, or pool tasks in a worker; holding one seed
+# bounds it by one run's paths.
+_BLOCKS: dict[tuple[int, float], dict[int, _KeptBlock]] = {}
+
+
+def _density_block(seed: int, start: int, count: int, grid: TimeGrid) -> _DensityBlock:
+    """The density block of paths [start, start + count) off one draw on
+    the model span: D = 2 Phi((W + 1)/sqrt(1 - t)) - 1 and D = 1 + W read
+    one driver W and vanish where it reaches -1.  H comes on ``grid``,
+    of the span's step.
+
+    A request inside a range kept at this seed and step is served as a
+    slice of it, which equals the fresh draw bit for bit, because every
+    entry depends on its own path's stream alone.  Otherwise the block
+    is drawn and kept, replacing the kept ranges it covers; a request at
+    another seed empties the keep first."""
     sgrid = make_grid(_MODEL_SPAN, grid.step)
+    if _BLOCKS and next(iter(_BLOCKS))[0] != seed:
+        _BLOCKS.clear()
+    kept = _BLOCKS.setdefault((seed, grid.step), {})
+    for first, blk in kept.items():
+        if first <= start and start + count <= first + len(blk.hit):
+            rows = slice(start - first, start - first + count)
+            in_h = np.unpackbits(blk.h_bits[rows], axis=1, count=sgrid.n_steps + 1).view(bool)
+            return _DensityBlock(blk.q_erf[rows], blk.q_sbm[rows], _on_grid(in_h, grid), blk.hit[rows])
     driver = driver_matrix(_ERF, seed, start, count, sgrid)
-    q_erf = terminal_density(_ERF, driver, sgrid)
+    in_h = driver_zero_set(_ERF, Path(grid=sgrid, values=driver)).in_h
     # StoppedBM's driver is ErfSign's plus its start, added after the sum,
     # so its terminal value is ErfSign's last column plus it
-    q_sbm = driver[:, -1] + _SBM.start
-    return q_erf, q_sbm, _span_zero_set(driver, grid)
+    blk = _KeptBlock(
+        terminal_density(_ERF, driver, sgrid),
+        driver[:, -1] + _SBM.start,
+        np.packbits(in_h, axis=1),
+        _hit_chance(driver, in_h, sgrid.step),
+    )
+    for values in (blk.q_erf, blk.q_sbm, blk.h_bits, blk.hit):
+        values.flags.writeable = False
+    for first in [f for f, b in kept.items() if start <= f and f + len(b.hit) <= start + count]:
+        del kept[first]
+    kept[start] = blk
+    return _DensityBlock(blk.q_erf, blk.q_sbm, _on_grid(in_h, grid), blk.hit)
 
 
-def _span_zero_set(driver: np.ndarray, grid: TimeGrid) -> ZeroSetInfo:
-    """H of ErfSign's driver rows on the model span at ``grid``'s step, on
-    ``grid``: padded past the span, where neither model has zeros, or cut short."""
-    in_h = driver_zero_set(_ERF, Path(grid=make_grid(_MODEL_SPAN, grid.step), values=driver)).in_h
+def _on_grid(in_h: np.ndarray, grid: TimeGrid) -> ZeroSetInfo:
+    """H masks on the model span at ``grid``'s step, on ``grid``: padded
+    past the span, where neither model has zeros, or cut short."""
     pad = grid.n_steps + 1 - in_h.shape[1]
     in_h = np.pad(in_h, ((0, 0), (0, pad))) if pad > 0 else in_h[:, : grid.n_steps + 1]
     return ZeroSetInfo(grid=grid, in_h=in_h)
+
+
+def _span_zero_set(driver: np.ndarray, grid: TimeGrid) -> ZeroSetInfo:
+    """H of ErfSign's driver rows on the model span at ``grid``'s step, on ``grid``."""
+    return _on_grid(driver_zero_set(_ERF, Path(grid=make_grid(_MODEL_SPAN, grid.step), values=driver)).in_h, grid)
 
 
 def _rung_grids(horizon: float, step: float, factors: tuple[float, ...], *times: float) -> dict[float, TimeGrid]:
@@ -387,7 +477,7 @@ def _t1_chunk(
     the drawdown and the reflected path, StoppedBM's terminal weights,
     and the drifted control's drawdown feature for f = 1."""
     grid = make_grid(horizon, step)
-    _, q_sbm, _ = _density_block(seed, start, count, grid)
+    q_sbm = _density_block(seed, start, count, grid).q_sbm
     w = _primary(seed, start, count, grid)
     wd = w + _T1_DRIFT * grid.times[None, :]
     sd = np.maximum.accumulate(wd, axis=1)
@@ -429,7 +519,7 @@ def _r1_chunk(
     start: int, count: int, *, seed: int, step: float, horizon: float, offset_steps: tuple[int, ...]
 ) -> dict[str, np.ndarray]:
     grid = make_grid(horizon, step)
-    q_erf, _, zs = _density_block(seed, start, count, grid)
+    q_erf, _, zs, _ = _density_block(seed, start, count, grid)
     w = _primary(seed, start, count, grid)
     t = grid.times
     # U_t = P(W_T < 1/2 | W_t) with T one time unit past the horizon
@@ -455,7 +545,7 @@ def _sigs_members(start: int, count: int, *, seed: int, step: float, horizon: fl
     """The restarted reflected driver X and its kernel clock A, one row
     per path (``lifted_reflected``), and ErfSign's terminal values."""
     grid = make_grid(horizon, step)
-    q_erf, _, zs = _density_block(seed, start, count, grid)
+    q_erf, _, zs, _ = _density_block(seed, start, count, grid)
     return lifted_reflected(Path(grid=grid, values=_primary(seed, start, count, grid)), zs), q_erf
 
 
@@ -493,7 +583,7 @@ def _rho_pairs() -> tuple[tuple[PathFunctional, PathFunctional, bool], ...]:
 def _rho_chunk(start: int, count: int, *, seed: int, step: float, horizon: float) -> dict[str, np.ndarray]:
     grid = make_grid(horizon, step)
     n = grid.n_steps
-    _, _, zs = _density_block(seed, start, count, grid)
+    zs = _density_block(seed, start, count, grid).zs
     w = _primary(seed, start, count, grid)
     g = zs.gbar_index
     layout = SegmentLayout(w, zs.in_h)
@@ -548,7 +638,7 @@ def _qbracket_chunk(
     start: int, count: int, *, seed: int, step: float, horizon: float, offset_steps: tuple[int, ...]
 ) -> dict[str, np.ndarray]:
     grid = make_grid(horizon, step)
-    q_erf, _, zs = _density_block(seed, start, count, grid)
+    q_erf, _, zs, _ = _density_block(seed, start, count, grid)
     w = _primary(seed, start, count, grid)
     gbar = zs.gbar_index
     # q_bracket from the last zero on, gathered at each row's one anchor
@@ -672,20 +762,15 @@ def _reduce_ito(st: ExperimentConfig, feats: dict[str, np.ndarray]) -> _Rows:
 def _crossing_freq(z: np.ndarray, b: float, step: float) -> np.ndarray:
     """Per-row probability that Z = W - t/2 ever reaches b, given its
     grid values: bridged between grid points, and past the last one by
-    the all-time law P(sup_{s>=h} Z_s >= b | Z_h) = e^{-(b - Z_h)+}."""
+    the all-time law P(sup_{s>=h} Z_s >= b | Z_h) = e^{-(b - Z_h)+}.
+    Exact at any step."""
     crossed = (z >= b).any(axis=1)
     # A row that reaches b scores 1; only the others need the
     # per-step bridge crossing probabilities.
     d = b - z[~crossed]
-    arr = -2.0 * d[:, :-1] * d[:, 1:] / step
-    # Far from b, exp(arr) underflows to 0 and log1p(-0) is -0, so
-    # only the near steps are evaluated; the row sums are unchanged.
-    near = arr > -800.0
-    logs = np.full(arr.shape, -0.0)
-    logs[near] = np.log1p(-np.minimum(np.exp(np.minimum(arr[near], 0.0)), 1.0 - 1e-16))
     freq = np.ones(z.shape[0])
     # no crossing on the grid, then none past its end, where d > 0
-    freq[~crossed] = -np.expm1(np.sum(logs, axis=1) + np.log(-np.expm1(-d[:, -1])))
+    freq[~crossed] = -np.expm1(_log_no_crossing(d, step) + np.log(-np.expm1(-d[:, -1])))
     return freq
 
 
@@ -698,17 +783,20 @@ def _doob_chunk(start: int, count: int, *, seed: int, step: float, horizon: floa
     ``horizon``: density one at each curve level, and ErfSign after its
     last zero at level 2."""
     grid = make_grid(horizon, step)
-    q_erf, _, zs = _density_block(seed, start, count, grid)
+    q_erf, _, zs, _ = _density_block(seed, start, count, grid)
     z = _primary(seed, start, count, grid)
     z -= 0.5 * grid.times[None, :]
+    return _doob_features(z, zs.gbar_index, step) | {"q_erf": q_erf}
+
+
+def _doob_features(z: np.ndarray, gbar: np.ndarray, step: float) -> dict[str, np.ndarray]:
+    """doob-maximal's features off grid rows of Z and each row's last zero."""
     # density one has no zeros: the whole path is after the last zero
     out = {f"freq|{a:g}": _crossing_freq(z, float(np.log(a)), step) for a in _DOOB_LEVELS}
-
-    gbar = zs.gbar_index
     b = float(np.log(2.0))
-    pre = np.arange(grid.n_steps + 1)[None, :] < gbar[:, None]
+    pre = np.arange(z.shape[1])[None, :] < gbar[:, None]
     out["erf|freq|2"] = _crossing_freq(np.where(pre, b - 50.0, z), b, step)
-    return out | {"zg": gather(z, gbar), "q_erf": q_erf}
+    return out | {"zg": gather(z, gbar)}
 
 
 def _reduce_doob(st: ExperimentConfig, feats: dict[str, np.ndarray]) -> _Rows:
@@ -778,7 +866,7 @@ def _laws_chunk(start: int, count: int, *, seed: int, step: float, horizon: floa
     starts, and both models' terminal values.
     """
     grid = make_grid(horizon, step)
-    q_erf, q_sbm, zs = _density_block(seed, start, count, grid)
+    q_erf, q_sbm, zs, _ = _density_block(seed, start, count, grid)
     out = {"q_erf": q_erf, "q_sbm": q_sbm}
     for pair, x, a in _pairs(_primary(seed, start, count, grid), zs.gbar_index, step):
         out[f"x|{pair}"], out[f"a|{pair}"] = x[:, -1].copy(), a[:, -1].copy()
@@ -954,7 +1042,7 @@ def _closure_chunk(
     build: Callable[[int, int, int, TimeGrid], Decomposition],
 ) -> dict[str, np.ndarray]:
     grid = make_grid(horizon, step)
-    _, q_sbm, _ = _density_block(seed, start, count, grid)
+    q_sbm = _density_block(seed, start, count, grid).q_sbm
     d = build(seed, start, count, grid)
     # a chunk holding some of the membership sample verifies its rows;
     # each row's verdict is that path's own
@@ -999,7 +1087,7 @@ _SUPPORT_RUNGS = (2, 1)
 def _membership_chunk(start: int, count: int, *, seed: int, step: float, horizon: float) -> dict[str, np.ndarray]:
     rungs = _rung_grids(horizon, step, _SUPPORT_RUNGS)
     grid = rungs[1]
-    _, _, zs = _density_block(seed, start, count, grid)
+    zs = _density_block(seed, start, count, grid).zs
     w = Path(grid=grid, values=_primary(seed, start, count, grid))
     base = drawdown(w)
     members = {
@@ -1020,17 +1108,20 @@ def _membership_chunk(start: int, count: int, *, seed: int, step: float, horizon
         out[f"supratio|{key}"] = rep.support.ratio
         if key in _SHIFTED_VARIANTS:
             out["shifted_fail"] += ~rep.verdicts["shifted_classical"]
-    del members
+    # fixed-tolerance support mass on a common-randomness step ladder: W
+    # and every second point of it; the step-s rung is the abs-martingale
+    # member's own triple, read without its zero set
+    stress_tol = 0.6 * float(np.sqrt(2.0 * step))
+    plain = replace(members["abs-martingale"], zero_set=empty_zero_set(w))
+    support = {1: verify_membership(plain, stress_tol).support}
+    del members, plain
     ramp = Path(grid=grid, values=base.a.values + 0.5 * grid.times)
     bad = assemble(base.x, ramp, base.class_tag, base.zero_set, support_scale=base.support_scale)
     out["corrupt_pass"] = verify_membership(bad).passed.astype(np.float64)
-    # fixed-tolerance support mass on a common-randomness step ladder: W
-    # and every second point of it
-    stress_tol = 0.6 * float(np.sqrt(2.0 * step))
-    for factor, g in rungs.items():
-        support = verify_membership(abs_martingale(Path(grid=g, values=w.values[:, ::factor])), stress_tol).support
-        out[f"viol|{factor}"] = support.violation_mass
-        out[f"tot|{factor}"] = support.total_mass
+    support[2] = verify_membership(abs_martingale(Path(grid=rungs[2], values=w.values[:, ::2])), stress_tol).support
+    for factor in _SUPPORT_RUNGS:
+        out[f"viol|{factor}"] = support[factor].violation_mass
+        out[f"tot|{factor}"] = support[factor].total_mass
     return out
 
 
@@ -1075,12 +1166,12 @@ def _reduce_membership(st: ExperimentConfig, feats: dict[str, np.ndarray]) -> _R
 # ---------------------------------------------------------------- zero geometry
 
 def _geom_chunk(start: int, count: int, *, seed: int, step: float) -> dict[str, np.ndarray]:
-    _, _, zs = _density_block(seed, start, count, make_grid(_MODEL_SPAN, step))
+    _, _, zs, hit = _density_block(seed, start, count, make_grid(_MODEL_SPAN, step))
     gbar = zs.gbar_index
     col = np.arange(zs.in_h.shape[1])
     after = col[None, :] >= gbar[:, None]
     return {
-        "haszero": (gbar > 0).astype(np.float64),
+        "hit": hit,
         "gamma_moves": ((zs.gamma_index != gbar[:, None]) & after).any(axis=1).astype(np.float64),
         "origin_in_h": zs.in_h[:, 0].astype(np.float64),
     }
@@ -1088,7 +1179,8 @@ def _geom_chunk(start: int, count: int, *, seed: int, step: float) -> dict[str, 
 
 def _reduce_geometry(st: ExperimentConfig, feats: dict[str, np.ndarray]) -> _Rows:
     checks = [
-        mean_check("last-zero-positive", _P_HIT, feats["haszero"], grid_allowance=0.01),
+        # bridged, so exact at any step: no grid allowance
+        mean_check("last-zero-positive", _P_HIT, feats["hit"]),
         count_check(
             "anchor-fixed-after-last-zero",
             int(feats["gamma_moves"].sum()),
@@ -1156,7 +1248,8 @@ _SPECS = (
     ExperimentSpec("tanaka-plus", "signed local-time identity for the positive part", _ladder_chunk, _reduce_tanaka, 1.0, _LADDER_SCALE, _LADDER_SCALE, plan=_ladder_plan),
     ExperimentSpec("tanaka-minus", "signed local-time identity for the negative part", _ladder_chunk, _reduce_tanaka, 1.0, _LADDER_SCALE, _LADDER_SCALE, plan=_ladder_plan),
     ExperimentSpec("ito", "second-order expansion along restarted paths", _ladder_chunk, _reduce_ito, 1.0, _LADDER_SCALE, _LADDER_SCALE, plan=_ladder_plan),
-    ExperimentSpec("doob-maximal", "maximal identity for the supremum after the last zero", _doob_chunk, _reduce_doob, _MODEL_SPAN),
+    # bridged between grid points and completed past the grid, so exact at any step
+    ExperimentSpec("doob-maximal", "maximal identity for the supremum after the last zero", _doob_chunk, _reduce_doob, _MODEL_SPAN, (20000, 4e-3), (100000, 4e-3)),
     ExperimentSpec("passage-eq2", "boundary-crossing law stopped at a growth level, stepped boundary", _laws_chunk, _reduce_growth_1, _MODEL_SPAN),
     ExperimentSpec("passage-eq3", "boundary-crossing law over the full span, finite total integral", _laws_chunk, _reduce_full_span, _MODEL_SPAN),
     ExperimentSpec("passage-eq4", "probability-case crossing law with a unit boundary", _laws_chunk, _reduce_growth_1, _MODEL_SPAN),
@@ -1167,8 +1260,10 @@ _SPECS = (
     ExperimentSpec("products", "closure of the zero-set class under products", _product_chunk, _reduce_products, 1.0, checkpoints=_QUARTERS, min_horizon=0.0, plan=_checkpoint_plan),
     ExperimentSpec("scaled-f", "closure of the zero-set class under growth rescaling", _scaled_chunk, _reduce_scaled, 1.0, checkpoints=_QUARTERS, min_horizon=0.0, plan=_checkpoint_plan),
     ExperimentSpec("membership", "pathwise membership checks for every construction", _membership_chunk, _reduce_membership, 1.0, (300, 1e-3), (300, 1e-3), plan=_membership_plan, chunk_rows=64),
-    # the grid is the density model's own span, so no horizon applies
-    ExperimentSpec("zero-geometry", "geometry of the terminal-density zero set", _geom_chunk, _reduce_geometry, None, (20000, 1e-3), (100000, 2.5e-4)),
+    # the grid is the density model's own span, so no horizon applies; its
+    # hit chance is bridged, so exact at any step, and it reads the common
+    # steps' density blocks
+    ExperimentSpec("zero-geometry", "geometry of the terminal-density zero set", _geom_chunk, _reduce_geometry, None),
 )
 
 EXPERIMENTS: dict[str, ExperimentSpec] = {spec.name: spec for spec in _SPECS}

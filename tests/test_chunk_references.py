@@ -1,7 +1,8 @@
 """The row-batched pathwise chunks against per-path references.
 
 rho-algebra, membership, the residual ladders, t1, sigma-s and
-q-bracket evaluate whole chunks of path rows at once.  Each reference
+q-bracket evaluate whole chunks of path rows at once, and zero-geometry
+reads its bridged hit chance per row.  Each reference
 below rebuilds one path's features from the public per-path API
 (``rho``, the constructors, ``characterization``,
 ``verify_membership``, ``q_bracket``, ``tanaka_residual`` and
@@ -47,12 +48,14 @@ from sigma_lab import (
     verify_membership,
 )
 from sigma_lab.density import density_matrix, driver_matrix, terminal_density, zero_level, zero_set_from_level_series
+import sigma_lab.experiments as experiments
 from sigma_lab.experiments import (
     _F_PAIRS,
     _ITO_FORMS,
     _SHIFTED_VARIANTS,
     _T1_DRIFT,
     _density_block,
+    _geom_chunk,
     _ladder_chunk,
     _membership_chunk,
     _qbracket_chunk,
@@ -260,15 +263,71 @@ def test_qbracket_chunk_matches_per_path_bracket(start):
 )
 def test_density_block_matches_each_models_own_rows(seed, step, start):
     # one draw gives both models' terminal values and their one zero set,
-    # each bit for bit what that model reads off its own driver
+    # each bit for bit what that model reads off its own driver; so do a
+    # kept block served again and a sub-range of it, hit chance included
     span = make_grid(1.0, step)
-    q_erf, q_sbm, zs = _density_block(seed, start, 8, span)
-    for model, q in ((MODEL, q_erf), (STOPPED, q_sbm)):
-        driver = driver_matrix(model, seed, start, 8, span)
-        assert q.tobytes() == terminal_density(model, driver, span).tobytes()
-        assert q.tobytes() == density_matrix(model, driver, span)[:, -1].tobytes()
-        assert np.array_equal(zs.in_h, driver_zero_set(model, Path(grid=span, values=driver)).in_h)
-    assert set(q_erf) <= {-1.0, 1.0}
+    experiments._BLOCKS.clear()
+    miss = _density_block(seed, start, 8, span)
+    hit = _density_block(seed, start, 8, span)
+    sub = _density_block(seed, start + 2, 4, span)
+    assert len(experiments._BLOCKS[seed, step]) == 1
+    for rows, block in ((slice(0, 8), miss), (slice(0, 8), hit), (slice(2, 6), sub)):
+        for model, q in ((MODEL, block.q_erf), (STOPPED, block.q_sbm)):
+            driver = driver_matrix(model, seed, start, 8, span)[rows]
+            assert q.tobytes() == terminal_density(model, driver, span).tobytes()
+            assert q.tobytes() == density_matrix(model, driver, span)[:, -1].tobytes()
+            assert np.array_equal(block.zs.in_h, driver_zero_set(model, Path(grid=span, values=driver)).in_h)
+        assert block.hit.tobytes() == miss.hit[rows].tobytes()
+        assert set(block.q_erf) <= {-1.0, 1.0}
+
+
+def _geom_reference(spec, step):
+    span = make_grid(1.0, step)
+    x = zero_level(MODEL, density_driver_path(MODEL, spec, span).values)
+    zs = _zero_set(spec, span)
+    g = zs.gbar_index
+    # the bridge's no-crossing chance over each grid step, written out per path
+    clear = np.log1p(-np.minimum(np.exp(-2.0 * x[:-1] * x[1:] / step), 1.0 - 1e-16))
+    return {
+        "hit": 1.0 if g > 0 else -np.expm1(np.sum(clear)),
+        "gamma_moves": float(np.any(zs.gamma_index[g:] != g)),
+        "origin_in_h": float(zs.in_h[0]),
+    }
+
+
+@pytest.mark.parametrize("start", [0, 40])
+def test_geom_chunk_matches_per_path_bridged_hits(start):
+    batch = _geom_chunk(start, PATHS, seed=SEED, step=0.01)
+    _assert_rows_match(batch, lambda spec: _geom_reference(spec, 0.01), start)
+    # paths with and without a zero on the grid, and bridged chances strictly between
+    assert 0 < np.count_nonzero(batch["hit"] == 1.0) < PATHS
+    assert np.all((batch["hit"] > 0.0) & (batch["hit"] <= 1.0))
+
+
+def test_kept_density_arrays_are_read_only():
+    experiments._BLOCKS.clear()
+    grid = make_grid(1.0, 0.01)
+    for block in (_density_block(SEED, 0, 16, grid), _density_block(SEED, 4, 8, grid)):
+        for values in (block.q_erf, block.q_sbm, block.hit):
+            with pytest.raises(ValueError):
+                values[0] = 0.0
+    (kept,) = experiments._BLOCKS[SEED, 0.01].values()
+    with pytest.raises(ValueError):
+        kept.h_bits[0, 0] = 0
+
+
+def test_density_keep_holds_one_seed():
+    experiments._BLOCKS.clear()
+    grid = make_grid(1.0, 0.01)
+    _density_block(SEED, 0, 16, grid)
+    _density_block(SEED, 0, 16, make_grid(1.0, 0.02))
+    assert set(experiments._BLOCKS) == {(SEED, 0.01), (SEED, 0.02)}
+    _density_block(SEED + 1, 0, 16, grid)
+    assert set(experiments._BLOCKS) == {(SEED + 1, 0.01)}
+    # a wider miss replaces the kept ranges it covers
+    _density_block(SEED + 1, 16, 16, grid)
+    _density_block(SEED + 1, 0, 64, grid)
+    assert {first: len(b.hit) for first, b in experiments._BLOCKS[SEED + 1, 0.01].items()} == {0: 64}
 
 
 @pytest.mark.parametrize("horizon", [2.0, 0.5])
@@ -276,7 +335,7 @@ def test_density_block_zero_set_on_longer_and_shorter_grids(horizon):
     # padded past the span, cut to a shorter grid's prefix: either way the
     # zero set of a driver drawn on that grid itself
     grid = make_grid(horizon, 0.01)
-    _, _, zs = _density_block(SEED, 40, 64, grid)
+    zs = _density_block(SEED, 40, 64, grid).zs
     assert zs.grid == grid
     if horizon > 1.0:
         want = driver_zero_set(MODEL, Path(grid=grid, values=driver_matrix(MODEL, SEED, 40, 64, grid)))

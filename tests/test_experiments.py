@@ -20,8 +20,11 @@ from sigma_lab import (
     SUBSTREAM_SECONDARY,
     ConfigurationError,
     ExperimentConfig,
+    Path as SamplePath,
     config_digest,
+    driver_zero_set,
     experiment_names,
+    make_grid,
     paper_anchor,
     report_rows,
     resolve_settings,
@@ -29,6 +32,7 @@ from sigma_lab import (
     write_report,
 )
 from sigma_lab.cli import main
+from sigma_lab.density import driver_matrix
 from sigma_lab.experiments import (
     EXPERIMENTS,
     _SHARED,
@@ -224,7 +228,7 @@ def test_config_digest_of_resolved_requests_is_pinned():
         (ExperimentConfig(experiment="passage-eq4", horizon=1), "3e26624ef763"),
         (ExperimentConfig(experiment="passage-eq4", horizon=1.0), "3e26624ef763"),
         # no horizon or checkpoints apply to zero-geometry, so neither enters its hash
-        (ExperimentConfig(experiment="zero-geometry"), "600dcf6317aa"),
+        (ExperimentConfig(experiment="zero-geometry"), "6ea6b6137925"),
         (
             ExperimentConfig(
                 experiment="r1-ui-martingale",
@@ -616,7 +620,8 @@ class _Draws(Counter):
 
 @pytest.fixture
 def draws(monkeypatch):
-    """``_Draws`` of ``paths.bm_increments``."""
+    """``_Draws`` of ``paths.bm_increments``, from an empty density keep."""
+    experiments._BLOCKS.clear()
     counts = _Draws()
     original = paths.bm_increments
 
@@ -709,6 +714,74 @@ def test_family_member_rerun_draws_again(draws):
     second = _micro("passage-eq4", n_paths=300)
     assert draws[SUBSTREAM_PRIMARY] == 300
     assert report_rows(first) == report_rows(second)
+
+
+def test_density_blocks_are_kept_for_one_seed(draws):
+    n = 300
+    first = _micro("t1-characterization", n_paths=n)
+    assert draws[SUBSTREAM_DENSITY] == n
+    draws.clear()
+    # a rerun, and another row on a sub-range of the same paths, at the
+    # same seed and step read every density row off the keep
+    again = _micro("t1-characterization", n_paths=n)
+    _micro("rho-algebra", n_paths=n // 2, horizon=2.0)
+    assert draws[SUBSTREAM_DENSITY] == 0 and draws[SUBSTREAM_PRIMARY] == n + n // 2
+    assert report_rows(again) == report_rows(first)
+    # another seed empties the keep, so coming back draws afresh
+    _micro("t1-characterization", n_paths=n, master_seed=7)
+    assert set(experiments._BLOCKS) == {(7, 5e-3)}
+    draws.clear()
+    assert report_rows(_micro("t1-characterization", n_paths=n)) == report_rows(first)
+    assert draws[SUBSTREAM_DENSITY] == n
+
+
+# the exactness guard's coarse grid: every 25th point, as the ladder subsamples its rungs
+_COARSE = 25
+
+
+def _paired_z(fine, coarse):
+    """|mean| of the per-path differences over their standard error."""
+    diff = np.asarray(fine) - np.asarray(coarse)
+    return abs(diff.mean()) / (diff.std(ddof=1) / np.sqrt(diff.size))
+
+
+def _exactness_z(name, seed=experiments.DEFAULT_SEED):
+    """Per estimate of a row family said to be exact at any step, the paired
+    z of its per-path values at the registry's fast step against the same
+    paths subsampled to 25 times that step."""
+    st_ = resolve_settings(ExperimentConfig(experiment=name, master_seed=seed), "fast")
+    step, n = st_.step, st_.n_paths
+    span = make_grid(experiments._MODEL_SPAN, step)
+    coarse_span = make_grid(experiments._MODEL_SPAN, _COARSE * step)
+    driver = driver_matrix(experiments._ERF, seed, 0, n, span)
+    fine_h = driver_zero_set(experiments._ERF, SamplePath(grid=span, values=driver)).in_h
+    coarse_h = driver_zero_set(experiments._ERF, SamplePath(grid=coarse_span, values=driver[:, ::_COARSE])).in_h
+    if name == "zero-geometry":
+        fine = experiments._hit_chance(driver, fine_h, step)
+        coarse = experiments._hit_chance(driver[:, ::_COARSE], coarse_h, _COARSE * step)
+        return {"last-zero-positive": _paired_z(fine, coarse)}
+    grid = make_grid(st_.horizon, step)
+    coarse_grid = make_grid(st_.horizon, _COARSE * step)
+    z = experiments._primary(seed, 0, n, grid) - 0.5 * grid.times
+    sides = {}
+    for label, values, g, h in (("fine", z, grid, fine_h), ("coarse", z[:, ::_COARSE], coarse_grid, coarse_h)):
+        gbar = experiments._on_grid(h, g).gbar_index
+        feats = experiments._doob_features(values, gbar, g.step)
+        # the ErfSign row's frequency minus its restart mean: 0 in mean at any last zero
+        feats["erf|2"] = feats.pop("erf|freq|2") - np.minimum(np.exp(feats.pop("zg")) / 2.0, 1.0)
+        sides[label] = feats
+    return {key: _paired_z(sides["fine"][key], sides["coarse"][key]) for key in sides["fine"]}
+
+
+@pytest.mark.parametrize("name", ["doob-maximal", "zero-geometry"])
+def test_rows_exact_at_any_step_agree_with_a_25_times_coarser_grid(name):
+    # the guard behind running these rows at a coarse step: bridged, their
+    # estimates have no grid bias, so a 25 times coarser grid of the same
+    # paths moves them by no more than their paired noise
+    zs = _exactness_z(name)
+    assert len(zs) == {"doob-maximal": 6, "zero-geometry": 1}[name]
+    for key, z in zs.items():
+        assert z <= 3.0, (name, key, z)
 
 
 def test_laws_family_rows_match_across_worker_counts():
