@@ -3,7 +3,9 @@
 Each registry row (``ExperimentSpec``) runs as plan, chunk and reduce,
 and ``run_experiment`` is the one scheduler of every row.  ``plan(st)``
 turns the resolved request into the keyword arguments of the row's
-chunk and makes every check the run can refuse, so a refused request
+chunk: each grid the chunk reads, built once (the run grid, or a
+ladder's rung grids by factor), and the grid steps of its times.  So
+the plan makes every check the run can refuse, and a refused request
 fails before any chunk runs or pool worker starts.  The chunk returns
 one row of features per path of its range; ``run_chunked`` calls it on
 ranges of the row's ``chunk_rows`` paths, which bound memory, and
@@ -29,9 +31,10 @@ rows name is shared:
   form on every ladder rung, off one draw on the finest grid.
 
 A shared chunk's features are kept, read-only, keyed by the whole call
-(seed, step, path count and plan).  Each other row that makes the
-identical call reads them once; a row that runs again, or whose
-horizon override changes the call, simulates afresh.
+(seed, path count and plan, whose grids carry the step and horizon).
+Each other row that makes the identical call reads them once; a row
+that runs again, or whose horizon override changes the call,
+simulates afresh.
 
 Every chunk but the ladder's reads its density weights, ``q_erf`` and
 ``q_sbm``, its zero set H and the bridged chance that D reaches 0 off
@@ -388,56 +391,54 @@ def _rung_grids(horizon: float, step: float, factors: tuple[float, ...], *times:
     return grids
 
 
-def _grid_steps(times: tuple[float, ...], horizon: float, step: float) -> tuple[int, ...]:
+def _grid_steps(times: tuple[float, ...], grid: TimeGrid) -> tuple[int, ...]:
     """Grid steps of checkpoints or restart offsets, checked before any
-    simulation: each must be a time of the simulated grid, so none is
+    simulation: each must be a time of the run grid, so none is
     negative, off the grid, or past the horizon, and no two distinct
     times round to one point (where a flatness test would compare a
     column with itself)."""
-    grid = make_grid(horizon, step)
     steps = tuple(grid.index_of(t) for t in times)
     if len(set(steps)) < len(set(times)):
-        raise ConfigurationError(f"times {list(times)} name fewer grid points than distinct times at step {step:g}")
+        raise ConfigurationError(f"times {list(times)} name fewer grid points than distinct times at step {grid.step:g}")
     return steps
 
 
-def _restart_steps(offsets: tuple[float, ...], horizon: float, step: float) -> tuple[int, ...]:
+def _restart_steps(offsets: tuple[float, ...], grid: TimeGrid) -> tuple[int, ...]:
     """Grid steps of restart offsets, checked before any simulation.
     Offsets count from a last zero, which comes by the model span, so
     every path's windows fit on the grid exactly when the steps past
     the largest offset still cover the span.  An offset past the
     horizon is refused for the same reason, before it is looked up on
     the grid."""
-    if max(offsets) <= horizon:
-        steps = _grid_steps(offsets, horizon, step)
-        if make_grid(horizon, step).n_steps - max(steps) >= make_grid(_MODEL_SPAN, step).n_steps:
+    if max(offsets) <= grid.horizon:
+        steps = _grid_steps(offsets, grid)
+        if grid.n_steps - max(steps) >= make_grid(_MODEL_SPAN, grid.step).n_steps:
             return steps
     raise ConfigurationError(
         f"restart offsets up to {max(offsets):g} need a horizon of at least {_MODEL_SPAN + max(offsets):g},"
-        f" not {horizon:g}"
+        f" not {grid.horizon:g}"
     )
 
 
 def _horizon_plan(st: ExperimentConfig) -> dict[str, object]:
-    """The call of a chunk that reads only the horizon, if any, once its grid fits."""
-    if st.horizon is None:
-        return {}
-    make_grid(st.horizon, st.step)
-    return {"horizon": st.horizon}
+    """The run grid, to the horizon, or over the model span for a row that
+    reads no horizon."""
+    return {"grid": make_grid(_MODEL_SPAN if st.horizon is None else st.horizon, st.step)}
 
 
 def _checkpoint_plan(st: ExperimentConfig) -> dict[str, object]:
-    return {"horizon": st.horizon, "cols": _grid_steps(st.checkpoints, st.horizon, st.step)}
+    grid = make_grid(st.horizon, st.step)
+    return {"grid": grid, "cols": _grid_steps(st.checkpoints, grid)}
 
 
 def _restart_plan(st: ExperimentConfig) -> dict[str, object]:
-    return {"horizon": st.horizon, "offset_steps": _restart_steps(st.checkpoints, st.horizon, st.step)}
+    grid = make_grid(st.horizon, st.step)
+    return {"grid": grid, "offset_steps": _restart_steps(st.checkpoints, grid)}
 
 
 def _rung_plan(st: ExperimentConfig, *, factors: tuple[float, ...], times: tuple[float, ...] = ()) -> dict[str, object]:
-    """The horizon, once every rung grid the chunk builds fits and holds ``times``."""
-    _rung_grids(st.horizon, st.step, factors, *times)
-    return {"horizon": st.horizon}
+    """Every rung grid the chunk reads, by factor, each holding ``times``."""
+    return {"grids": _rung_grids(st.horizon, st.step, factors, *times)}
 
 
 # what a reduce returns: its checks and its curves
@@ -470,13 +471,10 @@ _F_PAIRS = {
 _T1_DRIFT = 0.3
 
 
-def _t1_chunk(
-    start: int, count: int, *, seed: int, step: float, horizon: float, cols: tuple[int, ...]
-) -> dict[str, np.ndarray]:
+def _t1_chunk(start: int, count: int, *, seed: int, grid: TimeGrid, cols: tuple[int, ...]) -> dict[str, np.ndarray]:
     """t1's features off one draw: F(A) - f(A) X at the checkpoints for
     the drawdown and the reflected path, StoppedBM's terminal weights,
     and the drifted control's drawdown feature for f = 1."""
-    grid = make_grid(horizon, step)
     q_sbm = _density_block(seed, start, count, grid).q_sbm
     w = _primary(seed, start, count, grid)
     wd = w + _T1_DRIFT * grid.times[None, :]
@@ -489,7 +487,7 @@ def _t1_chunk(
     s = np.maximum.accumulate(w, axis=1)
     variants = {
         "drawdown": (s - w, s),
-        "abs": (np.abs(w), occupation_kernel(w, step)),
+        "abs": (np.abs(w), occupation_kernel(w, grid.step)),
     }
     for cons, (x, a) in variants.items():
         xc = x[:, cols]
@@ -515,15 +513,12 @@ def _reduce_t1(st: ExperimentConfig, feats: dict[str, np.ndarray]) -> _Rows:
 
 # ---------------------------------------------------------------- r1 restart martingale
 
-def _r1_chunk(
-    start: int, count: int, *, seed: int, step: float, horizon: float, offset_steps: tuple[int, ...]
-) -> dict[str, np.ndarray]:
-    grid = make_grid(horizon, step)
+def _r1_chunk(start: int, count: int, *, seed: int, grid: TimeGrid, offset_steps: tuple[int, ...]) -> dict[str, np.ndarray]:
     q_erf, _, zs, _ = _density_block(seed, start, count, grid)
     w = _primary(seed, start, count, grid)
     t = grid.times
     # U_t = P(W_T < 1/2 | W_t) with T one time unit past the horizon
-    u = ndtr((0.5 - w) / np.sqrt(horizon + 1.0 - t)[None, :])
+    u = ndtr((0.5 - w) / np.sqrt(grid.horizon + 1.0 - t)[None, :])
     gbar = zs.gbar_index
     ug = gather(u, gbar)
     vals = np.stack([gather(u, gbar + d) - ug for d in offset_steps], axis=1)
@@ -541,10 +536,9 @@ def _reduce_r1(st: ExperimentConfig, feats: dict[str, np.ndarray]) -> _Rows:
 
 # ---------------------------------------------------------------- sigma-s characterization
 
-def _sigs_members(start: int, count: int, *, seed: int, step: float, horizon: float) -> tuple[Decomposition, np.ndarray]:
+def _sigs_members(start: int, count: int, *, seed: int, grid: TimeGrid) -> tuple[Decomposition, np.ndarray]:
     """The restarted reflected driver X and its kernel clock A, one row
     per path (``lifted_reflected``), and ErfSign's terminal values."""
-    grid = make_grid(horizon, step)
     q_erf, _, zs, _ = _density_block(seed, start, count, grid)
     return lifted_reflected(Path(grid=grid, values=_primary(seed, start, count, grid)), zs), q_erf
 
@@ -580,9 +574,8 @@ def _rho_pairs() -> tuple[tuple[PathFunctional, PathFunctional, bool], ...]:
     )
 
 
-def _rho_chunk(start: int, count: int, *, seed: int, step: float, horizon: float) -> dict[str, np.ndarray]:
-    grid = make_grid(horizon, step)
-    n = grid.n_steps
+def _rho_chunk(start: int, count: int, *, seed: int, grid: TimeGrid) -> dict[str, np.ndarray]:
+    n, step = grid.n_steps, grid.step
     zs = _density_block(seed, start, count, grid).zs
     w = _primary(seed, start, count, grid)
     g = zs.gbar_index
@@ -634,10 +627,7 @@ def _reduce_rho(st: ExperimentConfig, feats: dict[str, np.ndarray]) -> _Rows:
 
 # ---------------------------------------------------------------- q bracket
 
-def _qbracket_chunk(
-    start: int, count: int, *, seed: int, step: float, horizon: float, offset_steps: tuple[int, ...]
-) -> dict[str, np.ndarray]:
-    grid = make_grid(horizon, step)
+def _qbracket_chunk(start: int, count: int, *, seed: int, grid: TimeGrid, offset_steps: tuple[int, ...]) -> dict[str, np.ndarray]:
     q_erf, _, zs, _ = _density_block(seed, start, count, grid)
     w = _primary(seed, start, count, grid)
     gbar = zs.gbar_index
@@ -692,14 +682,13 @@ def _residual(x: Path, zs: ZeroSetInfo, form: str) -> np.ndarray:
     return tanaka_residual(x, 0.0, zs, form).residual.values
 
 
-def _ladder_chunk(start: int, count: int, *, seed: int, step: float, horizon: float) -> dict[str, np.ndarray]:
+def _ladder_chunk(start: int, count: int, *, seed: int, grids: dict[float, TimeGrid]) -> dict[str, np.ndarray]:
     """Sup residuals of every form on every ladder rung: the fine rows, and
     the density driver on the span, subsampled onto each rung's grid: a
     coarse rung's H is no subsample of the fine H, so the ladder draws
     its own driver.  On the fine rung, also the largest gaps of the plus
     and minus residuals from the abs one: all three estimate one local time."""
-    grids = _rung_grids(horizon, step, _LADDER, _MODEL_SPAN)
-    driver = driver_matrix(_ERF, seed, start, count, make_grid(_MODEL_SPAN, step))
+    driver = driver_matrix(_ERF, seed, start, count, make_grid(_MODEL_SPAN, grids[1].step))
     w = _primary(seed, start, count, grids[1])
     out: dict[str, np.ndarray] = {}
     for factor, grid in grids.items():
@@ -778,15 +767,14 @@ def _crossing_freq(z: np.ndarray, b: float, step: float) -> np.ndarray:
 _DOOB_LEVELS = (1.25, 1.5, 2.0, 3.0, 4.0)
 
 
-def _doob_chunk(start: int, count: int, *, seed: int, step: float, horizon: float) -> dict[str, np.ndarray]:
-    """Both doob-maximal passes off one primary draw of Z = W - t/2 to
-    ``horizon``: density one at each curve level, and ErfSign after its
+def _doob_chunk(start: int, count: int, *, seed: int, grid: TimeGrid) -> dict[str, np.ndarray]:
+    """Both doob-maximal passes off one primary draw of Z = W - t/2 on
+    ``grid``: density one at each curve level, and ErfSign after its
     last zero at level 2."""
-    grid = make_grid(horizon, step)
     q_erf, _, zs, _ = _density_block(seed, start, count, grid)
     z = _primary(seed, start, count, grid)
     z -= 0.5 * grid.times[None, :]
-    return _doob_features(z, zs.gbar_index, step) | {"q_erf": q_erf}
+    return _doob_features(z, zs.gbar_index, grid.step) | {"q_erf": q_erf}
 
 
 def _doob_features(z: np.ndarray, gbar: np.ndarray, step: float) -> dict[str, np.ndarray]:
@@ -855,8 +843,8 @@ def _pairs(w: np.ndarray, gbar: np.ndarray, step: float):
     yield "drawdown", s - w, s
 
 
-def _laws_chunk(start: int, count: int, *, seed: int, step: float, horizon: float) -> dict[str, np.ndarray]:
-    """The laws family's features off one primary draw to ``horizon`` and
+def _laws_chunk(start: int, count: int, *, seed: int, grid: TimeGrid) -> dict[str, np.ndarray]:
+    """The laws family's features off one primary draw on ``grid`` and
     one density draw on the model span.
 
     For each crossing law, A just before X first crosses phi(A) on the
@@ -865,10 +853,9 @@ def _laws_chunk(start: int, count: int, *, seed: int, step: float, horizon: floa
     density draw gives the ErfSign last zero, where the restarted pair
     starts, and both models' terminal values.
     """
-    grid = make_grid(horizon, step)
     q_erf, q_sbm, zs, _ = _density_block(seed, start, count, grid)
     out = {"q_erf": q_erf, "q_sbm": q_sbm}
-    for pair, x, a in _pairs(_primary(seed, start, count, grid), zs.gbar_index, step):
+    for pair, x, a in _pairs(_primary(seed, start, count, grid), zs.gbar_index, grid.step):
         out[f"x|{pair}"], out[f"a|{pair}"] = x[:, -1].copy(), a[:, -1].copy()
         for law, (p, boundary) in _CROSSING_LAWS.items():
             if p == pair:
@@ -1036,12 +1023,10 @@ def _closure_chunk(
     count: int,
     *,
     seed: int,
-    step: float,
-    horizon: float,
+    grid: TimeGrid,
     cols: tuple[int, ...],
     build: Callable[[int, int, int, TimeGrid], Decomposition],
 ) -> dict[str, np.ndarray]:
-    grid = make_grid(horizon, step)
     q_sbm = _density_block(seed, start, count, grid).q_sbm
     d = build(seed, start, count, grid)
     # a chunk holding some of the membership sample verifies its rows;
@@ -1084,9 +1069,8 @@ _SHIFTED_VARIANTS = ("drawdown", "lifted", "lifted-stopped", "product", "scaled"
 _SUPPORT_RUNGS = (2, 1)
 
 
-def _membership_chunk(start: int, count: int, *, seed: int, step: float, horizon: float) -> dict[str, np.ndarray]:
-    rungs = _rung_grids(horizon, step, _SUPPORT_RUNGS)
-    grid = rungs[1]
+def _membership_chunk(start: int, count: int, *, seed: int, grids: dict[float, TimeGrid]) -> dict[str, np.ndarray]:
+    grid = grids[1]
     zs = _density_block(seed, start, count, grid).zs
     w = Path(grid=grid, values=_primary(seed, start, count, grid))
     base = drawdown(w)
@@ -1111,14 +1095,14 @@ def _membership_chunk(start: int, count: int, *, seed: int, step: float, horizon
     # fixed-tolerance support mass on a common-randomness step ladder: W
     # and every second point of it; the step-s rung is the abs-martingale
     # member's own triple, read without its zero set
-    stress_tol = 0.6 * float(np.sqrt(2.0 * step))
+    stress_tol = 0.6 * float(np.sqrt(2.0 * grid.step))
     plain = replace(members["abs-martingale"], zero_set=empty_zero_set(w))
     support = {1: verify_membership(plain, stress_tol).support}
     del members, plain
     ramp = Path(grid=grid, values=base.a.values + 0.5 * grid.times)
     bad = assemble(base.x, ramp, base.class_tag, base.zero_set, support_scale=base.support_scale)
     out["corrupt_pass"] = verify_membership(bad).passed.astype(np.float64)
-    support[2] = verify_membership(abs_martingale(Path(grid=rungs[2], values=w.values[:, ::2])), stress_tol).support
+    support[2] = verify_membership(abs_martingale(Path(grid=grids[2], values=w.values[:, ::2])), stress_tol).support
     for factor in _SUPPORT_RUNGS:
         out[f"viol|{factor}"] = support[factor].violation_mass
         out[f"tot|{factor}"] = support[factor].total_mass
@@ -1165,8 +1149,8 @@ def _reduce_membership(st: ExperimentConfig, feats: dict[str, np.ndarray]) -> _R
 
 # ---------------------------------------------------------------- zero geometry
 
-def _geom_chunk(start: int, count: int, *, seed: int, step: float) -> dict[str, np.ndarray]:
-    _, _, zs, hit = _density_block(seed, start, count, make_grid(_MODEL_SPAN, step))
+def _geom_chunk(start: int, count: int, *, seed: int, grid: TimeGrid) -> dict[str, np.ndarray]:
+    _, _, zs, hit = _density_block(seed, start, count, grid)
     gbar = zs.gbar_index
     col = np.arange(zs.in_h.shape[1])
     after = col[None, :] >= gbar[:, None]
@@ -1352,13 +1336,13 @@ def run_experiment(cfg: ExperimentConfig, suite: str | None = None) -> Experimen
     spec = EXPERIMENTS[st.experiment]
     started = perf_counter()
     params = spec.plan(st)
-    key = (st.master_seed, st.step, st.n_paths, tuple(sorted(params.items())))
+    key = (st.master_seed, st.n_paths, params)
     kept = _KEPT.get(spec.chunk)
     if kept is not None and kept[0] == key and st.experiment not in kept[2]:
         kept[2].add(st.experiment)
         feats = kept[1]
     else:
-        fn = functools.partial(spec.chunk, seed=st.master_seed, step=st.step, **params)
+        fn = functools.partial(spec.chunk, seed=st.master_seed, **params)
         feats = run_chunked(st.n_paths, fn, chunk_size=spec.chunk_rows, workers=st.workers)
         if spec.chunk in _SHARED:
             for values in feats.values():

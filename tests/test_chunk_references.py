@@ -61,6 +61,7 @@ from sigma_lab.experiments import (
     _qbracket_chunk,
     _rho_chunk,
     _rho_pairs,
+    _rung_grids,
     _sigs_chunk,
     _t1_chunk,
 )
@@ -214,33 +215,33 @@ def _assert_rows_match(batch, reference, start):
 
 @pytest.mark.parametrize("start", [0, 40])
 def test_rho_chunk_matches_per_path_restarts(start):
-    batch = _rho_chunk(start, PATHS, seed=SEED, step=0.02, horizon=2.0)
+    batch = _rho_chunk(start, PATHS, seed=SEED, grid=make_grid(2.0, 0.02))
     _assert_rows_match(batch, lambda spec: _rho_reference(spec, 0.02, 2.0), start)
 
 
 @pytest.mark.parametrize("start", [0, 40])
 def test_membership_chunk_matches_per_path_verdicts(start):
-    batch = _membership_chunk(start, PATHS, seed=SEED, step=0.01, horizon=1.0)
+    batch = _membership_chunk(start, PATHS, seed=SEED, grids=_rung_grids(1.0, 0.01, (2, 1)))
     _assert_rows_match(batch, lambda spec: _membership_reference(spec, 0.01, 1.0), start)
 
 
 def test_ladder_chunk_matches_per_path_residuals():
     forms = ("abs", "plus", "minus") + tuple(_ITO_FORMS)
-    batch = _ladder_chunk(0, PATHS, seed=SEED, step=0.005, horizon=1.0)
+    batch = _ladder_chunk(0, PATHS, seed=SEED, grids=_rung_grids(1.0, 0.005, (4, 2, 1)))
     _assert_rows_match(batch, lambda spec: _ladder_reference(spec, 0.005, 1.0, forms), 0)
 
 
 @pytest.mark.parametrize("start", [0, 40])
 def test_t1_chunk_matches_per_path_characterization(start):
     cols = (25, 50, 75, 100)
-    batch = _t1_chunk(start, PATHS, seed=SEED, step=0.01, horizon=1.0, cols=cols)
+    batch = _t1_chunk(start, PATHS, seed=SEED, grid=make_grid(1.0, 0.01), cols=cols)
     _assert_rows_match(batch, lambda spec: _t1_reference(spec, 0.01, 1.0, list(cols)), start)
 
 
 @pytest.mark.parametrize("start", [0, 40])
 def test_sigs_chunk_matches_per_path_characterization(start):
     cols = (50, 100, 150, 200)
-    batch = _sigs_chunk(start, PATHS, seed=SEED, step=0.01, horizon=2.0, cols=cols)
+    batch = _sigs_chunk(start, PATHS, seed=SEED, grid=make_grid(2.0, 0.01), cols=cols)
     _assert_rows_match(batch, lambda spec: _sigs_reference(spec, 0.01, 2.0, list(cols)), start)
 
 
@@ -249,7 +250,7 @@ def test_qbracket_chunk_matches_per_path_bracket(start):
     # the chunk gathers the bracket from each row's last zero alone; the
     # reference reads q_bracket on the path's whole zero set
     offsets = (10, 20, 50, 100)
-    batch = _qbracket_chunk(start, PATHS, seed=SEED, step=0.01, horizon=2.0, offset_steps=offsets)
+    batch = _qbracket_chunk(start, PATHS, seed=SEED, grid=make_grid(2.0, 0.01), offset_steps=offsets)
     _assert_rows_match(batch, lambda spec: _qbracket_reference(spec, 0.01, 2.0, offsets), start)
     zeros = [_zero_set(SeedSpec(SEED, start + i), make_grid(2.0, 0.01)).gbar_index > 0 for i in range(PATHS)]
     assert 0 < sum(zeros) < PATHS
@@ -297,7 +298,7 @@ def _geom_reference(spec, step):
 
 @pytest.mark.parametrize("start", [0, 40])
 def test_geom_chunk_matches_per_path_bridged_hits(start):
-    batch = _geom_chunk(start, PATHS, seed=SEED, step=0.01)
+    batch = _geom_chunk(start, PATHS, seed=SEED, grid=make_grid(1.0, 0.01))
     _assert_rows_match(batch, lambda spec: _geom_reference(spec, 0.01), start)
     # paths with and without a zero on the grid, and bridged chances strictly between
     assert 0 < np.count_nonzero(batch["hit"] == 1.0) < PATHS

@@ -108,7 +108,7 @@ def test_run_chunked_is_chunking_invariant():
 
 def test_sigma_s_chunk_rows_are_lifted_reflected_bitwise():
     model = ErfSign(offset=1.0, terminal_time=1.0)
-    d, _ = _sigs_members(0, 12, seed=SEED, step=0.01, horizon=2.0)
+    d, _ = _sigs_members(0, 12, seed=SEED, grid=make_grid(2.0, 0.01))
     grid, x, a = d.grid, d.x.values, d.a.values
     for i in range(12):
         seed = SeedSpec(SEED, i)

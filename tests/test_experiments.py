@@ -7,6 +7,7 @@ import subprocess
 import sys
 from collections import Counter, defaultdict
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -42,8 +43,10 @@ from sigma_lab.experiments import (
     _membership_chunk,
     _r1_chunk,
     _rho_chunk,
+    _rung_grids,
 )
 from sigma_lab.reporting import rows_as_json
+
 
 EXPECTED_NAMES = [
     "a-infinity",
@@ -599,10 +602,14 @@ def _accepted_configs(draw):
 @example(ExperimentConfig(experiment="t1-characterization", n_paths=2, step=4e-9, horizon=1e-3, checkpoints=(1e-3, 1e300)))
 @given(_accepted_configs())
 def test_accepted_config_runs_or_is_config_error(cfg):
-    try:
-        run_experiment(cfg)
-    except ConfigurationError:
-        pass
+    # spied here, not by the chunk_calls fixture: hypothesis refuses
+    # function-scoped fixtures under @given
+    with mock.patch.object(experiments, "run_chunked", wraps=experiments.run_chunked) as chunked:
+        try:
+            run_experiment(cfg)
+        except ConfigurationError:
+            # every refusal comes from resolve_settings or the plan
+            assert not chunked.called, f"{cfg} refused after its first chunk"
 
 
 class _Draws(Counter):
@@ -649,25 +656,25 @@ def chunk_calls(monkeypatch):
 
 
 def test_pathwise_chunks_draw_each_density_stream_once(draws):
-    _rho_chunk(0, 10, seed=20260822, step=0.02, horizon=2.0)
+    _rho_chunk(0, 10, seed=20260822, grid=make_grid(2.0, 0.02))
     # ErfSign's zeros end at its terminal time 1.0, so its stream does too
     assert draws[SUBSTREAM_DENSITY] == 10 and draws.n_steps[SUBSTREAM_DENSITY] == {50}
     draws.clear()
     # both support-mass rungs read the members' primary draw: 3,000 normals a path at the registry step
-    _membership_chunk(0, 10, seed=20260822, step=1e-3, horizon=1.0)
+    _membership_chunk(0, 10, seed=20260822, grids=_rung_grids(1.0, 1e-3, (2, 1)))
     substreams = (SUBSTREAM_PRIMARY, SUBSTREAM_SECONDARY, SUBSTREAM_DENSITY)
     assert {s: (draws[s], draws.n_steps[s]) for s in draws} == dict.fromkeys(substreams, (10, {1000}))
     draws.clear()
     # past the span, membership's zero sets are padded, not read off a longer draw
-    _membership_chunk(0, 10, seed=20260822, step=0.01, horizon=2.0)
+    _membership_chunk(0, 10, seed=20260822, grids=_rung_grids(2.0, 0.01, (2, 1)))
     assert draws[SUBSTREAM_DENSITY] == 10 and draws.n_steps[SUBSTREAM_DENSITY] == {100}
     draws.clear()
     # every ladder rung and all six residual forms read one draw per stream
-    _ladder_chunk(0, 10, seed=20260822, step=0.005, horizon=1.0)
+    _ladder_chunk(0, 10, seed=20260822, grids=_rung_grids(1.0, 0.005, (4, 2, 1)))
     assert draws[SUBSTREAM_DENSITY] == 10 and draws[SUBSTREAM_PRIMARY] == 10
     draws.clear()
     # past the span, each rung's zero sets are padded too
-    _ladder_chunk(0, 10, seed=20260822, step=0.01, horizon=2.0)
+    _ladder_chunk(0, 10, seed=20260822, grids=_rung_grids(2.0, 0.01, (4, 2, 1)))
     assert draws[SUBSTREAM_DENSITY] == 10 and draws.n_steps[SUBSTREAM_DENSITY] == {100}
 
 
@@ -916,7 +923,7 @@ def test_cli_rejects_unknown_config_key(tmp_path):
 
 def test_r1_chunk_returns_one_row_per_path():
     # the largest offset, 0.95, leaves the model span's 100 steps on a horizon-1.95 grid
-    feats = _r1_chunk(0, 12, seed=7, step=0.01, horizon=1.95, offset_steps=(20, 95))
+    feats = _r1_chunk(0, 12, seed=7, grid=make_grid(1.95, 0.01), offset_steps=(20, 95))
     assert {k: v.shape[0] for k, v in feats.items()} == dict.fromkeys(("v", "bound", "q_erf"), 12)
 
 
